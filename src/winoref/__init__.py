@@ -13,7 +13,7 @@ from .encoder import (EncoderConfig, EncoderModel, EmbeddingStack, encode,
                       mlm_logits, pretrain_mlm, PretrainConfig)
 from .scoring import ScoreConfig, windowed_bertscore
 from .refine import (Discriminator, LossWeights, RefinementConfig,
-                     contrastive_loss, diversity_loss, generate_pair,
+                     contrastive_loss, contrastive_pairs, diversity_loss,
                      reconstruction_loss, refine)
 from .evaluate import (CandidateScore, EvalReport, ablation_run, evaluate,
                        resolve, score_candidate)
@@ -27,7 +27,7 @@ __all__ = [
     "pretrain_mlm", "PretrainConfig",
     "ScoreConfig", "windowed_bertscore",
     "Discriminator", "LossWeights", "RefinementConfig", "contrastive_loss",
-    "diversity_loss", "generate_pair", "reconstruction_loss", "refine",
+    "contrastive_pairs", "diversity_loss", "reconstruction_loss", "refine",
     "CandidateScore", "EvalReport", "ablation_run", "evaluate", "resolve",
     "score_candidate",
 ]

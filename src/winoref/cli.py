@@ -129,8 +129,8 @@ def cmd_pretrain(cfg, out):
     _save_model(ckpt_path, model, cfg)
     log_path = os.path.join(out, "pretrain_log.csv")
     C.write_csv_artifact(log_path, cfg, ["step", "lr", "loss"], history)
-    print(f"pretrained on {len(seqs)} sentences, {len(history)} steps, "
-          f"final loss {history[-1]['loss']:.4f}")
+    final = f", final loss {history[-1]['loss']:.4f}" if history else ""
+    print(f"pretrained on {len(seqs)} sentences, {len(history)} steps{final}")
     print(f"wrote {ckpt_path}, {vocab_path}, {log_path}")
     return 0
 
@@ -157,8 +157,8 @@ def cmd_refine(cfg, out):
     log_path = os.path.join(out, "refine_log.csv")
     C.write_csv_artifact(log_path, cfg, ["step", "lr", "L_R", "L_C", "L_D", "total"],
                          log_rows)
-    print(f"refined for {len(history)} steps, final total loss "
-          f"{history[-1]['loss_total']:.4f}")
+    final = f", final total loss {history[-1]['loss_total']:.4f}" if history else ""
+    print(f"refined for {len(history)} steps{final}")
     print(f"wrote {ckpt_path}, {log_path}")
     return 0
 

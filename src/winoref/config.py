@@ -10,6 +10,7 @@ configuration.
 import copy
 import hashlib
 import json
+import numbers
 import os
 
 DEFAULTS = {
@@ -68,6 +69,15 @@ DEFAULTS = {
 
 class ConfigError(ValueError):
     pass
+
+
+def check_count(name, value, minimum):
+    """Reject a count that is not an integer (bools included) or is below
+    ``minimum``; ``name`` is the key as the config spells it."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
 
 
 def _coerce(raw):

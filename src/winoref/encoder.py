@@ -13,6 +13,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import tensor as T
+from .config import check_count
 from .optim import AdamW
 from .tensor import Tensor
 
@@ -111,15 +112,24 @@ class EncoderModel:
 
 @dataclass
 class EmbeddingStack:
-    """Final-layer hidden states for one sequence, with its masks."""
-    hidden: Tensor                 # (max_len, model_dim)
-    attention_mask: np.ndarray     # real-token positions
-    content_mask: np.ndarray       # ordinary word positions
+    """Final-layer hidden states for a batch of sequences, with their masks."""
+    hidden: Tensor                 # (N, max_len, model_dim)
+    attention_mask: np.ndarray     # (N, max_len) real-token positions
+    content_mask: np.ndarray       # (N, max_len) ordinary word positions
 
     def eligible(self, include_special=False):
-        """Row indices that participate in similarity matching."""
-        mask = self.attention_mask if include_special else self.content_mask
-        return np.nonzero(mask)[0]
+        """(N, max_len) mask of the positions that take part in similarity
+        matching."""
+        return self.attention_mask if include_special else self.content_mask
+
+    @classmethod
+    def concat(cls, stacks):
+        """The rows of several stacks as one constant stack; no gradient
+        flows back to the parts."""
+        hidden = np.concatenate([s.hidden.data for s in stacks])
+        return cls(hidden=Tensor(hidden, dtype=hidden.dtype),
+                   attention_mask=np.concatenate([s.attention_mask for s in stacks]),
+                   content_mask=np.concatenate([s.content_mask for s in stacks]))
 
 
 def _dropout(x, rate, rng):
@@ -209,22 +219,18 @@ def _check_ids(model, ids):
 
 
 def encode_batch(model, seqs, train=False, rng=None):
-    """Embedding stacks for a list of TokenSequences (one shared graph)."""
+    """Embedding stack of a list of TokenSequences, one row each, computed
+    in one graph."""
     ids = _check_ids(model, np.stack([s.ids for s in seqs]))
     mask = np.stack([s.attention_mask for s in seqs])
     hidden = forward_hidden(model, ids, mask, train=train, rng=rng)
-    L, d = model.config.max_len, model.config.model_dim
-    stacks = []
-    for i, s in enumerate(seqs):
-        row = T.reshape(T.take(hidden, np.array([i]), axis=0), (L, d))
-        stacks.append(EmbeddingStack(hidden=row, attention_mask=s.attention_mask,
-                                     content_mask=s.content_mask))
-    return stacks
+    return EmbeddingStack(hidden=hidden, attention_mask=mask,
+                          content_mask=np.stack([s.content_mask for s in seqs]))
 
 
 def encode(model, seq, train=False, rng=None):
-    """Embedding stack for one sequence (deterministic in eval mode)."""
-    return encode_batch(model, [seq], train=train, rng=rng)[0]
+    """One-row embedding stack for one sequence (deterministic in eval mode)."""
+    return encode_batch(model, [seq], train=train, rng=rng)
 
 
 def mlm_logits_batch(model, ids, attention_mask, train=False, rng=None):
@@ -259,6 +265,10 @@ class PretrainConfig:
     adam_eps: float = 1e-8
     mask_prob: float = 0.15
     seed: int = 0
+
+    def __post_init__(self):
+        check_count("pretrain.epochs", self.epochs, 0)
+        check_count("pretrain.batch_size", self.batch_size, 1)
 
     def to_dict(self):
         return asdict(self)

@@ -14,12 +14,12 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from . import tensor as T
-from .encoder import encode, encode_batch
+from .config import check_count
+from .encoder import EmbeddingStack, encode, encode_batch
 from .optim import AdamW
 from .scoring import windowed_bertscore
 from .tensor import Tensor
-from .text import (KIND_INDEX, PERTURBATION_KINDS, PerturbationKind,
-                   prepend_perturbation, tokenize)
+from .text import KIND_INDEX, PERTURBATION_KINDS, prepend_perturbation, tokenize
 
 N_KINDS = len(PERTURBATION_KINDS)
 
@@ -60,6 +60,8 @@ class RefinementConfig:
     disc_dropout: float = 0.2
 
     def __post_init__(self):
+        check_count("refine.epochs", self.epochs, 0)
+        check_count("refine.batch_size", self.batch_size, 1)
         if self.target_mode not in ("frozen-init", "stop-gradient-current"):
             raise ValueError(f"unknown target_mode {self.target_mode!r}")
 
@@ -122,77 +124,66 @@ class Discriminator:
 
 
 def pooled_stack(stack):
-    """Masked mean of an embedding stack over its eligible word positions."""
-    idx = stack.eligible(include_special=False)
-    if len(idx) == 0:
+    """Masked mean of each row of an embedding stack over its word
+    positions, (N, model_dim)."""
+    counts = stack.content_mask.sum(axis=1, keepdims=True)
+    if not counts.all():
         raise ValueError("cannot pool a stack with no eligible positions")
-    return T.tmean(T.take(stack.hidden, idx, axis=0), axis=0)
+    weights = (stack.content_mask / counts)[:, :, None]
+    return T.tsum(T.mul(stack.hidden, weights), axis=1)
 
 
-def generate_pair(model, group, kind, vocab, max_len, target_model=None,
-                  train=False, rng=None):
-    """(target, generated) embedding stacks for one (sample, kind) pair.
-
-    The generated stack comes from the base sentence conditioned on the
-    perturbation token and carries gradients; the target stack comes from
-    the perturbed sentence itself and carries none. ``target_model``
-    selects the snapshot used for targets (defaults to ``model``).
-    """
-    if kind != PerturbationKind.IDENTICAL and kind not in group.variants:
-        raise ValueError(f"group {group.sample_id}: no {kind.value} variant")
-    gen_seq = prepend_perturbation(tokenize(group.base, vocab, max_len), kind, vocab)
-    generated = encode(model, gen_seq, train=train, rng=rng)
-    tgt_seq = tokenize(group.variant_text(kind), vocab, max_len)
-    with T.no_grad():
-        target = encode(target_model or model, tgt_seq)
-    return target, generated
+def contrastive_pairs(samples, kinds):
+    """Index arrays (ia, ib) of the ordered row pairs that come from
+    different samples and share a perturbation kind."""
+    samples = np.asarray(samples)
+    kind_ids = np.array([KIND_INDEX[kind] for kind in kinds])
+    same = ((kind_ids[:, None] == kind_ids[None, :])
+            & (samples[:, None] != samples[None, :]))
+    return np.nonzero(same)
 
 
-def reconstruction_loss(pairs, alpha, score_cfg):
-    """Negative weighted sum of windowed scores over (target, generated) pairs."""
-    if not pairs:
+def reconstruction_loss(targets, generated, alpha, score_cfg):
+    """Negative weighted sum of the windowed scores of each generated row
+    against the target row at the same index."""
+    n = generated.hidden.shape[0]
+    if n == 0:
         raise ValueError("reconstruction loss needs at least one pair")
+    if targets.hidden.shape[0] != n:
+        raise ValueError(f"reconstruction loss: {targets.hidden.shape[0]} targets "
+                         f"for {n} generated rows")
     if alpha == 0:
         return Tensor(0.0)
-    scores = [windowed_bertscore(target, gen, score_cfg) for target, gen in pairs]
-    return T.mul(T.add_n(scores), -alpha)
+    rows = np.arange(n)
+    return T.mul(T.tsum(windowed_bertscore(targets, generated, rows, rows, score_cfg)),
+                 -alpha)
 
 
-def contrastive_loss(entries, beta, score_cfg):
-    """Weighted sum of scores over ordered cross-sample pairs that share a
-    perturbation type; minimizing it repels same-type stacks of different
-    samples. ``entries``: list of (sample_index, kind, stack)."""
-    if beta == 0:
+def contrastive_loss(stack, pairs, beta, score_cfg):
+    """Weighted sum of the windowed scores of the row pairs ``(ia, ib)`` of
+    one stack, normally ``contrastive_pairs``; minimizing it repels
+    same-type stacks of different samples."""
+    ia, ib = pairs
+    if beta == 0 or len(ia) == 0:
         return Tensor(0.0)
-    by_kind = {}
-    for sample, kind, stack in entries:
-        by_kind.setdefault(kind, []).append((sample, stack))
-    terms = []
-    for kind in PERTURBATION_KINDS:
-        members = by_kind.get(kind, [])
-        for (si, a), (sj, b) in itertools.permutations(members, 2):
-            if si != sj:
-                terms.append(windowed_bertscore(a, b, score_cfg))
-    if not terms:
-        return Tensor(0.0)
-    return T.mul(T.add_n(terms), beta)
+    return T.mul(T.tsum(windowed_bertscore(stack, stack, ia, ib, score_cfg)), beta)
 
 
-def diversity_loss(entries, disc, gamma, train=False, rng=None):
-    """Perturbation-classification loss over generated stacks.
+def diversity_loss(stack, kinds, disc, gamma, train=False, rng=None):
+    """Perturbation-classification loss over the rows of a generated stack,
+    ``kinds[i]`` being the perturbation kind of row i.
 
-    For each entry the discriminator's softmax probability of the true kind
+    For each row the discriminator's softmax probability of the true kind
     is compared against the total probability of all other kinds; the log of
     that ratio (clamped so it stays finite) is summed and negated. Gradients
     reach both the encoder (through the pooled stacks) and the discriminator.
     """
     if gamma == 0:
         return Tensor(0.0)
-    if not entries:
-        raise ValueError("diversity loss needs at least one entry")
-    pooled = T.stack([pooled_stack(stack) for _, _, stack in entries], axis=0)
-    logits = disc.forward(pooled, train=train, rng=rng)
-    kind_ids = np.array([KIND_INDEX[kind] for _, kind, _ in entries])
+    if not kinds:
+        raise ValueError("diversity loss needs at least one row")
+    logits = disc.forward(pooled_stack(stack), train=train, rng=rng)
+    kind_ids = np.array([KIND_INDEX[kind] for kind in kinds])
     onehot = np.eye(N_KINDS, dtype=logits.data.dtype)[kind_ids]
     logit_true = T.tsum(T.mul(logits, onehot), axis=1)
     # log sum over the other kinds, computed by pushing the true kind to -inf
@@ -250,21 +241,19 @@ def refine(model, disc, groups, weights, cfg, score_cfg, vocab):
         rng.shuffle(order)
         for start in range(0, len(groups), cfg.batch_size):
             batch = [groups[i] for i in order[start:start + cfg.batch_size]]
-            chosen = []          # (sample_index, group, kind)
-            for bi, g in enumerate(batch):
-                for kind in _sample_kinds(g, cfg.perturbations_per_sample, rng):
-                    chosen.append((bi, g, kind))
+            chosen = [(bi, g, kind) for bi, g in enumerate(batch)
+                      for kind in _sample_kinds(g, cfg.perturbations_per_sample, rng)]
+            samples = [bi for bi, _, _ in chosen]
+            kinds = [kind for _, _, kind in chosen]
             gen_seqs = [prepend_perturbation(tokenize(g.base, vocab, max_len), kind, vocab)
                         for _, g, kind in chosen]
-            gen_stacks = encode_batch(model, gen_seqs, train=True, rng=rng)
-            targets = [target_for(g, kind) for _, g, kind in chosen]
-            entries = [(bi, kind, stack)
-                       for (bi, _, kind), stack in zip(chosen, gen_stacks)]
+            generated = encode_batch(model, gen_seqs, train=True, rng=rng)
+            targets = EmbeddingStack.concat([target_for(g, kind) for _, g, kind in chosen])
 
-            loss_r = reconstruction_loss(list(zip(targets, gen_stacks)),
-                                         weights.alpha, score_cfg)
-            loss_c = contrastive_loss(entries, weights.beta, score_cfg)
-            loss_d = diversity_loss(entries, disc, weights.gamma,
+            loss_r = reconstruction_loss(targets, generated, weights.alpha, score_cfg)
+            loss_c = contrastive_loss(generated, contrastive_pairs(samples, kinds),
+                                      weights.beta, score_cfg)
+            loss_d = diversity_loss(generated, kinds, disc, weights.gamma,
                                     train=True, rng=rng)
             total = T.add(T.add(loss_r, loss_c), loss_d)
             T.backward(total)
@@ -285,16 +274,15 @@ def refine(model, disc, groups, weights, cfg, score_cfg, vocab):
 
 def pooled_kind_dataset(model, groups, vocab, max_len):
     """Pooled generated stacks plus kind labels and sample ids, eval mode."""
-    feats, kinds, samples = [], [], []
+    seqs, kinds, samples = [], [], []
+    for g in groups:
+        for kind in g.available_kinds():
+            seqs.append(prepend_perturbation(tokenize(g.base, vocab, max_len), kind, vocab))
+            kinds.append(KIND_INDEX[kind])
+            samples.append(g.sample_id)
     with T.no_grad():
-        for g in groups:
-            for kind in g.available_kinds():
-                seq = prepend_perturbation(tokenize(g.base, vocab, max_len), kind, vocab)
-                stack = encode(model, seq)
-                feats.append(pooled_stack(stack).data)
-                kinds.append(KIND_INDEX[kind])
-                samples.append(g.sample_id)
-    return np.stack(feats), np.array(kinds), samples
+        feats = pooled_stack(encode_batch(model, seqs)).data
+    return feats, np.array(kinds), samples
 
 
 def kind_probe_accuracy(feats, labels, seed=0, holdout=0.25, epochs=300, lr=0.5):

@@ -1,10 +1,11 @@
-"""Windowed token-matching similarity between two embedding stacks.
+"""Windowed token-matching similarity between embedding stacks.
 
 Greedy max-cosine token matching in the style of BERTscore, with matching
 restricted to a sliding window centered on each token. Precision averages
 each left-side token's best in-window match, recall mirrors it, and the two
-are combined into F1. The whole computation is differentiable; the max
-routes gradient to its argmax element.
+are combined into F1. Every pair of a batch is scored in one vectorized
+computation; it is differentiable, and the max routes gradient to its
+argmax element.
 """
 
 from dataclasses import dataclass, asdict
@@ -12,7 +13,6 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from . import tensor as T
-from .tensor import Tensor
 
 # out-of-window penalty; cosines live in [-1, 1] so -4 can never win a max
 _WINDOW_PENALTY = -4.0
@@ -37,49 +37,50 @@ class ScoreConfig:
         return asdict(self)
 
 
-def _positions(idx, alignment):
+def _positions(eligible, alignment):
+    """(P, L) window coordinate of each position; only eligible ones are read."""
     if alignment == "compact":
-        return np.arange(len(idx))
-    return idx
+        return np.cumsum(eligible, axis=1) - 1
+    return np.broadcast_to(np.arange(eligible.shape[1]), eligible.shape)
 
 
-def windowed_bertscore(a, b, cfg):
-    """Similarity of two embedding stacks as a differentiable scalar tensor.
+def windowed_bertscore(a, b, ia, ib, cfg):
+    """F1 of row ``ia[p]`` of stack ``a`` against row ``ib[p]`` of stack
+    ``b`` for every pair p, as a differentiable (P,) tensor.
 
-    Positions whose window contains no eligible partner contribute 0. If the
-    precision/recall sum is exactly ~0 (mutually orthogonal stacks), F1 is
-    defined as 0.
+    Positions whose window contains no eligible partner contribute 0. If a
+    pair's precision/recall sum is ~0 (mutually orthogonal rows), its F1 is
+    defined as 0 and passes no gradient.
     """
-    idx_a = a.eligible(cfg.include_special)
-    idx_b = b.eligible(cfg.include_special)
-    if len(idx_a) == 0 or len(idx_b) == 0:
-        which = "first" if len(idx_a) == 0 else "second"
-        raise ValueError(f"windowed score: {which} stack has no eligible tokens "
-                         f"after special/pad filtering")
+    ia = np.asarray(ia, dtype=np.int64)
+    ib = np.asarray(ib, dtype=np.int64)
+    ea = a.eligible(cfg.include_special)[ia]             # (P, La)
+    eb = b.eligible(cfg.include_special)[ib]             # (P, Lb)
+    for which, mask in (("first", ea), ("second", eb)):
+        if not mask.any(axis=1).all():
+            raise ValueError(f"windowed score: {which} stack has no eligible tokens "
+                             f"after special/pad filtering")
 
-    rows_a = T.l2_normalize(T.take(a.hidden, idx_a, axis=0), axis=-1)
-    rows_b = T.l2_normalize(T.take(b.hidden, idx_b, axis=0), axis=-1)
-    sim = T.matmul(rows_a, T.transpose(rows_b, (1, 0)))   # (na, nb) cosines
+    unit_a = T.l2_normalize(a.hidden, axis=-1)
+    unit_b = unit_a if b is a else T.l2_normalize(b.hidden, axis=-1)
+    rows_a = T.take(unit_a, ia, axis=0)
+    rows_b = T.take(unit_b, ib, axis=0)
+    sim = T.matmul(rows_a, T.transpose(rows_b, (0, 2, 1)))   # (P, La, Lb) cosines
 
-    pa = _positions(idx_a, cfg.alignment)
-    pb = _positions(idx_b, cfg.alignment)
-    in_window = np.abs(pa[:, None] - pb[None, :]) <= cfg.window_radius
-    penalty = Tensor(np.where(in_window, 0.0, _WINDOW_PENALTY))
-    masked = T.add(sim, penalty)
+    pa = _positions(ea, cfg.alignment)
+    pb = _positions(eb, cfg.alignment)
+    in_window = ((np.abs(pa[:, :, None] - pb[:, None, :]) <= cfg.window_radius)
+                 & ea[:, :, None] & eb[:, None, :])
+    masked = T.add(sim, np.where(in_window, 0.0, _WINDOW_PENALTY))
 
-    # rows/cols with an empty window contribute 0 and receive no gradient
-    row_has = in_window.any(axis=1).astype(sim.data.dtype)
-    col_has = in_window.any(axis=0).astype(sim.data.dtype)
-    precision = T.tmean(T.mul(T.tmax(masked, axis=1), row_has))
-    recall = T.tmean(T.mul(T.tmax(masked, axis=0), col_has))
+    # rows/cols with an empty window contribute 0 and receive no gradient;
+    # the weights also average over each side's eligible positions only
+    row_w = in_window.any(axis=2) / ea.sum(axis=1, keepdims=True)
+    col_w = in_window.any(axis=1) / eb.sum(axis=1, keepdims=True)
+    precision = T.tsum(T.mul(T.tmax(masked, axis=2), row_w), axis=1)
+    recall = T.tsum(T.mul(T.tmax(masked, axis=1), col_w), axis=1)
 
-    denom = precision.item() + recall.item()
-    if abs(denom) < 1e-12:
-        return Tensor(0.0)
-    return T.div(T.mul(T.mul(precision, recall), 2.0), T.add(precision, recall))
-
-
-def score_value(a, b, cfg):
-    """Plain-float windowed score, for evaluation paths."""
-    with T.no_grad():
-        return windowed_bertscore(a, b, cfg).item()
+    # a degenerate pair is scaled by 0 over a denominator of 1: F1 0, no gradient
+    ok = np.abs(precision.data + recall.data) >= 1e-12
+    return T.div(T.mul(T.mul(precision, recall), np.where(ok, 2.0, 0.0)),
+                 T.add(T.add(precision, recall), np.where(ok, 0.0, 1.0)))

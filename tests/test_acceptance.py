@@ -20,7 +20,7 @@ from winoref.encoder import (EncoderConfig, EncoderModel,
                              masked_token_accuracy)
 from winoref.evaluate import evaluate, log_probs_at_positions, resolve, score_candidate
 from winoref.refine import (Discriminator, LossWeights, RefinementConfig,
-                            contrastive_loss, diversity_loss,
+                            contrastive_loss, contrastive_pairs, diversity_loss,
                             kind_probe_accuracy, min_same_kind_distance,
                             pooled_kind_dataset, reconstruction_loss)
 from winoref.scoring import ScoreConfig, windowed_bertscore
@@ -34,8 +34,8 @@ from winoref.text import (PERTURBATION_KINDS, SchemaInstance, Vocabulary,
 from conftest import check_grads, finite_difference_grad, rel_err
 from test_refine import (entries_for, oracle_contrastive, oracle_diversity_eval_mode,
                          oracle_reconstruction, zeroed_discriminator)
-from test_scoring import (brute_force_unwindowed, content_rows, make_stack,
-                          random_stack)
+from test_scoring import (batch_of, brute_force_unwindowed, content_rows,
+                          make_stack, pair_score, random_stack)
 from test_tensor import randt
 
 
@@ -112,37 +112,43 @@ def test_acceptance_1_gradient_suite():
             check_grads(build, inputs)
             instances += 1
 
-    # windowed similarity metric
+    # windowed similarity metric: several pairs of one stack, and pairs
+    # across two stacks of different lengths, in both alignments
     for seed in range(4):
         rng = np.random.default_rng(2000 + seed)
-        a = random_stack(rng, 5, requires_grad=True)
-        b = random_stack(rng, 6, requires_grad=True)
-        cfg = ScoreConfig(window_radius=2)
-        check_grads(lambda: windowed_bertscore(a, b, cfg), [a.hidden, b.hidden])
-        instances += 1
+        for alignment in ("compact", "raw"):
+            cfg = ScoreConfig(window_radius=2, alignment=alignment)
+            one = batch_of([random_stack(rng, n) for n in (5, 6, 4)], requires_grad=True)
+            ia, ib = np.array([0, 1, 2, 0]), np.array([1, 2, 0, 2])
+            w = rng.normal(size=4)
+            check_grads(lambda: T.tsum(T.mul(windowed_bertscore(one, one, ia, ib, cfg), w)),
+                        [one.hidden])
+            instances += 1
+            a = batch_of([random_stack(rng, n) for n in (5, 3)], requires_grad=True)
+            b = batch_of([random_stack(rng, n) for n in (6, 2, 4)], requires_grad=True)
+            ia, ib = np.array([0, 1, 1]), np.array([2, 0, 1])
+            check_grads(lambda: T.tsum(T.mul(windowed_bertscore(a, b, ia, ib, cfg), w[:3])),
+                        [a.hidden, b.hidden])
+            instances += 1
 
     # the three loss terms w.r.t. the generated stacks
     for seed in range(4):
         rng = np.random.default_rng(3000 + seed)
         cfg = ScoreConfig(window_radius=2)
-        targets = [random_stack(rng, 4) for _ in range(2)]
-        gens = [random_stack(rng, 4, requires_grad=True) for _ in range(2)]
-        check_grads(lambda: reconstruction_loss(list(zip(targets, gens)), 1.3, cfg),
-                    [g.hidden for g in gens])
+        targets = batch_of([random_stack(rng, 4) for _ in range(2)])
+        gens = batch_of([random_stack(rng, 4) for _ in range(2)], requires_grad=True)
+        check_grads(lambda: reconstruction_loss(targets, gens, 1.3, cfg), [gens.hidden])
         instances += 1
 
-        ents = [(i, PERTURBATION_KINDS[i % 3], random_stack(rng, 4, requires_grad=True))
-                for i in range(4)]
-        check_grads(lambda: contrastive_loss(
-            [(i, PERTURBATION_KINDS[i % 2], s) for i, (_, _, s) in enumerate(ents)],
-            0.7, cfg), [s.hidden for _, _, s in ents])
+        stack = batch_of([random_stack(rng, 4) for _ in range(4)], requires_grad=True)
+        pairs = contrastive_pairs(range(4), [PERTURBATION_KINDS[i % 2] for i in range(4)])
+        check_grads(lambda: contrastive_loss(stack, pairs, 0.7, cfg), [stack.hidden])
         instances += 1
 
         disc = Discriminator(8, 16, dropout=0.0, seed=seed)
-        dents = [(i, k, random_stack(rng, 4, requires_grad=True))
-                 for i in range(2) for k in PERTURBATION_KINDS[:3]]
-        check_grads(lambda: diversity_loss(dents, disc, 1.1),
-                    [s.hidden for _, _, s in dents])
+        _, kinds, dstack = entries_for(rng, 2, kinds=PERTURBATION_KINDS[:3],
+                                       requires_grad=True)
+        check_grads(lambda: diversity_loss(dstack, kinds, disc, 1.1), [dstack.hidden])
         instances += 1
 
     elapsed = time.monotonic() - t0
@@ -162,14 +168,14 @@ def test_acceptance_2_metric_oracle():
     for _ in range(20):
         na, nb = int(rng.integers(2, 9)), int(rng.integers(2, 9))
         a, b = random_stack(rng, na), random_stack(rng, nb)
-        wide = windowed_bertscore(a, b, ScoreConfig(window_radius=64)).item()
+        wide = pair_score(a, b, ScoreConfig(window_radius=64)).item()
         oracle = brute_force_unwindowed(content_rows(a), content_rows(b))
         assert abs(wide - oracle) <= 1e-9
     # self-similarity
     for _ in range(10):
         s = random_stack(rng, int(rng.integers(2, 9)))
         for w in (0, 2, 7):
-            assert abs(windowed_bertscore(s, s, ScoreConfig(window_radius=w)).item()
+            assert abs(pair_score(s, s, ScoreConfig(window_radius=w)).item()
                        - 1.0) <= 1e-6
     # monotonicity over 50 random pairs; positively-biased rows keep the
     # precision/recall sums positive as real encoder stacks do, where F1
@@ -177,7 +183,7 @@ def test_acceptance_2_metric_oracle():
     for _ in range(50):
         a = make_stack(rng.normal(size=(6, 8)) + 1.2)
         b = make_stack(rng.normal(size=(6, 8)) + 1.2)
-        scores = [windowed_bertscore(a, b, ScoreConfig(window_radius=w)).item()
+        scores = [pair_score(a, b, ScoreConfig(window_radius=w)).item()
                   for w in (0, 1, 2, 4, 16)]
         assert all(s2 >= s1 - 1e-12 for s1, s2 in zip(scores, scores[1:]))
     announce(2, "windowed metric vs brute-force oracle")
@@ -193,24 +199,25 @@ def test_acceptance_3_loss_oracles():
     w = 2
     cfg = ScoreConfig(window_radius=w)
     for n in (1, 2, 4):
-        pairs = [(random_stack(rng, int(rng.integers(3, 7))),
-                  random_stack(rng, int(rng.integers(3, 7))))
-                 for _ in range(n * len(PERTURBATION_KINDS))]
-        got = reconstruction_loss(pairs, 1.7, cfg).item()
-        assert abs(got - oracle_reconstruction(pairs, 1.7, w)) <= 1e-9
+        size = n * len(PERTURBATION_KINDS)
+        targets = batch_of([random_stack(rng, int(rng.integers(3, 7))) for _ in range(size)])
+        generated = batch_of([random_stack(rng, int(rng.integers(3, 7)))
+                              for _ in range(size)])
+        got = reconstruction_loss(targets, generated, 1.7, cfg).item()
+        assert abs(got - oracle_reconstruction(targets, generated, 1.7, w)) <= 1e-9
 
-        entries = entries_for(rng, n)
-        got = contrastive_loss(entries, 0.8, cfg).item()
-        assert abs(got - oracle_contrastive(entries, 0.8, w)) <= 1e-9
+        samples, kinds, stack = entries_for(rng, n)
+        got = contrastive_loss(stack, contrastive_pairs(samples, kinds), 0.8, cfg).item()
+        assert abs(got - oracle_contrastive(samples, kinds, stack, 0.8, w)) <= 1e-9
 
         disc = Discriminator(8, 16, dropout=0.0, seed=n)
-        got = diversity_loss(entries, disc, 1.3).item()
-        assert abs(got - oracle_diversity_eval_mode(entries, disc, 1.3)) <= 1e-9
+        got = diversity_loss(stack, kinds, disc, 1.3).item()
+        assert abs(got - oracle_diversity_eval_mode(stack, kinds, disc, 1.3)) <= 1e-9
 
     # uniform-discriminator closed form: gamma * N * |kinds| * log 7
     n, gamma = 3, 2.5
-    entries = entries_for(rng, n)
-    got = diversity_loss(entries, zeroed_discriminator(8), gamma).item()
+    _, kinds, stack = entries_for(rng, n)
+    got = diversity_loss(stack, kinds, zeroed_discriminator(8), gamma).item()
     assert abs(got - gamma * n * 8 * np.log(7.0)) <= 1e-9
     announce(3, "loss terms vs independent double-loop oracles")
 

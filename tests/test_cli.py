@@ -133,6 +133,33 @@ class TestRefine:
         assert "refine.bogus" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,key,value", [
+    ("pretrain", "epochs", "abc"), ("pretrain", "epochs", "-1"),
+    ("pretrain", "epochs", "2.5"), ("pretrain", "epochs", "true"),
+    ("pretrain", "batch_size", "0"), ("pretrain", "batch_size", "abc"),
+    ("refine", "epochs", "abc"), ("refine", "epochs", "-1"),
+    ("refine", "batch_size", "0"), ("refine", "batch_size", "false"),
+])
+def test_bad_count_exits_with_one_error_line(pretrained, tmp_path, capsys,
+                                             command, key, value):
+    _, cfg_path = pretrained
+    rc = cli.main([command, "--config", str(cfg_path), "--out", str(tmp_path),
+                   f"--{command}.{key}={value}"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {command}.{key} must be ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["pretrain", "refine"])
+def test_zero_epochs_saves_the_untrained_model(pretrained, tmp_path, capsys, command):
+    _, cfg_path = pretrained
+    rc = cli.main([command, "--config", str(cfg_path), "--out", str(tmp_path),
+                   f"--{command}.epochs=0"])
+    assert rc == 0
+    assert "0 steps" in capsys.readouterr().out
+
+
 class TestEvaluate:
     def test_two_checkpoints_two_rows_per_dataset(self, pretrained, data_dir,
                                                   tmp_path, capsys):

@@ -55,7 +55,7 @@ class TestEncode:
                             max_len=24, vocab_size=len(vocab))
         model = EncoderModel(cfg, seed=5)
         seq = seqs[0]
-        got = encode(model, seq).hidden.numpy()
+        got = encode(model, seq).hidden.numpy()[0]
 
         # hand trace: token + position embeddings, layer norm, pad rows zeroed
         tok = model.params["tok_emb"].numpy()[seq.ids]
@@ -85,9 +85,11 @@ class TestEncode:
 
     def test_stack_carries_masks(self, small_setup):
         vocab, cfg, model, seqs = small_setup
-        stack = encode(model, seqs[0])
-        np.testing.assert_array_equal(stack.attention_mask, seqs[0].attention_mask)
-        np.testing.assert_array_equal(stack.content_mask, seqs[0].content_mask)
+        stack = encode_batch(model, seqs[:3])
+        assert stack.hidden.shape == (3, cfg.max_len, cfg.model_dim)
+        for row, seq in enumerate(seqs[:3]):
+            np.testing.assert_array_equal(stack.attention_mask[row], seq.attention_mask)
+            np.testing.assert_array_equal(stack.content_mask[row], seq.content_mask)
 
     def test_model_dim_must_divide_heads(self):
         with pytest.raises(ValueError, match="divisible"):

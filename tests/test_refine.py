@@ -1,19 +1,25 @@
+import importlib
+
 import numpy as np
 import pytest
 
 import winoref.tensor as T
-from winoref.encoder import EncoderConfig, EncoderModel, encode
+from winoref.encoder import (EmbeddingStack, EncoderConfig, EncoderModel,
+                             encode, encode_batch)
 from winoref.refine import (Discriminator, LossWeights, RefinementConfig,
-                            contrastive_loss, diversity_loss, generate_pair,
+                            contrastive_loss, contrastive_pairs, diversity_loss,
                             kind_probe_accuracy, min_same_kind_distance,
-                            pooled_stack, reconstruction_loss, refine,
-                            _TERM_BOUND)
+                            reconstruction_loss, refine, _TERM_BOUND)
 from winoref.scoring import ScoreConfig
 from winoref.synthetic import make_perturbation_corpus
-from winoref.text import (PERTURBATION_KINDS, PerturbationKind, PerturbedGroup,
-                          build_vocab, corpus_sentences, tokenize)
+from winoref.text import (KIND_INDEX, PERTURBATION_KINDS, PerturbationKind,
+                          PerturbedGroup, build_vocab, corpus_sentences,
+                          prepend_perturbation, tokenize)
 
-from test_scoring import make_stack, random_stack
+from test_scoring import batch_of, random_stack
+
+# the package attribute ``winoref.refine`` is the function; this is the module
+refine_mod = importlib.import_module("winoref.refine")
 
 
 # ---------------------------------------------------------------------------
@@ -42,35 +48,34 @@ def oracle_windowed_score(a_rows, b_rows, w):
     return 2 * p * r / (p + r)
 
 
-def rows(stack):
-    return stack.hidden.numpy()[stack.eligible()]
+def rows(stack, i):
+    return stack.hidden.numpy()[i][stack.content_mask[i]]
 
 
-def oracle_reconstruction(pairs, alpha, w):
-    return -alpha * sum(oracle_windowed_score(rows(t), rows(g), w)
-                        for t, g in pairs)
+def oracle_reconstruction(targets, generated, alpha, w):
+    return -alpha * sum(oracle_windowed_score(rows(targets, i), rows(generated, i), w)
+                        for i in range(generated.hidden.shape[0]))
 
 
-def oracle_contrastive(entries, beta, w):
+def oracle_contrastive(samples, kinds, stack, beta, w):
     total = 0.0
-    for i, (si, ki, stack_i) in enumerate(entries):
-        for j, (sj, kj, stack_j) in enumerate(entries):
-            if i != j and si != sj and ki == kj:
-                total += oracle_windowed_score(rows(stack_i), rows(stack_j), w)
+    for i in range(len(samples)):
+        for j in range(len(samples)):
+            if i != j and samples[i] != samples[j] and kinds[i] == kinds[j]:
+                total += oracle_windowed_score(rows(stack, i), rows(stack, j), w)
     return beta * total
 
 
-def oracle_diversity_eval_mode(entries, disc, gamma):
+def oracle_diversity_eval_mode(stack, kinds, disc, gamma):
     p = {k: v.numpy() for k, v in disc.params.items()}
     total = 0.0
-    for _, kind, stack in entries:
-        pooled = rows(stack).mean(axis=0)
+    for i, kind in enumerate(kinds):
+        pooled = rows(stack, i).mean(axis=0)
         h = pooled @ p["w1"] + p["b1"]
         h = (h - disc.running_mean) / np.sqrt(disc.running_var + disc.bn_eps)
         h = p["bn.g"] * h + p["bn.b"]
         h = np.where(h > 0, h, p["prelu.a"] * h)
         logits = h @ p["w2"] + p["b2"]
-        from winoref.text import KIND_INDEX
         k = KIND_INDEX[kind]
         others = np.concatenate([logits[:k], logits[k + 1:]])
         m = others.max()
@@ -86,71 +91,97 @@ def zeroed_discriminator(dim, hidden=16):
     return disc
 
 
-def entries_for(rng, n_samples, kinds=PERTURBATION_KINDS, d=8):
-    out = []
+def entries_for(rng, n_samples, kinds=PERTURBATION_KINDS, d=8, requires_grad=False):
+    """(samples, kinds, stack): one stack row per (sample, kind), each with
+    3 to 6 content positions."""
+    row_samples, row_kinds, stacks = [], [], []
     for i in range(n_samples):
         for kind in kinds:
-            out.append((i, kind, random_stack(rng, int(rng.integers(3, 7)), d=d)))
-    return out
+            row_samples.append(i)
+            row_kinds.append(kind)
+            stacks.append(random_stack(rng, int(rng.integers(3, 7)), d=d))
+    return row_samples, row_kinds, batch_of(stacks, requires_grad=requires_grad)
+
+
+def random_batch(rng, n, requires_grad=False):
+    return batch_of([random_stack(rng, int(rng.integers(3, 8))) for _ in range(n)],
+                    requires_grad=requires_grad)
 
 
 class TestReconstructionLoss:
     def test_perfect_pairs_give_minus_alpha_n_kinds(self):
         rng = np.random.default_rng(0)
         alpha, n = 2.5, 3
-        pairs = []
-        for _ in range(n):
-            for _ in PERTURBATION_KINDS:
-                s = random_stack(rng, 5)
-                pairs.append((s, s))
-        loss = reconstruction_loss(pairs, alpha, ScoreConfig(window_radius=2))
+        stack = batch_of([random_stack(rng, 5) for _ in range(n * len(PERTURBATION_KINDS))])
+        loss = reconstruction_loss(stack, stack, alpha, ScoreConfig(window_radius=2))
         assert loss.item() == pytest.approx(-alpha * n * 8, abs=1e-9)
 
     def test_zero_alpha_gives_zero(self):
         rng = np.random.default_rng(1)
-        pairs = [(random_stack(rng, 4), random_stack(rng, 4))]
-        assert reconstruction_loss(pairs, 0.0, ScoreConfig()).item() == 0.0
+        a, b = random_stack(rng, 4), random_stack(rng, 4)
+        assert reconstruction_loss(a, b, 0.0, ScoreConfig()).item() == 0.0
 
     def test_matches_independent_double_loop(self):
         rng = np.random.default_rng(2)
         for w in (0, 2, 50):
-            pairs = [(random_stack(rng, int(rng.integers(3, 8))),
-                      random_stack(rng, int(rng.integers(3, 8))))
-                     for _ in range(6)]
-            got = reconstruction_loss(pairs, 1.7, ScoreConfig(window_radius=w)).item()
-            want = oracle_reconstruction(pairs, 1.7, w)
+            targets, generated = random_batch(rng, 6), random_batch(rng, 6)
+            got = reconstruction_loss(targets, generated, 1.7,
+                                      ScoreConfig(window_radius=w)).item()
+            want = oracle_reconstruction(targets, generated, 1.7, w)
             assert got == pytest.approx(want, abs=1e-9)
 
     def test_empty_pairs_rejected(self):
-        with pytest.raises(ValueError):
-            reconstruction_loss([], 1.0, ScoreConfig())
+        rng = np.random.default_rng(12)
+        empty = EmbeddingStack(hidden=T.Tensor(np.zeros((0, 6, 8))),
+                               attention_mask=np.zeros((0, 6), dtype=bool),
+                               content_mask=np.zeros((0, 6), dtype=bool))
+        with pytest.raises(ValueError, match="at least one"):
+            reconstruction_loss(empty, empty, 1.0, ScoreConfig())
+        with pytest.raises(ValueError, match="targets"):
+            reconstruction_loss(random_batch(rng, 2), random_batch(rng, 3), 1.0,
+                                ScoreConfig())
 
 
 class TestContrastiveLoss:
+    def test_pairs_are_cross_sample_same_kind(self):
+        samples = [0, 0, 1, 1, 2]
+        kinds = [PerturbationKind.TENSE, PerturbationKind.SYNONYM,
+                 PerturbationKind.TENSE, PerturbationKind.TENSE,
+                 PerturbationKind.SYNONYM]
+        ia, ib = contrastive_pairs(samples, kinds)
+        want = [(i, j) for i in range(5) for j in range(5)
+                if samples[i] != samples[j] and kinds[i] == kinds[j]]
+        assert list(zip(ia.tolist(), ib.tolist())) == want
+
     def test_single_sample_is_zero(self):
         rng = np.random.default_rng(3)
-        entries = entries_for(rng, 1)
-        assert contrastive_loss(entries, 0.5, ScoreConfig()).item() == 0.0
+        samples, kinds, stack = entries_for(rng, 1)
+        pairs = contrastive_pairs(samples, kinds)
+        assert contrastive_loss(stack, pairs, 0.5, ScoreConfig()).item() == 0.0
 
     def test_identical_stacks_contribute_twice_beta(self):
         rng = np.random.default_rng(4)
         s = random_stack(rng, 5)
-        entries = [(0, PerturbationKind.TENSE, s), (1, PerturbationKind.TENSE, s)]
+        kinds = [PerturbationKind.TENSE, PerturbationKind.TENSE]
         beta = 0.5
-        loss = contrastive_loss(entries, beta, ScoreConfig(window_radius=2))
+        loss = contrastive_loss(batch_of([s, s]), contrastive_pairs([0, 1], kinds),
+                                beta, ScoreConfig(window_radius=2))
         assert loss.item() == pytest.approx(2 * beta * 1.0, abs=1e-9)
 
     def test_matches_independent_double_loop(self):
         rng = np.random.default_rng(5)
-        entries = entries_for(rng, 3, kinds=PERTURBATION_KINDS[:2])
+        samples, kinds, stack = entries_for(rng, 3, kinds=PERTURBATION_KINDS[:2])
         w = 2
-        got = contrastive_loss(entries, 0.8, ScoreConfig(window_radius=w)).item()
-        want = oracle_contrastive(entries, 0.8, w)
+        got = contrastive_loss(stack, contrastive_pairs(samples, kinds), 0.8,
+                               ScoreConfig(window_radius=w)).item()
+        want = oracle_contrastive(samples, kinds, stack, 0.8, w)
         assert got == pytest.approx(want, abs=1e-9)
 
     def test_zero_beta_gives_zero(self):
         rng = np.random.default_rng(6)
-        assert contrastive_loss(entries_for(rng, 2), 0.0, ScoreConfig()).item() == 0.0
+        samples, kinds, stack = entries_for(rng, 2)
+        pairs = contrastive_pairs(samples, kinds)
+        assert contrastive_loss(stack, pairs, 0.0, ScoreConfig()).item() == 0.0
 
 
 class TestDiversityLoss:
@@ -158,47 +189,45 @@ class TestDiversityLoss:
         # all-zero discriminator -> uniform probabilities -> each term log 7
         rng = np.random.default_rng(7)
         n, gamma = 3, 2.5
-        entries = entries_for(rng, n)
+        _, kinds, stack = entries_for(rng, n)
         disc = zeroed_discriminator(8)
-        loss = diversity_loss(entries, disc, gamma)
+        loss = diversity_loss(stack, kinds, disc, gamma)
         want = gamma * n * 8 * np.log(7.0)
         assert loss.item() == pytest.approx(want, abs=1e-9)
 
     def test_matches_independent_implementation(self):
         rng = np.random.default_rng(8)
-        entries = entries_for(rng, 4)
+        _, kinds, stack = entries_for(rng, 4)
         disc = Discriminator(8, 16, dropout=0.0, seed=1)
         disc.running_mean = rng.normal(size=16) * 0.1
         disc.running_var = rng.uniform(0.5, 2.0, size=16)
-        got = diversity_loss(entries, disc, 1.3).item()
-        want = oracle_diversity_eval_mode(entries, disc, 1.3)
+        got = diversity_loss(stack, kinds, disc, 1.3).item()
+        want = oracle_diversity_eval_mode(stack, kinds, disc, 1.3)
         assert got == pytest.approx(want, abs=1e-9)
 
     def test_confident_prediction_is_clamped(self):
         rng = np.random.default_rng(9)
-        entries = [(0, PERTURBATION_KINDS[0], random_stack(rng, 4))]
         disc = zeroed_discriminator(8)
         disc.params["b2"].data[0] = 100.0   # q(kind 0) ~ 1
-        loss = diversity_loss(entries, disc, 2.0)
+        loss = diversity_loss(random_stack(rng, 4), [PERTURBATION_KINDS[0]], disc, 2.0)
         assert np.isfinite(loss.item())
         assert loss.item() == pytest.approx(-2.0 * _TERM_BOUND, abs=1e-9)
 
     def test_zero_gamma_gives_zero(self):
         rng = np.random.default_rng(10)
-        assert diversity_loss(entries_for(rng, 2), zeroed_discriminator(8), 0.0).item() == 0.0
+        _, kinds, stack = entries_for(rng, 2)
+        assert diversity_loss(stack, kinds, zeroed_discriminator(8), 0.0).item() == 0.0
 
     def test_gradients_reach_encoder_and_discriminator(self):
         rng = np.random.default_rng(11)
-        entries = []
-        for i in range(2):
-            for kind in PERTURBATION_KINDS[:3]:
-                entries.append((i, kind, random_stack(rng, 5, requires_grad=True)))
+        _, kinds, stack = entries_for(rng, 2, kinds=PERTURBATION_KINDS[:3],
+                                      requires_grad=True)
         disc = Discriminator(8, 16, dropout=0.0, seed=2)
-        loss = diversity_loss(entries, disc, 1.0, train=True,
+        loss = diversity_loss(stack, kinds, disc, 1.0, train=True,
                               rng=np.random.default_rng(0))
         T.backward(loss)
-        for _, _, stack in entries:
-            assert np.linalg.norm(stack.hidden.grad) > 0
+        for row_grad in stack.hidden.grad:
+            assert np.linalg.norm(row_grad) > 0
         for name, p in disc.named_params():
             assert np.linalg.norm(p.grad) > 0, name
 
@@ -212,21 +241,43 @@ def tiny_world():
     return groups, vocab, cfg
 
 
-class TestGeneratePair:
-    def test_identical_kind_targets_base_sentence(self, tiny_world):
-        groups, vocab, cfg = tiny_world
-        model = EncoderModel(cfg, seed=0)
-        target, generated = generate_pair(model, groups[0],
-                                          PerturbationKind.IDENTICAL, vocab,
-                                          cfg.max_len)
-        with T.no_grad():
-            base = encode(model, tokenize(groups[0].base, vocab, cfg.max_len))
-        np.testing.assert_array_equal(target.hidden.numpy(), base.hidden.numpy())
-        assert not target.hidden.requires_grad
-        assert generated.hidden.requires_grad
+def _refine_cfg(**kw):
+    base = dict(epochs=2, batch_size=4, perturbations_per_sample=3,
+                lr=1e-3, adam_eps=1e-8, warmup_steps=4, weight_decay=0.01,
+                seed=13, target_mode="frozen-init", disc_hidden=16,
+                disc_dropout=0.2)
+    base.update(kw)
+    return RefinementConfig(**base)
 
-    def test_synonym_pair_targets_variant_sentence(self, tiny_world):
-        _, _, cfg = tiny_world
+
+class TestRefineTargets:
+    """What ``refine`` hands its loss terms, seen through the loss calls."""
+
+    @staticmethod
+    def _run(monkeypatch, model, groups, vocab, **cfg_kw):
+        steps = []
+        real_recon, real_div = refine_mod.reconstruction_loss, refine_mod.diversity_loss
+
+        def recon(targets, generated, alpha, score_cfg):
+            steps.append({"targets": targets, "generated": generated})
+            return real_recon(targets, generated, alpha, score_cfg)
+
+        def div(stack, kinds, disc, gamma, train=False, rng=None):
+            steps[-1]["kinds"] = list(kinds)
+            return real_div(stack, kinds, disc, gamma, train=train, rng=rng)
+
+        monkeypatch.setattr(refine_mod, "reconstruction_loss", recon)
+        monkeypatch.setattr(refine_mod, "diversity_loss", div)
+        disc = Discriminator(model.config.model_dim, 16, seed=0)
+        refine(model, disc, groups, LossWeights(1.0, 0.5, 0.5), _refine_cfg(**cfg_kw),
+               ScoreConfig(window_radius=2), vocab)
+        return steps
+
+    @classmethod
+    def _synonym_run(cls, monkeypatch):
+        """Three single-group steps drawing both kinds of a group with one
+        synonym variant; returns (steps, group, vocab, the model before
+        training, the model after)."""
         group = PerturbedGroup(
             sample_id="g1",
             base="the trophy does not fit in the suitcase because it is too big .",
@@ -234,47 +285,61 @@ class TestGeneratePair:
                       "the medal does not fit in the valise because it is too big ."})
         vocab = build_vocab([group.base, group.variants[PerturbationKind.SYNONYM]])
         cfg = EncoderConfig(layers=1, heads=2, model_dim=16, ff_dim=32,
-                            max_len=24, vocab_size=len(vocab))
+                            max_len=24, vocab_size=len(vocab), dropout=0.0)
         model = EncoderModel(cfg, seed=1)
-        target, generated = generate_pair(model, group, PerturbationKind.SYNONYM,
-                                          vocab, cfg.max_len)
+        init = model.clone()
+        steps = cls._run(monkeypatch, model, [group], vocab, epochs=3, batch_size=1,
+                         perturbations_per_sample=2)
+        assert len(steps) == 3
+        return steps, group, vocab, init, model
+
+    @staticmethod
+    def _encode_text(model, text, vocab):
         with T.no_grad():
-            want = encode(model, tokenize(group.variants[PerturbationKind.SYNONYM],
-                                          vocab, cfg.max_len))
-        np.testing.assert_array_equal(target.hidden.numpy(), want.hidden.numpy())
-        # generated side is conditioned on the perturbation token
-        assert generated.content_mask.sum() == target.content_mask.sum()
+            return encode(model, tokenize(text, vocab, model.config.max_len)).hidden.numpy()[0]
 
-    def test_missing_variant_rejected_not_fabricated(self, tiny_world):
-        groups, vocab, cfg = tiny_world
-        model = EncoderModel(cfg, seed=0)
-        bare = PerturbedGroup(sample_id="x", base="the coin fits .", variants={})
-        with pytest.raises(ValueError, match="TENSE"):
-            generate_pair(model, bare, PerturbationKind.TENSE, vocab, cfg.max_len)
+    def test_identity_target_is_the_base_sentence(self, monkeypatch):
+        steps, group, vocab, init, _ = self._synonym_run(monkeypatch)
+        base = self._encode_text(init, group.base, vocab)
+        for step in steps:
+            assert not step["targets"].hidden.requires_grad
+            assert step["generated"].hidden.requires_grad
+            row = step["kinds"].index(PerturbationKind.IDENTICAL)
+            np.testing.assert_array_equal(step["targets"].hidden.numpy()[row], base)
 
-    def test_frozen_target_model_pins_targets(self, tiny_world):
+    def test_variant_target_is_the_variant_sentence(self, monkeypatch):
+        steps, group, vocab, init, _ = self._synonym_run(monkeypatch)
+        want = self._encode_text(init, group.variants[PerturbationKind.SYNONYM], vocab)
+        for step in steps:
+            row = step["kinds"].index(PerturbationKind.SYNONYM)
+            np.testing.assert_array_equal(step["targets"].hidden.numpy()[row], want)
+            # the generated side reads the base sentence after the
+            # perturbation token, so it keeps the word count
+            assert (step["generated"].content_mask[row].sum()
+                    == step["targets"].content_mask[row].sum())
+
+    def test_frozen_targets_ignore_training(self, monkeypatch):
+        steps, group, vocab, init, model = self._synonym_run(monkeypatch)
+        assert np.abs(model.params["tok_emb"].data - init.params["tok_emb"].data).max() > 0
+        moved = self._encode_text(model, group.base, vocab)
+        for step in steps:
+            row = step["kinds"].index(PerturbationKind.IDENTICAL)
+            assert np.abs(step["targets"].hidden.numpy()[row] - moved).max() > 0
+
+    def test_only_available_kinds_are_drawn(self, tiny_world, monkeypatch):
         groups, vocab, cfg = tiny_world
-        model = EncoderModel(cfg, seed=0)
-        snapshot = model.clone()
-        t0, _ = generate_pair(model, groups[0], PerturbationKind.TENSE, vocab,
-                              cfg.max_len, target_model=snapshot)
-        model.params["tok_emb"].data += 0.5   # training moved the live model
-        t1, _ = generate_pair(model, groups[0], PerturbationKind.TENSE, vocab,
-                              cfg.max_len, target_model=snapshot)
-        np.testing.assert_array_equal(t0.hidden.numpy(), t1.hidden.numpy())
+        bare = PerturbedGroup(sample_id="x", base=groups[0].base, variants={})
+        steps = self._run(monkeypatch, EncoderModel(cfg, seed=0), [bare, groups[1]],
+                          vocab, epochs=2, batch_size=2, perturbations_per_sample=8)
+        want = sorted(bare.available_kinds() + groups[1].available_kinds(),
+                      key=KIND_INDEX.__getitem__)
+        for step in steps:
+            assert sorted(step["kinds"], key=KIND_INDEX.__getitem__) == want
 
 
 class TestRefine:
-    def _cfg(self, **kw):
-        base = dict(epochs=2, batch_size=4, perturbations_per_sample=3,
-                    lr=1e-3, adam_eps=1e-8, warmup_steps=4, weight_decay=0.01,
-                    seed=13, target_mode="frozen-init", disc_hidden=16,
-                    disc_dropout=0.2)
-        base.update(kw)
-        return RefinementConfig(**base)
-
     def test_effective_batch_size(self):
-        cfg = self._cfg(batch_size=10, perturbations_per_sample=4)
+        cfg = _refine_cfg(batch_size=10, perturbations_per_sample=4)
         assert cfg.effective_batch_size == 40
 
     def test_all_zero_weights_rejected(self, tiny_world):
@@ -282,7 +347,7 @@ class TestRefine:
         model = EncoderModel(cfg, seed=0)
         disc = Discriminator(cfg.model_dim, 16, seed=0)
         with pytest.raises(ValueError, match="zero"):
-            refine(model, disc, groups, LossWeights(0, 0, 0), self._cfg(),
+            refine(model, disc, groups, LossWeights(0, 0, 0), _refine_cfg(),
                    ScoreConfig(), vocab)
 
     def test_corpus_without_variants_rejected(self, tiny_world):
@@ -291,7 +356,7 @@ class TestRefine:
         disc = Discriminator(cfg.model_dim, 16, seed=0)
         bare = [PerturbedGroup(sample_id="x", base="the coin fits .", variants={})]
         with pytest.raises(ValueError, match="variant"):
-            refine(model, disc, bare, LossWeights(), self._cfg(), ScoreConfig(),
+            refine(model, disc, bare, LossWeights(), _refine_cfg(), ScoreConfig(),
                    vocab)
 
     def test_history_rows_and_loss_fields(self, tiny_world):
@@ -299,7 +364,7 @@ class TestRefine:
         model = EncoderModel(cfg, seed=0)
         disc = Discriminator(cfg.model_dim, 16, seed=0)
         history = refine(model, disc, groups, LossWeights(1.0, 0.5, 0.5),
-                         self._cfg(), ScoreConfig(window_radius=2), vocab)
+                         _refine_cfg(), ScoreConfig(window_radius=2), vocab)
         steps_per_epoch = int(np.ceil(len(groups) / 4))
         assert len(history) == 2 * steps_per_epoch
         for row in history:
@@ -312,7 +377,7 @@ class TestRefine:
         for _ in range(2):
             model = EncoderModel(cfg, seed=0)
             disc = Discriminator(cfg.model_dim, 16, seed=0)
-            refine(model, disc, groups, LossWeights(2.0, 0.5, 0.5), self._cfg(),
+            refine(model, disc, groups, LossWeights(2.0, 0.5, 0.5), _refine_cfg(),
                    ScoreConfig(window_radius=2), vocab)
             results.append({k: p.data.tobytes() for k, p in model.params.items()})
         assert results[0] == results[1]
@@ -324,7 +389,7 @@ class TestRefine:
             model = EncoderModel(cfg, seed=0)
             disc = Discriminator(cfg.model_dim, 16, seed=0)
             refine(model, disc, groups, LossWeights(2.0, 0.5, 0.5),
-                   self._cfg(seed=seed), ScoreConfig(window_radius=2), vocab)
+                   _refine_cfg(seed=seed), ScoreConfig(window_radius=2), vocab)
             outs.append(model.params["tok_emb"].data.copy())
         assert np.abs(outs[0] - outs[1]).max() > 0
 
@@ -340,17 +405,23 @@ class TestRefine:
         # so the finite differences see the same constants the tape does
         snapshot = model.clone()
 
+        samples, row_kinds, gen_seqs, target_seqs = [], [], [], []
+        for bi, g in enumerate(batch):
+            for kind in kinds:
+                samples.append(bi)
+                row_kinds.append(kind)
+                gen_seqs.append(prepend_perturbation(
+                    tokenize(g.base, vocab, cfg.max_len), kind, vocab))
+                target_seqs.append(tokenize(g.variant_text(kind), vocab, cfg.max_len))
+        with T.no_grad():
+            targets = encode_batch(snapshot, target_seqs)
+        pairs = contrastive_pairs(samples, row_kinds)
+
         def total_loss():
-            entries, pairs = [], []
-            for bi, g in enumerate(batch):
-                for kind in kinds:
-                    target, gen = generate_pair(model, g, kind, vocab, cfg.max_len,
-                                                target_model=snapshot)
-                    pairs.append((target, gen))
-                    entries.append((bi, kind, gen))
-            lr_ = reconstruction_loss(pairs, 2.0, score_cfg)
-            lc = contrastive_loss(entries, 0.7, score_cfg)
-            ld = diversity_loss(entries, disc, 1.1)
+            generated = encode_batch(model, gen_seqs)
+            lr_ = reconstruction_loss(targets, generated, 2.0, score_cfg)
+            lc = contrastive_loss(generated, pairs, 0.7, score_cfg)
+            ld = diversity_loss(generated, row_kinds, disc, 1.1)
             return T.add(T.add(lr_, lc), ld)
 
         loss = total_loss()
@@ -375,6 +446,46 @@ class TestRefine:
                 denom = max(1.0, abs(numeric))
                 assert abs(analytic[idx] - numeric) / denom < 1e-4, \
                     f"{pname}[{idx}]: {analytic[idx]} vs {numeric}"
+
+
+    def test_tape_size_does_not_grow_with_pairs(self, monkeypatch):
+        # every loss term is one batched computation, so a step's tape has
+        # the same node count whether the batch holds 2 samples or 10
+        groups = make_perturbation_corpus(10, seed=23)
+        vocab = build_vocab(corpus_sentences(groups))
+        cfg = EncoderConfig(layers=1, heads=2, model_dim=16, ff_dim=32, max_len=24,
+                            vocab_size=len(vocab))
+        real_backward = T.backward
+
+        def tape_nodes(loss):
+            seen, stack, nodes = {id(loss)}, [loss], 0
+            while stack:
+                node = stack.pop()
+                nodes += node._backward_fn is not None
+                for parent in node._parents:
+                    if parent.requires_grad and id(parent) not in seen:
+                        seen.add(id(parent))
+                        stack.append(parent)
+            return nodes
+
+        counts = {}
+        for batch_size in (2, 10):
+            seen_counts = counts.setdefault(batch_size, [])
+
+            def counting_backward(loss, seen_counts=seen_counts):
+                seen_counts.append(tape_nodes(loss))
+                real_backward(loss)
+
+            monkeypatch.setattr(T, "backward", counting_backward)
+            model = EncoderModel(cfg, seed=0)
+            disc = Discriminator(cfg.model_dim, 16, seed=0)
+            # all kinds per sample, so every batch has cross-sample pairs
+            refine(model, disc, groups, LossWeights(1.0, 0.5, 0.5),
+                   _refine_cfg(epochs=1, batch_size=batch_size,
+                               perturbations_per_sample=8),
+                   ScoreConfig(window_radius=2), vocab)
+        assert len(counts[2]) == 5 and len(counts[10]) == 1
+        assert set(counts[2]) == set(counts[10]), counts
 
 
 class TestProbes:

@@ -6,24 +6,25 @@ from winoref.encoder import EmbeddingStack
 from winoref.scoring import ScoreConfig, windowed_bertscore
 from winoref.tensor import Tensor
 
-from conftest import finite_difference_grad, rel_err
+from conftest import check_grads, finite_difference_grad, rel_err
 
 
 def make_stack(rows, pad_extra=2, special_rows=None):
-    """Stack with content rows 1..n (row 0 stands in for [CLS], row n+1 for
-    [SEP]); optional extra pad rows are zeroed like the encoder does."""
+    """One-row stack with content positions 1..n (position 0 stands in for
+    [CLS], n+1 for [SEP]); optional extra pad positions are zeroed like the
+    encoder does."""
     rows = np.asarray(rows, dtype=float)
     n, d = rows.shape
     L = n + 2 + pad_extra
-    hidden = np.zeros((L, d))
+    hidden = np.zeros((1, L, d))
     rng = np.random.default_rng(0)
-    hidden[0] = special_rows[0] if special_rows is not None else rng.normal(size=d)
-    hidden[1:n + 1] = rows
-    hidden[n + 1] = special_rows[1] if special_rows is not None else rng.normal(size=d)
-    attention = np.zeros(L, dtype=bool)
-    attention[:n + 2] = True
-    content = np.zeros(L, dtype=bool)
-    content[1:n + 1] = True
+    hidden[0, 0] = special_rows[0] if special_rows is not None else rng.normal(size=d)
+    hidden[0, 1:n + 1] = rows
+    hidden[0, n + 1] = special_rows[1] if special_rows is not None else rng.normal(size=d)
+    attention = np.zeros((1, L), dtype=bool)
+    attention[0, :n + 2] = True
+    content = np.zeros((1, L), dtype=bool)
+    content[0, 1:n + 1] = True
     return EmbeddingStack(hidden=Tensor(hidden), attention_mask=attention,
                           content_mask=content)
 
@@ -34,6 +35,26 @@ def random_stack(rng, n, d=8, requires_grad=False):
         stack.hidden.requires_grad = True
         stack.hidden.grad = np.zeros_like(stack.hidden.data)
     return stack
+
+
+def batch_of(stacks, requires_grad=False):
+    """One stack holding the rows of ``stacks``, zero-padded to a common
+    length, as a fresh leaf."""
+    L = max(s.hidden.shape[1] for s in stacks)
+
+    def pad(x):
+        return np.pad(x, [(0, 0), (0, L - x.shape[1])] + [(0, 0)] * (x.ndim - 2))
+
+    return EmbeddingStack(
+        hidden=Tensor(np.concatenate([pad(s.hidden.data) for s in stacks]),
+                      requires_grad=requires_grad),
+        attention_mask=np.concatenate([pad(s.attention_mask) for s in stacks]),
+        content_mask=np.concatenate([pad(s.content_mask) for s in stacks]))
+
+
+def pair_score(a, b, cfg):
+    """Score of row 0 of ``a`` against row 0 of ``b`` as a scalar tensor."""
+    return T.tsum(windowed_bertscore(a, b, [0], [0], cfg))
 
 
 def brute_force_unwindowed(a_rows, b_rows):
@@ -50,8 +71,37 @@ def brute_force_unwindowed(a_rows, b_rows):
     return 2 * p * r / (p + r)
 
 
-def content_rows(stack):
-    return stack.hidden.numpy()[stack.eligible()]
+def content_rows(stack, row=0):
+    return stack.hidden.numpy()[row][stack.content_mask[row]]
+
+
+def oracle_pair_score(a, i, b, j, cfg):
+    """Independent double loop over row i of ``a`` and row j of ``b``, for
+    either alignment and either eligibility rule."""
+    ea = np.nonzero(a.eligible(cfg.include_special)[i])[0]
+    eb = np.nonzero(b.eligible(cfg.include_special)[j])[0]
+
+    def unit(v):
+        n = np.linalg.norm(v)
+        return v / n if n > 0 else v * 0.0
+
+    va = [unit(a.hidden.numpy()[i, k]) for k in ea]
+    vb = [unit(b.hidden.numpy()[j, k]) for k in eb]
+    pos_a = list(range(len(ea))) if cfg.alignment == "compact" else list(ea)
+    pos_b = list(range(len(eb))) if cfg.alignment == "compact" else list(eb)
+    w = cfg.window_radius
+    p_terms = []
+    for x in range(len(va)):
+        sims = [float(va[x] @ vb[y]) for y in range(len(vb)) if abs(pos_a[x] - pos_b[y]) <= w]
+        p_terms.append(max(sims) if sims else 0.0)
+    r_terms = []
+    for y in range(len(vb)):
+        sims = [float(va[x] @ vb[y]) for x in range(len(va)) if abs(pos_a[x] - pos_b[y]) <= w]
+        r_terms.append(max(sims) if sims else 0.0)
+    p, r = np.mean(p_terms), np.mean(r_terms)
+    if abs(p + r) < 1e-12:
+        return 0.0
+    return 2 * p * r / (p + r)
 
 
 class TestScore:
@@ -59,7 +109,7 @@ class TestScore:
         rng = np.random.default_rng(1)
         stack = random_stack(rng, 6)
         for w in (0, 1, 5, 100):
-            got = windowed_bertscore(stack, stack, ScoreConfig(window_radius=w)).item()
+            got = pair_score(stack, stack, ScoreConfig(window_radius=w)).item()
             assert got == pytest.approx(1.0, abs=1e-6)
 
     def test_wide_window_matches_brute_force_oracle(self):
@@ -67,14 +117,14 @@ class TestScore:
         for trial in range(20):
             na, nb = rng.integers(2, 9, size=2)
             a, b = random_stack(rng, int(na)), random_stack(rng, int(nb))
-            got = windowed_bertscore(a, b, ScoreConfig(window_radius=64)).item()
+            got = pair_score(a, b, ScoreConfig(window_radius=64)).item()
             want = brute_force_unwindowed(content_rows(a), content_rows(b))
             assert got == pytest.approx(want, abs=1e-9), f"trial {trial}"
 
     def test_orthogonal_stacks_score_zero(self):
         a = make_stack(np.eye(8)[:3])
         b = make_stack(np.eye(8)[4:7])
-        got = windowed_bertscore(a, b, ScoreConfig(window_radius=10)).item()
+        got = pair_score(a, b, ScoreConfig(window_radius=10)).item()
         assert got == 0.0
 
     def test_symmetry(self):
@@ -82,8 +132,8 @@ class TestScore:
         for _ in range(10):
             a, b = random_stack(rng, 5), random_stack(rng, 7)
             cfg = ScoreConfig(window_radius=int(rng.integers(0, 5)))
-            ab = windowed_bertscore(a, b, cfg).item()
-            ba = windowed_bertscore(b, a, cfg).item()
+            ab = pair_score(a, b, cfg).item()
+            ba = pair_score(b, a, cfg).item()
             assert ab == pytest.approx(ba, abs=1e-9)
 
     def test_monotone_in_window_radius(self):
@@ -93,7 +143,7 @@ class TestScore:
         for _ in range(50):
             a = make_stack(rng.normal(size=(6, 8)) + 1.2)
             b = make_stack(rng.normal(size=(6, 8)) + 1.2)
-            scores = [windowed_bertscore(a, b, ScoreConfig(window_radius=w)).item()
+            scores = [pair_score(a, b, ScoreConfig(window_radius=w)).item()
                       for w in (0, 1, 2, 4, 8)]
             assert all(s2 >= s1 - 1e-12 for s1, s2 in zip(scores, scores[1:])), scores
 
@@ -120,9 +170,9 @@ class TestScore:
         rng = np.random.default_rng(5)
         rows_a, rows_b = rng.normal(size=(5, 8)), rng.normal(size=(6, 8))
         cfg = ScoreConfig(window_radius=2)
-        base = windowed_bertscore(make_stack(rows_a, pad_extra=0),
+        base = pair_score(make_stack(rows_a, pad_extra=0),
                                   make_stack(rows_b, pad_extra=0), cfg).item()
-        padded = windowed_bertscore(make_stack(rows_a, pad_extra=7),
+        padded = pair_score(make_stack(rows_a, pad_extra=7),
                                     make_stack(rows_b, pad_extra=3), cfg).item()
         assert base == pytest.approx(padded, abs=1e-12)
 
@@ -133,15 +183,15 @@ class TestScore:
         a1 = make_stack(rows, special_rows=np.ones((2, 8)))
         a2 = make_stack(rows, special_rows=-np.ones((2, 8)) * 9.0)
         b = random_stack(rng, 5)
-        s1 = windowed_bertscore(a1, b, cfg).item()
-        s2 = windowed_bertscore(a2, b, cfg).item()
+        s1 = pair_score(a1, b, cfg).item()
+        s2 = pair_score(a2, b, cfg).item()
         assert s1 == pytest.approx(s2, abs=1e-12)
 
     def test_include_special_changes_the_matching(self):
         rng = np.random.default_rng(7)
         a, b = random_stack(rng, 4), random_stack(rng, 4)
-        narrow = windowed_bertscore(a, b, ScoreConfig(window_radius=2)).item()
-        wide = windowed_bertscore(
+        narrow = pair_score(a, b, ScoreConfig(window_radius=2)).item()
+        wide = pair_score(
             a, b, ScoreConfig(window_radius=2, include_special=True)).item()
         assert narrow != pytest.approx(wide, abs=1e-9)
 
@@ -151,16 +201,20 @@ class TestScore:
         empty = make_stack(rng.normal(size=(2, 8)))
         empty.content_mask[:] = False
         with pytest.raises(ValueError, match="second"):
-            windowed_bertscore(stack, empty, ScoreConfig())
+            pair_score(stack, empty, ScoreConfig())
         with pytest.raises(ValueError, match="first"):
-            windowed_bertscore(empty, stack, ScoreConfig())
+            pair_score(empty, stack, ScoreConfig())
+        # one empty row among scorable ones still fails the batch
+        batch = batch_of([stack, empty, random_stack(rng, 4)])
+        with pytest.raises(ValueError, match="second"):
+            windowed_bertscore(batch, batch, [0, 2], [2, 1], ScoreConfig())
 
     def test_positions_with_empty_window_contribute_zero(self):
         rng = np.random.default_rng(9)
         rows_a, rows_b = rng.normal(size=(6, 8)), rng.normal(size=(2, 8))
         a, b = make_stack(rows_a), make_stack(rows_b)
         w = 1
-        got = windowed_bertscore(a, b, ScoreConfig(window_radius=w)).item()
+        got = pair_score(a, b, ScoreConfig(window_radius=w)).item()
 
         def norm(x):
             return x / np.linalg.norm(x, axis=1, keepdims=True)
@@ -185,7 +239,7 @@ class TestScore:
         rng = np.random.default_rng(10)
         rows = rng.normal(size=(5, 8))
         a = make_stack(rows)
-        L = a.hidden.shape[0] + 1
+        L = a.hidden.shape[1] + 1
         hidden = np.zeros((L, 8))
         hidden[0] = rng.normal(size=8)      # [CLS]
         hidden[1] = rng.normal(size=8)      # conditioning token row
@@ -195,10 +249,11 @@ class TestScore:
         attention[:8] = True
         content = np.zeros(L, dtype=bool)
         content[2:7] = True
-        shifted = EmbeddingStack(hidden=Tensor(hidden), attention_mask=attention,
-                                 content_mask=content)
-        compact = windowed_bertscore(a, shifted, ScoreConfig(window_radius=0)).item()
-        raw = windowed_bertscore(
+        shifted = EmbeddingStack(hidden=Tensor(hidden[None]),
+                                 attention_mask=attention[None],
+                                 content_mask=content[None])
+        compact = pair_score(a, shifted, ScoreConfig(window_radius=0)).item()
+        raw = pair_score(
             a, shifted, ScoreConfig(window_radius=0, alignment="raw")).item()
         assert compact == pytest.approx(1.0, abs=1e-9)
         assert raw < 1.0 - 1e-6
@@ -215,11 +270,11 @@ class TestScore:
         a = random_stack(rng, 5, requires_grad=True)
         b = random_stack(rng, 6, requires_grad=True)
         cfg = ScoreConfig(window_radius=2)
-        loss = windowed_bertscore(a, b, cfg)
+        loss = pair_score(a, b, cfg)
         T.backward(loss)
         for stack in (a, b):
             numeric = finite_difference_grad(
-                lambda: windowed_bertscore(a, b, cfg).item(), stack.hidden.data)
+                lambda: pair_score(a, b, cfg).item(), stack.hidden.data)
             err = rel_err(stack.hidden.grad, numeric)
             assert err < 1e-4, f"rel err {err:.2e}"
 
@@ -227,5 +282,69 @@ class TestScore:
         rng = np.random.default_rng(11)
         for _ in range(50):
             a, b = random_stack(rng, 5), random_stack(rng, 4)
-            s = windowed_bertscore(a, b, ScoreConfig(window_radius=2)).item()
+            s = pair_score(a, b, ScoreConfig(window_radius=2)).item()
             assert -1.0 - 1e-9 <= s <= 1.0 + 1e-9
+
+
+class TestBatchedScore:
+    """The batched op against a per-pair double loop over the same rows."""
+
+    @staticmethod
+    def _batch(rng):
+        # rows of different lengths, so short-against-long pairs have
+        # positions with an empty window at radius 0; rows 0 and 1 hold
+        # mutually orthogonal content, so their pairs have P + R = 0
+        eye = np.eye(8)
+        stacks = [make_stack(eye[:3]), make_stack(eye[4:7])]
+        stacks += [random_stack(rng, int(n)) for n in (2, 5, 7, 3)]
+        stacks.append(make_stack(rng.normal(size=(4, 8)) + 1.2, pad_extra=5))
+        return batch_of(stacks, requires_grad=True)
+
+    @pytest.mark.parametrize("alignment", ["compact", "raw"])
+    @pytest.mark.parametrize("include_special", [False, True])
+    @pytest.mark.parametrize("radius", [0, 1, 64])
+    def test_matches_per_pair_double_loop(self, alignment, include_special, radius):
+        rng = np.random.default_rng(40)
+        stack = self._batch(rng)
+        n = stack.hidden.shape[0]
+        ia, ib = (g.ravel() for g in np.meshgrid(np.arange(n), np.arange(n)))
+        cfg = ScoreConfig(window_radius=radius, include_special=include_special,
+                          alignment=alignment)
+        got = windowed_bertscore(stack, stack, ia, ib, cfg).data
+        want = [oracle_pair_score(stack, i, stack, j, cfg) for i, j in zip(ia, ib)]
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
+        if not include_special:
+            orthogonal = (ia + ib == 1)
+            assert (got[orthogonal] == 0.0).all()
+
+    def test_two_stacks_of_different_lengths(self):
+        rng = np.random.default_rng(41)
+        a = batch_of([random_stack(rng, int(n)) for n in (3, 6, 4)])
+        b = batch_of([random_stack(rng, int(n)) for n in (5, 2)])
+        b = batch_of([b, make_stack(rng.normal(size=(6, 8)), pad_extra=9)])
+        ia, ib = np.array([0, 1, 2, 2, 1]), np.array([1, 0, 2, 1, 2])
+        for alignment in ("compact", "raw"):
+            cfg = ScoreConfig(window_radius=1, alignment=alignment)
+            got = windowed_bertscore(a, b, ia, ib, cfg).data
+            want = [oracle_pair_score(a, i, b, j, cfg) for i, j in zip(ia, ib)]
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
+
+    def test_degenerate_pair_passes_no_gradient(self):
+        rng = np.random.default_rng(42)
+        stack = self._batch(rng)
+        ia, ib = np.array([0, 2, 3]), np.array([1, 3, 5])
+        scores = windowed_bertscore(stack, stack, ia, ib, ScoreConfig(window_radius=2))
+        assert scores.data[0] == 0.0 and (scores.data[1:] != 0.0).all()
+        T.backward(T.tsum(T.mul(scores, np.array([1.0, 0.0, 0.0]))))
+        assert not stack.hidden.grad.any()
+
+    @pytest.mark.parametrize("alignment", ["compact", "raw"])
+    def test_gradient_matches_finite_differences(self, alignment):
+        rng = np.random.default_rng(43)
+        stack = batch_of([random_stack(rng, int(n)) for n in (4, 6, 3)],
+                         requires_grad=True)
+        ia, ib = np.array([0, 1, 2, 0, 2]), np.array([1, 0, 0, 2, 1])
+        weights = rng.normal(size=5)
+        cfg = ScoreConfig(window_radius=1, alignment=alignment)
+        check_grads(lambda: T.tsum(T.mul(windowed_bertscore(stack, stack, ia, ib, cfg),
+                                         weights)), [stack.hidden])

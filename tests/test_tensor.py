@@ -253,6 +253,11 @@ class TestGradChecks:
         idx = rng.integers(0, 6, size=4)
         w = Tensor(rng.normal(size=(4, 3)))
         check_grads(lambda: T.tsum(T.mul(T.take(x, idx, axis=0), w)), [x])
+        # repeated indices along a later axis, and a 2-d index array
+        z = randt(rng, 2, 5, 3)
+        idx2 = np.array([[4, 0, 4], [1, 4, 0]])
+        w4 = Tensor(rng.normal(size=(2, 2, 3, 3)))
+        check_grads(lambda: T.tsum(T.mul(T.take(z, idx2, axis=1), w4)), [z])
         w2 = Tensor(rng.normal(size=(2, 6, 3)))
         check_grads(lambda: T.tsum(T.mul(T.stack([x, y], axis=0), w2)), [x, y])
         w3 = Tensor(rng.normal(size=(12, 3)))
