@@ -15,8 +15,8 @@ from .scoring import ScoreConfig, windowed_bertscore
 from .refine import (Discriminator, LossWeights, RefinementConfig,
                      contrastive_loss, contrastive_pairs, diversity_loss,
                      reconstruction_loss, refine)
-from .evaluate import (CandidateScore, EvalReport, ablation_run, evaluate,
-                       resolve, score_candidate)
+from .evaluate import (CandidateScore, EvalReport, evaluate, resolve,
+                       score_candidate)
 
 __all__ = [
     "Tensor", "backward", "no_grad", "set_dtype",
@@ -28,6 +28,5 @@ __all__ = [
     "ScoreConfig", "windowed_bertscore",
     "Discriminator", "LossWeights", "RefinementConfig", "contrastive_loss",
     "contrastive_pairs", "diversity_loss", "reconstruction_loss", "refine",
-    "CandidateScore", "EvalReport", "ablation_run", "evaluate", "resolve",
-    "score_candidate",
+    "CandidateScore", "EvalReport", "evaluate", "resolve", "score_candidate",
 ]

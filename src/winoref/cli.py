@@ -7,6 +7,7 @@ timestamps, so identical configs and seeds reproduce identical bytes.
 """
 
 import argparse
+import dataclasses
 import itertools
 import json
 import os
@@ -18,7 +19,7 @@ from . import checkpoint as ckpt
 from . import config as C
 from . import tensor as T
 from .encoder import EncoderConfig, EncoderModel, PretrainConfig, pretrain_mlm
-from .evaluate import ablation_run, evaluate, score_candidate
+from .evaluate import evaluate, score_candidate
 from .refine import Discriminator, LossWeights, RefinementConfig, refine
 from .scoring import ScoreConfig
 from .synthetic import make_benchmark, make_perturbation_corpus
@@ -54,28 +55,6 @@ def _load_datasets(paths):
     return datasets
 
 
-def _score_cfg(cfg):
-    return ScoreConfig(window_radius=cfg["score"]["window_radius"],
-                       include_special=cfg["score"]["include_special"],
-                       alignment=cfg["score"]["alignment"])
-
-
-def _refine_cfg(cfg):
-    r = cfg["refine"]
-    return RefinementConfig(
-        epochs=r["epochs"], batch_size=r["batch_size"],
-        perturbations_per_sample=r["perturbations_per_sample"], lr=r["lr"],
-        adam_eps=r["adam_eps"], warmup_steps=r["warmup_steps"],
-        weight_decay=r["weight_decay"], seed=r["seed"],
-        target_mode=r["target_mode"], disc_hidden=r["disc_hidden"],
-        disc_dropout=r["disc_dropout"])
-
-
-def _weights(cfg):
-    r = cfg["refine"]
-    return LossWeights(alpha=r["alpha"], beta=r["beta"], gamma=r["gamma"])
-
-
 def _save_model(path, model, cfg):
     meta = {"encoder_config": model.config.to_dict(), "config": cfg,
             "config_hash": C.config_hash(cfg)}
@@ -98,6 +77,38 @@ def _load_vocab(path):
     return Vocabulary.load(path)
 
 
+def _refine_inputs(cfg):
+    """The corpus groups, vocabulary and init model refinement starts from."""
+    corpus_path = _require(cfg, "paths", "corpus", "path to the perturbation corpus")
+    init_path = _require(cfg, "paths", "init_checkpoint", "pretrained checkpoint")
+    vocab_path = _require(cfg, "paths", "vocab", "vocabulary file")
+    return _load_corpus(corpus_path), _load_vocab(vocab_path), _load_model(init_path)
+
+
+def _refine(model, groups, weights, cfg, vocab):
+    """Refine ``model`` in place under ``weights`` and the run config's
+    ``refine`` and ``score`` sections; returns the per-step history."""
+    r_cfg = C.build(RefinementConfig, cfg["refine"])
+    disc = Discriminator(model.config.model_dim, r_cfg.disc_hidden,
+                         r_cfg.disc_dropout, seed=r_cfg.seed)
+    return refine(model, disc, groups, weights, r_cfg, ScoreConfig(**cfg["score"]),
+                  vocab)
+
+
+def refine_and_evaluate(init_model, runs, groups, datasets, vocab, cfg):
+    """For each ``(name, LossWeights)`` of ``runs``, refine a fresh clone of
+    ``init_model`` (all-zero weights leave it as it is) and evaluate it on
+    every ``(name, instances)`` dataset. Yields ``(name, weights, model,
+    {dataset: accuracy})`` one run at a time; ``init_model`` is untouched."""
+    for name, weights in runs:
+        model = init_model.clone()
+        if not weights.all_zero():
+            _refine(model, groups, weights, cfg, vocab)
+        accs = {d: evaluate(model, vocab, instances, d).accuracy
+                for d, instances in datasets}
+        yield name, weights, model, accs
+
+
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -114,12 +125,7 @@ def cmd_pretrain(cfg, out):
 
     enc = EncoderConfig(vocab_size=len(vocab), **cfg["encoder"])
     model = EncoderModel(enc, seed=cfg["runtime"]["seed"])
-    p = cfg["pretrain"]
-    pre_cfg = PretrainConfig(epochs=p["epochs"], batch_size=p["batch_size"],
-                             lr=p["lr"], warmup_steps=p["warmup_steps"],
-                             weight_decay=p["weight_decay"],
-                             adam_eps=p["adam_eps"], mask_prob=p["mask_prob"],
-                             seed=cfg["runtime"]["seed"])
+    pre_cfg = PretrainConfig(seed=cfg["runtime"]["seed"], **cfg["pretrain"])
     seqs = [tokenize(t, vocab, enc.max_len) for t in texts]
     history = pretrain_mlm(model, seqs, pre_cfg, vocab)
 
@@ -136,18 +142,8 @@ def cmd_pretrain(cfg, out):
 
 
 def cmd_refine(cfg, out):
-    corpus_path = _require(cfg, "paths", "corpus", "path to the perturbation corpus")
-    init_path = _require(cfg, "paths", "init_checkpoint", "pretrained checkpoint")
-    vocab_path = _require(cfg, "paths", "vocab", "vocabulary file")
-    groups = _load_corpus(corpus_path)
-    vocab = _load_vocab(vocab_path)
-    model = _load_model(init_path)
-
-    weights = _weights(cfg)
-    r_cfg = _refine_cfg(cfg)
-    disc = Discriminator(model.config.model_dim, r_cfg.disc_hidden,
-                         r_cfg.disc_dropout, seed=r_cfg.seed)
-    history = refine(model, disc, groups, weights, r_cfg, _score_cfg(cfg), vocab)
+    groups, vocab, model = _refine_inputs(cfg)
+    history = _refine(model, groups, C.build(LossWeights, cfg["refine"]), cfg, vocab)
 
     ckpt_path = os.path.join(out, "refined.ckpt.json")
     _save_model(ckpt_path, model, cfg)
@@ -193,27 +189,23 @@ def cmd_evaluate(cfg, out, checkpoints, dataset_paths, emit_json, emit_csv):
 
 
 def cmd_ablate(cfg, out):
-    corpus_path = _require(cfg, "paths", "corpus", "path to the perturbation corpus")
-    init_path = _require(cfg, "paths", "init_checkpoint", "pretrained checkpoint")
-    vocab_path = _require(cfg, "paths", "vocab", "vocabulary file")
     if not cfg["paths"]["benchmarks"]:
         raise CliError("ablate needs paths.benchmarks to evaluate on")
-    groups = _load_corpus(corpus_path)
-    vocab = _load_vocab(vocab_path)
-    model = _load_model(init_path)
+    groups, vocab, init_model = _refine_inputs(cfg)
     datasets = _load_datasets(cfg["paths"]["benchmarks"])
+    full = C.build(LossWeights, cfg["refine"])
+    runs = [("baseline", LossWeights(0.0, 0.0, 0.0)),
+            ("contrastive+diversity", dataclasses.replace(full, alpha=0.0)),
+            ("reconstruction+diversity", dataclasses.replace(full, beta=0.0)),
+            ("reconstruction+contrastive", dataclasses.replace(full, gamma=0.0)),
+            ("full", full)]
 
-    rows = ablation_run(model, groups, datasets, _weights(cfg), _refine_cfg(cfg),
-                        _score_cfg(cfg), vocab)
-    names = [name for name, _ in datasets]
-    header = ["config", "alpha", "beta", "gamma"] + names
-    csv_rows = []
-    for row in rows:
-        flat = {"config": row["config"], "alpha": row["weights"]["alpha"],
-                "beta": row["weights"]["beta"], "gamma": row["weights"]["gamma"]}
-        for name in names:
-            flat[name] = row[name]
-        csv_rows.append(flat)
+    rows, csv_rows = [], []
+    for name, weights, _, accs in refine_and_evaluate(init_model, runs, groups,
+                                                      datasets, vocab, cfg):
+        rows.append({"config": name, "weights": weights.to_dict(), **accs})
+        csv_rows.append({"config": name, **weights.to_dict(), **accs})
+    header = ["config", "alpha", "beta", "gamma"] + [name for name, _ in datasets]
     path = os.path.join(out, "ablation.csv")
     C.write_csv_artifact(path, cfg, header, csv_rows)
     C.write_json_artifact(os.path.join(out, "ablation.json"), "ablation", cfg, rows)
@@ -239,43 +231,25 @@ def _parse_grid(tokens):
 
 
 def cmd_sweep(cfg, out, grid_tokens):
-    corpus_path = _require(cfg, "paths", "corpus", "path to the perturbation corpus")
-    init_path = _require(cfg, "paths", "init_checkpoint", "pretrained checkpoint")
-    vocab_path = _require(cfg, "paths", "vocab", "vocabulary file")
     if not cfg["paths"]["benchmarks"]:
         raise CliError("sweep needs paths.benchmarks to rank runs")
     grid = _parse_grid(grid_tokens)
-    base = _weights(cfg).to_dict()
-    axes = {name: grid.get(name, [base[name]]) for name in ("alpha", "beta", "gamma")}
-
-    groups = _load_corpus(corpus_path)
-    vocab = _load_vocab(vocab_path)
-    init_model = _load_model(init_path)
+    axes = [grid.get(name, [cfg["refine"][name]]) for name in ("alpha", "beta", "gamma")]
+    settings = [(f"run_{i:03d}", LossWeights(*point))
+                for i, point in enumerate(itertools.product(*axes))]
+    groups, vocab, init_model = _refine_inputs(cfg)
     datasets = _load_datasets(cfg["paths"]["benchmarks"])
-    r_cfg = _refine_cfg(cfg)
-    s_cfg = _score_cfg(cfg)
 
     runs = []
-    combos = list(itertools.product(axes["alpha"], axes["beta"], axes["gamma"]))
-    for run_idx, (alpha, beta, gamma) in enumerate(combos):
+    for name, weights, model, accs in refine_and_evaluate(init_model, settings, groups,
+                                                          datasets, vocab, cfg):
         run_cfg = json.loads(C.canonical_json(cfg))
-        run_cfg["refine"]["alpha"] = alpha
-        run_cfg["refine"]["beta"] = beta
-        run_cfg["refine"]["gamma"] = gamma
-        run_dir = os.path.join(out, "sweep", f"run_{run_idx:03d}")
+        run_cfg["refine"].update(weights.to_dict())
+        run_dir = os.path.join(out, "sweep", name)
         os.makedirs(run_dir, exist_ok=True)
-        model = init_model.clone()
-        disc = Discriminator(model.config.model_dim, r_cfg.disc_hidden,
-                             r_cfg.disc_dropout, seed=r_cfg.seed)
-        weights = LossWeights(alpha=alpha, beta=beta, gamma=gamma)
-        refine(model, disc, groups, weights, r_cfg, s_cfg, vocab)
         _save_model(os.path.join(run_dir, "refined.ckpt.json"), model, run_cfg)
-        accs = {}
-        for name, instances in datasets:
-            accs[name] = evaluate(model, vocab, instances, name).accuracy
-        runs.append({"run": f"run_{run_idx:03d}", "seed": r_cfg.seed,
-                     "config_hash": C.config_hash(run_cfg),
-                     "alpha": alpha, "beta": beta, "gamma": gamma,
+        runs.append({"run": name, "seed": cfg["refine"]["seed"],
+                     "config_hash": C.config_hash(run_cfg), **weights.to_dict(),
                      "mean_accuracy": sum(accs.values()) / len(accs),
                      "accuracies": accs})
     runs.sort(key=lambda r: (-r["mean_accuracy"], r["run"]))

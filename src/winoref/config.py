@@ -1,19 +1,23 @@
 """Run configuration: JSON config file, flat CLI overrides, provenance.
 
-A run config is a two-level dict of sections. Files supply any subset; the
-defaults below fill the rest; ``--section.key=value`` tokens override last.
-The fully resolved config is embedded verbatim in every output artifact
-together with a content hash, so artifacts are traceable to their exact
-configuration.
+A run config is a two-level dict of sections. The ``runtime`` and ``paths``
+sections are defined here; every other section is the fields of the config
+dataclasses it builds (see ``_sections``), which hold the defaults and the
+checks. Files supply any subset; the defaults fill the rest;
+``--section.key=value`` tokens override last. The fully resolved config is
+embedded verbatim in every output artifact together with a content hash, so
+artifacts are traceable to their exact configuration.
 """
 
 import copy
+import dataclasses
 import hashlib
 import json
+import math
 import numbers
 import os
 
-DEFAULTS = {
+RUNTIME_AND_PATHS = {
     "runtime": {
         "seed": 0,
         "precision": "float64",
@@ -25,50 +29,17 @@ DEFAULTS = {
         "vocab": None,
         "init_checkpoint": None,
     },
-    "encoder": {
-        "layers": 4,
-        "heads": 4,
-        "model_dim": 128,
-        "ff_dim": 512,
-        "max_len": 48,
-        "dropout": 0.1,
-        "tie_mlm_head": True,
-    },
-    "pretrain": {
-        "epochs": 30,
-        "batch_size": 16,
-        "lr": 1e-3,
-        "warmup_steps": 50,
-        "weight_decay": 0.01,
-        "adam_eps": 1e-8,
-        "mask_prob": 0.15,
-    },
-    "score": {
-        "window_radius": 2,
-        "include_special": False,
-        "alignment": "compact",
-    },
-    "refine": {
-        "alpha": 130.0,
-        "beta": 0.5,
-        "gamma": 2.5,
-        "epochs": 10,
-        "batch_size": 10,
-        "perturbations_per_sample": 4,
-        "lr": 5e-5,
-        "adam_eps": 1e-8,
-        "warmup_steps": 500,
-        "weight_decay": 0.01,
-        "seed": 0,
-        "target_mode": "frozen-init",
-        "disc_hidden": 128,
-        "disc_dropout": 0.2,
-    },
 }
 
 
 class ConfigError(ValueError):
     pass
+
+
+def internal(default):
+    """A config dataclass field that code sets and the run config does not
+    expose."""
+    return dataclasses.field(default=default, metadata={"internal": True})
 
 
 def check_count(name, value, minimum):
@@ -78,6 +49,47 @@ def check_count(name, value, minimum):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {value}")
+
+
+def check_real(name, value, low, high=math.inf, low_open=False, high_open=False):
+    """Reject a value that is not a finite real number (bools included) or
+    lies outside the interval from ``low`` to ``high``, whose ends are
+    closed unless marked open."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value)):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    if (value < low or value > high or (low_open and value == low)
+            or (high_open and value == high)):
+        interval = (("(" if low_open else "[") + f"{low}, {high}"
+                    + (")" if high_open or high == math.inf else "]"))
+        raise ValueError(f"{name} must be in {interval}, got {value}")
+
+
+def check_choice(name, value, choices):
+    """Reject a value that is not one of ``choices``; the type must match
+    too, so 1 is not True."""
+    if not any(type(value) is type(c) and value == c for c in choices):
+        raise ValueError(f"{name} must be one of {', '.join(map(repr, choices))}, "
+                         f"got {value!r}")
+
+
+def _sections():
+    """Config section -> the dataclasses built from it. Imported here, not
+    at the top, because those modules import the checks above."""
+    from .encoder import EncoderConfig, PretrainConfig
+    from .refine import LossWeights, RefinementConfig
+    from .scoring import ScoreConfig
+    return {"encoder": [EncoderConfig], "pretrain": [PretrainConfig],
+            "score": [ScoreConfig], "refine": [LossWeights, RefinementConfig]}
+
+
+def _keys(cls):
+    return [f for f in dataclasses.fields(cls) if not f.metadata.get("internal")]
+
+
+def build(cls, section):
+    """``cls`` from the keys of a resolved section that are its fields."""
+    return cls(**{f.name: section[f.name] for f in _keys(cls)})
 
 
 def _coerce(raw):
@@ -101,8 +113,12 @@ def parse_overrides(tokens):
 
 
 def load_config(path=None, overrides=None, seed=None):
-    """Resolved config dict: defaults <- file <- overrides <- --seed."""
-    cfg = copy.deepcopy(DEFAULTS)
+    """Resolved config dict: defaults <- file <- overrides <- --seed. Every
+    key is checked, so a bad one fails before any work starts."""
+    sections = _sections()
+    cfg = copy.deepcopy(RUNTIME_AND_PATHS)
+    for name, classes in sections.items():
+        cfg[name] = {f.name: f.default for cls in classes for f in _keys(cls)}
     if path:
         if not os.path.exists(path):
             raise ConfigError(f"config file not found: {path}")
@@ -111,6 +127,8 @@ def load_config(path=None, overrides=None, seed=None):
                 file_cfg = json.load(f)
             except json.JSONDecodeError as e:
                 raise ConfigError(f"config file {path} is not valid JSON: {e.msg}")
+        if not isinstance(file_cfg, dict):
+            raise ConfigError(f"config file {path} must hold a JSON object")
         for section, values in file_cfg.items():
             if section not in cfg:
                 raise ConfigError(f"config file {path}: unknown section {section!r}")
@@ -129,6 +147,20 @@ def load_config(path=None, overrides=None, seed=None):
     if seed is not None:
         cfg["runtime"]["seed"] = seed
         cfg["refine"]["seed"] = seed
+
+    check_count("runtime.seed", cfg["runtime"]["seed"], 0)
+    check_choice("runtime.precision", cfg["runtime"]["precision"], ("float32", "float64"))
+    for section, key in (("runtime", "out_dir"), ("paths", "corpus"),
+                         ("paths", "vocab"), ("paths", "init_checkpoint")):
+        value = cfg[section][key]
+        if value is not None and not isinstance(value, str):
+            raise ConfigError(f"{section}.{key} must be a path or null, got {value!r}")
+    benchmarks = cfg["paths"]["benchmarks"]
+    if not (isinstance(benchmarks, list) and all(isinstance(p, str) for p in benchmarks)):
+        raise ConfigError(f"paths.benchmarks must be a list of paths, got {benchmarks!r}")
+    for name, classes in sections.items():
+        for cls in classes:
+            build(cls, cfg[name])
     return cfg
 
 

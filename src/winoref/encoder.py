@@ -8,12 +8,12 @@ sees pad content.
 """
 
 import copy
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
 from . import tensor as T
-from .config import check_count
+from .config import check_choice, check_count, check_real, internal
 from .optim import AdamW
 from .tensor import Tensor
 
@@ -25,18 +25,25 @@ class EncoderConfig:
     model_dim: int = 128
     ff_dim: int = 512
     max_len: int = 48
-    vocab_size: int = 0
+    vocab_size: int = internal(0)
     dropout: float = 0.1
     tie_mlm_head: bool = True
-    layer_norm_eps: float = 1e-5
-    init_scale: float = 0.02
+    layer_norm_eps: float = internal(1e-5)
+    init_scale: float = internal(0.02)
 
     def __post_init__(self):
+        check_count("encoder.layers", self.layers, 0)   # 0: normed embeddings
+        for key in ("heads", "model_dim", "ff_dim"):
+            check_count(f"encoder.{key}", getattr(self, key), 1)
+        check_count("encoder.max_len", self.max_len, 3)   # [CLS] word [SEP]
+        check_count("encoder.vocab_size", self.vocab_size, 0)
+        check_real("encoder.dropout", self.dropout, 0, 1, high_open=True)
+        check_choice("encoder.tie_mlm_head", self.tie_mlm_head, (True, False))
+        check_real("encoder.layer_norm_eps", self.layer_norm_eps, 0, low_open=True)
+        check_real("encoder.init_scale", self.init_scale, 0)
         if self.model_dim % self.heads != 0:
-            raise ValueError(f"model_dim {self.model_dim} not divisible by "
-                             f"heads {self.heads}")
-        if not (0.0 <= self.dropout < 1.0):
-            raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
+            raise ValueError(f"encoder.model_dim must be divisible by encoder.heads "
+                             f"{self.heads}, got {self.model_dim}")
 
     def to_dict(self):
         return asdict(self)
@@ -264,11 +271,17 @@ class PretrainConfig:
     weight_decay: float = 0.01
     adam_eps: float = 1e-8
     mask_prob: float = 0.15
-    seed: int = 0
+    seed: int = internal(0)
 
     def __post_init__(self):
         check_count("pretrain.epochs", self.epochs, 0)
         check_count("pretrain.batch_size", self.batch_size, 1)
+        check_real("pretrain.lr", self.lr, 0, low_open=True)
+        check_count("pretrain.warmup_steps", self.warmup_steps, 0)
+        check_real("pretrain.weight_decay", self.weight_decay, 0)
+        check_real("pretrain.adam_eps", self.adam_eps, 0, low_open=True)
+        check_real("pretrain.mask_prob", self.mask_prob, 0, 1)
+        check_count("pretrain.seed", self.seed, 0)
 
     def to_dict(self):
         return asdict(self)

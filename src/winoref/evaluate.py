@@ -13,7 +13,6 @@ import numpy as np
 
 from . import tensor as T
 from .encoder import mlm_logits_batch
-from .refine import Discriminator, LossWeights, refine
 from .text import SLOT_MARKER, word_tokens
 
 
@@ -131,36 +130,3 @@ def evaluate(model, vocab, instances, dataset_name="dataset"):
     return EvalReport(dataset=dataset_name, count=len(instances),
                       accuracy=correct / len(instances), decisions=decisions)
 
-
-ABLATION_CONFIGS = [
-    ("contrastive+diversity", dict(alpha=0.0)),
-    ("reconstruction+diversity", dict(beta=0.0)),
-    ("reconstruction+contrastive", dict(gamma=0.0)),
-    ("full", dict()),
-]
-
-
-def ablation_run(init_model, groups, datasets, weights, refine_cfg, score_cfg, vocab):
-    """Baseline plus four loss configurations, each refined from a fresh copy
-    of the init model with the same seed and evaluated on every dataset.
-
-    ``datasets``: list of (name, instances). Returns a list of row dicts:
-    {"config", "weights", <dataset name>: accuracy, ...}.
-    """
-    rows = []
-
-    def eval_row(label, model, used_weights):
-        row = {"config": label, "weights": used_weights.to_dict()}
-        for name, instances in datasets:
-            row[name] = evaluate(model, vocab, instances, name).accuracy
-        return row
-
-    rows.append(eval_row("baseline", init_model, LossWeights(0.0, 0.0, 0.0)))
-    for label, overrides in ABLATION_CONFIGS:
-        w = LossWeights(**{**weights.to_dict(), **overrides})
-        model = init_model.clone()
-        disc = Discriminator(model.config.model_dim, refine_cfg.disc_hidden,
-                             refine_cfg.disc_dropout, seed=refine_cfg.seed)
-        refine(model, disc, groups, w, refine_cfg, score_cfg, vocab)
-        rows.append(eval_row(label, model, w))
-    return rows

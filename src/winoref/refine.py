@@ -14,7 +14,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from . import tensor as T
-from .config import check_count
+from .config import check_choice, check_count, check_real
 from .encoder import EmbeddingStack, encode, encode_batch
 from .optim import AdamW
 from .scoring import windowed_bertscore
@@ -35,8 +35,8 @@ class LossWeights:
     gamma: float = 2.5
 
     def __post_init__(self):
-        if self.alpha < 0 or self.beta < 0 or self.gamma < 0:
-            raise ValueError("loss weights must be non-negative")
+        for key in ("alpha", "beta", "gamma"):
+            check_real(f"refine.{key}", getattr(self, key), 0)
 
     def all_zero(self):
         return self.alpha == 0 and self.beta == 0 and self.gamma == 0
@@ -62,8 +62,16 @@ class RefinementConfig:
     def __post_init__(self):
         check_count("refine.epochs", self.epochs, 0)
         check_count("refine.batch_size", self.batch_size, 1)
-        if self.target_mode not in ("frozen-init", "stop-gradient-current"):
-            raise ValueError(f"unknown target_mode {self.target_mode!r}")
+        check_count("refine.perturbations_per_sample", self.perturbations_per_sample, 1)
+        check_real("refine.lr", self.lr, 0, low_open=True)
+        check_real("refine.adam_eps", self.adam_eps, 0, low_open=True)
+        check_count("refine.warmup_steps", self.warmup_steps, 0)
+        check_real("refine.weight_decay", self.weight_decay, 0)
+        check_count("refine.seed", self.seed, 0)
+        check_choice("refine.target_mode", self.target_mode,
+                     ("frozen-init", "stop-gradient-current"))
+        check_count("refine.disc_hidden", self.disc_hidden, 1)
+        check_real("refine.disc_dropout", self.disc_dropout, 0, 1, high_open=True)
 
     @property
     def effective_batch_size(self):

@@ -13,6 +13,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from . import tensor as T
+from .config import check_choice, check_count
 
 # out-of-window penalty; cosines live in [-1, 1] so -4 can never win a max
 _WINDOW_PENALTY = -4.0
@@ -28,10 +29,9 @@ class ScoreConfig:
     alignment: str = "compact"
 
     def __post_init__(self):
-        if self.window_radius < 0:
-            raise ValueError(f"window_radius must be >= 0, got {self.window_radius}")
-        if self.alignment not in ("compact", "raw"):
-            raise ValueError(f"alignment must be 'compact' or 'raw', got {self.alignment!r}")
+        check_count("score.window_radius", self.window_radius, 0)
+        check_choice("score.include_special", self.include_special, (True, False))
+        check_choice("score.alignment", self.alignment, ("compact", "raw"))
 
     def to_dict(self):
         return asdict(self)
@@ -48,9 +48,10 @@ def windowed_bertscore(a, b, ia, ib, cfg):
     """F1 of row ``ia[p]`` of stack ``a`` against row ``ib[p]`` of stack
     ``b`` for every pair p, as a differentiable (P,) tensor.
 
-    Positions whose window contains no eligible partner contribute 0. If a
-    pair's precision/recall sum is ~0 (mutually orthogonal rows), its F1 is
-    defined as 0 and passes no gradient.
+    Positions whose window contains no eligible partner contribute 0. As
+    in BERTScore, F1 is defined only for positive precision and recall: a
+    pair with P <= 0 or R <= 0 scores 0 and passes no gradient, so every
+    score lies in [0, 1].
     """
     ia = np.asarray(ia, dtype=np.int64)
     ib = np.asarray(ib, dtype=np.int64)
@@ -80,7 +81,9 @@ def windowed_bertscore(a, b, ia, ib, cfg):
     precision = T.tsum(T.mul(T.tmax(masked, axis=2), row_w), axis=1)
     recall = T.tsum(T.mul(T.tmax(masked, axis=1), col_w), axis=1)
 
-    # a degenerate pair is scaled by 0 over a denominator of 1: F1 0, no gradient
-    ok = np.abs(precision.data + recall.data) >= 1e-12
+    # a pair with P <= 0 or R <= 0 is scaled by 0 over a denominator
+    # shifted to 1: F1 0, no gradient; every other F1 is in (0, 1]
+    total = precision.data + recall.data
+    ok = (precision.data > 0) & (recall.data > 0)
     return T.div(T.mul(T.mul(precision, recall), np.where(ok, 2.0, 0.0)),
-                 T.add(T.add(precision, recall), np.where(ok, 0.0, 1.0)))
+                 T.add(T.add(precision, recall), np.where(ok, 0.0, 1.0 - total)))

@@ -277,38 +277,6 @@ def div(a, b):
     return _node(a.data / b.data, (a, b), bw)
 
 
-def power(a, p):
-    a = astensor(a)
-    p = float(p)
-
-    def bw(g):
-        if a.requires_grad:
-            a._accum(g * p * np.power(a.data, p - 1.0))
-
-    return _node(np.power(a.data, p), (a,), bw)
-
-
-def exp(a):
-    a = astensor(a)
-    out_data = np.exp(a.data)
-
-    def bw(g):
-        if a.requires_grad:
-            a._accum(g * out_data)
-
-    return _node(out_data, (a,), bw)
-
-
-def log(a):
-    a = astensor(a)
-
-    def bw(g):
-        if a.requires_grad:
-            a._accum(g / a.data)
-
-    return _node(np.log(a.data), (a,), bw)
-
-
 def sqrt(a):
     a = astensor(a)
     out_data = np.sqrt(a.data)
@@ -316,17 +284,6 @@ def sqrt(a):
     def bw(g):
         if a.requires_grad:
             a._accum(g * 0.5 / out_data)
-
-    return _node(out_data, (a,), bw)
-
-
-def tanh(a):
-    a = astensor(a)
-    out_data = np.tanh(a.data)
-
-    def bw(g):
-        if a.requires_grad:
-            a._accum(g * (1.0 - out_data * out_data))
 
     return _node(out_data, (a,), bw)
 
@@ -352,11 +309,6 @@ def clip(a, lo, hi):
             a._accum(g * inside)
 
     return _node(np.clip(a.data, lo, hi), (a,), bw)
-
-
-def stop_gradient(a):
-    """Identity in the forward pass, zero gradient in the backward pass."""
-    return astensor(a).detach()
 
 
 # ---------------------------------------------------------------------------
@@ -419,21 +371,6 @@ def stack(tensors, axis=0):
                 t._accum(np.take(g, i, axis=axis))
 
     return _node(np.stack([t.data for t in tensors], axis=axis), tuple(tensors), bw)
-
-
-def concat(tensors, axis=0):
-    tensors = [astensor(t) for t in tensors]
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def bw(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
-                sl = [slice(None)] * g.ndim
-                sl[axis] = slice(lo, hi)
-                t._accum(g[tuple(sl)])
-
-    return _node(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors), bw)
 
 
 # ---------------------------------------------------------------------------
@@ -655,15 +592,3 @@ def l2_normalize(x, axis=-1):
             x._accum(gx)
 
     return _node(out_data, (x,), bw)
-
-
-def cosine_similarity(u, v, axis=-1):
-    """Cosine of the angle between vectors along an axis.
-
-    A zero-norm input yields similarity 0 with zero gradient on both sides.
-    """
-    u, v = astensor(u), astensor(v)
-    if u.data.shape[axis] != v.data.shape[axis]:
-        raise ShapeError(f"cosine_similarity: shapes {u.data.shape} and {v.data.shape} "
-                         f"differ along axis {axis}")
-    return tsum(mul(l2_normalize(u, axis), l2_normalize(v, axis)), axis=axis)

@@ -1,11 +1,14 @@
 import json
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from winoref import cli
-from winoref.config import DEFAULTS, read_csv_artifact
+from winoref.checkpoint import load as load_checkpoint, params_hash
+from winoref.config import load_config, read_csv_artifact
 from winoref.synthetic import make_benchmark, make_perturbation_corpus
 from winoref.text import save_benchmark, save_perturbation_corpus
 
@@ -52,13 +55,26 @@ def pretrained(data_dir, tmp_path_factory):
 
 
 def test_default_config_uses_documented_hyperparameters():
-    r = DEFAULTS["refine"]
+    defaults = load_config()
+    r = defaults["refine"]
     assert (r["alpha"], r["beta"], r["gamma"]) == (130.0, 0.5, 2.5)
     assert r["epochs"] == 10
     assert r["lr"] == 5e-5
     assert r["adam_eps"] == 1e-8
     assert r["warmup_steps"] == 500
-    assert DEFAULTS["score"]["window_radius"] == 2
+    assert defaults["score"]["window_radius"] == 2
+
+
+def test_readme_configuration_table_lists_every_key():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    table = readme.split("## Configuration", 1)[1].split("\n## ", 1)[0]
+    documented = {}
+    for line in table.splitlines():
+        cells = line.split("|")
+        if len(cells) == 4 and cells[1].strip().startswith("`"):
+            keys = re.sub(r"\([^)]*\)", "", cells[2])   # drop notes on values
+            documented[cells[1].strip().strip("`")] = re.findall(r"`([^`]+)`", keys)
+    assert documented == {section: list(keys) for section, keys in load_config().items()}
 
 
 class TestPretrain:
@@ -133,22 +149,78 @@ class TestRefine:
         assert "refine.bogus" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command,key,value", [
+# every resolved key, fed a wrong-type value and, where the key has a range
+# or a set of choices, a value outside it; the first ten cases are the
+# original count checks
+BAD_VALUES = [
     ("pretrain", "epochs", "abc"), ("pretrain", "epochs", "-1"),
     ("pretrain", "epochs", "2.5"), ("pretrain", "epochs", "true"),
     ("pretrain", "batch_size", "0"), ("pretrain", "batch_size", "abc"),
     ("refine", "epochs", "abc"), ("refine", "epochs", "-1"),
     ("refine", "batch_size", "0"), ("refine", "batch_size", "false"),
-])
+    ("runtime", "seed", "abc"), ("runtime", "seed", "-1"),
+    ("runtime", "precision", "32"), ("runtime", "precision", "float16"),
+    ("runtime", "out_dir", "5"),
+    ("paths", "corpus", "5"), ("paths", "benchmarks", "x.jsonl"),
+    ("paths", "benchmarks", '["a.jsonl", 1]'), ("paths", "vocab", "[]"),
+    ("paths", "init_checkpoint", "true"),
+    ("encoder", "layers", "abc"), ("encoder", "layers", "-1"),
+    ("encoder", "heads", "abc"), ("encoder", "heads", "0"),
+    ("encoder", "model_dim", "2.5"), ("encoder", "model_dim", "0"),
+    ("encoder", "model_dim", "17"),
+    ("encoder", "ff_dim", "true"), ("encoder", "ff_dim", "0"),
+    ("encoder", "max_len", "abc"), ("encoder", "max_len", "2"),
+    ("encoder", "dropout", "abc"), ("encoder", "dropout", "1.5"),
+    ("encoder", "tie_mlm_head", "1"),
+    ("pretrain", "lr", "abc"), ("pretrain", "lr", "0"),
+    ("pretrain", "warmup_steps", "1.5"), ("pretrain", "warmup_steps", "-1"),
+    ("pretrain", "weight_decay", "abc"), ("pretrain", "weight_decay", "-0.1"),
+    ("pretrain", "adam_eps", "abc"), ("pretrain", "adam_eps", "0"),
+    ("pretrain", "mask_prob", "abc"), ("pretrain", "mask_prob", "2"),
+    ("score", "window_radius", "abc"), ("score", "window_radius", "-1"),
+    ("score", "include_special", "1"),
+    ("score", "alignment", "1"), ("score", "alignment", "sideways"),
+    ("refine", "alpha", "abc"), ("refine", "alpha", "-1"),
+    ("refine", "beta", "NaN"), ("refine", "beta", "-0.5"),
+    ("refine", "gamma", "abc"), ("refine", "gamma", "-2"),
+    ("refine", "perturbations_per_sample", "abc"),
+    ("refine", "perturbations_per_sample", "0"),
+    ("refine", "lr", "abc"), ("refine", "lr", "-1e-3"),
+    ("refine", "adam_eps", "Infinity"), ("refine", "adam_eps", "0"),
+    ("refine", "warmup_steps", "abc"), ("refine", "warmup_steps", "-1"),
+    ("refine", "weight_decay", "abc"), ("refine", "weight_decay", "-1"),
+    ("refine", "seed", "abc"), ("refine", "seed", "-3"),
+    ("refine", "target_mode", "2"), ("refine", "target_mode", "bogus"),
+    ("refine", "disc_hidden", "abc"), ("refine", "disc_hidden", "0"),
+    ("refine", "disc_dropout", "abc"), ("refine", "disc_dropout", "1.5"),
+]
+
+
+def test_bad_values_cover_every_key():
+    keys = {(section, key) for section, key, _ in BAD_VALUES}
+    cfg = load_config()
+    assert keys == {(section, key) for section in cfg for key in cfg[section]}
+
+
+@pytest.mark.parametrize("section,key,value", BAD_VALUES)
 def test_bad_count_exits_with_one_error_line(pretrained, tmp_path, capsys,
-                                             command, key, value):
+                                             section, key, value):
     _, cfg_path = pretrained
-    rc = cli.main([command, "--config", str(cfg_path), "--out", str(tmp_path),
-                   f"--{command}.{key}={value}"])
+    rc = cli.main(["refine", "--config", str(cfg_path), "--out", str(tmp_path),
+                   f"--{section}.{key}={value}"])
     assert rc == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {command}.{key} must be ")
+    assert err.startswith(f"error: {section}.{key} must be ")
     assert err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []   # rejected before any work
+
+
+def test_config_file_that_is_not_an_object_exits_with_one_error_line(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_text("[1, 2]")
+    assert cli.main(["refine", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config file ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("command", ["pretrain", "refine"])
@@ -219,6 +291,10 @@ class TestAblate:
         assert [r["config"] for r in rows] == [
             "baseline", "contrastive+diversity", "reconstruction+diversity",
             "reconstruction+contrastive", "full"]
+        # each named setting zeroes one weight of the configured ones
+        assert [(r["alpha"], r["beta"], r["gamma"]) for r in rows] == [
+            ("0.0", "0.0", "0.0"), ("0.0", "0.5", "2.5"), ("130.0", "0.0", "2.5"),
+            ("130.0", "0.5", "0.0"), ("130.0", "0.5", "2.5")]
 
 
 class TestSweep:
@@ -239,6 +315,15 @@ class TestSweep:
             assert r["config_hash"].startswith("sha256:")
             assert r["seed"] == 5
             assert os.path.exists(sout / "sweep" / r["run"] / "refined.ckpt.json")
+
+    def test_all_zero_grid_point_is_evaluated_untrained(self, pretrained, tmp_path):
+        out, cfg_path = pretrained
+        rc = cli.main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path),
+                       "--grid", "alpha=0", "--grid", "beta=0", "--grid", "gamma=0"])
+        assert rc == 0
+        init = load_checkpoint(out / "init.ckpt.json")[0]
+        run = load_checkpoint(tmp_path / "sweep" / "run_000" / "refined.ckpt.json")[0]
+        assert params_hash(run) == params_hash(init)
 
     def test_bad_grid_axis_rejected(self, pretrained, tmp_path, capsys):
         out, cfg_path = pretrained

@@ -1,13 +1,17 @@
+import ast
+import dataclasses
+import inspect
+
 import numpy as np
 import pytest
 
 import sys
 from winoref.checkpoint import params_hash
+from winoref.cli import refine_and_evaluate
+from winoref.config import load_config
 from winoref.encoder import EncoderConfig, EncoderModel
-from winoref.evaluate import (ablation_run, evaluate, log_probs_at_positions,
-                              resolve, score_candidate)
-from winoref.refine import LossWeights, RefinementConfig
-from winoref.scoring import ScoreConfig
+from winoref.evaluate import evaluate, log_probs_at_positions, resolve, score_candidate
+from winoref.refine import LossWeights
 from winoref.synthetic import (make_benchmark, make_null_benchmark,
                                make_perturbation_corpus)
 from winoref.text import (SchemaInstance, benchmark_texts, build_vocab,
@@ -210,7 +214,21 @@ class TestEvaluate:
         assert abs(report.accuracy - 0.5) < 0.08
 
 
+def test_evaluation_imports_no_training_code():
+    imported = set()
+    for node in ast.walk(ast.parse(inspect.getsource(ev))):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            imported |= {node.module} if node.module else {a.name for a in node.names}
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [node.module] if isinstance(node, ast.ImportFrom) else [
+                a.name for a in node.names]
+            assert not any(name.startswith("winoref") for name in names)
+    assert imported == {"tensor", "encoder", "text"}
+
+
 class TestAblation:
+    """``cli.refine_and_evaluate``, the loop ``ablate`` and ``sweep`` run."""
+
     def _setup(self):
         groups = make_perturbation_corpus(6, seed=41)
         d1 = make_benchmark(6, seed=42)
@@ -220,33 +238,45 @@ class TestAblation:
         cfg = EncoderConfig(layers=1, heads=2, model_dim=16, ff_dim=32,
                             max_len=24, vocab_size=len(vocab))
         model = EncoderModel(cfg, seed=3)
-        r_cfg = RefinementConfig(epochs=1, batch_size=3,
-                                 perturbations_per_sample=2, lr=1e-3,
-                                 warmup_steps=2, seed=5, disc_hidden=16)
-        return groups, [("d1", d1), ("d2", d2)], vocab, model, r_cfg
+        run_cfg = load_config(overrides={
+            ("refine", "epochs"): 1, ("refine", "batch_size"): 3,
+            ("refine", "perturbations_per_sample"): 2, ("refine", "lr"): 1e-3,
+            ("refine", "warmup_steps"): 2, ("refine", "seed"): 5,
+            ("refine", "disc_hidden"): 16})
+        full = LossWeights(2.0, 0.5, 0.5)
+        runs = [("baseline", LossWeights(0.0, 0.0, 0.0)),
+                ("contrastive+diversity", dataclasses.replace(full, alpha=0.0)),
+                ("reconstruction+diversity", dataclasses.replace(full, beta=0.0)),
+                ("reconstruction+contrastive", dataclasses.replace(full, gamma=0.0)),
+                ("full", full)]
+        return groups, [("d1", d1), ("d2", d2)], vocab, model, run_cfg, runs
 
     def test_shape_and_weight_zeroing(self):
-        groups, datasets, vocab, model, r_cfg = self._setup()
-        rows = ablation_run(model, groups, datasets, LossWeights(2.0, 0.5, 0.5),
-                            r_cfg, ScoreConfig(window_radius=2), vocab)
-        assert len(rows) == 5
-        assert [r["config"] for r in rows] == [
+        groups, datasets, vocab, model, run_cfg, runs = self._setup()
+        results = list(refine_and_evaluate(model, runs, groups, datasets, vocab,
+                                           run_cfg))
+        assert [r[0] for r in results] == [
             "baseline", "contrastive+diversity", "reconstruction+diversity",
             "reconstruction+contrastive", "full"]
-        for row in rows:
-            assert set(("d1", "d2")) <= set(row)
-        assert rows[1]["weights"]["alpha"] == 0.0
-        assert rows[2]["weights"]["beta"] == 0.0
-        assert rows[3]["weights"]["gamma"] == 0.0
-        assert rows[4]["weights"] == {"alpha": 2.0, "beta": 0.5, "gamma": 0.5}
+        for _, weights, refined, accs in results:
+            assert set(accs) == {"d1", "d2"}
+            assert all(0.0 <= acc <= 1.0 for acc in accs.values())
+            untrained = params_hash(refined.param_arrays()) == params_hash(
+                model.param_arrays())
+            assert untrained == weights.all_zero()
+        # each zeroed term changes what the run learns
+        hashes = {params_hash(r[2].param_arrays()) for r in results}
+        assert len(hashes) == len(results)
 
     def test_deterministic_and_input_model_untouched(self):
-        groups, datasets, vocab, model, r_cfg = self._setup()
+        groups, datasets, vocab, model, run_cfg, runs = self._setup()
         before = params_hash(model.param_arrays())
-        w = LossWeights(2.0, 0.5, 0.5)
-        rows1 = ablation_run(model, groups, datasets, w, r_cfg,
-                             ScoreConfig(window_radius=2), vocab)
+
+        def summary():
+            return [(name, weights, params_hash(m.param_arrays()), accs)
+                    for name, weights, m, accs in refine_and_evaluate(
+                        model, runs, groups, datasets, vocab, run_cfg)]
+
+        first = summary()
         assert params_hash(model.param_arrays()) == before
-        rows2 = ablation_run(model, groups, datasets, w, r_cfg,
-                             ScoreConfig(window_radius=2), vocab)
-        assert rows1 == rows2
+        assert summary() == first

@@ -43,7 +43,7 @@ def oracle_windowed_score(a_rows, b_rows, w):
         is_ = [i for i in range(na) if abs(i - j) <= w]
         r_terms.append(max(sim[i, j] for i in is_) if is_ else 0.0)
     p, r = np.mean(p_terms), np.mean(r_terms)
-    if abs(p + r) < 1e-12:
+    if p <= 0 or r <= 0:   # F1 is defined for positive P and R only
         return 0.0
     return 2 * p * r / (p + r)
 

@@ -66,7 +66,7 @@ def brute_force_unwindowed(a_rows, b_rows):
     sim = normalize(a_rows) @ normalize(b_rows).T
     p = sim.max(axis=1).mean()
     r = sim.max(axis=0).mean()
-    if abs(p + r) < 1e-12:
+    if p <= 0 or r <= 0:   # F1 is defined for positive P and R only
         return 0.0
     return 2 * p * r / (p + r)
 
@@ -99,7 +99,7 @@ def oracle_pair_score(a, i, b, j, cfg):
         sims = [float(va[x] @ vb[y]) for x in range(len(va)) if abs(pos_a[x] - pos_b[y]) <= w]
         r_terms.append(max(sims) if sims else 0.0)
     p, r = np.mean(p_terms), np.mean(r_terms)
-    if abs(p + r) < 1e-12:
+    if p <= 0 or r <= 0:   # F1 is defined for positive P and R only
         return 0.0
     return 2 * p * r / (p + r)
 
@@ -284,6 +284,34 @@ class TestScore:
             a, b = random_stack(rng, 5), random_stack(rng, 4)
             s = pair_score(a, b, ScoreConfig(window_radius=2)).item()
             assert -1.0 - 1e-9 <= s <= 1.0 + 1e-9
+
+    def test_nonpositive_recall_scores_zero_with_no_gradient(self):
+        # one row against two rows at cosines 0.1 and -0.29: P = 0.1 and
+        # R = -0.095, where 2PR / (P + R) would give -3.8
+        e = np.eye(3)
+        a = make_stack(e[:1])
+        b = make_stack([0.1 * e[0] + np.sqrt(1 - 0.1 ** 2) * e[1],
+                        -0.29 * e[0] + np.sqrt(1 - 0.29 ** 2) * e[2]])
+        for stack in (a, b):
+            stack.hidden.requires_grad = True
+            stack.hidden.grad = np.zeros_like(stack.hidden.data)
+        score = pair_score(a, b, ScoreConfig(window_radius=2))
+        assert score.item() == 0.0
+        T.backward(score)
+        assert not a.hidden.grad.any() and not b.hidden.grad.any()
+
+    def test_every_score_in_unit_interval_on_random_batches(self):
+        # short rows in three dimensions and narrow windows make negative
+        # precision or recall common
+        rng = np.random.default_rng(12)
+        stack = batch_of([make_stack(rng.normal(size=(int(n), 3)))
+                          for n in rng.integers(1, 5, size=12)])
+        n = stack.hidden.shape[0]
+        ia, ib = (g.ravel() for g in np.meshgrid(np.arange(n), np.arange(n)))
+        for radius in (0, 1, 2):
+            scores = windowed_bertscore(stack, stack, ia, ib,
+                                        ScoreConfig(window_radius=radius)).data
+            assert ((scores >= 0.0) & (scores <= 1.0 + 1e-12)).all()
 
 
 class TestBatchedScore:
