@@ -379,3 +379,7 @@ def main(argv=None):
 
 def entry():
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

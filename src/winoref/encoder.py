@@ -240,26 +240,43 @@ def encode(model, seq, train=False, rng=None):
     return encode_batch(model, [seq], train=train, rng=rng)
 
 
-def mlm_logits_batch(model, ids, attention_mask, train=False, rng=None):
-    """Per-position vocabulary logits, (B, L, V)."""
+def _check_rows(rows, n):
+    rows = np.asarray(rows)
+    if rows.ndim != 1 or rows.dtype.kind not in "iu":
+        raise ValueError(f"rows must be a 1-d integer array, got {rows.dtype} "
+                         f"of shape {rows.shape}")
+    if rows.size and (rows.min() < 0 or rows.max() >= n):
+        raise ValueError(f"rows out of range [0, {n}): min {rows.min()}, "
+                         f"max {rows.max()}")
+    return rows.astype(np.int64, copy=False)
+
+
+def mlm_logits_batch(model, ids, attention_mask, rows, train=False, rng=None):
+    """Vocabulary logits at the given rows, (len(rows), V).
+
+    ``rows`` are flat indices into the B*L positions of ``ids`` (row-major,
+    so position j of sequence b is b*L + j). Only those hidden rows go
+    through the head, so the (d, V) projection and its backward cost R rows,
+    not B*L.
+    """
     ids = _check_ids(model, ids)
+    rows = _check_rows(rows, ids.size)
     cfg = model.config
     hidden = forward_hidden(model, ids, attention_mask, train=train, rng=rng)
     B, L, d = hidden.data.shape
-    flat = T.reshape(hidden, (B * L, d))
+    picked = T.take(T.reshape(hidden, (B * L, d)), rows, axis=0)
     if cfg.tie_mlm_head:
         w = T.transpose(model.params["tok_emb"], (1, 0))
     else:
         w = model.params["mlm_w"]
-    logits = T.add(T.matmul(flat, w), model.params["mlm_bias"])
-    return T.reshape(logits, (B, L, cfg.vocab_size))
+    return T.add(T.matmul(picked, w), model.params["mlm_bias"])
 
 
 def mlm_logits(model, seq):
     """Eval-mode logits for a single sequence, (L, V)."""
     with T.no_grad():
-        out = mlm_logits_batch(model, seq.ids[None, :], seq.attention_mask[None, :])
-    return T.reshape(out, (model.config.max_len, model.config.vocab_size))
+        return mlm_logits_batch(model, seq.ids[None, :], seq.attention_mask[None, :],
+                                np.arange(model.config.max_len))
 
 
 @dataclass
@@ -334,10 +351,9 @@ def pretrain_mlm(model, seqs, cfg, vocab):
             if flat_idx.size == 0:
                 continue
             mask = np.stack([s.attention_mask for s in batch])
-            logits = mlm_logits_batch(model, corrupted, mask, train=True, rng=rng)
-            B, L, V = logits.data.shape
-            picked = T.take(T.reshape(logits, (B * L, V)), flat_idx, axis=0)
-            loss = T.cross_entropy(picked, targets)
+            logits = mlm_logits_batch(model, corrupted, mask, flat_idx,
+                                      train=True, rng=rng)
+            loss = T.cross_entropy(logits, targets)
             T.backward(loss)
             opt.step()
             history.append({"step": opt.step_count,
@@ -365,8 +381,8 @@ def masked_token_accuracy(model, seqs, vocab, limit=None, seed=0, batch_size=64)
         for r, (_, pos) in enumerate(chunk):
             ids[r, pos] = vocab.mask_id
         mask = np.stack([s.attention_mask for s, _ in chunk])
+        rows = np.arange(len(chunk)) * ids.shape[1] + [pos for _, pos in chunk]
         with T.no_grad():
-            logits = mlm_logits_batch(model, ids, mask)
-        rows = logits.data[np.arange(len(chunk)), [pos for _, pos in chunk]]
-        correct += int((rows.argmax(axis=1) == truth).sum())
+            logits = mlm_logits_batch(model, ids, mask, rows)
+        correct += int((logits.data.argmax(axis=1) == truth).sum())
     return correct / len(probes) if probes else 0.0

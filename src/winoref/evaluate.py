@@ -100,8 +100,8 @@ def score_candidate(model, vocab, instance, which):
                               n_tokens=len(word_tokens(instance.candidate(which))))
     ids, attention, positions, cand_ids = built
     with T.no_grad():
-        logits = mlm_logits_batch(model, ids[None, :], attention[None, :])
-    logp = log_probs_at_positions(logits.data[0], positions, cand_ids)
+        logits = mlm_logits_batch(model, ids[None, :], attention[None, :], positions)
+    logp = log_probs_at_positions(logits.data, np.arange(len(positions)), cand_ids)
     return CandidateScore(index=which, avg_log_prob=float(logp.mean()),
                           n_tokens=len(cand_ids))
 

@@ -564,8 +564,10 @@ def cross_entropy(logits, targets):
     m = logits.data.max(axis=1, keepdims=True)
     e = np.exp(logits.data - m)
     z = e.sum(axis=1, keepdims=True)
-    logp = logits.data - m - np.log(z)
-    out_data = np.asarray(-logp[np.arange(n), targets].mean())
+    # log-probabilities at the targets only, by the same operations in the
+    # same order as the full (n, V) matrix would take them
+    logp = logits.data[np.arange(n), targets] - m[:, 0] - np.log(z[:, 0])
+    out_data = np.asarray(-logp.mean())
 
     def bw(g):
         if logits.requires_grad:

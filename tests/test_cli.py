@@ -1,6 +1,8 @@
 import json
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -362,6 +364,20 @@ class TestGenData:
         from winoref.text import load_benchmark, load_perturbation_corpus
         assert len(load_perturbation_corpus(tmp_path / "corpus.jsonl")) == 12
         assert len(load_benchmark(tmp_path / "benchmark.jsonl")) == 10
+
+    def test_module_invocation_runs_the_command(self, tmp_path):
+        # `python -m winoref.cli` used to import the module, do nothing and
+        # exit 0
+        src = Path(cli.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        done = subprocess.run(
+            [sys.executable, "-m", "winoref.cli", "gen-data", "--out", str(tmp_path),
+             "--groups", "3", "--instances", "2"],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert (tmp_path / "corpus.jsonl").exists()
+        assert (tmp_path / "benchmark.jsonl").exists()
 
 
 def test_env_var_output_root(data_dir, tmp_path, monkeypatch):

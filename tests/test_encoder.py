@@ -1,14 +1,18 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import winoref.tensor as T
 from winoref.encoder import (EncoderConfig, EncoderModel, PretrainConfig,
                              apply_mlm_masking, encode, encode_batch,
-                             masked_token_accuracy, mlm_logits,
+                             forward_hidden, masked_token_accuracy, mlm_logits,
                              mlm_logits_batch, pretrain_mlm)
 from winoref.optim import AdamW
 from winoref.synthetic import make_perturbation_corpus
 from winoref.text import build_vocab, corpus_sentences, tokenize
+
+from conftest import check_grads
 
 
 @pytest.fixture(scope="module")
@@ -121,12 +125,132 @@ class TestMlmLogits:
         batch = seqs[:8]
         corrupted, flat_idx, targets = apply_mlm_masking(batch, vocab, 0.5, rng)
         mask = np.stack([s.attention_mask for s in batch])
-        logits = mlm_logits_batch(model, corrupted, mask, train=True, rng=rng)
-        B, L, V = logits.data.shape
-        picked = T.take(T.reshape(logits, (B * L, V)), flat_idx, axis=0)
-        T.backward(T.cross_entropy(picked, targets))
+        logits = mlm_logits_batch(model, corrupted, mask, flat_idx,
+                                  train=True, rng=rng)
+        T.backward(T.cross_entropy(logits, targets))
         for name, p in model.named_params():
             assert np.linalg.norm(p.grad) > 0, f"dead parameter {name}"
+
+
+def head_weight(model):
+    p = model.params
+    return p["tok_emb"].data.T if model.config.tie_mlm_head else p["mlm_w"].data
+
+
+def full_logits(model, ids, mask):
+    """(B*L, V) logits at every position, hidden states times the head."""
+    hidden = forward_hidden(model, ids, mask).data
+    flat = hidden.reshape(-1, model.config.model_dim)
+    return flat @ head_weight(model) + model.params["mlm_bias"].data
+
+
+@pytest.fixture(scope="module")
+def tiny_world():
+    vocab = build_vocab(["the cat sat on the mat .", "a dog ran home ."])
+    seqs = [tokenize(t, vocab, 8) for t in ("the cat sat .", "a dog ran home .")]
+    ids = np.stack([s.ids for s in seqs])
+    mask = np.stack([s.attention_mask for s in seqs])
+    return vocab, ids, mask
+
+
+def biased_model(cfg, seed):
+    model = EncoderModel(cfg, seed=seed)
+    # a nonzero bias so a wrong row or a dropped bias shows
+    model.params["mlm_bias"].data = np.random.default_rng(seed).normal(
+        0, 0.1, size=cfg.vocab_size)
+    return model
+
+
+def tiny_model(vocab, tie):
+    return biased_model(EncoderConfig(layers=1, heads=2, model_dim=8, ff_dim=16,
+                                      max_len=8, vocab_size=len(vocab), dropout=0.0,
+                                      tie_mlm_head=tie), seed=4)
+
+
+class TestHeadRows:
+    @pytest.mark.parametrize("tie", [True, False])
+    def test_rows_match_the_full_head(self, small_setup, tie):
+        vocab, cfg, _, seqs = small_setup
+        model = biased_model(dataclasses.replace(cfg, tie_mlm_head=tie), seed=6)
+        batch = seqs[:3]
+        ids = np.stack([s.ids for s in batch])
+        mask = np.stack([s.attention_mask for s in batch])
+        L = cfg.max_len
+        # rows from all three sequences, unsorted and repeated
+        rows = np.array([2 * L + 3, 5, L + 1, 5, 0, 2 * L + 3, L + 7, 3 * L - 1])
+        with T.no_grad():
+            got = mlm_logits_batch(model, ids, mask, rows).numpy()
+        want = full_logits(model, ids, mask)[rows]
+        assert got.shape == (len(rows), cfg.vocab_size)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_mlm_logits_is_every_row_of_one_sequence(self, small_setup):
+        vocab, cfg, model, seqs = small_setup
+        seq = seqs[1]
+        got = mlm_logits(model, seq).numpy()
+        want = full_logits(model, seq.ids[None, :], seq.attention_mask[None, :])
+        assert got.shape == (cfg.max_len, cfg.vocab_size)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("tie", [True, False])
+    def test_gradients_match_finite_differences(self, tiny_world, tie):
+        vocab, ids, mask = tiny_world
+        model = tiny_model(vocab, tie)
+        rows = np.array([9, 1, 3, 9, 12])
+        targets = np.random.default_rng(2).integers(0, len(vocab), size=len(rows))
+        names = ["tok_emb", "mlm_bias", "pos_emb"] + ([] if tie else ["mlm_w"])
+        check_grads(lambda: T.cross_entropy(mlm_logits_batch(model, ids, mask, rows),
+                                            targets),
+                    [model.params[n] for n in names])
+
+    @pytest.mark.parametrize("rows", [[0, 16], [-1], np.array([1.0, 2.0]),
+                                      np.array([[1, 2]]), np.array([True, False])],
+                             ids=["out-of-range", "negative", "float", "2-d", "bool"])
+    def test_bad_rows_rejected(self, tiny_world, rows):
+        vocab, ids, mask = tiny_world
+        model = tiny_model(vocab, True)
+        with pytest.raises(ValueError, match="rows"):
+            mlm_logits_batch(model, ids, mask, rows)
+
+    def test_pretrain_matches_full_logit_path(self, small_setup):
+        # the same run with the head over all B*L rows and a take after it,
+        # as pretraining computed it before the head gathered its rows
+        vocab, cfg, _, seqs = small_setup
+        pre = PretrainConfig(epochs=2, batch_size=16, lr=1e-3, warmup_steps=5, seed=4)
+        model = EncoderModel(cfg, seed=9)
+        history = pretrain_mlm(model, seqs, pre, vocab)
+
+        ref = EncoderModel(cfg, seed=9)
+        p = ref.params
+        rng = np.random.default_rng(pre.seed)
+        opt = AdamW(ref.named_params(), lr=pre.lr, eps=pre.adam_eps,
+                    weight_decay=pre.weight_decay, warmup_steps=pre.warmup_steps)
+        losses = []
+        order = np.arange(len(seqs))
+        for _ in range(pre.epochs):
+            rng.shuffle(order)
+            for start in range(0, len(seqs), pre.batch_size):
+                batch = [seqs[i] for i in order[start:start + pre.batch_size]]
+                corrupted, flat_idx, targets = apply_mlm_masking(
+                    batch, vocab, pre.mask_prob, rng)
+                if flat_idx.size == 0:
+                    continue
+                mask = np.stack([s.attention_mask for s in batch])
+                hidden = forward_hidden(ref, corrupted, mask, train=True, rng=rng)
+                flat = T.reshape(hidden, (-1, cfg.model_dim))
+                logits = T.add(T.matmul(flat, T.transpose(p["tok_emb"], (1, 0))),
+                               p["mlm_bias"])
+                loss = T.cross_entropy(T.take(logits, flat_idx, axis=0), targets)
+                T.backward(loss)
+                opt.step()
+                losses.append(loss.item())
+
+        assert len(history) == len(losses) > 0
+        np.testing.assert_allclose([h["loss"] for h in history], losses,
+                                   rtol=0, atol=1e-10)
+        for name, param in model.named_params():
+            np.testing.assert_allclose(param.data, p[name].data, rtol=0, atol=1e-9,
+                                       err_msg=name)
 
 
 class TestMasking:
@@ -197,6 +321,28 @@ class TestPretrain:
             pretrain_mlm(model, seqs, pre, vocab)
             outs.append({k: v.data.tobytes() for k, v in model.params.items()})
         assert outs[0] == outs[1]
+
+    def test_masked_token_accuracy_matches_full_logit_oracle(self, small_setup):
+        vocab, cfg, _, seqs = small_setup
+        model = EncoderModel(cfg, seed=12)
+        pretrain_mlm(model, seqs, PretrainConfig(epochs=8, batch_size=16, lr=3e-3,
+                                                 warmup_steps=5, seed=12), vocab)
+        limit, seed = 150, 3
+        got = masked_token_accuracy(model, seqs, vocab, limit=limit, seed=seed,
+                                    batch_size=16)
+
+        probes = [(s, pos) for s in seqs for pos in np.nonzero(s.content_mask)[0]]
+        keep = np.random.default_rng(seed).choice(len(probes), size=limit,
+                                                  replace=False)
+        correct = 0
+        for i in sorted(keep):
+            s, pos = probes[i]
+            ids = s.ids.copy()
+            ids[pos] = vocab.mask_id
+            logits = full_logits(model, ids[None, :], s.attention_mask[None, :])
+            correct += int(logits[pos].argmax() == s.ids[pos])
+        assert 0 < correct < limit
+        assert got == correct / limit
 
     def test_overfit_small_corpus_recovers_masked_tokens(self):
         # memorization oracle: distinct sentences, no dropout, wide masking

@@ -42,16 +42,17 @@ def world():
 
 
 def rig_logits(monkeypatch, vocab, max_len, row_probs):
-    """Make every forward return hand-set logits: row_probs maps position ->
-    probability vector over the vocabulary."""
+    """Make every forward return the asked rows of hand-set (max_len, V)
+    logits: row_probs maps position -> probability vector over the
+    vocabulary."""
     V = len(vocab)
 
-    def fake(model, ids, attention_mask, train=False, rng=None):
+    def fake(model, ids, attention_mask, rows, train=False, rng=None):
         from winoref.tensor import Tensor
-        out = np.zeros((1, max_len, V))
+        out = np.zeros((max_len, V))
         for pos, probs in row_probs.items():
-            out[0, pos] = np.log(probs)
-        return Tensor(out)
+            out[pos] = np.log(probs)
+        return Tensor(out[rows])
 
     monkeypatch.setattr(ev, "mlm_logits_batch", fake)
 
@@ -100,10 +101,10 @@ class TestScoreCandidate:
                 ids, attention, positions, cand_ids = _masked_ids(
                     inst, which, vocab, cfg.max_len)
                 with T.no_grad():
-                    logits = mlm_logits_batch(model, ids[None, :],
-                                              attention[None, :]).numpy()[0]
-                want = np.mean([brute_force_logprob(logits[p], t)
-                                for p, t in zip(positions, cand_ids)])
+                    logits = mlm_logits_batch(model, ids[None, :], attention[None, :],
+                                              positions).numpy()
+                want = np.mean([brute_force_logprob(row, t)
+                                for row, t in zip(logits, cand_ids)])
                 assert got.avg_log_prob == want  # bit-exact in 64-bit
 
     def test_core_scorer_matches_oracle_on_random_logits(self):

@@ -233,6 +233,23 @@ class TestGradChecks:
         targets = rng.integers(0, 9, size=5)
         check_grads(lambda: T.cross_entropy(logits, targets), [logits])
 
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_cross_entropy_matches_full_log_prob_matrix_bitwise(self, dtype):
+        # the forward reads log-probabilities at the targets only; the value
+        # must be the one the full (n, V) matrix gives, bit for bit
+        T.set_dtype(dtype)
+        rng = np.random.default_rng(137)
+        for n, V in ((1, 2), (7, 13), (131, 512)):
+            logits = Tensor(rng.normal(0, 4, size=(n, V)))
+            targets = rng.integers(0, V, size=n)
+            x = logits.data
+            m = x.max(axis=1, keepdims=True)
+            logp = x - m - np.log(np.exp(x - m).sum(axis=1, keepdims=True))
+            want = -logp[np.arange(n), targets].mean()
+            got = T.cross_entropy(logits, targets).data
+            assert got.dtype == np.dtype(dtype)
+            assert got.tobytes() == np.asarray(want).tobytes()
+
     @pytest.mark.parametrize("seed", range(6))
     def test_cosine_similarity(self, seed):
         rng = np.random.default_rng(140 + seed)
