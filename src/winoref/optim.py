@@ -37,6 +37,13 @@ class AdamW:
         self.step_count = 0
         self.m = [np.zeros_like(p.data) for _, p in self.params]
         self.v = [np.zeros_like(p.data) for _, p in self.params]
+        # two scratch buffers per dtype, sized to the largest parameter, that
+        # every update writes its temporaries into
+        self._scratch = {}
+        for _, p in self.params:
+            buf = self._scratch.get(p.data.dtype)
+            if buf is None or buf.shape[1] < p.data.size:
+                self._scratch[p.data.dtype] = np.empty((2, p.data.size), p.data.dtype)
 
     def effective_lr(self, step=None):
         """Learning rate at a given step count (defaults to the current one)."""
@@ -57,16 +64,26 @@ class AdamW:
         bc1 = 1.0 - self.beta1 ** t
         bc2 = 1.0 - self.beta2 ** t
         for (name, p), m, v in zip(self.params, self.m, self.v):
+            # p -= lr_t * (m_hat / (sqrt(v_hat) + eps)), operation by operation
             g = p.grad
+            s1, s2 = (b[:p.data.size].reshape(p.data.shape)
+                      for b in self._scratch[p.data.dtype])
             if self.weight_decay > 0:
                 p.data *= 1.0 - lr_t * self.weight_decay
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            np.multiply(g, 1.0 - self.beta1, out=s1)
+            m += s1
             v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            m_hat = m / bc1
-            v_hat = v / bc2
-            p.data -= lr_t * (m_hat / (np.sqrt(v_hat) + self.eps))
+            np.multiply(g, g, out=s1)
+            s1 *= 1.0 - self.beta2
+            v += s1
+            np.divide(m, bc1, out=s1)
+            np.divide(v, bc2, out=s2)
+            np.sqrt(s2, out=s2)
+            s2 += self.eps
+            s1 /= s2
+            s1 *= lr_t
+            p.data -= s1
             p.grad[...] = 0
 
     def zero_grad(self):

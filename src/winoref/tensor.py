@@ -6,6 +6,18 @@ its parents; ``backward`` walks the tape in reverse topological order.
 
 Precision is a process-global setting (``set_dtype``): 64-bit for gradient
 checks and oracles, 32-bit allowed for training runs.
+
+Buffer contract. ``backward`` passes gradients by reference, not by copy:
+an interior node keeps the first gradient it receives as given (it is
+*borrowed*, and may be a parent's or a sibling's buffer, or a view of one)
+and allocates a fresh sum only when a second contribution arrives; owned
+and leaf gradients accumulate in place. So no backward function may write
+into its incoming ``g``, or into any array it did not allocate itself. A
+kernel may reuse its own temporaries with ``out=``, including those its
+forward saved for the backward, because ``backward`` runs once per tape;
+it never writes into a node's ``data``. Every in-place kernel keeps the
+floating-point operations, and their order, of the plain formula, so
+results are bit for bit those of the allocating form.
 """
 
 import contextlib
@@ -34,14 +46,6 @@ def set_dtype(name):
     _DTYPE = _DTYPES[name]
 
 
-def get_dtype():
-    return _DTYPE
-
-
-def dtype_name():
-    return "float32" if _DTYPE == np.float32 else "float64"
-
-
 @contextlib.contextmanager
 def no_grad():
     """Disable tape construction inside the block (pure inference)."""
@@ -59,12 +63,12 @@ class Tensor:
 
     Leaf tensors created with ``requires_grad=True`` get a zero-filled
     gradient buffer immediately, so a parameter that never participates in
-    a graph reads back an exactly-zero gradient. Interior nodes allocate
-    their buffer lazily during backward.
+    a graph reads back an exactly-zero gradient. Interior nodes borrow the
+    first gradient they receive during backward (see the module docstring).
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn",
-                 "_backward_ran")
+                 "_backward_ran", "_grad_borrowed")
 
     def __init__(self, data, requires_grad=False, dtype=None):
         self.data = np.asarray(data, dtype=dtype or _DTYPE)
@@ -73,6 +77,7 @@ class Tensor:
         self._parents = ()
         self._backward_fn = None
         self._backward_ran = False
+        self._grad_borrowed = False
 
     # -- introspection -------------------------------------------------
 
@@ -101,7 +106,12 @@ class Tensor:
 
     def _accum(self, g):
         if self.grad is None:
-            self.grad = np.array(g, dtype=self.data.dtype)
+            self.grad = np.asarray(g, dtype=self.data.dtype)
+            self._grad_borrowed = True
+        elif self._grad_borrowed:
+            # the value ``+=`` on a copy would give, in a fresh buffer
+            self.grad = (self.grad + g).astype(self.data.dtype, copy=False)
+            self._grad_borrowed = False
         else:
             self.grad += g
 
@@ -153,6 +163,7 @@ def _node(data, parents, backward_fn):
     out.data = data
     out.grad = None
     out._backward_ran = False
+    out._grad_borrowed = False
     if _GRAD_ENABLED and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = parents
@@ -178,7 +189,9 @@ def backward(loss):
     """Populate gradients of all trainable ancestors of a scalar loss.
 
     Re-running backward on the same root is rejected: the tape is consumed
-    by the first pass and reuse would silently double-accumulate.
+    by the first pass and reuse would silently double-accumulate. So is a
+    pass through a node that an earlier pass from another root went
+    through, because kernels overwrite the temporaries their forward saved.
     """
     loss = astensor(loss)
     if loss.data.size != 1:
@@ -206,10 +219,14 @@ def backward(loss):
             topo.append(node)
             stack.pop()
 
+    nodes = [node for node in topo if node._backward_fn is not None]
+    if any(node._backward_ran for node in nodes if node is not loss):
+        raise RuntimeError("backward already ran through part of this graph; "
+                           "re-run the forward pass first")
     loss._accum(np.ones_like(loss.data))
-    for node in reversed(topo):
-        if node._backward_fn is not None:
-            node._backward_fn(node.grad)
+    for node in reversed(nodes):
+        node._backward_ran = True
+        node._backward_fn(node.grad)
 
 
 # ---------------------------------------------------------------------------
@@ -420,14 +437,6 @@ def tmax(a, axis, keepdims=False):
     return _node(out_data, (a,), bw)
 
 
-def add_n(tensors):
-    """Sum a list of same-shape tensors (or scalars)."""
-    total = astensor(tensors[0])
-    for t in tensors[1:]:
-        total = add(total, t)
-    return total
-
-
 # ---------------------------------------------------------------------------
 # neural-net ops
 # ---------------------------------------------------------------------------
@@ -456,14 +465,17 @@ def matmul(a, b):
 
 def softmax(x, axis=-1):
     x = astensor(x)
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out_data = e / e.sum(axis=axis, keepdims=True)
+    out_data = x.data - x.data.max(axis=axis, keepdims=True)
+    np.exp(out_data, out=out_data)
+    np.divide(out_data, out_data.sum(axis=axis, keepdims=True), out=out_data)
 
     def bw(g):
         if x.requires_grad:
-            dot = (g * out_data).sum(axis=axis, keepdims=True)
-            x._accum(out_data * (g - dot))
+            gx = g * out_data
+            dot = gx.sum(axis=axis, keepdims=True)
+            np.subtract(g, dot, out=gx)
+            gx *= out_data
+            x._accum(gx)
 
     return _node(out_data, (x,), bw)
 
@@ -490,23 +502,31 @@ def layer_norm(x, gain, bias, eps=1e-5):
         raise ShapeError(f"layer_norm: gain/bias shapes {gain.data.shape}/{bias.data.shape} "
                          f"do not match feature dim of {x.data.shape}")
     mu = x.data.mean(axis=-1, keepdims=True)
-    xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    xhat = x.data - mu
+    out_data = xhat * xhat
+    var = out_data.mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    out_data = xhat * gain.data + bias.data
+    xhat *= inv
+    np.multiply(xhat, gain.data, out=out_data)
+    out_data += bias.data
     n = x.data.shape[-1]
 
     def bw(g):
+        gx = g * xhat                 # gain's gradient term, then x's gradient
         if gain.requires_grad:
-            gain._accum((g * xhat).reshape(-1, n).sum(axis=0))
+            gain._accum(gx.reshape(-1, n).sum(axis=0))
         if bias.requires_grad:
             bias._accum(g.reshape(-1, n).sum(axis=0))
         if x.requires_grad:
-            gx = g * gain.data
+            np.multiply(g, gain.data, out=gx)
             m1 = gx.mean(axis=-1, keepdims=True)
-            m2 = (gx * xhat).mean(axis=-1, keepdims=True)
-            x._accum(inv * (gx - m1 - xhat * m2))
+            tmp = gx * xhat
+            m2 = tmp.mean(axis=-1, keepdims=True)
+            gx -= m1
+            np.multiply(xhat, m2, out=tmp)
+            gx -= tmp
+            gx *= inv
+            x._accum(gx)
 
     return _node(out_data, (x, gain, bias), bw)
 
@@ -518,15 +538,32 @@ def gelu(x):
     """Gaussian error linear unit (tanh approximation)."""
     x = astensor(x)
     sq = x.data * x.data
-    inner = _GELU_C * (x.data + 0.044715 * (sq * x.data))
-    t = np.tanh(inner)
-    out_data = 0.5 * x.data * (1.0 + t)
+    t = sq * x.data                    # t = tanh(C * (x + 0.044715 * x^3))
+    t *= 0.044715
+    t += x.data
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    t1 = 1.0 + t
+    out_data = 0.5 * x.data
+    out_data *= t1
 
     def bw(g):
+        # g * (0.5 * (1 + t) + 0.5 * x * (1 - t^2) * C * (1 + 3 * 0.044715 * x^2)),
+        # written over the forward's t1, t and sq
         if x.requires_grad:
-            sech2 = 1.0 - t * t
-            d_inner = _GELU_C * (1.0 + 3.0 * 0.044715 * sq)
-            x._accum(g * (0.5 * (1.0 + t) + 0.5 * x.data * sech2 * d_inner))
+            gx = t1
+            gx *= 0.5
+            sech2 = np.multiply(t, t, out=t)
+            np.subtract(1.0, sech2, out=sech2)
+            d_inner = np.multiply(sq, 3.0 * 0.044715, out=sq)
+            d_inner += 1.0
+            d_inner *= _GELU_C
+            tmp = 0.5 * x.data
+            tmp *= sech2
+            tmp *= d_inner
+            gx += tmp
+            gx *= g
+            x._accum(gx)
 
     return _node(out_data, (x,), bw)
 
@@ -540,10 +577,15 @@ def embedding_lookup(table, ids):
                          f"got min={ids.min()} max={ids.max()}")
 
     def bw(g):
+        # sum over the looked-up rows only, each in index order, then add
+        # those rows into the table's gradient
         if table.requires_grad:
-            buf = np.zeros_like(table.data)
-            np.add.at(buf, ids.reshape(-1), g.reshape(-1, table.data.shape[1]))
-            table._accum(buf)
+            rows, inverse = np.unique(ids, return_inverse=True)
+            buf = np.zeros((rows.size,) + table.data.shape[1:], dtype=table.data.dtype)
+            np.add.at(buf, inverse.reshape(-1), g.reshape((-1,) + buf.shape[1:]))
+            if table.grad is None or table._grad_borrowed:
+                table._accum(np.zeros_like(table.data))
+            table.grad[rows] += buf
 
     return _node(table.data[ids], (table,), bw)
 
@@ -562,7 +604,8 @@ def cross_entropy(logits, targets):
                          f"logits rows {logits.data.shape[0]}")
     n, _ = logits.data.shape
     m = logits.data.max(axis=1, keepdims=True)
-    e = np.exp(logits.data - m)
+    e = logits.data - m
+    np.exp(e, out=e)
     z = e.sum(axis=1, keepdims=True)
     # log-probabilities at the targets only, by the same operations in the
     # same order as the full (n, V) matrix would take them
@@ -571,26 +614,49 @@ def cross_entropy(logits, targets):
 
     def bw(g):
         if logits.requires_grad:
-            soft = e / z
+            soft = np.divide(e, z, out=e)           # written over e
             soft[np.arange(n), targets] -= 1.0
-            logits._accum(g * soft / n)
+            soft *= g
+            soft /= n
+            logits._accum(soft)
 
     return _node(out_data, (logits,), bw)
 
 
 def l2_normalize(x, axis=-1):
     """Scale vectors along an axis to unit norm; zero vectors stay zero
-    and receive exactly zero gradient."""
+    and receive exactly zero gradient.
+
+    A vector whose nonzero squares underflow, or whose sum of squares
+    overflows, is first divided by the power of two at or below its largest
+    magnitude, as the BLAS ``nrm2`` scales (Anderson, "Algorithm 978: Safe
+    scaling in the Level 1 BLAS", TOMS 2017), so tiny and huge vectors
+    normalize too. Dividing by a power of two is exact; every other vector
+    keeps a scale of exactly 1.
+    """
     x = astensor(x)
-    norm = np.linalg.norm(x.data, axis=axis, keepdims=True)
+    y = x.data
+    with np.errstate(over="ignore"):          # an overflow is caught below
+        sq = y * y
+        sumsq = np.add.reduce(sq, axis=axis, keepdims=True)
+    fi = np.finfo(y.dtype)
+    unsafe = ((sq.min(axis=axis, keepdims=True, initial=np.inf, where=y != 0) < fi.tiny)
+              | (sumsq > fi.max))
+    scale = 1.0
+    if unsafe.any():
+        big = np.abs(y).max(axis=axis, keepdims=True)
+        scale = np.where(unsafe, np.ldexp(np.ones_like(big), np.frexp(big)[1] - 1), 1.0)
+        y = y / scale
+        sumsq = np.add.reduce(y * y, axis=axis, keepdims=True)
+    norm = np.sqrt(sumsq)
     nonzero = norm > 0
     safe = np.where(nonzero, norm, 1.0)
-    out_data = np.where(nonzero, x.data / safe, 0.0)
+    out_data = np.where(nonzero, y / safe, 0.0)
 
     def bw(g):
         if x.requires_grad:
             dot = (g * out_data).sum(axis=axis, keepdims=True)
-            gx = np.where(nonzero, (g - out_data * dot) / safe, 0.0)
+            gx = np.where(nonzero, (g - out_data * dot) / safe / scale, 0.0)
             x._accum(gx)
 
     return _node(out_data, (x,), bw)

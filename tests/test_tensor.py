@@ -2,9 +2,15 @@ import numpy as np
 import pytest
 
 import winoref.tensor as T
+from winoref.encoder import EncoderConfig, EncoderModel, PretrainConfig, pretrain_mlm
+from winoref.refine import Discriminator, LossWeights, RefinementConfig, refine
+from winoref.scoring import ScoreConfig, windowed_bertscore
+from winoref.synthetic import make_perturbation_corpus
 from winoref.tensor import Tensor
+from winoref.text import build_vocab, corpus_sentences, tokenize
 
 from conftest import check_grads, finite_difference_grad, rel_err
+from test_scoring import make_stack
 
 
 def randt(rng, *shape, scale=1.0):
@@ -63,6 +69,15 @@ class TestBasics:
         T.backward(loss)
         with pytest.raises(RuntimeError, match="already ran"):
             T.backward(loss)
+
+    def test_backward_through_a_shared_node_twice_rejected(self):
+        # gelu's backward overwrites what its forward saved, so a second
+        # root may not pass through it again
+        x = Tensor([1.0, -2.0], requires_grad=True)
+        h = T.gelu(x)
+        T.backward(T.tsum(h))
+        with pytest.raises(RuntimeError, match="already ran"):
+            T.backward(T.tsum(T.mul(h, 2.0)))
 
     def test_detached_branch_gets_exactly_zero_grad(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
@@ -329,3 +344,347 @@ def test_gradcheck_instance_count():
                 # several checks per test body; count conservatively as one
                 total += len(list(m.args[1]))
     assert total >= 70  # bodies with multiple check_grads calls push past 100
+
+
+# ---------------------------------------------------------------------------
+# in-place kernels against the allocating formulas they replaced
+# ---------------------------------------------------------------------------
+
+
+def assert_same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def leaf_grad(values):
+    """What a zero-filled leaf gradient holds after one contribution."""
+    return np.zeros_like(values) + values
+
+
+_GELU_C = float(np.sqrt(2.0 / np.pi))
+
+
+def gelu_formula(x, g):
+    sq = x * x
+    t = np.tanh(_GELU_C * (x + 0.044715 * (sq * x)))
+    out = 0.5 * x * (1.0 + t)
+    sech2 = 1.0 - t * t
+    d_inner = _GELU_C * (1.0 + 3.0 * 0.044715 * sq)
+    return out, g * (0.5 * (1.0 + t) + 0.5 * x * sech2 * d_inner)
+
+
+def layer_norm_formula(x, gain, bias, g, eps=1e-5):
+    n = x.shape[-1]
+    xc = x - x.mean(axis=-1, keepdims=True)
+    var = (xc * xc).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = xc * inv
+    out = xhat * gain + bias
+    gx = g * gain
+    m1 = gx.mean(axis=-1, keepdims=True)
+    m2 = (gx * xhat).mean(axis=-1, keepdims=True)
+    return (out, inv * (gx - m1 - xhat * m2),
+            (g * xhat).reshape(-1, n).sum(axis=0), g.reshape(-1, n).sum(axis=0))
+
+
+def softmax_formula(x, g, axis=-1):
+    e = np.exp(x - x.max(axis=axis, keepdims=True))
+    out = e / e.sum(axis=axis, keepdims=True)
+    dot = (g * out).sum(axis=axis, keepdims=True)
+    return out, out * (g - dot)
+
+
+def cross_entropy_formula(x, targets, g):
+    n = x.shape[0]
+    m = x.max(axis=1, keepdims=True)
+    e = np.exp(x - m)
+    z = e.sum(axis=1, keepdims=True)
+    logp = x[np.arange(n), targets] - m[:, 0] - np.log(z[:, 0])
+    soft = e / z
+    soft[np.arange(n), targets] -= 1.0
+    return np.asarray(-logp.mean()), g * soft / n
+
+
+def embedding_formula_grad(table, ids, g):
+    buf = np.zeros_like(table)
+    np.add.at(buf, ids.reshape(-1), g.reshape(-1, table.shape[1]))
+    return buf
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+class TestInPlaceKernels:
+    """Each kernel writes into buffers it owns, by the same operations in
+    the same order as the plain formula, so its bits are the formula's."""
+
+    def test_gelu(self, dtype):
+        T.set_dtype(dtype)
+        rng = np.random.default_rng(0)
+        x = Tensor(rng.normal(0, 2, size=(37, 29)), requires_grad=True)
+        g = rng.normal(size=(37, 29)).astype(dtype)
+        out = T.gelu(x)
+        want_out, want_gx = gelu_formula(x.data, g)
+        assert_same_bits(out.data, want_out)
+        out._backward_fn(g)
+        assert_same_bits(x.grad, leaf_grad(want_gx))
+
+    def test_layer_norm(self, dtype):
+        T.set_dtype(dtype)
+        rng = np.random.default_rng(1)
+        x = Tensor(rng.normal(1.0, 3.0, size=(3, 7, 24)), requires_grad=True)
+        gain = Tensor(rng.normal(size=24), requires_grad=True)
+        bias = Tensor(rng.normal(size=24), requires_grad=True)
+        g = rng.normal(size=(3, 7, 24)).astype(dtype)
+        out = T.layer_norm(x, gain, bias)
+        want_out, want_gx, want_gg, want_gb = layer_norm_formula(
+            x.data, gain.data, bias.data, g)
+        assert_same_bits(out.data, want_out)
+        out._backward_fn(g)
+        assert_same_bits(x.grad, leaf_grad(want_gx))
+        assert_same_bits(gain.grad, leaf_grad(want_gg))
+        assert_same_bits(bias.grad, leaf_grad(want_gb))
+
+    def test_softmax_with_a_fully_masked_row(self, dtype):
+        T.set_dtype(dtype)
+        rng = np.random.default_rng(2)
+        scores = rng.normal(0, 3, size=(2, 3, 5, 6))
+        mask = np.ones((2, 1, 1, 6))
+        mask[0, 0, 0, 4:] = 0
+        mask[1] = 0                          # every key of the second sequence
+        x = Tensor(scores + (1.0 - mask) * -1e9, requires_grad=True)
+        g = rng.normal(size=scores.shape).astype(dtype)
+        out = T.softmax(x, axis=-1)
+        want_out, want_gx = softmax_formula(x.data, g)
+        assert_same_bits(out.data, want_out)
+        np.testing.assert_allclose(out.data[1].sum(axis=-1), 1.0, rtol=1e-6)
+        out._backward_fn(g)
+        assert_same_bits(x.grad, leaf_grad(want_gx))
+
+    def test_cross_entropy(self, dtype):
+        T.set_dtype(dtype)
+        rng = np.random.default_rng(3)
+        logits = Tensor(rng.normal(0, 4, size=(31, 97)), requires_grad=True)
+        targets = rng.integers(0, 97, size=31)
+        g = np.asarray(0.75, dtype=dtype)
+        out = T.cross_entropy(logits, targets)
+        want_out, want_gx = cross_entropy_formula(logits.data, targets, g)
+        assert_same_bits(out.data, want_out)
+        out._backward_fn(g)
+        assert_same_bits(logits.grad, leaf_grad(want_gx))
+
+    def test_embedding_lookup_with_repeated_ids(self, dtype):
+        T.set_dtype(dtype)
+        rng = np.random.default_rng(4)
+        table = Tensor(rng.normal(size=(50, 8)), requires_grad=True)
+        ids = rng.integers(0, 12, size=(4, 9))          # many repeats, rows 12+ unused
+        g = rng.normal(size=(4, 9, 8)).astype(dtype)
+        out = T.embedding_lookup(table, ids)
+        out._backward_fn(g)
+        assert_same_bits(table.grad, leaf_grad(embedding_formula_grad(table.data, ids, g)))
+
+    def test_embedding_lookup_into_a_tied_table_holding_a_head_gradient(self, dtype):
+        T.set_dtype(dtype)
+        rng = np.random.default_rng(5)
+        table = Tensor(rng.normal(size=(40, 6)), requires_grad=True)
+        head = rng.normal(size=(40, 6)).astype(dtype)
+        head[30] = -0.0
+        table.grad[...] = head
+        ids = np.array([[3, 7, 3, 3], [0, 7, 39, 5]])
+        g = rng.normal(size=(2, 4, 6)).astype(dtype)
+        out = T.embedding_lookup(table, ids)
+        out._backward_fn(g)
+        want = head + embedding_formula_grad(table.data, ids, g)
+        np.testing.assert_array_equal(table.grad, want)
+        looked_up = np.unique(ids)
+        assert_same_bits(table.grad[looked_up], want[looked_up])
+        # a row no id reads keeps the head gradient as it was, -0.0 included
+        assert_same_bits(table.grad[30], head[30])
+
+    def test_embedding_lookup_from_an_interior_table(self, dtype):
+        # the table's gradient is first borrowed from another op, then
+        # summed with the looked-up rows into a buffer of its own
+        T.set_dtype(dtype)
+        rng = np.random.default_rng(6)
+        base = Tensor(rng.normal(size=(9, 4)), requires_grad=True)
+        w = rng.normal(size=(9, 4)).astype(dtype)
+        ids = np.array([[8, 1, 1], [0, 1, 8]])
+        g = rng.normal(size=(2, 3, 4)).astype(dtype)
+        table = T.mul(base, 2.0)
+        T.backward(T.add(T.tsum(T.mul(T.embedding_lookup(table, ids), g)),
+                         T.tsum(T.mul(table, w))))
+        np.testing.assert_array_equal(table.grad, w + embedding_formula_grad(
+            table.data, ids, g))
+        np.testing.assert_array_equal(base.grad, table.grad * 2.0)
+
+
+# ---------------------------------------------------------------------------
+# the buffer contract: borrowed first gradients, no backward writes into g
+# ---------------------------------------------------------------------------
+
+
+def _read_only_gradient(fn):
+    def bw(g):
+        g = np.asarray(g).view()
+        g.flags.writeable = False
+        fn(g)
+    return bw
+
+
+class TestBufferContract:
+    def test_same_tensor_added_to_itself(self):
+        rng = np.random.default_rng(6)
+        x = randt(rng, 3, 4)
+        w = rng.normal(size=(3, 4))
+        h = T.mul(x, 2.0)                               # interior: borrows, then sums
+        T.backward(T.tsum(T.mul(T.add(h, h), w)))
+        np.testing.assert_allclose(h.grad, 2.0 * w, rtol=1e-15)
+        np.testing.assert_allclose(x.grad, 4.0 * w, rtol=1e-15)
+
+    def test_same_tensor_multiplied_by_itself(self):
+        rng = np.random.default_rng(7)
+        x = randt(rng, 5)
+        c = rng.normal(size=5)
+        w = rng.normal(size=5)
+        y = T.add(x, c)
+        T.backward(T.tsum(T.mul(T.mul(y, y), w)))
+        np.testing.assert_allclose(x.grad, 2.0 * (x.data + c) * w, rtol=1e-14)
+        check_grads(lambda: T.tsum(T.mul(T.mul(T.add(x, c), T.add(x, c)), w)), [x])
+
+    def test_fan_out_gradient_is_not_written_through(self):
+        # add hands one g to both parents; u then takes a second
+        # contribution, which must not reach v through the shared buffer
+        rng = np.random.default_rng(8)
+        x = randt(rng, 4, 3)
+        w1, w2 = rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
+
+        def build():
+            u, v = T.mul(x, 3.0), T.mul(x, 5.0)
+            # the add's backward runs first, so its g is u's first gradient
+            return T.add(T.tsum(T.mul(u, w2)), T.tsum(T.mul(T.add(u, v), w1))), u, v
+
+        x.zero_grad()
+        loss, u, v = build()
+        T.backward(loss)
+        np.testing.assert_array_equal(v.grad, w1)
+        np.testing.assert_allclose(u.grad, w1 + w2, rtol=1e-15)
+        np.testing.assert_allclose(x.grad, 3.0 * (w1 + w2) + 5.0 * w1, rtol=1e-14)
+        check_grads(lambda: build()[0], [x])
+
+    @staticmethod
+    def _grads_per_step(monkeypatch, run, params, read_only):
+        """Run ``run()`` and copy the gradients of ``params()`` after every
+        backward; with ``read_only`` every node's backward receives its
+        gradient as a read-only view."""
+        real_backward = T.backward
+        steps = []
+
+        def backward(loss):
+            if read_only:
+                seen, stack = {id(loss)}, [loss]
+                while stack:
+                    node = stack.pop()
+                    if node._backward_fn is not None:
+                        node._backward_fn = _read_only_gradient(node._backward_fn)
+                    for parent in node._parents:
+                        if parent.requires_grad and id(parent) not in seen:
+                            seen.add(id(parent))
+                            stack.append(parent)
+            real_backward(loss)
+            steps.append([p.grad.copy() for _, p in params()])
+
+        monkeypatch.setattr(T, "backward", backward)
+        run()
+        monkeypatch.setattr(T, "backward", real_backward)
+        return steps
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_no_backward_writes_into_its_gradient(self, monkeypatch, dtype):
+        T.set_dtype(dtype)
+        groups = make_perturbation_corpus(6, seed=5)
+        vocab = build_vocab(corpus_sentences(groups))
+        cfg = EncoderConfig(layers=2, heads=2, model_dim=16, ff_dim=32, max_len=24,
+                            vocab_size=len(vocab), dropout=0.1)
+        seqs = [tokenize(t, vocab, cfg.max_len) for t in corpus_sentences(groups)]
+        pre = PretrainConfig(epochs=1, batch_size=16, lr=1e-3, warmup_steps=2,
+                             weight_decay=0.01, seed=3)
+        rcfg = RefinementConfig(epochs=1, batch_size=3, perturbations_per_sample=3,
+                                lr=1e-3, warmup_steps=2, weight_decay=0.01, seed=4,
+                                disc_hidden=8, disc_dropout=0.2)
+        runs = {}
+        for read_only in (False, True):
+            model = EncoderModel(cfg, seed=1)
+            disc = Discriminator(cfg.model_dim, 8, seed=2)
+            pre_steps = self._grads_per_step(
+                monkeypatch, lambda: pretrain_mlm(model, seqs, pre, vocab),
+                model.named_params, read_only)
+            ref_steps = self._grads_per_step(
+                monkeypatch,
+                lambda: refine(model, disc, groups, LossWeights(1.0, 0.5, 0.5), rcfg,
+                               ScoreConfig(window_radius=2), vocab),
+                lambda: model.named_params() + disc.named_params(), read_only)
+            runs[read_only] = pre_steps + ref_steps
+        assert len(runs[True]) == len(runs[False]) >= 4
+        for want, got in zip(runs[False], runs[True]):
+            for a, b in zip(want, got):
+                assert_same_bits(b, a)
+
+
+# ---------------------------------------------------------------------------
+# l2_normalize at magnitudes whose squares underflow or overflow
+# ---------------------------------------------------------------------------
+
+
+# per dtype: tiny rows, a tiny value next to the least subnormal, huge rows
+RANGE_CASES = {
+    "float32": ([1e-22] * 6, [3e-23, 1e-45], [1e20] * 6),
+    "float64": ([1e-170] * 6, [3e-170, 5e-324], [1e160] * 6),
+}
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+class TestL2NormalizeRange:
+    @pytest.mark.parametrize("case", range(3), ids=["tiny", "subnormal-tail", "huge"])
+    def test_unit_norm(self, dtype, case):
+        T.set_dtype(dtype)
+        row = np.array(RANGE_CASES[dtype][case], dtype=dtype)
+        out = T.l2_normalize(Tensor(row)).data
+        assert out.dtype == np.dtype(dtype)
+        want = row / np.linalg.norm(row.astype(np.longdouble))
+        np.testing.assert_allclose(out, want.astype(np.float64),
+                                   rtol=4 * np.finfo(dtype).eps, atol=0)
+
+    def test_windowed_score_of_tiny_rows_stays_in_unit_interval(self, dtype):
+        T.set_dtype(dtype)
+        rows = np.full((2, 5), RANGE_CASES[dtype][0][0])
+        a, b = make_stack(rows), make_stack(rows)
+        score = windowed_bertscore(a, b, [0], [0], ScoreConfig(window_radius=1)).data
+        assert 0.0 <= score[0] <= 1.0
+        np.testing.assert_allclose(score[0], 1.0, rtol=4 * np.finfo(dtype).eps)
+
+    def test_in_range_rows_are_bit_identical_to_the_unscaled_norm(self, dtype):
+        T.set_dtype(dtype)
+        rng = np.random.default_rng(9)
+        x = rng.normal(0, 3, size=(6, 5, 16)).astype(dtype)
+        x[0, 0] = 0.0                      # a zero row
+        x[1, 1, :8] = 0.0                  # zeros next to ordinary values
+        x[2] *= 1e6
+        g = rng.normal(size=x.shape).astype(dtype)
+        t = Tensor(x, requires_grad=True)
+        out = T.l2_normalize(t)
+        norm = np.linalg.norm(x, axis=-1, keepdims=True)
+        safe = np.where(norm > 0, norm, 1.0)
+        want = np.where(norm > 0, x / safe, 0.0)
+        assert_same_bits(out.data, want)
+        out._backward_fn(g)
+        dot = (g * want).sum(axis=-1, keepdims=True)
+        want_gx = np.where(norm > 0, (g - want * dot) / safe, 0.0)
+        assert_same_bits(t.grad, leaf_grad(want_gx))
+
+
+@pytest.mark.parametrize("magnitude", [1e-170, 1e160], ids=["tiny", "huge"])
+def test_l2_normalize_gradient_on_a_scaled_row(magnitude):
+    rng = np.random.default_rng(10)
+    x = Tensor(rng.normal(size=(2, 6)) * magnitude, requires_grad=True)
+    w = Tensor(rng.normal(size=(2, 6)))
+    check_grads(lambda: T.tsum(T.mul(T.l2_normalize(x), w)), [x], h=1e-6 * magnitude)
+    assert np.abs(x.grad).max() > 0.1 / magnitude
