@@ -10,7 +10,7 @@ from .text import (PerturbationKind, PerturbedGroup, SchemaInstance,
                    prepend_perturbation, load_benchmark,
                    load_perturbation_corpus)
 from .encoder import (EncoderConfig, EncoderModel, EmbeddingStack, encode,
-                      mlm_logits, pretrain_mlm, PretrainConfig)
+                      pretrain_mlm, PretrainConfig)
 from .scoring import ScoreConfig, windowed_bertscore
 from .refine import (Discriminator, LossWeights, RefinementConfig,
                      contrastive_loss, contrastive_pairs, diversity_loss,
@@ -23,7 +23,7 @@ __all__ = [
     "PerturbationKind", "PerturbedGroup", "SchemaInstance", "TokenSequence",
     "Vocabulary", "build_vocab", "tokenize", "prepend_perturbation",
     "load_benchmark", "load_perturbation_corpus",
-    "EncoderConfig", "EncoderModel", "EmbeddingStack", "encode", "mlm_logits",
+    "EncoderConfig", "EncoderModel", "EmbeddingStack", "encode",
     "pretrain_mlm", "PretrainConfig",
     "ScoreConfig", "windowed_bertscore",
     "Discriminator", "LossWeights", "RefinementConfig", "contrastive_loss",

@@ -64,25 +64,29 @@ def load(path):
     cast. The payload is verified against the stored content hash.
     """
     with open(path, "r", encoding="utf-8") as f:
-        doc = json.load(f)
+        try:
+            doc = json.load(f)
+        except json.JSONDecodeError as e:
+            raise ValueError(f"checkpoint {path}: not valid JSON ({e.msg})") from None
+    if not isinstance(doc, dict):
+        raise ValueError(f"checkpoint {path}: expected a JSON object")
     version = doc.get("format_version")
     if version != FORMAT_VERSION:
         raise ValueError(f"checkpoint {path}: unsupported format_version {version!r}")
+    params, meta = doc.get("params"), doc.get("meta", {})
+    if not (isinstance(params, dict) and isinstance(meta, dict)):
+        raise ValueError(f"checkpoint {path}: params and meta must be objects")
     named = {}
-    for name, entry in doc["params"].items():
-        raw = base64.b64decode(entry["data"])
-        dtype = np.dtype(entry["dtype"])
-        if dtype.byteorder == ">":
-            dtype = dtype.newbyteorder("<")
-        arr = np.frombuffer(raw, dtype=dtype).reshape(entry["shape"]).copy()
-        named[name] = arr
-    if params_hash(named) != doc["content_hash"]:
+    for name, entry in params.items():
+        try:
+            raw = base64.b64decode(entry["data"])
+            dtype = np.dtype(entry["dtype"])
+            if dtype.byteorder == ">":
+                dtype = dtype.newbyteorder("<")
+            named[name] = np.frombuffer(raw, dtype=dtype).reshape(entry["shape"]).copy()
+        except (KeyError, TypeError, ValueError) as e:
+            raise ValueError(f"checkpoint {path}: parameter {name!r} is malformed "
+                             f"({type(e).__name__}: {e})") from None
+    if params_hash(named) != doc.get("content_hash"):
         raise ValueError(f"checkpoint {path}: content hash mismatch, file is corrupt")
-    return named, doc.get("meta", {})
-
-
-def file_hash(path):
-    h = hashlib.sha256()
-    with open(path, "rb") as f:
-        h.update(f.read())
-    return "sha256:" + h.hexdigest()
+    return named, meta

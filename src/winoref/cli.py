@@ -19,7 +19,7 @@ from . import checkpoint as ckpt
 from . import config as C
 from . import tensor as T
 from .encoder import EncoderConfig, EncoderModel, PretrainConfig, pretrain_mlm
-from .evaluate import evaluate, score_candidate
+from .evaluate import evaluate, resolve
 from .refine import Discriminator, LossWeights, RefinementConfig, refine
 from .scoring import ScoreConfig
 from .synthetic import make_benchmark, make_perturbation_corpus
@@ -65,9 +65,11 @@ def _load_model(path):
     if not os.path.exists(path):
         raise CliError(f"checkpoint file not found: {path}")
     arrays, meta = ckpt.load(path)
-    enc_cfg = EncoderConfig.from_dict(meta["encoder_config"])
-    model = EncoderModel(enc_cfg, seed=0)
-    model.load_arrays(arrays)
+    try:
+        model = EncoderModel(EncoderConfig.from_dict(meta.get("encoder_config")), seed=0)
+        model.load_arrays(arrays)
+    except ValueError as e:
+        raise CliError(f"checkpoint {path}: {e}") from None
     return model
 
 
@@ -269,9 +271,7 @@ def cmd_score(cfg, checkpoint, sentence, candidate1, candidate2):
     model = _load_model(checkpoint)
     inst = SchemaInstance(sentence=sentence, candidate1=candidate1,
                           candidate2=candidate2, label=1)
-    s1 = score_candidate(model, vocab, inst, 1)
-    s2 = score_candidate(model, vocab, inst, 2)
-    chosen = 1 if s1.avg_log_prob >= s2.avg_log_prob else 2
+    chosen, (s1, s2) = resolve(model, vocab, inst)
     print(f"candidate1 {candidate1!r}: avg_log_prob={s1.avg_log_prob:.6f}")
     print(f"candidate2 {candidate2!r}: avg_log_prob={s2.avg_log_prob:.6f}")
     print(f"chosen: candidate{chosen}")
@@ -280,6 +280,8 @@ def cmd_score(cfg, checkpoint, sentence, candidate1, candidate2):
 
 def cmd_gen_data(out, n_groups, n_instances, seed):
     """Helper used by the README walkthrough; emits synthetic files."""
+    C.check_count("--groups", n_groups, 1)
+    C.check_count("--instances", n_instances, 1)
     groups = make_perturbation_corpus(n_groups, seed=seed)
     instances = make_benchmark(n_instances, seed=seed)
     corpus_path = os.path.join(out, "corpus.jsonl")

@@ -209,22 +209,3 @@ def _csv_cell(value):
     if isinstance(value, float):
         return repr(value)
     return str(value)
-
-
-def read_csv_artifact(path):
-    """(header, rows as string dicts, comment metadata) for our CSV files."""
-    meta = {}
-    rows = []
-    header = None
-    with open(path, "r", encoding="utf-8") as f:
-        for line in f:
-            line = line.rstrip("\n")
-            if line.startswith("#"):
-                key, _, value = line[1:].partition(":")
-                meta[key.strip()] = value.strip()
-                continue
-            if header is None:
-                header = line.split(",")
-                continue
-            rows.append(dict(zip(header, line.split(","))))
-    return header, rows, meta

@@ -8,7 +8,7 @@ sees pad content.
 """
 
 import copy
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -50,6 +50,13 @@ class EncoderConfig:
 
     @classmethod
     def from_dict(cls, d):
+        """The config a checkpoint's ``encoder_config`` object holds; a key
+        that is not a field is rejected."""
+        if not isinstance(d, dict):
+            raise ValueError(f"encoder_config must be an object, got {d!r}")
+        unknown = sorted(set(d) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"encoder_config has unknown keys {unknown}")
         return cls(**d)
 
 
@@ -217,18 +224,10 @@ def forward_hidden(model, ids, attention_mask, train=False, rng=None):
     return T.mul(x, mask.reshape(B, L, 1))
 
 
-def _check_ids(model, ids):
-    ids = np.asarray(ids, dtype=np.int64)
-    if ids.size and (ids.min() < 0 or ids.max() >= model.config.vocab_size):
-        raise ValueError(f"token id out of range [0, {model.config.vocab_size}): "
-                         f"max seen {ids.max()}")
-    return ids
-
-
 def encode_batch(model, seqs, train=False, rng=None):
     """Embedding stack of a list of TokenSequences, one row each, computed
     in one graph."""
-    ids = _check_ids(model, np.stack([s.ids for s in seqs]))
+    ids = np.stack([s.ids for s in seqs])
     mask = np.stack([s.attention_mask for s in seqs])
     hidden = forward_hidden(model, ids, mask, train=train, rng=rng)
     return EmbeddingStack(hidden=hidden, attention_mask=mask,
@@ -259,8 +258,7 @@ def mlm_logits_batch(model, ids, attention_mask, rows, train=False, rng=None):
     through the head, so the (d, V) projection and its backward cost R rows,
     not B*L.
     """
-    ids = _check_ids(model, ids)
-    rows = _check_rows(rows, ids.size)
+    rows = _check_rows(rows, np.size(ids))
     cfg = model.config
     hidden = forward_hidden(model, ids, attention_mask, train=train, rng=rng)
     B, L, d = hidden.data.shape
@@ -270,13 +268,6 @@ def mlm_logits_batch(model, ids, attention_mask, rows, train=False, rng=None):
     else:
         w = model.params["mlm_w"]
     return T.add(T.matmul(picked, w), model.params["mlm_bias"])
-
-
-def mlm_logits(model, seq):
-    """Eval-mode logits for a single sequence, (L, V)."""
-    with T.no_grad():
-        return mlm_logits_batch(model, seq.ids[None, :], seq.attention_mask[None, :],
-                                np.arange(model.config.max_len))
 
 
 @dataclass
@@ -299,9 +290,6 @@ class PretrainConfig:
         check_real("pretrain.adam_eps", self.adam_eps, 0, low_open=True)
         check_real("pretrain.mask_prob", self.mask_prob, 0, 1)
         check_count("pretrain.seed", self.seed, 0)
-
-    def to_dict(self):
-        return asdict(self)
 
 
 def apply_mlm_masking(seqs, vocab, mask_prob, rng):

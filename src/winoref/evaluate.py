@@ -13,7 +13,7 @@ import numpy as np
 
 from . import tensor as T
 from .encoder import mlm_logits_batch
-from .text import SLOT_MARKER, word_tokens
+from .text import MASK, SLOT_MARKER, encode_tokens, word_tokens
 
 
 @dataclass
@@ -29,10 +29,6 @@ class EvalReport:
     count: int
     accuracy: float
     decisions: list = field(default_factory=list)
-
-    def to_dict(self):
-        return {"dataset": self.dataset, "count": self.count,
-                "accuracy": self.accuracy, "decisions": self.decisions}
 
 
 def log_probs_at_positions(logits, positions, token_ids):
@@ -64,26 +60,12 @@ def _masked_ids(instance, which, vocab, max_len):
     prefix = word_tokens(parts[0])
     suffix = word_tokens(parts[1])
     m = len(cand_tokens)
-    total = 2 + len(prefix) + m + len(suffix)
-    if total > max_len:
+    if 2 + len(prefix) + m + len(suffix) > max_len:
         return None
-    ids = np.full(max_len, vocab.pad_id, dtype=np.int64)
-    ids[0] = vocab.cls_id
-    pos = 1
-    for tok in prefix:
-        ids[pos] = vocab.id(tok)
-        pos += 1
-    mask_positions = np.arange(pos, pos + m)
-    ids[mask_positions] = vocab.mask_id
-    pos += m
-    for tok in suffix:
-        ids[pos] = vocab.id(tok)
-        pos += 1
-    ids[pos] = vocab.sep_id
-    attention = np.zeros(max_len, dtype=bool)
-    attention[:total] = True
+    seq = encode_tokens(prefix + [MASK] * m + suffix, vocab, max_len)
+    mask_positions = np.arange(1 + len(prefix), 1 + len(prefix) + m)
     cand_ids = np.array([vocab.id(t) for t in cand_tokens])
-    return ids, attention, mask_positions, cand_ids
+    return seq.ids, seq.attention_mask, mask_positions, cand_ids
 
 
 def score_candidate(model, vocab, instance, which):

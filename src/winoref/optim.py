@@ -6,7 +6,7 @@ from .tensor import MissingGradError
 
 
 class AdamW:
-    """Standard AdamW over a list of named parameters.
+    """Standard AdamW over a list of ``(name, Tensor)`` parameters.
 
     The effective learning rate ramps linearly from 0 to the base rate over
     ``warmup_steps`` optimizer steps and stays constant afterwards. Weight
@@ -22,13 +22,7 @@ class AdamW:
             raise ValueError(f"epsilon must be positive, got {eps}")
         if weight_decay < 0 or warmup_steps < 0:
             raise ValueError("weight_decay and warmup_steps must be non-negative")
-        # params: iterable of (name, Tensor) or bare Tensors
-        self.params = []
-        for i, p in enumerate(params):
-            if isinstance(p, tuple):
-                self.params.append(p)
-            else:
-                self.params.append((f"param{i}", p))
+        self.params = list(params)
         self.lr = float(lr)
         self.beta1, self.beta2 = betas
         self.eps = float(eps)
@@ -85,7 +79,3 @@ class AdamW:
             s1 *= lr_t
             p.data -= s1
             p.grad[...] = 0
-
-    def zero_grad(self):
-        for _, p in self.params:
-            p.zero_grad()

@@ -73,14 +73,6 @@ class RefinementConfig:
         check_count("refine.disc_hidden", self.disc_hidden, 1)
         check_real("refine.disc_dropout", self.disc_dropout, 0, 1, high_open=True)
 
-    @property
-    def effective_batch_size(self):
-        """Sentences per batch times perturbations sampled per sentence."""
-        return self.batch_size * self.perturbations_per_sample
-
-    def to_dict(self):
-        return asdict(self)
-
 
 class Discriminator:
     """Two fully connected layers with batch norm, PReLU and 20% dropout,
@@ -120,8 +112,8 @@ class Discriminator:
             self.running_var += self.bn_momentum * var.data
             h = T.div(centered, T.sqrt(T.add(var, self.bn_eps)))
         else:
-            h = (h - Tensor(self.running_mean)) * Tensor(
-                1.0 / np.sqrt(self.running_var + self.bn_eps))
+            h = T.mul(T.sub(h, self.running_mean),
+                      1.0 / np.sqrt(self.running_var + self.bn_eps))
         h = T.add(T.mul(h, p["bn.g"]), p["bn.b"])
         pos = T.relu(h)
         h = T.add(pos, T.mul(p["prelu.a"], T.sub(h, pos)))

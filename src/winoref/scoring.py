@@ -8,7 +8,7 @@ computation; it is differentiable, and the max routes gradient to its
 argmax element.
 """
 
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,9 +32,6 @@ class ScoreConfig:
         check_count("score.window_radius", self.window_radius, 0)
         check_choice("score.include_special", self.include_special, (True, False))
         check_choice("score.alignment", self.alignment, ("compact", "raw"))
-
-    def to_dict(self):
-        return asdict(self)
 
 
 def _positions(eligible, alignment):

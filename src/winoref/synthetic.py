@@ -173,17 +173,3 @@ def make_benchmark(n_instances, seed=0, with_twins=True):
                 sentence=sentence, candidate1=cand1, candidate2=cand2,
                 label=label, twin=twin_of[label] if with_twins else None))
     return instances
-
-
-def make_null_benchmark(n_instances, seed=0):
-    """Balanced benchmark whose labels are coin flips: any label-independent
-    scorer sits at 50% accuracy in expectation."""
-    rng = np.random.default_rng(seed)
-    base = make_benchmark(n_instances, seed=seed + 1, with_twins=False)
-    labels = np.array([1] * (n_instances // 2) + [2] * (n_instances - n_instances // 2))
-    rng.shuffle(labels)
-    out = []
-    for inst, label in zip(base, labels):
-        out.append(SchemaInstance(sentence=inst.sentence, candidate1=inst.candidate1,
-                                  candidate2=inst.candidate2, label=int(label)))
-    return out

@@ -85,14 +85,6 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    @property
-    def ndim(self):
-        return self.data.ndim
-
-    @property
-    def size(self):
-        return self.data.size
-
     def item(self):
         return float(self.data)
 
@@ -114,43 +106,6 @@ class Tensor:
             self._grad_borrowed = False
         else:
             self.grad += g
-
-    def zero_grad(self):
-        if self.grad is not None:
-            self.grad[...] = 0
-
-    def detach(self):
-        """Leaf view of this tensor; no gradient flows through it."""
-        return Tensor(self.data, requires_grad=False, dtype=self.data.dtype)
-
-    # -- operator sugar --------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def astensor(x):

@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import check_choice
+
 PAD, CLS, SEP, MASK, UNK = "[PAD]", "[CLS]", "[SEP]", "[MASK]", "[UNK]"
 SPECIAL_TOKENS = [PAD, CLS, SEP, MASK, UNK]
 
@@ -64,9 +66,6 @@ class Vocabulary:
     def __len__(self):
         return len(self._tokens)
 
-    def __contains__(self, token):
-        return token in self._ids
-
     def id(self, token):
         return self._ids.get(token, self._ids[UNK])
 
@@ -89,19 +88,12 @@ class Vocabulary:
     def mask_id(self):
         return self._ids[MASK]
 
-    @property
-    def unk_id(self):
-        return self._ids[UNK]
-
     def kind_id(self, kind):
         return self._ids[kind.token]
 
     def word_ids(self):
         """Ids of ordinary words (candidates for random-token corruption)."""
         return np.arange(self.first_word_id, len(self._tokens))
-
-    def is_special_id(self, idx):
-        return idx < self.first_word_id
 
     def save(self, path):
         doc = {"format_version": 1, "tokens": self._tokens}
@@ -112,10 +104,20 @@ class Vocabulary:
     @classmethod
     def load(cls, path):
         with open(path, "r", encoding="utf-8") as f:
-            doc = json.load(f)
+            try:
+                doc = json.load(f)
+            except json.JSONDecodeError as e:
+                raise ValueError(f"vocabulary {path}: not valid JSON ({e.msg})") from None
+        if not isinstance(doc, dict):
+            raise ValueError(f"vocabulary {path}: expected a JSON object")
         if doc.get("format_version") != 1:
             raise ValueError(f"vocabulary {path}: unsupported format_version")
-        tokens = doc["tokens"]
+        tokens = doc.get("tokens")
+        if not (isinstance(tokens, list) and all(isinstance(t, str) for t in tokens)):
+            raise ValueError(f"vocabulary {path}: tokens must be a list of strings")
+        if len(set(tokens)) != len(tokens):
+            raise ValueError(f"vocabulary {path}: a token appears twice, so the ids "
+                             f"after it would shift")
         expected = list(SPECIAL_TOKENS) + [k.token for k in PERTURBATION_KINDS]
         if tokens[:len(expected)] != expected:
             raise ValueError(f"vocabulary {path}: reserved id block is damaged")
@@ -147,10 +149,6 @@ class TokenSequence:
     attention_mask: np.ndarray
     content_mask: np.ndarray
 
-    def copy(self):
-        return TokenSequence(self.ids.copy(), self.length,
-                             self.attention_mask.copy(), self.content_mask.copy())
-
 
 def encode_tokens(tokens, vocab, max_len):
     """Wrap word tokens as [CLS] ... [SEP] and pad to max_len."""
@@ -166,12 +164,8 @@ def encode_tokens(tokens, vocab, max_len):
     length = needed
     attention = np.zeros(max_len, dtype=bool)
     attention[:length] = True
-    content = attention.copy()
-    for i in range(length):
-        if vocab.is_special_id(int(ids[i])):
-            content[i] = False
     return TokenSequence(ids=ids, length=length, attention_mask=attention,
-                         content_mask=content)
+                         content_mask=attention & (ids >= vocab.first_word_id))
 
 
 def tokenize(text, vocab, max_len):
@@ -248,6 +242,14 @@ def _loads_strict(line, lineno, path):
     return obj
 
 
+def _check_text(name, value):
+    """Reject a text field that is not a string; ``name`` is the field as
+    ``path:line: key``."""
+    if not isinstance(value, str):
+        raise ValueError(f"{name} must be a string, got {value!r}")
+    return value
+
+
 def load_perturbation_corpus(path, warn=None):
     """Read JSON-lines groups: {"id", "base", "variants": {kind: text}}.
 
@@ -265,9 +267,14 @@ def load_perturbation_corpus(path, warn=None):
             obj = _loads_strict(line, lineno, path)
             if "base" not in obj:
                 raise ValueError(f"{path}:{lineno}: missing field 'base'")
-            base_tokens = word_tokens(obj["base"])
+            base = _check_text(f"{path}:{lineno}: base", obj["base"])
+            stored = obj.get("variants", {})
+            if not isinstance(stored, dict):
+                raise ValueError(f"{path}:{lineno}: variants must be an object, "
+                                 f"got {stored!r}")
+            base_tokens = word_tokens(base)
             variants = {}
-            for key, text in (obj.get("variants") or {}).items():
+            for key, text in stored.items():
                 try:
                     kind = PerturbationKind(key)
                 except ValueError:
@@ -276,11 +283,12 @@ def load_perturbation_corpus(path, warn=None):
                 if kind == PerturbationKind.IDENTICAL:
                     raise ValueError(f"{path}:{lineno}: IDENTICAL may not appear as a "
                                      f"stored variant")
+                _check_text(f"{path}:{lineno}: variants.{key}", text)
                 if word_tokens(text) == base_tokens:
                     unchanged += 1
                 variants[kind] = text
             groups.append(PerturbedGroup(sample_id=str(obj.get("id", lineno)),
-                                         base=obj["base"], variants=variants))
+                                         base=base, variants=variants))
     if warn is not None:
         if skipped:
             warn(f"{path}: skipped {skipped} variants with unknown perturbation keys")
@@ -300,22 +308,23 @@ def load_benchmark(path):
             for fieldname in ("sentence", "candidate1", "candidate2", "label"):
                 if fieldname not in obj:
                     raise ValueError(f"{path}:{lineno}: missing field {fieldname!r}")
-            sentence = obj["sentence"]
+            sentence, c1, c2 = (_check_text(f"{path}:{lineno}: {key}", obj[key])
+                                for key in ("sentence", "candidate1", "candidate2"))
+            twin = obj.get("twin")
+            if twin is not None:
+                _check_text(f"{path}:{lineno}: twin", twin)
             slots = sum(1 for t in word_tokens(sentence) if t == SLOT_MARKER)
             if slots != 1:
                 raise ValueError(f"{path}:{lineno}: sentence must contain exactly one "
                                  f"'{SLOT_MARKER}' slot, found {slots}")
-            c1, c2 = obj["candidate1"], obj["candidate2"]
             if not c1.strip() or not c2.strip():
                 raise ValueError(f"{path}:{lineno}: candidates must be non-empty")
             if word_tokens(c1) == word_tokens(c2):
                 raise ValueError(f"{path}:{lineno}: candidates must be distinct")
-            label = obj["label"]
-            if label not in (1, 2):
-                raise ValueError(f"{path}:{lineno}: label must be 1 or 2, got {label!r}")
+            check_choice(f"{path}:{lineno}: label", obj["label"], (1, 2))
             instances.append(SchemaInstance(sentence=sentence, candidate1=c1,
-                                            candidate2=c2, label=int(label),
-                                            twin=obj.get("twin")))
+                                            candidate2=c2, label=obj["label"],
+                                            twin=twin))
     return instances
 
 

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 import winoref.tensor as T
+from winoref.synthetic import make_benchmark
+from winoref.text import SchemaInstance
 
 
 @pytest.fixture(autouse=True)
@@ -38,7 +40,7 @@ def check_grads(build, inputs, tol=1e-4, h=1e-5):
     """Compare tape gradients of ``build() -> scalar Tensor`` against central
     finite differences for every Tensor in ``inputs``."""
     for inp in inputs:
-        inp.zero_grad()
+        inp.grad[...] = 0
     loss = build()
     T.backward(loss)
     analytic = [inp.grad.copy() for inp in inputs]
@@ -46,3 +48,36 @@ def check_grads(build, inputs, tol=1e-4, h=1e-5):
         n = finite_difference_grad(lambda: build().item(), inp.data, h=h)
         err = rel_err(a, n)
         assert err < tol, f"gradient mismatch: rel err {err:.3e} for shape {inp.shape}"
+
+
+def read_csv_artifact(path):
+    """(header, rows as string dicts, comment metadata) for our CSV files."""
+    meta = {}
+    rows = []
+    header = None
+    with open(path, "r", encoding="utf-8") as f:
+        for line in f:
+            line = line.rstrip("\n")
+            if line.startswith("#"):
+                key, _, value = line[1:].partition(":")
+                meta[key.strip()] = value.strip()
+                continue
+            if header is None:
+                header = line.split(",")
+                continue
+            rows.append(dict(zip(header, line.split(","))))
+    return header, rows, meta
+
+
+def make_null_benchmark(n_instances, seed=0):
+    """Balanced benchmark whose labels are coin flips: any label-independent
+    scorer sits at 50% accuracy in expectation."""
+    rng = np.random.default_rng(seed)
+    base = make_benchmark(n_instances, seed=seed + 1, with_twins=False)
+    labels = np.array([1] * (n_instances // 2) + [2] * (n_instances - n_instances // 2))
+    rng.shuffle(labels)
+    out = []
+    for inst, label in zip(base, labels):
+        out.append(SchemaInstance(sentence=inst.sentence, candidate1=inst.candidate1,
+                                  candidate2=inst.candidate2, label=int(label)))
+    return out

@@ -15,7 +15,6 @@ import pytest
 import winoref.tensor as T
 from winoref import checkpoint as ckpt
 from winoref import cli
-from winoref.config import read_csv_artifact
 from winoref.encoder import (EncoderConfig, EncoderModel,
                              masked_token_accuracy)
 from winoref.evaluate import evaluate, log_probs_at_positions, resolve, score_candidate
@@ -24,14 +23,14 @@ from winoref.refine import (Discriminator, LossWeights, RefinementConfig,
                             kind_probe_accuracy, min_same_kind_distance,
                             pooled_kind_dataset, reconstruction_loss)
 from winoref.scoring import ScoreConfig, windowed_bertscore
-from winoref.synthetic import (make_benchmark, make_null_benchmark,
-                               make_perturbation_corpus)
+from winoref.synthetic import make_benchmark, make_perturbation_corpus
 from winoref.text import (PERTURBATION_KINDS, SchemaInstance, Vocabulary,
                           benchmark_texts, build_vocab, corpus_sentences,
                           load_perturbation_corpus, save_benchmark,
                           save_perturbation_corpus, tokenize)
 
-from conftest import check_grads, finite_difference_grad, rel_err
+from conftest import (check_grads, finite_difference_grad, make_null_benchmark,
+                      read_csv_artifact, rel_err)
 from test_refine import (entries_for, oracle_contrastive, oracle_diversity_eval_mode,
                          oracle_reconstruction, zeroed_discriminator)
 from test_scoring import (batch_of, brute_force_unwindowed, content_rows,
@@ -413,14 +412,14 @@ def test_acceptance_7_zero_shot_purity(smoke, tmp_path):
     out = smoke["out"]
     # evaluating a checkpoint leaves its file and parameters untouched
     ck_path = out / "refined.ckpt.json"
-    before_file = ckpt.file_hash(ck_path)
+    before_file = ck_path.read_bytes()
     model = _load_smoke_model(smoke, "refined.ckpt.json")
     vocab = Vocabulary.load(out / "vocab.json")
     before_params = ckpt.params_hash(model.param_arrays())
     bench = make_benchmark(40, seed=23)
     evaluate(model, vocab, bench, "bench")
     assert ckpt.params_hash(model.param_arrays()) == before_params
-    assert ckpt.file_hash(ck_path) == before_file
+    assert ck_path.read_bytes() == before_file
 
     # a random-logit model sits at chance on a balanced 1000-instance set
     T.set_dtype("float64")

@@ -58,9 +58,3 @@ def test_unsupported_version_rejected(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match="format_version"):
         ckpt.load(path)
-
-
-def test_file_hash_stable(tmp_path):
-    path = tmp_path / "e.ckpt.json"
-    ckpt.save(path, _arrays())
-    assert ckpt.file_hash(path) == ckpt.file_hash(path)

@@ -10,9 +10,11 @@ import pytest
 
 from winoref import cli
 from winoref.checkpoint import load as load_checkpoint, params_hash
-from winoref.config import load_config, read_csv_artifact
+from winoref.config import load_config
 from winoref.synthetic import make_benchmark, make_perturbation_corpus
 from winoref.text import save_benchmark, save_perturbation_corpus
+
+from conftest import read_csv_artifact
 
 
 @pytest.fixture(scope="module")
@@ -258,6 +260,40 @@ class TestEvaluate:
             assert len(jrow["decisions"]) == jrow["count"]
             assert {"index", "chosen", "gold", "correct"} <= set(jrow["decisions"][0])
 
+    @pytest.mark.parametrize("target,damage", [
+        ("vocab", lambda doc: "{oops"),
+        ("vocab", lambda doc: []),
+        ("vocab", lambda doc: {"format_version": 1}),
+        ("vocab", lambda doc: {**doc, "tokens": doc["tokens"] + [{"w": 1}]}),
+        ("vocab", lambda doc: {**doc, "tokens": doc["tokens"] + doc["tokens"][-1:]}),
+        ("checkpoint", lambda doc: "{oops"),
+        ("checkpoint", lambda doc: []),
+        ("checkpoint", lambda doc: {**doc, "meta": []}),
+        ("checkpoint", lambda doc: {**doc, "meta": {}}),
+        ("checkpoint", lambda doc: {**doc, "meta": {"encoder_config": {
+            **doc["meta"]["encoder_config"], "bogus": 1}}}),
+        ("checkpoint", lambda doc: {**doc, "params": {**doc["params"], "tok_emb": []}}),
+    ], ids=["vocab-not-json", "vocab-list", "vocab-no-tokens", "vocab-non-string-token",
+            "vocab-duplicate-token", "ckpt-not-json", "ckpt-list",
+            "ckpt-meta-list", "ckpt-no-encoder-config", "ckpt-unknown-encoder-key",
+            "ckpt-param-list"])
+    def test_malformed_file_exits_with_one_error_line(self, pretrained, data_dir,
+                                                      tmp_path, capsys, target, damage):
+        out, cfg_path = pretrained
+        files = {"vocab": tmp_path / "vocab.json", "checkpoint": tmp_path / "init.ckpt.json"}
+        for name, path in files.items():
+            doc = json.loads((out / path.name).read_text())
+            doc = damage(doc) if name == target else doc
+            path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+        rc = cli.main(["evaluate", "--config", str(cfg_path), "--out", str(tmp_path),
+                       f"--paths.vocab={files['vocab']}",
+                       "--checkpoint", str(files["checkpoint"]),
+                       str(data_dir / "bench_a.jsonl")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(files[target]) in err
+
     def test_empty_dataset_list_rejected(self, pretrained, tmp_path, capsys):
         out, cfg_path = pretrained
         rc = cli.main(["evaluate", "--config", str(cfg_path), "--out", str(tmp_path),
@@ -364,6 +400,13 @@ class TestGenData:
         from winoref.text import load_benchmark, load_perturbation_corpus
         assert len(load_perturbation_corpus(tmp_path / "corpus.jsonl")) == 12
         assert len(load_benchmark(tmp_path / "benchmark.jsonl")) == 10
+
+    def test_counts_below_one_rejected(self, tmp_path, capsys):
+        for flag, value in (("--groups", "-3"), ("--instances", "0")):
+            assert cli.main(["gen-data", "--out", str(tmp_path), flag, value]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {flag} must be >= 1") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
 
     def test_module_invocation_runs_the_command(self, tmp_path):
         # `python -m winoref.cli` used to import the module, do nothing and

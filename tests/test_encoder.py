@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 
 import numpy as np
@@ -6,11 +7,11 @@ import pytest
 import winoref.tensor as T
 from winoref.encoder import (EncoderConfig, EncoderModel, PretrainConfig,
                              apply_mlm_masking, encode, encode_batch,
-                             forward_hidden, masked_token_accuracy, mlm_logits,
+                             forward_hidden, masked_token_accuracy,
                              mlm_logits_batch, pretrain_mlm)
 from winoref.optim import AdamW
 from winoref.synthetic import make_perturbation_corpus
-from winoref.text import build_vocab, corpus_sentences, tokenize
+from winoref.text import UNK, build_vocab, corpus_sentences, tokenize
 
 from conftest import check_grads
 
@@ -27,6 +28,13 @@ def small_setup():
     return vocab, cfg, model, seqs
 
 
+def every_row(model, seq):
+    """Eval-mode logits at every position of one sequence, (L, V)."""
+    with T.no_grad():
+        return mlm_logits_batch(model, seq.ids[None, :], seq.attention_mask[None, :],
+                                np.arange(model.config.max_len)).numpy()
+
+
 class TestEncode:
     def test_eval_mode_deterministic(self, small_setup):
         vocab, cfg, model, seqs = small_setup
@@ -37,7 +45,7 @@ class TestEncode:
     def test_position_sensitivity(self, small_setup):
         vocab, cfg, model, seqs = small_setup
         seq = seqs[0]
-        swapped = seq.copy()
+        swapped = copy.deepcopy(seq)
         # swap two in-sentence word positions with different tokens
         content = np.nonzero(seq.content_mask)[0]
         i, j = None, None
@@ -75,14 +83,14 @@ class TestEncode:
         vocab, cfg, model, seqs = small_setup
         seq = seqs[0]
         h1 = encode(model, seq).hidden.numpy()
-        tweaked = seq.copy()
-        tweaked.ids[seq.length:] = vocab.unk_id   # rewrite pad content
+        tweaked = copy.deepcopy(seq)
+        tweaked.ids[seq.length:] = vocab.id(UNK)   # rewrite pad content
         h2 = encode(model, tweaked).hidden.numpy()
         np.testing.assert_array_equal(h1, h2)
 
     def test_out_of_range_id_rejected(self, small_setup):
         vocab, cfg, model, seqs = small_setup
-        bad = seqs[0].copy()
+        bad = copy.deepcopy(seqs[0])
         bad.ids[2] = cfg.vocab_size
         with pytest.raises(ValueError, match="out of range"):
             encode(model, bad)
@@ -104,7 +112,7 @@ class TestEncode:
 class TestMlmLogits:
     def test_softmax_normalized_everywhere(self, small_setup):
         vocab, cfg, model, seqs = small_setup
-        logits = mlm_logits(model, seqs[0]).numpy()
+        logits = every_row(model, seqs[0])
         probs = np.exp(logits - logits.max(axis=-1, keepdims=True))
         probs /= probs.sum(axis=-1, keepdims=True)
         np.testing.assert_allclose(probs.sum(axis=-1), 1.0, atol=1e-6)
@@ -112,7 +120,7 @@ class TestMlmLogits:
     def test_untrained_model_is_near_uniform(self, small_setup):
         vocab, cfg, _, seqs = small_setup
         fresh = EncoderModel(cfg, seed=19)
-        logits = mlm_logits(fresh, seqs[0]).numpy()
+        logits = every_row(fresh, seqs[0])
         row = logits[2]
         probs = np.exp(row - row.max())
         probs /= probs.sum()
@@ -182,14 +190,6 @@ class TestHeadRows:
             got = mlm_logits_batch(model, ids, mask, rows).numpy()
         want = full_logits(model, ids, mask)[rows]
         assert got.shape == (len(rows), cfg.vocab_size)
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
-
-    def test_mlm_logits_is_every_row_of_one_sequence(self, small_setup):
-        vocab, cfg, model, seqs = small_setup
-        seq = seqs[1]
-        got = mlm_logits(model, seq).numpy()
-        want = full_logits(model, seq.ids[None, :], seq.attention_mask[None, :])
-        assert got.shape == (cfg.max_len, cfg.vocab_size)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("tie", [True, False])

@@ -6,20 +6,42 @@ import numpy as np
 import pytest
 
 import sys
+import warnings
 from winoref.checkpoint import params_hash
 from winoref.cli import refine_and_evaluate
 from winoref.config import load_config
 from winoref.encoder import EncoderConfig, EncoderModel
 from winoref.evaluate import evaluate, log_probs_at_positions, resolve, score_candidate
 from winoref.refine import LossWeights
-from winoref.synthetic import (make_benchmark, make_null_benchmark,
-                               make_perturbation_corpus)
+from winoref.synthetic import make_benchmark, make_perturbation_corpus
 from winoref.text import (SchemaInstance, benchmark_texts, build_vocab,
                           corpus_sentences)
+
+from conftest import make_null_benchmark
 
 # the package re-exports the evaluate() function under the module's name;
 # fetch the module itself for monkeypatching
 ev = sys.modules[score_candidate.__module__]
+
+
+def hand_layout(prefix, m, suffix, vocab, max_len):
+    """[CLS] prefix [MASK] x m suffix [SEP], padded, built position by
+    position: (ids, attention, slot positions)."""
+    ids = np.full(max_len, vocab.pad_id, dtype=np.int64)
+    ids[0] = vocab.cls_id
+    pos = 1
+    for tok in prefix:
+        ids[pos] = vocab.id(tok)
+        pos += 1
+    slots = np.arange(pos, pos + m)
+    ids[slots] = vocab.mask_id
+    pos += m
+    for tok in suffix:
+        ids[pos] = vocab.id(tok)
+        pos += 1
+    ids[pos] = vocab.sep_id
+    attention = np.arange(max_len) <= pos
+    return ids, attention, slots
 
 
 def brute_force_logprob(logits_row, token_id):
@@ -120,14 +142,29 @@ class TestScoreCandidate:
 
     def test_overflowing_candidate_scores_minus_inf_with_warning(self, world):
         groups, bench, vocab, cfg, model = world
-        inst = SchemaInstance(sentence="the _ fits .",
-                              candidate1=" ".join(["trophy"] * 30),
-                              candidate2="suitcase", label=1)
-        with pytest.warns(UserWarning, match="-inf"):
-            s = score_candidate(model, vocab, inst, 1)
-        assert s.avg_log_prob == float("-inf")
-        with pytest.warns(UserWarning, match="-inf"):
-            choice, _ = resolve(model, vocab, inst)
+        # [CLS] the [MASK] x m fits . [SEP] fills max_len exactly at m = fit
+        fit = cfg.max_len - 5
+        for m in (1, fit, fit + 1, 30):
+            inst = SchemaInstance(sentence="the _ fits .",
+                                  candidate1=" ".join(["trophy"] * m),
+                                  candidate2="suitcase", label=1)
+            if m <= fit:
+                ids, attention, positions, _ = ev._masked_ids(inst, 1, vocab,
+                                                              cfg.max_len)
+                want = hand_layout(["the"], m, ["fits", "."], vocab, cfg.max_len)
+                np.testing.assert_array_equal(ids, want[0])
+                np.testing.assert_array_equal(attention, want[1])
+                np.testing.assert_array_equal(positions, want[2])
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    s = score_candidate(model, vocab, inst, 1)
+                assert np.isfinite(s.avg_log_prob)
+                continue
+            with pytest.warns(UserWarning, match="-inf"):
+                s = score_candidate(model, vocab, inst, 1)
+            assert s.avg_log_prob == float("-inf")
+            with pytest.warns(UserWarning, match="-inf"):
+                choice, _ = resolve(model, vocab, inst)
         assert choice == 2
 
     def test_score_depends_only_on_text(self, world):

@@ -338,10 +338,6 @@ class TestRefineTargets:
 
 
 class TestRefine:
-    def test_effective_batch_size(self):
-        cfg = _refine_cfg(batch_size=10, perturbations_per_sample=4)
-        assert cfg.effective_batch_size == 40
-
     def test_all_zero_weights_rejected(self, tiny_world):
         groups, vocab, cfg = tiny_world
         model = EncoderModel(cfg, seed=0)

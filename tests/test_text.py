@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from winoref.text import (PERTURBATION_KINDS, PerturbationKind, Vocabulary,
+from winoref.text import (PERTURBATION_KINDS, UNK, PerturbationKind, Vocabulary,
                           build_vocab, corpus_sentences, load_benchmark,
                           load_perturbation_corpus, prepend_perturbation,
                           save_benchmark, save_perturbation_corpus, tokenize,
@@ -41,7 +41,7 @@ class TestTokenizer:
 
     def test_unknown_words_map_to_unk(self, vocab):
         seq = tokenize("the zeppelin fits", vocab, 10)
-        assert seq.ids[2] == vocab.unk_id
+        assert seq.ids[2] == vocab.id(UNK)
 
     def test_overflow_reports_count(self, vocab):
         with pytest.raises(ValueError, match="by 3 tokens"):
@@ -157,6 +157,15 @@ class TestCorpusLoading:
         assert groups[0].variants[PerturbationKind.TENSE] == "X y."
         assert any("identically" in m for m in messages)
 
+    def test_non_string_text_or_non_object_variants_rejected(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        good = {"id": "a", "base": "x y", "variants": {"TENSE": "x z"}}
+        for bad in ({"base": 5}, {"variants": ["x z"]}, {"variants": None},
+                    {"variants": {"TENSE": 5}}):
+            path.write_text(json.dumps(good) + "\n" + json.dumps({**good, **bad}) + "\n")
+            with pytest.raises(ValueError, match=f"{path}:2: "):
+                load_perturbation_corpus(path)
+
     def test_identical_rejected_as_stored_variant(self, tmp_path):
         path = tmp_path / "c.jsonl"
         path.write_text('{"id":"a","base":"x y","variants":{"IDENTICAL":"x y"}}\n')
@@ -201,10 +210,21 @@ class TestBenchmarkLoading:
 
     def test_bad_label_rejected(self, tmp_path):
         path = tmp_path / "b.jsonl"
-        path.write_text(json.dumps({"sentence": "the _ fits .", "candidate1": "a",
-                                    "candidate2": "b", "label": 3}) + "\n")
-        with pytest.raises(ValueError, match="label"):
-            load_benchmark(path)
+        for label in (3, True, 1.0, "1"):
+            path.write_text(json.dumps({"sentence": "the _ fits .", "candidate1": "a",
+                                        "candidate2": "b", "label": label}) + "\n")
+            with pytest.raises(ValueError, match="label"):
+                load_benchmark(path)
+
+    def test_non_string_text_rejected(self, tmp_path):
+        path = tmp_path / "b.jsonl"
+        good = {"sentence": "the _ fits .", "candidate1": "a", "candidate2": "b",
+                "label": 1}
+        for bad in ({"sentence": 5}, {"candidate1": ["a"]}, {"candidate2": None},
+                    {"twin": 3}):
+            path.write_text(json.dumps(good) + "\n" + json.dumps({**good, **bad}) + "\n")
+            with pytest.raises(ValueError, match=f"{path}:2: {next(iter(bad))} must be"):
+                load_benchmark(path)
 
     def test_twins_share_candidates(self):
         for inst in make_benchmark(30, seed=2):
