@@ -6,8 +6,7 @@ __version__ = "0.1.0"
 
 from .tensor import Tensor, backward, no_grad, set_dtype
 from .text import (PerturbationKind, PerturbedGroup, SchemaInstance,
-                   TokenSequence, Vocabulary, build_vocab, tokenize,
-                   prepend_perturbation, load_benchmark,
+                   Vocabulary, build_vocab, tokenize, load_benchmark,
                    load_perturbation_corpus)
 from .encoder import (EncoderConfig, EncoderModel, EmbeddingStack, encode,
                       pretrain_mlm, PretrainConfig)
@@ -20,8 +19,8 @@ from .evaluate import (CandidateScore, EvalReport, evaluate, resolve,
 
 __all__ = [
     "Tensor", "backward", "no_grad", "set_dtype",
-    "PerturbationKind", "PerturbedGroup", "SchemaInstance", "TokenSequence",
-    "Vocabulary", "build_vocab", "tokenize", "prepend_perturbation",
+    "PerturbationKind", "PerturbedGroup", "SchemaInstance",
+    "Vocabulary", "build_vocab", "tokenize",
     "load_benchmark", "load_perturbation_corpus",
     "EncoderConfig", "EncoderModel", "EmbeddingStack", "encode",
     "pretrain_mlm", "PretrainConfig",

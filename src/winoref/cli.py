@@ -61,7 +61,9 @@ def _save_model(path, model, cfg):
     return ckpt.save(path, model.param_arrays(), meta)
 
 
-def _load_model(path):
+def _load_model(path, vocab, vocab_path):
+    """The checkpoint's model; its token table must have one row per token
+    of ``vocab``, read from ``vocab_path``."""
     if not os.path.exists(path):
         raise CliError(f"checkpoint file not found: {path}")
     arrays, meta = ckpt.load(path)
@@ -70,6 +72,9 @@ def _load_model(path):
         model.load_arrays(arrays)
     except ValueError as e:
         raise CliError(f"checkpoint {path}: {e}") from None
+    if model.config.vocab_size != len(vocab):
+        raise CliError(f"checkpoint {path} has {model.config.vocab_size} token ids but "
+                       f"vocabulary {vocab_path} has {len(vocab)} tokens")
     return model
 
 
@@ -84,7 +89,8 @@ def _refine_inputs(cfg):
     corpus_path = _require(cfg, "paths", "corpus", "path to the perturbation corpus")
     init_path = _require(cfg, "paths", "init_checkpoint", "pretrained checkpoint")
     vocab_path = _require(cfg, "paths", "vocab", "vocabulary file")
-    return _load_corpus(corpus_path), _load_vocab(vocab_path), _load_model(init_path)
+    vocab = _load_vocab(vocab_path)
+    return _load_corpus(corpus_path), vocab, _load_model(init_path, vocab, vocab_path)
 
 
 def _refine(model, groups, weights, cfg, vocab):
@@ -166,11 +172,12 @@ def cmd_evaluate(cfg, out, checkpoints, dataset_paths, emit_json, emit_csv):
         raise CliError("evaluate needs at least one --checkpoint")
     if not dataset_paths:
         raise CliError("evaluate needs at least one dataset path")
-    vocab = _load_vocab(_require(cfg, "paths", "vocab", "vocabulary file"))
+    vocab_path = _require(cfg, "paths", "vocab", "vocabulary file")
+    vocab = _load_vocab(vocab_path)
     datasets = _load_datasets(dataset_paths)
     rows = []
     for ck_path in checkpoints:
-        model = _load_model(ck_path)
+        model = _load_model(ck_path, vocab, vocab_path)
         label = os.path.splitext(os.path.basename(ck_path))[0]
         for name, instances in datasets:
             report = evaluate(model, vocab, instances, name)
@@ -267,8 +274,9 @@ def cmd_sweep(cfg, out, grid_tokens):
 def cmd_score(cfg, checkpoint, sentence, candidate1, candidate2):
     if not checkpoint:
         raise CliError("score needs --checkpoint")
-    vocab = _load_vocab(_require(cfg, "paths", "vocab", "vocabulary file"))
-    model = _load_model(checkpoint)
+    vocab_path = _require(cfg, "paths", "vocab", "vocabulary file")
+    vocab = _load_vocab(vocab_path)
+    model = _load_model(checkpoint, vocab, vocab_path)
     inst = SchemaInstance(sentence=sentence, candidate1=candidate1,
                           candidate2=candidate2, label=1)
     chosen, (s1, s2) = resolve(model, vocab, inst)

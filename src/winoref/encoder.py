@@ -16,6 +16,7 @@ from . import tensor as T
 from .config import check_choice, check_count, check_real, internal
 from .optim import AdamW
 from .tensor import Tensor
+from .text import row_masks
 
 
 @dataclass
@@ -224,19 +225,19 @@ def forward_hidden(model, ids, attention_mask, train=False, rng=None):
     return T.mul(x, mask.reshape(B, L, 1))
 
 
-def encode_batch(model, seqs, train=False, rng=None):
-    """Embedding stack of a list of TokenSequences, one row each, computed
+def encode_batch(model, rows, train=False, rng=None):
+    """Embedding stack of a list of id rows, one stack row each, computed
     in one graph."""
-    ids = np.stack([s.ids for s in seqs])
-    mask = np.stack([s.attention_mask for s in seqs])
-    hidden = forward_hidden(model, ids, mask, train=train, rng=rng)
-    return EmbeddingStack(hidden=hidden, attention_mask=mask,
-                          content_mask=np.stack([s.content_mask for s in seqs]))
+    ids = np.stack(rows)
+    attention, content = row_masks(ids)
+    hidden = forward_hidden(model, ids, attention, train=train, rng=rng)
+    return EmbeddingStack(hidden=hidden, attention_mask=attention,
+                          content_mask=content)
 
 
-def encode(model, seq, train=False, rng=None):
-    """One-row embedding stack for one sequence (deterministic in eval mode)."""
-    return encode_batch(model, [seq], train=train, rng=rng)
+def encode(model, row):
+    """Eval-mode one-row embedding stack of one id row."""
+    return encode_batch(model, [row])
 
 
 def _check_rows(rows, n):
@@ -292,17 +293,16 @@ class PretrainConfig:
         check_count("pretrain.seed", self.seed, 0)
 
 
-def apply_mlm_masking(seqs, vocab, mask_prob, rng):
-    """BERT-style corruption of a batch.
+def apply_mlm_masking(rows, vocab, mask_prob, rng):
+    """BERT-style corruption of a batch of id rows.
 
     Each content position is selected independently with ``mask_prob``;
     selected positions become [MASK] with p=0.8, a random word token with
     p=0.1, or stay unchanged with p=0.1. Returns (corrupted ids array,
     flat indices of selected positions, their original token ids).
     """
-    ids = np.stack([s.ids for s in seqs])
-    content = np.stack([s.content_mask for s in seqs])
-    select = (rng.random(ids.shape) < mask_prob) & content
+    ids = np.stack(rows)
+    select = (rng.random(ids.shape) < mask_prob) & row_masks(ids)[1]
     flat_idx = np.nonzero(select.reshape(-1))[0]
     targets = ids.reshape(-1)[flat_idx].copy()
 
@@ -317,29 +317,29 @@ def apply_mlm_masking(seqs, vocab, mask_prob, rng):
     return corrupted, flat_idx, targets
 
 
-def pretrain_mlm(model, seqs, cfg, vocab):
-    """Masked-LM training on a fixed set of sequences.
+def pretrain_mlm(model, rows, cfg, vocab):
+    """Masked-LM training on a fixed list of id rows.
 
     Returns a history list of {"step", "lr", "loss"} rows, one per optimizer
     step. Deterministic for a fixed seed.
     """
-    if not seqs:
+    if len(rows) == 0:
         raise ValueError("pretraining corpus is empty")
+    rows = np.stack(rows)
     rng = np.random.default_rng(cfg.seed)
     opt = AdamW(model.named_params(), lr=cfg.lr, eps=cfg.adam_eps,
                 weight_decay=cfg.weight_decay, warmup_steps=cfg.warmup_steps)
     history = []
-    order = np.arange(len(seqs))
+    order = np.arange(len(rows))
     for _ in range(cfg.epochs):
         rng.shuffle(order)
-        for start in range(0, len(seqs), cfg.batch_size):
-            batch = [seqs[i] for i in order[start:start + cfg.batch_size]]
+        for start in range(0, len(rows), cfg.batch_size):
+            batch = rows[order[start:start + cfg.batch_size]]
             corrupted, flat_idx, targets = apply_mlm_masking(
                 batch, vocab, cfg.mask_prob, rng)
             if flat_idx.size == 0:
                 continue
-            mask = np.stack([s.attention_mask for s in batch])
-            logits = mlm_logits_batch(model, corrupted, mask, flat_idx,
+            logits = mlm_logits_batch(model, corrupted, row_masks(batch)[0], flat_idx,
                                       train=True, rng=rng)
             loss = T.cross_entropy(logits, targets)
             T.backward(loss)
@@ -350,27 +350,24 @@ def pretrain_mlm(model, seqs, cfg, vocab):
     return history
 
 
-def masked_token_accuracy(model, seqs, vocab, limit=None, seed=0, batch_size=64):
+def masked_token_accuracy(model, rows, vocab, limit=None, seed=0, batch_size=64):
     """Fraction of content positions whose token the model recovers when that
     single position is masked. ``limit`` caps the number of probed positions."""
-    probes = []
-    for s in seqs:
-        for pos in np.nonzero(s.content_mask)[0]:
-            probes.append((s, int(pos)))
-    if limit is not None and len(probes) > limit:
+    ids = np.stack(rows)
+    row_of, pos_of = np.nonzero(row_masks(ids)[1])
+    if limit is not None and len(row_of) > limit:
         rng = np.random.default_rng(seed)
-        keep = rng.choice(len(probes), size=limit, replace=False)
-        probes = [probes[i] for i in sorted(keep)]
+        keep = np.sort(rng.choice(len(row_of), size=limit, replace=False))
+        row_of, pos_of = row_of[keep], pos_of[keep]
     correct = 0
-    for start in range(0, len(probes), batch_size):
-        chunk = probes[start:start + batch_size]
-        ids = np.stack([s.ids for s, _ in chunk])
-        truth = np.array([s.ids[pos] for s, pos in chunk])
-        for r, (_, pos) in enumerate(chunk):
-            ids[r, pos] = vocab.mask_id
-        mask = np.stack([s.attention_mask for s, _ in chunk])
-        rows = np.arange(len(chunk)) * ids.shape[1] + [pos for _, pos in chunk]
+    for start in range(0, len(row_of), batch_size):
+        pos = pos_of[start:start + batch_size]
+        chunk = ids[row_of[start:start + batch_size]]
+        at = (np.arange(len(pos)), pos)
+        truth = chunk[at]
+        chunk[at] = vocab.mask_id
         with T.no_grad():
-            logits = mlm_logits_batch(model, ids, mask, rows)
+            logits = mlm_logits_batch(model, chunk, row_masks(chunk)[0],
+                                      np.arange(len(pos)) * ids.shape[1] + pos)
         correct += int((logits.data.argmax(axis=1) == truth).sum())
-    return correct / len(probes) if probes else 0.0
+    return correct / len(row_of) if len(row_of) else 0.0

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import tensor as T
 from .encoder import mlm_logits_batch
-from .text import MASK, SLOT_MARKER, encode_tokens, word_tokens
+from .text import MASK, SLOT_MARKER, encode_tokens, row_masks, word_tokens
 
 
 @dataclass
@@ -46,10 +46,10 @@ def log_probs_at_positions(logits, positions, token_ids):
 
 
 def _masked_ids(instance, which, vocab, max_len):
-    """Token ids with the slot expanded to m [MASK] tokens.
+    """Id row with the slot expanded to m [MASK] tokens.
 
-    Returns (ids, attention_mask, mask_positions, candidate_token_ids), or
-    None if the sequence would overflow max_len.
+    Returns (ids, mask_positions, candidate_token_ids), or None if the
+    sequence would overflow max_len.
     """
     cand_tokens = word_tokens(instance.candidate(which))
     if not cand_tokens:
@@ -62,10 +62,10 @@ def _masked_ids(instance, which, vocab, max_len):
     m = len(cand_tokens)
     if 2 + len(prefix) + m + len(suffix) > max_len:
         return None
-    seq = encode_tokens(prefix + [MASK] * m + suffix, vocab, max_len)
+    ids = encode_tokens(prefix + [MASK] * m + suffix, vocab, max_len)
     mask_positions = np.arange(1 + len(prefix), 1 + len(prefix) + m)
     cand_ids = np.array([vocab.id(t) for t in cand_tokens])
-    return seq.ids, seq.attention_mask, mask_positions, cand_ids
+    return ids, mask_positions, cand_ids
 
 
 def score_candidate(model, vocab, instance, which):
@@ -80,9 +80,10 @@ def score_candidate(model, vocab, instance, which):
                       f"{model.config.max_len}; scored as -inf")
         return CandidateScore(index=which, avg_log_prob=float("-inf"),
                               n_tokens=len(word_tokens(instance.candidate(which))))
-    ids, attention, positions, cand_ids = built
+    ids, positions, cand_ids = built
     with T.no_grad():
-        logits = mlm_logits_batch(model, ids[None, :], attention[None, :], positions)
+        logits = mlm_logits_batch(model, ids[None, :], row_masks(ids)[0][None, :],
+                                  positions)
     logp = log_probs_at_positions(logits.data, np.arange(len(positions)), cand_ids)
     return CandidateScore(index=which, avg_log_prob=float(logp.mean()),
                           n_tokens=len(cand_ids))

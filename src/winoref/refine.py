@@ -19,7 +19,8 @@ from .encoder import EmbeddingStack, encode, encode_batch
 from .optim import AdamW
 from .scoring import windowed_bertscore
 from .tensor import Tensor
-from .text import KIND_INDEX, PERTURBATION_KINDS, prepend_perturbation, tokenize
+from .text import (KIND_INDEX, PERTURBATION_KINDS, encode_tokens, tokenize,
+                   word_tokens)
 
 N_KINDS = len(PERTURBATION_KINDS)
 
@@ -199,6 +200,12 @@ def _sample_kinds(group, count, rng):
     return [kinds[i] for i in picked]
 
 
+def generated_row(group, kind, vocab, max_len):
+    """The id row the encoder is trained on: the base sentence conditioned
+    on the perturbation token, [CLS] [KIND] base words [SEP]."""
+    return encode_tokens([kind.token] + word_tokens(group.base), vocab, max_len)
+
+
 def refine(model, disc, groups, weights, cfg, score_cfg, vocab):
     """Joint training loop; mutates ``model`` and ``disc`` in place.
 
@@ -220,35 +227,34 @@ def refine(model, disc, groups, weights, cfg, score_cfg, vocab):
                 eps=cfg.adam_eps, weight_decay=cfg.weight_decay,
                 warmup_steps=cfg.warmup_steps)
 
-    target_model = model.clone() if cfg.target_mode == "frozen-init" else None
+    # frozen-init targets never change, so they are encoded once per
+    # (group position, kind); corpus ids need not be unique
+    target_model = model.clone() if cfg.target_mode == "frozen-init" else model
     target_cache = {}
 
-    def target_for(group, kind):
-        if cfg.target_mode == "frozen-init":
-            key = (group.sample_id, kind)
-            if key not in target_cache:
-                seq = tokenize(group.variant_text(kind), vocab, max_len)
-                with T.no_grad():
-                    target_cache[key] = encode(target_model, seq)
-            return target_cache[key]
-        seq = tokenize(group.variant_text(kind), vocab, max_len)
+    def target_for(gi, kind):
+        if (gi, kind) in target_cache:
+            return target_cache[gi, kind]
         with T.no_grad():
-            return encode(model, seq)
+            stack = encode(target_model,
+                           tokenize(groups[gi].variant_text(kind), vocab, max_len))
+        if target_model is not model:
+            target_cache[gi, kind] = stack
+        return stack
 
     history = []
     order = np.arange(len(groups))
     for epoch in range(cfg.epochs):
         rng.shuffle(order)
         for start in range(0, len(groups), cfg.batch_size):
-            batch = [groups[i] for i in order[start:start + cfg.batch_size]]
-            chosen = [(bi, g, kind) for bi, g in enumerate(batch)
-                      for kind in _sample_kinds(g, cfg.perturbations_per_sample, rng)]
-            samples = [bi for bi, _, _ in chosen]
-            kinds = [kind for _, _, kind in chosen]
-            gen_seqs = [prepend_perturbation(tokenize(g.base, vocab, max_len), kind, vocab)
-                        for _, g, kind in chosen]
-            generated = encode_batch(model, gen_seqs, train=True, rng=rng)
-            targets = EmbeddingStack.concat([target_for(g, kind) for _, g, kind in chosen])
+            chosen = [(gi, kind) for gi in order[start:start + cfg.batch_size]
+                      for kind in _sample_kinds(groups[gi], cfg.perturbations_per_sample, rng)]
+            samples = [gi for gi, _ in chosen]
+            kinds = [kind for _, kind in chosen]
+            gen_rows = [generated_row(groups[gi], kind, vocab, max_len)
+                        for gi, kind in chosen]
+            generated = encode_batch(model, gen_rows, train=True, rng=rng)
+            targets = EmbeddingStack.concat([target_for(gi, kind) for gi, kind in chosen])
 
             loss_r = reconstruction_loss(targets, generated, weights.alpha, score_cfg)
             loss_c = contrastive_loss(generated, contrastive_pairs(samples, kinds),
@@ -273,15 +279,16 @@ def refine(model, disc, groups, weights, cfg, score_cfg, vocab):
 
 
 def pooled_kind_dataset(model, groups, vocab, max_len):
-    """Pooled generated stacks plus kind labels and sample ids, eval mode."""
-    seqs, kinds, samples = [], [], []
-    for g in groups:
+    """Pooled generated stacks plus kind labels and group positions, eval
+    mode."""
+    rows, kinds, samples = [], [], []
+    for gi, g in enumerate(groups):
         for kind in g.available_kinds():
-            seqs.append(prepend_perturbation(tokenize(g.base, vocab, max_len), kind, vocab))
+            rows.append(generated_row(g, kind, vocab, max_len))
             kinds.append(KIND_INDEX[kind])
-            samples.append(g.sample_id)
+            samples.append(gi)
     with T.no_grad():
-        feats = pooled_stack(encode_batch(model, seqs)).data
+        feats = pooled_stack(encode_batch(model, rows)).data
     return feats, np.array(kinds), samples
 
 

@@ -14,9 +14,6 @@ import numpy as np
 
 from .config import check_choice
 
-PAD, CLS, SEP, MASK, UNK = "[PAD]", "[CLS]", "[SEP]", "[MASK]", "[UNK]"
-SPECIAL_TOKENS = [PAD, CLS, SEP, MASK, UNK]
-
 SLOT_MARKER = "_"
 
 _WORD_RE = re.compile(r"[a-z0-9']+|[^\sa-z0-9']")
@@ -41,6 +38,14 @@ class PerturbationKind(enum.Enum):
 PERTURBATION_KINDS = list(PerturbationKind)
 KIND_INDEX = {k: i for i, k in enumerate(PERTURBATION_KINDS)}
 
+PAD, CLS, SEP, MASK, UNK = "[PAD]", "[CLS]", "[SEP]", "[MASK]", "[UNK]"
+SPECIAL_TOKENS = [PAD, CLS, SEP, MASK, UNK]
+# the reserved id block every vocabulary starts with: the special tokens,
+# then one token per perturbation kind; ordinary words follow
+RESERVED_TOKENS = SPECIAL_TOKENS + [k.token for k in PERTURBATION_KINDS]
+PAD_ID = RESERVED_TOKENS.index(PAD)
+FIRST_WORD_ID = len(RESERVED_TOKENS)
+
 
 def word_tokens(text):
     """Deterministic lowercased word/punctuation split."""
@@ -50,10 +55,12 @@ def word_tokens(text):
 class Vocabulary:
     """Dense token -> id map with reserved special and perturbation ids."""
 
+    pad_id = PAD_ID
+    first_word_id = FIRST_WORD_ID
+
     def __init__(self, words=()):
-        self._tokens = list(SPECIAL_TOKENS) + [k.token for k in PERTURBATION_KINDS]
+        self._tokens = list(RESERVED_TOKENS)
         self._ids = {t: i for i, t in enumerate(self._tokens)}
-        self.first_word_id = len(self._tokens)
         for w in words:
             self.add(w)
 
@@ -73,10 +80,6 @@ class Vocabulary:
         return self._tokens[idx]
 
     @property
-    def pad_id(self):
-        return self._ids[PAD]
-
-    @property
     def cls_id(self):
         return self._ids[CLS]
 
@@ -87,9 +90,6 @@ class Vocabulary:
     @property
     def mask_id(self):
         return self._ids[MASK]
-
-    def kind_id(self, kind):
-        return self._ids[kind.token]
 
     def word_ids(self):
         """Ids of ordinary words (candidates for random-token corruption)."""
@@ -118,11 +118,10 @@ class Vocabulary:
         if len(set(tokens)) != len(tokens):
             raise ValueError(f"vocabulary {path}: a token appears twice, so the ids "
                              f"after it would shift")
-        expected = list(SPECIAL_TOKENS) + [k.token for k in PERTURBATION_KINDS]
-        if tokens[:len(expected)] != expected:
+        if tokens[:FIRST_WORD_ID] != RESERVED_TOKENS:
             raise ValueError(f"vocabulary {path}: reserved id block is damaged")
         vocab = cls()
-        for t in tokens[len(expected):]:
+        for t in tokens[FIRST_WORD_ID:]:
             vocab.add(t)
         return vocab
 
@@ -136,61 +135,30 @@ def build_vocab(texts):
     return vocab
 
 
-@dataclass
-class TokenSequence:
-    """Fixed-length padded id sequence with an attention mask.
-
-    ``content_mask`` marks ordinary word positions (real tokens that are
-    neither special nor perturbation ids); downstream similarity metrics
-    match only those positions by default.
-    """
-    ids: np.ndarray
-    length: int
-    attention_mask: np.ndarray
-    content_mask: np.ndarray
+def row_masks(ids):
+    """(attention, content) masks of an id row or a batch of rows: the real
+    tokens, and the ordinary words among them (neither special nor
+    perturbation ids), which similarity matching uses by default."""
+    ids = np.asarray(ids)
+    return ids != PAD_ID, ids >= FIRST_WORD_ID
 
 
 def encode_tokens(tokens, vocab, max_len):
-    """Wrap word tokens as [CLS] ... [SEP] and pad to max_len."""
+    """Tokens wrapped as [CLS] ... [SEP] and padded: a (max_len,) int64 id row."""
     needed = len(tokens) + 2
     if needed > max_len:
         raise ValueError(f"sequence of {len(tokens)} tokens overflows max length "
                          f"{max_len} by {needed - max_len} tokens")
-    ids = np.full(max_len, vocab.pad_id, dtype=np.int64)
-    ids[0] = vocab.cls_id
-    for i, tok in enumerate(tokens):
-        ids[1 + i] = vocab.id(tok)
-    ids[1 + len(tokens)] = vocab.sep_id
-    length = needed
-    attention = np.zeros(max_len, dtype=bool)
-    attention[:length] = True
-    return TokenSequence(ids=ids, length=length, attention_mask=attention,
-                         content_mask=attention & (ids >= vocab.first_word_id))
+    ids = np.full(max_len, PAD_ID, dtype=np.int64)
+    ids[:needed] = [vocab.cls_id, *map(vocab.id, tokens), vocab.sep_id]
+    return ids
 
 
 def tokenize(text, vocab, max_len):
-    """Text -> fixed-length TokenSequence; empty text is rejected."""
+    """Text -> (max_len,) id row; empty text is rejected."""
     if not text or not text.strip():
         raise ValueError("cannot tokenize empty text")
     return encode_tokens(word_tokens(text), vocab, max_len)
-
-
-def prepend_perturbation(seq, kind, vocab):
-    """Insert the perturbation-type token directly after [CLS]."""
-    if seq.length + 1 > len(seq.ids):
-        raise ValueError(f"no room to prepend a perturbation token: sequence already "
-                         f"holds {seq.length} of {len(seq.ids)} positions")
-    ids = np.full_like(seq.ids, vocab.pad_id)
-    ids[0] = seq.ids[0]
-    ids[1] = vocab.kind_id(kind)
-    ids[2:seq.length + 1] = seq.ids[1:seq.length]
-    length = seq.length + 1
-    attention = np.zeros_like(seq.attention_mask)
-    attention[:length] = True
-    content = np.zeros_like(seq.content_mask)
-    content[2:seq.length + 1] = seq.content_mask[1:seq.length]
-    return TokenSequence(ids=ids, length=length, attention_mask=attention,
-                         content_mask=content)
 
 
 @dataclass
@@ -250,6 +218,13 @@ def _check_text(name, value):
     return value
 
 
+def _check_sentence(name, value):
+    """Reject a corpus sentence that is not a string or is blank."""
+    if not _check_text(name, value).strip():
+        raise ValueError(f"{name} must not be empty")
+    return value
+
+
 def load_perturbation_corpus(path, warn=None):
     """Read JSON-lines groups: {"id", "base", "variants": {kind: text}}.
 
@@ -267,7 +242,7 @@ def load_perturbation_corpus(path, warn=None):
             obj = _loads_strict(line, lineno, path)
             if "base" not in obj:
                 raise ValueError(f"{path}:{lineno}: missing field 'base'")
-            base = _check_text(f"{path}:{lineno}: base", obj["base"])
+            base = _check_sentence(f"{path}:{lineno}: base", obj["base"])
             stored = obj.get("variants", {})
             if not isinstance(stored, dict):
                 raise ValueError(f"{path}:{lineno}: variants must be an object, "
@@ -283,7 +258,7 @@ def load_perturbation_corpus(path, warn=None):
                 if kind == PerturbationKind.IDENTICAL:
                     raise ValueError(f"{path}:{lineno}: IDENTICAL may not appear as a "
                                      f"stored variant")
-                _check_text(f"{path}:{lineno}: variants.{key}", text)
+                _check_sentence(f"{path}:{lineno}: variants.{key}", text)
                 if word_tokens(text) == base_tokens:
                     unchanged += 1
                 variants[kind] = text

@@ -331,7 +331,8 @@ def smoke(tmp_path_factory):
 
 def _load_smoke_model(smoke, name):
     from winoref.cli import _load_model
-    return _load_model(str(smoke["out"] / name))
+    vocab_path = smoke["out"] / "vocab.json"
+    return _load_model(str(smoke["out"] / name), Vocabulary.load(vocab_path), vocab_path)
 
 
 def test_acceptance_5_end_to_end_smoke(smoke):

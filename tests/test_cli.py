@@ -236,6 +236,28 @@ def test_zero_epochs_saves_the_untrained_model(pretrained, tmp_path, capsys, com
     assert "0 steps" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", ["refine", "evaluate", "score", "ablate", "sweep"])
+def test_vocabulary_of_another_checkpoint_exits_with_one_error_line(
+        pretrained, data_dir, tmp_path, capsys, command):
+    out, cfg_path = pretrained
+    ckpt = out / "init.ckpt.json"
+    vocab_path = tmp_path / "vocab.json"
+    doc = json.loads((out / "vocab.json").read_text())
+    vocab_path.write_text(json.dumps({**doc, "tokens": doc["tokens"][:-3]}))
+    extra = {"evaluate": ["--checkpoint", str(ckpt), str(data_dir / "bench_a.jsonl")],
+             "score": ["--checkpoint", str(ckpt), "--sentence", "the _ fits .",
+                       "--candidate1", "trophy", "--candidate2", "suitcase"]}
+    run_out = tmp_path / "out"
+    run_out.mkdir()
+    rc = cli.main([command, "--config", str(cfg_path), "--out", str(run_out),
+                   f"--paths.vocab={vocab_path}", *extra.get(command, [])])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(ckpt) in err and str(vocab_path) in err
+    assert list(run_out.iterdir()) == []
+
+
 class TestEvaluate:
     def test_two_checkpoints_two_rows_per_dataset(self, pretrained, data_dir,
                                                   tmp_path, capsys):

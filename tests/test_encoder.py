@@ -1,4 +1,3 @@
-import copy
 import dataclasses
 
 import numpy as np
@@ -11,7 +10,7 @@ from winoref.encoder import (EncoderConfig, EncoderModel, PretrainConfig,
                              mlm_logits_batch, pretrain_mlm)
 from winoref.optim import AdamW
 from winoref.synthetic import make_perturbation_corpus
-from winoref.text import UNK, build_vocab, corpus_sentences, tokenize
+from winoref.text import UNK, build_vocab, corpus_sentences, row_masks, tokenize
 
 from conftest import check_grads
 
@@ -28,10 +27,10 @@ def small_setup():
     return vocab, cfg, model, seqs
 
 
-def every_row(model, seq):
-    """Eval-mode logits at every position of one sequence, (L, V)."""
+def every_row(model, row):
+    """Eval-mode logits at every position of one id row, (L, V)."""
     with T.no_grad():
-        return mlm_logits_batch(model, seq.ids[None, :], seq.attention_mask[None, :],
+        return mlm_logits_batch(model, row[None, :], row_masks(row)[0][None, :],
                                 np.arange(model.config.max_len)).numpy()
 
 
@@ -45,18 +44,18 @@ class TestEncode:
     def test_position_sensitivity(self, small_setup):
         vocab, cfg, model, seqs = small_setup
         seq = seqs[0]
-        swapped = copy.deepcopy(seq)
+        swapped = seq.copy()
         # swap two in-sentence word positions with different tokens
-        content = np.nonzero(seq.content_mask)[0]
+        content = np.nonzero(row_masks(seq)[1])[0]
         i, j = None, None
         for a in content:
             for b in content:
-                if seq.ids[a] != seq.ids[b]:
+                if seq[a] != seq[b]:
                     i, j = a, b
                     break
             if i is not None:
                 break
-        swapped.ids[i], swapped.ids[j] = seq.ids[j], seq.ids[i]
+        swapped[i], swapped[j] = seq[j], seq[i]
         h1 = encode(model, seq).hidden.numpy()
         h2 = encode(model, swapped).hidden.numpy()
         assert np.abs(h1 - h2).max() > 1e-6
@@ -70,28 +69,32 @@ class TestEncode:
         got = encode(model, seq).hidden.numpy()[0]
 
         # hand trace: token + position embeddings, layer norm, pad rows zeroed
-        tok = model.params["tok_emb"].numpy()[seq.ids]
+        tok = model.params["tok_emb"].numpy()[seq]
         pos = model.params["pos_emb"].numpy()
         x = tok + pos
         mu = x.mean(axis=-1, keepdims=True)
         var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
         expected = (x - mu) / np.sqrt(var + cfg.layer_norm_eps)
-        expected *= seq.attention_mask[:, None]
+        expected *= row_masks(seq)[0][:, None]
         np.testing.assert_allclose(got, expected, atol=1e-12)
 
     def test_pad_content_invariance(self, small_setup):
         vocab, cfg, model, seqs = small_setup
         seq = seqs[0]
         h1 = encode(model, seq).hidden.numpy()
-        tweaked = copy.deepcopy(seq)
-        tweaked.ids[seq.length:] = vocab.id(UNK)   # rewrite pad content
-        h2 = encode(model, tweaked).hidden.numpy()
+        attention = row_masks(seq)[0]
+        tweaked = seq.copy()
+        tweaked[~attention] = vocab.id(UNK)   # rewrite pad content
+        # the original mask: the masks of the tweaked row would count its
+        # former pads as real tokens
+        with T.no_grad():
+            h2 = forward_hidden(model, tweaked[None, :], attention[None, :]).numpy()
         np.testing.assert_array_equal(h1, h2)
 
     def test_out_of_range_id_rejected(self, small_setup):
         vocab, cfg, model, seqs = small_setup
-        bad = copy.deepcopy(seqs[0])
-        bad.ids[2] = cfg.vocab_size
+        bad = seqs[0].copy()
+        bad[2] = cfg.vocab_size
         with pytest.raises(ValueError, match="out of range"):
             encode(model, bad)
 
@@ -100,8 +103,9 @@ class TestEncode:
         stack = encode_batch(model, seqs[:3])
         assert stack.hidden.shape == (3, cfg.max_len, cfg.model_dim)
         for row, seq in enumerate(seqs[:3]):
-            np.testing.assert_array_equal(stack.attention_mask[row], seq.attention_mask)
-            np.testing.assert_array_equal(stack.content_mask[row], seq.content_mask)
+            attention, content = row_masks(seq)
+            np.testing.assert_array_equal(stack.attention_mask[row], attention)
+            np.testing.assert_array_equal(stack.content_mask[row], content)
 
     def test_model_dim_must_divide_heads(self):
         with pytest.raises(ValueError, match="divisible"):
@@ -132,7 +136,7 @@ class TestMlmLogits:
         rng = np.random.default_rng(0)
         batch = seqs[:8]
         corrupted, flat_idx, targets = apply_mlm_masking(batch, vocab, 0.5, rng)
-        mask = np.stack([s.attention_mask for s in batch])
+        mask = row_masks(np.stack(batch))[0]
         logits = mlm_logits_batch(model, corrupted, mask, flat_idx,
                                   train=True, rng=rng)
         T.backward(T.cross_entropy(logits, targets))
@@ -156,9 +160,8 @@ def full_logits(model, ids, mask):
 def tiny_world():
     vocab = build_vocab(["the cat sat on the mat .", "a dog ran home ."])
     seqs = [tokenize(t, vocab, 8) for t in ("the cat sat .", "a dog ran home .")]
-    ids = np.stack([s.ids for s in seqs])
-    mask = np.stack([s.attention_mask for s in seqs])
-    return vocab, ids, mask
+    ids = np.stack(seqs)
+    return vocab, ids, row_masks(ids)[0]
 
 
 def biased_model(cfg, seed):
@@ -181,8 +184,8 @@ class TestHeadRows:
         vocab, cfg, _, seqs = small_setup
         model = biased_model(dataclasses.replace(cfg, tie_mlm_head=tie), seed=6)
         batch = seqs[:3]
-        ids = np.stack([s.ids for s in batch])
-        mask = np.stack([s.attention_mask for s in batch])
+        ids = np.stack(batch)
+        mask = row_masks(ids)[0]
         L = cfg.max_len
         # rows from all three sequences, unsorted and repeated
         rows = np.array([2 * L + 3, 5, L + 1, 5, 0, 2 * L + 3, L + 7, 3 * L - 1])
@@ -235,7 +238,7 @@ class TestHeadRows:
                     batch, vocab, pre.mask_prob, rng)
                 if flat_idx.size == 0:
                     continue
-                mask = np.stack([s.attention_mask for s in batch])
+                mask = row_masks(np.stack(batch))[0]
                 hidden = forward_hidden(ref, corrupted, mask, train=True, rng=rng)
                 flat = T.reshape(hidden, (-1, cfg.model_dim))
                 logits = T.add(T.matmul(flat, T.transpose(p["tok_emb"], (1, 0))),
@@ -259,7 +262,7 @@ class TestMasking:
         rng = np.random.default_rng(42)
         selected = total = 0
         batch = seqs[:16]
-        eligible = int(np.stack([s.content_mask for s in batch]).sum())
+        eligible = int(row_masks(np.stack(batch))[1].sum())
         rounds = int(np.ceil(10000 / eligible))
         for _ in range(rounds):
             _, flat_idx, _ = apply_mlm_masking(batch, vocab, 0.15, rng)
@@ -274,7 +277,7 @@ class TestMasking:
         rng = np.random.default_rng(7)
         n_mask = n_same = n_total = 0
         batch = seqs[:16]
-        orig = np.stack([s.ids for s in batch]).reshape(-1)
+        orig = np.stack(batch).reshape(-1)
         for _ in range(200):
             corrupted, flat_idx, targets = apply_mlm_masking(batch, vocab, 0.15, rng)
             flat = corrupted.reshape(-1)
@@ -289,7 +292,7 @@ class TestMasking:
         vocab, cfg, model, seqs = small_setup
         rng = np.random.default_rng(9)
         batch = seqs[:8]
-        content = np.stack([s.content_mask for s in batch]).reshape(-1)
+        content = row_masks(np.stack(batch))[1].reshape(-1)
         for _ in range(20):
             _, flat_idx, _ = apply_mlm_masking(batch, vocab, 0.3, rng)
             assert content[flat_idx].all()
@@ -331,16 +334,16 @@ class TestPretrain:
         got = masked_token_accuracy(model, seqs, vocab, limit=limit, seed=seed,
                                     batch_size=16)
 
-        probes = [(s, pos) for s in seqs for pos in np.nonzero(s.content_mask)[0]]
+        probes = [(s, pos) for s in seqs for pos in np.nonzero(row_masks(s)[1])[0]]
         keep = np.random.default_rng(seed).choice(len(probes), size=limit,
                                                   replace=False)
         correct = 0
         for i in sorted(keep):
             s, pos = probes[i]
-            ids = s.ids.copy()
+            ids = s.copy()
             ids[pos] = vocab.mask_id
-            logits = full_logits(model, ids[None, :], s.attention_mask[None, :])
-            correct += int(logits[pos].argmax() == s.ids[pos])
+            logits = full_logits(model, ids[None, :], row_masks(s)[0][None, :])
+            correct += int(logits[pos].argmax() == s[pos])
         assert 0 < correct < limit
         assert got == correct / limit
 

@@ -15,7 +15,7 @@ from winoref.evaluate import evaluate, log_probs_at_positions, resolve, score_ca
 from winoref.refine import LossWeights
 from winoref.synthetic import make_benchmark, make_perturbation_corpus
 from winoref.text import (SchemaInstance, benchmark_texts, build_vocab,
-                          corpus_sentences)
+                          corpus_sentences, row_masks)
 
 from conftest import make_null_benchmark
 
@@ -120,10 +120,10 @@ class TestScoreCandidate:
         for inst in bench[:6]:
             for which in (1, 2):
                 got = score_candidate(model, vocab, inst, which)
-                ids, attention, positions, cand_ids = _masked_ids(
-                    inst, which, vocab, cfg.max_len)
+                ids, positions, cand_ids = _masked_ids(inst, which, vocab, cfg.max_len)
                 with T.no_grad():
-                    logits = mlm_logits_batch(model, ids[None, :], attention[None, :],
+                    logits = mlm_logits_batch(model, ids[None, :],
+                                              row_masks(ids)[0][None, :],
                                               positions).numpy()
                 want = np.mean([brute_force_logprob(row, t)
                                 for row, t in zip(logits, cand_ids)])
@@ -149,11 +149,10 @@ class TestScoreCandidate:
                                   candidate1=" ".join(["trophy"] * m),
                                   candidate2="suitcase", label=1)
             if m <= fit:
-                ids, attention, positions, _ = ev._masked_ids(inst, 1, vocab,
-                                                              cfg.max_len)
+                ids, positions, _ = ev._masked_ids(inst, 1, vocab, cfg.max_len)
                 want = hand_layout(["the"], m, ["fits", "."], vocab, cfg.max_len)
                 np.testing.assert_array_equal(ids, want[0])
-                np.testing.assert_array_equal(attention, want[1])
+                np.testing.assert_array_equal(row_masks(ids)[0], want[1])
                 np.testing.assert_array_equal(positions, want[2])
                 with warnings.catch_warnings():
                     warnings.simplefilter("error")

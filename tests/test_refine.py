@@ -8,13 +8,14 @@ from winoref.encoder import (EmbeddingStack, EncoderConfig, EncoderModel,
                              encode, encode_batch)
 from winoref.refine import (Discriminator, LossWeights, RefinementConfig,
                             contrastive_loss, contrastive_pairs, diversity_loss,
-                            kind_probe_accuracy, min_same_kind_distance,
-                            reconstruction_loss, refine, _TERM_BOUND)
+                            generated_row, kind_probe_accuracy,
+                            min_same_kind_distance, reconstruction_loss, refine,
+                            _TERM_BOUND)
 from winoref.scoring import ScoreConfig
 from winoref.synthetic import make_perturbation_corpus
 from winoref.text import (KIND_INDEX, PERTURBATION_KINDS, PerturbationKind,
                           PerturbedGroup, build_vocab, corpus_sentences,
-                          prepend_perturbation, tokenize)
+                          load_perturbation_corpus, tokenize)
 
 from test_scoring import batch_of, random_stack
 
@@ -259,7 +260,9 @@ class TestRefineTargets:
         real_recon, real_div = refine_mod.reconstruction_loss, refine_mod.diversity_loss
 
         def recon(targets, generated, alpha, score_cfg):
-            steps.append({"targets": targets, "generated": generated})
+            # "live": the model as this step's targets were encoded
+            steps.append({"targets": targets, "generated": generated,
+                          "live": model.clone()})
             return real_recon(targets, generated, alpha, score_cfg)
 
         def div(stack, kinds, disc, gamma, train=False, rng=None):
@@ -274,7 +277,7 @@ class TestRefineTargets:
         return steps
 
     @classmethod
-    def _synonym_run(cls, monkeypatch):
+    def _synonym_run(cls, monkeypatch, **cfg_kw):
         """Three single-group steps drawing both kinds of a group with one
         synonym variant; returns (steps, group, vocab, the model before
         training, the model after)."""
@@ -289,7 +292,7 @@ class TestRefineTargets:
         model = EncoderModel(cfg, seed=1)
         init = model.clone()
         steps = cls._run(monkeypatch, model, [group], vocab, epochs=3, batch_size=1,
-                         perturbations_per_sample=2)
+                         perturbations_per_sample=2, **cfg_kw)
         assert len(steps) == 3
         return steps, group, vocab, init, model
 
@@ -325,6 +328,43 @@ class TestRefineTargets:
         for step in steps:
             row = step["kinds"].index(PerturbationKind.IDENTICAL)
             assert np.abs(step["targets"].hidden.numpy()[row] - moved).max() > 0
+
+    def test_current_targets_follow_training(self, monkeypatch):
+        steps, group, vocab, init, _ = self._synonym_run(
+            monkeypatch, target_mode="stop-gradient-current")
+        for step in steps:
+            assert not step["targets"].hidden.requires_grad
+            for row, kind in enumerate(step["kinds"]):
+                want = self._encode_text(step["live"], group.variant_text(kind), vocab)
+                np.testing.assert_array_equal(step["targets"].hidden.numpy()[row], want)
+        # two updates later the live model no longer gives the init targets
+        for row, kind in enumerate(steps[-1]["kinds"]):
+            frozen = self._encode_text(init, group.variant_text(kind), vocab)
+            assert np.abs(steps[-1]["targets"].hidden.numpy()[row] - frozen).max() > 0
+
+    def test_frozen_targets_of_groups_sharing_an_id(self, tmp_path, monkeypatch):
+        # an explicit id equal to the next line's number: both groups load
+        # with id "2", and each must still be trained against its own variants
+        path = tmp_path / "c.jsonl"
+        path.write_text(
+            '{"id": "2", "base": "the trophy is big .", '
+            '"variants": {"SYNONYM": "the medal is big ."}}\n'
+            '{"base": "a dog ran home .", "variants": {"TENSE": "a dog runs home ."}}\n')
+        groups = load_perturbation_corpus(path)
+        assert [g.sample_id for g in groups] == ["2", "2"]
+        vocab = build_vocab(corpus_sentences(groups))
+        cfg = EncoderConfig(layers=1, heads=2, model_dim=16, ff_dim=32, max_len=12,
+                            vocab_size=len(vocab), dropout=0.0)
+        model = EncoderModel(cfg, seed=1)
+        init = model.clone()
+        steps = self._run(monkeypatch, model, groups, vocab, epochs=2, batch_size=2,
+                          perturbations_per_sample=2)
+        want = sorted(self._encode_text(init, g.variant_text(kind), vocab).tobytes()
+                      for g in groups for kind in g.available_kinds())
+        assert len(set(want)) == 4
+        for step in steps:
+            got = sorted(row.tobytes() for row in step["targets"].hidden.numpy())
+            assert got == want
 
     def test_only_available_kinds_are_drawn(self, tiny_world, monkeypatch):
         groups, vocab, cfg = tiny_world
@@ -406,8 +446,7 @@ class TestRefine:
             for kind in kinds:
                 samples.append(bi)
                 row_kinds.append(kind)
-                gen_seqs.append(prepend_perturbation(
-                    tokenize(g.base, vocab, cfg.max_len), kind, vocab))
+                gen_seqs.append(generated_row(g, kind, vocab, cfg.max_len))
                 target_seqs.append(tokenize(g.variant_text(kind), vocab, cfg.max_len))
         with T.no_grad():
             targets = encode_batch(snapshot, target_seqs)

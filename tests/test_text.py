@@ -3,11 +3,12 @@ import json
 import numpy as np
 import pytest
 
-from winoref.text import (PERTURBATION_KINDS, UNK, PerturbationKind, Vocabulary,
-                          build_vocab, corpus_sentences, load_benchmark,
-                          load_perturbation_corpus, prepend_perturbation,
-                          save_benchmark, save_perturbation_corpus, tokenize,
-                          word_tokens)
+from winoref.refine import generated_row
+from winoref.text import (FIRST_WORD_ID, PAD_ID, PERTURBATION_KINDS, UNK,
+                          PerturbationKind, PerturbedGroup, Vocabulary, build_vocab,
+                          corpus_sentences, load_benchmark, load_perturbation_corpus,
+                          row_masks, save_benchmark, save_perturbation_corpus,
+                          tokenize, word_tokens)
 from winoref.synthetic import make_benchmark, make_perturbation_corpus
 
 
@@ -18,15 +19,16 @@ def vocab():
 
 class TestTokenizer:
     def test_basic_wrapping(self, vocab):
-        seq = tokenize("The trophy fits.", vocab, max_len=10)
-        tokens = [vocab.token(i) for i in seq.ids]
+        ids = tokenize("The trophy fits.", vocab, max_len=10)
+        assert ids.shape == (10,) and ids.dtype == np.int64
+        tokens = [vocab.token(i) for i in ids]
         assert tokens == ["[CLS]", "the", "trophy", "fits", ".", "[SEP]",
                           "[PAD]", "[PAD]", "[PAD]", "[PAD]"]
-        assert seq.length == 6
-        assert seq.attention_mask.tolist() == [True] * 6 + [False] * 4
+        attention, content = row_masks(ids)
+        assert attention.tolist() == [True] * 6 + [False] * 4
         # content excludes [CLS]/[SEP]/pads
-        assert seq.content_mask.tolist() == [False, True, True, True, True,
-                                             False, False, False, False, False]
+        assert content.tolist() == [False, True, True, True, True,
+                                    False, False, False, False, False]
 
     def test_empty_text_rejected(self, vocab):
         with pytest.raises(ValueError, match="empty"):
@@ -37,11 +39,11 @@ class TestTokenizer:
     def test_determinism(self, vocab):
         a = tokenize("the trophy fits .", vocab, 12)
         b = tokenize("the trophy fits .", vocab, 12)
-        np.testing.assert_array_equal(a.ids, b.ids)
+        np.testing.assert_array_equal(a, b)
 
     def test_unknown_words_map_to_unk(self, vocab):
-        seq = tokenize("the zeppelin fits", vocab, 10)
-        assert seq.ids[2] == vocab.id(UNK)
+        ids = tokenize("the zeppelin fits", vocab, 10)
+        assert ids[2] == vocab.id(UNK)
 
     def test_overflow_reports_count(self, vocab):
         with pytest.raises(ValueError, match="by 3 tokens"):
@@ -60,39 +62,45 @@ class TestPerturbationTokens:
                          "RELCLAUSE", "ADVERB", "SYNONYM"}
 
     def test_prepend_puts_token_after_cls(self, vocab):
-        seq = tokenize("the trophy fits", vocab, 10)
-        out = prepend_perturbation(seq, PerturbationKind.SYNONYM, vocab)
-        tokens = [vocab.token(i) for i in out.ids[:6]]
-        assert tokens == ["[CLS]", "[SYNONYM]", "the", "trophy", "fits", "[SEP]"]
-        assert out.length == seq.length + 1
+        group = PerturbedGroup(sample_id="g", base="the trophy fits")
+        row = generated_row(group, PerturbationKind.SYNONYM, vocab, 10)
+        tokens = [vocab.token(i) for i in row[:7]]
+        assert tokens == ["[CLS]", "[SYNONYM]", "the", "trophy", "fits", "[SEP]",
+                          "[PAD]"]
+        # the base's word ids, shifted one place right
+        np.testing.assert_array_equal(row[2:5], tokenize(group.base, vocab, 10)[1:4])
+        attention, content = row_masks(row)
+        assert attention.tolist() == [True] * 6 + [False] * 4
         # perturbation token is not a content position
-        assert not out.content_mask[1]
+        assert content.tolist() == [False, False] + [True] * 3 + [False] * 5
 
     def test_prepend_identical_is_a_normal_token(self, vocab):
-        seq = tokenize("the trophy fits", vocab, 10)
-        out = prepend_perturbation(seq, PerturbationKind.IDENTICAL, vocab)
-        assert vocab.token(out.ids[1]) == "[IDENTICAL]"
+        group = PerturbedGroup(sample_id="g", base="the trophy fits")
+        row = generated_row(group, PerturbationKind.IDENTICAL, vocab, 10)
+        assert vocab.token(row[1]) == "[IDENTICAL]"
 
     def test_prepend_rejected_at_max_length(self, vocab):
-        seq = tokenize("the trophy fits in a", vocab, max_len=7)
-        with pytest.raises(ValueError, match="no room"):
-            prepend_perturbation(seq, PerturbationKind.TENSE, vocab)
+        # the base alone fills all 7 positions; its kind token overflows them
+        group = PerturbedGroup(sample_id="g", base="the trophy fits in a")
+        assert tokenize(group.base, vocab, max_len=7)[-1] == vocab.sep_id
+        with pytest.raises(ValueError, match="overflows max length 7 by 1"):
+            generated_row(group, PerturbationKind.TENSE, vocab, 7)
 
     def test_prepend_injective_in_kind(self, vocab):
-        seq = tokenize("the trophy fits", vocab, 12)
-        outs = [prepend_perturbation(seq, k, vocab).ids.tobytes()
-                for k in PERTURBATION_KINDS]
+        group = PerturbedGroup(sample_id="g", base="the trophy fits")
+        outs = [generated_row(group, k, vocab, 12).tobytes() for k in PERTURBATION_KINDS]
         assert len(set(outs)) == len(PERTURBATION_KINDS)
 
 
 class TestVocabulary:
     def test_reserved_and_dense_ids(self, vocab):
-        assert vocab.pad_id == 0
+        assert vocab.pad_id == PAD_ID == 0
+        assert vocab.first_word_id == FIRST_WORD_ID == len(Vocabulary())
         ids = sorted(vocab.id(vocab.token(i)) for i in range(len(vocab)))
         assert ids == list(range(len(vocab)))
 
     def test_perturbation_ids_disjoint_from_words(self, vocab):
-        kind_ids = {vocab.kind_id(k) for k in PERTURBATION_KINDS}
+        kind_ids = {vocab.id(k.token) for k in PERTURBATION_KINDS}
         assert len(kind_ids) == 8
         assert all(i < vocab.first_word_id for i in kind_ids)
 
@@ -164,6 +172,15 @@ class TestCorpusLoading:
                     {"variants": {"TENSE": 5}}):
             path.write_text(json.dumps(good) + "\n" + json.dumps({**good, **bad}) + "\n")
             with pytest.raises(ValueError, match=f"{path}:2: "):
+                load_perturbation_corpus(path)
+
+    def test_blank_text_rejected(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        good = {"id": "a", "base": "x y", "variants": {"TENSE": "x z"}}
+        for bad, key in (({"base": ""}, "base"), ({"base": " \t"}, "base"),
+                         ({"variants": {"TENSE": "  "}}, "variants.TENSE")):
+            path.write_text(json.dumps(good) + "\n" + json.dumps({**good, **bad}) + "\n")
+            with pytest.raises(ValueError, match=f"{path}:2: {key} must not be empty"):
                 load_perturbation_corpus(path)
 
     def test_identical_rejected_as_stored_variant(self, tmp_path):
