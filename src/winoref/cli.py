@@ -175,9 +175,11 @@ def cmd_evaluate(cfg, out, checkpoints, dataset_paths, emit_json, emit_csv):
     vocab_path = _require(cfg, "paths", "vocab", "vocabulary file")
     vocab = _load_vocab(vocab_path)
     datasets = _load_datasets(dataset_paths)
+    # load and check every checkpoint first, so a bad one fails before any
+    # evaluation runs
+    models = [_load_model(ck_path, vocab, vocab_path) for ck_path in checkpoints]
     rows = []
-    for ck_path in checkpoints:
-        model = _load_model(ck_path, vocab, vocab_path)
+    for ck_path, model in zip(checkpoints, models):
         label = os.path.splitext(os.path.basename(ck_path))[0]
         for name, instances in datasets:
             report = evaluate(model, vocab, instances, name)

@@ -16,7 +16,7 @@ from . import tensor as T
 from .config import check_choice, check_count, check_real, internal
 from .optim import AdamW
 from .tensor import Tensor
-from .text import row_masks
+from .text import FIRST_WORD_ID, MASK_ID, row_masks
 
 
 @dataclass
@@ -137,14 +137,12 @@ class EmbeddingStack:
         matching."""
         return self.attention_mask if include_special else self.content_mask
 
-    @classmethod
-    def concat(cls, stacks):
-        """The rows of several stacks as one constant stack; no gradient
-        flows back to the parts."""
-        hidden = np.concatenate([s.hidden.data for s in stacks])
-        return cls(hidden=Tensor(hidden, dtype=hidden.dtype),
-                   attention_mask=np.concatenate([s.attention_mask for s in stacks]),
-                   content_mask=np.concatenate([s.content_mask for s in stacks]))
+    def select(self, rows):
+        """Rows ``rows`` as a constant stack; no gradient flows back."""
+        hidden = self.hidden.data[rows]
+        return EmbeddingStack(hidden=Tensor(hidden, dtype=hidden.dtype),
+                              attention_mask=self.attention_mask[rows],
+                              content_mask=self.content_mask[rows])
 
 
 def _dropout(x, rate, rng):
@@ -235,9 +233,22 @@ def encode_batch(model, rows, train=False, rng=None):
                           content_mask=content)
 
 
-def encode(model, row):
-    """Eval-mode one-row embedding stack of one id row."""
-    return encode_batch(model, [row])
+# rows per forward in ``encode``; bounds its memory on a large corpus
+ENCODE_CHUNK = 64
+
+
+def encode(model, rows):
+    """Eval-mode embedding stack of a batch of id rows, built without a tape
+    and forwarded ``ENCODE_CHUNK`` rows at a time."""
+    ids = np.stack(rows)
+    attention, content = row_masks(ids)
+    with T.no_grad():
+        hidden = np.concatenate([
+            forward_hidden(model, ids[i:i + ENCODE_CHUNK],
+                           attention[i:i + ENCODE_CHUNK]).data
+            for i in range(0, len(ids), ENCODE_CHUNK)])
+    return EmbeddingStack(hidden=Tensor(hidden, dtype=hidden.dtype),
+                          attention_mask=attention, content_mask=content)
 
 
 def _check_rows(rows, n):
@@ -308,10 +319,10 @@ def apply_mlm_masking(rows, vocab, mask_prob, rng):
 
     corrupted = ids.copy()
     roll = rng.random(flat_idx.shape)
-    pool = vocab.word_ids()
+    pool = np.arange(FIRST_WORD_ID, len(vocab))
     randoms = pool[rng.integers(0, len(pool), size=flat_idx.shape)]
     flat = corrupted.reshape(-1)
-    flat[flat_idx[roll < 0.8]] = vocab.mask_id
+    flat[flat_idx[roll < 0.8]] = MASK_ID
     swap = (roll >= 0.8) & (roll < 0.9)
     flat[flat_idx[swap]] = randoms[swap]
     return corrupted, flat_idx, targets
@@ -350,7 +361,7 @@ def pretrain_mlm(model, rows, cfg, vocab):
     return history
 
 
-def masked_token_accuracy(model, rows, vocab, limit=None, seed=0, batch_size=64):
+def masked_token_accuracy(model, rows, limit=None, seed=0, batch_size=64):
     """Fraction of content positions whose token the model recovers when that
     single position is masked. ``limit`` caps the number of probed positions."""
     ids = np.stack(rows)
@@ -365,7 +376,7 @@ def masked_token_accuracy(model, rows, vocab, limit=None, seed=0, batch_size=64)
         chunk = ids[row_of[start:start + batch_size]]
         at = (np.arange(len(pos)), pos)
         truth = chunk[at]
-        chunk[at] = vocab.mask_id
+        chunk[at] = MASK_ID
         with T.no_grad():
             logits = mlm_logits_batch(model, chunk, row_masks(chunk)[0],
                                       np.arange(len(pos)) * ids.shape[1] + pos)

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import tensor as T
 from .config import check_choice, check_count, check_real
-from .encoder import EmbeddingStack, encode, encode_batch
+from .encoder import encode, encode_batch
 from .optim import AdamW
 from .scoring import windowed_bertscore
 from .tensor import Tensor
@@ -193,11 +193,10 @@ def diversity_loss(stack, kinds, disc, gamma, train=False, rng=None):
     return T.mul(T.tsum(ratio_log), -gamma)
 
 
-def _sample_kinds(group, count, rng):
-    kinds = group.available_kinds()
-    k = min(count, len(kinds))
-    picked = rng.choice(len(kinds), size=k, replace=False)
-    return [kinds[i] for i in picked]
+def _sample_kinds(n_kinds, count, rng):
+    """Positions of ``count`` of a group's ``n_kinds`` kinds (all of them if
+    it has fewer), drawn without replacement."""
+    return rng.choice(n_kinds, size=min(count, n_kinds), replace=False)
 
 
 def generated_row(group, kind, vocab, max_len):
@@ -206,13 +205,31 @@ def generated_row(group, kind, vocab, max_len):
     return encode_tokens([kind.token] + word_tokens(group.base), vocab, max_len)
 
 
+def _row_tables(groups, vocab, max_len):
+    """Every (group position, kind) pair of a corpus in ``available_kinds()``
+    order, with its generated and its target id row, ``(P, max_len)`` each.
+    A row that overflows ``max_len`` is rejected with its sample id and kind."""
+    pairs, generated, targets = [], [], []
+    for gi, g in enumerate(groups):
+        for kind in g.available_kinds():
+            try:
+                generated.append(generated_row(g, kind, vocab, max_len))
+                targets.append(tokenize(g.variant_text(kind), vocab, max_len))
+            except ValueError as e:
+                raise ValueError(f"corpus sample {g.sample_id!r}, kind {kind.value}: "
+                                 f"{e}") from None
+            pairs.append((gi, kind))
+    return pairs, np.stack(generated), np.stack(targets)
+
+
 def refine(model, disc, groups, weights, cfg, score_cfg, vocab):
     """Joint training loop; mutates ``model`` and ``disc`` in place.
 
-    Per batch: sample ``perturbations_per_sample`` kinds per group (without
-    replacement, identity always eligible), encode every generated sequence
-    in one graph, evaluate the three loss terms and take one AdamW step over
-    encoder plus discriminator parameters. Returns per-step history rows.
+    Every id row is built before the first update. Per batch: sample
+    ``perturbations_per_sample`` kinds per group (without replacement,
+    identity always eligible), encode their generated rows in one graph,
+    evaluate the three loss terms and take one AdamW step over encoder plus
+    discriminator parameters. Returns per-step history rows.
     """
     if weights.all_zero():
         raise ValueError("all loss weights are zero; nothing to optimize")
@@ -221,40 +238,32 @@ def refine(model, disc, groups, weights, cfg, score_cfg, vocab):
     if not any(g.variants for g in groups):
         raise ValueError("refinement corpus has no perturbation variants")
 
-    max_len = model.config.max_len
     rng = np.random.default_rng(cfg.seed)
     opt = AdamW(model.named_params() + disc.named_params(), lr=cfg.lr,
                 eps=cfg.adam_eps, weight_decay=cfg.weight_decay,
                 warmup_steps=cfg.warmup_steps)
 
-    # frozen-init targets never change, so they are encoded once per
-    # (group position, kind); corpus ids need not be unique
-    target_model = model.clone() if cfg.target_mode == "frozen-init" else model
-    target_cache = {}
-
-    def target_for(gi, kind):
-        if (gi, kind) in target_cache:
-            return target_cache[gi, kind]
-        with T.no_grad():
-            stack = encode(target_model,
-                           tokenize(groups[gi].variant_text(kind), vocab, max_len))
-        if target_model is not model:
-            target_cache[gi, kind] = stack
-        return stack
+    # a step picks rows of these tables: the kinds of group gi are rows
+    # first[gi] onwards
+    pairs, gen_ids, target_ids = _row_tables(groups, vocab, model.config.max_len)
+    n_kinds = [len(g.available_kinds()) for g in groups]
+    first = np.cumsum([0] + n_kinds)
+    # frozen-init targets are the stacks of the model before its first update
+    frozen = encode(model, target_ids) if cfg.target_mode == "frozen-init" else None
 
     history = []
     order = np.arange(len(groups))
     for epoch in range(cfg.epochs):
         rng.shuffle(order)
         for start in range(0, len(groups), cfg.batch_size):
-            chosen = [(gi, kind) for gi in order[start:start + cfg.batch_size]
-                      for kind in _sample_kinds(groups[gi], cfg.perturbations_per_sample, rng)]
-            samples = [gi for gi, _ in chosen]
-            kinds = [kind for _, kind in chosen]
-            gen_rows = [generated_row(groups[gi], kind, vocab, max_len)
-                        for gi, kind in chosen]
-            generated = encode_batch(model, gen_rows, train=True, rng=rng)
-            targets = EmbeddingStack.concat([target_for(gi, kind) for gi, kind in chosen])
+            idx = np.concatenate([
+                first[gi] + _sample_kinds(n_kinds[gi], cfg.perturbations_per_sample, rng)
+                for gi in order[start:start + cfg.batch_size]])
+            samples = [pairs[i][0] for i in idx]
+            kinds = [pairs[i][1] for i in idx]
+            generated = encode_batch(model, gen_ids[idx], train=True, rng=rng)
+            targets = (frozen.select(idx) if frozen is not None
+                       else encode(model, target_ids[idx]))
 
             loss_r = reconstruction_loss(targets, generated, weights.alpha, score_cfg)
             loss_c = contrastive_loss(generated, contrastive_pairs(samples, kinds),
@@ -281,15 +290,10 @@ def refine(model, disc, groups, weights, cfg, score_cfg, vocab):
 def pooled_kind_dataset(model, groups, vocab, max_len):
     """Pooled generated stacks plus kind labels and group positions, eval
     mode."""
-    rows, kinds, samples = [], [], []
-    for gi, g in enumerate(groups):
-        for kind in g.available_kinds():
-            rows.append(generated_row(g, kind, vocab, max_len))
-            kinds.append(KIND_INDEX[kind])
-            samples.append(gi)
-    with T.no_grad():
-        feats = pooled_stack(encode_batch(model, rows)).data
-    return feats, np.array(kinds), samples
+    pairs, gen_ids, _ = _row_tables(groups, vocab, max_len)
+    feats = pooled_stack(encode(model, gen_ids)).data
+    return (feats, np.array([KIND_INDEX[kind] for _, kind in pairs]),
+            [gi for gi, _ in pairs])
 
 
 def kind_probe_accuracy(feats, labels, seed=0, holdout=0.25, epochs=300, lr=0.5):

@@ -43,7 +43,7 @@ SPECIAL_TOKENS = [PAD, CLS, SEP, MASK, UNK]
 # the reserved id block every vocabulary starts with: the special tokens,
 # then one token per perturbation kind; ordinary words follow
 RESERVED_TOKENS = SPECIAL_TOKENS + [k.token for k in PERTURBATION_KINDS]
-PAD_ID = RESERVED_TOKENS.index(PAD)
+PAD_ID, CLS_ID, SEP_ID, MASK_ID, UNK_ID = map(RESERVED_TOKENS.index, SPECIAL_TOKENS)
 FIRST_WORD_ID = len(RESERVED_TOKENS)
 
 
@@ -55,14 +55,9 @@ def word_tokens(text):
 class Vocabulary:
     """Dense token -> id map with reserved special and perturbation ids."""
 
-    pad_id = PAD_ID
-    first_word_id = FIRST_WORD_ID
-
-    def __init__(self, words=()):
+    def __init__(self):
         self._tokens = list(RESERVED_TOKENS)
         self._ids = {t: i for i, t in enumerate(self._tokens)}
-        for w in words:
-            self.add(w)
 
     def add(self, token):
         if token not in self._ids:
@@ -74,26 +69,10 @@ class Vocabulary:
         return len(self._tokens)
 
     def id(self, token):
-        return self._ids.get(token, self._ids[UNK])
+        return self._ids.get(token, UNK_ID)
 
     def token(self, idx):
         return self._tokens[idx]
-
-    @property
-    def cls_id(self):
-        return self._ids[CLS]
-
-    @property
-    def sep_id(self):
-        return self._ids[SEP]
-
-    @property
-    def mask_id(self):
-        return self._ids[MASK]
-
-    def word_ids(self):
-        """Ids of ordinary words (candidates for random-token corruption)."""
-        return np.arange(self.first_word_id, len(self._tokens))
 
     def save(self, path):
         doc = {"format_version": 1, "tokens": self._tokens}
@@ -150,7 +129,7 @@ def encode_tokens(tokens, vocab, max_len):
         raise ValueError(f"sequence of {len(tokens)} tokens overflows max length "
                          f"{max_len} by {needed - max_len} tokens")
     ids = np.full(max_len, PAD_ID, dtype=np.int64)
-    ids[:needed] = [vocab.cls_id, *map(vocab.id, tokens), vocab.sep_id]
+    ids[:needed] = [CLS_ID, *map(vocab.id, tokens), SEP_ID]
     return ids
 
 

@@ -347,7 +347,7 @@ def test_acceptance_5_end_to_end_smoke(smoke):
     model = _load_smoke_model(smoke, "init.ckpt.json")
     seqs = [tokenize(t, vocab, model.config.max_len)
             for t in corpus_sentences(groups)]
-    acc = masked_token_accuracy(model, seqs, vocab)
+    acc = masked_token_accuracy(model, seqs)
     assert acc >= 0.95, f"masked-token accuracy {acc:.4f} < 0.95"
 
     # refinement: total loss down >= 30% from its first-epoch mean

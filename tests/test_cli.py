@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from winoref import cli
-from winoref.checkpoint import load as load_checkpoint, params_hash
+from winoref.checkpoint import (load as load_checkpoint, params_hash,
+                                save as save_checkpoint)
 from winoref.config import load_config
 from winoref.synthetic import make_benchmark, make_perturbation_corpus
 from winoref.text import save_benchmark, save_perturbation_corpus
@@ -151,6 +152,30 @@ class TestRefine:
                        "--refine.bogus=1"])
         assert rc != 0
         assert "refine.bogus" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("words,variant,kind", [
+        # the base fills max_len 24 on its own, so its kind token overflows
+        (22, 3, "IDENTICAL"),
+        (3, 23, "TENSE"),
+    ], ids=["base-with-kind-token", "variant"])
+    def test_overflowing_row_names_sample_and_kind(self, pretrained, tmp_path, capsys,
+                                                   words, variant, kind):
+        out, cfg_path = pretrained
+        corpus = tmp_path / "long.jsonl"
+        corpus.write_text(
+            '{"id": "short", "base": "the cup fits .", '
+            '"variants": {"TENSE": "the cup fitted ."}}\n'
+            + json.dumps({"id": "long-7", "base": " ".join(["big"] * words),
+                          "variants": {"TENSE": " ".join(["small"] * variant)}}) + "\n")
+        run_out = tmp_path / "out"
+        run_out.mkdir()
+        rc = cli.main(["refine", "--config", str(cfg_path), "--out", str(run_out),
+                       f"--paths.corpus={corpus}"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "'long-7'" in err and kind in err and "overflows max length 24" in err
+        assert list(run_out.iterdir()) == []
 
 
 # every resolved key, fed a wrong-type value and, where the key has a range
@@ -315,6 +340,29 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert str(files[target]) in err
+
+    def test_mismatched_later_checkpoint_fails_before_any_evaluation(
+            self, pretrained, data_dir, tmp_path, capsys, monkeypatch):
+        out, cfg_path = pretrained
+        good = out / "init.ckpt.json"
+        arrays, meta = load_checkpoint(good)
+        # one token row more than the vocabulary has
+        arrays["tok_emb"] = np.concatenate([arrays["tok_emb"], arrays["tok_emb"][:1]])
+        arrays["mlm_bias"] = np.concatenate([arrays["mlm_bias"], [0.0]])
+        meta["encoder_config"]["vocab_size"] += 1
+        wide = tmp_path / "wide.ckpt.json"
+        save_checkpoint(wide, arrays, meta)
+        def evaluate(*args, **kwargs):
+            raise AssertionError("a checkpoint was evaluated before all were checked")
+
+        monkeypatch.setattr(cli, "evaluate", evaluate)
+        rc = cli.main(["evaluate", "--config", str(cfg_path), "--out", str(tmp_path),
+                       "--checkpoint", str(good), "--checkpoint", str(wide),
+                       str(data_dir / "bench_a.jsonl")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(wide) in err
 
     def test_empty_dataset_list_rejected(self, pretrained, tmp_path, capsys):
         out, cfg_path = pretrained

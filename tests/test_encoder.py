@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 import winoref.tensor as T
-from winoref.encoder import (EncoderConfig, EncoderModel, PretrainConfig,
-                             apply_mlm_masking, encode, encode_batch,
+from winoref.encoder import (ENCODE_CHUNK, EncoderConfig, EncoderModel,
+                             PretrainConfig, apply_mlm_masking, encode, encode_batch,
                              forward_hidden, masked_token_accuracy,
                              mlm_logits_batch, pretrain_mlm)
 from winoref.optim import AdamW
 from winoref.synthetic import make_perturbation_corpus
-from winoref.text import UNK, build_vocab, corpus_sentences, row_masks, tokenize
+from winoref.text import (MASK_ID, UNK_ID, build_vocab, corpus_sentences, row_masks,
+                          tokenize)
 
 from conftest import check_grads
 
@@ -37,8 +38,8 @@ def every_row(model, row):
 class TestEncode:
     def test_eval_mode_deterministic(self, small_setup):
         vocab, cfg, model, seqs = small_setup
-        a = encode(model, seqs[0]).hidden.numpy()
-        b = encode(model, seqs[0]).hidden.numpy()
+        a = encode(model, [seqs[0]]).hidden.numpy()
+        b = encode(model, [seqs[0]]).hidden.numpy()
         np.testing.assert_array_equal(a, b)
 
     def test_position_sensitivity(self, small_setup):
@@ -56,8 +57,8 @@ class TestEncode:
             if i is not None:
                 break
         swapped[i], swapped[j] = seq[j], seq[i]
-        h1 = encode(model, seq).hidden.numpy()
-        h2 = encode(model, swapped).hidden.numpy()
+        h1 = encode(model, [seq]).hidden.numpy()
+        h2 = encode(model, [swapped]).hidden.numpy()
         assert np.abs(h1 - h2).max() > 1e-6
 
     def test_zero_layer_config_is_normed_embeddings(self, small_setup):
@@ -66,7 +67,7 @@ class TestEncode:
                             max_len=24, vocab_size=len(vocab))
         model = EncoderModel(cfg, seed=5)
         seq = seqs[0]
-        got = encode(model, seq).hidden.numpy()[0]
+        got = encode(model, [seq]).hidden.numpy()[0]
 
         # hand trace: token + position embeddings, layer norm, pad rows zeroed
         tok = model.params["tok_emb"].numpy()[seq]
@@ -81,10 +82,10 @@ class TestEncode:
     def test_pad_content_invariance(self, small_setup):
         vocab, cfg, model, seqs = small_setup
         seq = seqs[0]
-        h1 = encode(model, seq).hidden.numpy()
+        h1 = encode(model, [seq]).hidden.numpy()
         attention = row_masks(seq)[0]
         tweaked = seq.copy()
-        tweaked[~attention] = vocab.id(UNK)   # rewrite pad content
+        tweaked[~attention] = UNK_ID   # rewrite pad content
         # the original mask: the masks of the tweaked row would count its
         # former pads as real tokens
         with T.no_grad():
@@ -96,7 +97,19 @@ class TestEncode:
         bad = seqs[0].copy()
         bad[2] = cfg.vocab_size
         with pytest.raises(ValueError, match="out of range"):
-            encode(model, bad)
+            encode(model, [bad])
+
+    def test_chunked_encode_matches_one_batch(self, small_setup):
+        vocab, cfg, model, seqs = small_setup
+        rows = [seqs[i % len(seqs)] for i in range(2 * ENCODE_CHUNK + 5)]
+        stack = encode(model, rows)
+        assert not stack.hidden.requires_grad
+        with T.no_grad():
+            whole = encode_batch(model, rows)
+        np.testing.assert_allclose(stack.hidden.numpy(), whole.hidden.numpy(),
+                                   rtol=1e-12, atol=1e-12)
+        np.testing.assert_array_equal(stack.attention_mask, whole.attention_mask)
+        np.testing.assert_array_equal(stack.content_mask, whole.content_mask)
 
     def test_stack_carries_masks(self, small_setup):
         vocab, cfg, model, seqs = small_setup
@@ -281,7 +294,7 @@ class TestMasking:
         for _ in range(200):
             corrupted, flat_idx, targets = apply_mlm_masking(batch, vocab, 0.15, rng)
             flat = corrupted.reshape(-1)
-            n_mask += int((flat[flat_idx] == vocab.mask_id).sum())
+            n_mask += int((flat[flat_idx] == MASK_ID).sum())
             n_same += int((flat[flat_idx] == orig[flat_idx]).sum())
             n_total += len(flat_idx)
         assert abs(n_mask / n_total - 0.80) < 0.02
@@ -331,7 +344,7 @@ class TestPretrain:
         pretrain_mlm(model, seqs, PretrainConfig(epochs=8, batch_size=16, lr=3e-3,
                                                  warmup_steps=5, seed=12), vocab)
         limit, seed = 150, 3
-        got = masked_token_accuracy(model, seqs, vocab, limit=limit, seed=seed,
+        got = masked_token_accuracy(model, seqs, limit=limit, seed=seed,
                                     batch_size=16)
 
         probes = [(s, pos) for s in seqs for pos in np.nonzero(row_masks(s)[1])[0]]
@@ -341,7 +354,7 @@ class TestPretrain:
         for i in sorted(keep):
             s, pos = probes[i]
             ids = s.copy()
-            ids[pos] = vocab.mask_id
+            ids[pos] = MASK_ID
             logits = full_logits(model, ids[None, :], row_masks(s)[0][None, :])
             correct += int(logits[pos].argmax() == s[pos])
         assert 0 < correct < limit
@@ -359,5 +372,5 @@ class TestPretrain:
         pre = PretrainConfig(epochs=400, batch_size=20, lr=2e-3, warmup_steps=30,
                              seed=0, weight_decay=0.0, mask_prob=0.3)
         pretrain_mlm(model, seqs, pre, vocab)
-        acc = masked_token_accuracy(model, seqs, vocab)
+        acc = masked_token_accuracy(model, seqs)
         assert acc >= 0.95, f"masked-token accuracy {acc:.3f} below 0.95"

@@ -14,8 +14,8 @@ from winoref.encoder import EncoderConfig, EncoderModel
 from winoref.evaluate import evaluate, log_probs_at_positions, resolve, score_candidate
 from winoref.refine import LossWeights
 from winoref.synthetic import make_benchmark, make_perturbation_corpus
-from winoref.text import (SchemaInstance, benchmark_texts, build_vocab,
-                          corpus_sentences, row_masks)
+from winoref.text import (CLS_ID, MASK_ID, PAD_ID, SEP_ID, SchemaInstance,
+                          benchmark_texts, build_vocab, corpus_sentences, row_masks)
 
 from conftest import make_null_benchmark
 
@@ -27,19 +27,19 @@ ev = sys.modules[score_candidate.__module__]
 def hand_layout(prefix, m, suffix, vocab, max_len):
     """[CLS] prefix [MASK] x m suffix [SEP], padded, built position by
     position: (ids, attention, slot positions)."""
-    ids = np.full(max_len, vocab.pad_id, dtype=np.int64)
-    ids[0] = vocab.cls_id
+    ids = np.full(max_len, PAD_ID, dtype=np.int64)
+    ids[0] = CLS_ID
     pos = 1
     for tok in prefix:
         ids[pos] = vocab.id(tok)
         pos += 1
     slots = np.arange(pos, pos + m)
-    ids[slots] = vocab.mask_id
+    ids[slots] = MASK_ID
     pos += m
     for tok in suffix:
         ids[pos] = vocab.id(tok)
         pos += 1
-    ids[pos] = vocab.sep_id
+    ids[pos] = SEP_ID
     attention = np.arange(max_len) <= pos
     return ids, attention, slots
 

@@ -6,6 +6,7 @@ import pytest
 import winoref.tensor as T
 from winoref.encoder import (EmbeddingStack, EncoderConfig, EncoderModel,
                              encode, encode_batch)
+from winoref.optim import AdamW
 from winoref.refine import (Discriminator, LossWeights, RefinementConfig,
                             contrastive_loss, contrastive_pairs, diversity_loss,
                             generated_row, kind_probe_accuracy,
@@ -13,6 +14,7 @@ from winoref.refine import (Discriminator, LossWeights, RefinementConfig,
                             _TERM_BOUND)
 from winoref.scoring import ScoreConfig
 from winoref.synthetic import make_perturbation_corpus
+from winoref.tensor import Tensor
 from winoref.text import (KIND_INDEX, PERTURBATION_KINDS, PerturbationKind,
                           PerturbedGroup, build_vocab, corpus_sentences,
                           load_perturbation_corpus, tokenize)
@@ -298,8 +300,7 @@ class TestRefineTargets:
 
     @staticmethod
     def _encode_text(model, text, vocab):
-        with T.no_grad():
-            return encode(model, tokenize(text, vocab, model.config.max_len)).hidden.numpy()[0]
+        return encode(model, [tokenize(text, vocab, model.config.max_len)]).hidden.numpy()[0]
 
     def test_identity_target_is_the_base_sentence(self, monkeypatch):
         steps, group, vocab, init, _ = self._synonym_run(monkeypatch)
@@ -521,6 +522,97 @@ class TestRefine:
                    ScoreConfig(window_radius=2), vocab)
         assert len(counts[2]) == 5 and len(counts[10]) == 1
         assert set(counts[2]) == set(counts[10]), counts
+
+
+def lazy_cache_refine(model, disc, groups, weights, cfg, score_cfg, vocab):
+    """The refinement loop as it was before its row tables: rows built per
+    step, and targets from a lazy cache of one-row encodes of a clone of the
+    init model (``frozen-init``) or one-row encodes of the live model."""
+    max_len = model.config.max_len
+    rng = np.random.default_rng(cfg.seed)
+    opt = AdamW(model.named_params() + disc.named_params(), lr=cfg.lr,
+                eps=cfg.adam_eps, weight_decay=cfg.weight_decay,
+                warmup_steps=cfg.warmup_steps)
+    target_model = model.clone() if cfg.target_mode == "frozen-init" else model
+    target_cache = {}
+
+    def target_for(gi, kind):
+        if (gi, kind) in target_cache:
+            return target_cache[gi, kind]
+        stack = encode(target_model,
+                       [tokenize(groups[gi].variant_text(kind), vocab, max_len)])
+        if target_model is not model:
+            target_cache[gi, kind] = stack
+        return stack
+
+    def sample_kinds(group):
+        kinds = group.available_kinds()
+        k = min(cfg.perturbations_per_sample, len(kinds))
+        return [kinds[i] for i in rng.choice(len(kinds), size=k, replace=False)]
+
+    history = []
+    order = np.arange(len(groups))
+    for _ in range(cfg.epochs):
+        rng.shuffle(order)
+        for start in range(0, len(groups), cfg.batch_size):
+            chosen = [(gi, kind) for gi in order[start:start + cfg.batch_size]
+                      for kind in sample_kinds(groups[gi])]
+            samples = [gi for gi, _ in chosen]
+            kinds = [kind for _, kind in chosen]
+            generated = encode_batch(
+                model, [generated_row(groups[gi], kind, vocab, max_len)
+                        for gi, kind in chosen], train=True, rng=rng)
+            parts = [target_for(gi, kind) for gi, kind in chosen]
+            hidden = np.concatenate([t.hidden.data for t in parts])
+            targets = EmbeddingStack(
+                hidden=Tensor(hidden, dtype=hidden.dtype),
+                attention_mask=np.concatenate([t.attention_mask for t in parts]),
+                content_mask=np.concatenate([t.content_mask for t in parts]))
+            loss_r = reconstruction_loss(targets, generated, weights.alpha, score_cfg)
+            loss_c = contrastive_loss(generated, contrastive_pairs(samples, kinds),
+                                      weights.beta, score_cfg)
+            loss_d = diversity_loss(generated, kinds, disc, weights.gamma,
+                                    train=True, rng=rng)
+            total = T.add(T.add(loss_r, loss_c), loss_d)
+            T.backward(total)
+            opt.step()
+            history.append([loss_r.item(), loss_c.item(), loss_d.item(),
+                            total.item(), opt.effective_lr()])
+    return history
+
+
+class TestRowTables:
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("target_mode", ["frozen-init", "stop-gradient-current"])
+    @pytest.mark.parametrize("per_sample", [1, 3, 8])
+    def test_bit_equal_to_the_lazy_cache_loop(self, dtype, target_mode, per_sample):
+        T.set_dtype(dtype)
+        groups = make_perturbation_corpus(9, seed=29)
+        # 1 to 5 kinds per group, so per_sample 3 is below some counts and
+        # above others
+        for gi, g in enumerate(groups):
+            g.variants = dict(list(g.variants.items())[:gi % 5])
+        assert len({len(g.available_kinds()) for g in groups}) == 5
+        vocab = build_vocab(corpus_sentences(groups))
+        cfg = EncoderConfig(layers=1, heads=2, model_dim=16, ff_dim=32, max_len=24,
+                            vocab_size=len(vocab), dropout=0.1)
+        refine_cfg = _refine_cfg(epochs=2, batch_size=4,
+                                 perturbations_per_sample=per_sample,
+                                 target_mode=target_mode)
+        runs = []
+        for loop in (refine, lazy_cache_refine):
+            model = EncoderModel(cfg, seed=2)
+            disc = Discriminator(cfg.model_dim, 16, seed=0)
+            history = loop(model, disc, groups, LossWeights(1.0, 0.5, 0.5), refine_cfg,
+                           ScoreConfig(window_radius=2), vocab)
+            if loop is refine:
+                history = [[h["loss_recon"], h["loss_contrast"], h["loss_diversity"],
+                            h["loss_total"], h["lr"]] for h in history]
+            params = {k: p.data.tobytes()
+                      for k, p in model.named_params() + disc.named_params()}
+            runs.append((history, params))
+        assert len(runs[0][0]) == 2 * 3
+        assert runs[0] == runs[1]
 
 
 class TestProbes:

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from winoref.refine import generated_row
-from winoref.text import (FIRST_WORD_ID, PAD_ID, PERTURBATION_KINDS, UNK,
+from winoref.text import (CLS_ID, FIRST_WORD_ID, MASK_ID, PAD_ID, PERTURBATION_KINDS,
+                          SEP_ID, SPECIAL_TOKENS, UNK_ID,
                           PerturbationKind, PerturbedGroup, Vocabulary, build_vocab,
                           corpus_sentences, load_benchmark, load_perturbation_corpus,
                           row_masks, save_benchmark, save_perturbation_corpus,
@@ -43,7 +44,7 @@ class TestTokenizer:
 
     def test_unknown_words_map_to_unk(self, vocab):
         ids = tokenize("the zeppelin fits", vocab, 10)
-        assert ids[2] == vocab.id(UNK)
+        assert ids[2] == UNK_ID
 
     def test_overflow_reports_count(self, vocab):
         with pytest.raises(ValueError, match="by 3 tokens"):
@@ -82,7 +83,7 @@ class TestPerturbationTokens:
     def test_prepend_rejected_at_max_length(self, vocab):
         # the base alone fills all 7 positions; its kind token overflows them
         group = PerturbedGroup(sample_id="g", base="the trophy fits in a")
-        assert tokenize(group.base, vocab, max_len=7)[-1] == vocab.sep_id
+        assert tokenize(group.base, vocab, max_len=7)[-1] == SEP_ID
         with pytest.raises(ValueError, match="overflows max length 7 by 1"):
             generated_row(group, PerturbationKind.TENSE, vocab, 7)
 
@@ -94,15 +95,17 @@ class TestPerturbationTokens:
 
 class TestVocabulary:
     def test_reserved_and_dense_ids(self, vocab):
-        assert vocab.pad_id == PAD_ID == 0
-        assert vocab.first_word_id == FIRST_WORD_ID == len(Vocabulary())
+        assert PAD_ID == 0
+        assert ([vocab.id(t) for t in SPECIAL_TOKENS]
+                == [PAD_ID, CLS_ID, SEP_ID, MASK_ID, UNK_ID])
+        assert FIRST_WORD_ID == len(Vocabulary())
         ids = sorted(vocab.id(vocab.token(i)) for i in range(len(vocab)))
         assert ids == list(range(len(vocab)))
 
     def test_perturbation_ids_disjoint_from_words(self, vocab):
         kind_ids = {vocab.id(k.token) for k in PERTURBATION_KINDS}
         assert len(kind_ids) == 8
-        assert all(i < vocab.first_word_id for i in kind_ids)
+        assert all(i < FIRST_WORD_ID for i in kind_ids)
 
     def test_save_load_save_byte_identical(self, vocab, tmp_path):
         p1, p2 = tmp_path / "v1.json", tmp_path / "v2.json"
