@@ -145,10 +145,14 @@ class EmbeddingStack:
                               content_mask=self.content_mask[rows])
 
 
-def _dropout(x, rate, rng):
+def _dropout(x, rate, rng, shape):
+    """Inverted dropout. The mask is drawn at ``shape``, the untrimmed shape
+    of ``x``, and cut to ``x``'s, so the random stream and every kept entry
+    do not depend on how far the batch was trimmed."""
     if rate <= 0.0:
         return x
-    keep = (rng.random(x.data.shape) >= rate).astype(x.data.dtype)
+    drawn = rng.random(shape)[tuple(map(slice, x.data.shape))]
+    keep = (drawn >= rate).astype(x.data.dtype)
     return T.mul(x, keep / (1.0 - rate))
 
 
@@ -169,7 +173,7 @@ def _attention(h, mask_bias, cfg, p, i, train, rate, rng):
     scores = T.add(scores, mask_bias)            # -inf-ish at padded keys
     attn = T.softmax(scores, axis=-1)
     if train:
-        attn = _dropout(attn, rate, rng)
+        attn = _dropout(attn, rate, rng, (B, heads, cfg.max_len, cfg.max_len))
     ctx = T.matmul(attn, v)                       # (B, H, L, dh)
     ctx = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (B * L, d))
     out = T.add(T.matmul(ctx, p[f"l{i}.attn.wo"]), p[f"l{i}.attn.wo_b"])
@@ -179,7 +183,11 @@ def _attention(h, mask_bias, cfg, p, i, train, rate, rng):
 def forward_hidden(model, ids, attention_mask, train=False, rng=None):
     """Hidden states for a batch: ids (B, L) ints, attention_mask (B, L) bool.
 
-    Returns a (B, L, model_dim) tensor with padded rows zeroed.
+    Returns a (B, L, model_dim) tensor with padded rows zeroed. The layers
+    run on the first n columns only, n one past the last column any row
+    attends to: a later column is a masked key everywhere, its weight is
+    exactly zero, and its own rows are zeroed at the end. Softmax adds its
+    keys in order, so in eval mode a row's bits do not depend on n either.
     """
     cfg = model.config
     p = model.params
@@ -192,35 +200,41 @@ def forward_hidden(model, ids, attention_mask, train=False, rng=None):
     if train and rng is None:
         raise ValueError("training-mode forward needs an rng for dropout")
     rate = cfg.dropout
+    full = (B, L, cfg.model_dim)
 
     mask = np.asarray(attention_mask, dtype=p["tok_emb"].data.dtype).reshape(B, L)
-    mask_bias = Tensor(((1.0 - mask) * -1e9).reshape(B, 1, 1, L))
+    n = int(np.flatnonzero(mask.any(axis=0)).max(initial=0)) + 1
+    ids, mask = ids[:, :n], mask[:, :n]
+    mask_bias = Tensor(((1.0 - mask) * -1e9).reshape(B, 1, 1, n))
 
     x = T.embedding_lookup(p["tok_emb"], ids)
-    pos = T.reshape(p["pos_emb"], (1, L, cfg.model_dim))
+    pos = T.reshape(T.narrow(p["pos_emb"], n), (1, n, cfg.model_dim))
     x = T.add(x, pos)
     if train:
-        x = _dropout(x, rate, rng)
+        x = _dropout(x, rate, rng, full)
 
     for i in range(cfg.layers):
         h1 = T.layer_norm(x, p[f"l{i}.ln1.g"], p[f"l{i}.ln1.b"], cfg.layer_norm_eps)
         a = _attention(h1, mask_bias, cfg, p, i, train, rate, rng)
         if train:
-            a = _dropout(a, rate, rng)
+            a = _dropout(a, rate, rng, full)
         x = T.add(x, a)
         h2 = T.layer_norm(x, p[f"l{i}.ln2.g"], p[f"l{i}.ln2.b"], cfg.layer_norm_eps)
-        flat = T.reshape(h2, (B * L, cfg.model_dim))
+        flat = T.reshape(h2, (B * n, cfg.model_dim))
         ff = T.add(T.matmul(flat, p[f"l{i}.ff.w1"]), p[f"l{i}.ff.b1"])
         ff = T.gelu(ff)
         ff = T.add(T.matmul(ff, p[f"l{i}.ff.w2"]), p[f"l{i}.ff.b2"])
-        ff = T.reshape(ff, (B, L, cfg.model_dim))
+        ff = T.reshape(ff, (B, n, cfg.model_dim))
         if train:
-            ff = _dropout(ff, rate, rng)
+            ff = _dropout(ff, rate, rng, full)
         x = T.add(x, ff)
 
     x = T.layer_norm(x, p["final_ln.g"], p["final_ln.b"], cfg.layer_norm_eps)
-    # zero pad rows so the stack is invariant to pad content
-    return T.mul(x, mask.reshape(B, L, 1))
+    # zero pad rows so the stack is invariant to pad content; adding 0.0
+    # turns the -0.0 of a negative entry times 0 into the +0.0 that
+    # zero_pad puts past column n, so a pad row's bits do not depend on n
+    x = T.add(T.mul(x, mask.reshape(B, n, 1)), 0.0)
+    return T.zero_pad(x, L, axis=1)
 
 
 def encode_batch(model, rows, train=False, rng=None):

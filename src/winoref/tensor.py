@@ -17,7 +17,9 @@ kernel may reuse its own temporaries with ``out=``, including those its
 forward saved for the backward, because ``backward`` runs once per tape;
 it never writes into a node's ``data``. Every in-place kernel keeps the
 floating-point operations, and their order, of the plain formula, so
-results are bit for bit those of the allocating form.
+results are bit for bit those of the allocating form. One order is fixed
+beyond numpy's: softmax's forward adds the keys one after another, not
+pairwise, so the zero-weight keys of a padded batch never change a row.
 """
 
 import contextlib
@@ -189,9 +191,10 @@ def backward(loss):
 # ---------------------------------------------------------------------------
 
 
-def _broadcast_check(a, b, opname):
+def _broadcast(ufunc, a, b, opname):
+    """``ufunc(a.data, b.data)``; numpy's broadcast error becomes a ShapeError."""
     try:
-        np.broadcast_shapes(a.data.shape, b.data.shape)
+        return ufunc(a.data, b.data)
     except ValueError:
         raise ShapeError(f"{opname}: shapes {a.data.shape} and {b.data.shape} "
                          f"are not broadcast-compatible") from None
@@ -199,7 +202,6 @@ def _broadcast_check(a, b, opname):
 
 def add(a, b):
     a, b = astensor(a), astensor(b)
-    _broadcast_check(a, b, "add")
 
     def bw(g):
         if a.requires_grad:
@@ -207,12 +209,11 @@ def add(a, b):
         if b.requires_grad:
             b._accum(_unbroadcast(g, b.data.shape))
 
-    return _node(a.data + b.data, (a, b), bw)
+    return _node(_broadcast(np.add, a, b, "add"), (a, b), bw)
 
 
 def sub(a, b):
     a, b = astensor(a), astensor(b)
-    _broadcast_check(a, b, "sub")
 
     def bw(g):
         if a.requires_grad:
@@ -220,12 +221,11 @@ def sub(a, b):
         if b.requires_grad:
             b._accum(_unbroadcast(-g, b.data.shape))
 
-    return _node(a.data - b.data, (a, b), bw)
+    return _node(_broadcast(np.subtract, a, b, "sub"), (a, b), bw)
 
 
 def mul(a, b):
     a, b = astensor(a), astensor(b)
-    _broadcast_check(a, b, "mul")
 
     def bw(g):
         if a.requires_grad:
@@ -233,12 +233,11 @@ def mul(a, b):
         if b.requires_grad:
             b._accum(_unbroadcast(g * a.data, b.data.shape))
 
-    return _node(a.data * b.data, (a, b), bw)
+    return _node(_broadcast(np.multiply, a, b, "mul"), (a, b), bw)
 
 
 def div(a, b):
     a, b = astensor(a), astensor(b)
-    _broadcast_check(a, b, "div")
 
     def bw(g):
         if a.requires_grad:
@@ -246,7 +245,7 @@ def div(a, b):
         if b.requires_grad:
             b._accum(_unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
 
-    return _node(a.data / b.data, (a, b), bw)
+    return _node(_broadcast(np.divide, a, b, "div"), (a, b), bw)
 
 
 def sqrt(a):
@@ -301,11 +300,10 @@ def reshape(a, shape):
 
 def transpose(a, axes):
     a = astensor(a)
-    inv = np.argsort(axes)
 
     def bw(g):
         if a.requires_grad:
-            a._accum(g.transpose(inv))
+            a._accum(g.transpose(np.argsort(axes)))
 
     return _node(a.data.transpose(axes), (a,), bw)
 
@@ -329,6 +327,38 @@ def take(a, indices, axis=0):
             a._accum(buf)
 
     return _node(np.take(a.data, idx, axis=axis), (a,), bw)
+
+
+def narrow(a, n, axis=0):
+    """The first ``n`` entries of ``a`` along ``axis``, as a view; backward
+    pads the gradient with zeros."""
+    a = astensor(a)
+    index = (slice(None),) * (axis % a.data.ndim) + (slice(0, n),)
+
+    def bw(g):
+        if a.requires_grad:
+            buf = np.zeros_like(a.data)
+            buf[index] = g
+            a._accum(buf)
+
+    return _node(a.data[index], (a,), bw)
+
+
+def zero_pad(a, n, axis=0):
+    """``a`` extended with zeros to length ``n`` along ``axis``; the inverse
+    of ``narrow``, whose forward is this op's backward."""
+    a = astensor(a)
+    index = (slice(None),) * (axis % a.data.ndim) + (slice(0, a.data.shape[axis]),)
+    shape = list(a.data.shape)
+    shape[axis] = n
+    out_data = np.zeros(shape, dtype=a.data.dtype)
+    out_data[index] = a.data
+
+    def bw(g):
+        if a.requires_grad:
+            a._accum(g[index])
+
+    return _node(out_data, (a,), bw)
 
 
 def stack(tensors, axis=0):
@@ -418,11 +448,30 @@ def matmul(a, b):
     return _node(out_data, (a, b), bw)
 
 
+def _sum_in_order(x, axis):
+    """Sum along ``axis`` one element after another, keeping the axis.
+
+    In this order a trailing run of zeros leaves a sum's bits as they are,
+    whatever its length. numpy adds the rows of a contiguous array in order
+    along axis 0 unless each row is one element, and sums a lone vector
+    pairwise, which ``cumsum`` does not.
+    """
+    rows = np.ascontiguousarray(x.swapaxes(0, axis))
+    if rows.size == rows.shape[0]:
+        total = np.cumsum(rows, axis=0)[-1:]
+    else:
+        total = rows.sum(axis=0, keepdims=True)
+    return total.swapaxes(0, axis)
+
+
 def softmax(x, axis=-1):
+    """Softmax along ``axis``. The forward sums the exponentials in order
+    (``_sum_in_order``), so keys whose weight is exactly zero, appended at
+    the end of the axis, do not change the other weights' bits."""
     x = astensor(x)
     out_data = x.data - x.data.max(axis=axis, keepdims=True)
     np.exp(out_data, out=out_data)
-    np.divide(out_data, out_data.sum(axis=axis, keepdims=True), out=out_data)
+    np.divide(out_data, _sum_in_order(out_data, axis), out=out_data)
 
     def bw(g):
         if x.requires_grad:

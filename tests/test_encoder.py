@@ -10,8 +10,8 @@ from winoref.encoder import (ENCODE_CHUNK, EncoderConfig, EncoderModel,
                              mlm_logits_batch, pretrain_mlm)
 from winoref.optim import AdamW
 from winoref.synthetic import make_perturbation_corpus
-from winoref.text import (MASK_ID, UNK_ID, build_vocab, corpus_sentences, row_masks,
-                          tokenize)
+from winoref.text import (CLS_ID, FIRST_WORD_ID, MASK_ID, PAD_ID, SEP_ID, UNK_ID,
+                          build_vocab, corpus_sentences, row_masks, tokenize)
 
 from conftest import check_grads
 
@@ -124,6 +124,75 @@ class TestEncode:
         with pytest.raises(ValueError, match="divisible"):
             EncoderConfig(layers=1, heads=3, model_dim=32, ff_dim=64,
                           max_len=8, vocab_size=30)
+
+
+def word_row(rng, length, cfg):
+    """An id row of ``length`` tokens, [CLS] words [SEP], then pads."""
+    ids = np.full(cfg.max_len, PAD_ID, dtype=np.int64)
+    ids[:length] = rng.integers(FIRST_WORD_ID, cfg.vocab_size, size=length)
+    ids[0], ids[length - 1] = CLS_ID, SEP_ID
+    return ids
+
+
+def eval_hidden(model, rows):
+    ids = np.stack(rows)
+    with T.no_grad():
+        return forward_hidden(model, ids, row_masks(ids)[0]).numpy()
+
+
+TRIM_CFG = EncoderConfig(layers=2, heads=4, model_dim=32, ff_dim=64, max_len=24,
+                         vocab_size=60, dropout=0.1)
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+class TestTrimmedForward:
+    """A forward runs only up to its batch's longest row; no row may see
+    how far that is."""
+
+    @pytest.mark.parametrize("length", [9, 13, 17, 20, 21, 24])
+    def test_row_alone_and_in_a_batch_with_a_longer_row_same_bits(self, dtype, length):
+        T.set_dtype(dtype)
+        model = EncoderModel(TRIM_CFG, seed=7)
+        rng = np.random.default_rng(length)
+        row = word_row(rng, length, TRIM_CFG)
+        alone = eval_hidden(model, [row])[0]
+        # a row at max_len on either side
+        other = word_row(rng, TRIM_CFG.max_len, TRIM_CFG)
+        batched = eval_hidden(model, [other, row, other])
+        assert alone.tobytes() == batched[1].tobytes()
+        assert (alone[length:] == 0).all()
+
+    def test_every_row_at_max_len(self, dtype):
+        T.set_dtype(dtype)
+        model = EncoderModel(TRIM_CFG, seed=8)
+        rng = np.random.default_rng(1)
+        rows = [word_row(rng, TRIM_CFG.max_len, TRIM_CFG) for _ in range(3)]
+        batched = eval_hidden(model, rows)
+        for i, row in enumerate(rows):
+            assert eval_hidden(model, [row])[0].tobytes() == batched[i].tobytes()
+        assert (batched != 0).any(axis=-1).all()          # no row zeroed as pad
+
+    def test_all_pad_batch(self, dtype):
+        T.set_dtype(dtype)
+        model = EncoderModel(TRIM_CFG, seed=9)
+        pads = np.full((3, TRIM_CFG.max_len), PAD_ID, dtype=np.int64)
+        hidden = eval_hidden(model, list(pads))
+        assert hidden.shape == (3, TRIM_CFG.max_len, TRIM_CFG.model_dim)
+        assert hidden.dtype == np.dtype(dtype) and (hidden == 0).all()
+
+    def test_dropout_masks_are_drawn_at_the_untrimmed_shape(self, dtype):
+        T.set_dtype(dtype)
+        cfg = TRIM_CFG
+        model = EncoderModel(cfg, seed=10)
+        rng = np.random.default_rng(2)
+        ids = np.stack([word_row(rng, n, cfg) for n in (9, 13)])
+        stream = np.random.default_rng(5)
+        forward_hidden(model, ids, row_masks(ids)[0], train=True, rng=stream)
+        B, L, d = len(ids), cfg.max_len, cfg.model_dim
+        drawn = B * L * d + cfg.layers * (B * cfg.heads * L * L + 2 * B * L * d)
+        want = np.random.default_rng(5)
+        want.random(drawn)
+        assert stream.random() == want.random()
 
 
 class TestMlmLogits:

@@ -111,6 +111,13 @@ class TestBasics:
             T.add(Tensor(np.ones((2, 3))), Tensor(np.ones((4,))))
         assert "(2, 3)" in str(e.value) and "(4,)" in str(e.value)
 
+    @pytest.mark.parametrize("op", [T.sub, T.mul, T.div])
+    def test_elementwise_shape_error_names_the_op_and_both_shapes(self, op):
+        with pytest.raises(T.ShapeError) as e:
+            op(Tensor(np.ones((3, 2))), Tensor(np.ones((5, 1, 3))))
+        assert str(e.value) == (f"{op.__name__}: shapes (3, 2) and (5, 1, 3) "
+                                f"are not broadcast-compatible")
+
     def test_zero_norm_cosine_is_zero_with_zero_grad(self):
         u = Tensor([0.0, 0.0], requires_grad=True)
         v = Tensor([1.0, 2.0], requires_grad=True)
@@ -300,6 +307,26 @@ class TestGradChecks:
                                          w3)), [x, y])
 
     @pytest.mark.parametrize("seed", range(4))
+    def test_narrow_and_zero_pad(self, seed):
+        rng = np.random.default_rng(200 + seed)
+        x = randt(rng, 3, 7, 4)
+        w = Tensor(rng.normal(size=(3, 5, 4)))
+        check_grads(lambda: T.tsum(T.mul(T.narrow(x, 5, axis=1), w)), [x])
+        w2 = Tensor(rng.normal(size=(3, 7, 6)))
+        check_grads(lambda: T.tsum(T.mul(T.zero_pad(x, 6, axis=-1), w2)), [x])
+        # the pair as the encoder uses it: trim, compute, pad back
+        w3 = Tensor(rng.normal(size=(3, 7, 4)))
+        check_grads(lambda: T.tsum(T.mul(
+            T.zero_pad(T.gelu(T.narrow(x, 2, axis=1)), 7, axis=1), w3)), [x])
+
+    def test_narrow_and_zero_pad_values(self):
+        x = np.arange(12.0).reshape(3, 4)
+        np.testing.assert_array_equal(T.narrow(Tensor(x), 2, axis=1).data, x[:, :2])
+        padded = T.zero_pad(Tensor(x), 5, axis=0).data
+        np.testing.assert_array_equal(padded[:3], x)
+        np.testing.assert_array_equal(padded[3:], 0.0)
+
+    @pytest.mark.parametrize("seed", range(4))
     def test_max_mean_reductions(self, seed):
         rng = np.random.default_rng(170 + seed)
         x = randt(rng, 5, 7)
@@ -388,9 +415,18 @@ def layer_norm_formula(x, gain, bias, g, eps=1e-5):
             (g * xhat).reshape(-1, n).sum(axis=0), g.reshape(-1, n).sum(axis=0))
 
 
+def sum_in_order(x, axis):
+    """Sum along ``axis`` one element after another, left to right."""
+    keys = np.moveaxis(x, axis, 0)
+    total = keys[0].copy()
+    for key in keys[1:]:
+        total = total + key
+    return np.expand_dims(total, axis)
+
+
 def softmax_formula(x, g, axis=-1):
     e = np.exp(x - x.max(axis=axis, keepdims=True))
-    out = e / e.sum(axis=axis, keepdims=True)
+    out = e / sum_in_order(e, axis)
     dot = (g * out).sum(axis=axis, keepdims=True)
     return out, out * (g - dot)
 
@@ -445,10 +481,12 @@ class TestInPlaceKernels:
         assert_same_bits(bias.grad, leaf_grad(want_gb))
 
     def test_softmax_with_a_fully_masked_row(self, dtype):
+        # 11 keys: numpy's pairwise sum regroups from 8 keys on, so only
+        # then does the in-order key sum differ from it
         T.set_dtype(dtype)
         rng = np.random.default_rng(2)
-        scores = rng.normal(0, 3, size=(2, 3, 5, 6))
-        mask = np.ones((2, 1, 1, 6))
+        scores = rng.normal(0, 3, size=(2, 3, 5, 11))
+        mask = np.ones((2, 1, 1, 11))
         mask[0, 0, 0, 4:] = 0
         mask[1] = 0                          # every key of the second sequence
         x = Tensor(scores + (1.0 - mask) * -1e9, requires_grad=True)
@@ -456,6 +494,8 @@ class TestInPlaceKernels:
         out = T.softmax(x, axis=-1)
         want_out, want_gx = softmax_formula(x.data, g)
         assert_same_bits(out.data, want_out)
+        e = np.exp(x.data - x.data.max(axis=-1, keepdims=True))
+        assert not np.array_equal(out.data, e / e.sum(axis=-1, keepdims=True))
         np.testing.assert_allclose(out.data[1].sum(axis=-1), 1.0, rtol=1e-6)
         out._backward_fn(g)
         assert_same_bits(x.grad, leaf_grad(want_gx))
@@ -515,6 +555,31 @@ class TestInPlaceKernels:
         np.testing.assert_array_equal(table.grad, w + embedding_formula_grad(
             table.data, ids, g))
         np.testing.assert_array_equal(base.grad, table.grad * 2.0)
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_softmax_fuzz_over_the_float_range(dtype):
+    """Seeded rows at magnitudes from 1e-30 to 1e30, with masked keys and
+    rows whose every key is masked: each row sums to 1, and keys of weight
+    zero appended at the end leave every other weight's bits."""
+    T.set_dtype(dtype)
+    rng = np.random.default_rng(41)
+    eps = np.finfo(dtype).eps
+    for trial in range(300):
+        n = int(rng.integers(1, 30))
+        shape = (n,) if trial % 5 == 0 else (int(rng.integers(1, 7)), n)
+        scale = 10.0 ** rng.uniform(-30, 30)
+        mask = rng.random(shape) < 0.7
+        if len(shape) == 2:
+            mask[rng.random(shape[0]) < 0.3] = False          # every key masked
+        x = rng.normal(size=shape) * scale + (1.0 - mask) * -1e9
+        out = T.softmax(Tensor(x), axis=-1).data
+        assert np.isfinite(out).all() and (out >= 0).all() and (out <= 1).all()
+        np.testing.assert_allclose(out.sum(axis=-1), 1.0, rtol=0, atol=4 * n * eps)
+        tail = np.full(shape[:-1] + (int(rng.integers(1, 12)),), np.finfo(dtype).min)
+        longer = T.softmax(Tensor(np.concatenate([x, tail], axis=-1)), axis=-1).data
+        assert (longer[..., n:] == 0).all()
+        assert_same_bits(np.ascontiguousarray(longer[..., :n]), out)
 
 
 # ---------------------------------------------------------------------------
