@@ -10,6 +10,7 @@ import argparse
 import dataclasses
 import itertools
 import json
+import math
 import os
 import sys
 
@@ -167,6 +168,10 @@ def cmd_refine(cfg, out):
     return 0
 
 
+def _finite_or_none(x):
+    return x if math.isfinite(x) else None
+
+
 def cmd_evaluate(cfg, out, checkpoints, dataset_paths, emit_json, emit_csv):
     if not checkpoints:
         raise CliError("evaluate needs at least one --checkpoint")
@@ -183,9 +188,13 @@ def cmd_evaluate(cfg, out, checkpoints, dataset_paths, emit_json, emit_csv):
         label = os.path.splitext(os.path.basename(ck_path))[0]
         for name, instances in datasets:
             report = evaluate(model, vocab, instances, name)
+            # an overflowing candidate scores -inf, which JSON writes as null
+            decisions = [{**d, "score1": _finite_or_none(d["score1"]),
+                          "score2": _finite_or_none(d["score2"])}
+                         for d in report.decisions]
             rows.append({"checkpoint": label, "dataset": name,
                          "count": report.count, "accuracy": report.accuracy,
-                         "decisions": report.decisions})
+                         "decisions": decisions})
     header = ["checkpoint", "dataset", "count", "accuracy"]
     for row in rows:
         print("  ".join(f"{row[h]}" for h in header))

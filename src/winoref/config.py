@@ -180,13 +180,15 @@ def out_dir(cfg, cli_value=None):
 
 
 def write_json_artifact(path, kind, cfg, body):
-    """JSON artifact with embedded config and content hash; deterministic."""
+    """JSON artifact with embedded config and content hash; deterministic.
+    A NaN or infinity anywhere raises ValueError before the file is opened,
+    because strict JSON has no spelling for it."""
     body_hash = "sha256:" + hashlib.sha256(canonical_json(body).encode()).hexdigest()
     doc = {"kind": kind, "config": cfg, "config_hash": config_hash(cfg),
            "content_hash": body_hash, "body": body}
+    text = json.dumps(doc, sort_keys=True, indent=1, allow_nan=False)
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(doc, f, sort_keys=True, indent=1)
-        f.write("\n")
+        f.write(text + "\n")
     return body_hash
 
 

@@ -3,8 +3,8 @@
 Pre-norm architecture: embeddings -> N blocks of (layer-norm, multi-head
 self-attention, residual) and (layer-norm, feed-forward, residual) -> final
 layer norm. The final-layer hidden states form the embedding stack consumed
-by the similarity metric; padded rows are zeroed so downstream code never
-sees pad content.
+by the similarity metric. The layers run on the real tokens only and pad
+rows of the stack are zero, so downstream code never sees pad content.
 """
 
 import copy
@@ -145,27 +145,31 @@ class EmbeddingStack:
                               content_mask=self.content_mask[rows])
 
 
-def _dropout(x, rate, rng, shape):
-    """Inverted dropout. The mask is drawn at ``shape``, the untrimmed shape
-    of ``x``, and cut to ``x``'s, so the random stream and every kept entry
-    do not depend on how far the batch was trimmed."""
+def _dropout(x, rate, rng, shape, index):
+    """Inverted dropout. The mask is drawn at ``shape``, the untrimmed,
+    unpacked shape of ``x``, and ``index`` picks ``x``'s entries from it, so
+    the random stream and every kept entry do not depend on how far the
+    batch was trimmed or how many of its positions are pads."""
     if rate <= 0.0:
         return x
-    drawn = rng.random(shape)[tuple(map(slice, x.data.shape))]
-    keep = (drawn >= rate).astype(x.data.dtype)
+    keep = (rng.random(shape)[index] >= rate).astype(x.data.dtype)
     return T.mul(x, keep / (1.0 - rate))
 
 
-def _attention(h, mask_bias, cfg, p, i, train, rate, rng):
-    B, L, d = h.data.shape
+def _attention(h, trimmed, mask_bias, cfg, p, i, train, rate, rng):
+    """Self-attention over packed rows ``h`` (T, d), the real tokens of the
+    (B, n) mask ``trimmed``. The attention core runs on the (B, H, n, dh)
+    grid: q, k and v are scattered into it, zero at the pad positions, and
+    the context is gathered back."""
+    B, n = trimmed.shape
+    d = h.data.shape[1]
     heads = cfg.heads
     dh = d // heads
 
     def project(w):
-        flat = T.matmul(T.reshape(h, (B * L, d)), p[f"l{i}.attn.{w}"])
-        flat = T.add(flat, p[f"l{i}.attn.{w}_b"])
-        per_head = T.reshape(flat, (B, L, heads, dh))
-        return T.transpose(per_head, (0, 2, 1, 3))  # (B, H, L, dh)
+        flat = T.add(T.matmul(h, p[f"l{i}.attn.{w}"]), p[f"l{i}.attn.{w}_b"])
+        grid = T.reshape(T.scatter_rows(flat, trimmed), (B, n, heads, dh))
+        return T.transpose(grid, (0, 2, 1, 3))  # (B, H, n, dh)
 
     q, k, v = project("wq"), project("wk"), project("wv")
     scores = T.matmul(q, T.transpose(k, (0, 1, 3, 2)))
@@ -173,21 +177,24 @@ def _attention(h, mask_bias, cfg, p, i, train, rate, rng):
     scores = T.add(scores, mask_bias)            # -inf-ish at padded keys
     attn = T.softmax(scores, axis=-1)
     if train:
-        attn = _dropout(attn, rate, rng, (B, heads, cfg.max_len, cfg.max_len))
-    ctx = T.matmul(attn, v)                       # (B, H, L, dh)
-    ctx = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (B * L, d))
-    out = T.add(T.matmul(ctx, p[f"l{i}.attn.wo"]), p[f"l{i}.attn.wo_b"])
-    return T.reshape(out, (B, L, d))
+        attn = _dropout(attn, rate, rng, (B, heads, cfg.max_len, cfg.max_len),
+                        np.s_[:, :, :n, :n])
+    ctx = T.transpose(T.matmul(attn, v), (0, 2, 1, 3))   # (B, n, H, dh)
+    ctx = T.reshape(T.gather_rows(ctx, trimmed), (-1, d))
+    return T.add(T.matmul(ctx, p[f"l{i}.attn.wo"]), p[f"l{i}.attn.wo_b"])
 
 
 def forward_hidden(model, ids, attention_mask, train=False, rng=None):
     """Hidden states for a batch: ids (B, L) ints, attention_mask (B, L) bool.
 
-    Returns a (B, L, model_dim) tensor with padded rows zeroed. The layers
-    run on the first n columns only, n one past the last column any row
-    attends to: a later column is a masked key everywhere, its weight is
-    exactly zero, and its own rows are zeroed at the end. Softmax adds its
-    keys in order, so in eval mode a row's bits do not depend on n either.
+    Returns a (B, L, model_dim) tensor whose pad rows are zero. Every layer
+    but the attention core runs on the T real-token rows of the batch only,
+    packed into one (T, model_dim) stream in row-major order; the final rows
+    are scattered into a zero stack, so pad content never reaches the output.
+    The attention core runs on the first n columns, n one past the last
+    column any row attends to: a later column is a masked key everywhere,
+    and its weight is exactly zero. Softmax adds its keys in order, so in
+    eval mode a row's bits depend neither on n nor on the other rows.
     """
     cfg = model.config
     p = model.params
@@ -202,39 +209,32 @@ def forward_hidden(model, ids, attention_mask, train=False, rng=None):
     rate = cfg.dropout
     full = (B, L, cfg.model_dim)
 
-    mask = np.asarray(attention_mask, dtype=p["tok_emb"].data.dtype).reshape(B, L)
-    n = int(np.flatnonzero(mask.any(axis=0)).max(initial=0)) + 1
-    ids, mask = ids[:, :n], mask[:, :n]
+    real = np.asarray(attention_mask, dtype=bool).reshape(B, L)
+    n = int(np.flatnonzero(real.any(axis=0)).max(initial=0)) + 1
+    trimmed = real[:, :n]
+    mask = trimmed.astype(p["tok_emb"].data.dtype)
     mask_bias = Tensor(((1.0 - mask) * -1e9).reshape(B, 1, 1, n))
 
-    x = T.embedding_lookup(p["tok_emb"], ids)
-    pos = T.reshape(T.narrow(p["pos_emb"], n), (1, n, cfg.model_dim))
-    x = T.add(x, pos)
+    x = T.add(T.embedding_lookup(p["tok_emb"], ids[real]),
+              T.embedding_lookup(p["pos_emb"], np.nonzero(real)[1]))
     if train:
-        x = _dropout(x, rate, rng, full)
+        x = _dropout(x, rate, rng, full, real)
 
     for i in range(cfg.layers):
         h1 = T.layer_norm(x, p[f"l{i}.ln1.g"], p[f"l{i}.ln1.b"], cfg.layer_norm_eps)
-        a = _attention(h1, mask_bias, cfg, p, i, train, rate, rng)
+        a = _attention(h1, trimmed, mask_bias, cfg, p, i, train, rate, rng)
         if train:
-            a = _dropout(a, rate, rng, full)
+            a = _dropout(a, rate, rng, full, real)
         x = T.add(x, a)
         h2 = T.layer_norm(x, p[f"l{i}.ln2.g"], p[f"l{i}.ln2.b"], cfg.layer_norm_eps)
-        flat = T.reshape(h2, (B * n, cfg.model_dim))
-        ff = T.add(T.matmul(flat, p[f"l{i}.ff.w1"]), p[f"l{i}.ff.b1"])
-        ff = T.gelu(ff)
+        ff = T.gelu(T.add(T.matmul(h2, p[f"l{i}.ff.w1"]), p[f"l{i}.ff.b1"]))
         ff = T.add(T.matmul(ff, p[f"l{i}.ff.w2"]), p[f"l{i}.ff.b2"])
-        ff = T.reshape(ff, (B, n, cfg.model_dim))
         if train:
-            ff = _dropout(ff, rate, rng, full)
+            ff = _dropout(ff, rate, rng, full, real)
         x = T.add(x, ff)
 
     x = T.layer_norm(x, p["final_ln.g"], p["final_ln.b"], cfg.layer_norm_eps)
-    # zero pad rows so the stack is invariant to pad content; adding 0.0
-    # turns the -0.0 of a negative entry times 0 into the +0.0 that
-    # zero_pad puts past column n, so a pad row's bits do not depend on n
-    x = T.add(T.mul(x, mask.reshape(B, n, 1)), 0.0)
-    return T.zero_pad(x, L, axis=1)
+    return T.scatter_rows(x, real)
 
 
 def encode_batch(model, rows, train=False, rng=None):

@@ -329,36 +329,57 @@ def take(a, indices, axis=0):
     return _node(np.take(a.data, idx, axis=axis), (a,), bw)
 
 
-def narrow(a, n, axis=0):
-    """The first ``n`` entries of ``a`` along ``axis``, as a view; backward
-    pads the gradient with zeros."""
+def _scatter(rows, keep):
+    """``rows`` placed at the true entries of ``keep``, zeros elsewhere; a
+    reshape, not a copy, when every entry is kept."""
+    kept = np.count_nonzero(keep)
+    if rows.shape[0] != kept:
+        raise ShapeError(f"scatter_rows: {rows.shape[0]} rows for {kept} kept entries")
+    shape = keep.shape + rows.shape[1:]
+    if kept == keep.size:
+        return rows.reshape(shape)
+    out = np.zeros(shape, dtype=rows.dtype)
+    out[keep] = rows
+    return out
+
+
+def _gather(a, keep):
+    """The entries of ``a`` where ``keep`` is true, one row each, in row-major
+    order; a reshape, not a copy, when every entry is kept."""
+    if a.shape[:keep.ndim] != keep.shape:
+        raise ShapeError(f"gather_rows: mask shape {keep.shape} does not lead "
+                         f"{a.shape}")
+    if np.count_nonzero(keep) == keep.size:
+        return a.reshape((keep.size,) + a.shape[keep.ndim:])
+    return a[keep]
+
+
+def gather_rows(a, keep):
+    """The rows of ``a`` at the true entries of the boolean mask ``keep``,
+    which covers ``a``'s leading axes: ``(T,) + a.shape[keep.ndim:]``.
+    Each index is taken once, so the backward is ``scatter_rows``."""
     a = astensor(a)
-    index = (slice(None),) * (axis % a.data.ndim) + (slice(0, n),)
+    keep = np.asarray(keep, dtype=bool)
 
     def bw(g):
         if a.requires_grad:
-            buf = np.zeros_like(a.data)
-            buf[index] = g
-            a._accum(buf)
+            a._accum(_scatter(g, keep))
 
-    return _node(a.data[index], (a,), bw)
+    return _node(_gather(a.data, keep), (a,), bw)
 
 
-def zero_pad(a, n, axis=0):
-    """``a`` extended with zeros to length ``n`` along ``axis``; the inverse
-    of ``narrow``, whose forward is this op's backward."""
+def scatter_rows(a, keep):
+    """The ``T`` rows of ``a`` placed at the true entries of the boolean mask
+    ``keep``, zero rows elsewhere: ``keep.shape + a.shape[1:]``. The inverse
+    of ``gather_rows``, whose forward is this op's backward."""
     a = astensor(a)
-    index = (slice(None),) * (axis % a.data.ndim) + (slice(0, a.data.shape[axis]),)
-    shape = list(a.data.shape)
-    shape[axis] = n
-    out_data = np.zeros(shape, dtype=a.data.dtype)
-    out_data[index] = a.data
+    keep = np.asarray(keep, dtype=bool)
 
     def bw(g):
         if a.requires_grad:
-            a._accum(g[index])
+            a._accum(_gather(g, keep))
 
-    return _node(out_data, (a,), bw)
+    return _node(_scatter(a.data, keep), (a,), bw)
 
 
 def stack(tensors, axis=0):

@@ -72,6 +72,9 @@ def test_acceptance_1_gradient_suite():
         idx = rng.integers(0, 3, size=4)
         safe = T.Tensor(np.where(np.abs(rng.normal(size=(3, 4))) < 0.05, 0.5,
                                  rng.normal(size=(3, 4))), requires_grad=True)
+        keep = np.array([True, False, True])          # not a prefix
+        r24 = randt(rng, 2, 4)
+        w24 = T.Tensor(rng.normal(size=(2, 4)))
         return [
             ("add", lambda: T.tsum(T.mul(T.add(a34, b34), w34)), [a34, b34]),
             ("sub", lambda: T.tsum(T.mul(T.sub(a34, b34), w34)), [a34, b34]),
@@ -91,6 +94,8 @@ def test_acceptance_1_gradient_suite():
             ("cross_entropy", lambda: T.cross_entropy(logits, targets), [logits]),
             ("l2_normalize", lambda: T.tsum(T.mul(T.l2_normalize(a34), w34)), [a34]),
             ("take", lambda: T.tsum(T.mul(T.take(a34, idx, axis=0), w44)), [a34]),
+            ("gather_rows", lambda: T.tsum(T.mul(T.gather_rows(a34, keep), w24)), [a34]),
+            ("scatter_rows", lambda: T.tsum(T.mul(T.scatter_rows(r24, keep), w34)), [r24]),
             ("stack", lambda: T.tsum(T.mul(T.stack([a34, b34], axis=0), w234)),
              [a34, b34]),
             ("max", lambda: T.tsum(T.mul(T.tmax(a34, axis=1), w3)), [a34]),

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -13,7 +14,7 @@ from winoref.checkpoint import (load as load_checkpoint, params_hash,
                                 save as save_checkpoint)
 from winoref.config import load_config
 from winoref.synthetic import make_benchmark, make_perturbation_corpus
-from winoref.text import save_benchmark, save_perturbation_corpus
+from winoref.text import load_benchmark, save_benchmark, save_perturbation_corpus
 
 from conftest import read_csv_artifact
 
@@ -363,6 +364,28 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert str(wide) in err
+
+    def test_report_with_an_overflowing_candidate_is_strict_json(
+            self, pretrained, data_dir, tmp_path):
+        out, cfg_path = pretrained
+        instances = load_benchmark(data_dir / "bench_a.jsonl")
+        # 30 words cannot fit max_len 24: the candidate scores -inf
+        long = dataclasses.replace(instances[0], candidate2=" ".join(["stone"] * 30))
+        save_benchmark(tmp_path / "long.jsonl", [long] + instances[1:])
+        with pytest.warns(UserWarning, match="overflows"):
+            rc = cli.main(["evaluate", "--config", str(cfg_path), "--out", str(tmp_path),
+                           "--checkpoint", str(out / "init.ckpt.json"), "--json",
+                           str(tmp_path / "long.jsonl")])
+        assert rc == 0
+
+        def reject(constant):
+            raise ValueError(f"not JSON: {constant}")
+
+        with open(tmp_path / "eval_report.json", encoding="utf-8") as f:
+            doc = json.load(f, parse_constant=reject)
+        first = doc["body"][0]["decisions"][0]
+        assert first["score2"] is None and first["chosen"] == 1
+        assert isinstance(first["score1"], float)
 
     def test_empty_dataset_list_rejected(self, pretrained, tmp_path, capsys):
         out, cfg_path = pretrained

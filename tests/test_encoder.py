@@ -10,6 +10,7 @@ from winoref.encoder import (ENCODE_CHUNK, EncoderConfig, EncoderModel,
                              mlm_logits_batch, pretrain_mlm)
 from winoref.optim import AdamW
 from winoref.synthetic import make_perturbation_corpus
+from winoref.tensor import Tensor
 from winoref.text import (CLS_ID, FIRST_WORD_ID, MASK_ID, PAD_ID, SEP_ID, UNK_ID,
                           build_vocab, corpus_sentences, row_masks, tokenize)
 
@@ -193,6 +194,117 @@ class TestTrimmedForward:
         want = np.random.default_rng(5)
         want.random(drawn)
         assert stream.random() == want.random()
+
+
+def padded_dropout(x, rate, rng, shape):
+    if rate <= 0.0:
+        return x
+    drawn = rng.random(shape)[tuple(map(slice, x.data.shape))]
+    return T.mul(x, (drawn >= rate).astype(x.data.dtype) / (1.0 - rate))
+
+
+def padded_attention(h, mask_bias, cfg, p, i, train, rate, rng):
+    B, L, d = h.data.shape
+    heads = cfg.heads
+    dh = d // heads
+
+    def project(w):
+        flat = T.matmul(T.reshape(h, (B * L, d)), p[f"l{i}.attn.{w}"])
+        flat = T.add(flat, p[f"l{i}.attn.{w}_b"])
+        return T.transpose(T.reshape(flat, (B, L, heads, dh)), (0, 2, 1, 3))
+
+    q, k, v = project("wq"), project("wk"), project("wv")
+    scores = T.mul(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(dh))
+    attn = T.softmax(T.add(scores, mask_bias), axis=-1)
+    if train:
+        attn = padded_dropout(attn, rate, rng, (B, heads, cfg.max_len, cfg.max_len))
+    ctx = T.reshape(T.transpose(T.matmul(attn, v), (0, 2, 1, 3)), (B * L, d))
+    out = T.add(T.matmul(ctx, p[f"l{i}.attn.wo"]), p[f"l{i}.attn.wo_b"])
+    return T.reshape(out, (B, L, d))
+
+
+def padded_forward_hidden(model, ids, attention_mask, train=False, rng=None):
+    """``forward_hidden`` as it was before packing: every layer runs on all
+    B·n positions of the trimmed batch, the pad rows are zeroed at the end
+    and the stack is padded back to max_len."""
+    cfg, p = model.config, model.params
+    B, L = ids.shape
+    rate, full, d = cfg.dropout, (B, L, cfg.model_dim), cfg.model_dim
+    mask = np.asarray(attention_mask, dtype=p["tok_emb"].data.dtype)
+    n = int(np.flatnonzero(mask.any(axis=0)).max(initial=0)) + 1
+    ids, mask = ids[:, :n], mask[:, :n]
+    mask_bias = Tensor(((1.0 - mask) * -1e9).reshape(B, 1, 1, n))
+
+    pos = T.reshape(T.take(p["pos_emb"], np.arange(n), axis=0), (1, n, d))
+    x = T.add(T.embedding_lookup(p["tok_emb"], ids), pos)
+    if train:
+        x = padded_dropout(x, rate, rng, full)
+    for i in range(cfg.layers):
+        h1 = T.layer_norm(x, p[f"l{i}.ln1.g"], p[f"l{i}.ln1.b"], cfg.layer_norm_eps)
+        a = padded_attention(h1, mask_bias, cfg, p, i, train, rate, rng)
+        if train:
+            a = padded_dropout(a, rate, rng, full)
+        x = T.add(x, a)
+        h2 = T.layer_norm(x, p[f"l{i}.ln2.g"], p[f"l{i}.ln2.b"], cfg.layer_norm_eps)
+        flat = T.reshape(h2, (B * n, d))
+        ff = T.gelu(T.add(T.matmul(flat, p[f"l{i}.ff.w1"]), p[f"l{i}.ff.b1"]))
+        ff = T.add(T.matmul(ff, p[f"l{i}.ff.w2"]), p[f"l{i}.ff.b2"])
+        ff = T.reshape(ff, (B, n, d))
+        if train:
+            ff = padded_dropout(ff, rate, rng, full)
+        x = T.add(x, ff)
+    x = T.layer_norm(x, p["final_ln.g"], p["final_ln.b"], cfg.layer_norm_eps)
+    x = T.add(T.mul(x, mask.reshape(B, n, 1)), 0.0)
+    prefix = np.zeros((B, L), dtype=bool)
+    prefix[:, :n] = True
+    return T.scatter_rows(T.reshape(x, (B * n, d)), prefix)
+
+
+class TestPackedForward:
+    """Packing the real rows changes no bit of any real row and no gradient
+    but the K-sums of the weight matrices'."""
+
+    @pytest.mark.parametrize("dtype, rtol", [("float32", 1e-6), ("float64", 1e-13)])
+    @pytest.mark.parametrize("dropout", [None, 0.0, 0.1],
+                             ids=["eval", "train-dropout-0", "train-dropout-0.1"])
+    @pytest.mark.parametrize("longest", [TRIM_CFG.max_len, 15])
+    def test_matches_the_padded_forward(self, dtype, rtol, dropout, longest):
+        T.set_dtype(dtype)
+        cfg = dataclasses.replace(TRIM_CFG, dropout=dropout or 0.0)
+        rng = np.random.default_rng(longest)
+        lengths = rng.permutation(np.arange(1, longest + 1))
+        ids = np.stack([word_row(rng, n, cfg) for n in lengths])
+        mask = row_masks(ids)[0]
+        mask[np.argmax(lengths), 3] = False        # a mask that is not a prefix
+        rows = rng.choice(np.flatnonzero(mask), size=20, replace=False)
+        targets = rng.integers(0, cfg.vocab_size, size=len(rows))
+
+        runs = []
+        for forward in (forward_hidden, padded_forward_hidden):
+            model = EncoderModel(cfg, seed=12)
+            p = model.params
+            stream = np.random.default_rng(4) if dropout is not None else None
+            hidden = forward(model, ids, mask, train=dropout is not None, rng=stream)
+            picked = T.take(T.reshape(hidden, (-1, cfg.model_dim)), rows, axis=0)
+            logits = T.add(T.matmul(picked, T.transpose(p["tok_emb"], (1, 0))),
+                           p["mlm_bias"])
+            loss = T.cross_entropy(logits, targets)
+            T.backward(loss)
+            runs.append((hidden.numpy(), loss.numpy(),
+                         {name: q.grad for name, q in model.named_params()}))
+        (packed, loss, grads), (padded, want_loss, want_grads) = runs
+
+        assert packed.dtype == np.dtype(dtype)
+        assert packed[mask].tobytes() == padded[mask].tobytes()
+        pads = packed[~mask]
+        assert (pads == 0).all() and not np.signbit(pads).any()
+        assert loss.tobytes() == want_loss.tobytes()
+        for name, want in want_grads.items():
+            if want.ndim == 2 and name not in ("tok_emb", "pos_emb"):
+                err = np.abs(grads[name] - want).max() / np.abs(want).max()
+                assert err <= rtol, f"{name}: {err:.2e}"
+            else:
+                assert grads[name].tobytes() == want.tobytes(), name
 
 
 class TestMlmLogits:

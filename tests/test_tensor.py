@@ -307,24 +307,40 @@ class TestGradChecks:
                                          w3)), [x, y])
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_narrow_and_zero_pad(self, seed):
+    @pytest.mark.parametrize("kept", ["none", "all", "holes"])
+    def test_gather_and_scatter_rows(self, seed, kept):
         rng = np.random.default_rng(200 + seed)
+        keep = {"none": np.zeros((3, 7), dtype=bool), "all": np.ones((3, 7), dtype=bool),
+                "holes": rng.random((3, 7)) < 0.5}[kept]
+        t = int(keep.sum())
         x = randt(rng, 3, 7, 4)
-        w = Tensor(rng.normal(size=(3, 5, 4)))
-        check_grads(lambda: T.tsum(T.mul(T.narrow(x, 5, axis=1), w)), [x])
-        w2 = Tensor(rng.normal(size=(3, 7, 6)))
-        check_grads(lambda: T.tsum(T.mul(T.zero_pad(x, 6, axis=-1), w2)), [x])
-        # the pair as the encoder uses it: trim, compute, pad back
+        w = Tensor(rng.normal(size=(t, 4)))
+        check_grads(lambda: T.tsum(T.mul(T.gather_rows(x, keep), w)), [x])
+        if t:   # no rows to perturb when none is kept; the pair below runs it
+            rows = randt(rng, t, 2, 3)
+            w2 = Tensor(rng.normal(size=(3, 7, 2, 3)))
+            check_grads(lambda: T.tsum(T.mul(T.scatter_rows(rows, keep), w2)), [rows])
+        # the pair as the encoder uses it: pack, compute, unpack
         w3 = Tensor(rng.normal(size=(3, 7, 4)))
         check_grads(lambda: T.tsum(T.mul(
-            T.zero_pad(T.gelu(T.narrow(x, 2, axis=1)), 7, axis=1), w3)), [x])
+            T.scatter_rows(T.gelu(T.gather_rows(x, keep)), keep), w3)), [x])
 
-    def test_narrow_and_zero_pad_values(self):
-        x = np.arange(12.0).reshape(3, 4)
-        np.testing.assert_array_equal(T.narrow(Tensor(x), 2, axis=1).data, x[:, :2])
-        padded = T.zero_pad(Tensor(x), 5, axis=0).data
-        np.testing.assert_array_equal(padded[:3], x)
-        np.testing.assert_array_equal(padded[3:], 0.0)
+    def test_gather_and_scatter_rows_values(self):
+        x = np.arange(24.0).reshape(2, 3, 4)
+        keep = np.array([[True, False, True], [False, False, True]])
+        packed = T.gather_rows(Tensor(x), keep).data
+        np.testing.assert_array_equal(packed, x[[0, 0, 1], [0, 2, 2]])
+        unpacked = T.scatter_rows(Tensor(packed), keep).data
+        np.testing.assert_array_equal(unpacked[keep], packed)
+        assert unpacked[~keep].tobytes() == np.zeros((3, 4)).tobytes()   # +0.0
+        # every row kept: a reshape of the same buffer, no copy
+        full = np.ones((2, 3), dtype=bool)
+        assert np.shares_memory(T.gather_rows(Tensor(x), full).data, x)
+        assert np.shares_memory(T.scatter_rows(Tensor(x[0]), full[0]).data, x)
+        with pytest.raises(T.ShapeError, match="2 rows for 3 kept"):
+            T.scatter_rows(Tensor(packed[:2]), keep)
+        with pytest.raises(T.ShapeError, match="does not lead"):
+            T.gather_rows(Tensor(x), keep.T)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_max_mean_reductions(self, seed):
