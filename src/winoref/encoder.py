@@ -373,26 +373,3 @@ def pretrain_mlm(model, rows, cfg, vocab):
                             "lr": opt.effective_lr(),
                             "loss": loss.item()})
     return history
-
-
-def masked_token_accuracy(model, rows, limit=None, seed=0, batch_size=64):
-    """Fraction of content positions whose token the model recovers when that
-    single position is masked. ``limit`` caps the number of probed positions."""
-    ids = np.stack(rows)
-    row_of, pos_of = np.nonzero(row_masks(ids)[1])
-    if limit is not None and len(row_of) > limit:
-        rng = np.random.default_rng(seed)
-        keep = np.sort(rng.choice(len(row_of), size=limit, replace=False))
-        row_of, pos_of = row_of[keep], pos_of[keep]
-    correct = 0
-    for start in range(0, len(row_of), batch_size):
-        pos = pos_of[start:start + batch_size]
-        chunk = ids[row_of[start:start + batch_size]]
-        at = (np.arange(len(pos)), pos)
-        truth = chunk[at]
-        chunk[at] = MASK_ID
-        with T.no_grad():
-            logits = mlm_logits_batch(model, chunk, row_masks(chunk)[0],
-                                      np.arange(len(pos)) * ids.shape[1] + pos)
-        correct += int((logits.data.argmax(axis=1) == truth).sum())
-    return correct / len(row_of) if len(row_of) else 0.0

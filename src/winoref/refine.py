@@ -8,7 +8,6 @@ other samples generated with the same perturbation type (contrastive), and
 remains classifiable by perturbation type (diversity).
 """
 
-import itertools
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -135,13 +134,15 @@ def pooled_stack(stack):
 
 
 def contrastive_pairs(samples, kinds):
-    """Index arrays (ia, ib) of the ordered row pairs that come from
-    different samples and share a perturbation kind."""
+    """Index arrays (ia, ib), ``ia < ib``, of the row pairs that come from
+    different samples and share a perturbation kind, each unordered pair
+    once. The windowed F1 is symmetric, so a pair scored once at twice the
+    weight (``contrastive_loss``) counts both of its orders."""
     samples = np.asarray(samples)
     kind_ids = np.array([KIND_INDEX[kind] for kind in kinds])
     same = ((kind_ids[:, None] == kind_ids[None, :])
             & (samples[:, None] != samples[None, :]))
-    return np.nonzero(same)
+    return np.nonzero(np.triu(same, 1))
 
 
 def reconstruction_loss(targets, generated, alpha, score_cfg):
@@ -161,13 +162,14 @@ def reconstruction_loss(targets, generated, alpha, score_cfg):
 
 
 def contrastive_loss(stack, pairs, beta, score_cfg):
-    """Weighted sum of the windowed scores of the row pairs ``(ia, ib)`` of
-    one stack, normally ``contrastive_pairs``; minimizing it repels
-    same-type stacks of different samples."""
+    """``2 * beta`` times the sum of the windowed scores of the row pairs
+    ``(ia, ib)`` of one stack, normally the unordered ``contrastive_pairs``.
+    F1 is symmetric, so this is ``beta`` times the sum over both orders of
+    every pair; minimizing it repels same-type stacks of different samples."""
     ia, ib = pairs
     if beta == 0 or len(ia) == 0:
         return Tensor(0.0)
-    return T.mul(T.tsum(windowed_bertscore(stack, stack, ia, ib, score_cfg)), beta)
+    return T.mul(T.tsum(windowed_bertscore(stack, stack, ia, ib, score_cfg)), 2 * beta)
 
 
 def diversity_loss(stack, kinds, disc, gamma, train=False, rng=None):
@@ -237,6 +239,11 @@ def refine(model, disc, groups, weights, cfg, score_cfg, vocab):
         raise ValueError("refinement corpus is empty")
     if not any(g.variants for g in groups):
         raise ValueError("refinement corpus has no perturbation variants")
+    if (weights.alpha == 0 and weights.gamma == 0
+            and min(cfg.batch_size, len(groups)) < 2):
+        raise ValueError(f"only the contrastive loss is weighted, and no batch can "
+                         f"hold the two samples it compares (refine.batch_size "
+                         f"{cfg.batch_size}, {len(groups)} corpus groups)")
 
     rng = np.random.default_rng(cfg.seed)
     opt = AdamW(model.named_params() + disc.named_params(), lr=cfg.lr,
@@ -280,56 +287,3 @@ def refine(model, disc, groups, weights, cfg, score_cfg, vocab):
                             "loss_diversity": loss_d.item(),
                             "loss_total": total.item()})
     return history
-
-
-# ---------------------------------------------------------------------------
-# no-collapse probes
-# ---------------------------------------------------------------------------
-
-
-def pooled_kind_dataset(model, groups, vocab, max_len):
-    """Pooled generated stacks plus kind labels and group positions, eval
-    mode."""
-    pairs, gen_ids, _ = _row_tables(groups, vocab, max_len)
-    feats = pooled_stack(encode(model, gen_ids)).data
-    return (feats, np.array([KIND_INDEX[kind] for _, kind in pairs]),
-            [gi for gi, _ in pairs])
-
-
-def kind_probe_accuracy(feats, labels, seed=0, holdout=0.25, epochs=300, lr=0.5):
-    """Held-out accuracy of a fresh softmax-regression probe predicting the
-    perturbation kind from pooled stacks. Plain numpy, independent of the
-    training tape."""
-    rng = np.random.default_rng(seed)
-    n = len(labels)
-    order = rng.permutation(n)
-    n_test = max(1, int(n * holdout))
-    test, train = order[:n_test], order[n_test:]
-    x = feats - feats.mean(axis=0)
-    scale = x.std(axis=0)
-    x = x / np.where(scale > 0, scale, 1.0)
-    w = np.zeros((feats.shape[1], N_KINDS))
-    b = np.zeros(N_KINDS)
-    y = labels
-    for _ in range(epochs):
-        z = x[train] @ w + b
-        z -= z.max(axis=1, keepdims=True)
-        p = np.exp(z)
-        p /= p.sum(axis=1, keepdims=True)
-        p[np.arange(len(train)), y[train]] -= 1.0
-        w -= lr * (x[train].T @ p / len(train) + 1e-4 * w)
-        b -= lr * p.mean(axis=0)
-    pred = (x[test] @ w + b).argmax(axis=1)
-    return float((pred == y[test]).mean())
-
-
-def min_same_kind_distance(feats, labels, samples):
-    """Smallest L2 distance between pooled stacks of different samples that
-    share a perturbation kind; zero signals sample collapse."""
-    best = np.inf
-    for kind in range(N_KINDS):
-        idx = np.nonzero(labels == kind)[0]
-        for a, b in itertools.combinations(idx, 2):
-            if samples[a] != samples[b]:
-                best = min(best, float(np.linalg.norm(feats[a] - feats[b])))
-    return best

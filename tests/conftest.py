@@ -1,9 +1,13 @@
+import itertools
+
 import numpy as np
 import pytest
 
 import winoref.tensor as T
+from winoref.encoder import encode, mlm_logits_batch
+from winoref.refine import N_KINDS, _row_tables, pooled_stack
 from winoref.synthetic import make_benchmark
-from winoref.text import SchemaInstance
+from winoref.text import KIND_INDEX, MASK_ID, SchemaInstance, row_masks
 
 
 @pytest.fixture(autouse=True)
@@ -81,3 +85,80 @@ def make_null_benchmark(n_instances, seed=0):
         out.append(SchemaInstance(sentence=inst.sentence, candidate1=inst.candidate1,
                                   candidate2=inst.candidate2, label=int(label)))
     return out
+
+
+# ---------------------------------------------------------------------------
+# no-collapse probes: how well a model recovers masked tokens and keeps
+# perturbation kinds and samples apart
+# ---------------------------------------------------------------------------
+
+
+def masked_token_accuracy(model, rows, limit=None, seed=0, batch_size=64):
+    """Fraction of content positions whose token the model recovers when that
+    single position is masked. ``limit`` caps the number of probed positions."""
+    ids = np.stack(rows)
+    row_of, pos_of = np.nonzero(row_masks(ids)[1])
+    if limit is not None and len(row_of) > limit:
+        rng = np.random.default_rng(seed)
+        keep = np.sort(rng.choice(len(row_of), size=limit, replace=False))
+        row_of, pos_of = row_of[keep], pos_of[keep]
+    correct = 0
+    for start in range(0, len(row_of), batch_size):
+        pos = pos_of[start:start + batch_size]
+        chunk = ids[row_of[start:start + batch_size]]
+        at = (np.arange(len(pos)), pos)
+        truth = chunk[at]
+        chunk[at] = MASK_ID
+        with T.no_grad():
+            logits = mlm_logits_batch(model, chunk, row_masks(chunk)[0],
+                                      np.arange(len(pos)) * ids.shape[1] + pos)
+        correct += int((logits.data.argmax(axis=1) == truth).sum())
+    return correct / len(row_of) if len(row_of) else 0.0
+
+
+def pooled_kind_dataset(model, groups, vocab, max_len):
+    """Pooled generated stacks plus kind labels and group positions, eval
+    mode."""
+    pairs, gen_ids, _ = _row_tables(groups, vocab, max_len)
+    feats = pooled_stack(encode(model, gen_ids)).data
+    return (feats, np.array([KIND_INDEX[kind] for _, kind in pairs]),
+            [gi for gi, _ in pairs])
+
+
+def kind_probe_accuracy(feats, labels, seed=0, holdout=0.25, epochs=300, lr=0.5):
+    """Held-out accuracy of a fresh softmax-regression probe predicting the
+    perturbation kind from pooled stacks. Plain numpy, independent of the
+    training tape."""
+    rng = np.random.default_rng(seed)
+    n = len(labels)
+    order = rng.permutation(n)
+    n_test = max(1, int(n * holdout))
+    test, train = order[:n_test], order[n_test:]
+    x = feats - feats.mean(axis=0)
+    scale = x.std(axis=0)
+    x = x / np.where(scale > 0, scale, 1.0)
+    w = np.zeros((feats.shape[1], N_KINDS))
+    b = np.zeros(N_KINDS)
+    y = labels
+    for _ in range(epochs):
+        z = x[train] @ w + b
+        z -= z.max(axis=1, keepdims=True)
+        p = np.exp(z)
+        p /= p.sum(axis=1, keepdims=True)
+        p[np.arange(len(train)), y[train]] -= 1.0
+        w -= lr * (x[train].T @ p / len(train) + 1e-4 * w)
+        b -= lr * p.mean(axis=0)
+    pred = (x[test] @ w + b).argmax(axis=1)
+    return float((pred == y[test]).mean())
+
+
+def min_same_kind_distance(feats, labels, samples):
+    """Smallest L2 distance between pooled stacks of different samples that
+    share a perturbation kind; zero signals sample collapse."""
+    best = np.inf
+    for kind in range(N_KINDS):
+        idx = np.nonzero(labels == kind)[0]
+        for a, b in itertools.combinations(idx, 2):
+            if samples[a] != samples[b]:
+                best = min(best, float(np.linalg.norm(feats[a] - feats[b])))
+    return best

@@ -15,13 +15,11 @@ import pytest
 import winoref.tensor as T
 from winoref import checkpoint as ckpt
 from winoref import cli
-from winoref.encoder import (EncoderConfig, EncoderModel,
-                             masked_token_accuracy)
+from winoref.encoder import EncoderConfig, EncoderModel
 from winoref.evaluate import evaluate, log_probs_at_positions, resolve, score_candidate
 from winoref.refine import (Discriminator, LossWeights, RefinementConfig,
                             contrastive_loss, contrastive_pairs, diversity_loss,
-                            kind_probe_accuracy, min_same_kind_distance,
-                            pooled_kind_dataset, reconstruction_loss)
+                            reconstruction_loss)
 from winoref.scoring import ScoreConfig, windowed_bertscore
 from winoref.synthetic import make_benchmark, make_perturbation_corpus
 from winoref.text import (PERTURBATION_KINDS, SchemaInstance, Vocabulary,
@@ -29,7 +27,9 @@ from winoref.text import (PERTURBATION_KINDS, SchemaInstance, Vocabulary,
                           load_perturbation_corpus, save_benchmark,
                           save_perturbation_corpus, tokenize)
 
-from conftest import (check_grads, finite_difference_grad, make_null_benchmark,
+from conftest import (check_grads, finite_difference_grad, kind_probe_accuracy,
+                      make_null_benchmark, masked_token_accuracy,
+                      min_same_kind_distance, pooled_kind_dataset,
                       read_csv_artifact, rel_err)
 from test_refine import (entries_for, oracle_contrastive, oracle_diversity_eval_mode,
                          oracle_reconstruction, zeroed_discriminator)

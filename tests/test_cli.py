@@ -137,6 +137,27 @@ class TestRefine:
         assert rc != 0
         assert "zero" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("override", ["--refine.batch_size=1", "one-group"])
+    def test_contrastive_loss_without_pairs_rejected_before_training(
+            self, pretrained, data_dir, tmp_path, capsys, override):
+        # only beta is weighted, and no batch holds two samples to compare,
+        # so every step would be a zero loss and a weight-decay-only update
+        out, cfg_path = pretrained
+        if override == "one-group":
+            corpus = tmp_path / "one.jsonl"
+            corpus.write_text((data_dir / "corpus.jsonl").read_text().splitlines()[0]
+                              + "\n")
+            override = f"--paths.corpus={corpus}"
+        run_out = tmp_path / "out"
+        run_out.mkdir()
+        rc = cli.main(["refine", "--config", str(cfg_path), "--out", str(run_out),
+                       "--refine.alpha=0", "--refine.gamma=0", override])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "contrastive" in err
+        assert not any(run_out.iterdir())
+
     def test_target_mode_override(self, pretrained, tmp_path):
         out, cfg_path = pretrained
         rout = tmp_path / "tm"

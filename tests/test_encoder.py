@@ -6,15 +6,14 @@ import pytest
 import winoref.tensor as T
 from winoref.encoder import (ENCODE_CHUNK, EncoderConfig, EncoderModel,
                              PretrainConfig, apply_mlm_masking, encode, encode_batch,
-                             forward_hidden, masked_token_accuracy,
-                             mlm_logits_batch, pretrain_mlm)
+                             forward_hidden, mlm_logits_batch, pretrain_mlm)
 from winoref.optim import AdamW
 from winoref.synthetic import make_perturbation_corpus
 from winoref.tensor import Tensor
 from winoref.text import (CLS_ID, FIRST_WORD_ID, MASK_ID, PAD_ID, SEP_ID, UNK_ID,
                           build_vocab, corpus_sentences, row_masks, tokenize)
 
-from conftest import check_grads
+from conftest import check_grads, masked_token_accuracy
 
 
 @pytest.fixture(scope="module")

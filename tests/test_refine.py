@@ -9,17 +9,17 @@ from winoref.encoder import (EmbeddingStack, EncoderConfig, EncoderModel,
 from winoref.optim import AdamW
 from winoref.refine import (Discriminator, LossWeights, RefinementConfig,
                             contrastive_loss, contrastive_pairs, diversity_loss,
-                            generated_row, kind_probe_accuracy,
-                            min_same_kind_distance, reconstruction_loss, refine,
+                            generated_row, reconstruction_loss, refine,
                             _TERM_BOUND)
-from winoref.scoring import ScoreConfig
+from winoref.scoring import ScoreConfig, windowed_bertscore
 from winoref.synthetic import make_perturbation_corpus
 from winoref.tensor import Tensor
 from winoref.text import (KIND_INDEX, PERTURBATION_KINDS, PerturbationKind,
                           PerturbedGroup, build_vocab, corpus_sentences,
                           load_perturbation_corpus, tokenize)
 
-from test_scoring import batch_of, random_stack
+from conftest import kind_probe_accuracy, min_same_kind_distance
+from test_scoring import batch_of, make_stack, random_stack
 
 # the package attribute ``winoref.refine`` is the function; this is the module
 refine_mod = importlib.import_module("winoref.refine")
@@ -145,6 +145,20 @@ class TestReconstructionLoss:
                                 ScoreConfig())
 
 
+def ordered_contrastive_loss(stack, samples, kinds, beta, score_cfg):
+    """The contrastive loss as it was before each pair was scored once:
+    ``beta`` times the scores of both orders (i, j) and (j, i) of every
+    cross-sample, same-kind pair."""
+    samples = np.asarray(samples)
+    kind_ids = np.array([KIND_INDEX[kind] for kind in kinds])
+    same = ((kind_ids[:, None] == kind_ids[None, :])
+            & (samples[:, None] != samples[None, :]))
+    ia, ib = np.nonzero(same)
+    if beta == 0 or len(ia) == 0:
+        return Tensor(0.0)
+    return T.mul(T.tsum(windowed_bertscore(stack, stack, ia, ib, score_cfg)), beta)
+
+
 class TestContrastiveLoss:
     def test_pairs_are_cross_sample_same_kind(self):
         samples = [0, 0, 1, 1, 2]
@@ -152,8 +166,9 @@ class TestContrastiveLoss:
                  PerturbationKind.TENSE, PerturbationKind.TENSE,
                  PerturbationKind.SYNONYM]
         ia, ib = contrastive_pairs(samples, kinds)
-        want = [(i, j) for i in range(5) for j in range(5)
+        want = [(i, j) for i in range(5) for j in range(i + 1, 5)
                 if samples[i] != samples[j] and kinds[i] == kinds[j]]
+        assert want == [(0, 2), (0, 3), (1, 4)]
         assert list(zip(ia.tolist(), ib.tolist())) == want
 
     def test_single_sample_is_zero(self):
@@ -185,6 +200,33 @@ class TestContrastiveLoss:
         samples, kinds, stack = entries_for(rng, 2)
         pairs = contrastive_pairs(samples, kinds)
         assert contrastive_loss(stack, pairs, 0.0, ScoreConfig()).item() == 0.0
+
+    @pytest.mark.parametrize("dtype,tol", [("float32", 1e-6), ("float64", 1e-12)])
+    def test_matches_the_ordered_pair_loss(self, dtype, tol):
+        # each unordered pair at 2 beta against both orders at beta: the
+        # loss and the gradient of the stack agree to rounding
+        T.set_dtype(dtype)
+        rng = np.random.default_rng(61)
+        for case in range(6):
+            n_samples = int(rng.integers(2, 7))
+            kinds = [PERTURBATION_KINDS[k] for k in rng.integers(0, 3, 4 * n_samples)]
+            samples = np.repeat(np.arange(n_samples), 4)
+            stacks = [make_stack(rng.normal(size=(int(rng.integers(1, 8)), 8))
+                                 + rng.uniform(0.0, 1.5))
+                      for _ in samples]
+            cfg = ScoreConfig(window_radius=int(rng.integers(0, 4)),
+                              alignment=("compact", "raw")[case % 2])
+            ours, theirs = (batch_of(stacks, requires_grad=True) for _ in range(2))
+            got = contrastive_loss(ours, contrastive_pairs(samples, kinds), 0.7, cfg)
+            want = ordered_contrastive_loss(theirs, samples, kinds, 0.7, cfg)
+            T.backward(got)
+            T.backward(want)
+            got, want = got.item(), want.item()
+            got_grad, want_grad = ours.hidden.grad, theirs.hidden.grad
+            assert got_grad.dtype == dtype
+            assert want != 0.0 and np.abs(want_grad).max() > 0
+            assert abs(got - want) <= tol * abs(want)
+            assert np.abs(got_grad - want_grad).max() <= tol * np.abs(want_grad).max()
 
 
 class TestDiversityLoss:

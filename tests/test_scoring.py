@@ -376,3 +376,58 @@ class TestBatchedScore:
         cfg = ScoreConfig(window_radius=1, alignment=alignment)
         check_grads(lambda: T.tsum(T.mul(windowed_bertscore(stack, stack, ia, ib, cfg),
                                          weights)), [stack.hidden])
+
+
+class TestScoreFuzz:
+    """Seeded numpy-only fuzz over the float range: the score is symmetric
+    in its two rows and stays in [0, 1] up to rounding."""
+
+    MAX_LEN = 12
+
+    @classmethod
+    def _fuzz_stack(cls, rng, rows=6, d=4):
+        # each row attends to 1..max_len positions; its content is either
+        # every attended position or the ones between [CLS] and [SEP], so
+        # 1..max_len positions are eligible under either rule. Every token
+        # vector has its own magnitude in 1e-30..1e30, a few are exactly
+        # zero, and pads are zero as the encoder leaves them
+        L = cls.MAX_LEN
+        attention = np.zeros((rows, L), dtype=bool)
+        content = np.zeros((rows, L), dtype=bool)
+        for r in range(rows):
+            m = int(rng.integers(1, L + 1))
+            attention[r, :m] = True
+            content[r, :m] = True
+            if m >= 3 and rng.random() < 0.5:
+                content[r, [0, m - 1]] = False
+        hidden = rng.normal(size=(rows, L, d)) * 10.0 ** rng.uniform(-30, 30, (rows, L, 1))
+        hidden[rng.random((rows, L)) < 0.05] = 0.0
+        hidden[~attention] = 0.0
+        # a repeated row pairs a row with its own copy
+        hidden[-1], attention[-1], content[-1] = hidden[0], attention[0], content[0]
+        return EmbeddingStack(hidden=Tensor(hidden), attention_mask=attention,
+                              content_mask=content)
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_symmetric_and_in_unit_interval(self, dtype):
+        T.set_dtype(dtype)
+        eps = np.finfo(dtype).eps
+        rng = np.random.default_rng(60)
+        for case in range(25):
+            stack = self._fuzz_stack(rng)
+            assert stack.hidden.data.dtype == dtype
+            n = stack.hidden.shape[0]
+            ia, ib = (g.ravel() for g in np.meshgrid(np.arange(n), np.arange(n)))
+            for alignment in ("compact", "raw"):
+                for include_special in (False, True):
+                    for radius in range(4):
+                        cfg = ScoreConfig(window_radius=radius, alignment=alignment,
+                                          include_special=include_special)
+                        scores = windowed_bertscore(stack, stack, ia, ib, cfg).data
+                        where = f"case {case}, {cfg}"
+                        assert np.isfinite(scores).all(), where
+                        # a row against its equal rounds up to 2 ulps above 1
+                        assert ((scores >= 0.0) & (scores <= 1.0 + 4 * eps)).all(), \
+                            f"{where}: range {scores.min()}..{scores.max()}"
+                        swapped = scores.reshape(n, n).T.ravel()
+                        assert np.abs(scores - swapped).max() <= 4 * eps, where
