@@ -156,22 +156,25 @@ def _dropout(x, rate, rng, shape, index):
     return T.mul(x, keep / (1.0 - rate))
 
 
-def _attention(h, trimmed, mask_bias, cfg, p, i, train, rate, rng):
+def _attention(h, queries, trimmed, mask_bias, cfg, p, i, train, rate, rng):
     """Self-attention over packed rows ``h`` (T, d), the real tokens of the
-    (B, n) mask ``trimmed``. The attention core runs on the (B, H, n, dh)
-    grid: q, k and v are scattered into it, zero at the pad positions, and
-    the context is gathered back."""
+    (B, n) mask ``trimmed``, for the query rows at the true entries of
+    ``queries``, a subset of them. The attention core runs on the
+    (B, H, n, dh) grid: q, k and v are scattered into it, zero at the
+    positions they do not cover, and the context is gathered back at the
+    query rows."""
     B, n = trimmed.shape
     d = h.data.shape[1]
     heads = cfg.heads
     dh = d // heads
 
-    def project(w):
-        flat = T.add(T.matmul(h, p[f"l{i}.attn.{w}"]), p[f"l{i}.attn.{w}_b"])
-        grid = T.reshape(T.scatter_rows(flat, trimmed), (B, n, heads, dh))
+    def project(w, rows, keep):
+        flat = T.linear(rows, p[f"l{i}.attn.{w}"], p[f"l{i}.attn.{w}_b"])
+        grid = T.reshape(T.scatter_rows(flat, keep), (B, n, heads, dh))
         return T.transpose(grid, (0, 2, 1, 3))  # (B, H, n, dh)
 
-    q, k, v = project("wq"), project("wk"), project("wv")
+    q = project("wq", _pick(h, queries[trimmed]), queries)
+    k, v = project("wk", h, trimmed), project("wv", h, trimmed)
     scores = T.matmul(q, T.transpose(k, (0, 1, 3, 2)))
     scores = T.mul(scores, 1.0 / np.sqrt(dh))
     scores = T.add(scores, mask_bias)            # -inf-ish at padded keys
@@ -180,11 +183,17 @@ def _attention(h, trimmed, mask_bias, cfg, p, i, train, rate, rng):
         attn = _dropout(attn, rate, rng, (B, heads, cfg.max_len, cfg.max_len),
                         np.s_[:, :, :n, :n])
     ctx = T.transpose(T.matmul(attn, v), (0, 2, 1, 3))   # (B, n, H, dh)
-    ctx = T.reshape(T.gather_rows(ctx, trimmed), (-1, d))
-    return T.add(T.matmul(ctx, p[f"l{i}.attn.wo"]), p[f"l{i}.attn.wo_b"])
+    ctx = T.reshape(T.gather_rows(ctx, queries), (-1, d))
+    return T.linear(ctx, p[f"l{i}.attn.wo"], p[f"l{i}.attn.wo_b"])
 
 
-def forward_hidden(model, ids, attention_mask, train=False, rng=None):
+def _pick(x, sel):
+    """The packed rows of ``x`` that the boolean ``sel`` picks; ``x`` itself
+    when it picks them all."""
+    return x if sel.all() else T.gather_rows(x, sel)
+
+
+def forward_hidden(model, ids, attention_mask, train=False, rng=None, rows=None):
     """Hidden states for a batch: ids (B, L) ints, attention_mask (B, L) bool.
 
     Returns a (B, L, model_dim) tensor whose pad rows are zero. Every layer
@@ -195,6 +204,12 @@ def forward_hidden(model, ids, attention_mask, train=False, rng=None):
     column any row attends to: a later column is a masked key everywhere,
     and its weight is exactly zero. Softmax adds its keys in order, so in
     eval mode a row's bits depend neither on n nor on the other rows.
+
+    ``rows``, flat indices into the B*L positions (row-major), are the rows
+    the caller reads; None reads them all. The last block needs every real
+    row for its keys and values only, so its queries and all its row-wise
+    work after the attention core run on the real rows among ``rows``, and
+    every other row of the result is zero, like a pad row.
     """
     cfg = model.config
     p = model.params
@@ -210,31 +225,45 @@ def forward_hidden(model, ids, attention_mask, train=False, rng=None):
     full = (B, L, cfg.model_dim)
 
     real = np.asarray(attention_mask, dtype=bool).reshape(B, L)
+    out = real
+    if rows is not None:
+        out = np.zeros(B * L, dtype=bool)
+        out[rows] = True
+        out = real & out.reshape(B, L)
     n = int(np.flatnonzero(real.any(axis=0)).max(initial=0)) + 1
     trimmed = real[:, :n]
     mask = trimmed.astype(p["tok_emb"].data.dtype)
     mask_bias = Tensor(((1.0 - mask) * -1e9).reshape(B, 1, 1, n))
 
-    x = T.add(T.embedding_lookup(p["tok_emb"], ids[real]),
-              T.embedding_lookup(p["pos_emb"], np.nonzero(real)[1]))
+    # the position rows are added on the (B, L, d) grid: the backward sums
+    # its batch axis in order, the bits np.add.at gives over the packed rows
+    x = T.add(T.scatter_rows(T.embedding_lookup(p["tok_emb"], ids[real]), real),
+              p["pos_emb"])
+    x = T.gather_rows(x, real)
     if train:
         x = _dropout(x, rate, rng, full, real)
 
     for i in range(cfg.layers):
+        # the last block runs on the rows the caller reads; its keys and
+        # values still come from every real row
+        keep = out if i == cfg.layers - 1 else real
         h1 = T.layer_norm(x, p[f"l{i}.ln1.g"], p[f"l{i}.ln1.b"], cfg.layer_norm_eps)
-        a = _attention(h1, trimmed, mask_bias, cfg, p, i, train, rate, rng)
+        a = _attention(h1, keep[:, :n], trimmed, mask_bias, cfg, p, i,
+                       train, rate, rng)
         if train:
-            a = _dropout(a, rate, rng, full, real)
-        x = T.add(x, a)
+            a = _dropout(a, rate, rng, full, keep)
+        x = T.add(_pick(x, keep[real]), a)
         h2 = T.layer_norm(x, p[f"l{i}.ln2.g"], p[f"l{i}.ln2.b"], cfg.layer_norm_eps)
-        ff = T.gelu(T.add(T.matmul(h2, p[f"l{i}.ff.w1"]), p[f"l{i}.ff.b1"]))
-        ff = T.add(T.matmul(ff, p[f"l{i}.ff.w2"]), p[f"l{i}.ff.b2"])
+        ff = T.gelu(T.linear(h2, p[f"l{i}.ff.w1"], p[f"l{i}.ff.b1"]))
+        ff = T.linear(ff, p[f"l{i}.ff.w2"], p[f"l{i}.ff.b2"])
         if train:
-            ff = _dropout(ff, rate, rng, full, real)
+            ff = _dropout(ff, rate, rng, full, keep)
         x = T.add(x, ff)
 
+    if not cfg.layers:
+        x = _pick(x, out[real])    # with no block, the final norm narrows
     x = T.layer_norm(x, p["final_ln.g"], p["final_ln.b"], cfg.layer_norm_eps)
-    return T.scatter_rows(x, real)
+    return T.scatter_rows(x, out)
 
 
 def encode_batch(model, rows, train=False, rng=None):
@@ -280,20 +309,21 @@ def mlm_logits_batch(model, ids, attention_mask, rows, train=False, rng=None):
     """Vocabulary logits at the given rows, (len(rows), V).
 
     ``rows`` are flat indices into the B*L positions of ``ids`` (row-major,
-    so position j of sequence b is b*L + j). Only those hidden rows go
-    through the head, so the (d, V) projection and its backward cost R rows,
-    not B*L.
+    so position j of sequence b is b*L + j). The forward runs its last
+    block on those rows only, and only they go through the head, so the
+    (d, V) projection and its backward cost R rows, not B*L.
     """
     rows = _check_rows(rows, np.size(ids))
     cfg = model.config
-    hidden = forward_hidden(model, ids, attention_mask, train=train, rng=rng)
+    hidden = forward_hidden(model, ids, attention_mask, train=train, rng=rng,
+                            rows=rows)
     B, L, d = hidden.data.shape
     picked = T.take(T.reshape(hidden, (B * L, d)), rows, axis=0)
     if cfg.tie_mlm_head:
         w = T.transpose(model.params["tok_emb"], (1, 0))
     else:
         w = model.params["mlm_w"]
-    return T.add(T.matmul(picked, w), model.params["mlm_bias"])
+    return T.linear(picked, w, model.params["mlm_bias"])
 
 
 @dataclass

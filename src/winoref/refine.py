@@ -101,7 +101,7 @@ class Discriminator:
     def forward(self, x, train=False, rng=None):
         """x: (M, input_dim) tensor -> (M, n_kinds) logits."""
         p = self.params
-        h = T.add(T.matmul(x, p["w1"]), p["b1"])
+        h = T.linear(x, p["w1"], p["b1"])
         if train:
             mu = T.tmean(h, axis=0)
             centered = T.sub(h, mu)
@@ -120,7 +120,7 @@ class Discriminator:
         if train and self.dropout > 0:
             keep = (rng.random(h.data.shape) >= self.dropout).astype(h.data.dtype)
             h = T.mul(h, keep / (1.0 - self.dropout))
-        return T.add(T.matmul(h, p["w2"]), p["b2"])
+        return T.linear(h, p["w2"], p["b2"])
 
 
 def pooled_stack(stack):

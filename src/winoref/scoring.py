@@ -47,8 +47,9 @@ def windowed_bertscore(a, b, ia, ib, cfg):
 
     Positions whose window contains no eligible partner contribute 0. As
     in BERTScore, F1 is defined only for positive precision and recall: a
-    pair with P <= 0 or R <= 0 scores 0 and passes no gradient, so every
-    score lies in [0, 1].
+    pair with P <= 0 or R <= 0 scores 0 and passes no gradient. F1 is
+    clamped to 1, which a row scored against its equal exceeds by rounding,
+    so every score lies in [0, 1].
     """
     ia = np.asarray(ia, dtype=np.int64)
     ib = np.asarray(ib, dtype=np.int64)
@@ -79,8 +80,10 @@ def windowed_bertscore(a, b, ia, ib, cfg):
     recall = T.tsum(T.mul(T.tmax(masked, axis=1), col_w), axis=1)
 
     # a pair with P <= 0 or R <= 0 is scaled by 0 over a denominator
-    # shifted to 1: F1 0, no gradient; every other F1 is in (0, 1]
+    # shifted to 1: F1 0, no gradient. A row against its equal rounds up to
+    # 2 ulps above 1 (its cosines with itself do), so F1 is clamped to 1
     total = precision.data + recall.data
     ok = (precision.data > 0) & (recall.data > 0)
-    return T.div(T.mul(T.mul(precision, recall), np.where(ok, 2.0, 0.0)),
-                 T.add(T.add(precision, recall), np.where(ok, 0.0, 1.0 - total)))
+    f1 = T.div(T.mul(T.mul(precision, recall), np.where(ok, 2.0, 0.0)),
+               T.add(T.add(precision, recall), np.where(ok, 0.0, 1.0 - total)))
+    return T.clip(f1, 0.0, 1.0)

@@ -469,6 +469,28 @@ def matmul(a, b):
     return _node(out_data, (a, b), bw)
 
 
+def linear(x, w, b):
+    """``x @ w + b`` for rows ``x`` (N, k), weights ``w`` (k, m) and bias
+    ``b`` (m,), as one node: the bits of ``add(matmul(x, w), b)``."""
+    x, w, b = astensor(x), astensor(w), astensor(b)
+    if (x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[0]
+            or b.data.shape != (w.data.shape[1],)):
+        raise ShapeError(f"linear: shapes {x.data.shape}, {w.data.shape} and "
+                         f"{b.data.shape} not conformable")
+    out_data = x.data @ w.data
+    out_data += b.data
+
+    def bw(g):
+        if x.requires_grad:
+            x._accum(g @ w.data.T)
+        if w.requires_grad:
+            w._accum(x.data.T @ g)
+        if b.requires_grad:
+            b._accum(g.sum(axis=0))
+
+    return _node(out_data, (x, w, b), bw)
+
+
 def _sum_in_order(x, axis):
     """Sum along ``axis`` one element after another, keeping the axis.
 

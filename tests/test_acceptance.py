@@ -58,6 +58,7 @@ def test_acceptance_1_gradient_suite():
         pos = T.Tensor(rng.uniform(0.3, 2.0, size=(3, 4)), requires_grad=True)
         m1 = randt(rng, 3, 4)
         m2 = randt(rng, 4, 2)
+        b2 = randt(rng, 2)
         w32 = T.Tensor(rng.normal(size=(3, 2)))
         emb = randt(rng, 7, 4)
         ids = rng.integers(0, 7, size=(2, 5))
@@ -84,6 +85,7 @@ def test_acceptance_1_gradient_suite():
             ("relu", lambda: T.tsum(T.mul(T.relu(safe), w34)), [safe]),
             ("clip", lambda: T.tsum(T.mul(T.clip(safe, -1.2, 1.2), w34)), [safe]),
             ("matmul", lambda: T.tsum(T.mul(T.matmul(m1, m2), w32)), [m1, m2]),
+            ("linear", lambda: T.tsum(T.mul(T.linear(m1, m2, b2), w32)), [m1, m2, b2]),
             ("softmax", lambda: T.tsum(T.mul(T.softmax(a34, axis=-1), w34)), [a34]),
             ("logsumexp", lambda: T.tsum(T.mul(T.logsumexp(a34, axis=-1), w3)), [a34]),
             ("layer_norm", lambda: T.tsum(T.mul(T.layer_norm(a34, g8, b8), w34)),

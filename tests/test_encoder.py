@@ -306,6 +306,29 @@ class TestPackedForward:
                 assert grads[name].tobytes() == want.tobytes(), name
 
 
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_position_gradient_is_the_add_at_sum(dtype):
+    # every real position holds its own token id, so the token table's
+    # gradient rows are the gradient of the packed embedding rows; the
+    # position table's gradient must be their np.add.at sum, bit for bit
+    T.set_dtype(dtype)
+    cfg = dataclasses.replace(TRIM_CFG, vocab_size=200)
+    rng = np.random.default_rng(3)
+    mask = rng.random((6, cfg.max_len)) < 0.6
+    mask[:, 0] = True
+    ids = np.full(mask.shape, PAD_ID, dtype=np.int64)
+    ids[mask] = rng.permutation(np.arange(FIRST_WORD_ID, cfg.vocab_size))[:mask.sum()]
+    model = EncoderModel(cfg, seed=13)
+    p = model.params
+    hidden = forward_hidden(model, ids, mask, train=True, rng=np.random.default_rng(6))
+    weights = rng.normal(size=hidden.shape).astype(dtype)
+    T.backward(T.tsum(T.mul(hidden, weights)))
+    want = np.zeros_like(p["pos_emb"].data)
+    np.add.at(want, np.nonzero(mask)[1], p["tok_emb"].grad[ids[mask]])
+    assert p["pos_emb"].grad.dtype == dtype
+    assert p["pos_emb"].grad.tobytes() == want.tobytes()
+
+
 class TestMlmLogits:
     def test_softmax_normalized_everywhere(self, small_setup):
         vocab, cfg, model, seqs = small_setup
@@ -447,6 +470,135 @@ class TestHeadRows:
         for name, param in model.named_params():
             np.testing.assert_allclose(param.data, p[name].data, rtol=0, atol=1e-9,
                                        err_msg=name)
+
+
+def full_stack_logits(model, ids, mask, rows, train=False, rng=None):
+    """Logits at ``rows`` from a forward that runs every row through the
+    last block, then the head over the picked rows."""
+    p = model.params
+    hidden = forward_hidden(model, ids, mask, train=train, rng=rng)
+    picked = T.take(T.reshape(hidden, (-1, model.config.model_dim)), rows, axis=0)
+    return T.linear(picked, T.transpose(p["tok_emb"], (1, 0)), p["mlm_bias"])
+
+
+def asked_batch(cfg):
+    """Rows of 9, 24 and 13 tokens, then an all-pad row: (ids, mask)."""
+    rng = np.random.default_rng(21)
+    ids = np.stack([word_row(rng, n, cfg) for n in (9, 24, 13)]
+                   + [np.full(cfg.max_len, PAD_ID, dtype=np.int64)])
+    return ids, row_masks(ids)[0]
+
+
+L_TRIM = TRIM_CFG.max_len
+ASKED_ROWS = {
+    # unsorted and repeated, with a pad row and two of the all-pad sequence
+    "unsorted-repeated": [2 * L_TRIM + 3, 5, L_TRIM + 1, 5, 0, 2 * L_TRIM + 3,
+                          L_TRIM + 7, 3 * L_TRIM - 1, 3 * L_TRIM, 4 * L_TRIM - 1],
+    "one-real-row": [L_TRIM + 4],
+    "no-real-row": [12, 3 * L_TRIM, 3 * L_TRIM + 5, 2 * L_TRIM + 20],
+    "every-row": list(range(4 * L_TRIM)),
+}
+
+
+@pytest.mark.parametrize("dtype, rtol", [("float32", 1e-5), ("float64", 1e-12)])
+class TestAskedRows:
+    """The last block runs on the rows the caller reads; they come out as
+    the full stack gives them, and every other row is zero."""
+
+    @pytest.mark.parametrize("layers", [2, 0])
+    @pytest.mark.parametrize("train", [False, True], ids=["eval", "train"])
+    @pytest.mark.parametrize("rows", list(ASKED_ROWS.values()), ids=list(ASKED_ROWS))
+    def test_logits_match_the_full_stack(self, dtype, rtol, train, rows, layers):
+        T.set_dtype(dtype)
+        cfg = dataclasses.replace(TRIM_CFG, layers=layers)
+        ids, mask = asked_batch(cfg)
+        rows = np.array(rows)
+        model = EncoderModel(cfg, seed=5)
+        model.params["mlm_bias"].data = np.random.default_rng(5).normal(
+            0, 0.1, size=cfg.vocab_size).astype(dtype)
+        streams = [np.random.default_rng(4) if train else None for _ in range(3)]
+        with T.no_grad():
+            got = mlm_logits_batch(model, ids, mask, rows, train=train,
+                                   rng=streams[0]).numpy()
+            want = full_stack_logits(model, ids, mask, rows, train=train,
+                                     rng=streams[1]).numpy()
+            hidden = forward_hidden(model, ids, mask, train=train, rng=streams[2],
+                                    rows=rows).numpy().reshape(-1, cfg.model_dim)
+        assert got.shape == (len(rows), cfg.vocab_size) and got.dtype == dtype
+        assert np.abs(got - want).max() <= rtol * np.abs(want).max()
+        asked = np.zeros(len(hidden), dtype=bool)
+        asked[rows] = True
+        asked &= mask.reshape(-1)
+        assert (hidden[~asked] == 0).all() and not np.signbit(hidden[~asked]).any()
+        assert (hidden[asked] != 0).any(axis=-1).all()
+
+    def test_rng_state_does_not_depend_on_rows(self, dtype, rtol):
+        T.set_dtype(dtype)
+        ids, mask = asked_batch(TRIM_CFG)
+        model = EncoderModel(TRIM_CFG, seed=6)
+        states = []
+        for rows in (None, np.array(ASKED_ROWS["unsorted-repeated"])):
+            stream = np.random.default_rng(8)
+            forward_hidden(model, ids, mask, train=True, rng=stream, rows=rows)
+            states.append(stream.bit_generator.state)
+        assert states[0] == states[1]
+
+    def test_first_pretrain_step_moves_only_the_last_weight_sums(self, dtype, rtol,
+                                                                   small_setup):
+        # loss and gradients of the first pretrain step against the path that
+        # runs every row through the last block: only the last block's
+        # wq, wo, ff.w1 and ff.w2 gradients sum over fewer rows. At the
+        # quickstart's size: OpenBLAS multiplies by a transposed matrix with
+        # a kernel whose row bits depend on the row count when it has only a
+        # few dozen rows, as in eval, and not at a pretrain batch's 100 or so
+        T.set_dtype(dtype)
+        vocab, _, _, seqs = small_setup
+        cfg = EncoderConfig(layers=2, heads=4, model_dim=96, ff_dim=256, max_len=24,
+                            vocab_size=len(vocab), dropout=0.1)
+        batch = np.stack(seqs[:32])
+        corrupted, flat_idx, targets = apply_mlm_masking(
+            batch, vocab, 0.3, np.random.default_rng(4))
+        assert flat_idx.size >= 64
+        mask = row_masks(batch)[0]
+        runs = []
+        for logits_of in (mlm_logits_batch, full_stack_logits):
+            model = EncoderModel(cfg, seed=9)
+            logits = logits_of(model, corrupted, mask, flat_idx, train=True,
+                               rng=np.random.default_rng(5))
+            loss = T.cross_entropy(logits, targets)
+            T.backward(loss)
+            runs.append((loss.numpy(), {n: p.grad for n, p in model.named_params()}))
+        (loss, grads), (want_loss, want_grads) = runs
+        assert loss.dtype == dtype and loss.tobytes() == want_loss.tobytes()
+        last = cfg.layers - 1
+        summed = {f"l{last}.attn.wq", f"l{last}.attn.wo", f"l{last}.ff.w1",
+                  f"l{last}.ff.w2"}
+        for name, want in want_grads.items():
+            if name in summed:
+                err = np.abs(grads[name] - want).max() / np.abs(want).max()
+                assert err <= rtol, f"{name}: {err:.2e}"
+            else:
+                assert grads[name].tobytes() == want.tobytes(), name
+
+    def test_last_block_gelu_sees_the_asked_rows(self, dtype, rtol, monkeypatch):
+        T.set_dtype(dtype)
+        ids, mask = asked_batch(TRIM_CFG)
+        rows = np.array(ASKED_ROWS["unsorted-repeated"])
+        seen = []
+        gelu = T.gelu
+
+        def spy(x):
+            seen.append(x.data.shape[0])
+            return gelu(x)
+
+        monkeypatch.setattr(T, "gelu", spy)
+        model = EncoderModel(TRIM_CFG, seed=7)
+        mlm_logits_batch(model, ids, mask, rows, train=True,
+                         rng=np.random.default_rng(1))
+        real = mask.reshape(-1)
+        asked = np.unique(rows[real[rows]]).size
+        assert asked == 5
+        assert seen == [int(real.sum())] * (TRIM_CFG.layers - 1) + [asked]
 
 
 class TestMasking:

@@ -106,6 +106,14 @@ class TestBasics:
             T.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 5))))
         assert "(2, 3)" in str(e.value) and "(4, 5)" in str(e.value)
 
+    @pytest.mark.parametrize("shapes", [((2, 3), (4, 5), (5,)), ((2, 3), (3, 5), (4,)),
+                                        ((2, 2, 3), (3, 5), (5,))],
+                             ids=["inner", "bias", "3-d"])
+    def test_linear_shape_error_names_all_shapes(self, shapes):
+        with pytest.raises(T.ShapeError) as e:
+            T.linear(*(Tensor(np.ones(s)) for s in shapes))
+        assert all(str(s) in str(e.value) for s in shapes)
+
     def test_add_shape_error_names_both_shapes(self):
         with pytest.raises(T.ShapeError) as e:
             T.add(Tensor(np.ones((2, 3))), Tensor(np.ones((4,))))
@@ -197,6 +205,13 @@ class TestGradChecks:
         a, b = randt(rng, 3, 4), randt(rng, 4, 2)
         w = Tensor(rng.normal(size=(3, 2)))
         check_grads(lambda: T.tsum(T.mul(T.matmul(a, b), w)), [a, b])
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_linear(self, seed):
+        rng = np.random.default_rng(55 + seed)
+        x, w, b = randt(rng, 3, 4), randt(rng, 4, 2), randt(rng, 2)
+        g = Tensor(rng.normal(size=(3, 2)))
+        check_grads(lambda: T.tsum(T.mul(T.linear(x, w, b), g)), [x, w, b])
 
     @pytest.mark.parametrize("seed", range(4))
     def test_matmul_batched(self, seed):
@@ -527,6 +542,20 @@ class TestInPlaceKernels:
         assert_same_bits(out.data, want_out)
         out._backward_fn(g)
         assert_same_bits(logits.grad, leaf_grad(want_gx))
+
+    def test_linear_is_the_add_of_a_matmul(self, dtype):
+        T.set_dtype(dtype)
+        rng = np.random.default_rng(14)
+        arrays = [rng.normal(size=s).astype(dtype) for s in ((70, 24), (24, 16), (16,))]
+        g = rng.normal(size=(70, 16)).astype(dtype)
+        runs = []
+        for op in (T.linear, lambda x, w, b: T.add(T.matmul(x, w), b)):
+            leaves = [Tensor(a, requires_grad=True) for a in arrays]
+            out = op(*leaves)
+            T.backward(T.tsum(T.mul(out, g)))
+            runs.append([out.data] + [t.grad for t in leaves])
+        for got, want in zip(*runs):
+            assert_same_bits(got, want)
 
     def test_embedding_lookup_with_repeated_ids(self, dtype):
         T.set_dtype(dtype)
