@@ -47,11 +47,17 @@ def _load_corpus(path):
 
 
 def _load_datasets(paths):
-    datasets = []
+    """``(name, instances)`` per benchmark file, named by its base name,
+    which must be unique: reports key their accuracies by it."""
+    datasets, seen = [], {}
     for path in paths:
         if not os.path.exists(path):
             raise CliError(f"benchmark file not found: {path}")
         name = os.path.splitext(os.path.basename(path))[0]
+        if name in seen:
+            raise CliError(f"benchmark files {seen[name]} and {path} share the "
+                           f"dataset name {name!r}")
+        seen[name] = path
         datasets.append((name, load_benchmark(path)))
     return datasets
 

@@ -109,6 +109,9 @@ class EncoderModel:
         return {name: p.data for name, p in self.params.items()}
 
     def load_arrays(self, named):
+        extra = sorted(set(named) - set(self.params))
+        if extra:
+            raise ValueError(f"checkpoint has parameters the model does not: {extra}")
         for name, p in self.params.items():
             if name not in named:
                 raise ValueError(f"checkpoint missing parameter {name!r}")
@@ -178,7 +181,7 @@ def _attention(h, queries, trimmed, mask_bias, cfg, p, i, train, rate, rng):
     scores = T.matmul(q, T.transpose(k, (0, 1, 3, 2)))
     scores = T.mul(scores, 1.0 / np.sqrt(dh))
     scores = T.add(scores, mask_bias)            # -inf-ish at padded keys
-    attn = T.softmax(scores, axis=-1)
+    attn = T.softmax(scores)
     if train:
         attn = _dropout(attn, rate, rng, (B, heads, cfg.max_len, cfg.max_len),
                         np.s_[:, :, :n, :n])
@@ -318,7 +321,7 @@ def mlm_logits_batch(model, ids, attention_mask, rows, train=False, rng=None):
     hidden = forward_hidden(model, ids, attention_mask, train=train, rng=rng,
                             rows=rows)
     B, L, d = hidden.data.shape
-    picked = T.take(T.reshape(hidden, (B * L, d)), rows, axis=0)
+    picked = T.take(T.reshape(hidden, (B * L, d)), rows)
     if cfg.tie_mlm_head:
         w = T.transpose(model.params["tok_emb"], (1, 0))
     else:

@@ -31,18 +31,17 @@ class EvalReport:
     decisions: list = field(default_factory=list)
 
 
-def log_probs_at_positions(logits, positions, token_ids):
-    """Log softmax probabilities of given tokens at given rows of a
-    (length, vocab) logit matrix.
+def log_probs_at_positions(logits, token_ids):
+    """Log softmax probability of ``token_ids[i]`` in row ``i`` of a
+    (len(token_ids), vocab) logit matrix.
 
     Computed as log of the explicit (max-shifted) softmax so the value is
     bit-identical to enumerating the full distribution.
     """
-    rows = logits[positions]
-    m = rows.max(axis=1, keepdims=True)
-    e = np.exp(rows - m)
+    m = logits.max(axis=1, keepdims=True)
+    e = np.exp(logits - m)
     probs = e / e.sum(axis=1, keepdims=True)
-    return np.log(probs[np.arange(len(positions)), token_ids])
+    return np.log(probs[np.arange(len(token_ids)), token_ids])
 
 
 def _masked_ids(instance, which, vocab, max_len):
@@ -84,7 +83,7 @@ def score_candidate(model, vocab, instance, which):
     with T.no_grad():
         logits = mlm_logits_batch(model, ids[None, :], row_masks(ids)[0][None, :],
                                   positions)
-    logp = log_probs_at_positions(logits.data, np.arange(len(positions)), cand_ids)
+    logp = log_probs_at_positions(logits.data, cand_ids)
     return CandidateScore(index=which, avg_log_prob=float(logp.mean()),
                           n_tokens=len(cand_ids))
 

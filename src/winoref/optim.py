@@ -39,9 +39,9 @@ class AdamW:
             if buf is None or buf.shape[1] < p.data.size:
                 self._scratch[p.data.dtype] = np.empty((2, p.data.size), p.data.dtype)
 
-    def effective_lr(self, step=None):
-        """Learning rate at a given step count (defaults to the current one)."""
-        t = self.step_count if step is None else step
+    def effective_lr(self):
+        """Learning rate at the current step count."""
+        t = self.step_count
         if self.warmup_steps > 0 and t < self.warmup_steps:
             return self.lr * t / self.warmup_steps
         return self.lr
@@ -54,7 +54,7 @@ class AdamW:
                                        f"run backward before stepping")
         self.step_count += 1
         t = self.step_count
-        lr_t = self.effective_lr(t)
+        lr_t = self.effective_lr()
         bc1 = 1.0 - self.beta1 ** t
         bc2 = 1.0 - self.beta2 ** t
         for (name, p), m, v in zip(self.params, self.m, self.v):

@@ -75,10 +75,11 @@ class RefinementConfig:
 
 
 class Discriminator:
-    """Two fully connected layers with batch norm, PReLU and 20% dropout,
-    mapping a pooled embedding stack to one logit per perturbation type."""
+    """Two fully connected layers with batch norm, PReLU and dropout,
+    mapping a pooled embedding stack to one logit per perturbation type.
+    The sizes, rate and seed come from ``RefinementConfig``."""
 
-    def __init__(self, input_dim, hidden_dim=128, dropout=0.2, seed=0):
+    def __init__(self, input_dim, hidden_dim, dropout, seed):
         rng = np.random.default_rng(seed)
         self.dropout = dropout
         self.params = {
@@ -190,7 +191,7 @@ def diversity_loss(stack, kinds, disc, gamma, train=False, rng=None):
     onehot = np.eye(N_KINDS, dtype=logits.data.dtype)[kind_ids]
     logit_true = T.tsum(T.mul(logits, onehot), axis=1)
     # log sum over the other kinds, computed by pushing the true kind to -inf
-    lse_rest = T.logsumexp(T.add(logits, Tensor(onehot * -1e9)), axis=-1)
+    lse_rest = T.logsumexp(T.add(logits, Tensor(onehot * -1e9)))
     ratio_log = T.clip(T.sub(logit_true, lse_rest), -_TERM_BOUND, _TERM_BOUND)
     return T.mul(T.tsum(ratio_log), -gamma)
 

@@ -60,10 +60,10 @@ def windowed_bertscore(a, b, ia, ib, cfg):
             raise ValueError(f"windowed score: {which} stack has no eligible tokens "
                              f"after special/pad filtering")
 
-    unit_a = T.l2_normalize(a.hidden, axis=-1)
-    unit_b = unit_a if b is a else T.l2_normalize(b.hidden, axis=-1)
-    rows_a = T.take(unit_a, ia, axis=0)
-    rows_b = T.take(unit_b, ib, axis=0)
+    unit_a = T.l2_normalize(a.hidden)
+    unit_b = unit_a if b is a else T.l2_normalize(b.hidden)
+    rows_a = T.take(unit_a, ia)
+    rows_b = T.take(unit_b, ib)
     sim = T.matmul(rows_a, T.transpose(rows_b, (0, 2, 1)))   # (P, La, Lb) cosines
 
     pa = _positions(ea, cfg.alignment)

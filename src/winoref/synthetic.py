@@ -56,6 +56,13 @@ FEMALE_NAMES = ["alice", "bella", "clara", "daisy", "elena", "fiona", "grace",
 
 WEAK_ADJS = ["weak", "tired", "slow", "frail", "clumsy", "sleepy"]
 
+# the corpus uses only the first ITEM_POOL items and CONTAINER_POOL
+# containers, so each word recurs often enough to learn; PERSON_FRACTION of
+# its groups are person groups
+ITEM_POOL = 15
+CONTAINER_POOL = 15
+PERSON_FRACTION = 0.3
+
 K = PerturbationKind
 
 
@@ -121,18 +128,17 @@ def _pairwise_distinct_triples(rng, n, pool_a, pool_b, pool_c):
     return picked + skipped[:n - len(picked)]
 
 
-def make_perturbation_corpus(n_groups, seed=0, person_fraction=0.3,
-                             item_pool=15, container_pool=15):
+def make_perturbation_corpus(n_groups, seed=0):
     """Groups with rule-based variants over deliberately small word pools."""
     rng = np.random.default_rng(seed)
-    n_person = int(n_groups * person_fraction)
+    n_person = int(n_groups * PERSON_FRACTION)
     adjs = BIG_ADJS + SMALL_ADJS
     groups = []
     for gi, (i, c, a) in enumerate(_pairwise_distinct_triples(
-            rng, n_groups - n_person, item_pool, container_pool, len(adjs))):
+            rng, n_groups - n_person, ITEM_POOL, CONTAINER_POOL, len(adjs))):
         groups.append(_object_group(gi, ITEMS[i], CONTAINERS[c], adjs[a]))
     for gi, (m, i, a) in enumerate(_pairwise_distinct_triples(
-            rng, n_person, len(MALE_NAMES), item_pool, len(WEAK_ADJS))):
+            rng, n_person, len(MALE_NAMES), ITEM_POOL, len(WEAK_ADJS))):
         groups.append(_person_group(gi, MALE_NAMES[m], FEMALE_NAMES[m],
                                     ITEMS[i], WEAK_ADJS[a]))
     return groups
@@ -141,7 +147,7 @@ def make_perturbation_corpus(n_groups, seed=0, person_fraction=0.3,
 COLORS = ["red", "blue", "green", "black", "white", "brown"]
 
 
-def make_benchmark(n_instances, seed=0, with_twins=True):
+def make_benchmark(n_instances, seed=0):
     """Labeled pronoun items: big adjectives point at the item, small ones at
     the container. Twin sentences flip the adjective class and the label.
     Every third pair uses color-modified, two-token candidates."""
@@ -171,5 +177,5 @@ def make_benchmark(n_instances, seed=0, with_twins=True):
                 break
             instances.append(SchemaInstance(
                 sentence=sentence, candidate1=cand1, candidate2=cand2,
-                label=label, twin=twin_of[label] if with_twins else None))
+                label=label, twin=twin_of[label]))
     return instances

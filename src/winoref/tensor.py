@@ -90,9 +90,6 @@ class Tensor:
     def item(self):
         return float(self.data)
 
-    def numpy(self):
-        return self.data
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
@@ -308,25 +305,23 @@ def transpose(a, axes):
     return _node(a.data.transpose(axes), (a,), bw)
 
 
-def take(a, indices, axis=0):
-    """Gather slices along an axis; backward scatter-adds."""
+def take(a, rows):
+    """The rows of ``a`` at the 1-d index ``rows``; backward scatter-adds."""
     a = astensor(a)
-    idx = np.asarray(indices, dtype=np.int64)
+    idx = np.asarray(rows, dtype=np.int64)
+    if idx.ndim != 1:
+        raise ShapeError(f"take: index must be 1-d, got shape {idx.shape}")
 
     def bw(g):
         if a.requires_grad:
             buf = np.zeros_like(a.data)
-            moved = np.moveaxis(buf, axis, 0)
-            index_axes = list(range(axis, axis + idx.ndim))
-            rows = np.moveaxis(g, index_axes, list(range(idx.ndim))).reshape(
-                (idx.size,) + moved.shape[1:])
-            # one add per gathered slice, in index order as np.add.at adds;
+            # one add per gathered row, in index order as np.add.at adds;
             # np.add.at is several times slower once slices are whole rows
-            for i, row in zip(idx.reshape(-1), rows):
-                moved[i] += row
+            for i, row in zip(idx, g):
+                buf[i] += row
             a._accum(buf)
 
-    return _node(np.take(a.data, idx, axis=axis), (a,), bw)
+    return _node(np.take(a.data, idx, axis=0), (a,), bw)
 
 
 def _scatter(rows, keep):
@@ -382,63 +377,40 @@ def scatter_rows(a, keep):
     return _node(_scatter(a.data, keep), (a,), bw)
 
 
-def stack(tensors, axis=0):
-    tensors = [astensor(t) for t in tensors]
-    shapes = {t.data.shape for t in tensors}
-    if len(shapes) != 1:
-        raise ShapeError(f"stack: mismatched shapes {sorted(shapes)}")
-
-    def bw(g):
-        for i, t in enumerate(tensors):
-            if t.requires_grad:
-                t._accum(np.take(g, i, axis=axis))
-
-    return _node(np.stack([t.data for t in tensors], axis=axis), tuple(tensors), bw)
-
-
 # ---------------------------------------------------------------------------
 # reductions
 # ---------------------------------------------------------------------------
 
 
-def tsum(a, axis=None, keepdims=False):
+def tsum(a, axis=None):
     a = astensor(a)
 
     def bw(g):
-        if not a.requires_grad:
-            return
-        if axis is None:
-            a._accum(np.broadcast_to(g, a.data.shape).copy())
-        else:
-            if not keepdims:
+        if a.requires_grad:
+            if axis is not None:
                 g = np.expand_dims(g, axis)
             a._accum(np.broadcast_to(g, a.data.shape).copy())
 
-    return _node(a.data.sum(axis=axis, keepdims=keepdims), (a,), bw)
+    return _node(a.data.sum(axis=axis), (a,), bw)
 
 
-def tmean(a, axis=None, keepdims=False):
+def tmean(a, axis=None):
     a = astensor(a)
     n = a.data.size if axis is None else a.data.shape[axis]
-    return mul(tsum(a, axis=axis, keepdims=keepdims), 1.0 / n)
+    return mul(tsum(a, axis=axis), 1.0 / n)
 
 
-def tmax(a, axis, keepdims=False):
+def tmax(a, axis):
     """Max along an axis; gradient goes to the (first) argmax element."""
     a = astensor(a)
-    idx = np.argmax(a.data, axis=axis)
-    out_data = np.max(a.data, axis=axis, keepdims=keepdims)
+    idx = np.expand_dims(np.argmax(a.data, axis=axis), axis)
+    out_data = np.max(a.data, axis=axis)
 
     def bw(g):
-        if not a.requires_grad:
-            return
-        buf = np.zeros_like(a.data)
-        if not keepdims:
-            g_full = np.expand_dims(g, axis)
-        else:
-            g_full = g
-        np.put_along_axis(buf, np.expand_dims(idx, axis), g_full, axis=axis)
-        a._accum(buf)
+        if a.requires_grad:
+            buf = np.zeros_like(a.data)
+            np.put_along_axis(buf, idx, np.expand_dims(g, axis), axis=axis)
+            a._accum(buf)
 
     return _node(out_data, (a,), bw)
 
@@ -491,35 +463,35 @@ def linear(x, w, b):
     return _node(out_data, (x, w, b), bw)
 
 
-def _sum_in_order(x, axis):
-    """Sum along ``axis`` one element after another, keeping the axis.
+def _sum_in_order(x):
+    """Sum along the last axis one element after another, keeping the axis.
 
     In this order a trailing run of zeros leaves a sum's bits as they are,
     whatever its length. numpy adds the rows of a contiguous array in order
     along axis 0 unless each row is one element, and sums a lone vector
     pairwise, which ``cumsum`` does not.
     """
-    rows = np.ascontiguousarray(x.swapaxes(0, axis))
+    rows = np.ascontiguousarray(x.swapaxes(0, -1))
     if rows.size == rows.shape[0]:
         total = np.cumsum(rows, axis=0)[-1:]
     else:
         total = rows.sum(axis=0, keepdims=True)
-    return total.swapaxes(0, axis)
+    return total.swapaxes(0, -1)
 
 
-def softmax(x, axis=-1):
-    """Softmax along ``axis``. The forward sums the exponentials in order
-    (``_sum_in_order``), so keys whose weight is exactly zero, appended at
-    the end of the axis, do not change the other weights' bits."""
+def softmax(x):
+    """Softmax along the last axis. The forward sums the exponentials in
+    order (``_sum_in_order``), so keys whose weight is exactly zero, appended
+    at the end of the axis, do not change the other weights' bits."""
     x = astensor(x)
-    out_data = x.data - x.data.max(axis=axis, keepdims=True)
+    out_data = x.data - x.data.max(axis=-1, keepdims=True)
     np.exp(out_data, out=out_data)
-    np.divide(out_data, _sum_in_order(out_data, axis), out=out_data)
+    np.divide(out_data, _sum_in_order(out_data), out=out_data)
 
     def bw(g):
         if x.requires_grad:
             gx = g * out_data
-            dot = gx.sum(axis=axis, keepdims=True)
+            dot = gx.sum(axis=-1, keepdims=True)
             np.subtract(g, dot, out=gx)
             gx *= out_data
             x._accum(gx)
@@ -527,17 +499,18 @@ def softmax(x, axis=-1):
     return _node(out_data, (x,), bw)
 
 
-def logsumexp(x, axis=-1):
+def logsumexp(x):
+    """Log of the sum of exponentials along the last axis, max-shifted."""
     x = astensor(x)
-    m = x.data.max(axis=axis, keepdims=True)
+    m = x.data.max(axis=-1, keepdims=True)
     e = np.exp(x.data - m)
-    s = e.sum(axis=axis, keepdims=True)
-    out_data = np.squeeze(np.log(s) + m, axis=axis)
+    s = e.sum(axis=-1, keepdims=True)
+    out_data = np.squeeze(np.log(s) + m, axis=-1)
     soft = e / s
 
     def bw(g):
         if x.requires_grad:
-            x._accum(np.expand_dims(g, axis) * soft)
+            x._accum(np.expand_dims(g, -1) * soft)
 
     return _node(out_data, (x,), bw)
 
@@ -670,9 +643,9 @@ def cross_entropy(logits, targets):
     return _node(out_data, (logits,), bw)
 
 
-def l2_normalize(x, axis=-1):
-    """Scale vectors along an axis to unit norm; zero vectors stay zero
-    and receive exactly zero gradient.
+def l2_normalize(x):
+    """Scale vectors along the last axis to unit norm; zero vectors stay
+    zero and receive exactly zero gradient.
 
     A vector whose nonzero squares underflow, or whose sum of squares
     overflows, is first divided by the power of two at or below its largest
@@ -685,16 +658,16 @@ def l2_normalize(x, axis=-1):
     y = x.data
     with np.errstate(over="ignore"):          # an overflow is caught below
         sq = y * y
-        sumsq = np.add.reduce(sq, axis=axis, keepdims=True)
+        sumsq = np.add.reduce(sq, axis=-1, keepdims=True)
     fi = np.finfo(y.dtype)
-    unsafe = ((sq.min(axis=axis, keepdims=True, initial=np.inf, where=y != 0) < fi.tiny)
+    unsafe = ((sq.min(axis=-1, keepdims=True, initial=np.inf, where=y != 0) < fi.tiny)
               | (sumsq > fi.max))
     scale = 1.0
     if unsafe.any():
-        big = np.abs(y).max(axis=axis, keepdims=True)
+        big = np.abs(y).max(axis=-1, keepdims=True)
         scale = np.where(unsafe, np.ldexp(np.ones_like(big), np.frexp(big)[1] - 1), 1.0)
         y = y / scale
-        sumsq = np.add.reduce(y * y, axis=axis, keepdims=True)
+        sumsq = np.add.reduce(y * y, axis=-1, keepdims=True)
     norm = np.sqrt(sumsq)
     nonzero = norm > 0
     safe = np.where(nonzero, norm, 1.0)
@@ -702,7 +675,7 @@ def l2_normalize(x, axis=-1):
 
     def bw(g):
         if x.requires_grad:
-            dot = (g * out_data).sum(axis=axis, keepdims=True)
+            dot = (g * out_data).sum(axis=-1, keepdims=True)
             gx = np.where(nonzero, (g - out_data * dot) / safe / scale, 0.0)
             x._accum(gx)
 

@@ -77,7 +77,7 @@ def make_null_benchmark(n_instances, seed=0):
     """Balanced benchmark whose labels are coin flips: any label-independent
     scorer sits at 50% accuracy in expectation."""
     rng = np.random.default_rng(seed)
-    base = make_benchmark(n_instances, seed=seed + 1, with_twins=False)
+    base = make_benchmark(n_instances, seed=seed + 1)
     labels = np.array([1] * (n_instances // 2) + [2] * (n_instances - n_instances // 2))
     rng.shuffle(labels)
     out = []

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 import re
@@ -386,6 +387,43 @@ class TestEvaluate:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert str(wide) in err
 
+    def test_checkpoint_with_a_parameter_the_model_lacks_exits_with_one_error_line(
+            self, pretrained, data_dir, tmp_path, capsys):
+        out, cfg_path = pretrained
+        arrays, meta = load_checkpoint(out / "init.ckpt.json")
+        # a second block's weights under a one-layer encoder_config
+        arrays.update({name.replace("l0.", "l1.", 1): arr for name, arr in arrays.items()
+                       if name.startswith("l0.")})
+        deep = tmp_path / "deep.ckpt.json"
+        save_checkpoint(deep, arrays, meta)
+        rc = cli.main(["evaluate", "--config", str(cfg_path), "--out", str(tmp_path),
+                       "--checkpoint", str(deep), str(data_dir / "bench_a.jsonl")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: checkpoint {deep}: ") and err.count("\n") == 1
+        assert "l1.attn.wq" in err
+
+    @pytest.mark.parametrize("command", ["evaluate", "ablate"])
+    def test_datasets_with_one_file_name_exit_with_one_error_line(
+            self, pretrained, data_dir, tmp_path, capsys, command):
+        out, cfg_path = pretrained
+        paths = []
+        for sub in ("a", "b"):
+            (tmp_path / sub).mkdir()
+            paths.append(tmp_path / sub / "benchmark.jsonl")
+            paths[-1].write_bytes((data_dir / f"bench_{sub}.jsonl").read_bytes())
+        if command == "evaluate":
+            argv = ["evaluate", "--checkpoint", str(out / "init.ckpt.json"),
+                    *map(str, paths)]
+        else:
+            argv = ["ablate", f"--paths.benchmarks={json.dumps(list(map(str, paths)))}"]
+        rc = cli.main(argv + ["--config", str(cfg_path), "--out", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(paths[0]) in err and str(paths[1]) in err
+        assert not (tmp_path / "ablation.csv").exists()
+
     def test_report_with_an_overflowing_candidate_is_strict_json(
             self, pretrained, data_dir, tmp_path):
         out, cfg_path = pretrained
@@ -514,6 +552,21 @@ class TestGenData:
         from winoref.text import load_benchmark, load_perturbation_corpus
         assert len(load_perturbation_corpus(tmp_path / "corpus.jsonl")) == 12
         assert len(load_benchmark(tmp_path / "benchmark.jsonl")) == 10
+
+    def test_default_files_keep_their_bytes(self, tmp_path):
+        # the README quickstart's input files: a change to a word pool, a
+        # pool size or the order of the draws shows here
+        rc = cli.main(["gen-data", "--out", str(tmp_path), "--groups", "60",
+                       "--instances", "200", "--seed", "0"])
+        assert rc == 0
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                   for name in ("corpus.jsonl", "benchmark.jsonl")}
+        assert digests == {
+            "corpus.jsonl":
+                "ee39060cf470bc3f5800cfb4543d0dd0b18289370084bd066b6b2afb38f10c9a",
+            "benchmark.jsonl":
+                "85a24065b9a044fc2ab0ef469c543005aed7ded4e15a59138c1563cb95fd97c2",
+        }
 
     def test_counts_below_one_rejected(self, tmp_path, capsys):
         for flag, value in (("--groups", "-3"), ("--instances", "0")):

@@ -32,14 +32,14 @@ def every_row(model, row):
     """Eval-mode logits at every position of one id row, (L, V)."""
     with T.no_grad():
         return mlm_logits_batch(model, row[None, :], row_masks(row)[0][None, :],
-                                np.arange(model.config.max_len)).numpy()
+                                np.arange(model.config.max_len)).data
 
 
 class TestEncode:
     def test_eval_mode_deterministic(self, small_setup):
         vocab, cfg, model, seqs = small_setup
-        a = encode(model, [seqs[0]]).hidden.numpy()
-        b = encode(model, [seqs[0]]).hidden.numpy()
+        a = encode(model, [seqs[0]]).hidden.data
+        b = encode(model, [seqs[0]]).hidden.data
         np.testing.assert_array_equal(a, b)
 
     def test_position_sensitivity(self, small_setup):
@@ -57,8 +57,8 @@ class TestEncode:
             if i is not None:
                 break
         swapped[i], swapped[j] = seq[j], seq[i]
-        h1 = encode(model, [seq]).hidden.numpy()
-        h2 = encode(model, [swapped]).hidden.numpy()
+        h1 = encode(model, [seq]).hidden.data
+        h2 = encode(model, [swapped]).hidden.data
         assert np.abs(h1 - h2).max() > 1e-6
 
     def test_zero_layer_config_is_normed_embeddings(self, small_setup):
@@ -67,11 +67,11 @@ class TestEncode:
                             max_len=24, vocab_size=len(vocab))
         model = EncoderModel(cfg, seed=5)
         seq = seqs[0]
-        got = encode(model, [seq]).hidden.numpy()[0]
+        got = encode(model, [seq]).hidden.data[0]
 
         # hand trace: token + position embeddings, layer norm, pad rows zeroed
-        tok = model.params["tok_emb"].numpy()[seq]
-        pos = model.params["pos_emb"].numpy()
+        tok = model.params["tok_emb"].data[seq]
+        pos = model.params["pos_emb"].data
         x = tok + pos
         mu = x.mean(axis=-1, keepdims=True)
         var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
@@ -82,14 +82,14 @@ class TestEncode:
     def test_pad_content_invariance(self, small_setup):
         vocab, cfg, model, seqs = small_setup
         seq = seqs[0]
-        h1 = encode(model, [seq]).hidden.numpy()
+        h1 = encode(model, [seq]).hidden.data
         attention = row_masks(seq)[0]
         tweaked = seq.copy()
         tweaked[~attention] = UNK_ID   # rewrite pad content
         # the original mask: the masks of the tweaked row would count its
         # former pads as real tokens
         with T.no_grad():
-            h2 = forward_hidden(model, tweaked[None, :], attention[None, :]).numpy()
+            h2 = forward_hidden(model, tweaked[None, :], attention[None, :]).data
         np.testing.assert_array_equal(h1, h2)
 
     def test_out_of_range_id_rejected(self, small_setup):
@@ -106,7 +106,7 @@ class TestEncode:
         assert not stack.hidden.requires_grad
         with T.no_grad():
             whole = encode_batch(model, rows)
-        np.testing.assert_allclose(stack.hidden.numpy(), whole.hidden.numpy(),
+        np.testing.assert_allclose(stack.hidden.data, whole.hidden.data,
                                    rtol=1e-12, atol=1e-12)
         np.testing.assert_array_equal(stack.attention_mask, whole.attention_mask)
         np.testing.assert_array_equal(stack.content_mask, whole.content_mask)
@@ -119,6 +119,22 @@ class TestEncode:
             attention, content = row_masks(seq)
             np.testing.assert_array_equal(stack.attention_mask[row], attention)
             np.testing.assert_array_equal(stack.content_mask[row], content)
+
+    @pytest.mark.parametrize("extra", ["layer", "untied-head", "bogus"])
+    def test_load_arrays_rejects_names_the_model_does_not_have(self, small_setup, extra):
+        _, cfg, model, _ = small_setup
+        arrays = model.param_arrays()
+        d, v = cfg.model_dim, cfg.vocab_size
+        added = {"layer": ("l2.ff.b2", np.zeros(d)),
+                 "untied-head": ("mlm_w", np.zeros((d, v))),
+                 "bogus": ("bogus", np.zeros(1))}[extra]
+        target = EncoderModel(cfg, seed=0)
+        before = target.param_arrays()
+        with pytest.raises(ValueError, match=added[0]):
+            target.load_arrays({**arrays, added[0]: added[1]})
+        # nothing was loaded
+        for name, arr in target.param_arrays().items():
+            np.testing.assert_array_equal(arr, before[name])
 
     def test_model_dim_must_divide_heads(self):
         with pytest.raises(ValueError, match="divisible"):
@@ -137,7 +153,7 @@ def word_row(rng, length, cfg):
 def eval_hidden(model, rows):
     ids = np.stack(rows)
     with T.no_grad():
-        return forward_hidden(model, ids, row_masks(ids)[0]).numpy()
+        return forward_hidden(model, ids, row_masks(ids)[0]).data
 
 
 TRIM_CFG = EncoderConfig(layers=2, heads=4, model_dim=32, ff_dim=64, max_len=24,
@@ -214,7 +230,7 @@ def padded_attention(h, mask_bias, cfg, p, i, train, rate, rng):
 
     q, k, v = project("wq"), project("wk"), project("wv")
     scores = T.mul(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(dh))
-    attn = T.softmax(T.add(scores, mask_bias), axis=-1)
+    attn = T.softmax(T.add(scores, mask_bias))
     if train:
         attn = padded_dropout(attn, rate, rng, (B, heads, cfg.max_len, cfg.max_len))
     ctx = T.reshape(T.transpose(T.matmul(attn, v), (0, 2, 1, 3)), (B * L, d))
@@ -234,7 +250,7 @@ def padded_forward_hidden(model, ids, attention_mask, train=False, rng=None):
     ids, mask = ids[:, :n], mask[:, :n]
     mask_bias = Tensor(((1.0 - mask) * -1e9).reshape(B, 1, 1, n))
 
-    pos = T.reshape(T.take(p["pos_emb"], np.arange(n), axis=0), (1, n, d))
+    pos = T.reshape(T.take(p["pos_emb"], np.arange(n)), (1, n, d))
     x = T.add(T.embedding_lookup(p["tok_emb"], ids), pos)
     if train:
         x = padded_dropout(x, rate, rng, full)
@@ -284,12 +300,12 @@ class TestPackedForward:
             p = model.params
             stream = np.random.default_rng(4) if dropout is not None else None
             hidden = forward(model, ids, mask, train=dropout is not None, rng=stream)
-            picked = T.take(T.reshape(hidden, (-1, cfg.model_dim)), rows, axis=0)
+            picked = T.take(T.reshape(hidden, (-1, cfg.model_dim)), rows)
             logits = T.add(T.matmul(picked, T.transpose(p["tok_emb"], (1, 0))),
                            p["mlm_bias"])
             loss = T.cross_entropy(logits, targets)
             T.backward(loss)
-            runs.append((hidden.numpy(), loss.numpy(),
+            runs.append((hidden.data, loss.data,
                          {name: q.grad for name, q in model.named_params()}))
         (packed, loss, grads), (padded, want_loss, want_grads) = runs
 
@@ -406,7 +422,7 @@ class TestHeadRows:
         # rows from all three sequences, unsorted and repeated
         rows = np.array([2 * L + 3, 5, L + 1, 5, 0, 2 * L + 3, L + 7, 3 * L - 1])
         with T.no_grad():
-            got = mlm_logits_batch(model, ids, mask, rows).numpy()
+            got = mlm_logits_batch(model, ids, mask, rows).data
         want = full_logits(model, ids, mask)[rows]
         assert got.shape == (len(rows), cfg.vocab_size)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
@@ -459,7 +475,7 @@ class TestHeadRows:
                 flat = T.reshape(hidden, (-1, cfg.model_dim))
                 logits = T.add(T.matmul(flat, T.transpose(p["tok_emb"], (1, 0))),
                                p["mlm_bias"])
-                loss = T.cross_entropy(T.take(logits, flat_idx, axis=0), targets)
+                loss = T.cross_entropy(T.take(logits, flat_idx), targets)
                 T.backward(loss)
                 opt.step()
                 losses.append(loss.item())
@@ -477,7 +493,7 @@ def full_stack_logits(model, ids, mask, rows, train=False, rng=None):
     last block, then the head over the picked rows."""
     p = model.params
     hidden = forward_hidden(model, ids, mask, train=train, rng=rng)
-    picked = T.take(T.reshape(hidden, (-1, model.config.model_dim)), rows, axis=0)
+    picked = T.take(T.reshape(hidden, (-1, model.config.model_dim)), rows)
     return T.linear(picked, T.transpose(p["tok_emb"], (1, 0)), p["mlm_bias"])
 
 
@@ -519,11 +535,11 @@ class TestAskedRows:
         streams = [np.random.default_rng(4) if train else None for _ in range(3)]
         with T.no_grad():
             got = mlm_logits_batch(model, ids, mask, rows, train=train,
-                                   rng=streams[0]).numpy()
+                                   rng=streams[0]).data
             want = full_stack_logits(model, ids, mask, rows, train=train,
-                                     rng=streams[1]).numpy()
+                                     rng=streams[1]).data
             hidden = forward_hidden(model, ids, mask, train=train, rng=streams[2],
-                                    rows=rows).numpy().reshape(-1, cfg.model_dim)
+                                    rows=rows).data.reshape(-1, cfg.model_dim)
         assert got.shape == (len(rows), cfg.vocab_size) and got.dtype == dtype
         assert np.abs(got - want).max() <= rtol * np.abs(want).max()
         asked = np.zeros(len(hidden), dtype=bool)
@@ -567,7 +583,7 @@ class TestAskedRows:
                                rng=np.random.default_rng(5))
             loss = T.cross_entropy(logits, targets)
             T.backward(loss)
-            runs.append((loss.numpy(), {n: p.grad for n, p in model.named_params()}))
+            runs.append((loss.data, {n: p.grad for n, p in model.named_params()}))
         (loss, grads), (want_loss, want_grads) = runs
         assert loss.dtype == dtype and loss.tobytes() == want_loss.tobytes()
         last = cfg.layers - 1

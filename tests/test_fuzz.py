@@ -49,7 +49,7 @@ class TestRangeFuzz:
             # a probability that underflows to 0 has the log -inf, which is
             # still a log-probability; NaN or a positive value is not
             with np.errstate(divide="ignore"):
-                lp = log_probs_at_positions(logits, positions,
+                lp = log_probs_at_positions(logits[positions],
                                             rng.integers(0, v, size=len(positions)))
             assert not np.isnan(lp).any() and (lp <= 0.0).all(), f"case {case}: {lp}"
 

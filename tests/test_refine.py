@@ -52,7 +52,7 @@ def oracle_windowed_score(a_rows, b_rows, w):
 
 
 def rows(stack, i):
-    return stack.hidden.numpy()[i][stack.content_mask[i]]
+    return stack.hidden.data[i][stack.content_mask[i]]
 
 
 def oracle_reconstruction(targets, generated, alpha, w):
@@ -70,7 +70,7 @@ def oracle_contrastive(samples, kinds, stack, beta, w):
 
 
 def oracle_diversity_eval_mode(stack, kinds, disc, gamma):
-    p = {k: v.numpy() for k, v in disc.params.items()}
+    p = {k: v.data for k, v in disc.params.items()}
     total = 0.0
     for i, kind in enumerate(kinds):
         pooled = rows(stack, i).mean(axis=0)
@@ -315,7 +315,7 @@ class TestRefineTargets:
 
         monkeypatch.setattr(refine_mod, "reconstruction_loss", recon)
         monkeypatch.setattr(refine_mod, "diversity_loss", div)
-        disc = Discriminator(model.config.model_dim, 16, seed=0)
+        disc = Discriminator(model.config.model_dim, 16, dropout=0.2, seed=0)
         refine(model, disc, groups, LossWeights(1.0, 0.5, 0.5), _refine_cfg(**cfg_kw),
                ScoreConfig(window_radius=2), vocab)
         return steps
@@ -342,7 +342,7 @@ class TestRefineTargets:
 
     @staticmethod
     def _encode_text(model, text, vocab):
-        return encode(model, [tokenize(text, vocab, model.config.max_len)]).hidden.numpy()[0]
+        return encode(model, [tokenize(text, vocab, model.config.max_len)]).hidden.data[0]
 
     def test_identity_target_is_the_base_sentence(self, monkeypatch):
         steps, group, vocab, init, _ = self._synonym_run(monkeypatch)
@@ -351,14 +351,14 @@ class TestRefineTargets:
             assert not step["targets"].hidden.requires_grad
             assert step["generated"].hidden.requires_grad
             row = step["kinds"].index(PerturbationKind.IDENTICAL)
-            np.testing.assert_array_equal(step["targets"].hidden.numpy()[row], base)
+            np.testing.assert_array_equal(step["targets"].hidden.data[row], base)
 
     def test_variant_target_is_the_variant_sentence(self, monkeypatch):
         steps, group, vocab, init, _ = self._synonym_run(monkeypatch)
         want = self._encode_text(init, group.variants[PerturbationKind.SYNONYM], vocab)
         for step in steps:
             row = step["kinds"].index(PerturbationKind.SYNONYM)
-            np.testing.assert_array_equal(step["targets"].hidden.numpy()[row], want)
+            np.testing.assert_array_equal(step["targets"].hidden.data[row], want)
             # the generated side reads the base sentence after the
             # perturbation token, so it keeps the word count
             assert (step["generated"].content_mask[row].sum()
@@ -370,7 +370,7 @@ class TestRefineTargets:
         moved = self._encode_text(model, group.base, vocab)
         for step in steps:
             row = step["kinds"].index(PerturbationKind.IDENTICAL)
-            assert np.abs(step["targets"].hidden.numpy()[row] - moved).max() > 0
+            assert np.abs(step["targets"].hidden.data[row] - moved).max() > 0
 
     def test_current_targets_follow_training(self, monkeypatch):
         steps, group, vocab, init, _ = self._synonym_run(
@@ -379,11 +379,11 @@ class TestRefineTargets:
             assert not step["targets"].hidden.requires_grad
             for row, kind in enumerate(step["kinds"]):
                 want = self._encode_text(step["live"], group.variant_text(kind), vocab)
-                np.testing.assert_array_equal(step["targets"].hidden.numpy()[row], want)
+                np.testing.assert_array_equal(step["targets"].hidden.data[row], want)
         # two updates later the live model no longer gives the init targets
         for row, kind in enumerate(steps[-1]["kinds"]):
             frozen = self._encode_text(init, group.variant_text(kind), vocab)
-            assert np.abs(steps[-1]["targets"].hidden.numpy()[row] - frozen).max() > 0
+            assert np.abs(steps[-1]["targets"].hidden.data[row] - frozen).max() > 0
 
     def test_frozen_targets_of_groups_sharing_an_id(self, tmp_path, monkeypatch):
         # an explicit id equal to the next line's number: both groups load
@@ -406,7 +406,7 @@ class TestRefineTargets:
                       for g in groups for kind in g.available_kinds())
         assert len(set(want)) == 4
         for step in steps:
-            got = sorted(row.tobytes() for row in step["targets"].hidden.numpy())
+            got = sorted(row.tobytes() for row in step["targets"].hidden.data)
             assert got == want
 
     def test_only_available_kinds_are_drawn(self, tiny_world, monkeypatch):
@@ -424,7 +424,7 @@ class TestRefine:
     def test_all_zero_weights_rejected(self, tiny_world):
         groups, vocab, cfg = tiny_world
         model = EncoderModel(cfg, seed=0)
-        disc = Discriminator(cfg.model_dim, 16, seed=0)
+        disc = Discriminator(cfg.model_dim, 16, dropout=0.2, seed=0)
         with pytest.raises(ValueError, match="zero"):
             refine(model, disc, groups, LossWeights(0, 0, 0), _refine_cfg(),
                    ScoreConfig(), vocab)
@@ -432,7 +432,7 @@ class TestRefine:
     def test_corpus_without_variants_rejected(self, tiny_world):
         groups, vocab, cfg = tiny_world
         model = EncoderModel(cfg, seed=0)
-        disc = Discriminator(cfg.model_dim, 16, seed=0)
+        disc = Discriminator(cfg.model_dim, 16, dropout=0.2, seed=0)
         bare = [PerturbedGroup(sample_id="x", base="the coin fits .", variants={})]
         with pytest.raises(ValueError, match="variant"):
             refine(model, disc, bare, LossWeights(), _refine_cfg(), ScoreConfig(),
@@ -441,7 +441,7 @@ class TestRefine:
     def test_history_rows_and_loss_fields(self, tiny_world):
         groups, vocab, cfg = tiny_world
         model = EncoderModel(cfg, seed=0)
-        disc = Discriminator(cfg.model_dim, 16, seed=0)
+        disc = Discriminator(cfg.model_dim, 16, dropout=0.2, seed=0)
         history = refine(model, disc, groups, LossWeights(1.0, 0.5, 0.5),
                          _refine_cfg(), ScoreConfig(window_radius=2), vocab)
         steps_per_epoch = int(np.ceil(len(groups) / 4))
@@ -455,7 +455,7 @@ class TestRefine:
         results = []
         for _ in range(2):
             model = EncoderModel(cfg, seed=0)
-            disc = Discriminator(cfg.model_dim, 16, seed=0)
+            disc = Discriminator(cfg.model_dim, 16, dropout=0.2, seed=0)
             refine(model, disc, groups, LossWeights(2.0, 0.5, 0.5), _refine_cfg(),
                    ScoreConfig(window_radius=2), vocab)
             results.append({k: p.data.tobytes() for k, p in model.params.items()})
@@ -466,7 +466,7 @@ class TestRefine:
         outs = []
         for seed in (1, 2):
             model = EncoderModel(cfg, seed=0)
-            disc = Discriminator(cfg.model_dim, 16, seed=0)
+            disc = Discriminator(cfg.model_dim, 16, dropout=0.2, seed=0)
             refine(model, disc, groups, LossWeights(2.0, 0.5, 0.5),
                    _refine_cfg(seed=seed), ScoreConfig(window_radius=2), vocab)
             outs.append(model.params["tok_emb"].data.copy())
@@ -556,7 +556,7 @@ class TestRefine:
 
             monkeypatch.setattr(T, "backward", counting_backward)
             model = EncoderModel(cfg, seed=0)
-            disc = Discriminator(cfg.model_dim, 16, seed=0)
+            disc = Discriminator(cfg.model_dim, 16, dropout=0.2, seed=0)
             # all kinds per sample, so every batch has cross-sample pairs
             refine(model, disc, groups, LossWeights(1.0, 0.5, 0.5),
                    _refine_cfg(epochs=1, batch_size=batch_size,
@@ -644,7 +644,7 @@ class TestRowTables:
         runs = []
         for loop in (refine, lazy_cache_refine):
             model = EncoderModel(cfg, seed=2)
-            disc = Discriminator(cfg.model_dim, 16, seed=0)
+            disc = Discriminator(cfg.model_dim, 16, dropout=0.2, seed=0)
             history = loop(model, disc, groups, LossWeights(1.0, 0.5, 0.5), refine_cfg,
                            ScoreConfig(window_radius=2), vocab)
             if loop is refine:

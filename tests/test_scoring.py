@@ -72,7 +72,7 @@ def brute_force_unwindowed(a_rows, b_rows):
 
 
 def content_rows(stack, row=0):
-    return stack.hidden.numpy()[row][stack.content_mask[row]]
+    return stack.hidden.data[row][stack.content_mask[row]]
 
 
 def oracle_pair_score(a, i, b, j, cfg):
@@ -85,8 +85,8 @@ def oracle_pair_score(a, i, b, j, cfg):
         n = np.linalg.norm(v)
         return v / n if n > 0 else v * 0.0
 
-    va = [unit(a.hidden.numpy()[i, k]) for k in ea]
-    vb = [unit(b.hidden.numpy()[j, k]) for k in eb]
+    va = [unit(a.hidden.data[i, k]) for k in ea]
+    vb = [unit(b.hidden.data[j, k]) for k in eb]
     pos_a = list(range(len(ea))) if cfg.alignment == "compact" else list(ea)
     pos_b = list(range(len(eb))) if cfg.alignment == "compact" else list(eb)
     w = cfg.window_radius
