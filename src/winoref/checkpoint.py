@@ -12,6 +12,8 @@ import json
 
 import numpy as np
 
+from .config import canonical_json
+
 FORMAT_VERSION = 1
 
 
@@ -52,8 +54,7 @@ def save(path, named_arrays, meta=None):
         "params": payload,
     }
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(doc, f, sort_keys=True, separators=(",", ":"))
-        f.write("\n")
+        f.write(canonical_json(doc) + "\n")
     return content_hash
 
 

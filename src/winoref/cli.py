@@ -29,6 +29,10 @@ from .text import (SchemaInstance, Vocabulary, benchmark_texts, build_vocab,
                    save_benchmark, save_perturbation_corpus, tokenize)
 
 
+# the loss weights' names, the sweep's grid axes
+WEIGHT_NAMES = [f.name for f in dataclasses.fields(LossWeights)]
+
+
 class CliError(Exception):
     pass
 
@@ -46,20 +50,27 @@ def _load_corpus(path):
     return load_perturbation_corpus(path, warn=lambda msg: print(msg, file=sys.stderr))
 
 
+def _report_names(paths, files, what):
+    """The base name of each path without its extension. Reports key their
+    rows by it, so two paths with one name are rejected."""
+    names, seen = [], {}
+    for path in paths:
+        name = os.path.splitext(os.path.basename(path))[0]
+        if name in seen:
+            raise CliError(f"{files} files {seen[name]} and {path} share the "
+                           f"{what} {name!r}")
+        seen[name] = path
+        names.append(name)
+    return names
+
+
 def _load_datasets(paths):
-    """``(name, instances)`` per benchmark file, named by its base name,
-    which must be unique: reports key their accuracies by it."""
-    datasets, seen = [], {}
+    """``(name, instances)`` per benchmark file, named by its base name."""
+    names = _report_names(paths, "benchmark", "dataset name")
     for path in paths:
         if not os.path.exists(path):
             raise CliError(f"benchmark file not found: {path}")
-        name = os.path.splitext(os.path.basename(path))[0]
-        if name in seen:
-            raise CliError(f"benchmark files {seen[name]} and {path} share the "
-                           f"dataset name {name!r}")
-        seen[name] = path
-        datasets.append((name, load_benchmark(path)))
-    return datasets
+    return [(name, load_benchmark(path)) for name, path in zip(names, paths)]
 
 
 def _save_model(path, model, cfg):
@@ -103,11 +114,13 @@ def _refine_inputs(cfg):
 def _refine(model, groups, weights, cfg, vocab):
     """Refine ``model`` in place under ``weights`` and the run config's
     ``refine`` and ``score`` sections; returns the per-step history."""
-    r_cfg = C.build(RefinementConfig, cfg["refine"])
+    r_cfg = C.build(RefinementConfig, cfg["refine"], seed=cfg["runtime"]["seed"])
     disc = Discriminator(model.config.model_dim, r_cfg.disc_hidden,
                          r_cfg.disc_dropout, seed=r_cfg.seed)
-    return refine(model, disc, groups, weights, r_cfg, ScoreConfig(**cfg["score"]),
-                  vocab)
+    # a NaN stops refine with an error, so numpy need not warn of it first
+    with np.errstate(invalid="ignore"):
+        return refine(model, disc, groups, weights, r_cfg,
+                      ScoreConfig(**cfg["score"]), vocab)
 
 
 def refine_and_evaluate(init_model, runs, groups, datasets, vocab, cfg):
@@ -140,9 +153,10 @@ def cmd_pretrain(cfg, out):
 
     enc = EncoderConfig(vocab_size=len(vocab), **cfg["encoder"])
     model = EncoderModel(enc, seed=cfg["runtime"]["seed"])
-    pre_cfg = PretrainConfig(seed=cfg["runtime"]["seed"], **cfg["pretrain"])
+    pre_cfg = C.build(PretrainConfig, cfg["pretrain"], seed=cfg["runtime"]["seed"])
     seqs = [tokenize(t, vocab, enc.max_len) for t in texts]
-    history = pretrain_mlm(model, seqs, pre_cfg, vocab)
+    with np.errstate(invalid="ignore"):   # as in _refine
+        history = pretrain_mlm(model, seqs, pre_cfg, vocab)
 
     vocab_path = os.path.join(out, "vocab.json")
     vocab.save(vocab_path)
@@ -184,14 +198,14 @@ def cmd_evaluate(cfg, out, checkpoints, dataset_paths, emit_json, emit_csv):
     if not dataset_paths:
         raise CliError("evaluate needs at least one dataset path")
     vocab_path = _require(cfg, "paths", "vocab", "vocabulary file")
+    labels = _report_names(checkpoints, "checkpoint", "report label")
     vocab = _load_vocab(vocab_path)
     datasets = _load_datasets(dataset_paths)
     # load and check every checkpoint first, so a bad one fails before any
     # evaluation runs
     models = [_load_model(ck_path, vocab, vocab_path) for ck_path in checkpoints]
     rows = []
-    for ck_path, model in zip(checkpoints, models):
-        label = os.path.splitext(os.path.basename(ck_path))[0]
+    for label, model in zip(labels, models):
         for name, instances in datasets:
             report = evaluate(model, vocab, instances, name)
             # an overflowing candidate scores -inf, which JSON writes as null
@@ -231,7 +245,7 @@ def cmd_ablate(cfg, out):
                                                       datasets, vocab, cfg):
         rows.append({"config": name, "weights": weights.to_dict(), **accs})
         csv_rows.append({"config": name, **weights.to_dict(), **accs})
-    header = ["config", "alpha", "beta", "gamma"] + [name for name, _ in datasets]
+    header = ["config", *WEIGHT_NAMES] + [name for name, _ in datasets]
     path = os.path.join(out, "ablation.csv")
     C.write_csv_artifact(path, cfg, header, csv_rows)
     C.write_json_artifact(os.path.join(out, "ablation.json"), "ablation", cfg, rows)
@@ -245,8 +259,11 @@ def _parse_grid(tokens):
     grid = {}
     for tok in tokens:
         name, _, raw = tok.partition("=")
-        if name not in ("alpha", "beta", "gamma"):
-            raise CliError(f"sweep grid axis must be alpha, beta or gamma, got {name!r}")
+        if name not in WEIGHT_NAMES:
+            raise CliError(f"sweep grid axis must be {', '.join(WEIGHT_NAMES[:-1])} or "
+                           f"{WEIGHT_NAMES[-1]}, got {name!r}")
+        if name in grid:
+            raise CliError(f"sweep grid axis {name!r} is given twice")
         try:
             grid[name] = [float(v) for v in raw.split(",") if v]
         except ValueError:
@@ -260,7 +277,7 @@ def cmd_sweep(cfg, out, grid_tokens):
     if not cfg["paths"]["benchmarks"]:
         raise CliError("sweep needs paths.benchmarks to rank runs")
     grid = _parse_grid(grid_tokens)
-    axes = [grid.get(name, [cfg["refine"][name]]) for name in ("alpha", "beta", "gamma")]
+    axes = [grid.get(name, [cfg["refine"][name]]) for name in WEIGHT_NAMES]
     settings = [(f"run_{i:03d}", LossWeights(*point))
                 for i, point in enumerate(itertools.product(*axes))]
     groups, vocab, init_model = _refine_inputs(cfg)
@@ -274,12 +291,12 @@ def cmd_sweep(cfg, out, grid_tokens):
         run_dir = os.path.join(out, "sweep", name)
         os.makedirs(run_dir, exist_ok=True)
         _save_model(os.path.join(run_dir, "refined.ckpt.json"), model, run_cfg)
-        runs.append({"run": name, "seed": cfg["refine"]["seed"],
+        runs.append({"run": name, "seed": cfg["runtime"]["seed"],
                      "config_hash": C.config_hash(run_cfg), **weights.to_dict(),
                      "mean_accuracy": sum(accs.values()) / len(accs),
                      "accuracies": accs})
     runs.sort(key=lambda r: (-r["mean_accuracy"], r["run"]))
-    header = ["run", "seed", "config_hash", "alpha", "beta", "gamma", "mean_accuracy"]
+    header = ["run", "seed", "config_hash", *WEIGHT_NAMES, "mean_accuracy"]
     C.write_csv_artifact(os.path.join(out, "sweep_report.csv"), cfg, header, runs)
     C.write_json_artifact(os.path.join(out, "sweep_report.json"), "sweep", cfg, runs)
     best = runs[0]
@@ -335,7 +352,7 @@ def _build_parser():
         p.add_argument("--out", default=None, help="output directory "
                        "(default: config runtime.out_dir, $WINOREF_OUT, ./out)")
         p.add_argument("--seed", type=int, default=None,
-                       help="override runtime and refinement seeds")
+                       help="set runtime.seed, the seed of every command")
 
     common(sub.add_parser("pretrain", help="train the stand-in initial LM"))
     common(sub.add_parser("refine", help="run self-supervised refinement"))

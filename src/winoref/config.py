@@ -1,15 +1,13 @@
 """Run configuration: JSON config file, flat CLI overrides, provenance.
 
-A run config is a two-level dict of sections. The ``runtime`` and ``paths``
-sections are defined here; every other section is the fields of the config
-dataclasses it builds (see ``_sections``), which hold the defaults and the
-checks. Files supply any subset; the defaults fill the rest;
-``--section.key=value`` tokens override last. The fully resolved config is
-embedded verbatim in every output artifact together with a content hash, so
-artifacts are traceable to their exact configuration.
+A run config is a two-level dict of sections. Every section is the fields
+of the config dataclasses it builds (see ``_sections``), which hold the
+defaults and the checks. Files supply any subset; the defaults fill the
+rest; ``--section.key=value`` tokens override last. The fully resolved
+config is embedded verbatim in every output artifact together with a
+content hash, so artifacts are traceable to their exact configuration.
 """
 
-import copy
 import dataclasses
 import hashlib
 import json
@@ -17,19 +15,7 @@ import math
 import numbers
 import os
 
-RUNTIME_AND_PATHS = {
-    "runtime": {
-        "seed": 0,
-        "precision": "float64",
-        "out_dir": None,          # falls back to $WINOREF_OUT, then ./out
-    },
-    "paths": {
-        "corpus": None,
-        "benchmarks": [],
-        "vocab": None,
-        "init_checkpoint": None,
-    },
-}
+from .tensor import DTYPES
 
 
 class ConfigError(ValueError):
@@ -73,13 +59,49 @@ def check_choice(name, value, choices):
                          f"got {value!r}")
 
 
+def check_path(name, value):
+    """Reject a value that is neither a path string nor None."""
+    if value is not None and not isinstance(value, str):
+        raise ValueError(f"{name} must be a path or null, got {value!r}")
+
+
+@dataclasses.dataclass
+class RuntimeConfig:
+    seed: int = 0
+    precision: str = "float64"
+    out_dir: str = None           # falls back to $WINOREF_OUT, then ./out
+
+    def __post_init__(self):
+        check_count("runtime.seed", self.seed, 0)
+        check_choice("runtime.precision", self.precision, tuple(DTYPES))
+        check_path("runtime.out_dir", self.out_dir)
+
+
+@dataclasses.dataclass
+class PathsConfig:
+    corpus: str = None
+    benchmarks: list = dataclasses.field(default_factory=list)
+    vocab: str = None
+    init_checkpoint: str = None
+
+    def __post_init__(self):
+        check_path("paths.corpus", self.corpus)
+        if not (isinstance(self.benchmarks, list)
+                and all(isinstance(p, str) for p in self.benchmarks)):
+            raise ValueError(f"paths.benchmarks must be a list of paths, "
+                             f"got {self.benchmarks!r}")
+        check_path("paths.vocab", self.vocab)
+        check_path("paths.init_checkpoint", self.init_checkpoint)
+
+
 def _sections():
     """Config section -> the dataclasses built from it. Imported here, not
     at the top, because those modules import the checks above."""
     from .encoder import EncoderConfig, PretrainConfig
     from .refine import LossWeights, RefinementConfig
     from .scoring import ScoreConfig
-    return {"encoder": [EncoderConfig], "pretrain": [PretrainConfig],
+    return {"runtime": [RuntimeConfig], "paths": [PathsConfig],
+            "encoder": [EncoderConfig], "pretrain": [PretrainConfig],
             "score": [ScoreConfig], "refine": [LossWeights, RefinementConfig]}
 
 
@@ -87,9 +109,16 @@ def _keys(cls):
     return [f for f in dataclasses.fields(cls) if not f.metadata.get("internal")]
 
 
-def build(cls, section):
-    """``cls`` from the keys of a resolved section that are its fields."""
-    return cls(**{f.name: section[f.name] for f in _keys(cls)})
+def _default(field):
+    if field.default_factory is not dataclasses.MISSING:
+        return field.default_factory()
+    return field.default
+
+
+def build(cls, section, **internal_values):
+    """``cls`` from the keys of a resolved section that are its fields,
+    plus ``internal_values`` for fields the run config does not expose."""
+    return cls(**{f.name: section[f.name] for f in _keys(cls)}, **internal_values)
 
 
 def _coerce(raw):
@@ -116,9 +145,8 @@ def load_config(path=None, overrides=None, seed=None):
     """Resolved config dict: defaults <- file <- overrides <- --seed. Every
     key is checked, so a bad one fails before any work starts."""
     sections = _sections()
-    cfg = copy.deepcopy(RUNTIME_AND_PATHS)
-    for name, classes in sections.items():
-        cfg[name] = {f.name: f.default for cls in classes for f in _keys(cls)}
+    cfg = {name: {f.name: _default(f) for cls in classes for f in _keys(cls)}
+           for name, classes in sections.items()}
     if path:
         if not os.path.exists(path):
             raise ConfigError(f"config file not found: {path}")
@@ -146,18 +174,6 @@ def load_config(path=None, overrides=None, seed=None):
         cfg[section][key] = value
     if seed is not None:
         cfg["runtime"]["seed"] = seed
-        cfg["refine"]["seed"] = seed
-
-    check_count("runtime.seed", cfg["runtime"]["seed"], 0)
-    check_choice("runtime.precision", cfg["runtime"]["precision"], ("float32", "float64"))
-    for section, key in (("runtime", "out_dir"), ("paths", "corpus"),
-                         ("paths", "vocab"), ("paths", "init_checkpoint")):
-        value = cfg[section][key]
-        if value is not None and not isinstance(value, str):
-            raise ConfigError(f"{section}.{key} must be a path or null, got {value!r}")
-    benchmarks = cfg["paths"]["benchmarks"]
-    if not (isinstance(benchmarks, list) and all(isinstance(p, str) for p in benchmarks)):
-        raise ConfigError(f"paths.benchmarks must be a list of paths, got {benchmarks!r}")
     for name, classes in sections.items():
         for cls in classes:
             build(cls, cfg[name])

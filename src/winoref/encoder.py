@@ -14,7 +14,7 @@ import numpy as np
 
 from . import tensor as T
 from .config import check_choice, check_count, check_real, internal
-from .optim import AdamW
+from .optim import AdamW, check_finite_loss
 from .tensor import Tensor
 from .text import FIRST_WORD_ID, MASK_ID, row_masks
 
@@ -64,7 +64,7 @@ class EncoderConfig:
 class EncoderModel:
     """Parameter container plus config; all parameters are trainable leaves."""
 
-    def __init__(self, config, seed=0):
+    def __init__(self, config, seed):
         if config.vocab_size <= 0:
             raise ValueError("vocab_size must be set before building a model")
         self.config = config
@@ -379,7 +379,8 @@ def pretrain_mlm(model, rows, cfg, vocab):
     """Masked-LM training on a fixed list of id rows.
 
     Returns a history list of {"step", "lr", "loss"} rows, one per optimizer
-    step. Deterministic for a fixed seed.
+    step. Deterministic for a fixed seed. A non-finite loss raises
+    ValueError before its step updates the model.
     """
     if len(rows) == 0:
         raise ValueError("pretraining corpus is empty")
@@ -400,9 +401,11 @@ def pretrain_mlm(model, rows, cfg, vocab):
             logits = mlm_logits_batch(model, corrupted, row_masks(batch)[0], flat_idx,
                                       train=True, rng=rng)
             loss = T.cross_entropy(logits, targets)
+            value = loss.item()
+            check_finite_loss("pretraining", value, opt.step_count + 1)
             T.backward(loss)
             opt.step()
             history.append({"step": opt.step_count,
                             "lr": opt.effective_lr(),
-                            "loss": loss.item()})
+                            "loss": value})
     return history

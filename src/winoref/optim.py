@@ -1,8 +1,20 @@
 """AdamW with decoupled weight decay and linear learning-rate warmup."""
 
+import math
+
 import numpy as np
 
 from .tensor import MissingGradError
+
+# the moment decay rates; no caller changes them
+BETA1, BETA2 = 0.9, 0.999
+
+
+def check_finite_loss(phase, loss, step):
+    """Stop a training loop at its first non-finite loss, before the update
+    that would carry it into every parameter."""
+    if not math.isfinite(loss):
+        raise ValueError(f"{phase} diverged: the loss is {loss} at step {step}")
 
 
 class AdamW:
@@ -14,8 +26,7 @@ class AdamW:
     independently of the gradient-based update.
     """
 
-    def __init__(self, params, lr, betas=(0.9, 0.999), eps=1e-8,
-                 weight_decay=0.01, warmup_steps=0):
+    def __init__(self, params, lr, eps, weight_decay, warmup_steps):
         if lr <= 0:
             raise ValueError(f"learning rate must be positive, got {lr}")
         if eps <= 0:
@@ -24,7 +35,6 @@ class AdamW:
             raise ValueError("weight_decay and warmup_steps must be non-negative")
         self.params = list(params)
         self.lr = float(lr)
-        self.beta1, self.beta2 = betas
         self.eps = float(eps)
         self.weight_decay = float(weight_decay)
         self.warmup_steps = int(warmup_steps)
@@ -55,8 +65,8 @@ class AdamW:
         self.step_count += 1
         t = self.step_count
         lr_t = self.effective_lr()
-        bc1 = 1.0 - self.beta1 ** t
-        bc2 = 1.0 - self.beta2 ** t
+        bc1 = 1.0 - BETA1 ** t
+        bc2 = 1.0 - BETA2 ** t
         for (name, p), m, v in zip(self.params, self.m, self.v):
             # p -= lr_t * (m_hat / (sqrt(v_hat) + eps)), operation by operation
             g = p.grad
@@ -64,12 +74,12 @@ class AdamW:
                       for b in self._scratch[p.data.dtype])
             if self.weight_decay > 0:
                 p.data *= 1.0 - lr_t * self.weight_decay
-            m *= self.beta1
-            np.multiply(g, 1.0 - self.beta1, out=s1)
+            m *= BETA1
+            np.multiply(g, 1.0 - BETA1, out=s1)
             m += s1
-            v *= self.beta2
+            v *= BETA2
             np.multiply(g, g, out=s1)
-            s1 *= 1.0 - self.beta2
+            s1 *= 1.0 - BETA2
             v += s1
             np.divide(m, bc1, out=s1)
             np.divide(v, bc2, out=s2)

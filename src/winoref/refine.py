@@ -8,14 +8,14 @@ other samples generated with the same perturbation type (contrastive), and
 remains classifiable by perturbation type (diversity).
 """
 
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, astuple, dataclass, fields
 
 import numpy as np
 
 from . import tensor as T
-from .config import check_choice, check_count, check_real
+from .config import check_choice, check_count, check_real, internal
 from .encoder import encode, encode_batch
-from .optim import AdamW
+from .optim import AdamW, check_finite_loss
 from .scoring import windowed_bertscore
 from .tensor import Tensor
 from .text import (KIND_INDEX, PERTURBATION_KINDS, encode_tokens, tokenize,
@@ -35,11 +35,11 @@ class LossWeights:
     gamma: float = 2.5
 
     def __post_init__(self):
-        for key in ("alpha", "beta", "gamma"):
-            check_real(f"refine.{key}", getattr(self, key), 0)
+        for f in fields(self):
+            check_real(f"refine.{f.name}", getattr(self, f.name), 0)
 
     def all_zero(self):
-        return self.alpha == 0 and self.beta == 0 and self.gamma == 0
+        return not any(astuple(self))
 
     def to_dict(self):
         return asdict(self)
@@ -54,7 +54,7 @@ class RefinementConfig:
     adam_eps: float = 1e-8
     warmup_steps: int = 500
     weight_decay: float = 0.01
-    seed: int = 0
+    seed: int = internal(0)
     target_mode: str = "frozen-init"
     disc_hidden: int = 128
     disc_dropout: float = 0.2
@@ -232,7 +232,8 @@ def refine(model, disc, groups, weights, cfg, score_cfg, vocab):
     ``perturbations_per_sample`` kinds per group (without replacement,
     identity always eligible), encode their generated rows in one graph,
     evaluate the three loss terms and take one AdamW step over encoder plus
-    discriminator parameters. Returns per-step history rows.
+    discriminator parameters. Returns per-step history rows. A non-finite
+    total loss raises ValueError before its step updates the model.
     """
     if weights.all_zero():
         raise ValueError("all loss weights are zero; nothing to optimize")
@@ -279,6 +280,8 @@ def refine(model, disc, groups, weights, cfg, score_cfg, vocab):
             loss_d = diversity_loss(generated, kinds, disc, weights.gamma,
                                     train=True, rng=rng)
             total = T.add(T.add(loss_r, loss_c), loss_d)
+            value = total.item()
+            check_finite_loss("refinement", value, opt.step_count + 1)
             T.backward(total)
             opt.step()
             history.append({"step": opt.step_count, "epoch": epoch,
@@ -286,5 +289,5 @@ def refine(model, disc, groups, weights, cfg, score_cfg, vocab):
                             "loss_recon": loss_r.item(),
                             "loss_contrast": loss_c.item(),
                             "loss_diversity": loss_d.item(),
-                            "loss_total": total.item()})
+                            "loss_total": value})
     return history

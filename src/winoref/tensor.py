@@ -29,7 +29,8 @@ import numpy as np
 _DTYPE = np.float64
 _GRAD_ENABLED = True
 
-_DTYPES = {"float32": np.float32, "float64": np.float64}
+# the element precisions by name, as ``runtime.precision`` spells them
+DTYPES = {"float32": np.float32, "float64": np.float64}
 
 
 class ShapeError(ValueError):
@@ -41,11 +42,11 @@ class MissingGradError(RuntimeError):
 
 
 def set_dtype(name):
-    """Set the global element precision ("float32" or "float64")."""
+    """Set the global element precision, by its name in ``DTYPES``."""
     global _DTYPE
-    if name not in _DTYPES:
-        raise ValueError(f"unknown dtype {name!r}, expected one of {sorted(_DTYPES)}")
-    _DTYPE = _DTYPES[name]
+    if name not in DTYPES:
+        raise ValueError(f"unknown dtype {name!r}, expected one of {sorted(DTYPES)}")
+    _DTYPE = DTYPES[name]
 
 
 @contextlib.contextmanager
@@ -515,7 +516,7 @@ def logsumexp(x):
     return _node(out_data, (x,), bw)
 
 
-def layer_norm(x, gain, bias, eps=1e-5):
+def layer_norm(x, gain, bias, eps):
     """Normalize the last axis to zero mean / unit variance, then scale and shift."""
     x, gain, bias = astensor(x), astensor(gain), astensor(bias)
     if gain.data.shape != (x.data.shape[-1],) or bias.data.shape != (x.data.shape[-1],):

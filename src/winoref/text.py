@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import check_choice
+from .config import canonical_json, check_choice
 
 SLOT_MARKER = "_"
 
@@ -77,8 +77,7 @@ class Vocabulary:
     def save(self, path):
         doc = {"format_version": 1, "tokens": self._tokens}
         with open(path, "w", encoding="utf-8") as f:
-            json.dump(doc, f, sort_keys=True, separators=(",", ":"))
-            f.write("\n")
+            f.write(canonical_json(doc) + "\n")
 
     @classmethod
     def load(cls, path):

@@ -1,9 +1,12 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
 from winoref import checkpoint as ckpt
+
+PINNED_CHECKPOINT = "12700d631f8d37001337b7a4762c72767a3632568de4e853f1f6efc1360a32cb"
 
 
 def _arrays(seed=0):
@@ -58,3 +61,15 @@ def test_unsupported_version_rejected(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match="format_version"):
         ckpt.load(path)
+
+
+def test_saved_bytes_are_pinned(tmp_path):
+    # the file format's bytes: key order, separators, escaping and float
+    # spelling all show in the hash
+    arrays = {"emb": np.arange(15, dtype=np.float64).reshape(5, 3) / 7,
+              "bias": np.linspace(-1, 1, 7, dtype=np.float32),
+              "count": np.array([3], dtype=np.int64)}
+    meta = {"note": "café", "config": {"lr": 1.5e-3, "layers": [2, None, True]}}
+    path = tmp_path / "pinned.ckpt.json"
+    ckpt.save(path, arrays, meta)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_CHECKPOINT

@@ -31,9 +31,10 @@ def data_dir(tmp_path_factory):
 
 def write_config(path, data_dir, out_dir=None, **refine_overrides):
     refine = {"epochs": 1, "batch_size": 3, "perturbations_per_sample": 2,
-              "lr": 1e-3, "warmup_steps": 2, "seed": 5, "disc_hidden": 16}
+              "lr": 1e-3, "warmup_steps": 2, "disc_hidden": 16}
     refine.update(refine_overrides)
     cfg = {
+        "runtime": {"seed": 5},
         "paths": {
             "corpus": str(data_dir / "corpus.jsonl"),
             "benchmarks": [str(data_dir / "bench_a.jsonl"),
@@ -241,11 +242,54 @@ BAD_VALUES = [
     ("refine", "adam_eps", "Infinity"), ("refine", "adam_eps", "0"),
     ("refine", "warmup_steps", "abc"), ("refine", "warmup_steps", "-1"),
     ("refine", "weight_decay", "abc"), ("refine", "weight_decay", "-1"),
-    ("refine", "seed", "abc"), ("refine", "seed", "-3"),
     ("refine", "target_mode", "2"), ("refine", "target_mode", "bogus"),
     ("refine", "disc_hidden", "abc"), ("refine", "disc_hidden", "0"),
     ("refine", "disc_dropout", "abc"), ("refine", "disc_dropout", "1.5"),
 ]
+
+
+def test_seed_flag_sets_the_one_run_seed():
+    cfg = load_config(seed=3)
+    assert cfg["runtime"]["seed"] == 3
+    assert [key for section in cfg.values() for key in section].count("seed") == 1
+
+
+@pytest.mark.parametrize("where", ["file", "override"])
+def test_refine_seed_is_not_a_config_key(pretrained, tmp_path, capsys, where):
+    # runtime.seed seeds every command; a second seed key would be a copy
+    out, cfg_path = pretrained
+    argv = ["refine", "--config", str(cfg_path), "--out", str(tmp_path)]
+    if where == "file":
+        doc = json.loads(cfg_path.read_text())
+        doc["refine"]["seed"] = 5
+        (tmp_path / "run.json").write_text(json.dumps(doc))
+        argv[2] = str(tmp_path / "run.json")
+        expected = f"error: config file {tmp_path / 'run.json'}: unknown key refine.seed"
+    else:
+        argv.append("--refine.seed=5")
+        expected = "error: unknown override refine.seed"
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == expected + "\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == (
+        ["run.json"] if where == "file" else [])
+
+
+@pytest.mark.parametrize("command,overrides", [
+    ("pretrain", ["--pretrain.lr=1e30", "--pretrain.epochs=3",
+                  "--pretrain.warmup_steps=0"]),
+    ("refine", ["--refine.lr=1e30", "--refine.epochs=3", "--refine.warmup_steps=0"]),
+])
+def test_diverged_run_exits_with_one_error_line_and_no_artifact(
+        pretrained, tmp_path, capsys, command, overrides):
+    # a NaN loss used to end in "final loss nan", exit 0 and a NaN checkpoint
+    _, cfg_path = pretrained
+    rc = cli.main([command, "--config", str(cfg_path), "--out", str(tmp_path),
+                   *overrides])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: \w+ diverged: the loss is (nan|-?inf) at step \d+\n", err)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_bad_values_cover_every_key():
@@ -424,6 +468,25 @@ class TestEvaluate:
         assert str(paths[0]) in err and str(paths[1]) in err
         assert not (tmp_path / "ablation.csv").exists()
 
+    def test_checkpoints_with_one_file_name_exit_with_one_error_line(
+            self, pretrained, data_dir, tmp_path, capsys):
+        # both rows used to be labelled "init.ckpt", with nothing to tell
+        # them apart
+        out, cfg_path = pretrained
+        paths = []
+        for sub in ("a", "b"):
+            (tmp_path / sub).mkdir()
+            paths.append(tmp_path / sub / "init.ckpt.json")
+            paths[-1].write_bytes((out / "init.ckpt.json").read_bytes())
+        rc = cli.main(["evaluate", "--config", str(cfg_path), "--out", str(tmp_path),
+                       "--checkpoint", str(paths[0]), "--checkpoint", str(paths[1]),
+                       "--csv", str(data_dir / "bench_a.jsonl")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(paths[0]) in err and str(paths[1]) in err
+        assert not (tmp_path / "eval_report.csv").exists()
+
     def test_report_with_an_overflowing_candidate_is_strict_json(
             self, pretrained, data_dir, tmp_path):
         out, cfg_path = pretrained
@@ -514,6 +577,17 @@ class TestSweep:
         init = load_checkpoint(out / "init.ckpt.json")[0]
         run = load_checkpoint(tmp_path / "sweep" / "run_000" / "refined.ckpt.json")[0]
         assert params_hash(run) == params_hash(init)
+
+    def test_repeated_grid_axis_rejected(self, pretrained, tmp_path, capsys):
+        # the second --grid alpha used to replace the first, silently
+        _, cfg_path = pretrained
+        rc = cli.main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path),
+                       "--grid", "alpha=1", "--grid", "alpha=2"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "'alpha'" in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_bad_grid_axis_rejected(self, pretrained, tmp_path, capsys):
         out, cfg_path = pretrained

@@ -278,7 +278,7 @@ class TestAblation:
         run_cfg = load_config(overrides={
             ("refine", "epochs"): 1, ("refine", "batch_size"): 3,
             ("refine", "perturbations_per_sample"): 2, ("refine", "lr"): 1e-3,
-            ("refine", "warmup_steps"): 2, ("refine", "seed"): 5,
+            ("refine", "warmup_steps"): 2, ("runtime", "seed"): 5,
             ("refine", "disc_hidden"): 16})
         full = LossWeights(2.0, 0.5, 0.5)
         runs = [("baseline", LossWeights(0.0, 0.0, 0.0)),

@@ -49,7 +49,8 @@ class TestBasics:
     def test_layer_norm_standardizes(self):
         rng = np.random.default_rng(1)
         x = rng.normal(2.0, 1.3, size=(10, 128))
-        out = T.layer_norm(Tensor(x), Tensor(np.ones(128)), Tensor(np.zeros(128))).data
+        out = T.layer_norm(Tensor(x), Tensor(np.ones(128)), Tensor(np.zeros(128)),
+                           1e-5).data
         assert np.abs(out.mean(axis=-1)).max() < 1e-6
         assert np.abs(out.var(axis=-1) - 1.0).max() < 1e-4
 
@@ -246,7 +247,7 @@ class TestGradChecks:
         rng = np.random.default_rng(100 + seed)
         x, g, b = randt(rng, 3, 8), randt(rng, 8), randt(rng, 8)
         w = Tensor(rng.normal(size=(3, 8)))
-        check_grads(lambda: T.tsum(T.mul(T.layer_norm(x, g, b), w)), [x, g, b])
+        check_grads(lambda: T.tsum(T.mul(T.layer_norm(x, g, b, 1e-5), w)), [x, g, b])
 
     @pytest.mark.parametrize("seed", range(6))
     def test_gelu(self, seed):
@@ -375,7 +376,7 @@ class TestGradChecks:
 
         def build():
             h = T.gelu(T.matmul(x, w1))
-            h = T.layer_norm(h, g, b)
+            h = T.layer_norm(h, g, b, 1e-5)
             return T.cross_entropy(h, targets)
 
         check_grads(build, [x, w1, g, b])
@@ -492,7 +493,7 @@ class TestInPlaceKernels:
         gain = Tensor(rng.normal(size=24), requires_grad=True)
         bias = Tensor(rng.normal(size=24), requires_grad=True)
         g = rng.normal(size=(3, 7, 24)).astype(dtype)
-        out = T.layer_norm(x, gain, bias)
+        out = T.layer_norm(x, gain, bias, 1e-5)
         want_out, want_gx, want_gg, want_gb = layer_norm_formula(
             x.data, gain.data, bias.data, g)
         assert_same_bits(out.data, want_out)

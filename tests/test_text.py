@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -11,6 +12,8 @@ from winoref.text import (CLS_ID, FIRST_WORD_ID, MASK_ID, PAD_ID, PERTURBATION_K
                           row_masks, save_benchmark, save_perturbation_corpus,
                           tokenize, word_tokens)
 from winoref.synthetic import make_benchmark, make_perturbation_corpus
+
+PINNED_VOCABULARY = "d1af49ef334f2b6316e697eb88a038a5d2f6b2887021ed359b515083e4f5dbb9"
 
 
 @pytest.fixture
@@ -263,3 +266,10 @@ def test_synthetic_vocab_stays_small():
     vocab = build_vocab(corpus_sentences(groups)
                         + benchmark_texts(make_benchmark(1000, seed=1)))
     assert len(vocab) <= 500
+
+
+def test_vocabulary_file_bytes_are_pinned(tmp_path):
+    # the file format's bytes: key order, separators and escaping show here
+    path = tmp_path / "vocab.json"
+    build_vocab(["the trophy fits .", "a naïve \"quoted\" café"]).save(path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_VOCABULARY
