@@ -308,11 +308,12 @@ def cmd_sweep(cfg, out, grid_tokens):
 def cmd_score(cfg, checkpoint, sentence, candidate1, candidate2):
     if not checkpoint:
         raise CliError("score needs --checkpoint")
+    inst = SchemaInstance(sentence=sentence, candidate1=candidate1,
+                          candidate2=candidate2, label=1)
+    inst.check()
     vocab_path = _require(cfg, "paths", "vocab", "vocabulary file")
     vocab = _load_vocab(vocab_path)
     model = _load_model(checkpoint, vocab, vocab_path)
-    inst = SchemaInstance(sentence=sentence, candidate1=candidate1,
-                          candidate2=candidate2, label=1)
     chosen, (s1, s2) = resolve(model, vocab, inst)
     print(f"candidate1 {candidate1!r}: avg_log_prob={s1.avg_log_prob:.6f}")
     print(f"candidate2 {candidate2!r}: avg_log_prob={s2.avg_log_prob:.6f}")

@@ -109,6 +109,9 @@ class EncoderModel:
         return {name: p.data for name, p in self.params.items()}
 
     def load_arrays(self, named):
+        """Set every parameter from ``named``, cast to the model's dtype. A
+        missing, extra, misshapen or non-finite parameter is rejected, and
+        the error names it."""
         extra = sorted(set(named) - set(self.params))
         if extra:
             raise ValueError(f"checkpoint has parameters the model does not: {extra}")
@@ -118,7 +121,10 @@ class EncoderModel:
             if tuple(named[name].shape) != p.data.shape:
                 raise ValueError(f"parameter {name!r}: checkpoint shape "
                                  f"{named[name].shape} != model shape {p.data.shape}")
-            p.data = named[name].astype(p.data.dtype, copy=True)
+            data = named[name].astype(p.data.dtype, copy=True)
+            if not np.isfinite(data).all():
+                raise ValueError(f"parameter {name!r} holds a NaN or infinite value")
+            p.data = data
 
     def clone(self):
         other = EncoderModel.__new__(EncoderModel)
@@ -130,21 +136,15 @@ class EncoderModel:
 
 @dataclass
 class EmbeddingStack:
-    """Final-layer hidden states for a batch of sequences, with their masks."""
+    """Final-layer hidden states for a batch of sequences, with the mask of
+    their word positions, the ones similarity matching reads."""
     hidden: Tensor                 # (N, max_len, model_dim)
-    attention_mask: np.ndarray     # (N, max_len) real-token positions
     content_mask: np.ndarray       # (N, max_len) ordinary word positions
-
-    def eligible(self, include_special=False):
-        """(N, max_len) mask of the positions that take part in similarity
-        matching."""
-        return self.attention_mask if include_special else self.content_mask
 
     def select(self, rows):
         """Rows ``rows`` as a constant stack; no gradient flows back."""
         hidden = self.hidden.data[rows]
         return EmbeddingStack(hidden=Tensor(hidden, dtype=hidden.dtype),
-                              attention_mask=self.attention_mask[rows],
                               content_mask=self.content_mask[rows])
 
 
@@ -275,8 +275,7 @@ def encode_batch(model, rows, train=False, rng=None):
     ids = np.stack(rows)
     attention, content = row_masks(ids)
     hidden = forward_hidden(model, ids, attention, train=train, rng=rng)
-    return EmbeddingStack(hidden=hidden, attention_mask=attention,
-                          content_mask=content)
+    return EmbeddingStack(hidden=hidden, content_mask=content)
 
 
 # rows per forward in ``encode``; bounds its memory on a large corpus
@@ -294,7 +293,7 @@ def encode(model, rows):
                            attention[i:i + ENCODE_CHUNK]).data
             for i in range(0, len(ids), ENCODE_CHUNK)])
     return EmbeddingStack(hidden=Tensor(hidden, dtype=hidden.dtype),
-                          attention_mask=attention, content_mask=content)
+                          content_mask=content)
 
 
 def _check_rows(rows, n):

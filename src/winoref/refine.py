@@ -129,7 +129,7 @@ def pooled_stack(stack):
     positions, (N, model_dim)."""
     counts = stack.content_mask.sum(axis=1, keepdims=True)
     if not counts.all():
-        raise ValueError("cannot pool a stack with no eligible positions")
+        raise ValueError("cannot pool a stack with no word positions")
     weights = (stack.content_mask / counts)[:, :, None]
     return T.tsum(T.mul(stack.hidden, weights), axis=1)
 

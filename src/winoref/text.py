@@ -116,7 +116,7 @@ def build_vocab(texts):
 def row_masks(ids):
     """(attention, content) masks of an id row or a batch of rows: the real
     tokens, and the ordinary words among them (neither special nor
-    perturbation ids), which similarity matching uses by default."""
+    perturbation ids), the positions similarity matching reads."""
     ids = np.asarray(ids)
     return ids != PAD_ID, ids >= FIRST_WORD_ID
 
@@ -168,6 +168,20 @@ class SchemaInstance:
 
     def candidate(self, which):
         return self.candidate1 if which == 1 else self.candidate2
+
+    def check(self):
+        """Reject an instance whose sentence does not hold exactly one slot,
+        whose candidates are blank or tokenize the same, or whose label is
+        not 1 or 2."""
+        slots = sum(1 for t in word_tokens(self.sentence) if t == SLOT_MARKER)
+        if slots != 1:
+            raise ValueError(f"sentence must contain exactly one '{SLOT_MARKER}' "
+                             f"slot, found {slots}")
+        if not self.candidate1.strip() or not self.candidate2.strip():
+            raise ValueError("candidates must be non-empty")
+        if word_tokens(self.candidate1) == word_tokens(self.candidate2):
+            raise ValueError("candidates must be distinct")
+        check_choice("label", self.label, (1, 2))
 
 
 def _loads_strict(line, lineno, path):
@@ -266,18 +280,13 @@ def load_benchmark(path):
             twin = obj.get("twin")
             if twin is not None:
                 _check_text(f"{path}:{lineno}: twin", twin)
-            slots = sum(1 for t in word_tokens(sentence) if t == SLOT_MARKER)
-            if slots != 1:
-                raise ValueError(f"{path}:{lineno}: sentence must contain exactly one "
-                                 f"'{SLOT_MARKER}' slot, found {slots}")
-            if not c1.strip() or not c2.strip():
-                raise ValueError(f"{path}:{lineno}: candidates must be non-empty")
-            if word_tokens(c1) == word_tokens(c2):
-                raise ValueError(f"{path}:{lineno}: candidates must be distinct")
-            check_choice(f"{path}:{lineno}: label", obj["label"], (1, 2))
-            instances.append(SchemaInstance(sentence=sentence, candidate1=c1,
-                                            candidate2=c2, label=obj["label"],
-                                            twin=twin))
+            inst = SchemaInstance(sentence=sentence, candidate1=c1, candidate2=c2,
+                                  label=obj["label"], twin=twin)
+            try:
+                inst.check()
+            except ValueError as e:
+                raise ValueError(f"{path}:{lineno}: {e}") from None
+            instances.append(inst)
     return instances
 
 

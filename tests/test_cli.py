@@ -231,8 +231,6 @@ BAD_VALUES = [
     ("pretrain", "adam_eps", "abc"), ("pretrain", "adam_eps", "0"),
     ("pretrain", "mask_prob", "abc"), ("pretrain", "mask_prob", "2"),
     ("score", "window_radius", "abc"), ("score", "window_radius", "-1"),
-    ("score", "include_special", "1"),
-    ("score", "alignment", "1"), ("score", "alignment", "sideways"),
     ("refine", "alpha", "abc"), ("refine", "alpha", "-1"),
     ("refine", "beta", "NaN"), ("refine", "beta", "-0.5"),
     ("refine", "gamma", "abc"), ("refine", "gamma", "-2"),
@@ -273,6 +271,21 @@ def test_refine_seed_is_not_a_config_key(pretrained, tmp_path, capsys, where):
     assert err == expected + "\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == (
         ["run.json"] if where == "file" else [])
+
+
+@pytest.mark.parametrize("key,value", [("include_special", True), ("alignment", "raw")])
+def test_removed_score_switches_are_unknown_keys(pretrained, tmp_path, capsys, key, value):
+    # the window matches word tokens at their index among the words, the one
+    # rule; a run config that still picks another is rejected, not ignored
+    _, cfg_path = pretrained
+    doc = json.loads(cfg_path.read_text())
+    doc["score"] = {key: value}
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["refine", "--config", str(path), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: config file {path}: unknown key score.{key}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]
 
 
 @pytest.mark.parametrize("command,overrides", [
@@ -347,6 +360,30 @@ def test_vocabulary_of_another_checkpoint_exits_with_one_error_line(
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert str(ckpt) in err and str(vocab_path) in err
+    assert list(run_out.iterdir()) == []
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("command", ["evaluate", "score"])
+def test_non_finite_checkpoint_exits_with_one_error_line(
+        pretrained, data_dir, tmp_path, capsys, command, value):
+    # a NaN score loses every comparison, so it would break the tie rule
+    out, cfg_path = pretrained
+    arrays, meta = load_checkpoint(out / "init.ckpt.json")
+    arrays["final_ln.g"][0] = value
+    bad = tmp_path / "bad.ckpt.json"
+    save_checkpoint(bad, arrays, meta)
+    extra = {"evaluate": [str(data_dir / "bench_a.jsonl")],
+             "score": ["--sentence", "the _ fits .", "--candidate1", "trophy",
+                       "--candidate2", "suitcase"]}[command]
+    run_out = tmp_path / "out"
+    rc = cli.main([command, "--config", str(cfg_path), "--out", str(run_out),
+                   "--checkpoint", str(bad), *extra])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: checkpoint {bad}: parameter 'final_ln.g' "
+                            f"holds a NaN or infinite value\n")
+    assert captured.out == ""
     assert list(run_out.iterdir()) == []
 
 
@@ -609,6 +646,32 @@ class TestScoreCommand:
         out_text = capsys.readouterr().out
         assert out_text.count("avg_log_prob=") == 2
         assert "chosen: candidate" in out_text
+
+    @pytest.mark.parametrize("sentence,candidates,message", [
+        ("the _ fits .", ("Box", "box"), "candidates must be distinct"),
+        ("the _ fits .", ("box", "  "), "candidates must be non-empty"),
+        ("the box fits .", ("box", "cup"),
+         "sentence must contain exactly one '_' slot, found 0"),
+    ])
+    def test_instance_rules_of_the_benchmark_loader(self, pretrained, tmp_path, capsys,
+                                                    sentence, candidates, message):
+        # two candidates that tokenize the same would always tie
+        out, cfg_path = pretrained
+        rc = cli.main(["score", "--config", str(cfg_path), "--out", str(tmp_path),
+                       "--checkpoint", str(out / "init.ckpt.json"),
+                       "--sentence", sentence, "--candidate1", candidates[0],
+                       "--candidate2", candidates[1]])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+        # the benchmark loader says the same after its line prefix
+        path = tmp_path / "b.jsonl"
+        path.write_text(json.dumps({"sentence": sentence, "candidate1": candidates[0],
+                                    "candidate2": candidates[1], "label": 1}) + "\n")
+        with pytest.raises(ValueError) as raised:
+            load_benchmark(path)
+        assert str(raised.value) == f"{path}:1: {message}"
 
     def test_missing_checkpoint_flag(self, pretrained, tmp_path, capsys):
         out, cfg_path = pretrained

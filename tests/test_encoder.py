@@ -108,7 +108,6 @@ class TestEncode:
             whole = encode_batch(model, rows)
         np.testing.assert_allclose(stack.hidden.data, whole.hidden.data,
                                    rtol=1e-12, atol=1e-12)
-        np.testing.assert_array_equal(stack.attention_mask, whole.attention_mask)
         np.testing.assert_array_equal(stack.content_mask, whole.content_mask)
 
     def test_stack_carries_masks(self, small_setup):
@@ -116,9 +115,7 @@ class TestEncode:
         stack = encode_batch(model, seqs[:3])
         assert stack.hidden.shape == (3, cfg.max_len, cfg.model_dim)
         for row, seq in enumerate(seqs[:3]):
-            attention, content = row_masks(seq)
-            np.testing.assert_array_equal(stack.attention_mask[row], attention)
-            np.testing.assert_array_equal(stack.content_mask[row], content)
+            np.testing.assert_array_equal(stack.content_mask[row], row_masks(seq)[1])
 
     @pytest.mark.parametrize("extra", ["layer", "untied-head", "bogus"])
     def test_load_arrays_rejects_names_the_model_does_not_have(self, small_setup, extra):
@@ -135,6 +132,14 @@ class TestEncode:
         # nothing was loaded
         for name, arr in target.param_arrays().items():
             np.testing.assert_array_equal(arr, before[name])
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_load_arrays_rejects_a_non_finite_parameter(self, small_setup, value):
+        _, cfg, model, _ = small_setup
+        arrays = {name: arr.copy() for name, arr in model.param_arrays().items()}
+        arrays["final_ln.g"][3] = value
+        with pytest.raises(ValueError, match="'final_ln.g' holds a NaN or infinite"):
+            EncoderModel(cfg, seed=1).load_arrays(arrays)
 
     def test_model_dim_must_divide_heads(self):
         with pytest.raises(ValueError, match="divisible"):

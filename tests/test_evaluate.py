@@ -1,12 +1,16 @@
 import ast
 import dataclasses
 import inspect
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-import sys
-import warnings
+import winoref.evaluate as ev
 from winoref.checkpoint import params_hash
 from winoref.cli import refine_and_evaluate
 from winoref.config import load_config
@@ -18,10 +22,6 @@ from winoref.text import (CLS_ID, MASK_ID, PAD_ID, SEP_ID, SchemaInstance,
                           benchmark_texts, build_vocab, corpus_sentences, row_masks)
 
 from conftest import make_null_benchmark
-
-# the package re-exports the evaluate() function under the module's name;
-# fetch the module itself for monkeypatching
-ev = sys.modules[score_candidate.__module__]
 
 
 def hand_layout(prefix, m, suffix, vocab, max_len):
@@ -261,6 +261,32 @@ def test_evaluation_imports_no_training_code():
                 a.name for a in node.names]
             assert not any(name.startswith("winoref") for name in names)
     assert imported == {"tensor", "encoder", "text"}
+
+
+def _submodules_after(statement):
+    """The winoref submodules a fresh interpreter holds after running
+    ``statement``."""
+    src = Path(ev.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    code = (f"{statement}\nimport sys\n"
+            f"print(*sorted(m for m in sys.modules if m.startswith('winoref.')))")
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return set(done.stdout.split())
+
+
+def test_package_root_imports_no_submodule():
+    assert _submodules_after("import winoref") == set()
+
+
+def test_evaluation_loads_no_refinement_scoring_or_command_code():
+    # scoring a benchmark needs no refinement, matching or command code
+    loaded = _submodules_after("import winoref.evaluate")
+    assert "winoref.evaluate" in loaded
+    assert not loaded & {"winoref.refine", "winoref.scoring", "winoref.cli",
+                         "winoref.synthetic", "winoref.checkpoint"}
 
 
 class TestAblation:

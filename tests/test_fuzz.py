@@ -87,7 +87,7 @@ class TestRangeFuzz:
             attention[:, 0] = True
             hidden[~attention] = 0.0
             stack = EmbeddingStack(hidden=Tensor(hidden, requires_grad=True),
-                                   attention_mask=attention, content_mask=content)
+                                   content_mask=content)
             kinds = [PERTURBATION_KINDS[k] for k in
                      rng.integers(0, len(PERTURBATION_KINDS), size=n)]
             disc = Discriminator(d, 16, dropout=0.2, seed=case)

@@ -1,8 +1,7 @@
-import importlib
-
 import numpy as np
 import pytest
 
+import winoref.refine
 import winoref.tensor as T
 from winoref.encoder import (EmbeddingStack, EncoderConfig, EncoderModel,
                              encode, encode_batch)
@@ -20,9 +19,6 @@ from winoref.text import (KIND_INDEX, PERTURBATION_KINDS, PerturbationKind,
 
 from conftest import kind_probe_accuracy, min_same_kind_distance
 from test_scoring import batch_of, make_stack, random_stack
-
-# the package attribute ``winoref.refine`` is the function; this is the module
-refine_mod = importlib.import_module("winoref.refine")
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +132,6 @@ class TestReconstructionLoss:
     def test_empty_pairs_rejected(self):
         rng = np.random.default_rng(12)
         empty = EmbeddingStack(hidden=T.Tensor(np.zeros((0, 6, 8))),
-                               attention_mask=np.zeros((0, 6), dtype=bool),
                                content_mask=np.zeros((0, 6), dtype=bool))
         with pytest.raises(ValueError, match="at least one"):
             reconstruction_loss(empty, empty, 1.0, ScoreConfig())
@@ -214,8 +209,7 @@ class TestContrastiveLoss:
             stacks = [make_stack(rng.normal(size=(int(rng.integers(1, 8)), 8))
                                  + rng.uniform(0.0, 1.5))
                       for _ in samples]
-            cfg = ScoreConfig(window_radius=int(rng.integers(0, 4)),
-                              alignment=("compact", "raw")[case % 2])
+            cfg = ScoreConfig(window_radius=int(rng.integers(0, 4)))
             ours, theirs = (batch_of(stacks, requires_grad=True) for _ in range(2))
             got = contrastive_loss(ours, contrastive_pairs(samples, kinds), 0.7, cfg)
             want = ordered_contrastive_loss(theirs, samples, kinds, 0.7, cfg)
@@ -301,7 +295,8 @@ class TestRefineTargets:
     @staticmethod
     def _run(monkeypatch, model, groups, vocab, **cfg_kw):
         steps = []
-        real_recon, real_div = refine_mod.reconstruction_loss, refine_mod.diversity_loss
+        real_recon = winoref.refine.reconstruction_loss
+        real_div = winoref.refine.diversity_loss
 
         def recon(targets, generated, alpha, score_cfg):
             # "live": the model as this step's targets were encoded
@@ -313,8 +308,8 @@ class TestRefineTargets:
             steps[-1]["kinds"] = list(kinds)
             return real_div(stack, kinds, disc, gamma, train=train, rng=rng)
 
-        monkeypatch.setattr(refine_mod, "reconstruction_loss", recon)
-        monkeypatch.setattr(refine_mod, "diversity_loss", div)
+        monkeypatch.setattr(winoref.refine, "reconstruction_loss", recon)
+        monkeypatch.setattr(winoref.refine, "diversity_loss", div)
         disc = Discriminator(model.config.model_dim, 16, dropout=0.2, seed=0)
         refine(model, disc, groups, LossWeights(1.0, 0.5, 0.5), _refine_cfg(**cfg_kw),
                ScoreConfig(window_radius=2), vocab)
@@ -608,7 +603,6 @@ def lazy_cache_refine(model, disc, groups, weights, cfg, score_cfg, vocab):
             hidden = np.concatenate([t.hidden.data for t in parts])
             targets = EmbeddingStack(
                 hidden=Tensor(hidden, dtype=hidden.dtype),
-                attention_mask=np.concatenate([t.attention_mask for t in parts]),
                 content_mask=np.concatenate([t.content_mask for t in parts]))
             loss_r = reconstruction_loss(targets, generated, weights.alpha, score_cfg)
             loss_c = contrastive_loss(generated, contrastive_pairs(samples, kinds),

@@ -21,12 +21,9 @@ def make_stack(rows, pad_extra=2, special_rows=None):
     hidden[0, 0] = special_rows[0] if special_rows is not None else rng.normal(size=d)
     hidden[0, 1:n + 1] = rows
     hidden[0, n + 1] = special_rows[1] if special_rows is not None else rng.normal(size=d)
-    attention = np.zeros((1, L), dtype=bool)
-    attention[0, :n + 2] = True
     content = np.zeros((1, L), dtype=bool)
     content[0, 1:n + 1] = True
-    return EmbeddingStack(hidden=Tensor(hidden), attention_mask=attention,
-                          content_mask=content)
+    return EmbeddingStack(hidden=Tensor(hidden), content_mask=content)
 
 
 def random_stack(rng, n, d=8, requires_grad=False):
@@ -48,7 +45,6 @@ def batch_of(stacks, requires_grad=False):
     return EmbeddingStack(
         hidden=Tensor(np.concatenate([pad(s.hidden.data) for s in stacks]),
                       requires_grad=requires_grad),
-        attention_mask=np.concatenate([pad(s.attention_mask) for s in stacks]),
         content_mask=np.concatenate([pad(s.content_mask) for s in stacks]))
 
 
@@ -76,10 +72,10 @@ def content_rows(stack, row=0):
 
 
 def oracle_pair_score(a, i, b, j, cfg):
-    """Independent double loop over row i of ``a`` and row j of ``b``, for
-    either alignment and either eligibility rule."""
-    ea = np.nonzero(a.eligible(cfg.include_special)[i])[0]
-    eb = np.nonzero(b.eligible(cfg.include_special)[j])[0]
+    """Independent double loop over the words of row i of ``a`` and row j
+    of ``b``, each at its index among its row's words."""
+    ea = np.nonzero(a.content_mask[i])[0]
+    eb = np.nonzero(b.content_mask[j])[0]
 
     def unit(v):
         n = np.linalg.norm(v)
@@ -87,16 +83,14 @@ def oracle_pair_score(a, i, b, j, cfg):
 
     va = [unit(a.hidden.data[i, k]) for k in ea]
     vb = [unit(b.hidden.data[j, k]) for k in eb]
-    pos_a = list(range(len(ea))) if cfg.alignment == "compact" else list(ea)
-    pos_b = list(range(len(eb))) if cfg.alignment == "compact" else list(eb)
     w = cfg.window_radius
     p_terms = []
     for x in range(len(va)):
-        sims = [float(va[x] @ vb[y]) for y in range(len(vb)) if abs(pos_a[x] - pos_b[y]) <= w]
+        sims = [float(va[x] @ vb[y]) for y in range(len(vb)) if abs(x - y) <= w]
         p_terms.append(max(sims) if sims else 0.0)
     r_terms = []
     for y in range(len(vb)):
-        sims = [float(va[x] @ vb[y]) for x in range(len(va)) if abs(pos_a[x] - pos_b[y]) <= w]
+        sims = [float(va[x] @ vb[y]) for x in range(len(va)) if abs(x - y) <= w]
         r_terms.append(max(sims) if sims else 0.0)
     p, r = np.mean(p_terms), np.mean(r_terms)
     if p <= 0 or r <= 0:   # F1 is defined for positive P and R only
@@ -176,7 +170,7 @@ class TestScore:
                                     make_stack(rows_b, pad_extra=3), cfg).item()
         assert base == pytest.approx(padded, abs=1e-12)
 
-    def test_special_row_content_irrelevant_by_default(self):
+    def test_special_row_content_irrelevant(self):
         rng = np.random.default_rng(6)
         rows = rng.normal(size=(4, 8))
         cfg = ScoreConfig(window_radius=2)
@@ -186,14 +180,6 @@ class TestScore:
         s1 = pair_score(a1, b, cfg).item()
         s2 = pair_score(a2, b, cfg).item()
         assert s1 == pytest.approx(s2, abs=1e-12)
-
-    def test_include_special_changes_the_matching(self):
-        rng = np.random.default_rng(7)
-        a, b = random_stack(rng, 4), random_stack(rng, 4)
-        narrow = pair_score(a, b, ScoreConfig(window_radius=2)).item()
-        wide = pair_score(
-            a, b, ScoreConfig(window_radius=2, include_special=True)).item()
-        assert narrow != pytest.approx(wide, abs=1e-9)
 
     def test_empty_side_rejected(self):
         rng = np.random.default_rng(8)
@@ -245,24 +231,18 @@ class TestScore:
         hidden[1] = rng.normal(size=8)      # conditioning token row
         hidden[2:7] = rows
         hidden[7] = rng.normal(size=8)      # [SEP]
-        attention = np.zeros(L, dtype=bool)
-        attention[:8] = True
         content = np.zeros(L, dtype=bool)
         content[2:7] = True
         shifted = EmbeddingStack(hidden=Tensor(hidden[None]),
-                                 attention_mask=attention[None],
                                  content_mask=content[None])
         compact = pair_score(a, shifted, ScoreConfig(window_radius=0)).item()
-        raw = pair_score(
-            a, shifted, ScoreConfig(window_radius=0, alignment="raw")).item()
         assert compact == pytest.approx(1.0, abs=1e-9)
-        assert raw < 1.0 - 1e-6
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
             ScoreConfig(window_radius=-1)
         with pytest.raises(ValueError):
-            ScoreConfig(alignment="sideways")
+            ScoreConfig(window_radius=True)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_gradient_matches_finite_differences(self, seed):
@@ -328,22 +308,18 @@ class TestBatchedScore:
         stacks.append(make_stack(rng.normal(size=(4, 8)) + 1.2, pad_extra=5))
         return batch_of(stacks, requires_grad=True)
 
-    @pytest.mark.parametrize("alignment", ["compact", "raw"])
-    @pytest.mark.parametrize("include_special", [False, True])
     @pytest.mark.parametrize("radius", [0, 1, 64])
-    def test_matches_per_pair_double_loop(self, alignment, include_special, radius):
+    def test_matches_per_pair_double_loop(self, radius):
         rng = np.random.default_rng(40)
         stack = self._batch(rng)
         n = stack.hidden.shape[0]
         ia, ib = (g.ravel() for g in np.meshgrid(np.arange(n), np.arange(n)))
-        cfg = ScoreConfig(window_radius=radius, include_special=include_special,
-                          alignment=alignment)
+        cfg = ScoreConfig(window_radius=radius)
         got = windowed_bertscore(stack, stack, ia, ib, cfg).data
         want = [oracle_pair_score(stack, i, stack, j, cfg) for i, j in zip(ia, ib)]
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
-        if not include_special:
-            orthogonal = (ia + ib == 1)
-            assert (got[orthogonal] == 0.0).all()
+        orthogonal = (ia + ib == 1)
+        assert (got[orthogonal] == 0.0).all()
 
     def test_two_stacks_of_different_lengths(self):
         rng = np.random.default_rng(41)
@@ -351,11 +327,10 @@ class TestBatchedScore:
         b = batch_of([random_stack(rng, int(n)) for n in (5, 2)])
         b = batch_of([b, make_stack(rng.normal(size=(6, 8)), pad_extra=9)])
         ia, ib = np.array([0, 1, 2, 2, 1]), np.array([1, 0, 2, 1, 2])
-        for alignment in ("compact", "raw"):
-            cfg = ScoreConfig(window_radius=1, alignment=alignment)
-            got = windowed_bertscore(a, b, ia, ib, cfg).data
-            want = [oracle_pair_score(a, i, b, j, cfg) for i, j in zip(ia, ib)]
-            np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
+        cfg = ScoreConfig(window_radius=1)
+        got = windowed_bertscore(a, b, ia, ib, cfg).data
+        want = [oracle_pair_score(a, i, b, j, cfg) for i, j in zip(ia, ib)]
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
 
     def test_degenerate_pair_passes_no_gradient(self):
         rng = np.random.default_rng(42)
@@ -366,14 +341,13 @@ class TestBatchedScore:
         T.backward(T.tsum(T.mul(scores, np.array([1.0, 0.0, 0.0]))))
         assert not stack.hidden.grad.any()
 
-    @pytest.mark.parametrize("alignment", ["compact", "raw"])
-    def test_gradient_matches_finite_differences(self, alignment):
+    def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(43)
         stack = batch_of([random_stack(rng, int(n)) for n in (4, 6, 3)],
                          requires_grad=True)
         ia, ib = np.array([0, 1, 2, 0, 2]), np.array([1, 0, 0, 2, 1])
         weights = rng.normal(size=5)
-        cfg = ScoreConfig(window_radius=1, alignment=alignment)
+        cfg = ScoreConfig(window_radius=1)
         check_grads(lambda: T.tsum(T.mul(windowed_bertscore(stack, stack, ia, ib, cfg),
                                          weights)), [stack.hidden])
 
@@ -386,11 +360,11 @@ class TestScoreFuzz:
 
     @classmethod
     def _fuzz_stack(cls, rng, rows=6, d=4):
-        # each row attends to 1..max_len positions; its content is either
+        # each row attends to 1..max_len positions; its words are either
         # every attended position or the ones between [CLS] and [SEP], so
-        # 1..max_len positions are eligible under either rule. Every token
-        # vector has its own magnitude in 1e-30..1e30, a few are exactly
-        # zero, and pads are zero as the encoder leaves them
+        # a row holds 1..max_len words. Every token vector has its own
+        # magnitude in 1e-30..1e30, a few are exactly zero, and pads are
+        # zero as the encoder leaves them
         L = cls.MAX_LEN
         attention = np.zeros((rows, L), dtype=bool)
         content = np.zeros((rows, L), dtype=bool)
@@ -404,9 +378,8 @@ class TestScoreFuzz:
         hidden[rng.random((rows, L)) < 0.05] = 0.0
         hidden[~attention] = 0.0
         # a repeated row pairs a row with its own copy
-        hidden[-1], attention[-1], content[-1] = hidden[0], attention[0], content[0]
-        return EmbeddingStack(hidden=Tensor(hidden), attention_mask=attention,
-                              content_mask=content)
+        hidden[-1], content[-1] = hidden[0], content[0]
+        return EmbeddingStack(hidden=Tensor(hidden), content_mask=content)
 
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
     def test_symmetric_and_in_unit_interval(self, dtype):
@@ -418,17 +391,14 @@ class TestScoreFuzz:
             assert stack.hidden.data.dtype == dtype
             n = stack.hidden.shape[0]
             ia, ib = (g.ravel() for g in np.meshgrid(np.arange(n), np.arange(n)))
-            for alignment in ("compact", "raw"):
-                for include_special in (False, True):
-                    for radius in range(4):
-                        cfg = ScoreConfig(window_radius=radius, alignment=alignment,
-                                          include_special=include_special)
-                        scores = windowed_bertscore(stack, stack, ia, ib, cfg).data
-                        where = f"case {case}, {cfg}"
-                        assert np.isfinite(scores).all(), where
-                        # a row against its equal is clamped to 1, not
-                        # rounded above it
-                        assert ((scores >= 0.0) & (scores <= 1.0)).all(), \
-                            f"{where}: range {scores.min()}..{scores.max()}"
-                        swapped = scores.reshape(n, n).T.ravel()
-                        assert np.abs(scores - swapped).max() <= 4 * eps, where
+            for radius in range(4):
+                cfg = ScoreConfig(window_radius=radius)
+                scores = windowed_bertscore(stack, stack, ia, ib, cfg).data
+                where = f"case {case}, {cfg}"
+                assert np.isfinite(scores).all(), where
+                # a row against its equal is clamped to 1, not rounded
+                # above it
+                assert ((scores >= 0.0) & (scores <= 1.0)).all(), \
+                    f"{where}: range {scores.min()}..{scores.max()}"
+                swapped = scores.reshape(n, n).T.ravel()
+                assert np.abs(scores - swapped).max() <= 4 * eps, where
