@@ -24,7 +24,7 @@ from .evaluate import evaluate, resolve
 from .refine import Discriminator, LossWeights, RefinementConfig, refine
 from .scoring import ScoreConfig
 from .synthetic import make_benchmark, make_perturbation_corpus
-from .text import (SchemaInstance, Vocabulary, benchmark_texts, build_vocab,
+from .text import (SchemaInstance, Vocabulary, benchmark_texts, build_vocab, corpus_rows,
                    corpus_sentences, load_benchmark, load_perturbation_corpus,
                    save_benchmark, save_perturbation_corpus, tokenize)
 
@@ -123,16 +123,29 @@ def _refine(model, groups, weights, cfg, vocab):
                       ScoreConfig(**cfg["score"]), vocab)
 
 
+def _evaluate(model, vocab, name, instances, warned):
+    """``evaluate`` on one dataset; a stderr line counts its overflowing
+    candidates, unless ``warned``, the lines printed so far, holds it."""
+    report = evaluate(model, vocab, instances, name)
+    line = (f"{name}: {report.overflows} of {2 * report.count} candidates overflow "
+            f"max length {model.config.max_len} and score -inf")
+    if report.overflows and line not in warned:
+        warned.add(line)
+        print(line, file=sys.stderr)
+    return report
+
+
 def refine_and_evaluate(init_model, runs, groups, datasets, vocab, cfg):
     """For each ``(name, LossWeights)`` of ``runs``, refine a fresh clone of
     ``init_model`` (all-zero weights leave it as it is) and evaluate it on
     every ``(name, instances)`` dataset. Yields ``(name, weights, model,
     {dataset: accuracy})`` one run at a time; ``init_model`` is untouched."""
+    warned = set()
     for name, weights in runs:
         model = init_model.clone()
         if not weights.all_zero():
             _refine(model, groups, weights, cfg, vocab)
-        accs = {d: evaluate(model, vocab, instances, d).accuracy
+        accs = {d: _evaluate(model, vocab, d, instances, warned).accuracy
                 for d, instances in datasets}
         yield name, weights, model, accs
 
@@ -145,8 +158,7 @@ def refine_and_evaluate(init_model, runs, groups, datasets, vocab, cfg):
 def cmd_pretrain(cfg, out):
     corpus_path = _require(cfg, "paths", "corpus", "path to the perturbation corpus")
     groups = _load_corpus(corpus_path)
-    texts = corpus_sentences(groups)
-    vocab_texts = list(texts)
+    vocab_texts = corpus_sentences(groups)
     for _, instances in _load_datasets(cfg["paths"]["benchmarks"]):
         vocab_texts.extend(benchmark_texts(instances))
     vocab = build_vocab(vocab_texts)
@@ -154,7 +166,8 @@ def cmd_pretrain(cfg, out):
     enc = EncoderConfig(vocab_size=len(vocab), **cfg["encoder"])
     model = EncoderModel(enc, seed=cfg["runtime"]["seed"])
     pre_cfg = C.build(PretrainConfig, cfg["pretrain"], seed=cfg["runtime"]["seed"])
-    seqs = [tokenize(t, vocab, enc.max_len) for t in texts]
+    seqs = corpus_rows(groups, lambda gi, g, kind: tokenize(g.variant_text(kind),
+                                                            vocab, enc.max_len))
     with np.errstate(invalid="ignore"):   # as in _refine
         history = pretrain_mlm(model, seqs, pre_cfg, vocab)
 
@@ -204,10 +217,10 @@ def cmd_evaluate(cfg, out, checkpoints, dataset_paths, emit_json, emit_csv):
     # load and check every checkpoint first, so a bad one fails before any
     # evaluation runs
     models = [_load_model(ck_path, vocab, vocab_path) for ck_path in checkpoints]
-    rows = []
+    rows, warned = [], set()
     for label, model in zip(labels, models):
         for name, instances in datasets:
-            report = evaluate(model, vocab, instances, name)
+            report = _evaluate(model, vocab, name, instances, warned)
             # an overflowing candidate scores -inf, which JSON writes as null
             decisions = [{**d, "score1": _finite_or_none(d["score1"]),
                           "score2": _finite_or_none(d["score2"])}

@@ -1,4 +1,4 @@
-"""Transformer encoder with a masked-LM head.
+"""Transformer encoder with a masked-LM head tied to its token embeddings.
 
 Pre-norm architecture: embeddings -> N blocks of (layer-norm, multi-head
 self-attention, residual) and (layer-norm, feed-forward, residual) -> final
@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from . import tensor as T
-from .config import check_choice, check_count, check_real, internal
+from .config import check_count, check_real, internal
 from .optim import AdamW, check_finite_loss
 from .tensor import Tensor
 from .text import FIRST_WORD_ID, MASK_ID, row_masks
@@ -28,7 +28,6 @@ class EncoderConfig:
     max_len: int = 48
     vocab_size: int = internal(0)
     dropout: float = 0.1
-    tie_mlm_head: bool = True
     layer_norm_eps: float = internal(1e-5)
     init_scale: float = internal(0.02)
 
@@ -39,7 +38,6 @@ class EncoderConfig:
         check_count("encoder.max_len", self.max_len, 3)   # [CLS] word [SEP]
         check_count("encoder.vocab_size", self.vocab_size, 0)
         check_real("encoder.dropout", self.dropout, 0, 1, high_open=True)
-        check_choice("encoder.tie_mlm_head", self.tie_mlm_head, (True, False))
         check_real("encoder.layer_norm_eps", self.layer_norm_eps, 0, low_open=True)
         check_real("encoder.init_scale", self.init_scale, 0)
         if self.model_dim % self.heads != 0:
@@ -99,8 +97,6 @@ class EncoderModel:
         param("final_ln.g", (d,), "ones")
         param("final_ln.b", (d,), "zeros")
         param("mlm_bias", (v,), "zeros")
-        if not config.tie_mlm_head:
-            param("mlm_w", (d, v))
 
     def named_params(self):
         return list(self.params.items())
@@ -308,7 +304,8 @@ def _check_rows(rows, n):
 
 
 def mlm_logits_batch(model, ids, attention_mask, rows, train=False, rng=None):
-    """Vocabulary logits at the given rows, (len(rows), V).
+    """Vocabulary logits at the given rows, (len(rows), V). The head is the
+    token embedding table transposed, plus one bias per token.
 
     ``rows`` are flat indices into the B*L positions of ``ids`` (row-major,
     so position j of sequence b is b*L + j). The forward runs its last
@@ -316,15 +313,11 @@ def mlm_logits_batch(model, ids, attention_mask, rows, train=False, rng=None):
     (d, V) projection and its backward cost R rows, not B*L.
     """
     rows = _check_rows(rows, np.size(ids))
-    cfg = model.config
     hidden = forward_hidden(model, ids, attention_mask, train=train, rng=rng,
                             rows=rows)
     B, L, d = hidden.data.shape
     picked = T.take(T.reshape(hidden, (B * L, d)), rows)
-    if cfg.tie_mlm_head:
-        w = T.transpose(model.params["tok_emb"], (1, 0))
-    else:
-        w = model.params["mlm_w"]
+    w = T.transpose(model.params["tok_emb"], (1, 0))
     return T.linear(picked, w, model.params["mlm_bias"])
 
 
@@ -335,7 +328,6 @@ class PretrainConfig:
     lr: float = 1e-3
     warmup_steps: int = 50
     weight_decay: float = 0.01
-    adam_eps: float = 1e-8
     mask_prob: float = 0.15
     seed: int = internal(0)
 
@@ -345,7 +337,6 @@ class PretrainConfig:
         check_real("pretrain.lr", self.lr, 0, low_open=True)
         check_count("pretrain.warmup_steps", self.warmup_steps, 0)
         check_real("pretrain.weight_decay", self.weight_decay, 0)
-        check_real("pretrain.adam_eps", self.adam_eps, 0, low_open=True)
         check_real("pretrain.mask_prob", self.mask_prob, 0, 1)
         check_count("pretrain.seed", self.seed, 0)
 
@@ -385,8 +376,8 @@ def pretrain_mlm(model, rows, cfg, vocab):
         raise ValueError("pretraining corpus is empty")
     rows = np.stack(rows)
     rng = np.random.default_rng(cfg.seed)
-    opt = AdamW(model.named_params(), lr=cfg.lr, eps=cfg.adam_eps,
-                weight_decay=cfg.weight_decay, warmup_steps=cfg.warmup_steps)
+    opt = AdamW(model.named_params(), lr=cfg.lr, weight_decay=cfg.weight_decay,
+                warmup_steps=cfg.warmup_steps)
     history = []
     order = np.arange(len(rows))
     for _ in range(cfg.epochs):

@@ -6,7 +6,6 @@ score is the average log probability of its tokens at the masked positions.
 Evaluation never updates parameters.
 """
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,9 +17,9 @@ from .text import MASK, SLOT_MARKER, encode_tokens, row_masks, word_tokens
 
 @dataclass
 class CandidateScore:
-    index: int
     avg_log_prob: float
     n_tokens: int
+    overflows: bool    # its row does not fit max_len; it scores -inf
 
 
 @dataclass
@@ -28,6 +27,7 @@ class EvalReport:
     dataset: str
     count: int
     accuracy: float
+    overflows: int     # candidates whose row does not fit max_len
     decisions: list = field(default_factory=list)
 
 
@@ -59,9 +59,10 @@ def _masked_ids(instance, which, vocab, max_len):
     prefix = word_tokens(parts[0])
     suffix = word_tokens(parts[1])
     m = len(cand_tokens)
-    if 2 + len(prefix) + m + len(suffix) > max_len:
+    try:
+        ids = encode_tokens(prefix + [MASK] * m + suffix, vocab, max_len)
+    except ValueError:   # the row overflows max_len
         return None
-    ids = encode_tokens(prefix + [MASK] * m + suffix, vocab, max_len)
     mask_positions = np.arange(1 + len(prefix), 1 + len(prefix) + m)
     cand_ids = np.array([vocab.id(t) for t in cand_tokens])
     return ids, mask_positions, cand_ids
@@ -70,22 +71,21 @@ def _masked_ids(instance, which, vocab, max_len):
 def score_candidate(model, vocab, instance, which):
     """Average log probability of one candidate in the masked slot.
 
-    A candidate that overflows the length budget scores -inf (with a
-    warning) rather than being silently dropped.
+    A candidate whose row overflows the length budget scores -inf and is
+    marked ``overflows`` rather than being silently dropped.
     """
     built = _masked_ids(instance, which, vocab, model.config.max_len)
     if built is None:
-        warnings.warn(f"candidate {which} overflows max_len "
-                      f"{model.config.max_len}; scored as -inf")
-        return CandidateScore(index=which, avg_log_prob=float("-inf"),
-                              n_tokens=len(word_tokens(instance.candidate(which))))
+        return CandidateScore(avg_log_prob=float("-inf"),
+                              n_tokens=len(word_tokens(instance.candidate(which))),
+                              overflows=True)
     ids, positions, cand_ids = built
     with T.no_grad():
         logits = mlm_logits_batch(model, ids[None, :], row_masks(ids)[0][None, :],
                                   positions)
     logp = log_probs_at_positions(logits.data, cand_ids)
-    return CandidateScore(index=which, avg_log_prob=float(logp.mean()),
-                          n_tokens=len(cand_ids))
+    return CandidateScore(avg_log_prob=float(logp.mean()), n_tokens=len(cand_ids),
+                          overflows=False)
 
 
 def resolve(model, vocab, instance):
@@ -101,14 +101,14 @@ def evaluate(model, vocab, instances, dataset_name="dataset"):
     if not instances:
         raise ValueError("evaluation dataset is empty")
     decisions = []
-    correct = 0
+    overflows = 0
     for i, inst in enumerate(instances):
         choice, (s1, s2) = resolve(model, vocab, inst)
-        ok = choice == inst.label
-        correct += int(ok)
+        overflows += s1.overflows + s2.overflows
         decisions.append({"index": i, "chosen": choice, "gold": inst.label,
-                          "correct": ok,
+                          "correct": choice == inst.label,
                           "score1": s1.avg_log_prob, "score2": s2.avg_log_prob})
     return EvalReport(dataset=dataset_name, count=len(instances),
-                      accuracy=correct / len(instances), decisions=decisions)
+                      accuracy=sum(d["correct"] for d in decisions) / len(instances),
+                      overflows=overflows, decisions=decisions)
 

@@ -6,8 +6,8 @@ import numpy as np
 
 from .tensor import MissingGradError
 
-# the moment decay rates; no caller changes them
-BETA1, BETA2 = 0.9, 0.999
+# the moment decay rates and the denominator's epsilon; no caller changes them
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 
 def check_finite_loss(phase, loss, step):
@@ -26,16 +26,13 @@ class AdamW:
     independently of the gradient-based update.
     """
 
-    def __init__(self, params, lr, eps, weight_decay, warmup_steps):
+    def __init__(self, params, lr, weight_decay, warmup_steps):
         if lr <= 0:
             raise ValueError(f"learning rate must be positive, got {lr}")
-        if eps <= 0:
-            raise ValueError(f"epsilon must be positive, got {eps}")
         if weight_decay < 0 or warmup_steps < 0:
             raise ValueError("weight_decay and warmup_steps must be non-negative")
         self.params = list(params)
         self.lr = float(lr)
-        self.eps = float(eps)
         self.weight_decay = float(weight_decay)
         self.warmup_steps = int(warmup_steps)
         self.step_count = 0
@@ -84,7 +81,7 @@ class AdamW:
             np.divide(m, bc1, out=s1)
             np.divide(v, bc2, out=s2)
             np.sqrt(s2, out=s2)
-            s2 += self.eps
+            s2 += EPS
             s1 /= s2
             s1 *= lr_t
             p.data -= s1

@@ -18,8 +18,8 @@ from .encoder import encode, encode_batch
 from .optim import AdamW, check_finite_loss
 from .scoring import windowed_bertscore
 from .tensor import Tensor
-from .text import (KIND_INDEX, PERTURBATION_KINDS, encode_tokens, tokenize,
-                   word_tokens)
+from .text import (KIND_INDEX, PERTURBATION_KINDS, corpus_rows, encode_tokens,
+                   tokenize, word_tokens)
 
 N_KINDS = len(PERTURBATION_KINDS)
 
@@ -51,7 +51,6 @@ class RefinementConfig:
     batch_size: int = 10
     perturbations_per_sample: int = 4
     lr: float = 5e-5
-    adam_eps: float = 1e-8
     warmup_steps: int = 500
     weight_decay: float = 0.01
     seed: int = internal(0)
@@ -64,7 +63,6 @@ class RefinementConfig:
         check_count("refine.batch_size", self.batch_size, 1)
         check_count("refine.perturbations_per_sample", self.perturbations_per_sample, 1)
         check_real("refine.lr", self.lr, 0, low_open=True)
-        check_real("refine.adam_eps", self.adam_eps, 0, low_open=True)
         check_count("refine.warmup_steps", self.warmup_steps, 0)
         check_real("refine.weight_decay", self.weight_decay, 0)
         check_count("refine.seed", self.seed, 0)
@@ -134,13 +132,12 @@ def pooled_stack(stack):
     return T.tsum(T.mul(stack.hidden, weights), axis=1)
 
 
-def contrastive_pairs(samples, kinds):
+def contrastive_pairs(samples, kind_ids):
     """Index arrays (ia, ib), ``ia < ib``, of the row pairs that come from
-    different samples and share a perturbation kind, each unordered pair
-    once. The windowed F1 is symmetric, so a pair scored once at twice the
-    weight (``contrastive_loss``) counts both of its orders."""
-    samples = np.asarray(samples)
-    kind_ids = np.array([KIND_INDEX[kind] for kind in kinds])
+    different samples and share a kind id, each unordered pair once. The
+    windowed F1 is symmetric, so a pair scored once at twice the weight
+    (``contrastive_loss``) counts both of its orders."""
+    samples, kind_ids = np.asarray(samples), np.asarray(kind_ids)
     same = ((kind_ids[:, None] == kind_ids[None, :])
             & (samples[:, None] != samples[None, :]))
     return np.nonzero(np.triu(same, 1))
@@ -173,9 +170,9 @@ def contrastive_loss(stack, pairs, beta, score_cfg):
     return T.mul(T.tsum(windowed_bertscore(stack, stack, ia, ib, score_cfg)), 2 * beta)
 
 
-def diversity_loss(stack, kinds, disc, gamma, train=False, rng=None):
+def diversity_loss(stack, kind_ids, disc, gamma, train=False, rng=None):
     """Perturbation-classification loss over the rows of a generated stack,
-    ``kinds[i]`` being the perturbation kind of row i.
+    ``kind_ids[i]`` being the ``KIND_INDEX`` id of row i's perturbation kind.
 
     For each row the discriminator's softmax probability of the true kind
     is compared against the total probability of all other kinds; the log of
@@ -184,10 +181,9 @@ def diversity_loss(stack, kinds, disc, gamma, train=False, rng=None):
     """
     if gamma == 0:
         return Tensor(0.0)
-    if not kinds:
+    if len(kind_ids) == 0:
         raise ValueError("diversity loss needs at least one row")
     logits = disc.forward(pooled_stack(stack), train=train, rng=rng)
-    kind_ids = np.array([KIND_INDEX[kind] for kind in kinds])
     onehot = np.eye(N_KINDS, dtype=logits.data.dtype)[kind_ids]
     logit_true = T.tsum(T.mul(logits, onehot), axis=1)
     # log sum over the other kinds, computed by pushing the true kind to -inf
@@ -209,20 +205,15 @@ def generated_row(group, kind, vocab, max_len):
 
 
 def _row_tables(groups, vocab, max_len):
-    """Every (group position, kind) pair of a corpus in ``available_kinds()``
-    order, with its generated and its target id row, ``(P, max_len)`` each.
-    A row that overflows ``max_len`` is rejected with its sample id and kind."""
-    pairs, generated, targets = [], [], []
-    for gi, g in enumerate(groups):
-        for kind in g.available_kinds():
-            try:
-                generated.append(generated_row(g, kind, vocab, max_len))
-                targets.append(tokenize(g.variant_text(kind), vocab, max_len))
-            except ValueError as e:
-                raise ValueError(f"corpus sample {g.sample_id!r}, kind {kind.value}: "
-                                 f"{e}") from None
-            pairs.append((gi, kind))
-    return pairs, np.stack(generated), np.stack(targets)
+    """Per (group, kind) pair of a corpus, in ``corpus_rows`` order, its group
+    position and ``KIND_INDEX`` id, ``(P,)`` each, and its generated and target
+    id rows, ``(P, max_len)`` each; an overflowing row names its sample and kind."""
+    def row(gi, g, kind):
+        return (gi, KIND_INDEX[kind], generated_row(g, kind, vocab, max_len),
+                tokenize(g.variant_text(kind), vocab, max_len))
+
+    group_ids, kind_ids, generated, targets = zip(*corpus_rows(groups, row))
+    return np.array(group_ids), np.array(kind_ids), np.stack(generated), np.stack(targets)
 
 
 def refine(model, disc, groups, weights, cfg, score_cfg, vocab):
@@ -249,14 +240,14 @@ def refine(model, disc, groups, weights, cfg, score_cfg, vocab):
 
     rng = np.random.default_rng(cfg.seed)
     opt = AdamW(model.named_params() + disc.named_params(), lr=cfg.lr,
-                eps=cfg.adam_eps, weight_decay=cfg.weight_decay,
-                warmup_steps=cfg.warmup_steps)
+                weight_decay=cfg.weight_decay, warmup_steps=cfg.warmup_steps)
 
-    # a step picks rows of these tables: the kinds of group gi are rows
-    # first[gi] onwards
-    pairs, gen_ids, target_ids = _row_tables(groups, vocab, model.config.max_len)
-    n_kinds = [len(g.available_kinds()) for g in groups]
-    first = np.cumsum([0] + n_kinds)
+    # a step picks rows of these tables: the n_kinds[gi] kinds of group gi
+    # are rows first[gi] onwards
+    group_ids, kind_ids, gen_ids, target_ids = _row_tables(groups, vocab,
+                                                           model.config.max_len)
+    n_kinds = np.bincount(group_ids, minlength=len(groups))
+    first = np.cumsum(n_kinds) - n_kinds
     # frozen-init targets are the stacks of the model before its first update
     frozen = encode(model, target_ids) if cfg.target_mode == "frozen-init" else None
 
@@ -268,16 +259,14 @@ def refine(model, disc, groups, weights, cfg, score_cfg, vocab):
             idx = np.concatenate([
                 first[gi] + _sample_kinds(n_kinds[gi], cfg.perturbations_per_sample, rng)
                 for gi in order[start:start + cfg.batch_size]])
-            samples = [pairs[i][0] for i in idx]
-            kinds = [pairs[i][1] for i in idx]
             generated = encode_batch(model, gen_ids[idx], train=True, rng=rng)
             targets = (frozen.select(idx) if frozen is not None
                        else encode(model, target_ids[idx]))
 
             loss_r = reconstruction_loss(targets, generated, weights.alpha, score_cfg)
-            loss_c = contrastive_loss(generated, contrastive_pairs(samples, kinds),
-                                      weights.beta, score_cfg)
-            loss_d = diversity_loss(generated, kinds, disc, weights.gamma,
+            pairs = contrastive_pairs(group_ids[idx], kind_ids[idx])
+            loss_c = contrastive_loss(generated, pairs, weights.beta, score_cfg)
+            loss_d = diversity_loss(generated, kind_ids[idx], disc, weights.gamma,
                                     train=True, rng=rng)
             total = T.add(T.add(loss_r, loss_c), loss_d)
             value = total.item()

@@ -308,15 +308,24 @@ def save_perturbation_corpus(path, groups):
             f.write(json.dumps(obj, sort_keys=True) + "\n")
 
 
-def corpus_sentences(groups):
-    """All sentences of a corpus (bases first, then variants, stable order)."""
+def corpus_rows(groups, row):
+    """``row(gi, group, kind)`` for each sentence of a corpus: per group, in
+    the order of its ``available_kinds()``, gi being the group's position. A
+    ValueError ``row`` raises is re-raised naming the sample id and kind."""
     out = []
-    for g in groups:
-        out.append(g.base)
-        for kind in PERTURBATION_KINDS:
-            if kind in g.variants:
-                out.append(g.variants[kind])
+    for gi, g in enumerate(groups):
+        for kind in g.available_kinds():
+            try:
+                out.append(row(gi, g, kind))
+            except ValueError as e:
+                raise ValueError(f"corpus sample {g.sample_id!r}, kind {kind.value}: "
+                                 f"{e}") from None
     return out
+
+
+def corpus_sentences(groups):
+    """All sentences of a corpus, in ``corpus_rows`` order."""
+    return corpus_rows(groups, lambda gi, g, kind: g.variant_text(kind))
 
 
 def benchmark_texts(instances):

@@ -7,7 +7,7 @@ import winoref.tensor as T
 from winoref.encoder import encode, mlm_logits_batch
 from winoref.refine import N_KINDS, _row_tables, pooled_stack
 from winoref.synthetic import make_benchmark
-from winoref.text import KIND_INDEX, MASK_ID, SchemaInstance, row_masks
+from winoref.text import MASK_ID, SchemaInstance, row_masks
 
 
 @pytest.fixture(autouse=True)
@@ -119,10 +119,8 @@ def masked_token_accuracy(model, rows, limit=None, seed=0, batch_size=64):
 def pooled_kind_dataset(model, groups, vocab, max_len):
     """Pooled generated stacks plus kind labels and group positions, eval
     mode."""
-    pairs, gen_ids, _ = _row_tables(groups, vocab, max_len)
-    feats = pooled_stack(encode(model, gen_ids)).data
-    return (feats, np.array([KIND_INDEX[kind] for _, kind in pairs]),
-            [gi for gi, _ in pairs])
+    group_ids, kind_ids, gen_ids, _ = _row_tables(groups, vocab, max_len)
+    return pooled_stack(encode(model, gen_ids)).data, kind_ids, group_ids
 
 
 def kind_probe_accuracy(feats, labels, seed=0, holdout=0.25, epochs=300, lr=0.5):

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ from winoref import cli
 from winoref.checkpoint import (load as load_checkpoint, params_hash,
                                 save as save_checkpoint)
 from winoref.config import load_config
+from winoref.optim import EPS
 from winoref.synthetic import make_benchmark, make_perturbation_corpus
 from winoref.text import load_benchmark, save_benchmark, save_perturbation_corpus
 
@@ -68,7 +70,7 @@ def test_default_config_uses_documented_hyperparameters():
     assert (r["alpha"], r["beta"], r["gamma"]) == (130.0, 0.5, 2.5)
     assert r["epochs"] == 10
     assert r["lr"] == 5e-5
-    assert r["adam_eps"] == 1e-8
+    assert EPS == 1e-8
     assert r["warmup_steps"] == 500
     assert defaults["score"]["window_radius"] == 2
 
@@ -106,6 +108,28 @@ class TestPretrain:
                              "--out", str(out), "--seed", "7"]) == 0
             outs.append((out / "init.ckpt.json").read_bytes())
         assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("base,variant,kind", [
+        (36, 3, "IDENTICAL"), (3, 30, "TENSE")], ids=["base", "variant"])
+    def test_overflowing_sentence_names_sample_and_kind(self, data_dir, tmp_path, capsys,
+                                                        base, variant, kind):
+        corpus = tmp_path / "long.jsonl"
+        corpus.write_text(
+            '{"id": "short", "base": "the cup fits .", '
+            '"variants": {"TENSE": "the cup fitted ."}}\n'
+            + json.dumps({"id": "long-7", "base": " ".join(["big"] * base),
+                          "variants": {"TENSE": " ".join(["small"] * variant)}}) + "\n")
+        cfg_path = write_config(tmp_path / "run.json", data_dir)
+        run_out = tmp_path / "out"
+        run_out.mkdir()
+        rc = cli.main(["pretrain", "--config", str(cfg_path), "--out", str(run_out),
+                       f"--paths.corpus={corpus}"])
+        assert rc == 1
+        n = max(base, variant)
+        assert capsys.readouterr().err == (
+            f"error: corpus sample 'long-7', kind {kind}: sequence of {n} tokens "
+            f"overflows max length 24 by {n + 2 - 24} tokens\n")
+        assert list(run_out.iterdir()) == []
 
     def test_missing_corpus_names_path(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"
@@ -224,11 +248,9 @@ BAD_VALUES = [
     ("encoder", "ff_dim", "true"), ("encoder", "ff_dim", "0"),
     ("encoder", "max_len", "abc"), ("encoder", "max_len", "2"),
     ("encoder", "dropout", "abc"), ("encoder", "dropout", "1.5"),
-    ("encoder", "tie_mlm_head", "1"),
     ("pretrain", "lr", "abc"), ("pretrain", "lr", "0"),
     ("pretrain", "warmup_steps", "1.5"), ("pretrain", "warmup_steps", "-1"),
     ("pretrain", "weight_decay", "abc"), ("pretrain", "weight_decay", "-0.1"),
-    ("pretrain", "adam_eps", "abc"), ("pretrain", "adam_eps", "0"),
     ("pretrain", "mask_prob", "abc"), ("pretrain", "mask_prob", "2"),
     ("score", "window_radius", "abc"), ("score", "window_radius", "-1"),
     ("refine", "alpha", "abc"), ("refine", "alpha", "-1"),
@@ -237,7 +259,6 @@ BAD_VALUES = [
     ("refine", "perturbations_per_sample", "abc"),
     ("refine", "perturbations_per_sample", "0"),
     ("refine", "lr", "abc"), ("refine", "lr", "-1e-3"),
-    ("refine", "adam_eps", "Infinity"), ("refine", "adam_eps", "0"),
     ("refine", "warmup_steps", "abc"), ("refine", "warmup_steps", "-1"),
     ("refine", "weight_decay", "abc"), ("refine", "weight_decay", "-1"),
     ("refine", "target_mode", "2"), ("refine", "target_mode", "bogus"),
@@ -286,6 +307,33 @@ def test_removed_score_switches_are_unknown_keys(pretrained, tmp_path, capsys, k
     err = capsys.readouterr().err
     assert err == f"error: config file {path}: unknown key score.{key}\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]
+
+
+@pytest.mark.parametrize("where", ["file", "override"])
+@pytest.mark.parametrize("section,key,value", [
+    ("encoder", "tie_mlm_head", False), ("pretrain", "adam_eps", 1e-6),
+    ("refine", "adam_eps", 1e-6)])
+def test_removed_constants_are_unknown_keys(pretrained, tmp_path, capsys, where,
+                                            section, key, value):
+    # the MLM head is always the token table and AdamW's epsilon is
+    # optim.EPS; a run config that still sets either is rejected, not ignored
+    assert sum(map(len, load_config().values())) == 32
+    _, cfg_path = pretrained
+    argv = ["refine", "--config", str(cfg_path), "--out", str(tmp_path)]
+    if where == "file":
+        doc = json.loads(cfg_path.read_text())
+        doc[section][key] = value
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(doc))
+        argv[2] = str(path)
+        expected = f"error: config file {path}: unknown key {section}.{key}"
+    else:
+        argv.append(f"--{section}.{key}={json.dumps(value)}")
+        expected = f"error: unknown override {section}.{key}"
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == expected + "\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == (
+        ["run.json"] if where == "file" else [])
 
 
 @pytest.mark.parametrize("command,overrides", [
@@ -524,18 +572,34 @@ class TestEvaluate:
         assert str(paths[0]) in err and str(paths[1]) in err
         assert not (tmp_path / "eval_report.csv").exists()
 
+    def test_checkpoint_with_the_removed_head_switch_exits_with_one_error_line(
+            self, pretrained, data_dir, tmp_path, capsys):
+        # written before the head was always tied; regenerate such a file
+        out, cfg_path = pretrained
+        arrays, meta = load_checkpoint(out / "init.ckpt.json")
+        meta["encoder_config"]["tie_mlm_head"] = True
+        old = tmp_path / "old.ckpt.json"
+        save_checkpoint(old, arrays, meta)
+        rc = cli.main(["evaluate", "--config", str(cfg_path), "--out", str(tmp_path),
+                       "--checkpoint", str(old), str(data_dir / "bench_a.jsonl")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: checkpoint {old}: encoder_config has unknown keys "
+            f"['tie_mlm_head']\n")
+
     def test_report_with_an_overflowing_candidate_is_strict_json(
-            self, pretrained, data_dir, tmp_path):
+            self, pretrained, data_dir, tmp_path, capsys):
         out, cfg_path = pretrained
         instances = load_benchmark(data_dir / "bench_a.jsonl")
         # 30 words cannot fit max_len 24: the candidate scores -inf
         long = dataclasses.replace(instances[0], candidate2=" ".join(["stone"] * 30))
         save_benchmark(tmp_path / "long.jsonl", [long] + instances[1:])
-        with pytest.warns(UserWarning, match="overflows"):
-            rc = cli.main(["evaluate", "--config", str(cfg_path), "--out", str(tmp_path),
-                           "--checkpoint", str(out / "init.ckpt.json"), "--json",
-                           str(tmp_path / "long.jsonl")])
+        rc = cli.main(["evaluate", "--config", str(cfg_path), "--out", str(tmp_path),
+                       "--checkpoint", str(out / "init.ckpt.json"), "--json",
+                       str(tmp_path / "long.jsonl")])
         assert rc == 0
+        assert capsys.readouterr().err == (
+            "long: 1 of 12 candidates overflow max length 24 and score -inf\n")
 
         def reject(constant):
             raise ValueError(f"not JSON: {constant}")
@@ -562,6 +626,33 @@ class TestEvaluate:
                          "--checkpoint", str(ck),
                          str(data_dir / "bench_a.jsonl")]) == 0
         assert ck.read_bytes() == before
+
+
+@pytest.mark.parametrize("command", ["evaluate", "ablate", "sweep"])
+def test_overflows_are_counted_once_per_dataset(pretrained, data_dir, tmp_path, capsys,
+                                                command):
+    # five instances whose candidates both overflow: ten overflows, which a
+    # once-per-message warning filter used to print as one or two lines
+    out, cfg_path = pretrained
+    instances = load_benchmark(data_dir / "bench_a.jsonl")
+    long = [dataclasses.replace(inst, sentence=" ".join(["big"] * 30) + " _ .")
+            for inst in instances[:5]]
+    paths = [tmp_path / "long.jsonl", data_dir / "bench_b.jsonl"]
+    save_benchmark(paths[0], long + instances[5:])
+    argv = [command, "--config", str(cfg_path), "--out", str(tmp_path)]
+    if command == "evaluate":
+        # two checkpoints, one line
+        copy = tmp_path / "copy.ckpt.json"
+        copy.write_bytes((out / "init.ckpt.json").read_bytes())
+        argv += ["--checkpoint", str(out / "init.ckpt.json"), "--checkpoint", str(copy),
+                 *map(str, paths)]
+    else:
+        argv.append(f"--paths.benchmarks={json.dumps(list(map(str, paths)))}")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", UserWarning)
+        assert cli.main(argv) == 0
+    assert capsys.readouterr().err == (
+        "long: 10 of 12 candidates overflow max length 24 and score -inf\n")
 
 
 class TestAblate:

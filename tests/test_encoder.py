@@ -381,16 +381,12 @@ class TestMlmLogits:
             assert np.linalg.norm(p.grad) > 0, f"dead parameter {name}"
 
 
-def head_weight(model):
-    p = model.params
-    return p["tok_emb"].data.T if model.config.tie_mlm_head else p["mlm_w"].data
-
-
 def full_logits(model, ids, mask):
-    """(B*L, V) logits at every position, hidden states times the head."""
+    """(B*L, V) logits at every position, hidden states times the head, the
+    token table transposed."""
     hidden = forward_hidden(model, ids, mask).data
     flat = hidden.reshape(-1, model.config.model_dim)
-    return flat @ head_weight(model) + model.params["mlm_bias"].data
+    return flat @ model.params["tok_emb"].data.T + model.params["mlm_bias"].data
 
 
 @pytest.fixture(scope="module")
@@ -409,17 +405,16 @@ def biased_model(cfg, seed):
     return model
 
 
-def tiny_model(vocab, tie):
+def tiny_model(vocab):
     return biased_model(EncoderConfig(layers=1, heads=2, model_dim=8, ff_dim=16,
-                                      max_len=8, vocab_size=len(vocab), dropout=0.0,
-                                      tie_mlm_head=tie), seed=4)
+                                      max_len=8, vocab_size=len(vocab), dropout=0.0),
+                        seed=4)
 
 
 class TestHeadRows:
-    @pytest.mark.parametrize("tie", [True, False])
-    def test_rows_match_the_full_head(self, small_setup, tie):
+    def test_rows_match_the_full_head(self, small_setup):
         vocab, cfg, _, seqs = small_setup
-        model = biased_model(dataclasses.replace(cfg, tie_mlm_head=tie), seed=6)
+        model = biased_model(cfg, seed=6)
         batch = seqs[:3]
         ids = np.stack(batch)
         mask = row_masks(ids)[0]
@@ -432,23 +427,21 @@ class TestHeadRows:
         assert got.shape == (len(rows), cfg.vocab_size)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("tie", [True, False])
-    def test_gradients_match_finite_differences(self, tiny_world, tie):
+    def test_gradients_match_finite_differences(self, tiny_world):
         vocab, ids, mask = tiny_world
-        model = tiny_model(vocab, tie)
+        model = tiny_model(vocab)
         rows = np.array([9, 1, 3, 9, 12])
         targets = np.random.default_rng(2).integers(0, len(vocab), size=len(rows))
-        names = ["tok_emb", "mlm_bias", "pos_emb"] + ([] if tie else ["mlm_w"])
         check_grads(lambda: T.cross_entropy(mlm_logits_batch(model, ids, mask, rows),
                                             targets),
-                    [model.params[n] for n in names])
+                    [model.params[n] for n in ("tok_emb", "mlm_bias", "pos_emb")])
 
     @pytest.mark.parametrize("rows", [[0, 16], [-1], np.array([1.0, 2.0]),
                                       np.array([[1, 2]]), np.array([True, False])],
                              ids=["out-of-range", "negative", "float", "2-d", "bool"])
     def test_bad_rows_rejected(self, tiny_world, rows):
         vocab, ids, mask = tiny_world
-        model = tiny_model(vocab, True)
+        model = tiny_model(vocab)
         with pytest.raises(ValueError, match="rows"):
             mlm_logits_batch(model, ids, mask, rows)
 
@@ -463,8 +456,8 @@ class TestHeadRows:
         ref = EncoderModel(cfg, seed=9)
         p = ref.params
         rng = np.random.default_rng(pre.seed)
-        opt = AdamW(ref.named_params(), lr=pre.lr, eps=pre.adam_eps,
-                    weight_decay=pre.weight_decay, warmup_steps=pre.warmup_steps)
+        opt = AdamW(ref.named_params(), lr=pre.lr, weight_decay=pre.weight_decay,
+                    warmup_steps=pre.warmup_steps)
         losses = []
         order = np.arange(len(seqs))
         for _ in range(pre.epochs):

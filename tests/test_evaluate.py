@@ -140,7 +140,7 @@ class TestScoreCandidate:
                     for p, t in zip(positions, tokens)]
             np.testing.assert_array_equal(got, want)
 
-    def test_overflowing_candidate_scores_minus_inf_with_warning(self, world):
+    def test_overflowing_candidate_scores_minus_inf_and_is_marked(self, world):
         groups, bench, vocab, cfg, model = world
         # [CLS] the [MASK] x m fits . [SEP] fills max_len exactly at m = fit
         fit = cfg.max_len - 5
@@ -148,23 +148,45 @@ class TestScoreCandidate:
             inst = SchemaInstance(sentence="the _ fits .",
                                   candidate1=" ".join(["trophy"] * m),
                                   candidate2="suitcase", label=1)
+            # the report counts an overflow; scoring warns of none
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                s = score_candidate(model, vocab, inst, 1)
+                choice, _ = resolve(model, vocab, inst)
             if m <= fit:
                 ids, positions, _ = ev._masked_ids(inst, 1, vocab, cfg.max_len)
                 want = hand_layout(["the"], m, ["fits", "."], vocab, cfg.max_len)
                 np.testing.assert_array_equal(ids, want[0])
                 np.testing.assert_array_equal(row_masks(ids)[0], want[1])
                 np.testing.assert_array_equal(positions, want[2])
-                with warnings.catch_warnings():
-                    warnings.simplefilter("error")
-                    s = score_candidate(model, vocab, inst, 1)
-                assert np.isfinite(s.avg_log_prob)
+                assert np.isfinite(s.avg_log_prob) and not s.overflows
                 continue
-            with pytest.warns(UserWarning, match="-inf"):
-                s = score_candidate(model, vocab, inst, 1)
-            assert s.avg_log_prob == float("-inf")
-            with pytest.warns(UserWarning, match="-inf"):
-                choice, _ = resolve(model, vocab, inst)
+            assert ev._masked_ids(inst, 1, vocab, cfg.max_len) is None
+            assert s.avg_log_prob == float("-inf") and s.overflows
         assert choice == 2
+
+    def test_report_counts_the_candidates_that_overflow(self, world):
+        groups, bench, vocab, cfg, model = world
+        long = " ".join(["trophy"] * cfg.max_len)
+        instances = [SchemaInstance(sentence="the _ fits .", candidate1=c1,
+                                    candidate2=c2, label=1)
+                     for c1, c2 in (("trophy", "suitcase"), (long, "suitcase"),
+                                    ("trophy", long), (long, long + " box"))]
+        assert evaluate(model, vocab, instances).overflows == 4
+
+    def test_an_underflowing_score_is_not_an_overflow(self, world, monkeypatch):
+        # the candidate's probability is 0, so it scores -inf though its row
+        # fits max_len; the report counts no overflow
+        groups, bench, vocab, cfg, model = world
+        inst = SchemaInstance(sentence="the _ fits .", candidate1="trophy",
+                              candidate2="suitcase", label=2)
+        probs = np.full(len(vocab), 1.0 / (len(vocab) - 1))
+        probs[vocab.id("trophy")] = 0.0
+        rig_logits(monkeypatch, vocab, cfg.max_len, {2: probs})
+        with np.errstate(divide="ignore"):
+            report = evaluate(model, vocab, [inst])
+        assert report.decisions[0]["score1"] == float("-inf")
+        assert report.accuracy == 1.0 and report.overflows == 0
 
     def test_score_depends_only_on_text(self, world):
         groups, bench, vocab, cfg, model = world

@@ -88,8 +88,7 @@ class TestRangeFuzz:
             hidden[~attention] = 0.0
             stack = EmbeddingStack(hidden=Tensor(hidden, requires_grad=True),
                                    content_mask=content)
-            kinds = [PERTURBATION_KINDS[k] for k in
-                     rng.integers(0, len(PERTURBATION_KINDS), size=n)]
+            kinds = rng.integers(0, len(PERTURBATION_KINDS), size=n)
             disc = Discriminator(d, 16, dropout=0.2, seed=case)
             # a huge batch's float32 batch-norm variance may overflow to inf,
             # which scales its rows to 0

@@ -11,7 +11,7 @@ def test_first_step_with_unit_gradient():
     # bias-corrected m_hat = v_hat = 1 at step 1, so the update is
     # -lr * 1 / (1 + eps)
     p = Tensor([0.0], requires_grad=True)
-    opt = AdamW([("p", p)], lr=0.1, eps=1e-8, weight_decay=0.0, warmup_steps=0)
+    opt = AdamW([("p", p)], lr=0.1, weight_decay=0.0, warmup_steps=0)
     p.grad[...] = 1.0
     opt.step()
     expected = -0.1 * 1.0 / (1.0 + 1e-8)
@@ -22,7 +22,7 @@ def test_first_step_with_unit_gradient():
 
 def test_linear_warmup_factor():
     p = Tensor([0.0], requires_grad=True)
-    opt = AdamW([("p", p)], lr=2.0, eps=1e-8, weight_decay=0.01, warmup_steps=500)
+    opt = AdamW([("p", p)], lr=2.0, weight_decay=0.01, warmup_steps=500)
     for step, lr in ((250, 0.5 * 2.0), (500, 2.0), (9999, 2.0)):
         opt.step_count = step
         assert opt.effective_lr() == pytest.approx(lr)
@@ -33,7 +33,7 @@ def test_linear_warmup_factor():
 def test_decoupled_decay_with_zero_gradient():
     p = Tensor([4.0], requires_grad=True)
     lr, wd = 0.1, 0.5
-    opt = AdamW([("p", p)], lr=lr, eps=1e-8, weight_decay=wd, warmup_steps=0)
+    opt = AdamW([("p", p)], lr=lr, weight_decay=wd, warmup_steps=0)
     p.grad[...] = 0.0
     opt.step()
     # moments stay zero, so only the decay term moves the parameter
@@ -42,7 +42,7 @@ def test_decoupled_decay_with_zero_gradient():
 
 def test_missing_grad_rejected():
     p = Tensor([1.0], requires_grad=True)
-    opt = AdamW([("theta", p)], lr=0.1, eps=1e-8, weight_decay=0.01, warmup_steps=0)
+    opt = AdamW([("theta", p)], lr=0.1, weight_decay=0.01, warmup_steps=0)
     p.grad = None
     with pytest.raises(MissingGradError, match="theta"):
         opt.step()
@@ -50,7 +50,7 @@ def test_missing_grad_rejected():
 
 def test_non_trainable_param_rejected():
     p = Tensor([1.0], requires_grad=False)
-    opt = AdamW([("frozen", p)], lr=0.1, eps=1e-8, weight_decay=0.01, warmup_steps=0)
+    opt = AdamW([("frozen", p)], lr=0.1, weight_decay=0.01, warmup_steps=0)
     with pytest.raises(MissingGradError, match="frozen"):
         opt.step()
 
@@ -59,7 +59,7 @@ def test_moment_buffers_match_param_shapes():
     rng = np.random.default_rng(0)
     params = [(f"p{i}", Tensor(rng.normal(size=shape), requires_grad=True))
               for i, shape in enumerate([(3, 4), (7,), (2, 2, 2)])]
-    opt = AdamW(params, lr=0.1, eps=1e-8, weight_decay=0.01, warmup_steps=0)
+    opt = AdamW(params, lr=0.1, weight_decay=0.01, warmup_steps=0)
     for (_, p), m, v in zip(opt.params, opt.m, opt.v):
         assert m.shape == p.data.shape
         assert v.shape == p.data.shape
@@ -71,7 +71,7 @@ def test_matches_reference_adamw_trajectory():
     grads = rng.normal(size=5)
     p = Tensor([0.7], requires_grad=True)
     lr, wd, eps, b1, b2 = 0.05, 0.01, 1e-8, 0.9, 0.999
-    opt = AdamW([("p", p)], lr=lr, eps=eps, weight_decay=wd, warmup_steps=2)
+    opt = AdamW([("p", p)], lr=lr, weight_decay=wd, warmup_steps=2)
 
     ref = 0.7
     m = v = 0.0
@@ -90,9 +90,8 @@ def test_matches_reference_adamw_trajectory():
 
 def test_invalid_hyperparameters_rejected():
     p = Tensor([1.0], requires_grad=True)
-    good = {"lr": 0.1, "eps": 1e-8, "weight_decay": 0.01, "warmup_steps": 0}
-    for key, value in (("lr", 0.0), ("eps", 0.0), ("weight_decay", -1.0),
-                       ("warmup_steps", -1)):
+    good = {"lr": 0.1, "weight_decay": 0.01, "warmup_steps": 0}
+    for key, value in (("lr", 0.0), ("weight_decay", -1.0), ("warmup_steps", -1)):
         with pytest.raises(ValueError):
             AdamW([("p", p)], **{**good, key: value})
 
@@ -101,7 +100,7 @@ def test_every_hyperparameter_is_required():
     # the config dataclasses hold the defaults; the optimizer repeats none
     p = Tensor([1.0], requires_grad=True)
     with pytest.raises(TypeError):
-        AdamW([("p", p)], lr=0.1, eps=1e-8, weight_decay=0.01)
+        AdamW([("p", p)], lr=0.1, weight_decay=0.01)
 
 
 def reference_adamw(params, grads, steps, lr, betas, eps, wd, warmup):
@@ -136,7 +135,7 @@ def test_scratch_buffers_give_the_reference_bits(dtype, wd, warmup):
               for s in shapes] for _ in range(8)]
     want = reference_adamw([p.data for p in params], grads, 8, lr=0.02,
                            betas=(0.9, 0.999), eps=1e-8, wd=wd, warmup=warmup)
-    opt = AdamW([(f"p{i}", p) for i, p in enumerate(params)], lr=0.02, eps=1e-8,
+    opt = AdamW([(f"p{i}", p) for i, p in enumerate(params)], lr=0.02,
                 weight_decay=wd, warmup_steps=warmup)
     for step in grads:
         for p, g in zip(params, step):
@@ -152,8 +151,7 @@ def test_scratch_buffers_after_load_arrays_rebinds_the_data(dtype):
     cfg = EncoderConfig(layers=1, heads=2, model_dim=8, ff_dim=16, max_len=6,
                         vocab_size=20)
     model = EncoderModel(cfg, seed=0)
-    opt = AdamW(model.named_params(), lr=0.01, eps=1e-8, weight_decay=0.01,
-                warmup_steps=3)
+    opt = AdamW(model.named_params(), lr=0.01, weight_decay=0.01, warmup_steps=3)
     loaded = {name: p.data for name, p in EncoderModel(cfg, seed=1).named_params()}
     model.load_arrays(loaded)                     # new arrays behind the same tensors
     rng = np.random.default_rng(12)

@@ -102,6 +102,11 @@ def entries_for(rng, n_samples, kinds=PERTURBATION_KINDS, d=8, requires_grad=Fal
     return row_samples, row_kinds, batch_of(stacks, requires_grad=requires_grad)
 
 
+def ids_of(kinds):
+    """The ``KIND_INDEX`` ids of a list of perturbation kinds."""
+    return [KIND_INDEX[kind] for kind in kinds]
+
+
 def random_batch(rng, n, requires_grad=False):
     return batch_of([random_stack(rng, int(rng.integers(3, 8))) for _ in range(n)],
                     requires_grad=requires_grad)
@@ -140,12 +145,11 @@ class TestReconstructionLoss:
                                 ScoreConfig())
 
 
-def ordered_contrastive_loss(stack, samples, kinds, beta, score_cfg):
+def ordered_contrastive_loss(stack, samples, kind_ids, beta, score_cfg):
     """The contrastive loss as it was before each pair was scored once:
     ``beta`` times the scores of both orders (i, j) and (j, i) of every
     cross-sample, same-kind pair."""
-    samples = np.asarray(samples)
-    kind_ids = np.array([KIND_INDEX[kind] for kind in kinds])
+    samples, kind_ids = np.asarray(samples), np.asarray(kind_ids)
     same = ((kind_ids[:, None] == kind_ids[None, :])
             & (samples[:, None] != samples[None, :]))
     ia, ib = np.nonzero(same)
@@ -160,7 +164,7 @@ class TestContrastiveLoss:
         kinds = [PerturbationKind.TENSE, PerturbationKind.SYNONYM,
                  PerturbationKind.TENSE, PerturbationKind.TENSE,
                  PerturbationKind.SYNONYM]
-        ia, ib = contrastive_pairs(samples, kinds)
+        ia, ib = contrastive_pairs(samples, ids_of(kinds))
         want = [(i, j) for i in range(5) for j in range(i + 1, 5)
                 if samples[i] != samples[j] and kinds[i] == kinds[j]]
         assert want == [(0, 2), (0, 3), (1, 4)]
@@ -169,7 +173,7 @@ class TestContrastiveLoss:
     def test_single_sample_is_zero(self):
         rng = np.random.default_rng(3)
         samples, kinds, stack = entries_for(rng, 1)
-        pairs = contrastive_pairs(samples, kinds)
+        pairs = contrastive_pairs(samples, ids_of(kinds))
         assert contrastive_loss(stack, pairs, 0.5, ScoreConfig()).item() == 0.0
 
     def test_identical_stacks_contribute_twice_beta(self):
@@ -177,7 +181,8 @@ class TestContrastiveLoss:
         s = random_stack(rng, 5)
         kinds = [PerturbationKind.TENSE, PerturbationKind.TENSE]
         beta = 0.5
-        loss = contrastive_loss(batch_of([s, s]), contrastive_pairs([0, 1], kinds),
+        loss = contrastive_loss(batch_of([s, s]),
+                                contrastive_pairs([0, 1], ids_of(kinds)),
                                 beta, ScoreConfig(window_radius=2))
         assert loss.item() == pytest.approx(2 * beta * 1.0, abs=1e-9)
 
@@ -185,7 +190,7 @@ class TestContrastiveLoss:
         rng = np.random.default_rng(5)
         samples, kinds, stack = entries_for(rng, 3, kinds=PERTURBATION_KINDS[:2])
         w = 2
-        got = contrastive_loss(stack, contrastive_pairs(samples, kinds), 0.8,
+        got = contrastive_loss(stack, contrastive_pairs(samples, ids_of(kinds)), 0.8,
                                ScoreConfig(window_radius=w)).item()
         want = oracle_contrastive(samples, kinds, stack, 0.8, w)
         assert got == pytest.approx(want, abs=1e-9)
@@ -193,7 +198,7 @@ class TestContrastiveLoss:
     def test_zero_beta_gives_zero(self):
         rng = np.random.default_rng(6)
         samples, kinds, stack = entries_for(rng, 2)
-        pairs = contrastive_pairs(samples, kinds)
+        pairs = contrastive_pairs(samples, ids_of(kinds))
         assert contrastive_loss(stack, pairs, 0.0, ScoreConfig()).item() == 0.0
 
     @pytest.mark.parametrize("dtype,tol", [("float32", 1e-6), ("float64", 1e-12)])
@@ -204,7 +209,7 @@ class TestContrastiveLoss:
         rng = np.random.default_rng(61)
         for case in range(6):
             n_samples = int(rng.integers(2, 7))
-            kinds = [PERTURBATION_KINDS[k] for k in rng.integers(0, 3, 4 * n_samples)]
+            kinds = rng.integers(0, 3, 4 * n_samples)
             samples = np.repeat(np.arange(n_samples), 4)
             stacks = [make_stack(rng.normal(size=(int(rng.integers(1, 8)), 8))
                                  + rng.uniform(0.0, 1.5))
@@ -230,7 +235,7 @@ class TestDiversityLoss:
         n, gamma = 3, 2.5
         _, kinds, stack = entries_for(rng, n)
         disc = zeroed_discriminator(8)
-        loss = diversity_loss(stack, kinds, disc, gamma)
+        loss = diversity_loss(stack, ids_of(kinds), disc, gamma)
         want = gamma * n * 8 * np.log(7.0)
         assert loss.item() == pytest.approx(want, abs=1e-9)
 
@@ -240,7 +245,7 @@ class TestDiversityLoss:
         disc = Discriminator(8, 16, dropout=0.0, seed=1)
         disc.running_mean = rng.normal(size=16) * 0.1
         disc.running_var = rng.uniform(0.5, 2.0, size=16)
-        got = diversity_loss(stack, kinds, disc, 1.3).item()
+        got = diversity_loss(stack, ids_of(kinds), disc, 1.3).item()
         want = oracle_diversity_eval_mode(stack, kinds, disc, 1.3)
         assert got == pytest.approx(want, abs=1e-9)
 
@@ -248,21 +253,22 @@ class TestDiversityLoss:
         rng = np.random.default_rng(9)
         disc = zeroed_discriminator(8)
         disc.params["b2"].data[0] = 100.0   # q(kind 0) ~ 1
-        loss = diversity_loss(random_stack(rng, 4), [PERTURBATION_KINDS[0]], disc, 2.0)
+        loss = diversity_loss(random_stack(rng, 4), [0], disc, 2.0)
         assert np.isfinite(loss.item())
         assert loss.item() == pytest.approx(-2.0 * _TERM_BOUND, abs=1e-9)
 
     def test_zero_gamma_gives_zero(self):
         rng = np.random.default_rng(10)
         _, kinds, stack = entries_for(rng, 2)
-        assert diversity_loss(stack, kinds, zeroed_discriminator(8), 0.0).item() == 0.0
+        assert diversity_loss(stack, ids_of(kinds), zeroed_discriminator(8),
+                              0.0).item() == 0.0
 
     def test_gradients_reach_encoder_and_discriminator(self):
         rng = np.random.default_rng(11)
         _, kinds, stack = entries_for(rng, 2, kinds=PERTURBATION_KINDS[:3],
                                       requires_grad=True)
         disc = Discriminator(8, 16, dropout=0.0, seed=2)
-        loss = diversity_loss(stack, kinds, disc, 1.0, train=True,
+        loss = diversity_loss(stack, ids_of(kinds), disc, 1.0, train=True,
                               rng=np.random.default_rng(0))
         T.backward(loss)
         for row_grad in stack.hidden.grad:
@@ -282,7 +288,7 @@ def tiny_world():
 
 def _refine_cfg(**kw):
     base = dict(epochs=2, batch_size=4, perturbations_per_sample=3,
-                lr=1e-3, adam_eps=1e-8, warmup_steps=4, weight_decay=0.01,
+                lr=1e-3, warmup_steps=4, weight_decay=0.01,
                 seed=13, target_mode="frozen-init", disc_hidden=16,
                 disc_dropout=0.2)
     base.update(kw)
@@ -304,9 +310,9 @@ class TestRefineTargets:
                           "live": model.clone()})
             return real_recon(targets, generated, alpha, score_cfg)
 
-        def div(stack, kinds, disc, gamma, train=False, rng=None):
-            steps[-1]["kinds"] = list(kinds)
-            return real_div(stack, kinds, disc, gamma, train=train, rng=rng)
+        def div(stack, kind_ids, disc, gamma, train=False, rng=None):
+            steps[-1]["kinds"] = [PERTURBATION_KINDS[k] for k in kind_ids]
+            return real_div(stack, kind_ids, disc, gamma, train=train, rng=rng)
 
         monkeypatch.setattr(winoref.refine, "reconstruction_loss", recon)
         monkeypatch.setattr(winoref.refine, "diversity_loss", div)
@@ -488,13 +494,13 @@ class TestRefine:
                 target_seqs.append(tokenize(g.variant_text(kind), vocab, cfg.max_len))
         with T.no_grad():
             targets = encode_batch(snapshot, target_seqs)
-        pairs = contrastive_pairs(samples, row_kinds)
+        pairs = contrastive_pairs(samples, ids_of(row_kinds))
 
         def total_loss():
             generated = encode_batch(model, gen_seqs)
             lr_ = reconstruction_loss(targets, generated, 2.0, score_cfg)
             lc = contrastive_loss(generated, pairs, 0.7, score_cfg)
-            ld = diversity_loss(generated, row_kinds, disc, 1.1)
+            ld = diversity_loss(generated, ids_of(row_kinds), disc, 1.1)
             return T.add(T.add(lr_, lc), ld)
 
         loss = total_loss()
@@ -568,8 +574,7 @@ def lazy_cache_refine(model, disc, groups, weights, cfg, score_cfg, vocab):
     max_len = model.config.max_len
     rng = np.random.default_rng(cfg.seed)
     opt = AdamW(model.named_params() + disc.named_params(), lr=cfg.lr,
-                eps=cfg.adam_eps, weight_decay=cfg.weight_decay,
-                warmup_steps=cfg.warmup_steps)
+                weight_decay=cfg.weight_decay, warmup_steps=cfg.warmup_steps)
     target_model = model.clone() if cfg.target_mode == "frozen-init" else model
     target_cache = {}
 
@@ -595,7 +600,7 @@ def lazy_cache_refine(model, disc, groups, weights, cfg, score_cfg, vocab):
             chosen = [(gi, kind) for gi in order[start:start + cfg.batch_size]
                       for kind in sample_kinds(groups[gi])]
             samples = [gi for gi, _ in chosen]
-            kinds = [kind for _, kind in chosen]
+            kinds = [KIND_INDEX[kind] for _, kind in chosen]
             generated = encode_batch(
                 model, [generated_row(groups[gi], kind, vocab, max_len)
                         for gi, kind in chosen], train=True, rng=rng)

@@ -9,7 +9,7 @@ from winoref.synthetic import make_perturbation_corpus
 from winoref.tensor import Tensor
 from winoref.text import build_vocab, corpus_sentences, tokenize
 
-from conftest import check_grads, finite_difference_grad, rel_err
+from conftest import check_grads
 from test_scoring import make_stack
 
 
