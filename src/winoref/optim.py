@@ -4,10 +4,15 @@ import math
 
 import numpy as np
 
+from .config import check_count, check_real
 from .tensor import MissingGradError
 
 # the moment decay rates and the denominator's epsilon; no caller changes them
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+# elements per update block: a block's state and its two scratch rows stay in
+# cache across the update's passes over them
+BLOCK = 1 << 16
 
 
 def check_finite_loss(phase, loss, step):
@@ -24,27 +29,70 @@ class AdamW:
     ``warmup_steps`` optimizer steps and stays constant afterwards. Weight
     decay is decoupled: parameters shrink by ``eff_lr * weight_decay * p``
     independently of the gradient-based update.
+
+    The parameters of each dtype share one flat buffer each for their data,
+    gradients and two moments. Every ``p.data`` and ``p.grad`` is a view of
+    its slice, and so are ``self.m`` and ``self.v``. An array a caller binds
+    to ``p.data`` or ``p.grad`` in place of its view is copied into the
+    slice at the next step, and the view bound again. ``step`` updates the
+    buffers in blocks of ``BLOCK`` elements. A block whose gradient has been
+    zero at every step so far has zero moments, so its update is +0.0 and
+    only the weight decay moves it.
     """
 
     def __init__(self, params, lr, weight_decay, warmup_steps):
-        if lr <= 0:
-            raise ValueError(f"learning rate must be positive, got {lr}")
-        if weight_decay < 0 or warmup_steps < 0:
-            raise ValueError("weight_decay and warmup_steps must be non-negative")
+        check_real("lr", lr, 0, low_open=True)
+        check_real("weight_decay", weight_decay, 0)
+        check_count("warmup_steps", warmup_steps, 0)
         self.params = list(params)
+        names, tensors = set(), set()
+        for name, p in self.params:
+            if name in names or id(p) in tensors:
+                raise ValueError(f"parameter {name!r} is passed twice")
+            names.add(name)
+            tensors.add(id(p))
         self.lr = float(lr)
         self.weight_decay = float(weight_decay)
         self.warmup_steps = int(warmup_steps)
         self.step_count = 0
-        self.m = [np.zeros_like(p.data) for _, p in self.params]
-        self.v = [np.zeros_like(p.data) for _, p in self.params]
-        # two scratch buffers per dtype, sized to the largest parameter, that
-        # every update writes its temporaries into
-        self._scratch = {}
-        for _, p in self.params:
-            buf = self._scratch.get(p.data.dtype)
-            if buf is None or buf.shape[1] < p.data.size:
-                self._scratch[p.data.dtype] = np.empty((2, p.data.size), p.data.dtype)
+        n = len(self.params)
+        self.m, self.v, self._views = [None] * n, [None] * n, [None] * n
+        # per block: (data, grad, m, v, scratch1, scratch2) views, and
+        # whether a nonzero gradient has reached it yet
+        self._blocks, self._touched = [], []
+        for dtype in dict.fromkeys(p.data.dtype for _, p in self.params):
+            members = [i for i, (_, p) in enumerate(self.params) if p.data.dtype == dtype]
+            total = sum(self.params[i][1].data.size for i in members)
+            flat = [np.zeros(total, dtype) for _ in range(4)]   # data, grad, m, v
+            start = 0
+            for i in members:
+                p = self.params[i][1]
+                data, grad, self.m[i], self.v[i] = (
+                    f[start:start + p.data.size].reshape(p.data.shape) for f in flat)
+                self._views[i] = (data, grad)
+                start += p.data.size
+            scratch = np.empty((2, min(BLOCK, total)), dtype)
+            for lo in range(0, total, BLOCK):
+                hi = min(lo + BLOCK, total)
+                self._blocks.append(tuple(f[lo:hi] for f in flat)
+                                    + tuple(scratch[:, :hi - lo]))
+                self._touched.append(False)
+        self._bind()
+
+    def _bind(self):
+        """Copy each array bound to a ``p.data`` or ``p.grad`` in place of
+        its view into the view, and bind the view again."""
+        for (name, p), views in zip(self.params, self._views):
+            for attr, view in zip(("data", "grad"), views):
+                array = getattr(p, attr)
+                if array is None or array is view:
+                    continue
+                if array.shape != view.shape or array.dtype != view.dtype:
+                    raise ValueError(f"parameter {name!r}: its {attr} is now "
+                                     f"{array.dtype} {array.shape}, the optimizer "
+                                     f"holds {view.dtype} {view.shape}")
+                view[...] = array
+                setattr(p, attr, view)
 
     def effective_lr(self):
         """Learning rate at the current step count."""
@@ -59,18 +107,25 @@ class AdamW:
             if p.grad is None:
                 raise MissingGradError(f"parameter {name!r} has no gradient; "
                                        f"run backward before stepping")
+        self._bind()
         self.step_count += 1
         t = self.step_count
         lr_t = self.effective_lr()
         bc1 = 1.0 - BETA1 ** t
         bc2 = 1.0 - BETA2 ** t
-        for (name, p), m, v in zip(self.params, self.m, self.v):
+        decay = 1.0 - lr_t * self.weight_decay
+        for b, (p, g, m, v, s1, s2) in enumerate(self._blocks):
             # p -= lr_t * (m_hat / (sqrt(v_hat) + eps)), operation by operation
-            g = p.grad
-            s1, s2 = (b[:p.data.size].reshape(p.data.shape)
-                      for b in self._scratch[p.data.dtype])
             if self.weight_decay > 0:
-                p.data *= 1.0 - lr_t * self.weight_decay
+                p *= decay
+            if not self._touched[b]:
+                if not g.any():
+                    # m = v = +0.0 stay so, and the update lr_t * 0 / eps is
+                    # +0.0, which leaves every bit of p; -0.0 grads become +0.0
+                    g[...] = 0
+                    continue
+                # moments may stay nonzero after the gradient vanishes
+                self._touched[b] = True
             m *= BETA1
             np.multiply(g, 1.0 - BETA1, out=s1)
             m += s1
@@ -84,5 +139,5 @@ class AdamW:
             s2 += EPS
             s1 /= s2
             s1 *= lr_t
-            p.data -= s1
-            p.grad[...] = 0
+            p -= s1
+            g[...] = 0

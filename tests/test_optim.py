@@ -3,7 +3,7 @@ import pytest
 
 import winoref.tensor as T
 from winoref.encoder import EncoderConfig, EncoderModel
-from winoref.optim import AdamW
+from winoref.optim import BLOCK, AdamW
 from winoref.tensor import MissingGradError, Tensor
 
 
@@ -89,11 +89,23 @@ def test_matches_reference_adamw_trajectory():
 
 
 def test_invalid_hyperparameters_rejected():
+    # nan passes a bare ``<= 0`` check, and int() would truncate 1.5 to 1
     p = Tensor([1.0], requires_grad=True)
     good = {"lr": 0.1, "weight_decay": 0.01, "warmup_steps": 0}
-    for key, value in (("lr", 0.0), ("weight_decay", -1.0), ("warmup_steps", -1)):
-        with pytest.raises(ValueError):
+    for key, value in (("lr", 0.0), ("lr", float("nan")), ("lr", float("inf")),
+                       ("weight_decay", -1.0), ("weight_decay", float("nan")),
+                       ("weight_decay", float("inf")), ("warmup_steps", -1),
+                       ("warmup_steps", 1.5), ("warmup_steps", True)):
+        with pytest.raises(ValueError, match=key):
             AdamW([("p", p)], **{**good, key: value})
+
+
+def test_parameter_passed_twice_rejected():
+    a, b = (Tensor([1.0], requires_grad=True) for _ in range(2))
+    with pytest.raises(ValueError, match="'second'"):
+        AdamW([("first", a), ("second", a)], lr=0.1, weight_decay=0.0, warmup_steps=0)
+    with pytest.raises(ValueError, match="'w'"):
+        AdamW([("w", a), ("w", b)], lr=0.1, weight_decay=0.0, warmup_steps=0)
 
 
 def test_every_hyperparameter_is_required():
@@ -123,46 +135,83 @@ def reference_adamw(params, grads, steps, lr, betas, eps, wd, warmup):
     return data
 
 
-@pytest.mark.parametrize("dtype", ["float32", "float64"])
-@pytest.mark.parametrize("wd,warmup", [(0.0, 0), (0.05, 0), (0.01, 5)])
-def test_scratch_buffers_give_the_reference_bits(dtype, wd, warmup):
-    # parameters of different sizes share one scratch pair
-    T.set_dtype(dtype)
-    rng = np.random.default_rng(11)
-    shapes = [(13, 5), (7,), (3, 4, 2), (65,)]
-    params = [Tensor(rng.normal(size=s), requires_grad=True) for s in shapes]
-    grads = [[rng.normal(0, 10.0 ** rng.integers(-3, 2), size=s).astype(dtype)
-              for s in shapes] for _ in range(8)]
-    want = reference_adamw([p.data for p in params], grads, 8, lr=0.02,
-                           betas=(0.9, 0.999), eps=1e-8, wd=wd, warmup=warmup)
-    opt = AdamW([(f"p{i}", p) for i, p in enumerate(params)], lr=0.02,
-                weight_decay=wd, warmup_steps=warmup)
+def step_against_reference(opt, grads, rebind_grads=False):
+    """Step ``opt`` with ``grads``, written into each gradient or bound to it
+    as a new array. Assert that every gradient reads +0.0 after each step,
+    and that the data ends bit-equal to ``reference_adamw`` run from the
+    data the parameters hold now."""
+    want = reference_adamw([p.data for _, p in opt.params], grads, len(grads),
+                           lr=opt.lr, betas=(0.9, 0.999), eps=1e-8,
+                           wd=opt.weight_decay, warmup=opt.warmup_steps)
     for step in grads:
-        for p, g in zip(params, step):
-            p.grad[...] = g
+        for (_, p), g in zip(opt.params, step):
+            if rebind_grads:
+                p.grad = g.copy()
+            else:
+                p.grad[...] = g
         opt.step()
-    for p, w in zip(params, want):
+        assert all(p.grad.tobytes() == bytes(p.grad.nbytes) for _, p in opt.params)
+    for (_, p), w in zip(opt.params, want):
         assert p.data.dtype == w.dtype and p.data.tobytes() == w.tobytes()
 
 
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("wd,warmup", [(0.0, 0), (0.05, 0), (0.01, 5)])
+def test_scratch_buffers_give_the_reference_bits(dtype, wd, warmup):
+    # the first parameter fills blocks 0 and 1 and starts block 2, which
+    # parameters of other sizes fill out. Block 0 sees no gradient for three
+    # steps, then one, then none while its moments are nonzero; block 1 sees
+    # only -0.0.
+    T.set_dtype(dtype)
+    rng = np.random.default_rng(11)
+    shapes = [(2 * BLOCK + 1000,), (13, 5), (7,), (3, 4, 2), (65,)]
+    params = [(f"p{i}", Tensor(rng.normal(size=s), requires_grad=True))
+              for i, s in enumerate(shapes)]
+    grads = []
+    for t in range(1, 11):
+        step = [rng.normal(0, 10.0 ** rng.integers(-3, 2), size=s).astype(dtype)
+                for s in shapes]
+        if t <= 3 or t > 7:
+            step[0][:BLOCK] = 0.0
+        step[0][BLOCK:2 * BLOCK] = -0.0
+        grads.append(step)
+    step_against_reference(AdamW(params, lr=0.02, weight_decay=wd,
+                                 warmup_steps=warmup), grads)
+
+
+@pytest.mark.parametrize("wd,warmup", [(0.0, 0), (0.05, 3)])
+def test_mixed_dtypes_give_the_reference_bits(wd, warmup):
+    # one flat buffer per dtype, each carved in parameter order
+    rng = np.random.default_rng(14)
+    layout = [((5, 3), "float32"), ((BLOCK + 9,), "float64"), ((11,), "float64"),
+              ((BLOCK + 2,), "float32")]
+    params = [(f"p{i}", Tensor(rng.normal(size=s), requires_grad=True, dtype=d))
+              for i, (s, d) in enumerate(layout)]
+    grads = [[rng.normal(size=s).astype(d) for s, d in layout] for _ in range(6)]
+    step_against_reference(AdamW(params, lr=0.03, weight_decay=wd,
+                                 warmup_steps=warmup), grads)
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
 def test_scratch_buffers_after_load_arrays_rebinds_the_data(dtype):
+    # load_arrays binds new data arrays in place of the optimizer's views,
+    # and every step binds new gradient arrays
     T.set_dtype(dtype)
     cfg = EncoderConfig(layers=1, heads=2, model_dim=8, ff_dim=16, max_len=6,
                         vocab_size=20)
     model = EncoderModel(cfg, seed=0)
     opt = AdamW(model.named_params(), lr=0.01, weight_decay=0.01, warmup_steps=3)
-    loaded = {name: p.data for name, p in EncoderModel(cfg, seed=1).named_params()}
-    model.load_arrays(loaded)                     # new arrays behind the same tensors
+    model.load_arrays({name: p.data for name, p in EncoderModel(cfg, seed=1).named_params()})
     rng = np.random.default_rng(12)
-    names = [name for name, _ in model.named_params()]
     grads = [[rng.normal(size=p.data.shape).astype(dtype)
               for _, p in model.named_params()] for _ in range(8)]
-    want = reference_adamw([loaded[n] for n in names], grads, 8, lr=0.01,
-                           betas=(0.9, 0.999), eps=1e-8, wd=0.01, warmup=3)
-    for step in grads:
-        for (_, p), g in zip(model.named_params(), step):
-            p.grad[...] = g
+    step_against_reference(opt, grads, rebind_grads=True)
+
+
+@pytest.mark.parametrize("attr", ["data", "grad"])
+def test_rebound_array_of_another_shape_rejected(attr):
+    p = Tensor(np.ones((2, 3)), requires_grad=True)
+    opt = AdamW([("w", p)], lr=0.1, weight_decay=0.0, warmup_steps=0)
+    setattr(p, attr, np.ones(6))
+    with pytest.raises(ValueError, match="'w'"):
         opt.step()
-    for (_, p), w in zip(model.named_params(), want):
-        assert p.data.tobytes() == w.tobytes()
