@@ -24,9 +24,10 @@ from .evaluate import evaluate, resolve
 from .refine import Discriminator, LossWeights, RefinementConfig, refine
 from .scoring import ScoreConfig
 from .synthetic import make_benchmark, make_perturbation_corpus
-from .text import (SchemaInstance, Vocabulary, benchmark_texts, build_vocab, corpus_rows,
-                   corpus_sentences, load_benchmark, load_perturbation_corpus,
-                   save_benchmark, save_perturbation_corpus, tokenize)
+from .text import (UNK_ID, SchemaInstance, Vocabulary, benchmark_texts, build_vocab,
+                   corpus_rows, corpus_sentences, load_benchmark,
+                   load_perturbation_corpus, save_benchmark, save_perturbation_corpus,
+                   tokenize, word_tokens)
 
 
 # the loss weights' names, the sweep's grid axes
@@ -64,13 +65,34 @@ def _report_names(paths, files, what):
     return names
 
 
-def _load_datasets(paths):
-    """``(name, instances)`` per benchmark file, named by its base name."""
+def _check_candidates(instance, vocab, where=""):
+    """Reject an instance with a candidate word outside ``vocab``. The word
+    would be read as [UNK], which is never a pretraining target, so any two
+    such candidates would tie. ``where`` prefixes the message."""
+    for which in (1, 2):
+        text = instance.candidate(which)
+        for token in word_tokens(text):
+            if vocab.id(token) == UNK_ID:
+                raise CliError(f"{where}candidate{which} {text!r} holds the word "
+                               f"{token!r}, which is not in the vocabulary")
+
+
+def _load_datasets(paths, vocab=None):
+    """``(name, instances)`` per benchmark file, named by its base name. With
+    ``vocab``, an instance is checked by ``_check_candidates``."""
     names = _report_names(paths, "benchmark", "dataset name")
     for path in paths:
         if not os.path.exists(path):
             raise CliError(f"benchmark file not found: {path}")
-    return [(name, load_benchmark(path)) for name, path in zip(names, paths)]
+    datasets = [(name, load_benchmark(path)) for name, path in zip(names, paths)]
+    if vocab is not None:
+        for path, (_, instances) in zip(paths, datasets):
+            # load_benchmark reads one instance from each non-blank line
+            with open(path, "r", encoding="utf-8") as f:
+                lines = [n for n, line in enumerate(f, start=1) if line.strip()]
+            for lineno, inst in zip(lines, instances):
+                _check_candidates(inst, vocab, f"{path}:{lineno}: ")
+    return datasets
 
 
 def _save_model(path, model, cfg):
@@ -213,10 +235,10 @@ def cmd_evaluate(cfg, out, checkpoints, dataset_paths, emit_json, emit_csv):
     vocab_path = _require(cfg, "paths", "vocab", "vocabulary file")
     labels = _report_names(checkpoints, "checkpoint", "report label")
     vocab = _load_vocab(vocab_path)
-    datasets = _load_datasets(dataset_paths)
-    # load and check every checkpoint first, so a bad one fails before any
-    # evaluation runs
+    # load and check every checkpoint and dataset first, so a bad one fails
+    # before any evaluation runs
     models = [_load_model(ck_path, vocab, vocab_path) for ck_path in checkpoints]
+    datasets = _load_datasets(dataset_paths, vocab)
     rows, warned = [], set()
     for label, model in zip(labels, models):
         for name, instances in datasets:
@@ -245,7 +267,7 @@ def cmd_ablate(cfg, out):
     if not cfg["paths"]["benchmarks"]:
         raise CliError("ablate needs paths.benchmarks to evaluate on")
     groups, vocab, init_model = _refine_inputs(cfg)
-    datasets = _load_datasets(cfg["paths"]["benchmarks"])
+    datasets = _load_datasets(cfg["paths"]["benchmarks"], vocab)
     full = C.build(LossWeights, cfg["refine"])
     runs = [("baseline", LossWeights(0.0, 0.0, 0.0)),
             ("contrastive+diversity", dataclasses.replace(full, alpha=0.0)),
@@ -294,7 +316,7 @@ def cmd_sweep(cfg, out, grid_tokens):
     settings = [(f"run_{i:03d}", LossWeights(*point))
                 for i, point in enumerate(itertools.product(*axes))]
     groups, vocab, init_model = _refine_inputs(cfg)
-    datasets = _load_datasets(cfg["paths"]["benchmarks"])
+    datasets = _load_datasets(cfg["paths"]["benchmarks"], vocab)
 
     runs = []
     for name, weights, model, accs in refine_and_evaluate(init_model, settings, groups,
@@ -327,6 +349,7 @@ def cmd_score(cfg, checkpoint, sentence, candidate1, candidate2):
     vocab_path = _require(cfg, "paths", "vocab", "vocabulary file")
     vocab = _load_vocab(vocab_path)
     model = _load_model(checkpoint, vocab, vocab_path)
+    _check_candidates(inst, vocab)
     chosen, (s1, s2) = resolve(model, vocab, inst)
     print(f"candidate1 {candidate1!r}: avg_log_prob={s1.avg_log_prob:.6f}")
     print(f"candidate2 {candidate2!r}: avg_log_prob={s2.avg_log_prob:.6f}")

@@ -4,7 +4,8 @@ Pre-norm architecture: embeddings -> N blocks of (layer-norm, multi-head
 self-attention, residual) and (layer-norm, feed-forward, residual) -> final
 layer norm. The final-layer hidden states form the embedding stack consumed
 by the similarity metric. The layers run on the real tokens only and pad
-rows of the stack are zero, so downstream code never sees pad content.
+rows of the stack are zero, so downstream code never sees pad content. A
+stack is as wide as its longest row, so no column past it costs any work.
 """
 
 import copy
@@ -134,14 +135,24 @@ class EncoderModel:
 class EmbeddingStack:
     """Final-layer hidden states for a batch of sequences, with the mask of
     their word positions, the ones similarity matching reads."""
-    hidden: Tensor                 # (N, max_len, model_dim)
-    content_mask: np.ndarray       # (N, max_len) ordinary word positions
+    hidden: Tensor                 # (N, n, model_dim), n one past the longest row
+    content_mask: np.ndarray       # (N, n) ordinary word positions
 
     def select(self, rows):
-        """Rows ``rows`` as a constant stack; no gradient flows back."""
+        """Rows ``rows`` as a constant stack, (len(rows), n, model_dim) with n
+        one past the longest of them; no gradient flows back. A column past
+        it holds only pads, zero states that are no word of any row."""
+        content = self.content_mask[rows]
         hidden = self.hidden.data[rows]
-        return EmbeddingStack(hidden=Tensor(hidden, dtype=hidden.dtype),
-                              content_mask=self.content_mask[rows])
+        n = _width(content | hidden.any(axis=2))
+        return EmbeddingStack(hidden=Tensor(hidden[:, :n], dtype=hidden.dtype),
+                              content_mask=content[:, :n])
+
+
+def _width(used):
+    """One past the last column of the (B, L) mask ``used`` that any row
+    uses; 1 when none does."""
+    return int(np.flatnonzero(used.any(axis=0)).max(initial=0)) + 1
 
 
 def _dropout(x, rate, rng, shape, index):
@@ -195,20 +206,23 @@ def _pick(x, sel):
 def forward_hidden(model, ids, attention_mask, train=False, rng=None, rows=None):
     """Hidden states for a batch: ids (B, L) ints, attention_mask (B, L) bool.
 
-    Returns a (B, L, model_dim) tensor whose pad rows are zero. Every layer
-    but the attention core runs on the T real-token rows of the batch only,
-    packed into one (T, model_dim) stream in row-major order; the final rows
-    are scattered into a zero stack, so pad content never reaches the output.
-    The attention core runs on the first n columns, n one past the last
-    column any row attends to: a later column is a masked key everywhere,
-    and its weight is exactly zero. Softmax adds its keys in order, so in
-    eval mode a row's bits depend neither on n nor on the other rows.
+    Returns a (B, n, model_dim) tensor whose pad rows are zero, n one past
+    the last column any row attends to, the length of the longest row. Every
+    layer but the attention core runs on the T real-token rows of the batch
+    only, packed into one (T, model_dim) stream in row-major order; the
+    final rows are scattered into a zero stack, so pad content never reaches
+    the output. The attention core runs on the first n columns too: a later
+    column is a masked key everywhere, and its weight is exactly zero.
+    Softmax adds its keys in order, so in eval mode a row's bits depend
+    neither on n nor on the other rows.
 
     ``rows``, flat indices into the B*L positions (row-major), are the rows
     the caller reads; None reads them all. The last block needs every real
     row for its keys and values only, so its queries and all its row-wise
     work after the attention core run on the real rows among ``rows``, and
-    every other row of the result is zero, like a pad row.
+    every other row of the result is zero, like a pad row. The stack then
+    also spans the columns of ``rows``, so a pad row asked for past the
+    longest row is in it.
     """
     cfg = model.config
     p = model.params
@@ -224,12 +238,14 @@ def forward_hidden(model, ids, attention_mask, train=False, rng=None, rows=None)
     full = (B, L, cfg.model_dim)
 
     real = np.asarray(attention_mask, dtype=bool).reshape(B, L)
-    out = real
+    n = _width(real)
+    out, width = real, n
     if rows is not None:
-        out = np.zeros(B * L, dtype=bool)
-        out[rows] = True
-        out = real & out.reshape(B, L)
-    n = int(np.flatnonzero(real.any(axis=0)).max(initial=0)) + 1
+        rows = np.asarray(rows)
+        asked = np.zeros(B * L, dtype=bool)
+        asked[rows] = True
+        out = real & asked.reshape(B, L)
+        width = max(n, int((rows % L).max(initial=-1)) + 1)
     trimmed = real[:, :n]
     mask = trimmed.astype(p["tok_emb"].data.dtype)
     mask_bias = Tensor(((1.0 - mask) * -1e9).reshape(B, 1, 1, n))
@@ -262,16 +278,16 @@ def forward_hidden(model, ids, attention_mask, train=False, rng=None, rows=None)
     if not cfg.layers:
         x = _pick(x, out[real])    # with no block, the final norm narrows
     x = T.layer_norm(x, p["final_ln.g"], p["final_ln.b"], cfg.layer_norm_eps)
-    return T.scatter_rows(x, out)
+    return T.scatter_rows(x, out[:, :width])
 
 
 def encode_batch(model, rows, train=False, rng=None):
     """Embedding stack of a list of id rows, one stack row each, computed
-    in one graph."""
+    in one graph: (N, n, model_dim), n one past the longest row."""
     ids = np.stack(rows)
     attention, content = row_masks(ids)
     hidden = forward_hidden(model, ids, attention, train=train, rng=rng)
-    return EmbeddingStack(hidden=hidden, content_mask=content)
+    return EmbeddingStack(hidden=hidden, content_mask=content[:, :hidden.shape[1]])
 
 
 # rows per forward in ``encode``; bounds its memory on a large corpus
@@ -280,16 +296,22 @@ ENCODE_CHUNK = 64
 
 def encode(model, rows):
     """Eval-mode embedding stack of a batch of id rows, built without a tape
-    and forwarded ``ENCODE_CHUNK`` rows at a time."""
+    and forwarded ``ENCODE_CHUNK`` rows at a time: (N, n, model_dim), n one
+    past the longest row of the whole batch. A chunk narrower than that is
+    padded with +0.0, as a pad row of a wider forward is."""
     ids = np.stack(rows)
     attention, content = row_masks(ids)
-    with T.no_grad():
-        hidden = np.concatenate([
-            forward_hidden(model, ids[i:i + ENCODE_CHUNK],
+    n = _width(attention)
+
+    def chunk(i):
+        h = forward_hidden(model, ids[i:i + ENCODE_CHUNK],
                            attention[i:i + ENCODE_CHUNK]).data
-            for i in range(0, len(ids), ENCODE_CHUNK)])
+        return np.pad(h, ((0, 0), (0, n - h.shape[1]), (0, 0)))
+
+    with T.no_grad():
+        hidden = np.concatenate([chunk(i) for i in range(0, len(ids), ENCODE_CHUNK)])
     return EmbeddingStack(hidden=Tensor(hidden, dtype=hidden.dtype),
-                          content_mask=content)
+                          content_mask=content[:, :n])
 
 
 def _check_rows(rows, n):
@@ -310,13 +332,15 @@ def mlm_logits_batch(model, ids, attention_mask, rows, train=False, rng=None):
     ``rows`` are flat indices into the B*L positions of ``ids`` (row-major,
     so position j of sequence b is b*L + j). The forward runs its last
     block on those rows only, and only they go through the head, so the
-    (d, V) projection and its backward cost R rows, not B*L.
+    (d, V) projection and its backward cost R rows, not B*L. Its (B, n, d)
+    stack holds position j of sequence b at b*n + j.
     """
     rows = _check_rows(rows, np.size(ids))
     hidden = forward_hidden(model, ids, attention_mask, train=train, rng=rng,
                             rows=rows)
-    B, L, d = hidden.data.shape
-    picked = T.take(T.reshape(hidden, (B * L, d)), rows)
+    B, n, d = hidden.data.shape
+    L = model.config.max_len
+    picked = T.take(T.reshape(hidden, (B * n, d)), rows - rows // L * (L - n))
     w = T.transpose(model.params["tok_emb"], (1, 0))
     return T.linear(picked, w, model.params["mlm_bias"])
 

@@ -592,7 +592,8 @@ class TestEvaluate:
         out, cfg_path = pretrained
         instances = load_benchmark(data_dir / "bench_a.jsonl")
         # 30 words cannot fit max_len 24: the candidate scores -inf
-        long = dataclasses.replace(instances[0], candidate2=" ".join(["stone"] * 30))
+        long = dataclasses.replace(instances[0],
+                                   candidate2=" ".join([instances[0].candidate2] * 30))
         save_benchmark(tmp_path / "long.jsonl", [long] + instances[1:])
         rc = cli.main(["evaluate", "--config", str(cfg_path), "--out", str(tmp_path),
                        "--checkpoint", str(out / "init.ckpt.json"), "--json",
@@ -653,6 +654,32 @@ def test_overflows_are_counted_once_per_dataset(pretrained, data_dir, tmp_path, 
         assert cli.main(argv) == 0
     assert capsys.readouterr().err == (
         "long: 10 of 12 candidates overflow max length 24 and score -inf\n")
+
+
+@pytest.mark.parametrize("command", ["evaluate", "ablate", "sweep"])
+def test_out_of_vocabulary_benchmark_candidate_exits_with_one_error_line(
+        pretrained, data_dir, tmp_path, capsys, command):
+    # the candidate on the file's fourth line, after a blank one, holds a
+    # word the vocabulary lacks; the run stops before it refines or scores
+    out, cfg_path = pretrained
+    instances = load_benchmark(data_dir / "bench_a.jsonl")
+    instances[2] = dataclasses.replace(instances[2], candidate2="the qqq")
+    path = tmp_path / "unknown.jsonl"
+    save_benchmark(path, instances)
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text(lines[0] + "\n" + "".join(lines[1:]))
+    run_out = tmp_path / "out"
+    run_out.mkdir()
+    argv = [command, "--config", str(cfg_path), "--out", str(run_out)]
+    if command == "evaluate":
+        argv += ["--checkpoint", str(out / "init.ckpt.json"), str(path)]
+    else:
+        argv.append(f"--paths.benchmarks={json.dumps([str(path)])}")
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: {path}:4: candidate2 'the qqq' holds the word "
+                            f"'qqq', which is not in the vocabulary\n")
+    assert captured.out == "" and list(run_out.iterdir()) == []
 
 
 class TestAblate:
@@ -726,17 +753,38 @@ class TestSweep:
 
 
 class TestScoreCommand:
-    def test_prints_both_log_probs(self, pretrained, tmp_path, capsys):
+    def test_prints_both_log_probs(self, pretrained, data_dir, tmp_path, capsys):
         out, cfg_path = pretrained
+        inst = load_benchmark(data_dir / "bench_a.jsonl")[0]
         rc = cli.main(["score", "--config", str(cfg_path), "--out", str(tmp_path),
                        "--checkpoint", str(out / "init.ckpt.json"),
-                       "--sentence", "the trophy does not fit in the suitcase "
-                                     "because the _ is too big .",
-                       "--candidate1", "trophy", "--candidate2", "suitcase"])
+                       "--sentence", inst.sentence,
+                       "--candidate1", inst.candidate1, "--candidate2", inst.candidate2])
         assert rc == 0
         out_text = capsys.readouterr().out
         assert out_text.count("avg_log_prob=") == 2
         assert "chosen: candidate" in out_text
+
+    @pytest.mark.parametrize("candidates, which, word", [
+        (("zzz", "qqq"), 1, "zzz"), (("qqq", "zzz"), 1, "qqq"),
+        (("known", "the qqq"), 2, "qqq")], ids=["both", "both-swapped", "second"])
+    def test_out_of_vocabulary_candidate_exits_with_one_error_line(
+            self, pretrained, data_dir, tmp_path, capsys, candidates, which, word):
+        # each unknown word was read as [UNK], never a pretraining target,
+        # so two unknown candidates tied and candidate 1 won in either order
+        out, cfg_path = pretrained
+        inst = load_benchmark(data_dir / "bench_a.jsonl")[0]
+        candidates = [inst.candidate1 if c == "known" else c for c in candidates]
+        rc = cli.main(["score", "--config", str(cfg_path), "--out", str(tmp_path),
+                       "--checkpoint", str(out / "init.ckpt.json"),
+                       "--sentence", inst.sentence, "--candidate1", candidates[0],
+                       "--candidate2", candidates[1]])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: candidate{which} {candidates[which - 1]!r} "
+                                f"holds the word {word!r}, which is not in the "
+                                f"vocabulary\n")
+        assert captured.out == ""
 
     @pytest.mark.parametrize("sentence,candidates,message", [
         ("the _ fits .", ("Box", "box"), "candidates must be distinct"),

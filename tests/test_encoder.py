@@ -77,7 +77,9 @@ class TestEncode:
         var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
         expected = (x - mu) / np.sqrt(var + cfg.layer_norm_eps)
         expected *= row_masks(seq)[0][:, None]
-        np.testing.assert_allclose(got, expected, atol=1e-12)
+        length = int(row_masks(seq)[0].sum())
+        assert got.shape == (length, cfg.model_dim)
+        np.testing.assert_allclose(got, expected[:length], atol=1e-12)
 
     def test_pad_content_invariance(self, small_setup):
         vocab, cfg, model, seqs = small_setup
@@ -113,9 +115,10 @@ class TestEncode:
     def test_stack_carries_masks(self, small_setup):
         vocab, cfg, model, seqs = small_setup
         stack = encode_batch(model, seqs[:3])
-        assert stack.hidden.shape == (3, cfg.max_len, cfg.model_dim)
+        n = max(int(row_masks(seq)[0].sum()) for seq in seqs[:3])
+        assert stack.hidden.shape == (3, n, cfg.model_dim)
         for row, seq in enumerate(seqs[:3]):
-            np.testing.assert_array_equal(stack.content_mask[row], row_masks(seq)[1])
+            np.testing.assert_array_equal(stack.content_mask[row], row_masks(seq)[1][:n])
 
     @pytest.mark.parametrize("extra", ["layer", "untied-head", "bogus"])
     def test_load_arrays_rejects_names_the_model_does_not_have(self, small_setup, extra):
@@ -180,8 +183,9 @@ class TestTrimmedForward:
         # a row at max_len on either side
         other = word_row(rng, TRIM_CFG.max_len, TRIM_CFG)
         batched = eval_hidden(model, [other, row, other])
-        assert alone.tobytes() == batched[1].tobytes()
-        assert (alone[length:] == 0).all()
+        assert alone.shape == (length, TRIM_CFG.model_dim)
+        assert alone.tobytes() == batched[1, :length].tobytes()
+        assert (batched[1, length:] == 0).all()
 
     def test_every_row_at_max_len(self, dtype):
         T.set_dtype(dtype)
@@ -198,7 +202,7 @@ class TestTrimmedForward:
         model = EncoderModel(TRIM_CFG, seed=9)
         pads = np.full((3, TRIM_CFG.max_len), PAD_ID, dtype=np.int64)
         hidden = eval_hidden(model, list(pads))
-        assert hidden.shape == (3, TRIM_CFG.max_len, TRIM_CFG.model_dim)
+        assert hidden.shape == (3, 1, TRIM_CFG.model_dim)
         assert hidden.dtype == np.dtype(dtype) and (hidden == 0).all()
 
     def test_dropout_masks_are_drawn_at_the_untrimmed_shape(self, dtype):
@@ -245,8 +249,8 @@ def padded_attention(h, mask_bias, cfg, p, i, train, rate, rng):
 
 def padded_forward_hidden(model, ids, attention_mask, train=False, rng=None):
     """``forward_hidden`` as it was before packing: every layer runs on all
-    B·n positions of the trimmed batch, the pad rows are zeroed at the end
-    and the stack is padded back to max_len."""
+    B·n positions of the trimmed batch and the pad rows are zeroed at the
+    end."""
     cfg, p = model.config, model.params
     B, L = ids.shape
     rate, full, d = cfg.dropout, (B, L, cfg.model_dim), cfg.model_dim
@@ -274,10 +278,14 @@ def padded_forward_hidden(model, ids, attention_mask, train=False, rng=None):
             ff = padded_dropout(ff, rate, rng, full)
         x = T.add(x, ff)
     x = T.layer_norm(x, p["final_ln.g"], p["final_ln.b"], cfg.layer_norm_eps)
-    x = T.add(T.mul(x, mask.reshape(B, n, 1)), 0.0)
-    prefix = np.zeros((B, L), dtype=bool)
-    prefix[:, :n] = True
-    return T.scatter_rows(T.reshape(x, (B * n, d)), prefix)
+    return T.add(T.mul(x, mask.reshape(B, n, 1)), 0.0)
+
+
+def stack_index(rows, L, n):
+    """Flat indices b*L + j into a batch's (B, L) positions as the rows
+    b*n + j of its (B, n) stack."""
+    b, j = np.divmod(rows, L)
+    return b * n + j
 
 
 class TestPackedForward:
@@ -305,7 +313,8 @@ class TestPackedForward:
             p = model.params
             stream = np.random.default_rng(4) if dropout is not None else None
             hidden = forward(model, ids, mask, train=dropout is not None, rng=stream)
-            picked = T.take(T.reshape(hidden, (-1, cfg.model_dim)), rows)
+            picked = T.take(T.reshape(hidden, (-1, cfg.model_dim)),
+                            stack_index(rows, cfg.max_len, hidden.shape[1]))
             logits = T.add(T.matmul(picked, T.transpose(p["tok_emb"], (1, 0))),
                            p["mlm_bias"])
             loss = T.cross_entropy(logits, targets)
@@ -315,6 +324,8 @@ class TestPackedForward:
         (packed, loss, grads), (padded, want_loss, want_grads) = runs
 
         assert packed.dtype == np.dtype(dtype)
+        assert packed.shape == padded.shape == (len(ids), longest, cfg.model_dim)
+        mask = mask[:, :longest]
         assert packed[mask].tobytes() == padded[mask].tobytes()
         pads = packed[~mask]
         assert (pads == 0).all() and not np.signbit(pads).any()
@@ -350,6 +361,83 @@ def test_position_gradient_is_the_add_at_sum(dtype):
     assert p["pos_emb"].grad.tobytes() == want.tobytes()
 
 
+def widths_batch(seqs, cfg):
+    """2·ENCODE_CHUNK + 5 corpus rows, the last one a longer row of words
+    that is still short of max_len, so only the last chunk reaches the
+    batch's longest row: (rows, row lengths)."""
+    rows = [seqs[i % len(seqs)] for i in range(2 * ENCODE_CHUNK + 4)]
+    longest = max(int(row_masks(row)[0].sum()) for row in rows) + 2
+    assert longest < cfg.max_len
+    rows.append(word_row(np.random.default_rng(4), longest, cfg))
+    return rows, [int(row_masks(row)[0].sum()) for row in rows]
+
+
+def full_width_reference(model, rows):
+    """Eval-mode hidden states of each row, forwarded beside a max_len row,
+    so every stack is max_len wide: (N, max_len, d)."""
+    full = word_row(np.random.default_rng(5), model.config.max_len, model.config)
+    return np.stack([eval_hidden(model, [row, full])[0] for row in rows])
+
+
+class TestStackWidth:
+    """A stack is exactly as wide as its longest row, and each of its rows
+    holds the bits a full-width forward gives that row."""
+
+    @pytest.mark.parametrize("make", ["encode_batch", "encode", "select"])
+    def test_as_wide_as_the_longest_row(self, small_setup, make):
+        _, cfg, model, seqs = small_setup
+        rows, lengths = widths_batch(seqs, cfg)
+        picked = np.arange(len(rows))
+        if make == "encode_batch":
+            with T.no_grad():
+                stack = encode_batch(model, rows)
+        elif make == "encode":
+            stack = encode(model, rows)
+        else:
+            # every row but the longest, unsorted and repeated
+            picked = np.array([7, 2, ENCODE_CHUNK + 3, 7, 2 * ENCODE_CHUNK + 1])
+            stack = encode(model, rows).select(picked)
+        n = max(lengths[i] for i in picked)
+        if make == "select":
+            assert n < max(lengths)
+        assert stack.hidden.shape == (len(picked), n, cfg.model_dim)
+        np.testing.assert_array_equal(
+            stack.content_mask, row_masks(np.stack(rows))[1][picked, :n])
+        want = full_width_reference(model, [rows[i] for i in picked])
+        assert stack.hidden.data.tobytes() == want[:, :n].tobytes()
+
+    def test_encode_pads_its_narrower_chunks_with_positive_zeros(self, small_setup):
+        _, cfg, model, seqs = small_setup
+        rows, lengths = widths_batch(seqs, cfg)
+        hidden = encode(model, rows).hidden.data
+        for start in (0, ENCODE_CHUNK):
+            width = max(lengths[start:start + ENCODE_CHUNK])
+            assert width < hidden.shape[1]
+            extra = hidden[start:start + ENCODE_CHUNK, width:]
+            assert (extra == 0).all() and not np.signbit(extra).any()
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_logits_of_rows_of_different_lengths_match_one_row_calls(self, dtype):
+        # each call asks the real positions of one row, so the head's
+        # matmul has as many rows in the batched call as in the one-row call
+        T.set_dtype(dtype)
+        model = biased_model(TRIM_CFG, seed=11)
+        rng = np.random.default_rng(12)
+        lengths = (9, 17, 13)
+        ids = np.stack([word_row(rng, n, TRIM_CFG) for n in lengths])
+        mask = row_masks(ids)[0]
+        L = TRIM_CFG.max_len
+        assert max(lengths) < L
+        for b, length in enumerate(lengths):
+            positions = rng.permutation(length)
+            with T.no_grad():
+                batched = mlm_logits_batch(model, ids, mask, b * L + positions).data
+                alone = mlm_logits_batch(model, ids[b:b + 1], mask[b:b + 1],
+                                         positions).data
+            assert batched.dtype == dtype
+            assert batched.tobytes() == alone.tobytes(), b
+
+
 class TestMlmLogits:
     def test_softmax_normalized_everywhere(self, small_setup):
         vocab, cfg, model, seqs = small_setup
@@ -383,9 +471,12 @@ class TestMlmLogits:
 
 def full_logits(model, ids, mask):
     """(B*L, V) logits at every position, hidden states times the head, the
-    token table transposed."""
+    token table transposed; a position past the stack's width is a pad."""
     hidden = forward_hidden(model, ids, mask).data
-    flat = hidden.reshape(-1, model.config.model_dim)
+    B, n, d = hidden.shape
+    full = np.zeros((B, model.config.max_len, d), dtype=hidden.dtype)
+    full[:, :n] = hidden
+    flat = full.reshape(-1, d)
     return flat @ model.params["tok_emb"].data.T + model.params["mlm_bias"].data
 
 
@@ -473,7 +564,8 @@ class TestHeadRows:
                 flat = T.reshape(hidden, (-1, cfg.model_dim))
                 logits = T.add(T.matmul(flat, T.transpose(p["tok_emb"], (1, 0))),
                                p["mlm_bias"])
-                loss = T.cross_entropy(T.take(logits, flat_idx), targets)
+                picked = stack_index(flat_idx, cfg.max_len, hidden.shape[1])
+                loss = T.cross_entropy(T.take(logits, picked), targets)
                 T.backward(loss)
                 opt.step()
                 losses.append(loss.item())
@@ -491,7 +583,8 @@ def full_stack_logits(model, ids, mask, rows, train=False, rng=None):
     last block, then the head over the picked rows."""
     p = model.params
     hidden = forward_hidden(model, ids, mask, train=train, rng=rng)
-    picked = T.take(T.reshape(hidden, (-1, model.config.model_dim)), rows)
+    picked = T.take(T.reshape(hidden, (-1, model.config.model_dim)),
+                    stack_index(rows, model.config.max_len, hidden.shape[1]))
     return T.linear(picked, T.transpose(p["tok_emb"], (1, 0)), p["mlm_bias"])
 
 

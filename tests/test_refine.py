@@ -605,10 +605,17 @@ def lazy_cache_refine(model, disc, groups, weights, cfg, score_cfg, vocab):
                 model, [generated_row(groups[gi], kind, vocab, max_len)
                         for gi, kind in chosen], train=True, rng=rng)
             parts = [target_for(gi, kind) for gi, kind in chosen]
-            hidden = np.concatenate([t.hidden.data for t in parts])
+            # one-row stacks are as wide as their row: zero-pad them to the
+            # longest, as a stack of all of them would be
+            n = max(t.hidden.shape[1] for t in parts)
+
+            def widen(a, n=n):
+                return np.pad(a, [(0, 0), (0, n - a.shape[1])] + [(0, 0)] * (a.ndim - 2))
+
+            hidden = np.concatenate([widen(t.hidden.data) for t in parts])
             targets = EmbeddingStack(
                 hidden=Tensor(hidden, dtype=hidden.dtype),
-                content_mask=np.concatenate([t.content_mask for t in parts]))
+                content_mask=np.concatenate([widen(t.content_mask) for t in parts]))
             loss_r = reconstruction_loss(targets, generated, weights.alpha, score_cfg)
             loss_c = contrastive_loss(generated, contrastive_pairs(samples, kinds),
                                       weights.beta, score_cfg)

@@ -402,3 +402,47 @@ class TestScoreFuzz:
                     f"{where}: range {scores.min()}..{scores.max()}"
                 swapped = scores.reshape(n, n).T.ravel()
                 assert np.abs(scores - swapped).max() <= 4 * eps, where
+
+
+@pytest.mark.parametrize("dtype, tol", [("float32", 1e-6), ("float64", 1e-12)])
+@pytest.mark.parametrize("stacks", ["two", "one"])
+def test_trimmed_width_matches_max_len(dtype, tol, stacks):
+    # stacks as wide as their longest row against the same stacks
+    # zero-padded to max_len: quickstart-like rows of 13-21 tokens, scored
+    # as reconstruction (two stacks) and contrastive pairs (one stack)
+    T.set_dtype(dtype)
+    rng = np.random.default_rng(70)
+    max_len, d = 24, 8
+
+    def rows(lengths):
+        hidden = np.zeros((len(lengths), max(lengths), d))
+        content = np.zeros(hidden.shape[:2], dtype=bool)
+        for r, m in enumerate(lengths):
+            hidden[r, :m] = rng.normal(size=(m, d))
+            content[r, 1:m - 1] = True       # [CLS] words [SEP]
+        return hidden, content
+
+    tables = [rows([14, 17, 15, 16]), rows([13, 21, 18, 20])]
+    ia, ib = np.array([0, 1, 2, 3, 0, 2]), np.array([0, 1, 2, 3, 3, 1])
+    weights = rng.normal(size=len(ia))
+
+    def run(width):
+        built = [EmbeddingStack(
+            hidden=Tensor(np.pad(h, ((0, 0), (0, width(h) - h.shape[1]), (0, 0))),
+                          requires_grad=True),
+            content_mask=np.pad(c, ((0, 0), (0, width(h) - c.shape[1]))))
+            for h, c in tables]
+        a, b = built if stacks == "two" else (built[0], built[0])
+        f1 = windowed_bertscore(a, b, ia, ib, ScoreConfig(window_radius=2))
+        T.backward(T.tsum(T.mul(f1, weights)))
+        return f1.data, [s.hidden.grad for s in built]
+
+    f1, grads = run(lambda h: h.shape[1])
+    want_f1, want_grads = run(lambda h: max_len)
+    assert f1.dtype == want_f1.dtype == dtype
+    assert np.abs(f1 - want_f1).max() <= tol * np.abs(want_f1).max()
+    assert (want_f1 > 0).all()
+    for grad, want in zip(grads, want_grads):
+        n = grad.shape[1]
+        assert n < max_len and not want[:, n:].any()
+        assert np.abs(grad - want[:, :n]).max() <= tol * np.abs(want).max()
