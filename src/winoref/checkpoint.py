@@ -69,6 +69,8 @@ def load(path):
             doc = json.load(f)
         except json.JSONDecodeError as e:
             raise ValueError(f"checkpoint {path}: not valid JSON ({e.msg})") from None
+        except UnicodeDecodeError as e:
+            raise ValueError(f"checkpoint {path}: not UTF-8 text ({e.reason})") from None
     if not isinstance(doc, dict):
         raise ValueError(f"checkpoint {path}: expected a JSON object")
     version = doc.get("format_version")

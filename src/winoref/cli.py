@@ -24,10 +24,10 @@ from .evaluate import evaluate, resolve
 from .refine import Discriminator, LossWeights, RefinementConfig, refine
 from .scoring import ScoreConfig
 from .synthetic import make_benchmark, make_perturbation_corpus
-from .text import (UNK_ID, SchemaInstance, Vocabulary, benchmark_texts, build_vocab,
-                   corpus_rows, corpus_sentences, load_benchmark,
+from .text import (SLOT_MARKER, UNK_ID, SchemaInstance, Vocabulary, benchmark_texts,
+                   build_vocab, corpus_rows, corpus_sentences, load_benchmark,
                    load_perturbation_corpus, save_benchmark, save_perturbation_corpus,
-                   tokenize, word_tokens)
+                   text_lines, tokenize, word_tokens)
 
 
 # the loss weights' names, the sweep's grid axes
@@ -65,33 +65,38 @@ def _report_names(paths, files, what):
     return names
 
 
-def _check_candidates(instance, vocab, where=""):
-    """Reject an instance with a candidate word outside ``vocab``. The word
-    would be read as [UNK], which is never a pretraining target, so any two
-    such candidates would tie. ``where`` prefixes the message."""
-    for which in (1, 2):
-        text = instance.candidate(which)
-        for token in word_tokens(text):
-            if vocab.id(token) == UNK_ID:
-                raise CliError(f"{where}candidate{which} {text!r} holds the word "
+def _check_words(instance, vocab, where=""):
+    """Reject an instance with a word of its sentence, candidates or twin
+    outside ``vocab``. The word would be read as [UNK], which is never a
+    pretraining target: two such candidates would tie, and such a sentence
+    word would score the candidates in a context the model never saw.
+    ``where`` prefixes the message."""
+    fields = [("sentence", instance.sentence), ("candidate1", instance.candidate1),
+              ("candidate2", instance.candidate2), ("twin", instance.twin)]
+    for name, text in fields:
+        for token in word_tokens(text or ""):
+            if token != SLOT_MARKER and vocab.id(token) == UNK_ID:
+                raise CliError(f"{where}{name} {text!r} holds the word "
                                f"{token!r}, which is not in the vocabulary")
 
 
 def _load_datasets(paths, vocab=None):
-    """``(name, instances)`` per benchmark file, named by its base name. With
-    ``vocab``, an instance is checked by ``_check_candidates``."""
+    """``(name, instances)`` per benchmark file, named by its base name. A
+    file with no instance is rejected; with ``vocab``, an instance is
+    checked by ``_check_words``."""
     names = _report_names(paths, "benchmark", "dataset name")
     for path in paths:
         if not os.path.exists(path):
             raise CliError(f"benchmark file not found: {path}")
     datasets = [(name, load_benchmark(path)) for name, path in zip(names, paths)]
-    if vocab is not None:
-        for path, (_, instances) in zip(paths, datasets):
+    for path, (_, instances) in zip(paths, datasets):
+        if not instances:
+            raise CliError(f"benchmark file {path} holds no instance")
+        if vocab is not None:
             # load_benchmark reads one instance from each non-blank line
-            with open(path, "r", encoding="utf-8") as f:
-                lines = [n for n, line in enumerate(f, start=1) if line.strip()]
+            lines = [n for n, line in text_lines(path) if line.strip()]
             for lineno, inst in zip(lines, instances):
-                _check_candidates(inst, vocab, f"{path}:{lineno}: ")
+                _check_words(inst, vocab, f"{path}:{lineno}: ")
     return datasets
 
 
@@ -349,7 +354,7 @@ def cmd_score(cfg, checkpoint, sentence, candidate1, candidate2):
     vocab_path = _require(cfg, "paths", "vocab", "vocabulary file")
     vocab = _load_vocab(vocab_path)
     model = _load_model(checkpoint, vocab, vocab_path)
-    _check_candidates(inst, vocab)
+    _check_words(inst, vocab)
     chosen, (s1, s2) = resolve(model, vocab, inst)
     print(f"candidate1 {candidate1!r}: avg_log_prob={s1.avg_log_prob:.6f}")
     print(f"candidate2 {candidate2!r}: avg_log_prob={s2.avg_log_prob:.6f}")

@@ -36,12 +36,12 @@ def log_probs_at_positions(logits, token_ids):
     (len(token_ids), vocab) logit matrix.
 
     Computed as log of the explicit (max-shifted) softmax so the value is
-    bit-identical to enumerating the full distribution.
+    bit-identical to enumerating the full distribution; only the gathered
+    entries are divided by their row's sum.
     """
     m = logits.max(axis=1, keepdims=True)
     e = np.exp(logits - m)
-    probs = e / e.sum(axis=1, keepdims=True)
-    return np.log(probs[np.arange(len(token_ids)), token_ids])
+    return np.log(e[np.arange(len(token_ids)), token_ids] / e.sum(axis=1))
 
 
 def _masked_ids(instance, which, vocab, max_len):

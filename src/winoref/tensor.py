@@ -20,6 +20,13 @@ floating-point operations, and their order, of the plain formula, so
 results are bit for bit those of the allocating form. One order is fixed
 beyond numpy's: softmax's forward adds the keys one after another, not
 pairwise, so the zero-weight keys of a padded batch never change a row.
+
+Hot kernels are laid out for numpy's fast paths. ``linear`` multiplies a
+weight that is a row-major table transposed, as the tied MLM head's is, in
+the table's own layout, and takes its gradient in that layout too.
+``softmax`` reduces over key slabs, a contiguous copy with the keys along
+its leading axis. The backwards of ``take`` and ``embedding_lookup`` sum
+repeated indices in ``np.add.at``'s order, one vectorized pass per repeat.
 """
 
 import contextlib
@@ -306,6 +313,28 @@ def transpose(a, axes):
     return _node(a.data.transpose(axes), (a,), bw)
 
 
+def _index_sum(index, rows, dtype):
+    """``(ids, sums)``: the distinct values of the 1-d ``index`` and, for each,
+    the sum in ``dtype`` of the ``rows`` at its positions. Each sum adds its
+    rows onto zeros in index order, as ``np.add.at`` does, so its bits are
+    ``np.add.at``'s. A pass adds one row to every sum that has one left, its
+    first row, then its second, and so on, so the passes are as many as the
+    most repeated id has rows, not as many as the rows."""
+    order = np.argsort(index, kind="stable")        # by id, each in index order
+    ranked = index[order]
+    first = np.ones(ranked.size, dtype=bool)
+    first[1:] = ranked[1:] != ranked[:-1]
+    starts = np.flatnonzero(first)
+    counts = np.diff(starts, append=ranked.size)
+    # the ids with most rows first, so the sums a pass adds to lead
+    by_count = np.argsort(-counts, kind="stable")
+    starts, counts = starts[by_count], counts[by_count]
+    sums = np.zeros((starts.size,) + rows.shape[1:], dtype=dtype)
+    for r, n in enumerate(np.searchsorted(-counts, -np.arange(counts.max(initial=0)))):
+        sums[:n] += rows[order[starts[:n] + r]]
+    return ranked[starts], sums
+
+
 def take(a, rows):
     """The rows of ``a`` at the 1-d index ``rows``; backward scatter-adds."""
     a = astensor(a)
@@ -316,10 +345,8 @@ def take(a, rows):
     def bw(g):
         if a.requires_grad:
             buf = np.zeros_like(a.data)
-            # one add per gathered row, in index order as np.add.at adds;
-            # np.add.at is several times slower once slices are whole rows
-            for i, row in zip(idx, g):
-                buf[i] += row
+            ids, sums = _index_sum(idx, g, buf.dtype)
+            buf[ids] = sums
             a._accum(buf)
 
     return _node(np.take(a.data, idx, axis=0), (a,), bw)
@@ -402,10 +429,11 @@ def tmean(a, axis=None):
 
 
 def tmax(a, axis):
-    """Max along an axis; gradient goes to the (first) argmax element."""
+    """Max along an axis, read at the (first) argmax element, which is also
+    where the gradient goes."""
     a = astensor(a)
     idx = np.expand_dims(np.argmax(a.data, axis=axis), axis)
-    out_data = np.max(a.data, axis=axis)
+    out_data = np.take_along_axis(a.data, idx, axis=axis).squeeze(axis)
 
     def bw(g):
         if a.requires_grad:
@@ -444,50 +472,55 @@ def matmul(a, b):
 
 def linear(x, w, b):
     """``x @ w + b`` for rows ``x`` (N, k), weights ``w`` (k, m) and bias
-    ``b`` (m,), as one node: the bits of ``add(matmul(x, w), b)``."""
+    ``b`` (m,), as one node. For a row-major ``w`` these are the bits of
+    ``add(matmul(x, w), b)``. Any other ``w``, such as the tied MLM head's
+    row-major table transposed, is multiplied in the layout of ``w.T``, as
+    ``(w.T @ x.T).T``: BLAS then packs the few rows of ``x``, not the whole
+    table. Those bits depend on the BLAS build."""
     x, w, b = astensor(x), astensor(w), astensor(b)
     if (x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[0]
             or b.data.shape != (w.data.shape[1],)):
         raise ShapeError(f"linear: shapes {x.data.shape}, {w.data.shape} and "
                          f"{b.data.shape} not conformable")
-    out_data = x.data @ w.data
-    out_data += b.data
+    if w.data.flags.c_contiguous:
+        out_data = x.data @ w.data
+        out_data += b.data
+    else:
+        out_data = np.empty((x.data.shape[0], w.data.shape[1]),
+                            dtype=np.result_type(x.data, w.data))
+        np.add((w.data.T @ x.data.T).T, b.data, out=out_data)
 
     def bw(g):
         if x.requires_grad:
             x._accum(g @ w.data.T)
         if w.requires_grad:
-            w._accum(x.data.T @ g)
+            # in w.T's layout too, so a table's gradient gets a contiguous add
+            w._accum((x.data.T @ g) if w.data.flags.c_contiguous else (g.T @ x.data).T)
         if b.requires_grad:
             b._accum(g.sum(axis=0))
 
     return _node(out_data, (x, w, b), bw)
 
 
-def _sum_in_order(x):
-    """Sum along the last axis one element after another, keeping the axis.
-
-    In this order a trailing run of zeros leaves a sum's bits as they are,
-    whatever its length. numpy adds the rows of a contiguous array in order
-    along axis 0 unless each row is one element, and sums a lone vector
-    pairwise, which ``cumsum`` does not.
-    """
-    rows = np.ascontiguousarray(x.swapaxes(0, -1))
-    if rows.size == rows.shape[0]:
-        total = np.cumsum(rows, axis=0)[-1:]
-    else:
-        total = rows.sum(axis=0, keepdims=True)
-    return total.swapaxes(0, -1)
-
-
 def softmax(x):
-    """Softmax along the last axis. The forward sums the exponentials in
-    order (``_sum_in_order``), so keys whose weight is exactly zero, appended
-    at the end of the axis, do not change the other weights' bits."""
+    """Softmax along the last axis, computed over key slabs: a contiguous
+    copy with the keys along its leading axis, so the max and the sum over
+    the keys are each one elementwise pass per key. The sum adds the keys
+    one after another, so keys whose weight is exactly zero, appended at the
+    end of the axis, do not change the other weights' bits."""
     x = astensor(x)
-    out_data = x.data - x.data.max(axis=-1, keepdims=True)
-    np.exp(out_data, out=out_data)
-    np.divide(out_data, _sum_in_order(out_data), out=out_data)
+    out_data = np.empty(x.data.shape, dtype=x.data.dtype)
+    slabs = np.swapaxes(x.data, 0, -1).copy(order="C")
+    slabs -= slabs.max(axis=0)
+    np.exp(slabs, out=slabs)
+    if slabs.size == slabs.shape[0]:
+        # a lone row: numpy sums a vector pairwise, cumsum in order
+        total = np.cumsum(slabs, axis=0)[-1]
+    else:
+        # numpy adds the slabs of a contiguous array in order along axis 0
+        total = slabs.sum(axis=0)
+    slabs /= total
+    np.copyto(out_data, np.swapaxes(slabs, 0, -1))
 
     def bw(g):
         if x.requires_grad:
@@ -522,15 +555,18 @@ def layer_norm(x, gain, bias, eps):
     if gain.data.shape != (x.data.shape[-1],) or bias.data.shape != (x.data.shape[-1],):
         raise ShapeError(f"layer_norm: gain/bias shapes {gain.data.shape}/{bias.data.shape} "
                          f"do not match feature dim of {x.data.shape}")
-    mu = x.data.mean(axis=-1, keepdims=True)
+    # np.add.reduce, then /= n: np.mean's arithmetic without its wrapper
+    n = x.data.shape[-1]
+    mu = np.add.reduce(x.data, axis=-1, keepdims=True)
+    mu /= n
     xhat = x.data - mu
     out_data = xhat * xhat
-    var = out_data.mean(axis=-1, keepdims=True)
+    var = np.add.reduce(out_data, axis=-1, keepdims=True)
+    var /= n
     inv = 1.0 / np.sqrt(var + eps)
     xhat *= inv
     np.multiply(xhat, gain.data, out=out_data)
     out_data += bias.data
-    n = x.data.shape[-1]
 
     def bw(g):
         gx = g * xhat                 # gain's gradient term, then x's gradient
@@ -540,9 +576,11 @@ def layer_norm(x, gain, bias, eps):
             bias._accum(g.reshape(-1, n).sum(axis=0))
         if x.requires_grad:
             np.multiply(g, gain.data, out=gx)
-            m1 = gx.mean(axis=-1, keepdims=True)
+            m1 = np.add.reduce(gx, axis=-1, keepdims=True)
+            m1 /= n
             tmp = gx * xhat
-            m2 = tmp.mean(axis=-1, keepdims=True)
+            m2 = np.add.reduce(tmp, axis=-1, keepdims=True)
+            m2 /= n
             gx -= m1
             np.multiply(xhat, m2, out=tmp)
             gx -= tmp
@@ -598,15 +636,15 @@ def embedding_lookup(table, ids):
                          f"got min={ids.min()} max={ids.max()}")
 
     def bw(g):
-        # sum over the looked-up rows only, each in index order, then add
-        # those rows into the table's gradient
+        # sum over the looked-up rows only, then add those rows into the
+        # table's gradient
         if table.requires_grad:
-            rows, inverse = np.unique(ids, return_inverse=True)
-            buf = np.zeros((rows.size,) + table.data.shape[1:], dtype=table.data.dtype)
-            np.add.at(buf, inverse.reshape(-1), g.reshape((-1,) + buf.shape[1:]))
+            rows, sums = _index_sum(ids.reshape(-1),
+                                    g.reshape((-1,) + table.data.shape[1:]),
+                                    table.data.dtype)
             if table.grad is None or table._grad_borrowed:
                 table._accum(np.zeros_like(table.data))
-            table.grad[rows] += buf
+            table.grad[rows] += sums
 
     return _node(table.data[ids], (table,), bw)
 

@@ -6,6 +6,7 @@ JSON-lines loaders for perturbation corpora and pronoun benchmarks.
 """
 
 import enum
+import io
 import json
 import re
 from dataclasses import dataclass, field
@@ -86,6 +87,8 @@ class Vocabulary:
                 doc = json.load(f)
             except json.JSONDecodeError as e:
                 raise ValueError(f"vocabulary {path}: not valid JSON ({e.msg})") from None
+            except UnicodeDecodeError as e:
+                raise ValueError(f"vocabulary {path}: not UTF-8 text ({e.reason})") from None
         if not isinstance(doc, dict):
             raise ValueError(f"vocabulary {path}: expected a JSON object")
         if doc.get("format_version") != 1:
@@ -184,6 +187,24 @@ class SchemaInstance:
         check_choice("label", self.label, (1, 2))
 
 
+def text_lines(path):
+    """``(lineno, line)`` for each line of the UTF-8 text file at ``path``,
+    numbered from 1 and split as a text-mode ``open`` splits them. Bytes
+    that are not UTF-8 fail with a ``ValueError`` naming the path and the
+    line they are on."""
+    with open(path, "rb") as f:
+        data = f.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        # the lines before the bad byte, plus the one it is on
+        lineno = len(io.StringIO(data[:e.start].decode("utf-8") + "?",
+                                 newline=None).readlines())
+        raise ValueError(f"{path}:{lineno}: byte {data[e.start]:#04x} is not UTF-8 "
+                         f"({e.reason})") from None
+    return enumerate(io.StringIO(text, newline=None), start=1)
+
+
 def _loads_strict(line, lineno, path):
     def reject_dup(pairs):
         d = {}
@@ -227,35 +248,34 @@ def load_perturbation_corpus(path, warn=None):
     groups = []
     skipped = 0
     unchanged = 0
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            if not line.strip():
+    for lineno, line in text_lines(path):
+        if not line.strip():
+            continue
+        obj = _loads_strict(line, lineno, path)
+        if "base" not in obj:
+            raise ValueError(f"{path}:{lineno}: missing field 'base'")
+        base = _check_sentence(f"{path}:{lineno}: base", obj["base"])
+        stored = obj.get("variants", {})
+        if not isinstance(stored, dict):
+            raise ValueError(f"{path}:{lineno}: variants must be an object, "
+                             f"got {stored!r}")
+        base_tokens = word_tokens(base)
+        variants = {}
+        for key, text in stored.items():
+            try:
+                kind = PerturbationKind(key)
+            except ValueError:
+                skipped += 1
                 continue
-            obj = _loads_strict(line, lineno, path)
-            if "base" not in obj:
-                raise ValueError(f"{path}:{lineno}: missing field 'base'")
-            base = _check_sentence(f"{path}:{lineno}: base", obj["base"])
-            stored = obj.get("variants", {})
-            if not isinstance(stored, dict):
-                raise ValueError(f"{path}:{lineno}: variants must be an object, "
-                                 f"got {stored!r}")
-            base_tokens = word_tokens(base)
-            variants = {}
-            for key, text in stored.items():
-                try:
-                    kind = PerturbationKind(key)
-                except ValueError:
-                    skipped += 1
-                    continue
-                if kind == PerturbationKind.IDENTICAL:
-                    raise ValueError(f"{path}:{lineno}: IDENTICAL may not appear as a "
-                                     f"stored variant")
-                _check_sentence(f"{path}:{lineno}: variants.{key}", text)
-                if word_tokens(text) == base_tokens:
-                    unchanged += 1
-                variants[kind] = text
-            groups.append(PerturbedGroup(sample_id=str(obj.get("id", lineno)),
-                                         base=base, variants=variants))
+            if kind == PerturbationKind.IDENTICAL:
+                raise ValueError(f"{path}:{lineno}: IDENTICAL may not appear as a "
+                                 f"stored variant")
+            _check_sentence(f"{path}:{lineno}: variants.{key}", text)
+            if word_tokens(text) == base_tokens:
+                unchanged += 1
+            variants[kind] = text
+        groups.append(PerturbedGroup(sample_id=str(obj.get("id", lineno)),
+                                     base=base, variants=variants))
     if warn is not None:
         if skipped:
             warn(f"{path}: skipped {skipped} variants with unknown perturbation keys")
@@ -267,26 +287,25 @@ def load_perturbation_corpus(path, warn=None):
 def load_benchmark(path):
     """Read JSON-lines schema instances with a literal '_' pronoun slot."""
     instances = []
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            obj = _loads_strict(line, lineno, path)
-            for fieldname in ("sentence", "candidate1", "candidate2", "label"):
-                if fieldname not in obj:
-                    raise ValueError(f"{path}:{lineno}: missing field {fieldname!r}")
-            sentence, c1, c2 = (_check_text(f"{path}:{lineno}: {key}", obj[key])
-                                for key in ("sentence", "candidate1", "candidate2"))
-            twin = obj.get("twin")
-            if twin is not None:
-                _check_text(f"{path}:{lineno}: twin", twin)
-            inst = SchemaInstance(sentence=sentence, candidate1=c1, candidate2=c2,
-                                  label=obj["label"], twin=twin)
-            try:
-                inst.check()
-            except ValueError as e:
-                raise ValueError(f"{path}:{lineno}: {e}") from None
-            instances.append(inst)
+    for lineno, line in text_lines(path):
+        if not line.strip():
+            continue
+        obj = _loads_strict(line, lineno, path)
+        for fieldname in ("sentence", "candidate1", "candidate2", "label"):
+            if fieldname not in obj:
+                raise ValueError(f"{path}:{lineno}: missing field {fieldname!r}")
+        sentence, c1, c2 = (_check_text(f"{path}:{lineno}: {key}", obj[key])
+                            for key in ("sentence", "candidate1", "candidate2"))
+        twin = obj.get("twin")
+        if twin is not None:
+            _check_text(f"{path}:{lineno}: twin", twin)
+        inst = SchemaInstance(sentence=sentence, candidate1=c1, candidate2=c2,
+                              label=obj["label"], twin=twin)
+        try:
+            inst.check()
+        except ValueError as e:
+            raise ValueError(f"{path}:{lineno}: {e}") from None
+        instances.append(inst)
     return instances
 
 

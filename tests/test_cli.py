@@ -682,6 +682,87 @@ def test_out_of_vocabulary_benchmark_candidate_exits_with_one_error_line(
     assert captured.out == "" and list(run_out.iterdir()) == []
 
 
+def _benchmark_argv(command, cfg_path, out, run_out, path):
+    argv = [command, "--config", str(cfg_path), "--out", str(run_out)]
+    if command == "evaluate":
+        return argv + ["--checkpoint", str(out / "init.ckpt.json"), str(path)]
+    return argv + [f"--paths.benchmarks={json.dumps([str(path)])}"]
+
+
+@pytest.mark.parametrize("field", ["sentence", "twin"])
+@pytest.mark.parametrize("command", ["evaluate", "ablate", "sweep"])
+def test_out_of_vocabulary_benchmark_sentence_word_exits_with_one_error_line(
+        pretrained, data_dir, tmp_path, capsys, command, field):
+    # such a word was read as [UNK], an input no pretraining row holds,
+    # and the candidates were scored around it with no message
+    out, cfg_path = pretrained
+    instances = load_benchmark(data_dir / "bench_a.jsonl")
+    text = getattr(instances[2], field) + " qqq"
+    instances[2] = dataclasses.replace(instances[2], **{field: text})
+    path = tmp_path / "unknown.jsonl"
+    save_benchmark(path, instances)
+    run_out = tmp_path / "out"
+    run_out.mkdir()
+    assert cli.main(_benchmark_argv(command, cfg_path, out, run_out, path)) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: {path}:3: {field} {text!r} holds the word "
+                            f"'qqq', which is not in the vocabulary\n")
+    assert captured.out == "" and list(run_out.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["evaluate", "ablate", "sweep"])
+def test_benchmark_of_blank_lines_exits_with_one_error_line(pretrained, tmp_path,
+                                                            capsys, command):
+    out, cfg_path = pretrained
+    path = tmp_path / "blank.jsonl"
+    path.write_text("\n  \n\t\n")
+    run_out = tmp_path / "out"
+    run_out.mkdir()
+    assert cli.main(_benchmark_argv(command, cfg_path, out, run_out, path)) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: benchmark file {path} holds no instance\n"
+    assert captured.out == "" and list(run_out.iterdir()) == []
+
+
+@pytest.mark.parametrize("target", ["benchmark", "corpus"])
+def test_file_that_is_not_utf8_names_its_path_and_line(pretrained, data_dir, tmp_path,
+                                                      capsys, target):
+    out, cfg_path = pretrained
+    source = data_dir / ("bench_a.jsonl" if target == "benchmark" else "corpus.jsonl")
+    lines = source.read_bytes().splitlines(keepends=True)
+    path = tmp_path / source.name
+    path.write_bytes(b"".join(lines[:2]) + lines[2][:9] + b"\xff" + b"".join(lines[2:]))
+    run_out = tmp_path / "out"
+    run_out.mkdir()
+    if target == "benchmark":
+        argv = _benchmark_argv("evaluate", cfg_path, out, run_out, path)
+    else:
+        argv = ["refine", "--config", str(cfg_path), "--out", str(run_out),
+                f"--paths.corpus={path}"]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: {path}:3: byte 0xff is not UTF-8 "
+                            f"(invalid start byte)\n")
+    assert list(run_out.iterdir()) == []
+
+
+@pytest.mark.parametrize("target", ["vocabulary", "checkpoint"])
+def test_vocabulary_or_checkpoint_that_is_not_utf8_names_its_path(
+        pretrained, data_dir, tmp_path, capsys, target):
+    out, cfg_path = pretrained
+    files = {"vocabulary": tmp_path / "vocab.json", "checkpoint": tmp_path / "init.ckpt.json"}
+    for name, path in files.items():
+        path.write_bytes((b"\xff" if name == target else b"")
+                         + (out / path.name).read_bytes())
+    rc = cli.main(["evaluate", "--config", str(cfg_path), "--out", str(tmp_path),
+                   f"--paths.vocab={files['vocabulary']}",
+                   "--checkpoint", str(files["checkpoint"]),
+                   str(data_dir / "bench_a.jsonl")])
+    assert rc == 1
+    assert capsys.readouterr().err == (f"error: {target} {files[target]}: not UTF-8 "
+                                       f"text (invalid start byte)\n")
+
+
 class TestAblate:
     def test_rows_and_determinism(self, pretrained, tmp_path):
         out, cfg_path = pretrained
@@ -784,6 +865,23 @@ class TestScoreCommand:
         assert captured.err == (f"error: candidate{which} {candidates[which - 1]!r} "
                                 f"holds the word {word!r}, which is not in the "
                                 f"vocabulary\n")
+        assert captured.out == ""
+
+    def test_out_of_vocabulary_sentence_word_exits_with_one_error_line(
+            self, pretrained, data_dir, tmp_path, capsys):
+        # unknown sentence words were read as [UNK]: other unknown words in
+        # their place gave the same two scores
+        out, cfg_path = pretrained
+        inst = load_benchmark(data_dir / "bench_a.jsonl")[0]
+        sentence = "the qqq zzz xxx because the _ is too big ."
+        rc = cli.main(["score", "--config", str(cfg_path), "--out", str(tmp_path),
+                       "--checkpoint", str(out / "init.ckpt.json"),
+                       "--sentence", sentence, "--candidate1", inst.candidate1,
+                       "--candidate2", inst.candidate2])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: sentence {sentence!r} holds the word 'qqq', "
+                                f"which is not in the vocabulary\n")
         assert captured.out == ""
 
     @pytest.mark.parametrize("sentence,candidates,message", [

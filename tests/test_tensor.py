@@ -592,6 +592,93 @@ class TestInPlaceKernels:
             table.data, ids, g))
         np.testing.assert_array_equal(base.grad, table.grad * 2.0)
 
+    def test_take_with_repeated_indices_sums_as_np_add_at(self, dtype):
+        # about seven reads of each of rows 0-5, nine of row 11 and none of
+        # rows 6-10; -0.0 rows must sum to +0.0, as np.add.at's zeros give
+        T.set_dtype(dtype)
+        rng = np.random.default_rng(7)
+        a = Tensor(rng.normal(size=(12, 5)), requires_grad=True)
+        idx = np.concatenate([rng.integers(0, 6, size=40), [11] * 9])
+        rng.shuffle(idx)
+        g = rng.normal(0, 10, size=(idx.size, 5)).astype(dtype)
+        g[idx == 11, 0] = -0.0
+        out = T.take(a, idx)
+        assert_same_bits(out.data, a.data[idx])
+        out._backward_fn(g)
+        want = np.zeros_like(a.data)
+        np.add.at(want, idx, g)
+        assert_same_bits(a.grad, leaf_grad(want))
+
+    def test_embedding_lookup_with_one_id_read_40_times_and_with_none(self, dtype):
+        T.set_dtype(dtype)
+        rng = np.random.default_rng(8)
+        table = Tensor(rng.normal(size=(20, 6)), requires_grad=True)
+        ids = rng.integers(0, 20, size=(5, 12))
+        ids.flat[rng.permutation(ids.size)[:40]] = 7
+        g = rng.normal(0, 10, size=(5, 12, 6)).astype(dtype)
+        out = T.embedding_lookup(table, ids)
+        out._backward_fn(g)
+        assert_same_bits(table.grad, leaf_grad(embedding_formula_grad(table.data, ids, g)))
+        table = Tensor(table.data, requires_grad=True)
+        out = T.embedding_lookup(table, np.zeros(0, dtype=np.int64))
+        assert out.data.shape == (0, 6)
+        out._backward_fn(np.zeros((0, 6), dtype=dtype))
+        assert_same_bits(table.grad, np.zeros_like(table.data))
+
+    @pytest.mark.parametrize("axis", [1, 2])
+    def test_tmax_with_ties_and_a_nan(self, dtype, axis):
+        # small integers tie often; the gradient goes to the first maximum
+        T.set_dtype(dtype)
+        rng = np.random.default_rng(9)
+        x = rng.integers(-2, 3, size=(4, 6, 5)).astype(dtype)
+        x[1, 2, 3] = np.nan
+        a = Tensor(x, requires_grad=True)
+        g = rng.normal(size=np.delete(x.shape, axis)).astype(dtype)
+        out = T.tmax(a, axis)
+        assert_same_bits(out.data, np.max(x, axis=axis))
+        assert np.isnan(out.data).sum() == 1
+        out._backward_fn(g)
+        first = np.expand_dims(np.argmax(x, axis=axis), axis)
+        one_hot = np.arange(x.shape[axis]).reshape([-1 if d == axis else 1
+                                                    for d in range(3)]) == first
+        assert (one_hot.sum(axis=axis) == 1).all()
+        want = np.where(one_hot, np.expand_dims(g, axis), 0.0)
+        assert_same_bits(a.grad, leaf_grad(want))
+
+    @pytest.mark.parametrize("shape", [(3, 5, 7, 9), (6, 1)], ids=["batch", "k-by-1"])
+    def test_softmax_over_key_slabs(self, dtype, shape):
+        T.set_dtype(dtype)
+        rng = np.random.default_rng(10)
+        x = Tensor(rng.normal(0, 3, size=shape), requires_grad=True)
+        g = rng.normal(size=shape).astype(dtype)
+        out = T.softmax(x)
+        want_out, want_gx = softmax_formula(x.data, g)
+        assert_same_bits(out.data, want_out)
+        assert out.data.flags.c_contiguous
+        out._backward_fn(g)
+        assert_same_bits(x.grad, leaf_grad(want_gx))
+
+    @pytest.mark.parametrize("rows", [1, 2, 40])
+    def test_linear_with_a_transposed_table(self, dtype, rows):
+        # the tied head's weight, the table transposed: its product and
+        # gradient run in the table's layout, whose bits depend on the BLAS
+        # build; the artifact hashes pin those
+        T.set_dtype(dtype)
+        rng = np.random.default_rng(15)
+        table = Tensor(rng.normal(size=(300, 24)), requires_grad=True)
+        x = Tensor(rng.normal(size=(rows, 24)), requires_grad=True)
+        b = Tensor(rng.normal(size=300), requires_grad=True)
+        g = rng.normal(size=(rows, 300)).astype(dtype)
+        out = T.linear(x, T.transpose(table, (1, 0)), b)
+        assert out.data.dtype == dtype and out.data.flags.c_contiguous
+        tol = {"float32": 1e-5, "float64": 1e-12}[dtype]
+        np.testing.assert_allclose(out.data, x.data @ table.data.T + b.data,
+                                   rtol=tol, atol=tol)
+        T.backward(T.tsum(T.mul(out, g)))
+        np.testing.assert_allclose(table.grad, (x.data.T @ g).T, rtol=tol, atol=tol)
+        np.testing.assert_allclose(x.grad, g @ table.data, rtol=tol, atol=tol)
+        assert_same_bits(b.grad, leaf_grad(g.sum(axis=0)))
+
 
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
 def test_softmax_fuzz_over_the_float_range(dtype):

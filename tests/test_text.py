@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -248,6 +249,18 @@ class TestBenchmarkLoading:
             path.write_text(json.dumps(good) + "\n" + json.dumps({**good, **bad}) + "\n")
             with pytest.raises(ValueError, match=f"{path}:2: {next(iter(bad))} must be"):
                 load_benchmark(path)
+
+    def test_bytes_that_are_not_utf8_name_their_line(self, tmp_path):
+        # Windows line ends count once, as a text-mode read counts them
+        path = tmp_path / "b.jsonl"
+        good = json.dumps({"sentence": "the _ fits .", "candidate1": "a",
+                           "candidate2": "b", "label": 1}).encode()
+        path.write_bytes(good + b"\r\n\r\n" + good.replace(b"fits", b"f\xe9ts") + b"\r\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}:3: byte 0xe9 is not UTF-8 (invalid continuation byte)")):
+            load_benchmark(path)
+        path.write_bytes(good + b"\r\n\r\n" + good + b"\r\n")
+        assert len(load_benchmark(path)) == 2
 
     def test_twins_share_candidates(self):
         for inst in make_benchmark(30, seed=2):
