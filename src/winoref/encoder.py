@@ -155,46 +155,46 @@ def _width(used):
     return int(np.flatnonzero(used.any(axis=0)).max(initial=0)) + 1
 
 
-def _dropout(x, rate, rng, shape, index):
-    """Inverted dropout. The mask is drawn at ``shape``, the untrimmed,
-    unpacked shape of ``x``, and ``index`` picks ``x``'s entries from it, so
+def _keep_mask(rate, rng, shape, index, dtype):
+    """Inverted dropout's keep mask, scaled by 1/(1 - rate); None when
+    ``rate`` drops nothing. The mask is drawn at ``shape``, the untrimmed,
+    unpacked shape of what it scales, and ``index`` picks the entries, so
     the random stream and every kept entry do not depend on how far the
     batch was trimmed or how many of its positions are pads."""
     if rate <= 0.0:
-        return x
-    keep = (rng.random(shape)[index] >= rate).astype(x.data.dtype)
-    return T.mul(x, keep / (1.0 - rate))
+        return None
+    keep = (rng.random(shape)[index] >= rate).astype(dtype)
+    return keep / (1.0 - rate)
+
+
+def _dropout(x, rate, rng, shape, index):
+    """Inverted dropout of ``x`` with the mask of ``_keep_mask``."""
+    keep = _keep_mask(rate, rng, shape, index, x.data.dtype)
+    return x if keep is None else T.mul(x, keep)
 
 
 def _attention(h, queries, trimmed, mask_bias, cfg, p, i, train, rate, rng):
     """Self-attention over packed rows ``h`` (T, d), the real tokens of the
     (B, n) mask ``trimmed``, for the query rows at the true entries of
-    ``queries``, a subset of them. The attention core runs on the
-    (B, H, n, dh) grid: q, k and v are scattered into it, zero at the
-    positions they do not cover, and the context is gathered back at the
-    query rows."""
+    ``queries``, a subset of them: the q, k, v and output projections
+    around ``T.attention``, which holds the core as one tape node. Its
+    forward reuses ``T.matmul``, ``T.mul``, ``T.add`` and ``T.softmax``, and
+    its backward reproduces theirs, on the (B, n, H, dh) grids the separate
+    ops used, because BLAS may round another layout's products differently;
+    so every bit is theirs. Attention dropout's mask is drawn here, at
+    (B, heads, max_len, max_len)."""
     B, n = trimmed.shape
-    d = h.data.shape[1]
-    heads = cfg.heads
-    dh = d // heads
 
-    def project(w, rows, keep):
-        flat = T.linear(rows, p[f"l{i}.attn.{w}"], p[f"l{i}.attn.{w}_b"])
-        grid = T.reshape(T.scatter_rows(flat, keep), (B, n, heads, dh))
-        return T.transpose(grid, (0, 2, 1, 3))  # (B, H, n, dh)
+    def project(w, rows):
+        return T.linear(rows, p[f"l{i}.attn.{w}"], p[f"l{i}.attn.{w}_b"])
 
-    q = project("wq", _pick(h, queries[trimmed]), queries)
-    k, v = project("wk", h, trimmed), project("wv", h, trimmed)
-    scores = T.matmul(q, T.transpose(k, (0, 1, 3, 2)))
-    scores = T.mul(scores, 1.0 / np.sqrt(dh))
-    scores = T.add(scores, mask_bias)            # -inf-ish at padded keys
-    attn = T.softmax(scores)
+    drop = None
     if train:
-        attn = _dropout(attn, rate, rng, (B, heads, cfg.max_len, cfg.max_len),
-                        np.s_[:, :, :n, :n])
-    ctx = T.transpose(T.matmul(attn, v), (0, 2, 1, 3))   # (B, n, H, dh)
-    ctx = T.reshape(T.gather_rows(ctx, queries), (-1, d))
-    return T.linear(ctx, p[f"l{i}.attn.wo"], p[f"l{i}.attn.wo_b"])
+        drop = _keep_mask(rate, rng, (B, cfg.heads, cfg.max_len, cfg.max_len),
+                          np.s_[:, :, :n, :n], h.data.dtype)
+    ctx = T.attention(project("wq", _pick(h, queries[trimmed])), project("wk", h),
+                      project("wv", h), trimmed, queries, cfg.heads, mask_bias, drop)
+    return project("wo", ctx)
 
 
 def _pick(x, sel):

@@ -27,6 +27,11 @@ the table's own layout, and takes its gradient in that layout too.
 ``softmax`` reduces over key slabs, a contiguous copy with the keys along
 its leading axis. The backwards of ``take`` and ``embedding_lookup`` sum
 repeated indices in ``np.add.at``'s order, one vectorized pass per repeat.
+
+``attention`` is multi-head attention as one node over packed rows. Its
+forward runs ``matmul``, ``mul``, ``add`` and ``softmax`` untaped, on the
+same views the unfused ops read, and its hand-written backward repeats their
+backwards operation for operation, so both keep the unfused ops' bits.
 """
 
 import contextlib
@@ -322,10 +327,13 @@ def _index_sum(index, rows, dtype):
     most repeated id has rows, not as many as the rows."""
     order = np.argsort(index, kind="stable")        # by id, each in index order
     ranked = index[order]
-    first = np.ones(ranked.size, dtype=bool)
-    first[1:] = ranked[1:] != ranked[:-1]
-    starts = np.flatnonzero(first)
-    counts = np.diff(starts, append=ranked.size)
+    # each id's run in ``ranked`` starts and ends at a true entry
+    edge = np.empty(ranked.size + 1, dtype=bool)
+    edge[0] = edge[-1] = True
+    np.not_equal(ranked[1:], ranked[:-1], out=edge[1:-1])
+    bounds = np.flatnonzero(edge)
+    starts = bounds[:-1]
+    counts = bounds[1:] - starts
     # the ids with most rows first, so the sums a pass adds to lead
     by_count = np.argsort(-counts, kind="stable")
     starts, counts = starts[by_count], counts[by_count]
@@ -531,6 +539,87 @@ def softmax(x):
             x._accum(gx)
 
     return _node(out_data, (x,), bw)
+
+
+def attention(q_rows, k_rows, v_rows, trimmed, queries, heads, mask_bias, drop):
+    """Multi-head softmax attention as one node. ``k_rows`` and ``v_rows``
+    (T, d) are the projected rows at the true entries of the (B, n) mask
+    ``trimmed``, ``q_rows`` (Tq, d) those at the true entries of ``queries``,
+    a subset of them; the result is the (Tq, d) context rows of the queries.
+    ``mask_bias``, broadcast to (B, heads, n, n), is added to the scores, and
+    ``drop``, attention dropout's keep mask already scaled by 1/(1 - rate),
+    or None, multiplies the weights.
+
+    The rows are scattered into zero (B, n, heads, dh) grids, which the core
+    reads as (B, heads, n, dh) views. The forward runs this module's
+    ``matmul``, ``mul``, ``add`` and ``softmax`` on those views, untaped, so
+    its bits are those ops' as tape nodes. The backward is the softmax
+    attention one, dS = P ∘ (dP − rowsum(dP ∘ P)) / √dh, written as those
+    nodes' backwards run, operation for operation and on operands of the
+    same layouts, so its bits are theirs too. A contiguous (B, heads, n, dh)
+    grid would hand BLAS other strides, which a BLAS build may round
+    differently."""
+    q_rows, k_rows, v_rows = astensor(q_rows), astensor(k_rows), astensor(v_rows)
+    trimmed = np.asarray(trimmed, dtype=bool)
+    queries = np.asarray(queries, dtype=bool)
+    d = k_rows.data.shape[-1]
+    if (q_rows.data.ndim != 2 or k_rows.data.ndim != 2 or v_rows.data.ndim != 2
+            or q_rows.data.shape[1] != d or v_rows.data.shape[1] != d
+            or trimmed.ndim != 2 or queries.shape != trimmed.shape):
+        raise ShapeError(f"attention: rows {q_rows.data.shape}, {k_rows.data.shape} "
+                         f"and {v_rows.data.shape} with masks {queries.shape} and "
+                         f"{trimmed.shape} not conformable")
+    if heads < 1 or d % heads:
+        raise ShapeError(f"attention: row width {d} is not a multiple of {heads} heads")
+    for name, rows, keep in (("query", q_rows, queries), ("key", k_rows, trimmed),
+                             ("value", v_rows, trimmed)):
+        if rows.data.shape[0] != np.count_nonzero(keep):
+            raise ShapeError(f"attention: {rows.data.shape[0]} {name} rows for "
+                             f"{np.count_nonzero(keep)} positions")
+    B, n = trimmed.shape
+    dh = d // heads
+
+    def grid(rows, keep):
+        return _scatter(rows.data, keep).reshape(B, n, heads, dh).transpose(0, 2, 1, 3)
+
+    def packed(g, keep):
+        # the rows of a (B, heads, n, dh) grid at ``keep``, as (T, d)
+        return _gather(g.transpose(0, 2, 1, 3), keep).reshape(-1, d)
+
+    def const(a):
+        # an untaped operand, in its own dtype
+        return Tensor(a, dtype=a.dtype)
+
+    q, k, v = grid(q_rows, queries), grid(k_rows, trimmed), grid(v_rows, trimmed)
+    kt = k.transpose(0, 1, 3, 2)
+    scale = astensor(1.0 / np.sqrt(dh))
+    drop = None if drop is None else astensor(drop)
+    s = mul(matmul(const(q), const(kt)), scale)
+    p = softmax(add(s, mask_bias)).data
+    a = p if drop is None else mul(const(p), drop).data
+    ctx = matmul(const(a), const(v)).data
+
+    def bw(g):
+        gc = _scatter(g.reshape(-1, heads, dh), queries).transpose(0, 2, 1, 3)
+        if v_rows.requires_grad:
+            v_rows._accum(packed(np.swapaxes(a, -1, -2) @ gc, trimmed))
+        if not (q_rows.requires_grad or k_rows.requires_grad):
+            return
+        gs = gc @ np.swapaxes(v, -1, -2)
+        if drop is not None:
+            gs *= drop.data
+        gp = gs * p                         # softmax: (g - sum(g * P)) * P
+        dot = gp.sum(axis=-1, keepdims=True)
+        np.subtract(gs, dot, out=gp)
+        gp *= p
+        gp *= scale.data
+        if q_rows.requires_grad:
+            q_rows._accum(packed(gp @ np.swapaxes(kt, -1, -2), queries))
+        if k_rows.requires_grad:
+            gkt = np.swapaxes(q, -1, -2) @ gp
+            k_rows._accum(packed(gkt.transpose(0, 1, 3, 2), trimmed))
+
+    return _node(packed(ctx, queries), (q_rows, k_rows, v_rows), bw)
 
 
 def logsumexp(x):

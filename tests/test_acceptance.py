@@ -74,6 +74,14 @@ def test_acceptance_1_gradient_suite():
         keep = np.array([True, False, True])          # not a prefix
         r24 = randt(rng, 2, 4)
         w24 = T.Tensor(rng.normal(size=(2, 4)))
+        # attention over 2 rows of 4 positions, 2 heads of width 2: a key mask
+        # that is not a prefix, a strict subset of queries, a dropout mask
+        trim = np.array([[True, False, True, True], [True, True, False, False]])
+        some = trim & np.array([[False, False, True, False], [True, False, False, True]])
+        bias = np.where(trim, 0.0, -1e9).reshape(2, 1, 1, 4)
+        drop = (rng.random((2, 2, 4, 4)) >= 0.3) / 0.7
+        q54, k54, v54, q24 = (randt(rng, *s) for s in ((5, 4), (5, 4), (5, 4), (2, 4)))
+        w54 = T.Tensor(rng.normal(size=(5, 4)))
         return [
             ("add", lambda: T.tsum(T.mul(T.add(a34, b34), w34)), [a34, b34]),
             ("sub", lambda: T.tsum(T.mul(T.sub(a34, b34), w34)), [a34, b34]),
@@ -100,6 +108,12 @@ def test_acceptance_1_gradient_suite():
             ("mean", lambda: T.tsum(T.mul(T.tmean(a34, axis=0), w4)), [a34]),
             ("transpose", lambda: T.tsum(T.mul(T.reshape(T.transpose(a34, (1, 0)),
                                                          (3, 4)), w34)), [a34]),
+            ("attention", lambda: T.tsum(T.mul(T.attention(
+                q54, k54, v54, trim, trim, 2, bias, None), w54)), [q54, k54, v54]),
+            ("attention_queries", lambda: T.tsum(T.mul(T.attention(
+                q24, k54, v54, trim, some, 2, bias, None), w24)), [q24, k54, v54]),
+            ("attention_dropout", lambda: T.tsum(T.mul(T.attention(
+                q54, k54, v54, trim, trim, 2, bias, drop), w54)), [q54, k54, v54]),
         ]
 
     for seed in range(4):

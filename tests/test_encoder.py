@@ -5,8 +5,8 @@ import pytest
 
 import winoref.tensor as T
 from winoref.encoder import (ENCODE_CHUNK, EncoderConfig, EncoderModel,
-                             PretrainConfig, apply_mlm_masking, encode, encode_batch,
-                             forward_hidden, mlm_logits_batch, pretrain_mlm)
+                             PretrainConfig, _attention, apply_mlm_masking, encode,
+                             encode_batch, forward_hidden, mlm_logits_batch, pretrain_mlm)
 from winoref.optim import AdamW
 from winoref.synthetic import make_perturbation_corpus
 from winoref.tensor import Tensor
@@ -337,6 +337,77 @@ class TestPackedForward:
             else:
                 assert grads[name].tobytes() == want.tobytes(), name
 
+
+def unfused_attention(h, queries, trimmed, mask_bias, cfg, p, i, train, rate, rng):
+    """``_attention`` as it was before ``T.attention``: about twenty tape
+    nodes, with q, k and v scattered into (B, n, H, dh) grids and the core
+    read through their (B, H, n, dh) views."""
+    B, n = trimmed.shape
+    d = h.data.shape[1]
+    heads = cfg.heads
+    dh = d // heads
+
+    def project(w, rows, keep):
+        flat = T.linear(rows, p[f"l{i}.attn.{w}"], p[f"l{i}.attn.{w}_b"])
+        grid = T.reshape(T.scatter_rows(flat, keep), (B, n, heads, dh))
+        return T.transpose(grid, (0, 2, 1, 3))
+
+    sel = queries[trimmed]
+    q = project("wq", h if sel.all() else T.gather_rows(h, sel), queries)
+    k, v = project("wk", h, trimmed), project("wv", h, trimmed)
+    scores = T.matmul(q, T.transpose(k, (0, 1, 3, 2)))
+    scores = T.mul(scores, 1.0 / np.sqrt(dh))
+    attn = T.softmax(T.add(scores, mask_bias))
+    if train and rate > 0.0:
+        keep = rng.random((B, heads, cfg.max_len, cfg.max_len))[:, :, :n, :n] >= rate
+        attn = T.mul(attn, keep.astype(attn.data.dtype) / (1.0 - rate))
+    ctx = T.transpose(T.matmul(attn, v), (0, 2, 1, 3))
+    ctx = T.reshape(T.gather_rows(ctx, queries), (-1, d))
+    return T.linear(ctx, p[f"l{i}.attn.wo"], p[f"l{i}.attn.wo_b"])
+
+
+class TestFusedAttention:
+    """The attention core as one node keeps every bit of the unfused ops:
+    the output, the gradients of the projections and of the rows fed to
+    them, and the random stream."""
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("dropout", [None, 0.0, 0.1],
+                             ids=["eval", "train-dropout-0", "train-dropout-0.1"])
+    @pytest.mark.parametrize("some", [False, True], ids=["all-queries", "some-queries"])
+    def test_bit_equal_to_the_unfused_ops(self, dtype, dropout, some):
+        T.set_dtype(dtype)
+        cfg = dataclasses.replace(TRIM_CFG, dropout=dropout or 0.0)
+        rng = np.random.default_rng(21)
+        lengths = np.array([15, 4, 11, 1, 9])
+        trimmed = np.arange(15) < lengths[:, None]
+        trimmed[0, 2] = False                       # a mask that is not a prefix
+        queries = trimmed & (rng.random(trimmed.shape) < 0.4) if some else trimmed
+        assert queries.any() and (queries != trimmed).any() == some
+        mask_bias = Tensor(((1.0 - trimmed) * -1e9).reshape(len(lengths), 1, 1, 15))
+        x = rng.normal(size=(np.count_nonzero(trimmed), cfg.model_dim))
+        w = rng.normal(size=(np.count_nonzero(queries), cfg.model_dim))
+
+        runs = []
+        for attend in (_attention, unfused_attention):
+            model = EncoderModel(cfg, seed=13)
+            p = model.params
+            rows = Tensor(x, requires_grad=True)
+            # an interior node, as the block's layer norm is: it borrows its
+            # first gradient and sums the others
+            h = T.layer_norm(rows, p["l0.ln1.g"], p["l0.ln1.b"], cfg.layer_norm_eps)
+            stream = np.random.default_rng(6)
+            out = attend(h, queries, trimmed, mask_bias, cfg, p, 0,
+                         dropout is not None, cfg.dropout, stream)
+            T.backward(T.tsum(T.mul(out, w)))
+            grads = {name: q.grad.tobytes() for name, q in model.named_params()
+                     if name.startswith(("l0.attn.", "l0.ln1."))}
+            runs.append((out.data.tobytes(), rows.grad.tobytes(), grads, stream.random()))
+        (out, rows_grad, grads, drawn), want = runs[0], runs[1]
+        assert out == want[0]
+        assert rows_grad == want[1]
+        assert len(grads) == 10 and grads == want[2]
+        assert drawn == want[3]
 
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
 def test_position_gradient_is_the_add_at_sum(dtype):

@@ -127,6 +127,20 @@ class TestBasics:
         assert str(e.value) == (f"{op.__name__}: shapes (3, 2) and (5, 1, 3) "
                                 f"are not broadcast-compatible")
 
+    @pytest.mark.parametrize("counts, heads, message", [
+        ((3, 5, 5), 2, "attention: 3 query rows for 4 positions"),
+        ((4, 4, 5), 2, "attention: 4 key rows for 5 positions"),
+        ((4, 5, 6), 2, "attention: 6 value rows for 5 positions"),
+        ((4, 5, 5), 4, "attention: row width 6 is not a multiple of 4 heads"),
+    ], ids=["query-rows", "key-rows", "value-rows", "heads"])
+    def test_attention_shape_error_is_one_message(self, counts, heads, message):
+        trimmed = np.array([[True, True, False], [True, True, True]])
+        queries = trimmed & np.array([[True, False, True], [True, True, True]])
+        q, k, v = (Tensor(np.ones((c, 6))) for c in counts)
+        with pytest.raises(T.ShapeError) as e:
+            T.attention(q, k, v, trimmed, queries, heads, np.zeros((2, 1, 1, 3)), None)
+        assert str(e.value) == message
+
     def test_zero_norm_cosine_is_zero_with_zero_grad(self):
         u = Tensor([0.0, 0.0], requires_grad=True)
         v = Tensor([1.0, 2.0], requires_grad=True)
