@@ -3,9 +3,16 @@
 The pronoun slot is expanded to as many [MASK] tokens as the candidate has,
 one forward pass produces per-position distributions, and the candidate's
 score is the average log probability of its tokens at the masked positions.
-Evaluation never updates parameters.
+The masked row depends only on the sentence and the candidate's token count,
+so the two candidates of one instance share one forward when their counts
+are equal: ``resolve`` memoizes the row's logits for that one instance. The
+memo is a context variable, not a parameter, so that a wrapper of
+``score_candidate(model, vocab, instance, which)``, such as the benchmark's
+tracer, still sees one call per candidate. Evaluation never updates
+parameters.
 """
 
+import contextvars
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,7 +48,8 @@ def log_probs_at_positions(logits, token_ids):
     """
     m = logits.max(axis=1, keepdims=True)
     e = np.exp(logits - m)
-    return np.log(e[np.arange(len(token_ids)), token_ids] / e.sum(axis=1))
+    with np.errstate(divide="ignore"):   # a probability that underflowed: -inf
+        return np.log(e[np.arange(len(token_ids)), token_ids] / e.sum(axis=1))
 
 
 def _masked_ids(instance, which, vocab, max_len):
@@ -68,11 +76,19 @@ def _masked_ids(instance, which, vocab, max_len):
     return ids, mask_positions, cand_ids
 
 
+# Masked-row logits of the instance ``resolve`` is scoring, keyed by the
+# row's id bytes and slot positions; unset outside ``resolve``.
+_ROW_LOGITS = contextvars.ContextVar("row_logits")
+
+
 def score_candidate(model, vocab, instance, which):
     """Average log probability of one candidate in the masked slot.
 
     A candidate whose row overflows the length budget scores -inf and is
-    marked ``overflows`` rather than being silently dropped.
+    marked ``overflows`` rather than being silently dropped. Inside
+    ``resolve`` a row already forwarded for the other candidate is read from
+    its memo; the forward would be the same on the same inputs, so the score
+    keeps its bits. Outside ``resolve`` every call forwards.
     """
     built = _masked_ids(instance, which, vocab, model.config.max_len)
     if built is None:
@@ -80,18 +96,30 @@ def score_candidate(model, vocab, instance, which):
                               n_tokens=len(word_tokens(instance.candidate(which))),
                               overflows=True)
     ids, positions, cand_ids = built
-    with T.no_grad():
-        logits = mlm_logits_batch(model, ids[None, :], row_masks(ids)[0][None, :],
-                                  positions)
-    logp = log_probs_at_positions(logits.data, cand_ids)
+    memo = _ROW_LOGITS.get({})   # outside resolve, a memo of this call only
+    key = (ids.tobytes(), positions.tobytes())
+    if key not in memo:
+        with T.no_grad():
+            memo[key] = mlm_logits_batch(model, ids[None, :], row_masks(ids)[0][None, :],
+                                         positions).data
+    logp = log_probs_at_positions(memo[key], cand_ids)
     return CandidateScore(avg_log_prob=float(logp.mean()), n_tokens=len(cand_ids),
                           overflows=False)
 
 
 def resolve(model, vocab, instance):
-    """Index of the better-scoring candidate; exact ties pick candidate 1."""
-    s1 = score_candidate(model, vocab, instance, 1)
-    s2 = score_candidate(model, vocab, instance, 2)
+    """Index of the better-scoring candidate; exact ties pick candidate 1.
+
+    Candidates of one token count share one masked row, and so one forward.
+    The memo of row logits lives for this instance only: rows seldom repeat
+    across instances, a longer-lived memo would hold vocabulary-wide logits
+    for a whole file, and ``refine`` changes the model in place."""
+    token = _ROW_LOGITS.set({})
+    try:
+        s1 = score_candidate(model, vocab, instance, 1)
+        s2 = score_candidate(model, vocab, instance, 2)
+    finally:
+        _ROW_LOGITS.reset(token)
     choice = 1 if s1.avg_log_prob >= s2.avg_log_prob else 2
     return choice, (s1, s2)
 

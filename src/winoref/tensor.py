@@ -545,7 +545,8 @@ def attention(q_rows, k_rows, v_rows, trimmed, queries, heads, mask_bias, drop):
     """Multi-head softmax attention as one node. ``k_rows`` and ``v_rows``
     (T, d) are the projected rows at the true entries of the (B, n) mask
     ``trimmed``, ``q_rows`` (Tq, d) those at the true entries of ``queries``,
-    a subset of them; the result is the (Tq, d) context rows of the queries.
+    a subset of them (a query outside ``trimmed`` is a ShapeError); the
+    result is the (Tq, d) context rows of the queries.
     ``mask_bias``, broadcast to (B, heads, n, n), is added to the scores, and
     ``drop``, attention dropout's keep mask already scaled by 1/(1 - rate),
     or None, multiplies the weights.
@@ -571,6 +572,9 @@ def attention(q_rows, k_rows, v_rows, trimmed, queries, heads, mask_bias, drop):
                          f"{trimmed.shape} not conformable")
     if heads < 1 or d % heads:
         raise ShapeError(f"attention: row width {d} is not a multiple of {heads} heads")
+    stray = np.count_nonzero(queries & ~trimmed)
+    if stray:
+        raise ShapeError(f"attention: {stray} query positions outside the key mask")
     for name, rows, keep in (("query", q_rows, queries), ("key", k_rows, trimmed),
                              ("value", v_rows, trimmed)):
         if rows.data.shape[0] != np.count_nonzero(keep):

@@ -17,7 +17,8 @@ from winoref.checkpoint import (load as load_checkpoint, params_hash,
 from winoref.config import load_config
 from winoref.optim import EPS
 from winoref.synthetic import make_benchmark, make_perturbation_corpus
-from winoref.text import load_benchmark, save_benchmark, save_perturbation_corpus
+from winoref.text import (Vocabulary, load_benchmark, save_benchmark,
+                          save_perturbation_corpus, word_tokens)
 
 from conftest import read_csv_artifact
 
@@ -29,6 +30,14 @@ def data_dir(tmp_path_factory):
     save_benchmark(d / "bench_a.jsonl", make_benchmark(6, seed=52))
     save_benchmark(d / "bench_b.jsonl", make_benchmark(6, seed=53))
     return d
+
+
+def _module_env():
+    """The environment for a `python -m winoref.cli` subprocess that imports
+    this checkout's package."""
+    src = Path(cli.__file__).resolve().parents[1]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
 
 
 def write_config(path, data_dir, out_dir=None, **refine_overrides):
@@ -846,6 +855,27 @@ class TestScoreCommand:
         assert out_text.count("avg_log_prob=") == 2
         assert "chosen: candidate" in out_text
 
+    def test_underflowing_probability_scores_minus_inf_without_a_warning(
+            self, pretrained, data_dir, tmp_path):
+        # np.log of the probability that underflowed to 0 printed a numpy
+        # RuntimeWarning, with its source line, beside the -inf score
+        out, cfg_path = pretrained
+        inst = load_benchmark(data_dir / "bench_a.jsonl")[0]
+        vocab = Vocabulary.load(out / "vocab.json")
+        arrays, meta = load_checkpoint(out / "init.ckpt.json")
+        arrays["mlm_bias"][[vocab.id(t) for t in word_tokens(inst.candidate1)]] -= 1e4
+        low = tmp_path / "low.ckpt.json"
+        save_checkpoint(low, arrays, meta)
+        done = subprocess.run(
+            [sys.executable, "-m", "winoref.cli", "score", "--config", str(cfg_path),
+             "--out", str(tmp_path / "out"), "--checkpoint", str(low),
+             "--sentence", inst.sentence, "--candidate1", inst.candidate1,
+             "--candidate2", inst.candidate2],
+            env=_module_env(), capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert f"candidate1 {inst.candidate1!r}: avg_log_prob=-inf\n" in done.stdout
+        assert done.stderr == ""
+
     @pytest.mark.parametrize("candidates, which, word", [
         (("zzz", "qqq"), 1, "zzz"), (("qqq", "zzz"), 1, "qqq"),
         (("known", "the qqq"), 2, "qqq")], ids=["both", "both-swapped", "second"])
@@ -952,13 +982,10 @@ class TestGenData:
     def test_module_invocation_runs_the_command(self, tmp_path):
         # `python -m winoref.cli` used to import the module, do nothing and
         # exit 0
-        src = Path(cli.__file__).resolve().parents[1]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
         done = subprocess.run(
             [sys.executable, "-m", "winoref.cli", "gen-data", "--out", str(tmp_path),
              "--groups", "3", "--instances", "2"],
-            env=env, capture_output=True, text=True, timeout=120)
+            env=_module_env(), capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
         assert (tmp_path / "corpus.jsonl").exists()
         assert (tmp_path / "benchmark.jsonl").exists()

@@ -19,7 +19,8 @@ from winoref.evaluate import evaluate, log_probs_at_positions, resolve, score_ca
 from winoref.refine import LossWeights
 from winoref.synthetic import make_benchmark, make_perturbation_corpus
 from winoref.text import (CLS_ID, MASK_ID, PAD_ID, SEP_ID, SchemaInstance,
-                          benchmark_texts, build_vocab, corpus_sentences, row_masks)
+                          benchmark_texts, build_vocab, corpus_sentences, row_masks,
+                          word_tokens)
 
 from conftest import make_null_benchmark
 
@@ -67,13 +68,13 @@ def rig_logits(monkeypatch, vocab, max_len, row_probs):
     """Make every forward return the asked rows of hand-set (max_len, V)
     logits: row_probs maps position -> probability vector over the
     vocabulary."""
-    V = len(vocab)
+    out = np.zeros((max_len, len(vocab)))
+    with np.errstate(divide="ignore"):   # a hand-set probability 0 is -inf
+        for pos, probs in row_probs.items():
+            out[pos] = np.log(probs)
 
     def fake(model, ids, attention_mask, rows, train=False, rng=None):
         from winoref.tensor import Tensor
-        out = np.zeros((max_len, V))
-        for pos, probs in row_probs.items():
-            out[pos] = np.log(probs)
         return Tensor(out[rows])
 
     monkeypatch.setattr(ev, "mlm_logits_batch", fake)
@@ -183,7 +184,8 @@ class TestScoreCandidate:
         probs = np.full(len(vocab), 1.0 / (len(vocab) - 1))
         probs[vocab.id("trophy")] = 0.0
         rig_logits(monkeypatch, vocab, cfg.max_len, {2: probs})
-        with np.errstate(divide="ignore"):
+        with warnings.catch_warnings():   # nor does np.log of 0 warn
+            warnings.simplefilter("error")
             report = evaluate(model, vocab, [inst])
         assert report.decisions[0]["score1"] == float("-inf")
         assert report.accuracy == 1.0 and report.overflows == 0
@@ -229,6 +231,71 @@ class TestResolve:
                                candidate2="  " + inst.candidate2,
                                label=inst.label)
         assert resolve(model, vocab, inst)[0] == resolve(model, vocab, noisy)[0]
+
+
+def count_forwards(monkeypatch):
+    """Record the id rows of every forward that scoring makes."""
+    calls = []
+    real = ev.mlm_logits_batch
+
+    def counted(model, ids, *args, **kwargs):
+        calls.append(ids.copy())
+        return real(model, ids, *args, **kwargs)
+
+    monkeypatch.setattr(ev, "mlm_logits_batch", counted)
+    return calls
+
+
+def bits(score):
+    return np.float64(score.avg_log_prob).tobytes()
+
+
+class TestRowMemo:
+    def test_candidates_of_one_token_count_share_one_forward(self, world, monkeypatch):
+        groups, bench, vocab, cfg, model = world
+        calls = count_forwards(monkeypatch)
+        for inst in bench[:4]:
+            assert (len(word_tokens(inst.candidate1))
+                    == len(word_tokens(inst.candidate2)))
+            calls.clear()
+            _, scores = resolve(model, vocab, inst)
+            assert len(calls) == 1
+            fresh = [score_candidate(model, vocab, inst, which) for which in (1, 2)]
+            assert len(calls) == 3   # outside resolve, every call forwards
+            assert [bits(s) for s in scores] == [bits(s) for s in fresh]
+
+    def test_candidates_of_two_token_counts_forward_twice(self, world, monkeypatch):
+        groups, bench, vocab, cfg, model = world
+        inst = SchemaInstance(sentence="the _ fits .", candidate1="trophy",
+                              candidate2="red trophy", label=1)
+        calls = count_forwards(monkeypatch)
+        _, scores = resolve(model, vocab, inst)
+        assert len(calls) == 2 and not np.array_equal(calls[0], calls[1])
+        fresh = [score_candidate(model, vocab, inst, which) for which in (1, 2)]
+        assert [bits(s) for s in scores] == [bits(s) for s in fresh]
+
+    def test_memo_does_not_outlive_its_instance(self, world):
+        groups, bench, vocab, cfg, model = world
+        model = EncoderModel(cfg, seed=9)   # its own, to change in place
+        inst = bench[0]
+        _, before = resolve(model, vocab, inst)
+        model.params["mlm_bias"].data[vocab.id(word_tokens(inst.candidate1)[0])] += 1.0
+        _, after = resolve(model, vocab, inst)
+        fresh = [score_candidate(model, vocab, inst, which) for which in (1, 2)]
+        assert [bits(s) for s in after] == [bits(s) for s in fresh]
+        assert bits(after[0]) != bits(before[0])
+
+    def test_overflowing_candidate_beside_a_fitting_one(self, world, monkeypatch):
+        groups, bench, vocab, cfg, model = world
+        inst = SchemaInstance(sentence="the _ fits .",
+                              candidate1=" ".join(["trophy"] * cfg.max_len),
+                              candidate2="suitcase", label=2)
+        calls = count_forwards(monkeypatch)
+        choice, (s1, s2) = resolve(model, vocab, inst)
+        assert s1.avg_log_prob == float("-inf") and s1.overflows
+        assert not s2.overflows and len(calls) == 1
+        assert bits(s2) == bits(score_candidate(model, vocab, inst, 2))
+        assert choice == 2
 
 
 class TestEvaluate:

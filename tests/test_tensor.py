@@ -141,6 +141,15 @@ class TestBasics:
             T.attention(q, k, v, trimmed, queries, heads, np.zeros((2, 1, 1, 3)), None)
         assert str(e.value) == message
 
+    def test_attention_rejects_queries_outside_the_key_mask(self):
+        # a query at a pad position was attended from silently, one row each
+        trimmed = np.array([[True, True, False], [True, False, False]])
+        queries = np.array([[False, True, True], [False, True, False]])
+        q, k, v = Tensor(np.ones((3, 4))), Tensor(np.ones((3, 4))), Tensor(np.ones((3, 4)))
+        with pytest.raises(T.ShapeError) as e:
+            T.attention(q, k, v, trimmed, queries, 2, np.zeros((2, 1, 1, 3)), None)
+        assert str(e.value) == "attention: 2 query positions outside the key mask"
+
     def test_zero_norm_cosine_is_zero_with_zero_grad(self):
         u = Tensor([0.0, 0.0], requires_grad=True)
         v = Tensor([1.0, 2.0], requires_grad=True)
