@@ -254,7 +254,7 @@ def cmd_evaluate(cfg, out, checkpoints, dataset_paths, emit_json, emit_csv):
                          for d in report.decisions]
             rows.append({"checkpoint": label, "dataset": name,
                          "count": report.count, "accuracy": report.accuracy,
-                         "decisions": decisions})
+                         "overflows": report.overflows, "decisions": decisions})
     header = ["checkpoint", "dataset", "count", "accuracy"]
     for row in rows:
         print("  ".join(f"{row[h]}" for h in header))
@@ -262,8 +262,9 @@ def cmd_evaluate(cfg, out, checkpoints, dataset_paths, emit_json, emit_csv):
         C.write_json_artifact(os.path.join(out, "eval_report.json"),
                               "eval_report", cfg, rows)
     if emit_csv:
-        summary = [{h: row[h] for h in header} for row in rows]
-        C.write_csv_artifact(os.path.join(out, "eval_report.csv"), cfg, header,
+        columns = header + ["overflows"]
+        summary = [{h: row[h] for h in columns} for row in rows]
+        C.write_csv_artifact(os.path.join(out, "eval_report.csv"), cfg, columns,
                              summary)
     return 0
 

@@ -290,7 +290,8 @@ def encode_batch(model, rows, train=False, rng=None):
     return EmbeddingStack(hidden=hidden, content_mask=content[:, :hidden.shape[1]])
 
 
-# rows per forward in ``encode``; bounds its memory on a large corpus
+# rows per forward in ``encode``, and distinct masked rows per forward in
+# ``evaluate.evaluate``; bounds their memory on a large corpus or benchmark
 ENCODE_CHUNK = 64
 
 

@@ -4,9 +4,11 @@ The pronoun slot is expanded to as many [MASK] tokens as the candidate has,
 one forward pass produces per-position distributions, and the candidate's
 score is the average log probability of its tokens at the masked positions.
 The masked row depends only on the sentence and the candidate's token count,
-so the two candidates of one instance share one forward when their counts
-are equal: ``resolve`` memoizes the row's logits for that one instance. The
-memo is a context variable, not a parameter, so that a wrapper of
+so the two candidates of one instance share one row when their counts are
+equal. ``evaluate`` builds every candidate's row once and forwards a block's
+distinct rows together; ``resolve`` alone forwards each distinct row of its
+one instance once. Either way the slot logits sit in a memo that is a
+context variable, not a parameter, so that a wrapper of
 ``score_candidate(model, vocab, instance, which)``, such as the benchmark's
 tracer, still sees one call per candidate. Evaluation never updates
 parameters.
@@ -18,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .encoder import mlm_logits_batch
+from .encoder import ENCODE_CHUNK, mlm_logits_batch
 from .text import MASK, SLOT_MARKER, encode_tokens, row_masks, word_tokens
 
 
@@ -76,8 +78,10 @@ def _masked_ids(instance, which, vocab, max_len):
     return ids, mask_positions, cand_ids
 
 
-# Masked-row logits of the instance ``resolve`` is scoring, keyed by the
-# row's id bytes and slot positions; unset outside ``resolve``.
+# The memo scoring reads: slot logits under a masked row's id bytes (its
+# slots are the row's run of [MASK] ids), and inside ``evaluate`` each
+# candidate's built row under (id(instance), which); unset outside
+# ``resolve`` and ``evaluate``.
 _ROW_LOGITS = contextvars.ContextVar("row_logits")
 
 
@@ -86,23 +90,27 @@ def score_candidate(model, vocab, instance, which):
 
     A candidate whose row overflows the length budget scores -inf and is
     marked ``overflows`` rather than being silently dropped. Inside
-    ``resolve`` a row already forwarded for the other candidate is read from
-    its memo; the forward would be the same on the same inputs, so the score
-    keeps its bits. Outside ``resolve`` every call forwards.
+    ``evaluate`` the candidate's row and its logits are read from the
+    block's memo, so the row is neither built nor forwarded again. Inside
+    ``resolve`` alone a row already forwarded for the other candidate is
+    read from the instance's memo; the forward would be the same on the same
+    inputs, so the score keeps its bits. Outside both every call forwards.
     """
-    built = _masked_ids(instance, which, vocab, model.config.max_len)
+    memo = _ROW_LOGITS.get({})   # outside resolve and evaluate, this call's own
+    key = (id(instance), which)
+    built = memo[key] if key in memo else _masked_ids(instance, which, vocab,
+                                                      model.config.max_len)
     if built is None:
         return CandidateScore(avg_log_prob=float("-inf"),
                               n_tokens=len(word_tokens(instance.candidate(which))),
                               overflows=True)
     ids, positions, cand_ids = built
-    memo = _ROW_LOGITS.get({})   # outside resolve, a memo of this call only
-    key = (ids.tobytes(), positions.tobytes())
-    if key not in memo:
+    row = ids.tobytes()
+    if row not in memo:
         with T.no_grad():
-            memo[key] = mlm_logits_batch(model, ids[None, :], row_masks(ids)[0][None, :],
+            memo[row] = mlm_logits_batch(model, ids[None, :], row_masks(ids)[0][None, :],
                                          positions).data
-    logp = log_probs_at_positions(memo[key], cand_ids)
+    logp = log_probs_at_positions(memo[row], cand_ids)
     return CandidateScore(avg_log_prob=float(logp.mean()), n_tokens=len(cand_ids),
                           overflows=False)
 
@@ -110,11 +118,12 @@ def score_candidate(model, vocab, instance, which):
 def resolve(model, vocab, instance):
     """Index of the better-scoring candidate; exact ties pick candidate 1.
 
-    Candidates of one token count share one masked row, and so one forward.
-    The memo of row logits lives for this instance only: rows seldom repeat
-    across instances, a longer-lived memo would hold vocabulary-wide logits
-    for a whole file, and ``refine`` changes the model in place."""
-    token = _ROW_LOGITS.set({})
+    Inside ``evaluate`` both scores come from its block's memo. Called on
+    its own, ``resolve`` opens a memo for this instance, filled on a miss:
+    candidates of one token count share one masked row, and so one one-row
+    forward. That memo lives for this instance only, because ``refine``
+    changes the model in place."""
+    token = _ROW_LOGITS.set(_ROW_LOGITS.get({}))   # evaluate's memo, or a new one
     try:
         s1 = score_candidate(model, vocab, instance, 1)
         s2 = score_candidate(model, vocab, instance, 2)
@@ -124,19 +133,64 @@ def resolve(model, vocab, instance):
     return choice, (s1, s2)
 
 
+def _blocks(instances, vocab, max_len):
+    """The instances in file order, in blocks of at most ``ENCODE_CHUNK``
+    distinct masked rows. Yields (block, built, rows): ``built`` maps each
+    candidate's (id(instance), which) to what ``_masked_ids`` returns for
+    it, and ``rows`` maps each distinct row's id bytes to (ids, positions).
+    """
+    block, built, rows = [], {}, {}
+    for inst in instances:
+        pair = {(id(inst), which): _masked_ids(inst, which, vocab, max_len)
+                for which in (1, 2)}
+        new = {b[0].tobytes(): b[:2] for b in pair.values() if b is not None}
+        if len(rows) + sum(row not in rows for row in new) > ENCODE_CHUNK:
+            yield block, built, rows
+            block, built, rows = [], {}, {}
+        block.append(inst)
+        built.update(pair)
+        rows.update(new)
+    yield block, built, rows
+
+
+def _slot_logits(model, rows):
+    """Slot logits of distinct masked rows, all in one forward: each row's
+    id bytes mapped to its (slots, V) logits."""
+    if not rows:   # every candidate of the block overflows
+        return {}
+    ids = np.stack([ids for ids, _ in rows.values()])
+    slots = [positions for _, positions in rows.values()]
+    flat = np.concatenate([b * model.config.max_len + s for b, s in enumerate(slots)])
+    with T.no_grad():
+        logits = mlm_logits_batch(model, ids, row_masks(ids)[0], flat).data
+    return dict(zip(rows, np.split(logits, np.cumsum([len(s) for s in slots])[:-1])))
+
+
 def evaluate(model, vocab, instances, dataset_name="dataset"):
-    """Accuracy of resolve() against gold labels; pure inference."""
+    """Accuracy of resolve() against gold labels; pure inference.
+
+    The instances are scored in file order, in blocks of at most
+    ``ENCODE_CHUNK`` distinct masked rows. Each candidate's row is built
+    once, a block's distinct rows go through one forward, and ``resolve``
+    reads both scores from the block's memo, which is dropped before the
+    next block's forward. The batched head sums in another order than a
+    one-row forward, so a score may differ from ``resolve``'s alone in its
+    last bits."""
     if not instances:
         raise ValueError("evaluation dataset is empty")
     decisions = []
     overflows = 0
-    for i, inst in enumerate(instances):
-        choice, (s1, s2) = resolve(model, vocab, inst)
-        overflows += s1.overflows + s2.overflows
-        decisions.append({"index": i, "chosen": choice, "gold": inst.label,
-                          "correct": choice == inst.label,
-                          "score1": s1.avg_log_prob, "score2": s2.avg_log_prob})
+    for block, built, rows in _blocks(instances, vocab, model.config.max_len):
+        token = _ROW_LOGITS.set({**built, **_slot_logits(model, rows)})
+        try:
+            for inst in block:
+                choice, (s1, s2) = resolve(model, vocab, inst)
+                overflows += s1.overflows + s2.overflows
+                decisions.append({"index": len(decisions), "chosen": choice,
+                                  "gold": inst.label, "correct": choice == inst.label,
+                                  "score1": s1.avg_log_prob, "score2": s2.avg_log_prob})
+        finally:
+            _ROW_LOGITS.reset(token)
     return EvalReport(dataset=dataset_name, count=len(instances),
                       accuracy=sum(d["correct"] for d in decisions) / len(instances),
                       overflows=overflows, decisions=decisions)
-

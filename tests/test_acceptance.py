@@ -23,7 +23,7 @@ from winoref.scoring import ScoreConfig, windowed_bertscore
 from winoref.synthetic import make_benchmark, make_perturbation_corpus
 from winoref.text import (PERTURBATION_KINDS, SchemaInstance, Vocabulary,
                           benchmark_texts, build_vocab, corpus_sentences,
-                          load_perturbation_corpus, save_benchmark,
+                          load_benchmark, load_perturbation_corpus, save_benchmark,
                           save_perturbation_corpus, tokenize)
 
 from conftest import (check_grads, kind_probe_accuracy, make_null_benchmark,
@@ -481,3 +481,18 @@ def test_acceptance_8_determinism(tmp_path):
     assert artifacts[0][0] == artifacts[1][0], "pretrain checkpoints differ"
     assert artifacts[0][1] == artifacts[1][1], "refined checkpoints differ"
     announce(8, "bit-exact reruns of pretrain and refine")
+
+
+def test_evaluate_decides_as_resolve_on_the_smoke_models(smoke):
+    # evaluate forwards a block's rows together and resolve one row at a
+    # time; on trained models their scores may differ in the last bits,
+    # their decisions may not
+    T.set_dtype("float32")
+    vocab = Vocabulary.load(smoke["out"] / "vocab.json")
+    for name in ("init.ckpt.json", "refined.ckpt.json"):
+        model = _load_smoke_model(smoke, name)
+        for bench in ("bench_a", "bench_b"):
+            instances = load_benchmark(smoke["data"] / f"{bench}.jsonl")
+            report = evaluate(model, vocab, instances, bench)
+            assert ([d["chosen"] for d in report.decisions]
+                    == [resolve(model, vocab, inst)[0] for inst in instances]), (name, bench)

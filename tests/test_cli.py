@@ -458,7 +458,7 @@ class TestEvaluate:
                        str(data_dir / "bench_a.jsonl")])
         assert rc == 0
         header, rows, _ = read_csv_artifact(rout / "eval_report.csv")
-        assert header == ["checkpoint", "dataset", "count", "accuracy"]
+        assert header == ["checkpoint", "dataset", "count", "accuracy", "overflows"]
         assert [r["checkpoint"] for r in rows] == ["init.ckpt", "refined.ckpt"]
         body = json.loads((rout / "eval_report.json").read_text())["body"]
         # json and csv agree; json additionally carries per-instance decisions
@@ -619,6 +619,24 @@ class TestEvaluate:
         first = doc["body"][0]["decisions"][0]
         assert first["score2"] is None and first["chosen"] == 1
         assert isinstance(first["score1"], float)
+
+    def test_reports_count_the_overflowing_candidates(self, pretrained, data_dir,
+                                                      tmp_path, capsys):
+        out, cfg_path = pretrained
+        instances = load_benchmark(data_dir / "bench_a.jsonl")
+        long = dataclasses.replace(instances[1],
+                                   candidate1=" ".join([instances[1].candidate1] * 30))
+        save_benchmark(tmp_path / "long.jsonl", [instances[0], long] + instances[2:])
+        rc = cli.main(["evaluate", "--config", str(cfg_path), "--out", str(tmp_path),
+                       "--checkpoint", str(out / "init.ckpt.json"), "--json", "--csv",
+                       str(data_dir / "bench_a.jsonl"), str(tmp_path / "long.jsonl")])
+        assert rc == 0
+        assert capsys.readouterr().err == (
+            "long: 1 of 12 candidates overflow max length 24 and score -inf\n")
+        body = json.loads((tmp_path / "eval_report.json").read_text())["body"]
+        _, rows, _ = read_csv_artifact(tmp_path / "eval_report.csv")
+        assert [r["overflows"] for r in body] == [0, 1]
+        assert [r["overflows"] for r in rows] == ["0", "1"]
 
     def test_empty_dataset_list_rejected(self, pretrained, tmp_path, capsys):
         out, cfg_path = pretrained

@@ -11,10 +11,11 @@ import numpy as np
 import pytest
 
 import winoref.evaluate as ev
+import winoref.tensor as T
 from winoref.checkpoint import params_hash
 from winoref.cli import refine_and_evaluate
 from winoref.config import load_config
-from winoref.encoder import EncoderConfig, EncoderModel
+from winoref.encoder import ENCODE_CHUNK, EncoderConfig, EncoderModel
 from winoref.evaluate import evaluate, log_probs_at_positions, resolve, score_candidate
 from winoref.refine import LossWeights
 from winoref.synthetic import make_benchmark, make_perturbation_corpus
@@ -66,8 +67,8 @@ def world():
 
 def rig_logits(monkeypatch, vocab, max_len, row_probs):
     """Make every forward return the asked rows of hand-set (max_len, V)
-    logits: row_probs maps position -> probability vector over the
-    vocabulary."""
+    logits, the same for every id row of the batch: row_probs maps
+    position -> probability vector over the vocabulary."""
     out = np.zeros((max_len, len(vocab)))
     with np.errstate(divide="ignore"):   # a hand-set probability 0 is -inf
         for pos, probs in row_probs.items():
@@ -75,7 +76,7 @@ def rig_logits(monkeypatch, vocab, max_len, row_probs):
 
     def fake(model, ids, attention_mask, rows, train=False, rng=None):
         from winoref.tensor import Tensor
-        return Tensor(out[rows])
+        return Tensor(out[rows % max_len])
 
     monkeypatch.setattr(ev, "mlm_logits_batch", fake)
 
@@ -296,6 +297,135 @@ class TestRowMemo:
         assert not s2.overflows and len(calls) == 1
         assert bits(s2) == bits(score_candidate(model, vocab, inst, 2))
         assert choice == 2
+
+
+@pytest.fixture(scope="module")
+def block_world():
+    """70 benchmark instances, more than one block's rows, and a
+    vocabulary that holds their words."""
+    bench = make_benchmark(70, seed=33)
+    return bench, build_vocab(benchmark_texts(bench))
+
+
+def block_model(vocab, dtype, seed=8):
+    T.set_dtype(dtype)
+    return EncoderModel(EncoderConfig(layers=1, heads=2, model_dim=16, ff_dim=32,
+                                      max_len=24, vocab_size=len(vocab)), seed=seed)
+
+
+def row_blocks(instances, vocab, max_len):
+    """The number of blocks of at most ENCODE_CHUNK distinct masked rows
+    that the instances fill, walked in file order."""
+    blocks, rows = 1, set()
+    for inst in instances:
+        new = {ev._masked_ids(inst, which, vocab, max_len)[0].tobytes()
+               for which in (1, 2)}
+        if len(rows | new) > ENCODE_CHUNK:
+            blocks, rows = blocks + 1, set()
+        rows |= new
+    return blocks
+
+
+def scores(report):
+    return [(d["score1"], d["score2"]) for d in report.decisions]
+
+
+class TestBlockForward:
+    def test_twenty_instances_make_one_forward(self, block_world, monkeypatch):
+        bench, vocab = block_world
+        model = block_model(vocab, "float64")
+        calls = count_forwards(monkeypatch)
+        evaluate(model, vocab, bench[:20])
+        assert len(calls) == 1
+        # one id row per distinct masked row
+        want = {ev._masked_ids(inst, which, vocab, 24)[0].tobytes()
+                for inst in bench[:20] for which in (1, 2)}
+        assert sorted(ids.tobytes() for ids in calls[0]) == sorted(want)
+
+    def test_one_forward_per_block_of_distinct_rows(self, block_world, monkeypatch):
+        bench, vocab = block_world
+        model = block_model(vocab, "float64")
+        blocks = row_blocks(bench, vocab, 24)
+        assert blocks >= 2
+        calls = count_forwards(monkeypatch)
+        evaluate(model, vocab, bench)
+        assert len(calls) == blocks
+        assert all(len(ids) <= ENCODE_CHUNK for ids in calls)
+
+    def test_each_candidate_row_is_built_once(self, block_world, monkeypatch):
+        bench, vocab = block_world
+        model = block_model(vocab, "float64")
+        built = []
+        real = ev._masked_ids
+
+        def counted(instance, which, *args):
+            built.append((id(instance), which))
+            return real(instance, which, *args)
+
+        monkeypatch.setattr(ev, "_masked_ids", counted)
+        evaluate(model, vocab, bench[:20])
+        assert sorted(built) == sorted((id(inst), which) for inst in bench[:20]
+                                       for which in (1, 2))
+
+    @pytest.mark.parametrize("dtype,tol", [("float32", 1e-5), ("float64", 1e-12)])
+    def test_decisions_equal_resolve(self, block_world, dtype, tol):
+        bench, vocab = block_world
+        model = block_model(vocab, dtype)
+        report = evaluate(model, vocab, bench)
+        for inst, d in zip(bench, report.decisions):
+            choice, (s1, s2) = resolve(model, vocab, inst)
+            assert d["chosen"] == choice
+            assert d["score1"] == pytest.approx(s1.avg_log_prob, rel=0, abs=tol)
+            assert d["score2"] == pytest.approx(s2.avg_log_prob, rel=0, abs=tol)
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_a_file_and_its_reversal_decide_alike(self, block_world, dtype):
+        bench, vocab = block_world
+        model = block_model(vocab, dtype)
+        forward = evaluate(model, vocab, bench).decisions
+        backward = evaluate(model, vocab, bench[::-1]).decisions[::-1]
+        assert [d["chosen"] for d in forward] == [d["chosen"] for d in backward]
+
+    def test_block_memo_does_not_outlive_its_call(self, block_world):
+        bench, vocab = block_world
+        model = block_model(vocab, "float64", seed=9)   # its own, to change in place
+        before = evaluate(model, vocab, bench[:20])
+        assert ev._ROW_LOGITS.get(None) is None
+        model.params["mlm_bias"].data[vocab.id(word_tokens(bench[0].candidate1)[0])] += 1.0
+        after = evaluate(model, vocab, bench[:20])
+        assert scores(after) == scores(evaluate(model.clone(), vocab, bench[:20]))
+        assert scores(after)[0][0] != scores(before)[0][0]
+
+    def test_overflowing_candidate_inside_a_block(self, block_world, monkeypatch):
+        bench, vocab = block_world
+        model = block_model(vocab, "float64")
+        instances = list(bench[:6])
+        long = " ".join([instances[2].candidate1] * 24)
+        instances[2] = dataclasses.replace(instances[2], candidate1=long)
+        calls = count_forwards(monkeypatch)
+        report = evaluate(model, vocab, instances)
+        assert len(calls) == 1 and report.overflows == 1
+        d = report.decisions[2]
+        assert d["score1"] == float("-inf") and d["chosen"] == 2
+        for inst, d in zip(instances, report.decisions):
+            _, (s1, s2) = resolve(model, vocab, inst)
+            for got, want in ((d["score1"], s1), (d["score2"], s2)):
+                assert got == pytest.approx(want.avg_log_prob, rel=0, abs=1e-12)
+
+    def test_hand_set_logits_reach_every_row_of_a_block(self, world, monkeypatch):
+        groups, bench, vocab, cfg, model = world
+        # two sentences, so two rows, each with its slot at position 2
+        instances = [SchemaInstance(sentence=f"{det} _ fits .", candidate1="trophy",
+                                    candidate2="suitcase", label=1)
+                     for det in ("the", "it")]
+        probs = np.full(len(vocab), 0.1 / (len(vocab) - 2))
+        probs[vocab.id("trophy")] = 0.7
+        probs[vocab.id("suitcase")] = 0.2
+        rig_logits(monkeypatch, vocab, cfg.max_len, {2: probs})
+        report = evaluate(model, vocab, instances)
+        for d in report.decisions:
+            assert d["score1"] == pytest.approx(np.log(0.7), abs=1e-9)
+            assert d["score2"] == pytest.approx(np.log(0.2), abs=1e-9)
 
 
 class TestEvaluate:
