@@ -107,8 +107,8 @@ class EncoderModel:
 
     def load_arrays(self, named):
         """Set every parameter from ``named``, cast to the model's dtype. A
-        missing, extra, misshapen or non-finite parameter is rejected, and
-        the error names it."""
+        missing, extra, misshapen, non-float or non-finite parameter is
+        rejected, and the error names it."""
         extra = sorted(set(named) - set(self.params))
         if extra:
             raise ValueError(f"checkpoint has parameters the model does not: {extra}")
@@ -118,6 +118,9 @@ class EncoderModel:
             if tuple(named[name].shape) != p.data.shape:
                 raise ValueError(f"parameter {name!r}: checkpoint shape "
                                  f"{named[name].shape} != model shape {p.data.shape}")
+            if named[name].dtype.kind != "f":
+                raise ValueError(f"parameter {name!r}: checkpoint dtype "
+                                 f"{named[name].dtype} is not a floating-point type")
             data = named[name].astype(p.data.dtype, copy=True)
             if not np.isfinite(data).all():
                 raise ValueError(f"parameter {name!r} holds a NaN or infinite value")

@@ -5,13 +5,13 @@ one forward pass produces per-position distributions, and the candidate's
 score is the average log probability of its tokens at the masked positions.
 The masked row depends only on the sentence and the candidate's token count,
 so the two candidates of one instance share one row when their counts are
-equal. ``evaluate`` builds every candidate's row once and forwards a block's
-distinct rows together; ``resolve`` alone forwards each distinct row of its
-one instance once. Either way the slot logits sit in a memo that is a
-context variable, not a parameter, so that a wrapper of
-``score_candidate(model, vocab, instance, which)``, such as the benchmark's
-tracer, still sees one call per candidate. Evaluation never updates
-parameters.
+equal. Every score comes from one path: the instances are walked in blocks
+of distinct masked rows, each candidate's row is built once, and a block's
+rows go through one forward. ``resolve`` is that path on one instance. The
+block's slot logits sit in a memo that is a context variable, not a
+parameter, so that a wrapper of ``score_candidate(model, vocab, instance,
+which)``, such as the benchmark's tracer, still sees one call per
+candidate. Evaluation never updates parameters.
 """
 
 import contextvars
@@ -78,10 +78,9 @@ def _masked_ids(instance, which, vocab, max_len):
     return ids, mask_positions, cand_ids
 
 
-# The memo scoring reads: slot logits under a masked row's id bytes (its
-# slots are the row's run of [MASK] ids), and inside ``evaluate`` each
-# candidate's built row under (id(instance), which); unset outside
-# ``resolve`` and ``evaluate``.
+# The memo scoring reads inside a block of ``_scores``: each candidate's
+# built row under (id(instance), which), and slot logits under a masked
+# row's id bytes (its slots are the row's run of [MASK] ids); unset outside.
 _ROW_LOGITS = contextvars.ContextVar("row_logits")
 
 
@@ -89,48 +88,22 @@ def score_candidate(model, vocab, instance, which):
     """Average log probability of one candidate in the masked slot.
 
     A candidate whose row overflows the length budget scores -inf and is
-    marked ``overflows`` rather than being silently dropped. Inside
-    ``evaluate`` the candidate's row and its logits are read from the
-    block's memo, so the row is neither built nor forwarded again. Inside
-    ``resolve`` alone a row already forwarded for the other candidate is
-    read from the instance's memo; the forward would be the same on the same
-    inputs, so the score keeps its bits. Outside both every call forwards.
-    """
-    memo = _ROW_LOGITS.get({})   # outside resolve and evaluate, this call's own
-    key = (id(instance), which)
-    built = memo[key] if key in memo else _masked_ids(instance, which, vocab,
-                                                      model.config.max_len)
+    marked ``overflows`` rather than being silently dropped. Inside a block
+    of ``_scores`` the candidate's row and its logits are read from the
+    block's memo; called on its own, it scores its instance as ``evaluate``
+    would on a one-instance list."""
+    memo = _ROW_LOGITS.get(None)
+    if memo is None:
+        return _scores(model, vocab, [instance])[0][which - 1]
+    built = memo[(id(instance), which)]
     if built is None:
         return CandidateScore(avg_log_prob=float("-inf"),
                               n_tokens=len(word_tokens(instance.candidate(which))),
                               overflows=True)
-    ids, positions, cand_ids = built
-    row = ids.tobytes()
-    if row not in memo:
-        with T.no_grad():
-            memo[row] = mlm_logits_batch(model, ids[None, :], row_masks(ids)[0][None, :],
-                                         positions).data
-    logp = log_probs_at_positions(memo[row], cand_ids)
+    ids, _, cand_ids = built
+    logp = log_probs_at_positions(memo[ids.tobytes()], cand_ids)
     return CandidateScore(avg_log_prob=float(logp.mean()), n_tokens=len(cand_ids),
                           overflows=False)
-
-
-def resolve(model, vocab, instance):
-    """Index of the better-scoring candidate; exact ties pick candidate 1.
-
-    Inside ``evaluate`` both scores come from its block's memo. Called on
-    its own, ``resolve`` opens a memo for this instance, filled on a miss:
-    candidates of one token count share one masked row, and so one one-row
-    forward. That memo lives for this instance only, because ``refine``
-    changes the model in place."""
-    token = _ROW_LOGITS.set(_ROW_LOGITS.get({}))   # evaluate's memo, or a new one
-    try:
-        s1 = score_candidate(model, vocab, instance, 1)
-        s2 = score_candidate(model, vocab, instance, 2)
-    finally:
-        _ROW_LOGITS.reset(token)
-    choice = 1 if s1.avg_log_prob >= s2.avg_log_prob else 2
-    return choice, (s1, s2)
 
 
 def _blocks(instances, vocab, max_len):
@@ -166,31 +139,49 @@ def _slot_logits(model, rows):
     return dict(zip(rows, np.split(logits, np.cumsum([len(s) for s in slots])[:-1])))
 
 
-def evaluate(model, vocab, instances, dataset_name="dataset"):
-    """Accuracy of resolve() against gold labels; pure inference.
+def _scores(model, vocab, instances):
+    """(score1, score2) of each instance, in order. Each block's distinct
+    rows go through one forward, and its candidates are scored by
+    ``score_candidate`` from the block's memo, which is dropped before the
+    next block's forward."""
+    out = []
+    for block, built, rows in _blocks(instances, vocab, model.config.max_len):
+        token = _ROW_LOGITS.set({**built, **_slot_logits(model, rows)})
+        try:
+            out += [(score_candidate(model, vocab, inst, 1),
+                     score_candidate(model, vocab, inst, 2)) for inst in block]
+        finally:
+            _ROW_LOGITS.reset(token)
+    return out
 
-    The instances are scored in file order, in blocks of at most
-    ``ENCODE_CHUNK`` distinct masked rows. Each candidate's row is built
-    once, a block's distinct rows go through one forward, and ``resolve``
-    reads both scores from the block's memo, which is dropped before the
-    next block's forward. The batched head sums in another order than a
-    one-row forward, so a score may differ from ``resolve``'s alone in its
-    last bits."""
+
+def _choice(s1, s2):
+    """The better-scoring candidate; exact ties pick candidate 1."""
+    return 1 if s1.avg_log_prob >= s2.avg_log_prob else 2
+
+
+def resolve(model, vocab, instance):
+    """``(choice, (score1, score2))`` of one instance, as ``evaluate`` scores
+    it on a one-instance list."""
+    s1, s2 = _scores(model, vocab, [instance])[0]
+    return _choice(s1, s2), (s1, s2)
+
+
+def evaluate(model, vocab, instances, dataset_name="dataset"):
+    """Accuracy of ``resolve``'s decisions against gold labels; pure
+    inference. The head sums a block's rows in another order than a
+    smaller block's, so an instance's scores may differ in their last bits
+    from ``resolve``'s on it alone."""
     if not instances:
         raise ValueError("evaluation dataset is empty")
     decisions = []
     overflows = 0
-    for block, built, rows in _blocks(instances, vocab, model.config.max_len):
-        token = _ROW_LOGITS.set({**built, **_slot_logits(model, rows)})
-        try:
-            for inst in block:
-                choice, (s1, s2) = resolve(model, vocab, inst)
-                overflows += s1.overflows + s2.overflows
-                decisions.append({"index": len(decisions), "chosen": choice,
-                                  "gold": inst.label, "correct": choice == inst.label,
-                                  "score1": s1.avg_log_prob, "score2": s2.avg_log_prob})
-        finally:
-            _ROW_LOGITS.reset(token)
+    for inst, (s1, s2) in zip(instances, _scores(model, vocab, instances)):
+        choice = _choice(s1, s2)
+        overflows += s1.overflows + s2.overflows
+        decisions.append({"index": len(decisions), "chosen": choice,
+                          "gold": inst.label, "correct": choice == inst.label,
+                          "score1": s1.avg_log_prob, "score2": s2.avg_log_prob})
     return EvalReport(dataset=dataset_name, count=len(instances),
                       accuracy=sum(d["correct"] for d in decisions) / len(instances),
                       overflows=overflows, decisions=decisions)

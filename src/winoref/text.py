@@ -174,17 +174,35 @@ class SchemaInstance:
 
     def check(self):
         """Reject an instance whose sentence does not hold exactly one slot,
-        whose candidates are blank or tokenize the same, or whose label is
-        not 1 or 2."""
+        whose candidates are blank, hold the slot marker or tokenize the
+        same, or whose label is not 1 or 2."""
         slots = sum(1 for t in word_tokens(self.sentence) if t == SLOT_MARKER)
         if slots != 1:
             raise ValueError(f"sentence must contain exactly one '{SLOT_MARKER}' "
                              f"slot, found {slots}")
         if not self.candidate1.strip() or not self.candidate2.strip():
             raise ValueError("candidates must be non-empty")
+        for which in (1, 2):
+            if SLOT_MARKER in word_tokens(self.candidate(which)):
+                raise ValueError(f"candidate{which} {self.candidate(which)!r} holds "
+                                 f"the slot marker '{SLOT_MARKER}'")
         if word_tokens(self.candidate1) == word_tokens(self.candidate2):
             raise ValueError("candidates must be distinct")
         check_choice("label", self.label, (1, 2))
+
+
+def check_words(instance, vocab):
+    """Reject an instance with a word of its sentence, candidates or twin
+    outside ``vocab``. The word would be read as [UNK], which is never a
+    pretraining target: two such candidates would tie, and such a sentence
+    word would score the candidates in a context the model never saw."""
+    fields = [("sentence", instance.sentence), ("candidate1", instance.candidate1),
+              ("candidate2", instance.candidate2), ("twin", instance.twin)]
+    for name, text in fields:
+        for token in word_tokens(text or ""):
+            if token != SLOT_MARKER and vocab.id(token) == UNK_ID:
+                raise ValueError(f"{name} {text!r} holds the word {token!r}, "
+                                 f"which is not in the vocabulary")
 
 
 def text_lines(path):
@@ -284,8 +302,9 @@ def load_perturbation_corpus(path, warn=None):
     return groups
 
 
-def load_benchmark(path):
-    """Read JSON-lines schema instances with a literal '_' pronoun slot."""
+def load_benchmark(path, vocab=None):
+    """Read JSON-lines schema instances with a literal '_' pronoun slot.
+    With ``vocab``, each instance is also held to ``check_words``."""
     instances = []
     for lineno, line in text_lines(path):
         if not line.strip():
@@ -303,6 +322,8 @@ def load_benchmark(path):
                               label=obj["label"], twin=twin)
         try:
             inst.check()
+            if vocab is not None:
+                check_words(inst, vocab)
         except ValueError as e:
             raise ValueError(f"{path}:{lineno}: {e}") from None
         instances.append(inst)

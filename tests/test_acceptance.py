@@ -278,7 +278,9 @@ def test_acceptance_4_scorer_oracle():
                 p3[vocab.id("trophy")] = 0.5
                 out[2] = np.log(p2)
                 out[3] = np.log(p3)
-                return T.Tensor(out[rows])
+                # the same logits for every id row: the two candidates'
+                # rows go through one forward
+                return T.Tensor(out[rows % cfg.max_len])
             te.ev.mlm_logits_batch = fake
 
         def __exit__(self, *a):
@@ -484,8 +486,8 @@ def test_acceptance_8_determinism(tmp_path):
 
 
 def test_evaluate_decides_as_resolve_on_the_smoke_models(smoke):
-    # evaluate forwards a block's rows together and resolve one row at a
-    # time; on trained models their scores may differ in the last bits,
+    # evaluate forwards a block's rows together and resolve one instance's
+    # rows; on trained models their scores may differ in the last bits,
     # their decisions may not
     T.set_dtype("float32")
     vocab = Vocabulary.load(smoke["out"] / "vocab.json")

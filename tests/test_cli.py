@@ -420,6 +420,33 @@ def test_vocabulary_of_another_checkpoint_exits_with_one_error_line(
     assert list(run_out.iterdir()) == []
 
 
+@pytest.mark.parametrize("kind", ["complex", "bool", "int", "str", "datetime"])
+def test_checkpoint_parameter_that_is_not_float_exits_with_one_error_line(
+        pretrained, data_dir, tmp_path, capsys, kind):
+    # such a parameter was cast to the model's dtype: a complex one lost its
+    # imaginary part beside numpy's two-line ComplexWarning, the others
+    # with no message at all
+    out, cfg_path = pretrained
+    arrays, meta = load_checkpoint(out / "init.ckpt.json")
+    bias = arrays["mlm_bias"]
+    arrays["mlm_bias"] = {"complex": bias + 1j, "bool": bias > 0,
+                          "int": bias.astype(np.int64),
+                          "str": np.full(bias.shape, "1.5"),
+                          "datetime": np.zeros(bias.shape, "datetime64[s]")}[kind]
+    bad = tmp_path / "bad.ckpt.json"
+    save_checkpoint(bad, arrays, meta)
+    inst = load_benchmark(data_dir / "bench_a.jsonl")[0]
+    rc = cli.main(["score", "--config", str(cfg_path), "--out", str(tmp_path / "out"),
+                   "--checkpoint", str(bad), "--sentence", inst.sentence,
+                   "--candidate1", inst.candidate1, "--candidate2", inst.candidate2])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: checkpoint {bad}: parameter 'mlm_bias': checkpoint "
+                            f"dtype {arrays['mlm_bias'].dtype} is not a floating-point "
+                            f"type\n")
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 @pytest.mark.parametrize("command", ["evaluate", "score"])
 def test_non_finite_checkpoint_exits_with_one_error_line(
@@ -937,6 +964,10 @@ class TestScoreCommand:
         ("the _ fits .", ("box", "  "), "candidates must be non-empty"),
         ("the box fits .", ("box", "cup"),
          "sentence must contain exactly one '_' slot, found 0"),
+        # every word is in the vocabulary, and the word check skips '_' as
+        # the slot: score printed a score for '_' read as [UNK]
+        ("the coin does not fit in the closet because the _ is too large .",
+         ("_", "coin"), "candidate1 '_' holds the slot marker '_'"),
     ])
     def test_instance_rules_of_the_benchmark_loader(self, pretrained, tmp_path, capsys,
                                                     sentence, candidates, message):

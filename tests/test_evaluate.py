@@ -265,13 +265,15 @@ class TestRowMemo:
             assert len(calls) == 3   # outside resolve, every call forwards
             assert [bits(s) for s in scores] == [bits(s) for s in fresh]
 
-    def test_candidates_of_two_token_counts_forward_twice(self, world, monkeypatch):
+    def test_candidates_of_two_token_counts_share_one_forward(self, world, monkeypatch):
         groups, bench, vocab, cfg, model = world
         inst = SchemaInstance(sentence="the _ fits .", candidate1="trophy",
                               candidate2="red trophy", label=1)
         calls = count_forwards(monkeypatch)
         _, scores = resolve(model, vocab, inst)
-        assert len(calls) == 2 and not np.array_equal(calls[0], calls[1])
+        # one forward of the two distinct rows
+        assert len(calls) == 1 and len(calls[0]) == 2
+        assert not np.array_equal(calls[0][0], calls[0][1])
         fresh = [score_candidate(model, vocab, inst, which) for which in (1, 2)]
         assert [bits(s) for s in scores] == [bits(s) for s in fresh]
 
@@ -377,6 +379,41 @@ class TestBlockForward:
             assert d["chosen"] == choice
             assert d["score1"] == pytest.approx(s1.avg_log_prob, rel=0, abs=tol)
             assert d["score2"] == pytest.approx(s2.avg_log_prob, rel=0, abs=tol)
+
+    @pytest.mark.parametrize("kind", ["equal-counts", "unequal-counts", "overflow"])
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_resolve_is_evaluate_on_one_instance(self, block_world, dtype, kind):
+        bench, vocab = block_world
+        model = block_model(vocab, dtype)
+        inst = bench[0]
+        assert (len(word_tokens(inst.candidate1))
+                == len(word_tokens(inst.candidate2)))
+        if kind == "unequal-counts":
+            inst = dataclasses.replace(inst, candidate2=f"{inst.candidate1} "
+                                                        f"{inst.candidate2}")
+        elif kind == "overflow":
+            inst = dataclasses.replace(inst, candidate1=" ".join([inst.candidate1] * 24))
+        _, (s1, s2) = resolve(model, vocab, inst)
+        d = evaluate(model, vocab, [inst]).decisions[0]
+        assert ([np.float64(d[key]).tobytes() for key in ("score1", "score2")]
+                == [bits(s1), bits(s2)])
+        assert s1.overflows == (kind == "overflow")
+
+    def test_a_wrapper_of_score_candidate_sees_every_candidate(self, block_world,
+                                                               monkeypatch):
+        # the benchmark's tracer wraps score_candidate by this name
+        bench, vocab = block_world
+        model = block_model(vocab, "float64")
+        seen = []
+        real = ev.score_candidate
+
+        def wrapper(model, vocab, instance, which):
+            seen.append((id(instance), which))
+            return real(model, vocab, instance, which)
+
+        monkeypatch.setattr(ev, "score_candidate", wrapper)
+        evaluate(model, vocab, bench)
+        assert seen == [(id(inst), which) for inst in bench for which in (1, 2)]
 
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
     def test_a_file_and_its_reversal_decide_alike(self, block_world, dtype):
