@@ -8,11 +8,10 @@ content hash over the parameter payload.
 
 import base64
 import hashlib
-import json
 
 import numpy as np
 
-from .config import canonical_json
+from .config import canonical_json, read_json
 
 FORMAT_VERSION = 1
 
@@ -64,21 +63,13 @@ def load(path):
     Arrays come back in their stored dtype; the caller decides whether to
     cast. The payload is verified against the stored content hash.
     """
-    with open(path, "r", encoding="utf-8") as f:
-        try:
-            doc = json.load(f)
-        except json.JSONDecodeError as e:
-            raise ValueError(f"checkpoint {path}: not valid JSON ({e.msg})") from None
-        except UnicodeDecodeError as e:
-            raise ValueError(f"checkpoint {path}: not UTF-8 text ({e.reason})") from None
-    if not isinstance(doc, dict):
-        raise ValueError(f"checkpoint {path}: expected a JSON object")
+    doc = read_json(path, "checkpoint")
     version = doc.get("format_version")
     if version != FORMAT_VERSION:
-        raise ValueError(f"checkpoint {path}: unsupported format_version {version!r}")
+        raise ValueError(f"{path}: unsupported format_version {version!r}")
     params, meta = doc.get("params"), doc.get("meta", {})
     if not (isinstance(params, dict) and isinstance(meta, dict)):
-        raise ValueError(f"checkpoint {path}: params and meta must be objects")
+        raise ValueError(f"{path}: params and meta must be objects")
     named = {}
     for name, entry in params.items():
         try:
@@ -88,8 +79,8 @@ def load(path):
                 dtype = dtype.newbyteorder("<")
             named[name] = np.frombuffer(raw, dtype=dtype).reshape(entry["shape"]).copy()
         except (KeyError, TypeError, ValueError) as e:
-            raise ValueError(f"checkpoint {path}: parameter {name!r} is malformed "
+            raise ValueError(f"{path}: parameter {name!r} is malformed "
                              f"({type(e).__name__}: {e})") from None
     if params_hash(named) != doc.get("content_hash"):
-        raise ValueError(f"checkpoint {path}: content hash mismatch, file is corrupt")
+        raise ValueError(f"{path}: content hash mismatch, file is corrupt")
     return named, meta

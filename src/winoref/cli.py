@@ -46,8 +46,6 @@ def _require(cfg, section, key, hint):
 
 
 def _load_corpus(path):
-    if not os.path.exists(path):
-        raise CliError(f"corpus file not found: {path}")
     return load_perturbation_corpus(path, warn=lambda msg: print(msg, file=sys.stderr))
 
 
@@ -70,9 +68,6 @@ def _load_datasets(paths, vocab=None):
     file with no instance is rejected; with ``vocab``, an instance is
     checked by ``check_words``."""
     names = _report_names(paths, "benchmark", "dataset name")
-    for path in paths:
-        if not os.path.exists(path):
-            raise CliError(f"benchmark file not found: {path}")
     datasets = [(name, load_benchmark(path, vocab)) for name, path in zip(names, paths)]
     for path, (_, instances) in zip(paths, datasets):
         if not instances:
@@ -89,24 +84,16 @@ def _save_model(path, model, cfg):
 def _load_model(path, vocab, vocab_path):
     """The checkpoint's model; its token table must have one row per token
     of ``vocab``, read from ``vocab_path``."""
-    if not os.path.exists(path):
-        raise CliError(f"checkpoint file not found: {path}")
     arrays, meta = ckpt.load(path)
     try:
         model = EncoderModel(EncoderConfig.from_dict(meta.get("encoder_config")), seed=0)
         model.load_arrays(arrays)
     except ValueError as e:
-        raise CliError(f"checkpoint {path}: {e}") from None
+        raise CliError(f"{path}: {e}") from None
     if model.config.vocab_size != len(vocab):
         raise CliError(f"checkpoint {path} has {model.config.vocab_size} token ids but "
                        f"vocabulary {vocab_path} has {len(vocab)} tokens")
     return model
-
-
-def _load_vocab(path):
-    if not os.path.exists(path):
-        raise CliError(f"vocabulary file not found: {path}")
-    return Vocabulary.load(path)
 
 
 def _refine_inputs(cfg):
@@ -114,7 +101,7 @@ def _refine_inputs(cfg):
     corpus_path = _require(cfg, "paths", "corpus", "path to the perturbation corpus")
     init_path = _require(cfg, "paths", "init_checkpoint", "pretrained checkpoint")
     vocab_path = _require(cfg, "paths", "vocab", "vocabulary file")
-    vocab = _load_vocab(vocab_path)
+    vocab = Vocabulary.load(vocab_path)
     return _load_corpus(corpus_path), vocab, _load_model(init_path, vocab, vocab_path)
 
 
@@ -219,7 +206,7 @@ def cmd_evaluate(cfg, out, checkpoints, dataset_paths, emit_json, emit_csv):
         raise CliError("evaluate needs at least one dataset path")
     vocab_path = _require(cfg, "paths", "vocab", "vocabulary file")
     labels = _report_names(checkpoints, "checkpoint", "report label")
-    vocab = _load_vocab(vocab_path)
+    vocab = Vocabulary.load(vocab_path)
     # load and check every checkpoint and dataset first, so a bad one fails
     # before any evaluation runs
     models = [_load_model(ck_path, vocab, vocab_path) for ck_path in checkpoints]
@@ -333,7 +320,7 @@ def cmd_score(cfg, checkpoint, sentence, candidate1, candidate2):
                           candidate2=candidate2, label=1)
     inst.check()
     vocab_path = _require(cfg, "paths", "vocab", "vocabulary file")
-    vocab = _load_vocab(vocab_path)
+    vocab = Vocabulary.load(vocab_path)
     model = _load_model(checkpoint, vocab, vocab_path)
     check_words(inst, vocab)
     chosen, (s1, s2) = resolve(model, vocab, inst)

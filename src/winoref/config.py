@@ -10,6 +10,7 @@ content hash, so artifacts are traceable to their exact configuration.
 
 import dataclasses
 import hashlib
+import io
 import json
 import math
 import numbers
@@ -148,25 +149,14 @@ def load_config(path=None, overrides=None, seed=None):
     cfg = {name: {f.name: _default(f) for cls in classes for f in _keys(cls)}
            for name, classes in sections.items()}
     if path:
-        if not os.path.exists(path):
-            raise ConfigError(f"config file not found: {path}")
-        with open(path, "r", encoding="utf-8") as f:
-            try:
-                file_cfg = json.load(f)
-            except json.JSONDecodeError as e:
-                raise ConfigError(f"config file {path} is not valid JSON: {e.msg}")
-        if not isinstance(file_cfg, dict):
-            raise ConfigError(f"config file {path} must hold a JSON object")
-        for section, values in file_cfg.items():
+        for section, values in read_json(path, "config").items():
             if section not in cfg:
-                raise ConfigError(f"config file {path}: unknown section {section!r}")
+                raise ConfigError(f"{path}: unknown section {section!r}")
             if not isinstance(values, dict):
-                raise ConfigError(f"config file {path}: section {section!r} must be "
-                                  f"an object")
+                raise ConfigError(f"{path}: section {section!r} must be an object")
             for key, value in values.items():
                 if key not in cfg[section]:
-                    raise ConfigError(f"config file {path}: unknown key "
-                                      f"{section}.{key}")
+                    raise ConfigError(f"{path}: unknown key {section}.{key}")
                 cfg[section][key] = value
     for (section, key), value in (overrides or {}).items():
         if section not in cfg or key not in cfg[section]:
@@ -178,6 +168,65 @@ def load_config(path=None, overrides=None, seed=None):
         for cls in classes:
             build(cls, cfg[name])
     return cfg
+
+
+def _read_text(path, kind):
+    """The text of the ``kind`` file ("config", "corpus", ...) at ``path``; a
+    byte that is not UTF-8 fails naming the path and its line."""
+    try:
+        with open(path, "rb") as f:
+            data = f.read()
+    except FileNotFoundError:
+        raise FileNotFoundError(f"{kind} file not found: {path}") from None
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise ValueError(f"{path}:{_line_of(data[:e.start].decode('utf-8'))}: byte "
+                         f"{data[e.start]:#04x} is not UTF-8 ({e.reason})") from None
+
+
+def _line_of(text):
+    """The number of the line ``text`` ends on, as a text-mode ``open`` counts."""
+    return len(io.StringIO(text + "?", newline=None).readlines())
+
+
+def _loads_object(text, path, lineno=None):
+    """The JSON object ``text`` holds, line ``lineno`` of ``path`` or the whole
+    file when None. Malformed JSON, a duplicate key and any value but an
+    object fail naming the path and, where it is known, the line."""
+    where = path if lineno is None else f"{path}:{lineno}"
+
+    def reject_dup(pairs):
+        obj = {}
+        for k, v in pairs:
+            if k in obj:
+                raise ValueError(f"{where}: duplicate key {k!r}")
+            obj[k] = v
+        return obj
+
+    try:
+        obj = json.loads(text, object_pairs_hook=reject_dup)
+    except json.JSONDecodeError as e:
+        raise ValueError(f"{path}:{lineno or _line_of(text[:e.pos])}: not valid JSON "
+                         f"({e.msg})") from None
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where}: expected a JSON object")
+    return obj
+
+
+def read_json(path, kind):
+    """The JSON object of the whole ``kind`` file at ``path``. This and
+    ``read_json_lines`` read every input file, so each fails one way."""
+    return _loads_object(_read_text(path, kind), path)
+
+
+def read_json_lines(path, kind):
+    """``(lineno, object)`` per line that is not blank, numbered from 1 and
+    split as a text-mode ``open`` splits them."""
+    lines = io.StringIO(_read_text(path, kind), newline=None)
+    for lineno, line in enumerate(lines, start=1):
+        if line.strip():
+            yield lineno, _loads_object(line, path, lineno)
 
 
 def canonical_json(obj):

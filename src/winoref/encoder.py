@@ -20,6 +20,13 @@ from .tensor import Tensor
 from .text import FIRST_WORD_ID, MASK_ID, row_masks
 
 
+# the largest encoder, checked before any array is allocated: training
+# holds four float64 copies of the parameters, 1.6 GB at the cap, and with
+# dropout each step draws a (batch, heads, max_len, max_len) mask
+MAX_PARAMS = 50_000_000
+MAX_LEN = 512
+
+
 @dataclass
 class EncoderConfig:
     layers: int = 4
@@ -37,6 +44,7 @@ class EncoderConfig:
         for key in ("heads", "model_dim", "ff_dim"):
             check_count(f"encoder.{key}", getattr(self, key), 1)
         check_count("encoder.max_len", self.max_len, 3)   # [CLS] word [SEP]
+        check_real("encoder.max_len", self.max_len, 3, MAX_LEN)
         check_count("encoder.vocab_size", self.vocab_size, 0)
         check_real("encoder.dropout", self.dropout, 0, 1, high_open=True)
         check_real("encoder.layer_norm_eps", self.layer_norm_eps, 0, low_open=True)
@@ -44,6 +52,14 @@ class EncoderConfig:
         if self.model_dim % self.heads != 0:
             raise ValueError(f"encoder.model_dim must be divisible by encoder.heads "
                              f"{self.heads}, got {self.model_dim}")
+        d, f, v = self.model_dim, self.ff_dim, self.vocab_size
+        # the tables and MLM bias, the blocks, the final norm, as built below
+        count = (v * (d + 1) + self.max_len * d
+                 + self.layers * (4 * d * d + 2 * d * f + f + 9 * d) + 2 * d)
+        if count > MAX_PARAMS:
+            raise ValueError(f"the encoder would hold {count} parameters, over the cap "
+                             f"of {MAX_PARAMS}: lower encoder.model_dim, "
+                             f"encoder.ff_dim or encoder.layers")
 
     def to_dict(self):
         return asdict(self)
@@ -253,11 +269,8 @@ def forward_hidden(model, ids, attention_mask, train=False, rng=None, rows=None)
     mask = trimmed.astype(p["tok_emb"].data.dtype)
     mask_bias = Tensor(((1.0 - mask) * -1e9).reshape(B, 1, 1, n))
 
-    # the position rows are added on the (B, L, d) grid: the backward sums
-    # its batch axis in order, the bits np.add.at gives over the packed rows
-    x = T.add(T.scatter_rows(T.embedding_lookup(p["tok_emb"], ids[real]), real),
-              p["pos_emb"])
-    x = T.gather_rows(x, real)
+    x = T.add(T.embedding_lookup(p["tok_emb"], ids[real]),
+              T.embedding_lookup(p["pos_emb"], np.nonzero(real)[1]))
     if train:
         x = _dropout(x, rate, rng, full, real)
 

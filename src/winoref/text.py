@@ -6,14 +6,13 @@ JSON-lines loaders for perturbation corpora and pronoun benchmarks.
 """
 
 import enum
-import io
 import json
 import re
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import canonical_json, check_choice
+from .config import canonical_json, check_choice, read_json, read_json_lines
 
 SLOT_MARKER = "_"
 
@@ -82,25 +81,17 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path):
-        with open(path, "r", encoding="utf-8") as f:
-            try:
-                doc = json.load(f)
-            except json.JSONDecodeError as e:
-                raise ValueError(f"vocabulary {path}: not valid JSON ({e.msg})") from None
-            except UnicodeDecodeError as e:
-                raise ValueError(f"vocabulary {path}: not UTF-8 text ({e.reason})") from None
-        if not isinstance(doc, dict):
-            raise ValueError(f"vocabulary {path}: expected a JSON object")
+        doc = read_json(path, "vocabulary")
         if doc.get("format_version") != 1:
-            raise ValueError(f"vocabulary {path}: unsupported format_version")
+            raise ValueError(f"{path}: unsupported format_version")
         tokens = doc.get("tokens")
         if not (isinstance(tokens, list) and all(isinstance(t, str) for t in tokens)):
-            raise ValueError(f"vocabulary {path}: tokens must be a list of strings")
+            raise ValueError(f"{path}: tokens must be a list of strings")
         if len(set(tokens)) != len(tokens):
-            raise ValueError(f"vocabulary {path}: a token appears twice, so the ids "
+            raise ValueError(f"{path}: a token appears twice, so the ids "
                              f"after it would shift")
         if tokens[:FIRST_WORD_ID] != RESERVED_TOKENS:
-            raise ValueError(f"vocabulary {path}: reserved id block is damaged")
+            raise ValueError(f"{path}: reserved id block is damaged")
         vocab = cls()
         for t in tokens[FIRST_WORD_ID:]:
             vocab.add(t)
@@ -205,40 +196,15 @@ def check_words(instance, vocab):
                                  f"which is not in the vocabulary")
 
 
-def text_lines(path):
-    """``(lineno, line)`` for each line of the UTF-8 text file at ``path``,
-    numbered from 1 and split as a text-mode ``open`` splits them. Bytes
-    that are not UTF-8 fail with a ``ValueError`` naming the path and the
-    line they are on."""
-    with open(path, "rb") as f:
-        data = f.read()
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as e:
-        # the lines before the bad byte, plus the one it is on
-        lineno = len(io.StringIO(data[:e.start].decode("utf-8") + "?",
-                                 newline=None).readlines())
-        raise ValueError(f"{path}:{lineno}: byte {data[e.start]:#04x} is not UTF-8 "
-                         f"({e.reason})") from None
-    return enumerate(io.StringIO(text, newline=None), start=1)
-
-
-def _loads_strict(line, lineno, path):
-    def reject_dup(pairs):
-        d = {}
-        for k, v in pairs:
-            if k in d:
-                raise ValueError(f"{path}:{lineno}: duplicate key {k!r}")
-            d[k] = v
-        return d
-
-    try:
-        obj = json.loads(line, object_pairs_hook=reject_dup)
-    except json.JSONDecodeError as e:
-        raise ValueError(f"{path}:{lineno}: malformed JSON line ({e.msg})") from None
-    if not isinstance(obj, dict):
-        raise ValueError(f"{path}:{lineno}: expected a JSON object")
-    return obj
+def _check_fields(where, obj, required, optional):
+    """Reject a line object, read at ``where``, that lacks a key of
+    ``required`` or holds a key of neither ``required`` nor ``optional``."""
+    for key in required:
+        if key not in obj:
+            raise ValueError(f"{where}: missing field {key!r}")
+    for key in obj:
+        if key not in required + optional:
+            raise ValueError(f"{where}: unknown key {key!r}")
 
 
 def _check_text(name, value):
@@ -266,12 +232,8 @@ def load_perturbation_corpus(path, warn=None):
     groups = []
     skipped = 0
     unchanged = 0
-    for lineno, line in text_lines(path):
-        if not line.strip():
-            continue
-        obj = _loads_strict(line, lineno, path)
-        if "base" not in obj:
-            raise ValueError(f"{path}:{lineno}: missing field 'base'")
+    for lineno, obj in read_json_lines(path, "corpus"):
+        _check_fields(f"{path}:{lineno}", obj, ("base",), ("id", "variants"))
         base = _check_sentence(f"{path}:{lineno}: base", obj["base"])
         stored = obj.get("variants", {})
         if not isinstance(stored, dict):
@@ -306,13 +268,9 @@ def load_benchmark(path, vocab=None):
     """Read JSON-lines schema instances with a literal '_' pronoun slot.
     With ``vocab``, each instance is also held to ``check_words``."""
     instances = []
-    for lineno, line in text_lines(path):
-        if not line.strip():
-            continue
-        obj = _loads_strict(line, lineno, path)
-        for fieldname in ("sentence", "candidate1", "candidate2", "label"):
-            if fieldname not in obj:
-                raise ValueError(f"{path}:{lineno}: missing field {fieldname!r}")
+    for lineno, obj in read_json_lines(path, "benchmark"):
+        _check_fields(f"{path}:{lineno}", obj,
+                      ("sentence", "candidate1", "candidate2", "label"), ("twin",))
         sentence, c1, c2 = (_check_text(f"{path}:{lineno}: {key}", obj[key])
                             for key in ("sentence", "candidate1", "candidate2"))
         twin = obj.get("twin")

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from winoref import cli
+from winoref import cli, encoder
 from winoref.checkpoint import (load as load_checkpoint, params_hash,
                                 save as save_checkpoint)
 from winoref.config import load_config
@@ -292,7 +292,7 @@ def test_refine_seed_is_not_a_config_key(pretrained, tmp_path, capsys, where):
         doc["refine"]["seed"] = 5
         (tmp_path / "run.json").write_text(json.dumps(doc))
         argv[2] = str(tmp_path / "run.json")
-        expected = f"error: config file {tmp_path / 'run.json'}: unknown key refine.seed"
+        expected = f"error: {tmp_path / 'run.json'}: unknown key refine.seed"
     else:
         argv.append("--refine.seed=5")
         expected = "error: unknown override refine.seed"
@@ -314,7 +314,7 @@ def test_removed_score_switches_are_unknown_keys(pretrained, tmp_path, capsys, k
     path.write_text(json.dumps(doc))
     assert cli.main(["refine", "--config", str(path), "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
-    assert err == f"error: config file {path}: unknown key score.{key}\n"
+    assert err == f"error: {path}: unknown key score.{key}\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]
 
 
@@ -335,7 +335,7 @@ def test_removed_constants_are_unknown_keys(pretrained, tmp_path, capsys, where,
         path = tmp_path / "run.json"
         path.write_text(json.dumps(doc))
         argv[2] = str(path)
-        expected = f"error: config file {path}: unknown key {section}.{key}"
+        expected = f"error: {path}: unknown key {section}.{key}"
     else:
         argv.append(f"--{section}.{key}={json.dumps(value)}")
         expected = f"error: unknown override {section}.{key}"
@@ -381,12 +381,30 @@ def test_bad_count_exits_with_one_error_line(pretrained, tmp_path, capsys,
     assert list(tmp_path.iterdir()) == []   # rejected before any work
 
 
-def test_config_file_that_is_not_an_object_exits_with_one_error_line(tmp_path, capsys):
-    cfg = tmp_path / "c.json"
-    cfg.write_text("[1, 2]")
-    assert cli.main(["refine", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+@pytest.mark.parametrize("override,cap,message", [
+    ("--encoder.max_len=100000000", None,
+     "encoder.max_len must be in [3, 512], got 100000000"),
+    ("--encoder.model_dim=100000", None,
+     "the encoder would hold 40009900032 parameters, over the cap of 50000000"),
+    # the corpus vocabulary's rows are what push this one over
+    (None, 3000, "the encoder would hold "),
+])
+def test_encoder_too_large_to_build_exits_before_any_allocation(
+        pretrained, tmp_path, capsys, monkeypatch, override, cap, message):
+    # one used to end in a traceback from the first parameter's draw
+    def default_rng(*args, **kwargs):
+        raise AssertionError("a parameter was about to be drawn")
+
+    _, cfg_path = pretrained
+    monkeypatch.setattr(np.random, "default_rng", default_rng)
+    if cap is not None:
+        monkeypatch.setattr(encoder, "MAX_PARAMS", cap)
+    argv = ["pretrain", "--config", str(cfg_path), "--out", str(tmp_path)]
+    assert cli.main(argv + ([override] if override else [])) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: config file ") and err.count("\n") == 1
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+    assert "encoder.model_dim" in err or "encoder.max_len" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("command", ["pretrain", "refine"])
@@ -441,7 +459,7 @@ def test_checkpoint_parameter_that_is_not_float_exits_with_one_error_line(
                    "--candidate1", inst.candidate1, "--candidate2", inst.candidate2])
     assert rc == 1
     captured = capsys.readouterr()
-    assert captured.err == (f"error: checkpoint {bad}: parameter 'mlm_bias': checkpoint "
+    assert captured.err == (f"error: {bad}: parameter 'mlm_bias': checkpoint "
                             f"dtype {arrays['mlm_bias'].dtype} is not a floating-point "
                             f"type\n")
     assert captured.out == ""
@@ -465,7 +483,7 @@ def test_non_finite_checkpoint_exits_with_one_error_line(
                    "--checkpoint", str(bad), *extra])
     assert rc == 1
     captured = capsys.readouterr()
-    assert captured.err == (f"error: checkpoint {bad}: parameter 'final_ln.g' "
+    assert captured.err == (f"error: {bad}: parameter 'final_ln.g' "
                             f"holds a NaN or infinite value\n")
     assert captured.out == ""
     assert list(run_out.iterdir()) == []
@@ -565,7 +583,7 @@ class TestEvaluate:
                        "--checkpoint", str(deep), str(data_dir / "bench_a.jsonl")])
         assert rc == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: checkpoint {deep}: ") and err.count("\n") == 1
+        assert err.startswith(f"error: {deep}: ") and err.count("\n") == 1
         assert "l1.attn.wq" in err
 
     @pytest.mark.parametrize("command", ["evaluate", "ablate"])
@@ -620,7 +638,7 @@ class TestEvaluate:
                        "--checkpoint", str(old), str(data_dir / "bench_a.jsonl")])
         assert rc == 1
         assert capsys.readouterr().err == (
-            f"error: checkpoint {old}: encoder_config has unknown keys "
+            f"error: {old}: encoder_config has unknown keys "
             f"['tie_mlm_head']\n")
 
     def test_report_with_an_overflowing_candidate_is_strict_json(
@@ -778,43 +796,80 @@ def test_benchmark_of_blank_lines_exits_with_one_error_line(pretrained, tmp_path
     assert captured.out == "" and list(run_out.iterdir()) == []
 
 
-@pytest.mark.parametrize("target", ["benchmark", "corpus"])
-def test_file_that_is_not_utf8_names_its_path_and_line(pretrained, data_dir, tmp_path,
-                                                      capsys, target):
+# every input file is read by one reader, so each kind fails each way with
+# one error line of one form: path, the line where it is known, the fault
+WHOLE_FILES = ("config", "vocabulary", "checkpoint")
+LINE_FILES = ("corpus", "benchmark")
+BAD_FILES = ([(kind, case) for kind in WHOLE_FILES + LINE_FILES
+              for case in ("missing", "not-utf8", "malformed", "duplicate-key", "array")]
+             + [(kind, "unknown-key") for kind in LINE_FILES])
+
+
+def _damaged(data, case, lineno):
+    """``data`` with line ``lineno`` damaged by ``case``; the key a
+    duplicate-key case gives twice."""
+    lines = data.splitlines(keepends=True)
+    line = lines[lineno - 1]
+    key = next(iter(json.loads(line)))
+    lines[lineno - 1] = {
+        "not-utf8": line[:9] + b"\xff" + line[9:],
+        "malformed": b"{oops\n",
+        "duplicate-key": b"{%s: 0, " % json.dumps(key).encode() + line[1:],
+        "array": b"[1, 2]\n",
+        "unknown-key": b'{"colour": 1, ' + line[1:]}[case]
+    return b"".join(lines), key
+
+
+@pytest.mark.parametrize("kind,case", BAD_FILES,
+                         ids=[f"{kind}-{case}" for kind, case in BAD_FILES])
+def test_bad_input_file_exits_with_one_error_line(pretrained, data_dir, tmp_path,
+                                                  capsys, kind, case):
     out, cfg_path = pretrained
-    source = data_dir / ("bench_a.jsonl" if target == "benchmark" else "corpus.jsonl")
-    lines = source.read_bytes().splitlines(keepends=True)
+    source = {"config": cfg_path, "vocabulary": out / "vocab.json",
+              "checkpoint": out / "init.ckpt.json", "corpus": data_dir / "corpus.jsonl",
+              "benchmark": data_dir / "bench_a.jsonl"}[kind]
     path = tmp_path / source.name
-    path.write_bytes(b"".join(lines[:2]) + lines[2][:9] + b"\xff" + b"".join(lines[2:]))
+    lineno = 1 if kind in WHOLE_FILES else 3
+    where = path if kind in WHOLE_FILES else f"{path}:{lineno}"
+    key = None
+    if case != "missing":
+        data, key = _damaged(source.read_bytes(), case, lineno)
+        path.write_bytes(data)
     run_out = tmp_path / "out"
     run_out.mkdir()
-    if target == "benchmark":
-        argv = _benchmark_argv("evaluate", cfg_path, out, run_out, path)
-    else:
-        argv = ["refine", "--config", str(cfg_path), "--out", str(run_out),
-                f"--paths.corpus={path}"]
+    common = ["--config", str(cfg_path), "--out", str(run_out)]
+    bench = str(data_dir / "bench_a.jsonl")
+    init = str(out / "init.ckpt.json")
+    argv = {"config": ["refine", "--config", str(path), "--out", str(run_out)],
+            "corpus": ["refine", *common, f"--paths.corpus={path}"],
+            "benchmark": ["evaluate", *common, "--checkpoint", init, str(path)],
+            "vocabulary": ["evaluate", *common, f"--paths.vocab={path}",
+                           "--checkpoint", init, bench],
+            "checkpoint": ["evaluate", *common, "--checkpoint", str(path), bench]}[kind]
     assert cli.main(argv) == 1
     captured = capsys.readouterr()
-    assert captured.err == (f"error: {path}:3: byte 0xff is not UTF-8 "
-                            f"(invalid start byte)\n")
+    message = {
+        "missing": f"{kind} file not found: {path}",
+        "not-utf8": f"{path}:{lineno}: byte 0xff is not UTF-8 (invalid start byte)",
+        "malformed": f"{path}:{lineno}: not valid JSON (Expecting property name "
+                     f"enclosed in double quotes)",
+        "duplicate-key": f"{where}: duplicate key {key!r}",
+        "array": f"{where}: expected a JSON object",
+        "unknown-key": f"{where}: unknown key 'colour'"}[case]
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert str(path) in captured.err and "Traceback" not in captured.err
+    assert captured.err == f"error: {message}\n"
     assert list(run_out.iterdir()) == []
 
 
-@pytest.mark.parametrize("target", ["vocabulary", "checkpoint"])
-def test_vocabulary_or_checkpoint_that_is_not_utf8_names_its_path(
-        pretrained, data_dir, tmp_path, capsys, target):
-    out, cfg_path = pretrained
-    files = {"vocabulary": tmp_path / "vocab.json", "checkpoint": tmp_path / "init.ckpt.json"}
-    for name, path in files.items():
-        path.write_bytes((b"\xff" if name == target else b"")
-                         + (out / path.name).read_bytes())
-    rc = cli.main(["evaluate", "--config", str(cfg_path), "--out", str(tmp_path),
-                   f"--paths.vocab={files['vocabulary']}",
-                   "--checkpoint", str(files["checkpoint"]),
-                   str(data_dir / "bench_a.jsonl")])
-    assert rc == 1
-    assert capsys.readouterr().err == (f"error: {target} {files[target]}: not UTF-8 "
-                                       f"text (invalid start byte)\n")
+def test_config_section_with_a_key_given_twice_exits_with_one_error_line(tmp_path,
+                                                                         capsys):
+    # the last value used to win: this file ran with seed 2
+    path = tmp_path / "run.json"
+    path.write_text('{"runtime": {"seed": 1, "seed": 2}}')
+    assert cli.main(["gen-data", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == f"error: {path}: duplicate key 'seed'\n"
+    assert not (tmp_path / "o").exists()
 
 
 class TestAblate:

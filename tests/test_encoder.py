@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import winoref.tensor as T
+from winoref import encoder
 from winoref.encoder import (ENCODE_CHUNK, EncoderConfig, EncoderModel,
                              PretrainConfig, _attention, apply_mlm_masking, encode,
                              encode_batch, forward_hidden, mlm_logits_batch, pretrain_mlm)
@@ -148,6 +149,37 @@ class TestEncode:
         with pytest.raises(ValueError, match="divisible"):
             EncoderConfig(layers=1, heads=3, model_dim=32, ff_dim=64,
                           max_len=8, vocab_size=30)
+
+    def test_parameter_cap_counts_every_parameter(self, monkeypatch):
+        for layers in (0, 2):
+            cfg = EncoderConfig(layers=layers, heads=3, model_dim=24, ff_dim=7,
+                                max_len=11, vocab_size=37)
+            count = sum(p.data.size for p in EncoderModel(cfg, seed=0).params.values())
+            monkeypatch.setattr(encoder, "MAX_PARAMS", count)   # at the cap
+            dataclasses.replace(cfg)
+            monkeypatch.setattr(encoder, "MAX_PARAMS", count - 1)
+            with pytest.raises(ValueError, match=f"would hold {count} parameters"):
+                dataclasses.replace(cfg)
+            monkeypatch.undo()
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("max_len", 100_000_000, r"encoder.max_len must be in \[3, 512\]"),
+        ("max_len", 513, r"encoder.max_len must be in \[3, 512\]"),
+        ("model_dim", 100_000, "over the cap of 50000000"),
+        ("ff_dim", 10**9, "over the cap of 50000000"),
+        ("layers", 10**6, "over the cap of 50000000"),
+        ("vocab_size", 10**9, "over the cap of 50000000")])
+    def test_too_large_an_encoder_is_rejected_before_any_allocation(
+            self, monkeypatch, key, value, message):
+        # the sizes are never allocated: no generator may be made
+        def default_rng(*args, **kwargs):
+            raise AssertionError("a parameter was about to be drawn")
+
+        monkeypatch.setattr(np.random, "default_rng", default_rng)
+        sizes = dict(layers=1, heads=2, model_dim=16, ff_dim=32, max_len=24,
+                     vocab_size=40)
+        with pytest.raises(ValueError, match=message):
+            EncoderModel(EncoderConfig(**{**sizes, key: value}), seed=0)
 
 
 def word_row(rng, length, cfg):
