@@ -9,6 +9,7 @@ stack is as wide as its longest row, so no column past it costs any work.
 """
 
 import copy
+import math
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -20,11 +21,13 @@ from .tensor import Tensor
 from .text import FIRST_WORD_ID, MASK_ID, row_masks
 
 
-# the largest encoder, checked before any array is allocated: training
-# holds four float64 copies of the parameters, 1.6 GB at the cap, and with
-# dropout each step draws a (batch, heads, max_len, max_len) mask
+# the largest encoder, checked before any array is allocated, as training
+# holds four float64 copies of the parameters (1.6 GB at the cap); the largest
+# dropout mask, checked before training's first step, 1 GiB as float64: at 12
+# heads and max_len 512, refine's default 40 rows per step draw 126M values
 MAX_PARAMS = 50_000_000
 MAX_LEN = 512
+MAX_DROPOUT_DRAW = 2**27
 
 
 @dataclass
@@ -52,10 +55,10 @@ class EncoderConfig:
         if self.model_dim % self.heads != 0:
             raise ValueError(f"encoder.model_dim must be divisible by encoder.heads "
                              f"{self.heads}, got {self.model_dim}")
-        d, f, v = self.model_dim, self.ff_dim, self.vocab_size
-        # the tables and MLM bias, the blocks, the final norm, as built below
-        count = (v * (d + 1) + self.max_len * d
-                 + self.layers * (4 * d * d + 2 * d * f + f + 9 * d) + 2 * d)
+        # the table without blocks, plus every block the size of block 0
+        outer, one = (sum(math.prod(shape) for _, shape, _ in _param_table(self, b))
+                      for b in ((), (0,)))
+        count = outer + self.layers * (one - outer)
         if count > MAX_PARAMS:
             raise ValueError(f"the encoder would hold {count} parameters, over the cap "
                              f"of {MAX_PARAMS}: lower encoder.model_dim, "
@@ -76,6 +79,22 @@ class EncoderConfig:
         return cls(**d)
 
 
+def _param_table(cfg, blocks):
+    """(name, shape, fill) of each parameter of ``cfg``'s encoder with blocks
+    ``blocks``, in draw order; a fill of None is a draw from N(0, init_scale)."""
+    d, f, v = cfg.model_dim, cfg.ff_dim, cfg.vocab_size
+    table = [("tok_emb", (v, d), None), ("pos_emb", (cfg.max_len, d), None)]
+    for i in blocks:
+        for w in ("wq", "wk", "wv", "wo"):
+            table += [(f"l{i}.attn.{w}", (d, d), None), (f"l{i}.attn.{w}_b", (d,), 0.0)]
+        table += [(f"l{i}.ln1.g", (d,), 1.0), (f"l{i}.ln1.b", (d,), 0.0),
+                  (f"l{i}.ff.w1", (d, f), None), (f"l{i}.ff.b1", (f,), 0.0),
+                  (f"l{i}.ff.w2", (f, d), None), (f"l{i}.ff.b2", (d,), 0.0),
+                  (f"l{i}.ln2.g", (d,), 1.0), (f"l{i}.ln2.b", (d,), 0.0)]
+    return table + [("final_ln.g", (d,), 1.0), ("final_ln.b", (d,), 0.0),
+                    ("mlm_bias", (v,), 0.0)]
+
+
 class EncoderModel:
     """Parameter container plus config; all parameters are trainable leaves."""
 
@@ -83,37 +102,11 @@ class EncoderModel:
         if config.vocab_size <= 0:
             raise ValueError("vocab_size must be set before building a model")
         self.config = config
-        self.params = {}
         rng = np.random.default_rng(seed)
-        s = config.init_scale
-        d, f, v, L = config.model_dim, config.ff_dim, config.vocab_size, config.max_len
-
-        def param(name, shape, init="normal"):
-            if init == "normal":
-                data = rng.normal(0.0, s, size=shape)
-            elif init == "zeros":
-                data = np.zeros(shape)
-            elif init == "ones":
-                data = np.ones(shape)
-            self.params[name] = Tensor(data, requires_grad=True)
-
-        param("tok_emb", (v, d))
-        param("pos_emb", (L, d))
-        for i in range(config.layers):
-            for w in ("wq", "wk", "wv", "wo"):
-                param(f"l{i}.attn.{w}", (d, d))
-                param(f"l{i}.attn.{w}_b", (d,), "zeros")
-            param(f"l{i}.ln1.g", (d,), "ones")
-            param(f"l{i}.ln1.b", (d,), "zeros")
-            param(f"l{i}.ff.w1", (d, f))
-            param(f"l{i}.ff.b1", (f,), "zeros")
-            param(f"l{i}.ff.w2", (f, d))
-            param(f"l{i}.ff.b2", (d,), "zeros")
-            param(f"l{i}.ln2.g", (d,), "ones")
-            param(f"l{i}.ln2.b", (d,), "zeros")
-        param("final_ln.g", (d,), "ones")
-        param("final_ln.b", (d,), "zeros")
-        param("mlm_bias", (v,), "zeros")
+        self.params = {
+            name: Tensor(rng.normal(0.0, config.init_scale, size=shape) if fill is None
+                         else np.full(shape, fill), requires_grad=True)
+            for name, shape, fill in _param_table(config, range(config.layers))}
 
     def named_params(self):
         return list(self.params.items())
@@ -186,13 +179,26 @@ def _keep_mask(rate, rng, shape, index, dtype):
     return keep / (1.0 - rate)
 
 
+def check_dropout_draw(cfg, rows, batch):
+    """Reject a training run whose dropout masks, at ``rows`` id rows per step
+    (set by the keys ``batch``), would hold over ``MAX_DROPOUT_DRAW`` values."""
+    shapes = {"encoder.model_dim": (rows, cfg.max_len, cfg.model_dim)}
+    if cfg.layers:    # the attention mask, drawn in each block
+        shapes["encoder.heads"] = (rows, cfg.heads, cfg.max_len, cfg.max_len)
+    for key, shape in shapes.items():
+        if cfg.dropout > 0.0 and math.prod(shape) > MAX_DROPOUT_DRAW:
+            raise ValueError(f"dropout would draw a mask of shape {shape}, over the cap "
+                             f"of {MAX_DROPOUT_DRAW} values: lower {batch}, {key} or "
+                             f"encoder.max_len")
+
+
 def _dropout(x, rate, rng, shape, index):
     """Inverted dropout of ``x`` with the mask of ``_keep_mask``."""
     keep = _keep_mask(rate, rng, shape, index, x.data.dtype)
     return x if keep is None else T.mul(x, keep)
 
 
-def _attention(h, queries, trimmed, mask_bias, cfg, p, i, train, rate, rng):
+def _attention(h, queries, trimmed, cfg, p, i, train, rng):
     """Self-attention over packed rows ``h`` (T, d), the real tokens of the
     (B, n) mask ``trimmed``, for the query rows at the true entries of
     ``queries``, a subset of them: the q, k, v and output projections
@@ -200,19 +206,18 @@ def _attention(h, queries, trimmed, mask_bias, cfg, p, i, train, rate, rng):
     forward reuses ``T.matmul``, ``T.mul``, ``T.add`` and ``T.softmax``, and
     its backward reproduces theirs, on the (B, n, H, dh) grids the separate
     ops used, because BLAS may round another layout's products differently;
-    so every bit is theirs. Attention dropout's mask is drawn here, at
-    (B, heads, max_len, max_len)."""
+    so every bit is theirs. Attention dropout's mask, at rate ``cfg.dropout``,
+    is drawn here, at (B, heads, max_len, max_len)."""
     B, n = trimmed.shape
 
     def project(w, rows):
         return T.linear(rows, p[f"l{i}.attn.{w}"], p[f"l{i}.attn.{w}_b"])
 
-    drop = None
-    if train:
-        drop = _keep_mask(rate, rng, (B, cfg.heads, cfg.max_len, cfg.max_len),
-                          np.s_[:, :, :n, :n], h.data.dtype)
+    drop = _keep_mask(cfg.dropout if train else 0.0, rng,
+                      (B, cfg.heads, cfg.max_len, cfg.max_len), np.s_[:, :, :n, :n],
+                      h.data.dtype)
     ctx = T.attention(project("wq", _pick(h, queries[trimmed])), project("wk", h),
-                      project("wv", h), trimmed, queries, cfg.heads, mask_bias, drop)
+                      project("wv", h), trimmed, queries, cfg.heads, drop)
     return project("wo", ctx)
 
 
@@ -253,7 +258,7 @@ def forward_hidden(model, ids, attention_mask, train=False, rng=None, rows=None)
         raise T.ShapeError(f"sequence length {L} does not match max_len {cfg.max_len}")
     if train and rng is None:
         raise ValueError("training-mode forward needs an rng for dropout")
-    rate = cfg.dropout
+    rate = cfg.dropout if train else 0.0    # no mask is drawn in eval mode
     full = (B, L, cfg.model_dim)
 
     real = np.asarray(attention_mask, dtype=bool).reshape(B, L)
@@ -266,29 +271,23 @@ def forward_hidden(model, ids, attention_mask, train=False, rng=None, rows=None)
         out = real & asked.reshape(B, L)
         width = max(n, int((rows % L).max(initial=-1)) + 1)
     trimmed = real[:, :n]
-    mask = trimmed.astype(p["tok_emb"].data.dtype)
-    mask_bias = Tensor(((1.0 - mask) * -1e9).reshape(B, 1, 1, n))
 
     x = T.add(T.embedding_lookup(p["tok_emb"], ids[real]),
               T.embedding_lookup(p["pos_emb"], np.nonzero(real)[1]))
-    if train:
-        x = _dropout(x, rate, rng, full, real)
+    x = _dropout(x, rate, rng, full, real)
 
     for i in range(cfg.layers):
         # the last block runs on the rows the caller reads; its keys and
         # values still come from every real row
         keep = out if i == cfg.layers - 1 else real
         h1 = T.layer_norm(x, p[f"l{i}.ln1.g"], p[f"l{i}.ln1.b"], cfg.layer_norm_eps)
-        a = _attention(h1, keep[:, :n], trimmed, mask_bias, cfg, p, i,
-                       train, rate, rng)
-        if train:
-            a = _dropout(a, rate, rng, full, keep)
+        a = _attention(h1, keep[:, :n], trimmed, cfg, p, i, train, rng)
+        a = _dropout(a, rate, rng, full, keep)
         x = T.add(_pick(x, keep[real]), a)
         h2 = T.layer_norm(x, p[f"l{i}.ln2.g"], p[f"l{i}.ln2.b"], cfg.layer_norm_eps)
         ff = T.gelu(T.linear(h2, p[f"l{i}.ff.w1"], p[f"l{i}.ff.b1"]))
         ff = T.linear(ff, p[f"l{i}.ff.w2"], p[f"l{i}.ff.b2"])
-        if train:
-            ff = _dropout(ff, rate, rng, full, keep)
+        ff = _dropout(ff, rate, rng, full, keep)
         x = T.add(x, ff)
 
     if not cfg.layers:
@@ -342,9 +341,9 @@ def _check_rows(rows, n):
     return rows.astype(np.int64, copy=False)
 
 
-def mlm_logits_batch(model, ids, attention_mask, rows, train=False, rng=None):
-    """Vocabulary logits at the given rows, (len(rows), V). The head is the
-    token embedding table transposed, plus one bias per token.
+def mlm_logits_batch(model, ids, rows, train=False, rng=None):
+    """Vocabulary logits at the given rows, (len(rows), V), attending to the
+    real tokens of ``ids``; the head is the token table transposed plus a bias.
 
     ``rows`` are flat indices into the B*L positions of ``ids`` (row-major,
     so position j of sequence b is b*L + j). The forward runs its last
@@ -353,7 +352,7 @@ def mlm_logits_batch(model, ids, attention_mask, rows, train=False, rng=None):
     stack holds position j of sequence b at b*n + j.
     """
     rows = _check_rows(rows, np.size(ids))
-    hidden = forward_hidden(model, ids, attention_mask, train=train, rng=rng,
+    hidden = forward_hidden(model, ids, row_masks(ids)[0], train=train, rng=rng,
                             rows=rows)
     B, n, d = hidden.data.shape
     L = model.config.max_len
@@ -415,6 +414,7 @@ def pretrain_mlm(model, rows, cfg, vocab):
     """
     if len(rows) == 0:
         raise ValueError("pretraining corpus is empty")
+    check_dropout_draw(model.config, min(cfg.batch_size, len(rows)), "pretrain.batch_size")
     rows = np.stack(rows)
     rng = np.random.default_rng(cfg.seed)
     opt = AdamW(model.named_params(), lr=cfg.lr, weight_decay=cfg.weight_decay,
@@ -429,8 +429,7 @@ def pretrain_mlm(model, rows, cfg, vocab):
                 batch, vocab, cfg.mask_prob, rng)
             if flat_idx.size == 0:
                 continue
-            logits = mlm_logits_batch(model, corrupted, row_masks(batch)[0], flat_idx,
-                                      train=True, rng=rng)
+            logits = mlm_logits_batch(model, corrupted, flat_idx, train=True, rng=rng)
             loss = T.cross_entropy(logits, targets)
             value = loss.item()
             check_finite_loss("pretraining", value, opt.step_count + 1)

@@ -21,13 +21,12 @@ import numpy as np
 
 from . import tensor as T
 from .encoder import ENCODE_CHUNK, mlm_logits_batch
-from .text import MASK, SLOT_MARKER, encode_tokens, row_masks, word_tokens
+from .text import MASK, SLOT_MARKER, encode_tokens, word_tokens
 
 
 @dataclass
 class CandidateScore:
     avg_log_prob: float
-    n_tokens: int
     overflows: bool    # its row does not fit max_len; it scores -inf
 
 
@@ -97,13 +96,10 @@ def score_candidate(model, vocab, instance, which):
         return _scores(model, vocab, [instance])[0][which - 1]
     built = memo[(id(instance), which)]
     if built is None:
-        return CandidateScore(avg_log_prob=float("-inf"),
-                              n_tokens=len(word_tokens(instance.candidate(which))),
-                              overflows=True)
+        return CandidateScore(avg_log_prob=float("-inf"), overflows=True)
     ids, _, cand_ids = built
     logp = log_probs_at_positions(memo[ids.tobytes()], cand_ids)
-    return CandidateScore(avg_log_prob=float(logp.mean()), n_tokens=len(cand_ids),
-                          overflows=False)
+    return CandidateScore(avg_log_prob=float(logp.mean()), overflows=False)
 
 
 def _blocks(instances, vocab, max_len):
@@ -135,7 +131,7 @@ def _slot_logits(model, rows):
     slots = [positions for _, positions in rows.values()]
     flat = np.concatenate([b * model.config.max_len + s for b, s in enumerate(slots)])
     with T.no_grad():
-        logits = mlm_logits_batch(model, ids, row_masks(ids)[0], flat).data
+        logits = mlm_logits_batch(model, ids, flat).data
     return dict(zip(rows, np.split(logits, np.cumsum([len(s) for s in slots])[:-1])))
 
 

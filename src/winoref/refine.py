@@ -14,7 +14,7 @@ import numpy as np
 
 from . import tensor as T
 from .config import check_choice, check_count, check_real, internal
-from .encoder import encode, encode_batch
+from .encoder import check_dropout_draw, encode, encode_batch
 from .optim import AdamW, check_finite_loss
 from .scoring import windowed_bertscore
 from .tensor import Tensor
@@ -248,12 +248,15 @@ def refine(model, disc, groups, weights, cfg, score_cfg, vocab):
                                                            model.config.max_len)
     n_kinds = np.bincount(group_ids, minlength=len(groups))
     first = np.cumsum(n_kinds) - n_kinds
+    most = np.sort(np.minimum(n_kinds, cfg.perturbations_per_sample))[-cfg.batch_size:]
+    check_dropout_draw(model.config, int(most.sum()),    # the groups with most kinds
+                       "refine.batch_size, refine.perturbations_per_sample")
     # frozen-init targets are the stacks of the model before its first update
     frozen = encode(model, target_ids) if cfg.target_mode == "frozen-init" else None
 
     history = []
     order = np.arange(len(groups))
-    for epoch in range(cfg.epochs):
+    for _ in range(cfg.epochs):
         rng.shuffle(order)
         for start in range(0, len(groups), cfg.batch_size):
             idx = np.concatenate([
@@ -273,8 +276,7 @@ def refine(model, disc, groups, weights, cfg, score_cfg, vocab):
             check_finite_loss("refinement", value, opt.step_count + 1)
             T.backward(total)
             opt.step()
-            history.append({"step": opt.step_count, "epoch": epoch,
-                            "lr": opt.effective_lr(),
+            history.append({"step": opt.step_count, "lr": opt.effective_lr(),
                             "loss_recon": loss_r.item(),
                             "loss_contrast": loss_c.item(),
                             "loss_diversity": loss_d.item(),

@@ -541,15 +541,15 @@ def softmax(x):
     return _node(out_data, (x,), bw)
 
 
-def attention(q_rows, k_rows, v_rows, trimmed, queries, heads, mask_bias, drop):
+def attention(q_rows, k_rows, v_rows, trimmed, queries, heads, drop):
     """Multi-head softmax attention as one node. ``k_rows`` and ``v_rows``
     (T, d) are the projected rows at the true entries of the (B, n) mask
     ``trimmed``, ``q_rows`` (Tq, d) those at the true entries of ``queries``,
     a subset of them (a query outside ``trimmed`` is a ShapeError); the
     result is the (Tq, d) context rows of the queries.
-    ``mask_bias``, broadcast to (B, heads, n, n), is added to the scores, and
-    ``drop``, attention dropout's keep mask already scaled by 1/(1 - rate),
-    or None, multiplies the weights.
+    A key outside ``trimmed`` gets -1e9 in the rows' dtype added to its
+    scores, a real key -0.0; ``drop``, attention dropout's keep mask already
+    scaled by 1/(1 - rate), or None, multiplies the weights.
 
     The rows are scattered into zero (B, n, heads, dh) grids, which the core
     reads as (B, heads, n, dh) views. The forward runs this module's
@@ -598,8 +598,9 @@ def attention(q_rows, k_rows, v_rows, trimmed, queries, heads, mask_bias, drop):
     kt = k.transpose(0, 1, 3, 2)
     scale = astensor(1.0 / np.sqrt(dh))
     drop = None if drop is None else astensor(drop)
+    bias = ((1.0 - trimmed.astype(k.dtype)) * -1e9).reshape(B, 1, 1, n)
     s = mul(matmul(const(q), const(kt)), scale)
-    p = softmax(add(s, mask_bias)).data
+    p = softmax(add(s, const(bias))).data
     a = p if drop is None else mul(const(p), drop).data
     ctx = matmul(const(a), const(v)).data
 

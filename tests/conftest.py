@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import winoref.tensor as T
+from winoref import encoder
 from winoref.encoder import encode, mlm_logits_batch
 from winoref.refine import N_KINDS, _row_tables, pooled_stack
 from winoref.synthetic import make_benchmark
@@ -16,6 +17,20 @@ def float64_precision():
     T.set_dtype("float64")
     yield
     T.set_dtype("float64")
+
+
+def record_draws(monkeypatch):
+    """Replace ``encoder._keep_mask`` by a recorder of the shape of every
+    dropout mask asked for; it draws none, so dropout keeps every entry.
+    Returns the list of shapes."""
+    shapes = []
+
+    def record(rate, rng, shape, index, dtype):
+        if rate > 0.0:
+            shapes.append(shape)
+
+    monkeypatch.setattr(encoder, "_keep_mask", record)
+    return shapes
 
 
 def finite_difference_grad(f, x, h=1e-5):
@@ -110,7 +125,7 @@ def masked_token_accuracy(model, rows, limit=None, seed=0, batch_size=64):
         truth = chunk[at]
         chunk[at] = MASK_ID
         with T.no_grad():
-            logits = mlm_logits_batch(model, chunk, row_masks(chunk)[0],
+            logits = mlm_logits_batch(model, chunk,
                                       np.arange(len(pos)) * ids.shape[1] + pos)
         correct += int((logits.data.argmax(axis=1) == truth).sum())
     return correct / len(row_of) if len(row_of) else 0.0

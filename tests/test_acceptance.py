@@ -16,7 +16,8 @@ import winoref.tensor as T
 from winoref import checkpoint as ckpt
 from winoref import cli
 from winoref.encoder import EncoderConfig, EncoderModel
-from winoref.evaluate import evaluate, log_probs_at_positions, resolve, score_candidate
+from winoref.evaluate import (_masked_ids, evaluate, log_probs_at_positions, resolve,
+                              score_candidate)
 from winoref.refine import (Discriminator, contrastive_loss, contrastive_pairs,
                             diversity_loss, reconstruction_loss)
 from winoref.scoring import ScoreConfig, windowed_bertscore
@@ -78,7 +79,6 @@ def test_acceptance_1_gradient_suite():
         # that is not a prefix, a strict subset of queries, a dropout mask
         trim = np.array([[True, False, True, True], [True, True, False, False]])
         some = trim & np.array([[False, False, True, False], [True, False, False, True]])
-        bias = np.where(trim, 0.0, -1e9).reshape(2, 1, 1, 4)
         drop = (rng.random((2, 2, 4, 4)) >= 0.3) / 0.7
         q54, k54, v54, q24 = (randt(rng, *s) for s in ((5, 4), (5, 4), (5, 4), (2, 4)))
         w54 = T.Tensor(rng.normal(size=(5, 4)))
@@ -109,11 +109,11 @@ def test_acceptance_1_gradient_suite():
             ("transpose", lambda: T.tsum(T.mul(T.reshape(T.transpose(a34, (1, 0)),
                                                          (3, 4)), w34)), [a34]),
             ("attention", lambda: T.tsum(T.mul(T.attention(
-                q54, k54, v54, trim, trim, 2, bias, None), w54)), [q54, k54, v54]),
+                q54, k54, v54, trim, trim, 2, None), w54)), [q54, k54, v54]),
             ("attention_queries", lambda: T.tsum(T.mul(T.attention(
-                q24, k54, v54, trim, some, 2, bias, None), w24)), [q24, k54, v54]),
+                q24, k54, v54, trim, some, 2, None), w24)), [q24, k54, v54]),
             ("attention_dropout", lambda: T.tsum(T.mul(T.attention(
-                q54, k54, v54, trim, trim, 2, bias, drop), w54)), [q54, k54, v54]),
+                q54, k54, v54, trim, trim, 2, drop), w54)), [q54, k54, v54]),
         ]
 
     for seed in range(4):
@@ -270,7 +270,7 @@ def test_acceptance_4_scorer_oracle():
             self.orig = te.ev.mlm_logits_batch
 
         def __enter__(self):
-            def fake(model, ids, attention_mask, rows, train=False, rng=None):
+            def fake(model, ids, rows, train=False, rng=None):
                 out = np.zeros((cfg.max_len, len(vocab)))
                 p2 = half.copy()
                 p2[vocab.id("red")] = 0.5
@@ -288,7 +288,7 @@ def test_acceptance_4_scorer_oracle():
 
     with _MP():
         s = score_candidate(model, vocab, inst, 1)
-    assert s.n_tokens == 2
+    assert list(_masked_ids(inst, 1, vocab, cfg.max_len)[1]) == [2, 3]
     assert abs(s.avg_log_prob - np.log(0.5)) <= 1e-12
 
     # deterministic tie rule: identical texts tie and candidate 1 wins

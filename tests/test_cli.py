@@ -407,6 +407,23 @@ def test_encoder_too_large_to_build_exits_before_any_allocation(
     assert list(tmp_path.iterdir()) == []
 
 
+def test_dropout_mask_too_large_to_draw_exits_with_one_error_line(pretrained, tmp_path,
+                                                                  capsys):
+    # every key is in range, but the first step's attention dropout mask
+    # would be 16 GiB as float64; it used to be drawn, and is now rejected
+    # before the first step
+    _, cfg_path = pretrained
+    argv = ["pretrain", "--config", str(cfg_path), "--out", str(tmp_path),
+            "--encoder.heads=512", "--encoder.model_dim=512", "--encoder.ff_dim=1",
+            "--encoder.layers=1", "--encoder.max_len=512"]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == (f"error: dropout would draw a mask of shape (16, 512, 512, 512), "
+                   f"over the cap of {encoder.MAX_DROPOUT_DRAW} values: lower "
+                   f"pretrain.batch_size, encoder.heads or encoder.max_len\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("command", ["pretrain", "refine"])
 def test_zero_epochs_saves_the_untrained_model(pretrained, tmp_path, capsys, command):
     _, cfg_path = pretrained

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from winoref.tensor import Tensor
 from winoref.text import (CLS_ID, FIRST_WORD_ID, MASK_ID, PAD_ID, SEP_ID, UNK_ID,
                           build_vocab, corpus_sentences, row_masks, tokenize)
 
-from conftest import check_grads, masked_token_accuracy
+from conftest import check_grads, masked_token_accuracy, record_draws
 
 
 @pytest.fixture(scope="module")
@@ -32,8 +33,7 @@ def small_setup():
 def every_row(model, row):
     """Eval-mode logits at every position of one id row, (L, V)."""
     with T.no_grad():
-        return mlm_logits_batch(model, row[None, :], row_masks(row)[0][None, :],
-                                np.arange(model.config.max_len)).data
+        return mlm_logits_batch(model, row[None, :], np.arange(model.config.max_len)).data
 
 
 class TestEncode:
@@ -252,6 +252,66 @@ class TestTrimmedForward:
         assert stream.random() == want.random()
 
 
+def over_the_cap(shape, batch, key, cap=None):
+    return (f"dropout would draw a mask of shape {shape}, over the cap of "
+            f"{cap or encoder.MAX_DROPOUT_DRAW} values: lower {batch}, {key} or "
+            f"encoder.max_len")
+
+
+class TestDropoutDrawCap:
+    @pytest.mark.parametrize("sizes, rows, batch, shape, key", [
+        # every key in range; the first attention mask would be 16 GiB
+        (dict(heads=512, model_dim=512, ff_dim=1, layers=1), 16, "pretrain.batch_size",
+         (16, 512, 512, 512), "encoder.heads"),
+        (dict(heads=16), 40, "refine.batch_size, refine.perturbations_per_sample",
+         (40, 16, 512, 512), "encoder.heads"),
+        # the hidden rows' mask, which the heads do not size
+        (dict(heads=1, model_dim=3072, ff_dim=1, layers=1), 100, "pretrain.batch_size",
+         (100, 512, 3072), "encoder.model_dim"),
+        # with no block there is no attention mask to blame
+        (dict(heads=512, model_dim=20480, ff_dim=1, layers=0), 16, "pretrain.batch_size",
+         (16, 512, 20480), "encoder.model_dim"),
+    ], ids=["heads", "refine-rows", "model-dim", "no-block"])
+    def test_a_mask_over_the_cap_names_the_keys_that_size_it(self, sizes, rows, batch,
+                                                              shape, key):
+        cfg = EncoderConfig(max_len=512, vocab_size=30, **sizes)
+        with pytest.raises(ValueError) as e:
+            encoder.check_dropout_draw(cfg, rows, batch)
+        assert str(e.value) == over_the_cap(shape, batch, key)
+
+    @pytest.mark.parametrize("sizes, rows", [
+        (dict(heads=12, model_dim=768), 40),        # refine's default rows per step
+        (dict(heads=12, model_dim=768), 16),        # pretrain's default batch
+        (dict(heads=512, model_dim=512, layers=0), 16),
+        (dict(heads=512, model_dim=512, dropout=0.0), 16),
+    ], ids=["refine-defaults", "pretrain-defaults", "no-block", "no-dropout"])
+    def test_in_range_runs_pass(self, sizes, rows):
+        encoder.check_dropout_draw(EncoderConfig(max_len=512, vocab_size=30, **sizes),
+                                   rows, "pretrain.batch_size")
+
+    def test_pretrain_checks_its_largest_draw_before_its_first_step(self, small_setup,
+                                                                    monkeypatch):
+        vocab, cfg, _, seqs = small_setup
+        pre = PretrainConfig(epochs=1, batch_size=5, seed=2)
+        shapes = record_draws(monkeypatch)
+        pretrain_mlm(EncoderModel(cfg, seed=3), seqs, pre, vocab)
+        largest = max(shapes, key=math.prod)
+        assert largest == (5, cfg.heads, cfg.max_len, cfg.max_len)
+        cap = math.prod(largest)
+        monkeypatch.setattr(encoder, "MAX_DROPOUT_DRAW", cap)
+        pretrain_mlm(EncoderModel(cfg, seed=3), seqs, pre, vocab)
+        monkeypatch.setattr(encoder, "MAX_DROPOUT_DRAW", cap - 1)
+        shapes.clear()
+        model = EncoderModel(cfg, seed=3)
+        before = {name: q.data.copy() for name, q in model.named_params()}
+        with pytest.raises(ValueError) as e:
+            pretrain_mlm(model, seqs, pre, vocab)
+        assert str(e.value) == over_the_cap(largest, "pretrain.batch_size",
+                                            "encoder.heads", cap - 1)
+        assert shapes == []
+        assert all(np.array_equal(q.data, before[name]) for name, q in model.named_params())
+
+
 def padded_dropout(x, rate, rng, shape):
     if rate <= 0.0:
         return x
@@ -370,14 +430,15 @@ class TestPackedForward:
                 assert grads[name].tobytes() == want.tobytes(), name
 
 
-def unfused_attention(h, queries, trimmed, mask_bias, cfg, p, i, train, rate, rng):
+def unfused_attention(h, queries, trimmed, cfg, p, i, train, rng):
     """``_attention`` as it was before ``T.attention``: about twenty tape
     nodes, with q, k and v scattered into (B, n, H, dh) grids and the core
     read through their (B, H, n, dh) views."""
     B, n = trimmed.shape
     d = h.data.shape[1]
-    heads = cfg.heads
+    heads, rate = cfg.heads, cfg.dropout
     dh = d // heads
+    mask_bias = Tensor(((1.0 - trimmed) * -1e9).reshape(B, 1, 1, n))
 
     def project(w, rows, keep):
         flat = T.linear(rows, p[f"l{i}.attn.{w}"], p[f"l{i}.attn.{w}_b"])
@@ -416,7 +477,6 @@ class TestFusedAttention:
         trimmed[0, 2] = False                       # a mask that is not a prefix
         queries = trimmed & (rng.random(trimmed.shape) < 0.4) if some else trimmed
         assert queries.any() and (queries != trimmed).any() == some
-        mask_bias = Tensor(((1.0 - trimmed) * -1e9).reshape(len(lengths), 1, 1, 15))
         x = rng.normal(size=(np.count_nonzero(trimmed), cfg.model_dim))
         w = rng.normal(size=(np.count_nonzero(queries), cfg.model_dim))
 
@@ -429,8 +489,7 @@ class TestFusedAttention:
             # first gradient and sums the others
             h = T.layer_norm(rows, p["l0.ln1.g"], p["l0.ln1.b"], cfg.layer_norm_eps)
             stream = np.random.default_rng(6)
-            out = attend(h, queries, trimmed, mask_bias, cfg, p, 0,
-                         dropout is not None, cfg.dropout, stream)
+            out = attend(h, queries, trimmed, cfg, p, 0, dropout is not None, stream)
             T.backward(T.tsum(T.mul(out, w)))
             grads = {name: q.grad.tobytes() for name, q in model.named_params()
                      if name.startswith(("l0.attn.", "l0.ln1."))}
@@ -528,15 +587,13 @@ class TestStackWidth:
         rng = np.random.default_rng(12)
         lengths = (9, 17, 13)
         ids = np.stack([word_row(rng, n, TRIM_CFG) for n in lengths])
-        mask = row_masks(ids)[0]
         L = TRIM_CFG.max_len
         assert max(lengths) < L
         for b, length in enumerate(lengths):
             positions = rng.permutation(length)
             with T.no_grad():
-                batched = mlm_logits_batch(model, ids, mask, b * L + positions).data
-                alone = mlm_logits_batch(model, ids[b:b + 1], mask[b:b + 1],
-                                         positions).data
+                batched = mlm_logits_batch(model, ids, b * L + positions).data
+                alone = mlm_logits_batch(model, ids[b:b + 1], positions).data
             assert batched.dtype == dtype
             assert batched.tobytes() == alone.tobytes(), b
 
@@ -564,9 +621,7 @@ class TestMlmLogits:
         rng = np.random.default_rng(0)
         batch = seqs[:8]
         corrupted, flat_idx, targets = apply_mlm_masking(batch, vocab, 0.5, rng)
-        mask = row_masks(np.stack(batch))[0]
-        logits = mlm_logits_batch(model, corrupted, mask, flat_idx,
-                                  train=True, rng=rng)
+        logits = mlm_logits_batch(model, corrupted, flat_idx, train=True, rng=rng)
         T.backward(T.cross_entropy(logits, targets))
         for name, p in model.named_params():
             assert np.linalg.norm(p.grad) > 0, f"dead parameter {name}"
@@ -616,17 +671,17 @@ class TestHeadRows:
         # rows from all three sequences, unsorted and repeated
         rows = np.array([2 * L + 3, 5, L + 1, 5, 0, 2 * L + 3, L + 7, 3 * L - 1])
         with T.no_grad():
-            got = mlm_logits_batch(model, ids, mask, rows).data
+            got = mlm_logits_batch(model, ids, rows).data
         want = full_logits(model, ids, mask)[rows]
         assert got.shape == (len(rows), cfg.vocab_size)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     def test_gradients_match_finite_differences(self, tiny_world):
-        vocab, ids, mask = tiny_world
+        vocab, ids, _ = tiny_world
         model = tiny_model(vocab)
         rows = np.array([9, 1, 3, 9, 12])
         targets = np.random.default_rng(2).integers(0, len(vocab), size=len(rows))
-        check_grads(lambda: T.cross_entropy(mlm_logits_batch(model, ids, mask, rows),
+        check_grads(lambda: T.cross_entropy(mlm_logits_batch(model, ids, rows),
                                             targets),
                     [model.params[n] for n in ("tok_emb", "mlm_bias", "pos_emb")])
 
@@ -634,10 +689,10 @@ class TestHeadRows:
                                       np.array([[1, 2]]), np.array([True, False])],
                              ids=["out-of-range", "negative", "float", "2-d", "bool"])
     def test_bad_rows_rejected(self, tiny_world, rows):
-        vocab, ids, mask = tiny_world
+        vocab, ids, _ = tiny_world
         model = tiny_model(vocab)
         with pytest.raises(ValueError, match="rows"):
-            mlm_logits_batch(model, ids, mask, rows)
+            mlm_logits_batch(model, ids, rows)
 
     def test_pretrain_matches_full_logit_path(self, small_setup):
         # the same run with the head over all B*L rows and a take after it,
@@ -728,8 +783,7 @@ class TestAskedRows:
             0, 0.1, size=cfg.vocab_size).astype(dtype)
         streams = [np.random.default_rng(4) if train else None for _ in range(3)]
         with T.no_grad():
-            got = mlm_logits_batch(model, ids, mask, rows, train=train,
-                                   rng=streams[0]).data
+            got = mlm_logits_batch(model, ids, rows, train=train, rng=streams[0]).data
             want = full_stack_logits(model, ids, mask, rows, train=train,
                                      rng=streams[1]).data
             hidden = forward_hidden(model, ids, mask, train=train, rng=streams[2],
@@ -771,10 +825,14 @@ class TestAskedRows:
         assert flat_idx.size >= 64
         mask = row_masks(batch)[0]
         runs = []
-        for logits_of in (mlm_logits_batch, full_stack_logits):
+        for full_stack in (False, True):
             model = EncoderModel(cfg, seed=9)
-            logits = logits_of(model, corrupted, mask, flat_idx, train=True,
-                               rng=np.random.default_rng(5))
+            rng = np.random.default_rng(5)
+            if full_stack:
+                logits = full_stack_logits(model, corrupted, mask, flat_idx, train=True,
+                                           rng=rng)
+            else:
+                logits = mlm_logits_batch(model, corrupted, flat_idx, train=True, rng=rng)
             loss = T.cross_entropy(logits, targets)
             T.backward(loss)
             runs.append((loss.data, {n: p.grad for n, p in model.named_params()}))
@@ -803,8 +861,7 @@ class TestAskedRows:
 
         monkeypatch.setattr(T, "gelu", spy)
         model = EncoderModel(TRIM_CFG, seed=7)
-        mlm_logits_batch(model, ids, mask, rows, train=True,
-                         rng=np.random.default_rng(1))
+        mlm_logits_batch(model, ids, rows, train=True, rng=np.random.default_rng(1))
         real = mask.reshape(-1)
         asked = np.unique(rows[real[rows]]).size
         assert asked == 5
@@ -851,6 +908,21 @@ class TestMasking:
         for _ in range(20):
             _, flat_idx, _ = apply_mlm_masking(batch, vocab, 0.3, rng)
             assert content[flat_idx].all()
+
+    @pytest.mark.parametrize("mask_prob", [0.15, 0.5, 1.0])
+    def test_corruption_keeps_the_attention_mask(self, small_setup, mask_prob):
+        # mlm_logits_batch reads the attention mask off the corrupted ids,
+        # so pretraining attends to the clean batch's tokens only if no
+        # corruption writes or overwrites a [PAD]
+        vocab, cfg, model, seqs = small_setup
+        batch = np.stack(seqs)
+        attention = row_masks(batch)[0]
+        assert not attention.all()
+        for seed in range(200):
+            corrupted, flat_idx, _ = apply_mlm_masking(
+                batch, vocab, mask_prob, np.random.default_rng(seed))
+            assert flat_idx.size > 0
+            assert (row_masks(corrupted)[0] == attention).all(), seed
 
 
 class TestPretrain:

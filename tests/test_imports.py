@@ -1,4 +1,5 @@
-"""Every name a module imports is used in that module."""
+"""Every name a module imports is used in that module, and every parameter
+of a function in ``src`` is read in its body."""
 
 import ast
 from pathlib import Path
@@ -6,7 +7,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).parents[1]
-MODULES = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+SOURCES = sorted((ROOT / "src").rglob("*.py"))
+MODULES = SOURCES + sorted((ROOT / "tests").glob("*.py"))
 
 
 def unused_imports(source):
@@ -34,3 +36,33 @@ def test_the_check_finds_an_unused_import():
     source = ("import os\nimport a.b\nfrom x import (y, z as w)\n"
               "print(a.b.c, w)\n")
     assert unused_imports(source) == [(1, "os"), (3, "y")]
+
+
+def unread_parameters(source):
+    """(line, function, parameter) of each parameter of a ``def`` in
+    ``source`` that its body never reads; a nested function's read counts."""
+    unread = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            a = node.args
+            params = a.posonlyargs + a.args + a.kwonlyargs + [
+                p for p in (a.vararg, a.kwarg) if p is not None]
+            read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            unread += [(node.lineno, node.name, p.arg) for p in params
+                       if p.arg not in read]
+    return sorted(unread)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_every_parameter_is_read(path):
+    assert unread_parameters(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_check_finds_an_unread_parameter():
+    source = ("def f(a, b, /, c, *args, d, e=1, **kw):\n"
+              "    def g():\n"
+              "        return a + d\n"
+              "    return g() + c + len(kw)\n")
+    assert unread_parameters(source) == [(1, "f", "args"), (1, "f", "b"),
+                                         (1, "f", "e")]

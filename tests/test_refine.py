@@ -1,10 +1,14 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
 import winoref.refine
+from winoref import encoder
 import winoref.tensor as T
 from winoref.encoder import (EmbeddingStack, EncoderConfig, EncoderModel,
-                             encode, encode_batch)
+                             PretrainConfig, encode, encode_batch, pretrain_mlm)
 from winoref.optim import AdamW
 from winoref.refine import (Discriminator, LossWeights, RefinementConfig,
                             contrastive_loss, contrastive_pairs, diversity_loss,
@@ -17,7 +21,7 @@ from winoref.text import (KIND_INDEX, PERTURBATION_KINDS, PerturbationKind,
                           PerturbedGroup, build_vocab, corpus_sentences,
                           load_perturbation_corpus, tokenize)
 
-from conftest import kind_probe_accuracy, min_same_kind_distance
+from conftest import kind_probe_accuracy, min_same_kind_distance, record_draws
 from test_scoring import batch_of, make_stack, random_stack
 
 
@@ -419,6 +423,59 @@ class TestRefineTargets:
                       key=KIND_INDEX.__getitem__)
         for step in steps:
             assert sorted(step["kinds"], key=KIND_INDEX.__getitem__) == want
+
+
+class TestDropoutDrawCap:
+    def test_refine_checks_its_largest_step_before_the_first(self, tiny_world,
+                                                             monkeypatch):
+        groups, vocab, cfg = tiny_world
+        # groups of 1, 2, 5 and 6 kinds; a step samples up to 4 of each, so
+        # the one batch of all four forwards 1 + 2 + 4 + 4 rows
+        groups = [dataclasses.replace(g, variants=dict(list(g.variants.items())[:k]))
+                  for g, k in zip(groups, (0, 1, 4, 5))]
+        r_cfg = _refine_cfg(epochs=1, batch_size=4, perturbations_per_sample=4)
+
+        def run():
+            model = EncoderModel(cfg, seed=0)
+            disc = Discriminator(cfg.model_dim, 16, dropout=0.2, seed=0)
+            refine(model, disc, groups, LossWeights(), r_cfg, ScoreConfig(), vocab)
+            return model
+
+        shapes = record_draws(monkeypatch)
+        run()
+        largest = max(shapes, key=math.prod)
+        assert largest == (11, cfg.heads, cfg.max_len, cfg.max_len)
+        monkeypatch.setattr(encoder, "MAX_DROPOUT_DRAW", math.prod(largest))
+        run()
+        monkeypatch.setattr(encoder, "MAX_DROPOUT_DRAW", math.prod(largest) - 1)
+        shapes.clear()
+        with pytest.raises(ValueError) as e:
+            run()
+        assert str(e.value) == (
+            f"dropout would draw a mask of shape {largest}, over the cap of "
+            f"{math.prod(largest) - 1} values: lower refine.batch_size, "
+            f"refine.perturbations_per_sample, encoder.heads or encoder.max_len")
+        assert shapes == []
+
+    def test_default_batches_run_at_eight_heads_and_the_longest_rows(self,
+                                                                      monkeypatch):
+        # pretrain forwards 16 rows per step and refine 10 groups of 4 kinds;
+        # the masks are recorded, not drawn (the largest is 671 MB)
+        groups = make_perturbation_corpus(10, seed=21)
+        vocab = build_vocab(corpus_sentences(groups))
+        cfg = EncoderConfig(layers=1, heads=8, model_dim=16, ff_dim=16,
+                            max_len=encoder.MAX_LEN, vocab_size=len(vocab))
+        model = EncoderModel(cfg, seed=0)
+        shapes = record_draws(monkeypatch)
+        rows = [tokenize(t, vocab, cfg.max_len) for t in corpus_sentences(groups)]
+        pretrain_mlm(model, rows, PretrainConfig(epochs=1), vocab)
+        assert max(shapes, key=math.prod) == (16, 8, 512, 512)
+        shapes.clear()
+        disc = Discriminator(cfg.model_dim, 16, dropout=0.2, seed=0)
+        history = refine(model, disc, groups, LossWeights(), RefinementConfig(epochs=1),
+                         ScoreConfig(), vocab)
+        assert len(history) == 1
+        assert max(shapes, key=math.prod) == (40, 8, 512, 512)
 
 
 class TestRefine:

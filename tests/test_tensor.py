@@ -138,7 +138,7 @@ class TestBasics:
         queries = trimmed & np.array([[True, False, True], [True, True, True]])
         q, k, v = (Tensor(np.ones((c, 6))) for c in counts)
         with pytest.raises(T.ShapeError) as e:
-            T.attention(q, k, v, trimmed, queries, heads, np.zeros((2, 1, 1, 3)), None)
+            T.attention(q, k, v, trimmed, queries, heads, None)
         assert str(e.value) == message
 
     def test_attention_rejects_queries_outside_the_key_mask(self):
@@ -147,7 +147,7 @@ class TestBasics:
         queries = np.array([[False, True, True], [False, True, False]])
         q, k, v = Tensor(np.ones((3, 4))), Tensor(np.ones((3, 4))), Tensor(np.ones((3, 4)))
         with pytest.raises(T.ShapeError) as e:
-            T.attention(q, k, v, trimmed, queries, 2, np.zeros((2, 1, 1, 3)), None)
+            T.attention(q, k, v, trimmed, queries, 2, None)
         assert str(e.value) == "attention: 2 query positions outside the key mask"
 
     def test_zero_norm_cosine_is_zero_with_zero_grad(self):
