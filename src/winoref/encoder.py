@@ -179,6 +179,14 @@ def _keep_mask(rate, rng, shape, index, dtype):
     return keep / (1.0 - rate)
 
 
+def check_draw(rate, shape, keys):
+    """Reject a dropout mask of ``shape`` at ``rate`` that would hold over
+    ``MAX_DROPOUT_DRAW`` values; ``keys`` names the config keys to lower."""
+    if rate > 0.0 and math.prod(shape) > MAX_DROPOUT_DRAW:
+        raise ValueError(f"dropout would draw a mask of shape {shape}, over the cap "
+                         f"of {MAX_DROPOUT_DRAW} values: lower {keys}")
+
+
 def check_dropout_draw(cfg, rows, batch):
     """Reject a training run whose dropout masks, at ``rows`` id rows per step
     (set by the keys ``batch``), would hold over ``MAX_DROPOUT_DRAW`` values."""
@@ -186,10 +194,7 @@ def check_dropout_draw(cfg, rows, batch):
     if cfg.layers:    # the attention mask, drawn in each block
         shapes["encoder.heads"] = (rows, cfg.heads, cfg.max_len, cfg.max_len)
     for key, shape in shapes.items():
-        if cfg.dropout > 0.0 and math.prod(shape) > MAX_DROPOUT_DRAW:
-            raise ValueError(f"dropout would draw a mask of shape {shape}, over the cap "
-                             f"of {MAX_DROPOUT_DRAW} values: lower {batch}, {key} or "
-                             f"encoder.max_len")
+        check_draw(cfg.dropout, shape, f"{batch}, {key} or encoder.max_len")
 
 
 def _dropout(x, rate, rng, shape, index):

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import tensor as T
 from .config import check_choice, check_count, check_real, internal
-from .encoder import check_dropout_draw, encode, encode_batch
+from .encoder import MAX_PARAMS, check_draw, check_dropout_draw, encode, encode_batch
 from .optim import AdamW, check_finite_loss
 from .scoring import windowed_bertscore
 from .tensor import Tensor
@@ -75,9 +75,16 @@ class RefinementConfig:
 class Discriminator:
     """Two fully connected layers with batch norm, PReLU and dropout,
     mapping a pooled embedding stack to one logit per perturbation type.
-    The sizes, rate and seed come from ``RefinementConfig``."""
+    The sizes, rate and seed come from ``RefinementConfig``. Like the
+    encoder, it holds at most ``MAX_PARAMS`` parameters, checked before any
+    array is drawn."""
 
     def __init__(self, input_dim, hidden_dim, dropout, seed):
+        # w1; b1, bn.g, bn.b and prelu.a; w2 and b2
+        count = (input_dim + 4 + N_KINDS) * hidden_dim + N_KINDS
+        if count > MAX_PARAMS:
+            raise ValueError(f"the discriminator would hold {count} parameters, over "
+                             f"the cap of {MAX_PARAMS}: lower refine.disc_hidden")
         rng = np.random.default_rng(seed)
         self.dropout = dropout
         self.params = {
@@ -249,8 +256,11 @@ def refine(model, disc, groups, weights, cfg, score_cfg, vocab):
     n_kinds = np.bincount(group_ids, minlength=len(groups))
     first = np.cumsum(n_kinds) - n_kinds
     most = np.sort(np.minimum(n_kinds, cfg.perturbations_per_sample))[-cfg.batch_size:]
-    check_dropout_draw(model.config, int(most.sum()),    # the groups with most kinds
-                       "refine.batch_size, refine.perturbations_per_sample")
+    rows = int(most.sum())    # the groups with most kinds
+    batch = "refine.batch_size, refine.perturbations_per_sample"
+    check_dropout_draw(model.config, rows, batch)
+    check_draw(disc.dropout, (rows, disc.params["b1"].data.shape[0]),
+               f"{batch} or refine.disc_hidden")
     # frozen-init targets are the stacks of the model before its first update
     frozen = encode(model, target_ids) if cfg.target_mode == "frozen-init" else None
 

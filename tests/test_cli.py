@@ -16,6 +16,7 @@ from winoref.checkpoint import (load as load_checkpoint, params_hash,
                                 save as save_checkpoint)
 from winoref.config import load_config
 from winoref.optim import EPS
+from winoref.refine import N_KINDS
 from winoref.synthetic import make_benchmark, make_perturbation_corpus
 from winoref.text import (Vocabulary, load_benchmark, save_benchmark,
                           save_perturbation_corpus, word_tokens)
@@ -421,6 +422,21 @@ def test_dropout_mask_too_large_to_draw_exits_with_one_error_line(pretrained, tm
     assert err == (f"error: dropout would draw a mask of shape (16, 512, 512, 512), "
                    f"over the cap of {encoder.MAX_DROPOUT_DRAW} values: lower "
                    f"pretrain.batch_size, encoder.heads or encoder.max_len\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_discriminator_too_large_to_build_exits_with_one_error_line(pretrained, tmp_path,
+                                                                   capsys):
+    # every key is in range, but w1 alone would hold 1.6e13 values; it used
+    # to be drawn and end in a 23-line MemoryError traceback
+    _, cfg_path = pretrained
+    argv = ["refine", "--config", str(cfg_path), "--out", str(tmp_path),
+            "--refine.disc_hidden=1000000000000"]
+    assert cli.main(argv) == 1
+    count = (16 + 4 + N_KINDS) * 10**12 + N_KINDS
+    assert capsys.readouterr().err == (
+        f"error: the discriminator would hold {count} parameters, over the cap of "
+        f"{encoder.MAX_PARAMS}: lower refine.disc_hidden\n")
     assert list(tmp_path.iterdir()) == []
 
 

@@ -10,7 +10,7 @@ import winoref.tensor as T
 from winoref.encoder import (EmbeddingStack, EncoderConfig, EncoderModel,
                              PretrainConfig, encode, encode_batch, pretrain_mlm)
 from winoref.optim import AdamW
-from winoref.refine import (Discriminator, LossWeights, RefinementConfig,
+from winoref.refine import (N_KINDS, Discriminator, LossWeights, RefinementConfig,
                             contrastive_loss, contrastive_pairs, diversity_loss,
                             generated_row, reconstruction_loss, refine,
                             _TERM_BOUND)
@@ -456,6 +456,58 @@ class TestDropoutDrawCap:
             f"{math.prod(largest) - 1} values: lower refine.batch_size, "
             f"refine.perturbations_per_sample, encoder.heads or encoder.max_len")
         assert shapes == []
+
+    def test_refine_checks_the_discriminator_dropout_draw(self, tiny_world,
+                                                          monkeypatch):
+        # the encoder draws no mask, so the discriminator's (rows, disc_hidden)
+        # one is the only draw the cap sees; the same 11 rows as above
+        groups, vocab, cfg = tiny_world
+        cfg = dataclasses.replace(cfg, dropout=0.0)
+        groups = [dataclasses.replace(g, variants=dict(list(g.variants.items())[:k]))
+                  for g, k in zip(groups, (0, 1, 4, 5))]
+        r_cfg = _refine_cfg(epochs=1, batch_size=4, perturbations_per_sample=4)
+
+        def run():
+            disc = Discriminator(cfg.model_dim, 16, dropout=0.2, seed=0)
+            refine(EncoderModel(cfg, seed=0), disc, groups, LossWeights(), r_cfg,
+                   ScoreConfig(), vocab)
+
+        monkeypatch.setattr(encoder, "MAX_DROPOUT_DRAW", 11 * 16)
+        run()
+
+        def encode_batch(*args, **kwargs):
+            raise AssertionError("a step was about to run")
+
+        monkeypatch.setattr(winoref.refine, "encode_batch", encode_batch)
+        monkeypatch.setattr(encoder, "MAX_DROPOUT_DRAW", 11 * 16 - 1)
+        with pytest.raises(ValueError) as e:
+            run()
+        assert str(e.value) == (
+            f"dropout would draw a mask of shape (11, 16), over the cap of "
+            f"{11 * 16 - 1} values: lower refine.batch_size, "
+            f"refine.perturbations_per_sample or refine.disc_hidden")
+
+    def test_discriminator_over_the_parameter_cap_is_rejected_before_any_draw(
+            self, monkeypatch):
+        # it used to draw w1 at (16, 10**12) and end in a MemoryError
+        def default_rng(*args, **kwargs):
+            raise AssertionError("a parameter was about to be drawn")
+
+        monkeypatch.setattr(np.random, "default_rng", default_rng)
+        count = (16 + 4 + N_KINDS) * 10**12 + N_KINDS
+        with pytest.raises(ValueError) as e:
+            Discriminator(16, 10**12, dropout=0.2, seed=0)
+        assert str(e.value) == (f"the discriminator would hold {count} parameters, over "
+                                f"the cap of {encoder.MAX_PARAMS}: lower refine.disc_hidden")
+
+    def test_discriminator_at_the_parameter_cap_is_built(self, monkeypatch):
+        disc = Discriminator(16, 8, dropout=0.2, seed=0)
+        count = sum(p.data.size for _, p in disc.named_params())
+        monkeypatch.setattr(winoref.refine, "MAX_PARAMS", count)
+        Discriminator(16, 8, dropout=0.2, seed=0)
+        monkeypatch.setattr(winoref.refine, "MAX_PARAMS", count - 1)
+        with pytest.raises(ValueError, match="refine.disc_hidden"):
+            Discriminator(16, 8, dropout=0.2, seed=0)
 
     def test_default_batches_run_at_eight_heads_and_the_longest_rows(self,
                                                                       monkeypatch):

@@ -704,6 +704,60 @@ class TestInPlaceKernels:
 
 
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("vocab", [193, 8192])
+@pytest.mark.parametrize("rows", [T.PACK_TABLE_ROWS - 1, T.PACK_TABLE_ROWS, 150])
+def test_tied_head_layouts_give_the_same_bytes(dtype, vocab, rows):
+    # below PACK_TABLE_ROWS the product runs in the table's layout, from it
+    # on (float32) as x @ w; each must give the table layout's bytes, and the
+    # gradients keep the table layout at every row count
+    T.set_dtype(dtype)
+    rng = np.random.default_rng(vocab + rows)
+    table = Tensor(rng.normal(size=(vocab, 96)), requires_grad=True)
+    x = Tensor(rng.normal(size=(rows, 96)), requires_grad=True)
+    b = Tensor(rng.normal(size=vocab), requires_grad=True)
+    g = rng.normal(size=(rows, vocab)).astype(dtype)
+    out = T.linear(x, T.transpose(table, (1, 0)), b)
+    assert out.data.flags.c_contiguous
+    assert_same_bits(out.data, np.add((table.data @ x.data.T).T, b.data))
+    T.backward(T.tsum(T.mul(out, g)))
+    assert_same_bits(table.grad, leaf_grad(g.T @ x.data))
+    assert_same_bits(x.grad, leaf_grad(g @ table.data))
+    assert_same_bits(b.grad, leaf_grad(g.sum(axis=0)))
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_pretraining_above_the_head_row_constant_keeps_its_bytes(monkeypatch, dtype):
+    # every step's head sees at least PACK_TABLE_ROWS rows; the same run with
+    # the constant above every batch keeps the table layout throughout
+    T.set_dtype(dtype)
+    groups = make_perturbation_corpus(8, seed=5)
+    vocab = build_vocab(corpus_sentences(groups))
+    cfg = EncoderConfig(layers=1, heads=2, model_dim=16, ff_dim=32, max_len=24,
+                        vocab_size=len(vocab), dropout=0.1)
+    seqs = [tokenize(t, vocab, cfg.max_len) for t in corpus_sentences(groups)]
+    pre = PretrainConfig(epochs=2, batch_size=32, lr=1e-3, warmup_steps=2,
+                         mask_prob=0.4, seed=3)
+    heads = []
+    real_linear = T.linear
+
+    def linear(x, w, b):
+        if not w.data.flags.c_contiguous:
+            heads.append(x.data.shape[0])
+        return real_linear(x, w, b)
+
+    monkeypatch.setattr(T, "linear", linear)
+    params = []
+    for cap in (T.PACK_TABLE_ROWS, 10**9):
+        monkeypatch.setattr(T, "PACK_TABLE_ROWS", cap)
+        model = EncoderModel(cfg, seed=1)
+        pretrain_mlm(model, seqs, pre, vocab)
+        params.append({k: v.data.tobytes() for k, v in model.params.items()})
+    monkeypatch.undo()
+    assert len(heads) >= 8 and min(heads) >= T.PACK_TABLE_ROWS
+    assert params[0] == params[1]
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
 def test_softmax_fuzz_over_the_float_range(dtype):
     """Seeded rows at magnitudes from 1e-30 to 1e30, with masked keys and
     rows whose every key is masked: each row sums to 1, and keys of weight
