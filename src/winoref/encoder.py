@@ -209,10 +209,15 @@ def _attention(h, queries, trimmed, cfg, p, i, train, rng):
     ``queries``, a subset of them: the q, k, v and output projections
     around ``T.attention``, which holds the core as one tape node. Its
     forward reuses ``T.matmul``, ``T.mul``, ``T.add`` and ``T.softmax``, and
-    its backward reproduces theirs, on the (B, n, H, dh) grids the separate
-    ops used, because BLAS may round another layout's products differently;
-    so every bit is theirs. Attention dropout's mask, at rate ``cfg.dropout``,
-    is drawn here, at (B, heads, max_len, max_len)."""
+    its backward reproduces theirs, on grids laid out as the separate ops'
+    were, because BLAS may round another layout's products differently.
+    Each row's queries fill the first of at least two query slots, so the
+    last block, whose queries are a few of its rows, attends from those
+    slots only; two, because one slot would send the products to routines
+    that round otherwise. Attention dropout's mask, at rate ``cfg.dropout``,
+    is drawn here, at (B, heads, max_len, max_len), and each query reads
+    its position's rows of it, so the random stream and every kept entry
+    do not depend on the slots."""
     B, n = trimmed.shape
 
     def project(w, rows):
@@ -249,9 +254,11 @@ def forward_hidden(model, ids, attention_mask, train=False, rng=None, rows=None)
     the caller reads; None reads them all. The last block needs every real
     row for its keys and values only, so its queries and all its row-wise
     work after the attention core run on the real rows among ``rows``, and
-    every other row of the result is zero, like a pad row. The stack then
-    also spans the columns of ``rows``, so a pad row asked for past the
-    longest row is in it.
+    every other row of the result is zero, like a pad row. Its attention
+    core attends from query slots, each row's queries first, as many as
+    the most any row has but at least two (``T.attention``), not from all
+    n columns. The stack then also spans the columns of ``rows``, so a pad
+    row asked for past the longest row is in it.
     """
     cfg = model.config
     p = model.params

@@ -31,12 +31,20 @@ product transposed into C-order logits. It takes that weight's gradient in
 the table's layout at every row count.
 ``softmax`` reduces over key slabs, a contiguous copy with the keys along
 its leading axis. The backwards of ``take`` and ``embedding_lookup`` sum
-repeated indices in ``np.add.at``'s order, one vectorized pass per repeat.
+repeated indices in ``np.add.at``'s order: the rows are gathered once,
+rank-major, and each rank is one contiguous add.
 
-``attention`` is multi-head attention as one node over packed rows. Its
-forward runs ``matmul``, ``mul``, ``add`` and ``softmax`` untaped, on the
-same views the unfused ops read, and its hand-written backward repeats their
-backwards operation for operation, so both keep the unfused ops' bits.
+``attention`` is multi-head attention as one node over packed rows. Each
+batch row's queries fill the first of m query slots, m the most queries in
+any row but at least two, so a block that reads few rows (pretraining's
+last block, evaluation) attends from (B, heads, m, n), not from every
+position. The floor of two keeps the bits: with one slot, numpy's matmul
+leaves gemm, and its other routines sum in another order. Its forward runs
+``matmul``, ``mul``, ``add`` and ``softmax`` untaped, on views laid out as
+the unfused ops' are, and its hand-written backward repeats their backwards
+operation for operation, so both keep the unfused ops' bits on the full
+grid at the head widths where BLAS rounds a row the same in a product of
+any row count (see ``attention``).
 """
 
 import contextlib
@@ -337,9 +345,10 @@ def _index_sum(index, rows, dtype):
     """``(ids, sums)``: the distinct values of the 1-d ``index`` and, for each,
     the sum in ``dtype`` of the ``rows`` at its positions. Each sum adds its
     rows onto zeros in index order, as ``np.add.at`` does, so its bits are
-    ``np.add.at``'s. A pass adds one row to every sum that has one left, its
-    first row, then its second, and so on, so the passes are as many as the
-    most repeated id has rows, not as many as the rows."""
+    ``np.add.at``'s. The rows are gathered once, rank-major: rank r holds the
+    r-th row of every id that has more than r rows, the ids with most rows
+    first, so adding a rank is one contiguous ``sums[:n_r] += block``, and
+    the passes are as many as the most repeated id has rows."""
     order = np.argsort(index, kind="stable")        # by id, each in index order
     ranked = index[order]
     # each id's run in ``ranked`` starts and ends at a true entry
@@ -349,13 +358,23 @@ def _index_sum(index, rows, dtype):
     bounds = np.flatnonzero(edge)
     starts = bounds[:-1]
     counts = bounds[1:] - starts
-    # the ids with most rows first, so the sums a pass adds to lead
+    # the ids with most rows first; n_r of them have a row of rank r
     by_count = np.argsort(-counts, kind="stable")
-    starts, counts = starts[by_count], counts[by_count]
+    n_r = np.searchsorted(-counts[by_count], -np.arange(counts.max(initial=0)))
+    offsets = np.concatenate(([0], np.cumsum(n_r)))
+    # sorted entry i is row ``rank`` of its id, the ``place``-th id by
+    # count, so it goes to ``offsets[rank] + place`` in the rank-major block
+    run = np.repeat(np.arange(starts.size), counts)
+    rank = np.arange(ranked.size) - starts[run]
+    place = np.empty_like(by_count)
+    place[by_count] = np.arange(by_count.size)
+    gather = np.empty_like(order)
+    gather[offsets[rank] + place[run]] = order
+    block = rows[gather]
     sums = np.zeros((starts.size,) + rows.shape[1:], dtype=dtype)
-    for r, n in enumerate(np.searchsorted(-counts, -np.arange(counts.max(initial=0)))):
-        sums[:n] += rows[order[starts[:n] + r]]
-    return ranked[starts], sums
+    for start, n in zip(offsets.tolist(), n_r.tolist()):
+        sums[:n] += block[start:start + n]
+    return ranked[starts[by_count]], sums
 
 
 def take(a, rows):
@@ -570,18 +589,33 @@ def attention(q_rows, k_rows, v_rows, trimmed, queries, heads, drop):
     a subset of them (a query outside ``trimmed`` is a ShapeError); the
     result is the (Tq, d) context rows of the queries.
     A key outside ``trimmed`` gets -1e9 in the rows' dtype added to its
-    scores, a real key -0.0; ``drop``, attention dropout's keep mask already
-    scaled by 1/(1 - rate), or None, multiplies the weights.
+    scores, a real key -0.0; ``drop``, attention dropout's (B, heads, n, n)
+    keep mask already scaled by 1/(1 - rate), or None, multiplies the
+    weights, each query reading the row of its position.
 
-    The rows are scattered into zero (B, n, heads, dh) grids, which the core
-    reads as (B, heads, n, dh) views. The forward runs this module's
-    ``matmul``, ``mul``, ``add`` and ``softmax`` on those views, untaped, so
-    its bits are those ops' as tape nodes. The backward is the softmax
-    attention one, dS = P ∘ (dP − rowsum(dP ∘ P)) / √dh, written as those
-    nodes' backwards run, operation for operation and on operands of the
-    same layouts, so its bits are theirs too. A contiguous (B, heads, n, dh)
-    grid would hand BLAS other strides, which a BLAS build may round
-    differently."""
+    Each batch row's queries, in order, fill the first of m query slots,
+    m = max(2, most queries in any row) but at most n, so the scores,
+    softmax, dropout and context products, and their backward, run on
+    (B, heads, m, n), not on every position's row. The floor of two keeps
+    the bits: with one slot, numpy's matmul sends the row-side products to
+    gemv and the slot-summing ones off BLAS, and both sum in another order
+    than gemm. The slots, keys and values are scattered into zero
+    (B, m or n, heads, dh) grids, which the core reads as (B, heads, m or n,
+    dh) views. The forward runs this module's ``matmul``, ``mul``, ``add``
+    and ``softmax`` on those views, untaped, and the backward is the
+    softmax attention one, dS = P ∘ (dP − rowsum(dP ∘ P)) / √dh, written as
+    those nodes' backwards run, operation for operation and on operands of
+    the same layouts. An empty slot, like a position that is no query, adds
+    exact zeros to the slot-summing products. So the bits are those of the
+    unfused ops on the full (B, heads, n, n) grid wherever BLAS rounds a
+    product's row the same whatever the row count and the row's place in
+    it. OpenBLAS 0.3.31's Haswell kernels do at every head width dh from 2
+    to 31 in float32, and in float64 at those that leave 0 or 4-7 over a
+    multiple of 8, the quickstart's 24 and the tests' 8 among them; at
+    width 1, from 32 on, and at the other float64 widths, some slot rows
+    round otherwise than the full grid's rows did. A contiguous
+    (B, heads, n, dh) grid would hand BLAS other strides, which a BLAS
+    build may round differently too."""
     q_rows, k_rows, v_rows = astensor(q_rows), astensor(k_rows), astensor(v_rows)
     trimmed = np.asarray(trimmed, dtype=bool)
     queries = np.asarray(queries, dtype=bool)
@@ -604,21 +638,30 @@ def attention(q_rows, k_rows, v_rows, trimmed, queries, heads, drop):
                              f"{np.count_nonzero(keep)} positions")
     B, n = trimmed.shape
     dh = d // heads
+    counts = np.count_nonzero(queries, axis=1)
+    m = min(n, max(2, int(counts.max(initial=0))))
+    slots = np.arange(m) < counts[:, None]
 
     def grid(rows, keep):
-        return _scatter(rows.data, keep).reshape(B, n, heads, dh).transpose(0, 2, 1, 3)
+        return _scatter(rows.data, keep).reshape(B, -1, heads, dh).transpose(0, 2, 1, 3)
 
     def packed(g, keep):
-        # the rows of a (B, heads, n, dh) grid at ``keep``, as (T, d)
+        # the rows of a (B, heads, m or n, dh) grid at ``keep``, as (T, d)
         return _gather(g.transpose(0, 2, 1, 3), keep).reshape(-1, d)
 
     def const(a):
         # an untaped operand, in its own dtype
         return Tensor(a, dtype=a.dtype)
 
-    q, k, v = grid(q_rows, queries), grid(k_rows, trimmed), grid(v_rows, trimmed)
+    q, k, v = grid(q_rows, slots), grid(k_rows, trimmed), grid(v_rows, trimmed)
     kt = k.transpose(0, 1, 3, 2)
     scale = astensor(1.0 / np.sqrt(dh))
+    if drop is not None and not np.array_equal(slots, queries):
+        # each slot's row of the mask at its query's position; an empty slot
+        # reads row 0, and its weights reach no output or gradient
+        at = np.zeros((B, m), dtype=np.int64)
+        at[slots] = np.nonzero(queries)[1]
+        drop = np.take_along_axis(np.asarray(drop), at[:, None, :, None], axis=2)
     drop = None if drop is None else astensor(drop)
     bias = ((1.0 - trimmed.astype(k.dtype)) * -1e9).reshape(B, 1, 1, n)
     s = mul(matmul(const(q), const(kt)), scale)
@@ -627,7 +670,7 @@ def attention(q_rows, k_rows, v_rows, trimmed, queries, heads, drop):
     ctx = matmul(const(a), const(v)).data
 
     def bw(g):
-        gc = _scatter(g.reshape(-1, heads, dh), queries).transpose(0, 2, 1, 3)
+        gc = _scatter(g.reshape(-1, heads, dh), slots).transpose(0, 2, 1, 3)
         if v_rows.requires_grad:
             v_rows._accum(packed(np.swapaxes(a, -1, -2) @ gc, trimmed))
         if not (q_rows.requires_grad or k_rows.requires_grad):
@@ -641,12 +684,12 @@ def attention(q_rows, k_rows, v_rows, trimmed, queries, heads, drop):
         gp *= p
         gp *= scale.data
         if q_rows.requires_grad:
-            q_rows._accum(packed(gp @ np.swapaxes(kt, -1, -2), queries))
+            q_rows._accum(packed(gp @ np.swapaxes(kt, -1, -2), slots))
         if k_rows.requires_grad:
             gkt = np.swapaxes(q, -1, -2) @ gp
             k_rows._accum(packed(gkt.transpose(0, 1, 3, 2), trimmed))
 
-    return _node(packed(ctx, queries), (q_rows, k_rows, v_rows), bw)
+    return _node(packed(ctx, slots), (q_rows, k_rows, v_rows), bw)
 
 
 def logsumexp(x):

@@ -459,6 +459,57 @@ def unfused_attention(h, queries, trimmed, cfg, p, i, train, rng):
     return T.linear(ctx, p[f"l{i}.attn.wo"], p[f"l{i}.attn.wo_b"])
 
 
+def assert_fused_matches_unfused(cfg, trimmed, queries, dropout, rng):
+    """``_attention`` and ``unfused_attention`` on the same rows give the
+    same bytes: output, rows' gradient, the block's gradients and the next
+    draw of the rng. ``rng`` draws the rows and the output weights."""
+    x = rng.normal(size=(np.count_nonzero(trimmed), cfg.model_dim))
+    w = rng.normal(size=(np.count_nonzero(queries), cfg.model_dim))
+    runs = []
+    for attend in (_attention, unfused_attention):
+        model = EncoderModel(cfg, seed=13)
+        p = model.params
+        rows = Tensor(x, requires_grad=True)
+        # an interior node, as the block's layer norm is: it borrows its
+        # first gradient and sums the others
+        h = T.layer_norm(rows, p["l0.ln1.g"], p["l0.ln1.b"], cfg.layer_norm_eps)
+        stream = np.random.default_rng(6)
+        out = attend(h, queries, trimmed, cfg, p, 0, dropout is not None, stream)
+        T.backward(T.tsum(T.mul(out, w)))
+        grads = {name: q.grad.tobytes() for name, q in model.named_params()
+                 if name.startswith(("l0.attn.", "l0.ln1."))}
+        runs.append((out.data.tobytes(), rows.grad.tobytes(), grads, stream.random()))
+    (out, rows_grad, grads, drawn), want = runs
+    assert out == want[0]
+    assert rows_grad == want[1]
+    assert len(grads) == 10 and grads == want[2]
+    assert drawn == want[3]
+
+
+def slot_layout(name, rng):
+    """(trimmed, queries) of one of the query layouts the slot grid packs:
+    rows with at most one query, a row with none, and eval's 1-3 slots per
+    row among about 14 columns, at B 40 and at B 1 with one query (a
+    one-token candidate)."""
+    B = {"eval-b1": 1, "eval-b40": 40}.get(name, 6)
+    lengths = rng.integers(3, 15, size=B)
+    lengths[0] = 14
+    trimmed = np.arange(14) < lengths[:, None]
+    queries = np.zeros_like(trimmed)
+    for b, length in enumerate(lengths):
+        if name == "one-query-rows":
+            c = int(rng.integers(0, 2))
+        elif name == "a-row-without-queries":
+            c = 0 if b == 2 else int(rng.integers(1, min(6, length + 1)))
+        else:
+            c = 1 if name == "eval-b1" else int(rng.integers(1, 4))
+        queries[b, rng.choice(length, c, replace=False)] = True
+    if name == "one-query-rows":        # one row with a query, one without
+        queries[:2] = False
+        queries[0, 5] = True
+    return trimmed, queries
+
+
 class TestFusedAttention:
     """The attention core as one node keeps every bit of the unfused ops:
     the output, the gradients of the projections and of the rows fed to
@@ -477,28 +528,28 @@ class TestFusedAttention:
         trimmed[0, 2] = False                       # a mask that is not a prefix
         queries = trimmed & (rng.random(trimmed.shape) < 0.4) if some else trimmed
         assert queries.any() and (queries != trimmed).any() == some
-        x = rng.normal(size=(np.count_nonzero(trimmed), cfg.model_dim))
-        w = rng.normal(size=(np.count_nonzero(queries), cfg.model_dim))
+        assert_fused_matches_unfused(cfg, trimmed, queries, dropout, rng)
 
-        runs = []
-        for attend in (_attention, unfused_attention):
-            model = EncoderModel(cfg, seed=13)
-            p = model.params
-            rows = Tensor(x, requires_grad=True)
-            # an interior node, as the block's layer norm is: it borrows its
-            # first gradient and sums the others
-            h = T.layer_norm(rows, p["l0.ln1.g"], p["l0.ln1.b"], cfg.layer_norm_eps)
-            stream = np.random.default_rng(6)
-            out = attend(h, queries, trimmed, cfg, p, 0, dropout is not None, stream)
-            T.backward(T.tsum(T.mul(out, w)))
-            grads = {name: q.grad.tobytes() for name, q in model.named_params()
-                     if name.startswith(("l0.attn.", "l0.ln1."))}
-            runs.append((out.data.tobytes(), rows.grad.tobytes(), grads, stream.random()))
-        (out, rows_grad, grads, drawn), want = runs[0], runs[1]
-        assert out == want[0]
-        assert rows_grad == want[1]
-        assert len(grads) == 10 and grads == want[2]
-        assert drawn == want[3]
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("dropout", [None, 0.1], ids=["eval", "train-dropout-0.1"])
+    @pytest.mark.parametrize("layout", ["one-query-rows", "a-row-without-queries",
+                                        "eval-b1", "eval-b40"])
+    @pytest.mark.parametrize("dims", [(4, 32), (4, 96)], ids=["dh-8", "dh-24"])
+    def test_query_slots_keep_the_full_grids_bits(self, dtype, dropout, layout, dims):
+        # a batch whose rows hold at most one query still gets two slots:
+        # with one, the products would leave gemm and round otherwise
+        T.set_dtype(dtype)
+        heads, d = dims
+        cfg = dataclasses.replace(TRIM_CFG, heads=heads, model_dim=d, ff_dim=d,
+                                  dropout=dropout or 0.0)
+        rng = np.random.default_rng(len(layout))
+        trimmed, queries = slot_layout(layout, rng)
+        most = np.count_nonzero(queries, axis=1).max()
+        assert most == 1 if layout == "one-query-rows" else 1 <= most <= 5
+        assert (~queries.any(axis=1)).any() == (layout in ("one-query-rows",
+                                                          "a-row-without-queries"))
+        assert_fused_matches_unfused(cfg, trimmed, queries, dropout, rng)
+
 
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
 def test_position_gradient_is_the_add_at_sum(dtype):

@@ -632,6 +632,30 @@ class TestInPlaceKernels:
         np.add.at(want, idx, g)
         assert_same_bits(a.grad, leaf_grad(want))
 
+    def test_index_sums_at_pretrainings_id_distribution(self, dtype):
+        # one id read 90 times, a few 20-40 times, most once or twice, as in
+        # a pretrain batch's token ids; the rank-major sums must keep
+        # np.add.at's bits, -0.0 rows included, for both backwards
+        T.set_dtype(dtype)
+        rng = np.random.default_rng(16)
+        idx = np.concatenate([[7] * 90, [3] * 40, [12] * 31, [40] * 20,
+                              np.arange(50, 360), np.arange(300, 360)])
+        rng.shuffle(idx)
+        assert sorted(np.bincount(idx))[-6:] == [2, 2, 20, 31, 40, 90]
+        g = rng.normal(0, 10, size=(idx.size, 8)).astype(dtype)
+        g[idx == 7, 0] = -0.0
+        g[rng.random(idx.size) < 0.1] = -0.0
+        table = Tensor(rng.normal(size=(360, 8)), requires_grad=True)
+        out = T.embedding_lookup(table, idx)
+        out._backward_fn(g)
+        assert_same_bits(table.grad, leaf_grad(embedding_formula_grad(table.data, idx, g)))
+        a = Tensor(rng.normal(size=(360, 8)), requires_grad=True)
+        out = T.take(a, idx)
+        out._backward_fn(g)
+        want = np.zeros_like(a.data)
+        np.add.at(want, idx, g)
+        assert_same_bits(a.grad, leaf_grad(want))
+
     def test_embedding_lookup_with_one_id_read_40_times_and_with_none(self, dtype):
         T.set_dtype(dtype)
         rng = np.random.default_rng(8)
