@@ -11,7 +11,7 @@ import hashlib
 
 import numpy as np
 
-from .config import canonical_json, read_json
+from .config import canonical_json, check_choice, read_json
 
 FORMAT_VERSION = 1
 
@@ -64,9 +64,7 @@ def load(path):
     cast. The payload is verified against the stored content hash.
     """
     doc = read_json(path, "checkpoint")
-    version = doc.get("format_version")
-    if version != FORMAT_VERSION:
-        raise ValueError(f"{path}: unsupported format_version {version!r}")
+    check_choice(f"{path}: format_version", doc.get("format_version"), (FORMAT_VERSION,))
     params, meta = doc.get("params"), doc.get("meta", {})
     if not (isinstance(params, dict) and isinstance(meta, dict)):
         raise ValueError(f"{path}: params and meta must be objects")

@@ -330,10 +330,16 @@ def cmd_score(cfg, checkpoint, sentence, candidate1, candidate2):
     return 0
 
 
+# the most benchmark instances ``gen-data`` writes; it builds them all in
+# memory before writing any, 32 MB of objects at the cap
+MAX_GEN_INSTANCES = 100_000
+
+
 def cmd_gen_data(out, n_groups, n_instances, seed):
     """Helper used by the README walkthrough; emits synthetic files."""
     C.check_count("--groups", n_groups, 1)
     C.check_count("--instances", n_instances, 1)
+    C.check_real("--instances", n_instances, 1, MAX_GEN_INSTANCES)
     groups = make_perturbation_corpus(n_groups, seed=seed)
     instances = make_benchmark(n_instances, seed=seed)
     corpus_path = os.path.join(out, "corpus.jsonl")
@@ -421,10 +427,8 @@ def main(argv=None):
         if args.command == "score":
             return cmd_score(cfg, args.checkpoint, args.sentence,
                              args.candidate1, args.candidate2)
-        if args.command == "gen-data":
-            seed = cfg["runtime"]["seed"]
-            return cmd_gen_data(out, args.groups, args.instances, seed)
-        raise CliError(f"unknown command {args.command!r}")
+        # gen-data: argparse has rejected any command that is not a subcommand
+        return cmd_gen_data(out, args.groups, args.instances, cfg["runtime"]["seed"])
     except (CliError, C.ConfigError, ValueError, OSError) as e:
         message = str(e).replace("\n", " ")
         print(f"error: {message}", file=sys.stderr)

@@ -23,8 +23,9 @@ from .text import FIRST_WORD_ID, MASK_ID, row_masks
 
 # the largest encoder, checked before any array is allocated, as training
 # holds four float64 copies of the parameters (1.6 GB at the cap); the largest
-# dropout mask, checked before training's first step, 1 GiB as float64: at 12
-# heads and max_len 512, refine's default 40 rows per step draw 126M values
+# dropout mask, bounded before training's first step as if every row were
+# max_len long, 1 GiB as float64: at 12 heads and max_len 512, that bound on
+# refine's default 40 rows per step is 126M values
 MAX_PARAMS = 50_000_000
 MAX_LEN = 512
 MAX_DROPOUT_DRAW = 2**27
@@ -167,18 +168,6 @@ def _width(used):
     return int(np.flatnonzero(used.any(axis=0)).max(initial=0)) + 1
 
 
-def _keep_mask(rate, rng, shape, index, dtype):
-    """Inverted dropout's keep mask, scaled by 1/(1 - rate); None when
-    ``rate`` drops nothing. The mask is drawn at ``shape``, the untrimmed,
-    unpacked shape of what it scales, and ``index`` picks the entries, so
-    the random stream and every kept entry do not depend on how far the
-    batch was trimmed or how many of its positions are pads."""
-    if rate <= 0.0:
-        return None
-    keep = (rng.random(shape)[index] >= rate).astype(dtype)
-    return keep / (1.0 - rate)
-
-
 def check_draw(rate, shape, keys):
     """Reject a dropout mask of ``shape`` at ``rate`` that would hold over
     ``MAX_DROPOUT_DRAW`` values; ``keys`` names the config keys to lower."""
@@ -189,7 +178,9 @@ def check_draw(rate, shape, keys):
 
 def check_dropout_draw(cfg, rows, batch):
     """Reject a training run whose dropout masks, at ``rows`` id rows per step
-    (set by the keys ``batch``), would hold over ``MAX_DROPOUT_DRAW`` values."""
+    (set by the keys ``batch``), could hold over ``MAX_DROPOUT_DRAW`` values.
+    Each mask is drawn at the shape of what it scales, so the shapes checked,
+    with every row ``max_len`` long, bound every step's draws."""
     shapes = {"encoder.model_dim": (rows, cfg.max_len, cfg.model_dim)}
     if cfg.layers:    # the attention mask, drawn in each block
         shapes["encoder.heads"] = (rows, cfg.heads, cfg.max_len, cfg.max_len)
@@ -197,13 +188,7 @@ def check_dropout_draw(cfg, rows, batch):
         check_draw(cfg.dropout, shape, f"{batch}, {key} or encoder.max_len")
 
 
-def _dropout(x, rate, rng, shape, index):
-    """Inverted dropout of ``x`` with the mask of ``_keep_mask``."""
-    keep = _keep_mask(rate, rng, shape, index, x.data.dtype)
-    return x if keep is None else T.mul(x, keep)
-
-
-def _attention(h, queries, trimmed, cfg, p, i, train, rng):
+def _attention(h, queries, trimmed, cfg, p, i, rate, rng):
     """Self-attention over packed rows ``h`` (T, d), the real tokens of the
     (B, n) mask ``trimmed``, for the query rows at the true entries of
     ``queries``, a subset of them: the q, k, v and output projections
@@ -214,20 +199,14 @@ def _attention(h, queries, trimmed, cfg, p, i, train, rng):
     Each row's queries fill the first of at least two query slots, so the
     last block, whose queries are a few of its rows, attends from those
     slots only; two, because one slot would send the products to routines
-    that round otherwise. Attention dropout's mask, at rate ``cfg.dropout``,
-    is drawn here, at (B, heads, max_len, max_len), and each query reads
-    its position's rows of it, so the random stream and every kept entry
-    do not depend on the slots."""
-    B, n = trimmed.shape
+    that round otherwise. ``T.attention`` also draws the dropout mask of the
+    attention weights, at ``rate``."""
 
     def project(w, rows):
         return T.linear(rows, p[f"l{i}.attn.{w}"], p[f"l{i}.attn.{w}_b"])
 
-    drop = _keep_mask(cfg.dropout if train else 0.0, rng,
-                      (B, cfg.heads, cfg.max_len, cfg.max_len), np.s_[:, :, :n, :n],
-                      h.data.dtype)
     ctx = T.attention(project("wq", _pick(h, queries[trimmed])), project("wk", h),
-                      project("wv", h), trimmed, queries, cfg.heads, drop)
+                      project("wv", h), trimmed, queries, cfg.heads, rate, rng)
     return project("wo", ctx)
 
 
@@ -259,6 +238,10 @@ def forward_hidden(model, ids, attention_mask, train=False, rng=None, rows=None)
     the most any row has but at least two (``T.attention``), not from all
     n columns. The stack then also spans the columns of ``rows``, so a pad
     row asked for past the longest row is in it.
+
+    In training, each dropout mask is drawn at the shape of the packed rows
+    or attention weights it scales, so how many values a step draws depends
+    on its real rows and, in the last block, on ``rows``.
     """
     cfg = model.config
     p = model.params
@@ -271,7 +254,6 @@ def forward_hidden(model, ids, attention_mask, train=False, rng=None, rows=None)
     if train and rng is None:
         raise ValueError("training-mode forward needs an rng for dropout")
     rate = cfg.dropout if train else 0.0    # no mask is drawn in eval mode
-    full = (B, L, cfg.model_dim)
 
     real = np.asarray(attention_mask, dtype=bool).reshape(B, L)
     n = _width(real)
@@ -286,20 +268,20 @@ def forward_hidden(model, ids, attention_mask, train=False, rng=None, rows=None)
 
     x = T.add(T.embedding_lookup(p["tok_emb"], ids[real]),
               T.embedding_lookup(p["pos_emb"], np.nonzero(real)[1]))
-    x = _dropout(x, rate, rng, full, real)
+    x = T.dropout(x, rate, rng)
 
     for i in range(cfg.layers):
         # the last block runs on the rows the caller reads; its keys and
         # values still come from every real row
         keep = out if i == cfg.layers - 1 else real
         h1 = T.layer_norm(x, p[f"l{i}.ln1.g"], p[f"l{i}.ln1.b"], cfg.layer_norm_eps)
-        a = _attention(h1, keep[:, :n], trimmed, cfg, p, i, train, rng)
-        a = _dropout(a, rate, rng, full, keep)
+        a = _attention(h1, keep[:, :n], trimmed, cfg, p, i, rate, rng)
+        a = T.dropout(a, rate, rng)
         x = T.add(_pick(x, keep[real]), a)
         h2 = T.layer_norm(x, p[f"l{i}.ln2.g"], p[f"l{i}.ln2.b"], cfg.layer_norm_eps)
         ff = T.gelu(T.linear(h2, p[f"l{i}.ff.w1"], p[f"l{i}.ff.b1"]))
         ff = T.linear(ff, p[f"l{i}.ff.w2"], p[f"l{i}.ff.b2"])
-        ff = _dropout(ff, rate, rng, full, keep)
+        ff = T.dropout(ff, rate, rng)
         x = T.add(x, ff)
 
     if not cfg.layers:

@@ -123,9 +123,8 @@ class Discriminator:
         h = T.add(T.mul(h, p["bn.g"]), p["bn.b"])
         pos = T.relu(h)
         h = T.add(pos, T.mul(p["prelu.a"], T.sub(h, pos)))
-        if train and self.dropout > 0:
-            keep = (rng.random(h.data.shape) >= self.dropout).astype(h.data.dtype)
-            h = T.mul(h, keep / (1.0 - self.dropout))
+        if train:
+            h = T.dropout(h, self.dropout, rng)
         return T.linear(h, p["w2"], p["b2"])
 
 

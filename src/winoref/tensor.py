@@ -45,6 +45,9 @@ the unfused ops' are, and its hand-written backward repeats their backwards
 operation for operation, so both keep the unfused ops' bits on the full
 grid at the head widths where BLAS rounds a row the same in a product of
 any row count (see ``attention``).
+
+Dropout draws each keep mask at the shape of what it scales: ``dropout``
+at its input's, ``attention`` at its (B, heads, m, n) weights'.
 """
 
 import contextlib
@@ -286,8 +289,7 @@ def sqrt(a):
     out_data = np.sqrt(a.data)
 
     def bw(g):
-        if a.requires_grad:
-            a._accum(g * 0.5 / out_data)
+        a._accum(g * 0.5 / out_data)
 
     return _node(out_data, (a,), bw)
 
@@ -297,8 +299,7 @@ def relu(a):
     keep = a.data > 0
 
     def bw(g):
-        if a.requires_grad:
-            a._accum(g * keep)
+        a._accum(g * keep)
 
     return _node(np.where(keep, a.data, 0.0), (a,), bw)
 
@@ -309,8 +310,7 @@ def clip(a, lo, hi):
     inside = (a.data >= lo) & (a.data <= hi)
 
     def bw(g):
-        if a.requires_grad:
-            a._accum(g * inside)
+        a._accum(g * inside)
 
     return _node(np.clip(a.data, lo, hi), (a,), bw)
 
@@ -325,8 +325,7 @@ def reshape(a, shape):
     src_shape = a.data.shape
 
     def bw(g):
-        if a.requires_grad:
-            a._accum(g.reshape(src_shape))
+        a._accum(g.reshape(src_shape))
 
     return _node(a.data.reshape(shape), (a,), bw)
 
@@ -335,8 +334,7 @@ def transpose(a, axes):
     a = astensor(a)
 
     def bw(g):
-        if a.requires_grad:
-            a._accum(g.transpose(np.argsort(axes)))
+        a._accum(g.transpose(np.argsort(axes)))
 
     return _node(a.data.transpose(axes), (a,), bw)
 
@@ -385,11 +383,10 @@ def take(a, rows):
         raise ShapeError(f"take: index must be 1-d, got shape {idx.shape}")
 
     def bw(g):
-        if a.requires_grad:
-            buf = np.zeros_like(a.data)
-            ids, sums = _index_sum(idx, g, buf.dtype)
-            buf[ids] = sums
-            a._accum(buf)
+        buf = np.zeros_like(a.data)
+        ids, sums = _index_sum(idx, g, buf.dtype)
+        buf[ids] = sums
+        a._accum(buf)
 
     return _node(np.take(a.data, idx, axis=0), (a,), bw)
 
@@ -427,8 +424,7 @@ def gather_rows(a, keep):
     keep = np.asarray(keep, dtype=bool)
 
     def bw(g):
-        if a.requires_grad:
-            a._accum(_scatter(g, keep))
+        a._accum(_scatter(g, keep))
 
     return _node(_gather(a.data, keep), (a,), bw)
 
@@ -441,8 +437,7 @@ def scatter_rows(a, keep):
     keep = np.asarray(keep, dtype=bool)
 
     def bw(g):
-        if a.requires_grad:
-            a._accum(_gather(g, keep))
+        a._accum(_gather(g, keep))
 
     return _node(_scatter(a.data, keep), (a,), bw)
 
@@ -456,10 +451,9 @@ def tsum(a, axis=None):
     a = astensor(a)
 
     def bw(g):
-        if a.requires_grad:
-            if axis is not None:
-                g = np.expand_dims(g, axis)
-            a._accum(np.broadcast_to(g, a.data.shape).copy())
+        if axis is not None:
+            g = np.expand_dims(g, axis)
+        a._accum(np.broadcast_to(g, a.data.shape).copy())
 
     return _node(a.data.sum(axis=axis), (a,), bw)
 
@@ -478,10 +472,9 @@ def tmax(a, axis):
     out_data = np.take_along_axis(a.data, idx, axis=axis).squeeze(axis)
 
     def bw(g):
-        if a.requires_grad:
-            buf = np.zeros_like(a.data)
-            np.put_along_axis(buf, idx, np.expand_dims(g, axis), axis=axis)
-            a._accum(buf)
+        buf = np.zeros_like(a.data)
+        np.put_along_axis(buf, idx, np.expand_dims(g, axis), axis=axis)
+        a._accum(buf)
 
     return _node(out_data, (a,), bw)
 
@@ -572,26 +565,42 @@ def softmax(x):
     np.copyto(out_data, np.swapaxes(slabs, 0, -1))
 
     def bw(g):
-        if x.requires_grad:
-            gx = g * out_data
-            dot = gx.sum(axis=-1, keepdims=True)
-            np.subtract(g, dot, out=gx)
-            gx *= out_data
-            x._accum(gx)
+        gx = g * out_data
+        dot = gx.sum(axis=-1, keepdims=True)
+        np.subtract(g, dot, out=gx)
+        gx *= out_data
+        x._accum(gx)
 
     return _node(out_data, (x,), bw)
 
 
-def attention(q_rows, k_rows, v_rows, trimmed, queries, heads, drop):
+def _keep_mask(rate, rng, shape, dtype):
+    """Inverted dropout's keep mask, drawn from ``rng`` at ``shape`` and
+    scaled by 1/(1 - rate); None, with nothing drawn, when ``rate`` drops
+    nothing."""
+    if rate <= 0.0:
+        return None
+    return (rng.random(shape) >= rate).astype(dtype) / (1.0 - rate)
+
+
+def dropout(x, rate, rng):
+    """Inverted dropout of ``x`` at ``rate``, its keep mask drawn at ``x``'s
+    own shape; ``x`` itself at rate 0."""
+    x = astensor(x)
+    keep = _keep_mask(rate, rng, x.data.shape, x.data.dtype)
+    return x if keep is None else mul(x, keep)
+
+
+def attention(q_rows, k_rows, v_rows, trimmed, queries, heads, rate, rng):
     """Multi-head softmax attention as one node. ``k_rows`` and ``v_rows``
     (T, d) are the projected rows at the true entries of the (B, n) mask
     ``trimmed``, ``q_rows`` (Tq, d) those at the true entries of ``queries``,
     a subset of them (a query outside ``trimmed`` is a ShapeError); the
     result is the (Tq, d) context rows of the queries.
     A key outside ``trimmed`` gets -1e9 in the rows' dtype added to its
-    scores, a real key -0.0; ``drop``, attention dropout's (B, heads, n, n)
-    keep mask already scaled by 1/(1 - rate), or None, multiplies the
-    weights, each query reading the row of its position.
+    scores, a real key -0.0. Attention dropout at ``rate`` multiplies the
+    weights by a keep mask drawn from ``rng`` at their (B, heads, m, n)
+    shape; at rate 0 nothing is drawn.
 
     Each batch row's queries, in order, fill the first of m query slots,
     m = max(2, most queries in any row) but at most n, so the scores,
@@ -656,17 +665,11 @@ def attention(q_rows, k_rows, v_rows, trimmed, queries, heads, drop):
     q, k, v = grid(q_rows, slots), grid(k_rows, trimmed), grid(v_rows, trimmed)
     kt = k.transpose(0, 1, 3, 2)
     scale = astensor(1.0 / np.sqrt(dh))
-    if drop is not None and not np.array_equal(slots, queries):
-        # each slot's row of the mask at its query's position; an empty slot
-        # reads row 0, and its weights reach no output or gradient
-        at = np.zeros((B, m), dtype=np.int64)
-        at[slots] = np.nonzero(queries)[1]
-        drop = np.take_along_axis(np.asarray(drop), at[:, None, :, None], axis=2)
-    drop = None if drop is None else astensor(drop)
+    drop = _keep_mask(rate, rng, (B, heads, m, n), k.dtype)
     bias = ((1.0 - trimmed.astype(k.dtype)) * -1e9).reshape(B, 1, 1, n)
     s = mul(matmul(const(q), const(kt)), scale)
     p = softmax(add(s, const(bias))).data
-    a = p if drop is None else mul(const(p), drop).data
+    a = p if drop is None else mul(const(p), const(drop)).data
     ctx = matmul(const(a), const(v)).data
 
     def bw(g):
@@ -677,7 +680,7 @@ def attention(q_rows, k_rows, v_rows, trimmed, queries, heads, drop):
             return
         gs = gc @ np.swapaxes(v, -1, -2)
         if drop is not None:
-            gs *= drop.data
+            gs *= drop
         gp = gs * p                         # softmax: (g - sum(g * P)) * P
         dot = gp.sum(axis=-1, keepdims=True)
         np.subtract(gs, dot, out=gp)
@@ -702,8 +705,7 @@ def logsumexp(x):
     soft = e / s
 
     def bw(g):
-        if x.requires_grad:
-            x._accum(np.expand_dims(g, -1) * soft)
+        x._accum(np.expand_dims(g, -1) * soft)
 
     return _node(out_data, (x,), bw)
 
@@ -768,20 +770,19 @@ def gelu(x):
     def bw(g):
         # g * (0.5 * (1 + t) + 0.5 * x * (1 - t^2) * C * (1 + 3 * 0.044715 * x^2)),
         # written over the forward's t1, t and sq
-        if x.requires_grad:
-            gx = t1
-            gx *= 0.5
-            sech2 = np.multiply(t, t, out=t)
-            np.subtract(1.0, sech2, out=sech2)
-            d_inner = np.multiply(sq, 3.0 * 0.044715, out=sq)
-            d_inner += 1.0
-            d_inner *= _GELU_C
-            tmp = 0.5 * x.data
-            tmp *= sech2
-            tmp *= d_inner
-            gx += tmp
-            gx *= g
-            x._accum(gx)
+        gx = t1
+        gx *= 0.5
+        sech2 = np.multiply(t, t, out=t)
+        np.subtract(1.0, sech2, out=sech2)
+        d_inner = np.multiply(sq, 3.0 * 0.044715, out=sq)
+        d_inner += 1.0
+        d_inner *= _GELU_C
+        tmp = 0.5 * x.data
+        tmp *= sech2
+        tmp *= d_inner
+        gx += tmp
+        gx *= g
+        x._accum(gx)
 
     return _node(out_data, (x,), bw)
 
@@ -797,13 +798,12 @@ def embedding_lookup(table, ids):
     def bw(g):
         # sum over the looked-up rows only, then add those rows into the
         # table's gradient
-        if table.requires_grad:
-            rows, sums = _index_sum(ids.reshape(-1),
-                                    g.reshape((-1,) + table.data.shape[1:]),
-                                    table.data.dtype)
-            if table.grad is None or table._grad_borrowed:
-                table._accum(np.zeros_like(table.data))
-            table.grad[rows] += sums
+        rows, sums = _index_sum(ids.reshape(-1),
+                                g.reshape((-1,) + table.data.shape[1:]),
+                                table.data.dtype)
+        if table.grad is None or table._grad_borrowed:
+            table._accum(np.zeros_like(table.data))
+        table.grad[rows] += sums
 
     return _node(table.data[ids], (table,), bw)
 
@@ -831,12 +831,11 @@ def cross_entropy(logits, targets):
     out_data = np.asarray(-logp.mean())
 
     def bw(g):
-        if logits.requires_grad:
-            soft = np.divide(e, z, out=e)           # written over e
-            soft[np.arange(n), targets] -= 1.0
-            soft *= g
-            soft /= n
-            logits._accum(soft)
+        soft = np.divide(e, z, out=e)           # written over e
+        soft[np.arange(n), targets] -= 1.0
+        soft *= g
+        soft /= n
+        logits._accum(soft)
 
     return _node(out_data, (logits,), bw)
 
@@ -872,9 +871,8 @@ def l2_normalize(x):
     out_data = np.where(nonzero, y / safe, 0.0)
 
     def bw(g):
-        if x.requires_grad:
-            dot = (g * out_data).sum(axis=-1, keepdims=True)
-            gx = np.where(nonzero, (g - out_data * dot) / safe / scale, 0.0)
-            x._accum(gx)
+        dot = (g * out_data).sum(axis=-1, keepdims=True)
+        gx = np.where(nonzero, (g - out_data * dot) / safe / scale, 0.0)
+        x._accum(gx)
 
     return _node(out_data, (x,), bw)

@@ -82,8 +82,7 @@ class Vocabulary:
     @classmethod
     def load(cls, path):
         doc = read_json(path, "vocabulary")
-        if doc.get("format_version") != 1:
-            raise ValueError(f"{path}: unsupported format_version")
+        check_choice(f"{path}: format_version", doc.get("format_version"), (1,))
         tokens = doc.get("tokens")
         if not (isinstance(tokens, list) and all(isinstance(t, str) for t in tokens)):
             raise ValueError(f"{path}: tokens must be a list of strings")

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import winoref.tensor as T
-from winoref import encoder
 from winoref.encoder import encode, mlm_logits_batch
 from winoref.refine import N_KINDS, _row_tables, pooled_stack
 from winoref.synthetic import make_benchmark
@@ -20,16 +19,16 @@ def float64_precision():
 
 
 def record_draws(monkeypatch):
-    """Replace ``encoder._keep_mask`` by a recorder of the shape of every
+    """Replace ``tensor._keep_mask`` by a recorder of the shape of every
     dropout mask asked for; it draws none, so dropout keeps every entry.
     Returns the list of shapes."""
     shapes = []
 
-    def record(rate, rng, shape, index, dtype):
+    def record(rate, rng, shape, dtype):
         if rate > 0.0:
             shapes.append(shape)
 
-    monkeypatch.setattr(encoder, "_keep_mask", record)
+    monkeypatch.setattr(T, "_keep_mask", record)
     return shapes
 
 

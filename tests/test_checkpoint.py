@@ -63,6 +63,19 @@ def test_unsupported_version_rejected(tmp_path):
         ckpt.load(path)
 
 
+@pytest.mark.parametrize("version", [True, 1.0, "1"])
+def test_version_must_be_the_integer_one(tmp_path, version):
+    # True == 1 and 1.0 == 1 in Python, so both used to load as version 1
+    path = tmp_path / "d.ckpt.json"
+    ckpt.save(path, _arrays())
+    doc = json.loads(path.read_text())
+    doc["format_version"] = version
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError) as e:
+        ckpt.load(path)
+    assert str(e.value) == f"{path}: format_version must be one of 1, got {version!r}"
+
+
 def test_saved_bytes_are_pinned(tmp_path):
     # the file format's bytes: key order, separators, escaping and float
     # spelling all show in the hash

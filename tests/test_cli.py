@@ -1116,6 +1116,21 @@ class TestGenData:
             assert err.startswith(f"error: {flag} must be >= 1") and err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
 
+    def test_instances_over_the_cap_rejected_before_any_is_built(self, tmp_path,
+                                                                 capsys, monkeypatch):
+        # 10**8 instances were all built in memory before any was written,
+        # and a MemoryError traceback ended the run
+        def make_benchmark(*args, **kwargs):
+            raise AssertionError("an instance was about to be built")
+
+        monkeypatch.setattr(cli, "make_benchmark", make_benchmark)
+        over = cli.MAX_GEN_INSTANCES + 1
+        assert cli.main(["gen-data", "--out", str(tmp_path),
+                         "--instances", str(over)]) == 1
+        assert capsys.readouterr().err == (f"error: --instances must be in "
+                                           f"[1, {cli.MAX_GEN_INSTANCES}], got {over}\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_module_invocation_runs_the_command(self, tmp_path):
         # `python -m winoref.cli` used to import the module, do nothing and
         # exit 0

@@ -1,4 +1,6 @@
+import contextlib
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -237,20 +239,6 @@ class TestTrimmedForward:
         assert hidden.shape == (3, 1, TRIM_CFG.model_dim)
         assert hidden.dtype == np.dtype(dtype) and (hidden == 0).all()
 
-    def test_dropout_masks_are_drawn_at_the_untrimmed_shape(self, dtype):
-        T.set_dtype(dtype)
-        cfg = TRIM_CFG
-        model = EncoderModel(cfg, seed=10)
-        rng = np.random.default_rng(2)
-        ids = np.stack([word_row(rng, n, cfg) for n in (9, 13)])
-        stream = np.random.default_rng(5)
-        forward_hidden(model, ids, row_masks(ids)[0], train=True, rng=stream)
-        B, L, d = len(ids), cfg.max_len, cfg.model_dim
-        drawn = B * L * d + cfg.layers * (B * cfg.heads * L * L + 2 * B * L * d)
-        want = np.random.default_rng(5)
-        want.random(drawn)
-        assert stream.random() == want.random()
-
 
 def over_the_cap(shape, batch, key, cap=None):
     return (f"dropout would draw a mask of shape {shape}, over the cap of "
@@ -293,11 +281,12 @@ class TestDropoutDrawCap:
                                                                     monkeypatch):
         vocab, cfg, _, seqs = small_setup
         pre = PretrainConfig(epochs=1, batch_size=5, seed=2)
+        # the checked shape, every row at max_len, bounds every mask drawn
+        bound = (5, cfg.heads, cfg.max_len, cfg.max_len)
+        cap = math.prod(bound)
         shapes = record_draws(monkeypatch)
         pretrain_mlm(EncoderModel(cfg, seed=3), seqs, pre, vocab)
-        largest = max(shapes, key=math.prod)
-        assert largest == (5, cfg.heads, cfg.max_len, cfg.max_len)
-        cap = math.prod(largest)
+        assert shapes and max(map(math.prod, shapes)) <= cap
         monkeypatch.setattr(encoder, "MAX_DROPOUT_DRAW", cap)
         pretrain_mlm(EncoderModel(cfg, seed=3), seqs, pre, vocab)
         monkeypatch.setattr(encoder, "MAX_DROPOUT_DRAW", cap - 1)
@@ -306,20 +295,48 @@ class TestDropoutDrawCap:
         before = {name: q.data.copy() for name, q in model.named_params()}
         with pytest.raises(ValueError) as e:
             pretrain_mlm(model, seqs, pre, vocab)
-        assert str(e.value) == over_the_cap(largest, "pretrain.batch_size",
+        assert str(e.value) == over_the_cap(bound, "pretrain.batch_size",
                                             "encoder.heads", cap - 1)
         assert shapes == []
         assert all(np.array_equal(q.data, before[name]) for name, q in model.named_params())
 
 
-def padded_dropout(x, rate, rng, shape):
+def drawn_keep(rate, rng, shape, dtype):
+    """Inverted dropout's keep mask at ``shape``, as the encoder draws it."""
+    return (rng.random(shape) >= rate).astype(dtype) / (1.0 - rate)
+
+
+def row_keep(rate, rng, keep, d, dtype):
+    """The keep mask a packed forward draws for its (T, d) rows at the true
+    entries of the (B, n) mask ``keep``, scattered into a (B, n, d) grid of
+    ones."""
+    grid = np.ones(keep.shape + (d,), dtype=dtype)
+    grid[keep] = drawn_keep(rate, rng, (np.count_nonzero(keep), d), dtype)
+    return grid
+
+
+def weight_keep(rate, rng, queries, heads, dtype):
+    """The keep mask ``T.attention`` draws for the weights of the queries at
+    the true entries of the (B, n) mask ``queries``, its (B, heads, m, n)
+    slot rows scattered into a (B, heads, n, n) grid of ones at the query
+    positions."""
+    B, n = queries.shape
+    counts = np.count_nonzero(queries, axis=1)
+    m = min(n, max(2, int(counts.max(initial=0))))
+    slots = np.arange(m) < counts[:, None]
+    keep = drawn_keep(rate, rng, (B, heads, m, n), dtype).transpose(0, 2, 1, 3)
+    grid = np.ones((B, n, heads, n), dtype=dtype)
+    grid[queries] = keep[slots]
+    return grid.transpose(0, 2, 1, 3)
+
+
+def padded_dropout(x, rate, rng, real):
     if rate <= 0.0:
         return x
-    drawn = rng.random(shape)[tuple(map(slice, x.data.shape))]
-    return T.mul(x, (drawn >= rate).astype(x.data.dtype) / (1.0 - rate))
+    return T.mul(x, row_keep(rate, rng, real, x.data.shape[-1], x.data.dtype))
 
 
-def padded_attention(h, mask_bias, cfg, p, i, train, rate, rng):
+def padded_attention(h, mask_bias, real, cfg, p, i, train, rate, rng):
     B, L, d = h.data.shape
     heads = cfg.heads
     dh = d // heads
@@ -332,8 +349,8 @@ def padded_attention(h, mask_bias, cfg, p, i, train, rate, rng):
     q, k, v = project("wq"), project("wk"), project("wv")
     scores = T.mul(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(dh))
     attn = T.softmax(T.add(scores, mask_bias))
-    if train:
-        attn = padded_dropout(attn, rate, rng, (B, heads, cfg.max_len, cfg.max_len))
+    if train and rate > 0.0:
+        attn = T.mul(attn, weight_keep(rate, rng, real, heads, attn.data.dtype))
     ctx = T.reshape(T.transpose(T.matmul(attn, v), (0, 2, 1, 3)), (B * L, d))
     out = T.add(T.matmul(ctx, p[f"l{i}.attn.wo"]), p[f"l{i}.attn.wo_b"])
     return T.reshape(out, (B, L, d))
@@ -342,24 +359,26 @@ def padded_attention(h, mask_bias, cfg, p, i, train, rate, rng):
 def padded_forward_hidden(model, ids, attention_mask, train=False, rng=None):
     """``forward_hidden`` as it was before packing: every layer runs on all
     B·n positions of the trimmed batch and the pad rows are zeroed at the
-    end."""
+    end. Each dropout mask is the packed forward's, scattered into the
+    padded grid."""
     cfg, p = model.config, model.params
     B, L = ids.shape
-    rate, full, d = cfg.dropout, (B, L, cfg.model_dim), cfg.model_dim
+    rate, d = cfg.dropout, cfg.model_dim
     mask = np.asarray(attention_mask, dtype=p["tok_emb"].data.dtype)
     n = int(np.flatnonzero(mask.any(axis=0)).max(initial=0)) + 1
     ids, mask = ids[:, :n], mask[:, :n]
+    real = mask > 0
     mask_bias = Tensor(((1.0 - mask) * -1e9).reshape(B, 1, 1, n))
 
     pos = T.reshape(T.take(p["pos_emb"], np.arange(n)), (1, n, d))
     x = T.add(T.embedding_lookup(p["tok_emb"], ids), pos)
     if train:
-        x = padded_dropout(x, rate, rng, full)
+        x = padded_dropout(x, rate, rng, real)
     for i in range(cfg.layers):
         h1 = T.layer_norm(x, p[f"l{i}.ln1.g"], p[f"l{i}.ln1.b"], cfg.layer_norm_eps)
-        a = padded_attention(h1, mask_bias, cfg, p, i, train, rate, rng)
+        a = padded_attention(h1, mask_bias, real, cfg, p, i, train, rate, rng)
         if train:
-            a = padded_dropout(a, rate, rng, full)
+            a = padded_dropout(a, rate, rng, real)
         x = T.add(x, a)
         h2 = T.layer_norm(x, p[f"l{i}.ln2.g"], p[f"l{i}.ln2.b"], cfg.layer_norm_eps)
         flat = T.reshape(h2, (B * n, d))
@@ -367,7 +386,7 @@ def padded_forward_hidden(model, ids, attention_mask, train=False, rng=None):
         ff = T.add(T.matmul(ff, p[f"l{i}.ff.w2"]), p[f"l{i}.ff.b2"])
         ff = T.reshape(ff, (B, n, d))
         if train:
-            ff = padded_dropout(ff, rate, rng, full)
+            ff = padded_dropout(ff, rate, rng, real)
         x = T.add(x, ff)
     x = T.layer_norm(x, p["final_ln.g"], p["final_ln.b"], cfg.layer_norm_eps)
     return T.add(T.mul(x, mask.reshape(B, n, 1)), 0.0)
@@ -430,13 +449,14 @@ class TestPackedForward:
                 assert grads[name].tobytes() == want.tobytes(), name
 
 
-def unfused_attention(h, queries, trimmed, cfg, p, i, train, rng):
+def unfused_attention(h, queries, trimmed, cfg, p, i, rate, rng):
     """``_attention`` as it was before ``T.attention``: about twenty tape
     nodes, with q, k and v scattered into (B, n, H, dh) grids and the core
-    read through their (B, H, n, dh) views."""
+    read through their (B, H, n, dh) views. The dropout mask is
+    ``T.attention``'s, scattered into the weights' (B, H, n, n) grid."""
     B, n = trimmed.shape
     d = h.data.shape[1]
-    heads, rate = cfg.heads, cfg.dropout
+    heads = cfg.heads
     dh = d // heads
     mask_bias = Tensor(((1.0 - trimmed) * -1e9).reshape(B, 1, 1, n))
 
@@ -451,9 +471,8 @@ def unfused_attention(h, queries, trimmed, cfg, p, i, train, rng):
     scores = T.matmul(q, T.transpose(k, (0, 1, 3, 2)))
     scores = T.mul(scores, 1.0 / np.sqrt(dh))
     attn = T.softmax(T.add(scores, mask_bias))
-    if train and rate > 0.0:
-        keep = rng.random((B, heads, cfg.max_len, cfg.max_len))[:, :, :n, :n] >= rate
-        attn = T.mul(attn, keep.astype(attn.data.dtype) / (1.0 - rate))
+    if rate > 0.0:
+        attn = T.mul(attn, weight_keep(rate, rng, queries, heads, attn.data.dtype))
     ctx = T.transpose(T.matmul(attn, v), (0, 2, 1, 3))
     ctx = T.reshape(T.gather_rows(ctx, queries), (-1, d))
     return T.linear(ctx, p[f"l{i}.attn.wo"], p[f"l{i}.attn.wo_b"])
@@ -474,7 +493,8 @@ def assert_fused_matches_unfused(cfg, trimmed, queries, dropout, rng):
         # first gradient and sums the others
         h = T.layer_norm(rows, p["l0.ln1.g"], p["l0.ln1.b"], cfg.layer_norm_eps)
         stream = np.random.default_rng(6)
-        out = attend(h, queries, trimmed, cfg, p, 0, dropout is not None, stream)
+        rate = cfg.dropout if dropout is not None else 0.0
+        out = attend(h, queries, trimmed, cfg, p, 0, rate, stream)
         T.backward(T.tsum(T.mul(out, w)))
         grads = {name: q.grad.tobytes() for name, q in model.named_params()
                  if name.startswith(("l0.attn.", "l0.ln1."))}
@@ -769,7 +789,8 @@ class TestHeadRows:
                 if flat_idx.size == 0:
                     continue
                 mask = row_masks(np.stack(batch))[0]
-                hidden = forward_hidden(ref, corrupted, mask, train=True, rng=rng)
+                with last_block_drawn_as_asked(cfg, mask, flat_idx):
+                    hidden = forward_hidden(ref, corrupted, mask, train=True, rng=rng)
                 flat = T.reshape(hidden, (-1, cfg.model_dim))
                 logits = T.add(T.matmul(flat, T.transpose(p["tok_emb"], (1, 0))),
                                p["mlm_bias"])
@@ -787,11 +808,51 @@ class TestHeadRows:
                                        err_msg=name)
 
 
+@contextlib.contextmanager
+def last_block_drawn_as_asked(cfg, mask, rows):
+    """Inside the block, a forward over every row of the (B, L) ``mask``
+    draws its last block's three dropout masks as a forward that reads only
+    the flat positions ``rows`` does, at the shapes of the asked queries'
+    weights and rows, and scatters them into the masks it asks for: the
+    weights' at every real query's slot, the rows' at every real row,
+    ones where no asked row is."""
+    real = np.asarray(mask, dtype=bool)
+    B, L = real.shape
+    n = int(np.flatnonzero(real.any(axis=0)).max(initial=0)) + 1
+    asked = np.zeros(B * L, dtype=bool)
+    asked[rows] = True
+    queries = (real & asked.reshape(B, L))[:, :n]
+    trimmed = real[:, :n]
+    counts = np.count_nonzero(trimmed, axis=1)
+    slots = np.arange(min(n, max(2, int(counts.max(initial=0))))) < counts[:, None]
+    first = 1 + 3 * (cfg.layers - 1)        # the embeddings', then three a block
+    calls = itertools.count(-first)
+    drawn = T._keep_mask
+
+    def keep_mask(rate, rng, shape, dtype):
+        k = next(calls)
+        if rate <= 0.0 or not cfg.layers or not 0 <= k < 3:
+            return drawn(rate, rng, shape, dtype)
+        if k == 0:
+            # at the asked queries' positions, then at the full forward's slots
+            grid = weight_keep(rate, rng, queries, cfg.heads, dtype).transpose(0, 2, 1, 3)
+            full = np.ones((B, slots.shape[1], cfg.heads, n), dtype=dtype)
+            full[slots] = grid[trimmed]
+            return full.transpose(0, 2, 1, 3)
+        return row_keep(rate, rng, queries[trimmed][None], shape[1], dtype)[0]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(T, "_keep_mask", keep_mask)
+        yield
+
+
 def full_stack_logits(model, ids, mask, rows, train=False, rng=None):
     """Logits at ``rows`` from a forward that runs every row through the
-    last block, then the head over the picked rows."""
+    last block, then the head over the picked rows. Its dropout masks are
+    those of ``mlm_logits_batch``'s forward, which reads only ``rows``."""
     p = model.params
-    hidden = forward_hidden(model, ids, mask, train=train, rng=rng)
+    with last_block_drawn_as_asked(model.config, mask, rows):
+        hidden = forward_hidden(model, ids, mask, train=train, rng=rng)
     picked = T.take(T.reshape(hidden, (-1, model.config.model_dim)),
                     stack_index(rows, model.config.max_len, hidden.shape[1]))
     return T.linear(picked, T.transpose(p["tok_emb"], (1, 0)), p["mlm_bias"])
@@ -847,16 +908,35 @@ class TestAskedRows:
         assert (hidden[~asked] == 0).all() and not np.signbit(hidden[~asked]).any()
         assert (hidden[asked] != 0).any(axis=-1).all()
 
-    def test_rng_state_does_not_depend_on_rows(self, dtype, rtol):
+    @pytest.mark.parametrize("rate", [0.1, 0.0])
+    @pytest.mark.parametrize("rows", [None, "unsorted-repeated", "one-real-row"])
+    def test_training_draws_each_mask_at_the_shape_it_scales(self, dtype, rtol, rows,
+                                                              rate, monkeypatch):
+        # the embeddings' (T, d) rows, then in each block the (B, heads, m, n)
+        # attention weights and the rows of its two row dropouts; the last
+        # block's queries and rows are the real rows asked for
         T.set_dtype(dtype)
-        ids, mask = asked_batch(TRIM_CFG)
-        model = EncoderModel(TRIM_CFG, seed=6)
-        states = []
-        for rows in (None, np.array(ASKED_ROWS["unsorted-repeated"])):
-            stream = np.random.default_rng(8)
-            forward_hidden(model, ids, mask, train=True, rng=stream, rows=rows)
-            states.append(stream.bit_generator.state)
-        assert states[0] == states[1]
+        cfg = dataclasses.replace(TRIM_CFG, layers=3, dropout=rate)
+        ids, mask = asked_batch(cfg)
+        rows = None if rows is None else np.array(ASKED_ROWS[rows])
+        model = EncoderModel(cfg, seed=6)
+        B, n, d = len(ids), cfg.max_len, cfg.model_dim      # a row is max_len long
+        last = mask.copy()
+        if rows is not None:
+            last &= np.isin(np.arange(B * n), rows).reshape(B, n)
+        want = [(np.count_nonzero(mask), d)]
+        for queries in [mask] * (cfg.layers - 1) + [last]:
+            m = max(2, np.count_nonzero(queries, axis=1).max())
+            want += [(B, cfg.heads, m, n)] + [(np.count_nonzero(queries), d)] * 2
+        shapes = record_draws(monkeypatch)
+        forward_hidden(model, ids, mask, train=True, rng=np.random.default_rng(8),
+                       rows=rows)
+        assert shapes == (want if rate else [])
+        monkeypatch.undo()
+        stream, drawn = np.random.default_rng(8), np.random.default_rng(8)
+        forward_hidden(model, ids, mask, train=True, rng=stream, rows=rows)
+        drawn.random(sum(map(math.prod, want)) if rate else 0)
+        assert stream.bit_generator.state == drawn.bit_generator.state
 
     def test_first_pretrain_step_moves_only_the_last_weight_sums(self, dtype, rtol,
                                                                    small_setup):

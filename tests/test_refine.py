@@ -441,21 +441,27 @@ class TestDropoutDrawCap:
             refine(model, disc, groups, LossWeights(), r_cfg, ScoreConfig(), vocab)
             return model
 
+        # the checked shape, every row at max_len, bounds every mask drawn
+        bound = (11, cfg.heads, cfg.max_len, cfg.max_len)
+        cap = math.prod(bound)
         shapes = record_draws(monkeypatch)
         run()
-        largest = max(shapes, key=math.prod)
-        assert largest == (11, cfg.heads, cfg.max_len, cfg.max_len)
-        monkeypatch.setattr(encoder, "MAX_DROPOUT_DRAW", math.prod(largest))
+        assert shapes and max(map(math.prod, shapes)) <= cap
+        monkeypatch.setattr(encoder, "MAX_DROPOUT_DRAW", cap)
         run()
-        monkeypatch.setattr(encoder, "MAX_DROPOUT_DRAW", math.prod(largest) - 1)
+        monkeypatch.setattr(encoder, "MAX_DROPOUT_DRAW", cap - 1)
         shapes.clear()
+        model = EncoderModel(cfg, seed=0)
+        before = {name: q.data.copy() for name, q in model.named_params()}
         with pytest.raises(ValueError) as e:
-            run()
+            disc = Discriminator(cfg.model_dim, 16, dropout=0.2, seed=0)
+            refine(model, disc, groups, LossWeights(), r_cfg, ScoreConfig(), vocab)
         assert str(e.value) == (
-            f"dropout would draw a mask of shape {largest}, over the cap of "
-            f"{math.prod(largest) - 1} values: lower refine.batch_size, "
+            f"dropout would draw a mask of shape {bound}, over the cap of "
+            f"{cap - 1} values: lower refine.batch_size, "
             f"refine.perturbations_per_sample, encoder.heads or encoder.max_len")
         assert shapes == []
+        assert all(np.array_equal(q.data, before[name]) for name, q in model.named_params())
 
     def test_refine_checks_the_discriminator_dropout_draw(self, tiny_world,
                                                           monkeypatch):
@@ -512,7 +518,7 @@ class TestDropoutDrawCap:
     def test_default_batches_run_at_eight_heads_and_the_longest_rows(self,
                                                                       monkeypatch):
         # pretrain forwards 16 rows per step and refine 10 groups of 4 kinds;
-        # the masks are recorded, not drawn (the largest is 671 MB)
+        # the checked shapes, every row at max_len, bound the masks drawn
         groups = make_perturbation_corpus(10, seed=21)
         vocab = build_vocab(corpus_sentences(groups))
         cfg = EncoderConfig(layers=1, heads=8, model_dim=16, ff_dim=16,
@@ -521,13 +527,13 @@ class TestDropoutDrawCap:
         shapes = record_draws(monkeypatch)
         rows = [tokenize(t, vocab, cfg.max_len) for t in corpus_sentences(groups)]
         pretrain_mlm(model, rows, PretrainConfig(epochs=1), vocab)
-        assert max(shapes, key=math.prod) == (16, 8, 512, 512)
+        assert shapes and max(map(math.prod, shapes)) <= 16 * 8 * 512 * 512
         shapes.clear()
         disc = Discriminator(cfg.model_dim, 16, dropout=0.2, seed=0)
         history = refine(model, disc, groups, LossWeights(), RefinementConfig(epochs=1),
                          ScoreConfig(), vocab)
         assert len(history) == 1
-        assert max(shapes, key=math.prod) == (40, 8, 512, 512)
+        assert shapes and max(map(math.prod, shapes)) <= 40 * 8 * 512 * 512
 
 
 class TestRefine:

@@ -138,7 +138,7 @@ class TestBasics:
         queries = trimmed & np.array([[True, False, True], [True, True, True]])
         q, k, v = (Tensor(np.ones((c, 6))) for c in counts)
         with pytest.raises(T.ShapeError) as e:
-            T.attention(q, k, v, trimmed, queries, heads, None)
+            T.attention(q, k, v, trimmed, queries, heads, 0.0, None)
         assert str(e.value) == message
 
     def test_attention_rejects_queries_outside_the_key_mask(self):
@@ -147,8 +147,24 @@ class TestBasics:
         queries = np.array([[False, True, True], [False, True, False]])
         q, k, v = Tensor(np.ones((3, 4))), Tensor(np.ones((3, 4))), Tensor(np.ones((3, 4)))
         with pytest.raises(T.ShapeError) as e:
-            T.attention(q, k, v, trimmed, queries, 2, None)
+            T.attention(q, k, v, trimmed, queries, 2, 0.0, None)
         assert str(e.value) == "attention: 2 query positions outside the key mask"
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_dropout_draws_one_mask_at_its_input_shape(self, dtype):
+        T.set_dtype(dtype)
+        x = Tensor(np.random.default_rng(1).normal(size=(3, 5)), requires_grad=True)
+        out = T.dropout(x, 0.25, np.random.default_rng(3))
+        drawn = np.random.default_rng(3)
+        keep = (drawn.random((3, 5)) >= 0.25).astype(dtype) / 0.75
+        assert out.data.dtype == dtype
+        assert out.data.tobytes() == (x.data * keep).tobytes()
+        T.backward(T.tsum(out))
+        assert x.grad.tobytes() == keep.tobytes()
+        # at rate 0: the input itself, and nothing drawn
+        stream = np.random.default_rng(3)
+        assert T.dropout(x, 0.0, stream) is x
+        assert stream.bit_generator.state == np.random.default_rng(3).bit_generator.state
 
     def test_zero_norm_cosine_is_zero_with_zero_grad(self):
         u = Tensor([0.0, 0.0], requires_grad=True)

@@ -117,6 +117,17 @@ class TestVocabulary:
         Vocabulary.load(p1).save(p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    @pytest.mark.parametrize("version", [True, 1.0, "1"])
+    def test_load_holds_the_version_to_the_integer_one(self, vocab, tmp_path, version):
+        # True == 1 and 1.0 == 1 in Python, so both used to load as version 1
+        p = tmp_path / "v.json"
+        vocab.save(p)
+        p.write_text(p.read_text().replace('"format_version":1',
+                                           f'"format_version":{json.dumps(version)}'))
+        with pytest.raises(ValueError) as e:
+            Vocabulary.load(p)
+        assert str(e.value) == f"{p}: format_version must be one of 1, got {version!r}"
+
     def test_load_rejects_damaged_reserved_block(self, tmp_path):
         p = tmp_path / "v.json"
         p.write_text(json.dumps({"format_version": 1, "tokens": ["[PAD]", "x"]}))
