@@ -165,11 +165,11 @@ def cmd_pretrain(cfg, out):
     with np.errstate(invalid="ignore"):   # as in _refine
         history = pretrain_mlm(model, seqs, pre_cfg, vocab)
 
-    vocab_path = os.path.join(out, "vocab.json")
+    vocab_path = C.out_file(out, "vocab.json")
     vocab.save(vocab_path)
-    ckpt_path = os.path.join(out, "init.ckpt.json")
+    ckpt_path = C.out_file(out, "init.ckpt.json")
     _save_model(ckpt_path, model, cfg)
-    log_path = os.path.join(out, "pretrain_log.csv")
+    log_path = C.out_file(out, "pretrain_log.csv")
     C.write_csv_artifact(log_path, cfg, ["step", "lr", "loss"], history)
     final = f", final loss {history[-1]['loss']:.4f}" if history else ""
     print(f"pretrained on {len(seqs)} sentences, {len(history)} steps{final}")
@@ -181,12 +181,12 @@ def cmd_refine(cfg, out):
     groups, vocab, model = _refine_inputs(cfg)
     history = _refine(model, groups, C.build(LossWeights, cfg["refine"]), cfg, vocab)
 
-    ckpt_path = os.path.join(out, "refined.ckpt.json")
+    ckpt_path = C.out_file(out, "refined.ckpt.json")
     _save_model(ckpt_path, model, cfg)
     log_rows = [{"step": h["step"], "lr": h["lr"], "L_R": h["loss_recon"],
                  "L_C": h["loss_contrast"], "L_D": h["loss_diversity"],
                  "total": h["loss_total"]} for h in history]
-    log_path = os.path.join(out, "refine_log.csv")
+    log_path = C.out_file(out, "refine_log.csv")
     C.write_csv_artifact(log_path, cfg, ["step", "lr", "L_R", "L_C", "L_D", "total"],
                          log_rows)
     final = f", final total loss {history[-1]['loss_total']:.4f}" if history else ""
@@ -226,12 +226,12 @@ def cmd_evaluate(cfg, out, checkpoints, dataset_paths, emit_json, emit_csv):
     for row in rows:
         print("  ".join(f"{row[h]}" for h in header))
     if emit_json:
-        C.write_json_artifact(os.path.join(out, "eval_report.json"),
+        C.write_json_artifact(C.out_file(out, "eval_report.json"),
                               "eval_report", cfg, rows)
     if emit_csv:
         columns = header + ["overflows"]
         summary = [{h: row[h] for h in columns} for row in rows]
-        C.write_csv_artifact(os.path.join(out, "eval_report.csv"), cfg, columns,
+        C.write_csv_artifact(C.out_file(out, "eval_report.csv"), cfg, columns,
                              summary)
     return 0
 
@@ -254,9 +254,9 @@ def cmd_ablate(cfg, out):
         rows.append({"config": name, "weights": weights.to_dict(), **accs})
         csv_rows.append({"config": name, **weights.to_dict(), **accs})
     header = ["config", *WEIGHT_NAMES] + [name for name, _ in datasets]
-    path = os.path.join(out, "ablation.csv")
+    path = C.out_file(out, "ablation.csv")
     C.write_csv_artifact(path, cfg, header, csv_rows)
-    C.write_json_artifact(os.path.join(out, "ablation.json"), "ablation", cfg, rows)
+    C.write_json_artifact(C.out_file(out, "ablation.json"), "ablation", cfg, rows)
     for row in csv_rows:
         print("  ".join(str(row[h]) for h in header))
     print(f"wrote {path}")
@@ -296,17 +296,15 @@ def cmd_sweep(cfg, out, grid_tokens):
                                                           datasets, vocab, cfg):
         run_cfg = json.loads(C.canonical_json(cfg))
         run_cfg["refine"].update(weights.to_dict())
-        run_dir = os.path.join(out, "sweep", name)
-        os.makedirs(run_dir, exist_ok=True)
-        _save_model(os.path.join(run_dir, "refined.ckpt.json"), model, run_cfg)
+        _save_model(C.out_file(out, "sweep", name, "refined.ckpt.json"), model, run_cfg)
         runs.append({"run": name, "seed": cfg["runtime"]["seed"],
                      "config_hash": C.config_hash(run_cfg), **weights.to_dict(),
                      "mean_accuracy": sum(accs.values()) / len(accs),
                      "accuracies": accs})
     runs.sort(key=lambda r: (-r["mean_accuracy"], r["run"]))
     header = ["run", "seed", "config_hash", *WEIGHT_NAMES, "mean_accuracy"]
-    C.write_csv_artifact(os.path.join(out, "sweep_report.csv"), cfg, header, runs)
-    C.write_json_artifact(os.path.join(out, "sweep_report.json"), "sweep", cfg, runs)
+    C.write_csv_artifact(C.out_file(out, "sweep_report.csv"), cfg, header, runs)
+    C.write_json_artifact(C.out_file(out, "sweep_report.json"), "sweep", cfg, runs)
     best = runs[0]
     print(f"best: {best['run']} alpha={best['alpha']} beta={best['beta']} "
           f"gamma={best['gamma']} mean_accuracy={best['mean_accuracy']:.4f}")
@@ -342,8 +340,8 @@ def cmd_gen_data(out, n_groups, n_instances, seed):
     C.check_real("--instances", n_instances, 1, MAX_GEN_INSTANCES)
     groups = make_perturbation_corpus(n_groups, seed=seed)
     instances = make_benchmark(n_instances, seed=seed)
-    corpus_path = os.path.join(out, "corpus.jsonl")
-    bench_path = os.path.join(out, "benchmark.jsonl")
+    corpus_path = C.out_file(out, "corpus.jsonl")
+    bench_path = C.out_file(out, "benchmark.jsonl")
     save_perturbation_corpus(corpus_path, groups)
     save_benchmark(bench_path, instances)
     print(f"wrote {corpus_path} ({len(groups)} groups), "

@@ -239,8 +239,14 @@ def config_hash(cfg):
 
 def out_dir(cfg, cli_value=None):
     """Output root: CLI flag, then config, then $WINOREF_OUT, then ./out."""
-    path = cli_value or cfg["runtime"]["out_dir"] or os.environ.get("WINOREF_OUT") or "out"
-    os.makedirs(path, exist_ok=True)
+    return cli_value or cfg["runtime"]["out_dir"] or os.environ.get("WINOREF_OUT") or "out"
+
+
+def out_file(root, *names):
+    """The path of ``names`` under the output root ``root``, with its
+    directory made: a root is made only when a file is written into it."""
+    path = os.path.join(root, *names)
+    os.makedirs(os.path.dirname(path), exist_ok=True)
     return path
 
 

@@ -22,13 +22,12 @@ from .text import FIRST_WORD_ID, MASK_ID, row_masks
 
 
 # the largest encoder, checked before any array is allocated, as training
-# holds four float64 copies of the parameters (1.6 GB at the cap); the largest
-# dropout mask, bounded before training's first step as if every row were
-# max_len long, 1 GiB as float64: at 12 heads and max_len 512, that bound on
-# refine's default 40 rows per step is 126M values
+# holds four float64 copies of the parameters (1.6 GB at the cap); the most
+# values one array of a training step may hold, 1 GiB as float64, checked
+# before each phase's first step from its real rows (``check_step``)
 MAX_PARAMS = 50_000_000
 MAX_LEN = 512
-MAX_DROPOUT_DRAW = 2**27
+MAX_STEP_VALUES = 2**27
 
 
 @dataclass
@@ -168,24 +167,25 @@ def _width(used):
     return int(np.flatnonzero(used.any(axis=0)).max(initial=0)) + 1
 
 
-def check_draw(rate, shape, keys):
-    """Reject a dropout mask of ``shape`` at ``rate`` that would hold over
-    ``MAX_DROPOUT_DRAW`` values; ``keys`` names the config keys to lower."""
-    if rate > 0.0 and math.prod(shape) > MAX_DROPOUT_DRAW:
-        raise ValueError(f"dropout would draw a mask of shape {shape}, over the cap "
-                         f"of {MAX_DROPOUT_DRAW} values: lower {keys}")
-
-
-def check_dropout_draw(cfg, rows, batch):
-    """Reject a training run whose dropout masks, at ``rows`` id rows per step
-    (set by the keys ``batch``), could hold over ``MAX_DROPOUT_DRAW`` values.
-    Each mask is drawn at the shape of what it scales, so the shapes checked,
-    with every row ``max_len`` long, bound every step's draws."""
-    shapes = {"encoder.model_dim": (rows, cfg.max_len, cfg.model_dim)}
-    if cfg.layers:    # the attention mask, drawn in each block
-        shapes["encoder.heads"] = (rows, cfg.heads, cfg.max_len, cfg.max_len)
-    for key, shape in shapes.items():
-        check_draw(cfg.dropout, shape, f"{batch}, {key} or encoder.max_len")
+def check_step(cfg, rows, longest, batch, disc_hidden=None):
+    """Reject a training phase whose steps of ``rows`` id rows (set by the keys
+    ``batch``), none over ``longest`` real tokens, could build an array of
+    over ``MAX_STEP_VALUES`` values, at any dropout rate. The arrays bounded
+    are a step's largest: each block's attention scores and feed-forward
+    hidden, the packed rows, and pretraining's head logits or, given
+    ``disc_hidden``, refine's discriminator hidden."""
+    tokens = rows * longest
+    arrays = [((tokens, cfg.model_dim), "encoder.model_dim")]
+    if cfg.layers:
+        arrays = [((rows, cfg.heads, longest, longest), "encoder.heads"), *arrays,
+                  ((tokens, cfg.ff_dim), "encoder.ff_dim")]
+    arrays.append(((tokens, cfg.vocab_size), None) if disc_hidden is None
+                  else ((rows, disc_hidden), "refine.disc_hidden"))
+    for shape, key in arrays:
+        if math.prod(shape) > MAX_STEP_VALUES:
+            keys = f"{batch} or {key}" if key else batch
+            raise ValueError(f"a training step would build an array of shape {shape}, "
+                             f"over the cap of {MAX_STEP_VALUES} values: lower {keys}")
 
 
 def _attention(h, queries, trimmed, cfg, p, i, rate, rng):
@@ -240,8 +240,8 @@ def forward_hidden(model, ids, attention_mask, train=False, rng=None, rows=None)
     row asked for past the longest row is in it.
 
     In training, each dropout mask is drawn at the shape of the packed rows
-    or attention weights it scales, so how many values a step draws depends
-    on its real rows and, in the last block, on ``rows``.
+    or attention weights it scales, so neither outgrows the step's real
+    rows, which ``check_step`` bounds before a training phase's first step.
     """
     cfg = model.config
     p = model.params
@@ -408,8 +408,9 @@ def pretrain_mlm(model, rows, cfg, vocab):
     """
     if len(rows) == 0:
         raise ValueError("pretraining corpus is empty")
-    check_dropout_draw(model.config, min(cfg.batch_size, len(rows)), "pretrain.batch_size")
     rows = np.stack(rows)
+    check_step(model.config, min(cfg.batch_size, len(rows)),
+               int(row_masks(rows)[0].sum(1).max()), "pretrain.batch_size")
     rng = np.random.default_rng(cfg.seed)
     opt = AdamW(model.named_params(), lr=cfg.lr, weight_decay=cfg.weight_decay,
                 warmup_steps=cfg.warmup_steps)

@@ -14,12 +14,12 @@ import numpy as np
 
 from . import tensor as T
 from .config import check_choice, check_count, check_real, internal
-from .encoder import MAX_PARAMS, check_draw, check_dropout_draw, encode, encode_batch
+from .encoder import MAX_PARAMS, check_step, encode, encode_batch
 from .optim import AdamW, check_finite_loss
 from .scoring import windowed_bertscore
 from .tensor import Tensor
 from .text import (KIND_INDEX, PERTURBATION_KINDS, corpus_rows, encode_tokens,
-                   tokenize, word_tokens)
+                   row_masks, tokenize, word_tokens)
 
 N_KINDS = len(PERTURBATION_KINDS)
 
@@ -244,22 +244,21 @@ def refine(model, disc, groups, weights, cfg, score_cfg, vocab):
                          f"hold the two samples it compares (refine.batch_size "
                          f"{cfg.batch_size}, {len(groups)} corpus groups)")
 
-    rng = np.random.default_rng(cfg.seed)
-    opt = AdamW(model.named_params() + disc.named_params(), lr=cfg.lr,
-                weight_decay=cfg.weight_decay, warmup_steps=cfg.warmup_steps)
-
     # a step picks rows of these tables: the n_kinds[gi] kinds of group gi
-    # are rows first[gi] onwards
+    # are rows first[gi] onwards; the largest step takes the groups with the
+    # most kinds
     group_ids, kind_ids, gen_ids, target_ids = _row_tables(groups, vocab,
                                                            model.config.max_len)
     n_kinds = np.bincount(group_ids, minlength=len(groups))
     first = np.cumsum(n_kinds) - n_kinds
     most = np.sort(np.minimum(n_kinds, cfg.perturbations_per_sample))[-cfg.batch_size:]
-    rows = int(most.sum())    # the groups with most kinds
-    batch = "refine.batch_size, refine.perturbations_per_sample"
-    check_dropout_draw(model.config, rows, batch)
-    check_draw(disc.dropout, (rows, disc.params["b1"].data.shape[0]),
-               f"{batch} or refine.disc_hidden")
+    longest = max(row_masks(t)[0].sum(1).max() for t in (gen_ids, target_ids))
+    check_step(model.config, int(most.sum()), int(longest),
+               "refine.batch_size, refine.perturbations_per_sample",
+               disc_hidden=len(disc.params["b1"].data))
+    rng = np.random.default_rng(cfg.seed)
+    opt = AdamW(model.named_params() + disc.named_params(), lr=cfg.lr,
+                weight_decay=cfg.weight_decay, warmup_steps=cfg.warmup_steps)
     # frozen-init targets are the stacks of the model before its first update
     frozen = encode(model, target_ids) if cfg.target_mode == "frozen-init" else None
 

@@ -18,7 +18,8 @@ from winoref.config import load_config
 from winoref.optim import EPS
 from winoref.refine import N_KINDS
 from winoref.synthetic import make_benchmark, make_perturbation_corpus
-from winoref.text import (Vocabulary, load_benchmark, save_benchmark,
+from winoref.text import (Vocabulary, corpus_sentences, load_benchmark,
+                          load_perturbation_corpus, save_benchmark,
                           save_perturbation_corpus, word_tokens)
 
 from conftest import read_csv_artifact
@@ -408,21 +409,41 @@ def test_encoder_too_large_to_build_exits_before_any_allocation(
     assert list(tmp_path.iterdir()) == []
 
 
-def test_dropout_mask_too_large_to_draw_exits_with_one_error_line(pretrained, tmp_path,
-                                                                  capsys):
-    # every key is in range, but the first step's attention dropout mask
-    # would be 16 GiB as float64; it used to be drawn, and is now rejected
-    # before the first step
+@pytest.mark.parametrize("case", ["long-rows", "ff-dim"])
+def test_step_too_large_to_build_exits_with_one_error_line(pretrained, data_dir, tmp_path,
+                                                           capsys, monkeypatch, case):
+    # every key is in range. With 490-word rows the first step's attention
+    # scores would be 15 GiB as float64; at dropout 0 no mask was checked, so
+    # they were built, and the run ended in a traceback. The feed-forward
+    # hidden of 21-token rows at ff_dim 2e6 was never checked at all
     _, cfg_path = pretrained
-    argv = ["pretrain", "--config", str(cfg_path), "--out", str(tmp_path),
-            "--encoder.heads=512", "--encoder.model_dim=512", "--encoder.ff_dim=1",
-            "--encoder.layers=1", "--encoder.max_len=512"]
+    run_out = tmp_path / "out"
+    argv = ["pretrain", "--config", str(cfg_path), "--out", str(run_out)]
+    if case == "long-rows":
+        corpus = tmp_path / "long.jsonl"
+        corpus.write_text("".join(json.dumps({"base": " ".join([f"w{g}"] * 490)}) + "\n"
+                                  for g in range(20)))
+        argv += [f"--paths.corpus={corpus}", "--encoder.dropout=0",
+                 "--encoder.heads=512", "--encoder.model_dim=512", "--encoder.ff_dim=1",
+                 "--encoder.layers=1", "--encoder.max_len=512"]
+        shape, key = (16, 512, 492, 492), "encoder.heads"
+    else:
+        argv += ["--encoder.model_dim=8", "--encoder.heads=1",
+                 "--encoder.ff_dim=2000000"]
+        texts = corpus_sentences(load_perturbation_corpus(data_dir / "corpus.jsonl"))
+        longest = max(len(word_tokens(t)) for t in texts) + 2    # [CLS] ... [SEP]
+        shape, key = (16 * longest, 2_000_000), "encoder.ff_dim"
+
+    def step(*args, **kwargs):
+        raise AssertionError("a step was about to run")
+
+    monkeypatch.setattr(encoder, "mlm_logits_batch", step)
     assert cli.main(argv) == 1
     err = capsys.readouterr().err
-    assert err == (f"error: dropout would draw a mask of shape (16, 512, 512, 512), "
-                   f"over the cap of {encoder.MAX_DROPOUT_DRAW} values: lower "
-                   f"pretrain.batch_size, encoder.heads or encoder.max_len\n")
-    assert list(tmp_path.iterdir()) == []
+    assert err == (f"error: a training step would build an array of shape {shape}, "
+                   f"over the cap of {encoder.MAX_STEP_VALUES} values: lower "
+                   f"pretrain.batch_size or {key}\n")
+    assert not run_out.exists()
 
 
 def test_discriminator_too_large_to_build_exits_with_one_error_line(pretrained, tmp_path,
@@ -519,7 +540,7 @@ def test_non_finite_checkpoint_exits_with_one_error_line(
     assert captured.err == (f"error: {bad}: parameter 'final_ln.g' "
                             f"holds a NaN or infinite value\n")
     assert captured.out == ""
-    assert list(run_out.iterdir()) == []
+    assert not run_out.exists()
 
 
 class TestEvaluate:
@@ -1141,6 +1162,24 @@ class TestGenData:
         assert done.returncode == 0, done.stderr
         assert (tmp_path / "corpus.jsonl").exists()
         assert (tmp_path / "benchmark.jsonl").exists()
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_output_root_is_made_only_when_a_file_is_written(pretrained, data_dir, tmp_path,
+                                                         monkeypatch, json_flag):
+    # the README's `winoref score` used to leave an empty ./out behind
+    out, cfg_path = pretrained
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("WINOREF_OUT", raising=False)
+    ckpt = ["--checkpoint", str(out / "init.ckpt.json")]
+    inst = load_benchmark(data_dir / "bench_a.jsonl")[0]
+    assert cli.main(["score", "--config", str(cfg_path), *ckpt, "--sentence",
+                     inst.sentence, "--candidate1", inst.candidate1, "--candidate2",
+                     inst.candidate2]) == 0
+    assert cli.main(["evaluate", "--config", str(cfg_path), *ckpt, *json_flag,
+                     str(data_dir / "bench_a.jsonl")]) == 0
+    written = ["out", "out/eval_report.json"] if json_flag else []
+    assert sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*")) == written
 
 
 def test_env_var_output_root(data_dir, tmp_path, monkeypatch):

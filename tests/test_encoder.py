@@ -240,63 +240,85 @@ class TestTrimmedForward:
         assert hidden.dtype == np.dtype(dtype) and (hidden == 0).all()
 
 
-def over_the_cap(shape, batch, key, cap=None):
-    return (f"dropout would draw a mask of shape {shape}, over the cap of "
-            f"{cap or encoder.MAX_DROPOUT_DRAW} values: lower {batch}, {key} or "
-            f"encoder.max_len")
+PRETRAIN = "pretrain.batch_size"
+REFINE = "refine.batch_size, refine.perturbations_per_sample"
 
 
-class TestDropoutDrawCap:
-    @pytest.mark.parametrize("sizes, rows, batch, shape, key", [
-        # every key in range; the first attention mask would be 16 GiB
-        (dict(heads=512, model_dim=512, ff_dim=1, layers=1), 16, "pretrain.batch_size",
-         (16, 512, 512, 512), "encoder.heads"),
-        (dict(heads=16), 40, "refine.batch_size, refine.perturbations_per_sample",
-         (40, 16, 512, 512), "encoder.heads"),
-        # the hidden rows' mask, which the heads do not size
-        (dict(heads=1, model_dim=3072, ff_dim=1, layers=1), 100, "pretrain.batch_size",
-         (100, 512, 3072), "encoder.model_dim"),
-        # with no block there is no attention mask to blame
-        (dict(heads=512, model_dim=20480, ff_dim=1, layers=0), 16, "pretrain.batch_size",
-         (16, 512, 20480), "encoder.model_dim"),
-    ], ids=["heads", "refine-rows", "model-dim", "no-block"])
-    def test_a_mask_over_the_cap_names_the_keys_that_size_it(self, sizes, rows, batch,
-                                                              shape, key):
-        cfg = EncoderConfig(max_len=512, vocab_size=30, **sizes)
+def over_the_cap(shape, keys, cap=None):
+    return (f"a training step would build an array of shape {shape}, over the cap "
+            f"of {cap or encoder.MAX_STEP_VALUES} values: lower {keys}")
+
+
+class TestStepBudget:
+    @pytest.mark.parametrize("sizes, rows, longest, disc, shape, keys", [
+        # every key in range; the first attention scores would be 15 GiB as
+        # float64. At dropout 0 no mask is drawn, but the scores still are
+        (dict(heads=512, model_dim=512, ff_dim=1, layers=1, dropout=0.0), 16, 490, None,
+         (16, 512, 490, 490), f"{PRETRAIN} or encoder.heads"),
+        (dict(heads=16), 40, 512, 128, (40, 16, 512, 512), f"{REFINE} or encoder.heads"),
+        # the packed rows, which the heads do not size
+        (dict(heads=1, model_dim=3072, ff_dim=1, layers=1), 100, 490, None,
+         (49000, 3072), f"{PRETRAIN} or encoder.model_dim"),
+        # with no block there are no attention scores to blame
+        (dict(heads=512, model_dim=20480, ff_dim=1, layers=0), 16, 490, None,
+         (7840, 20480), f"{PRETRAIN} or encoder.model_dim"),
+        # within the parameter cap, on a gen-data corpus's 21-token rows
+        (dict(heads=1, model_dim=8, ff_dim=2_000_000, layers=1), 16, 21, None,
+         (336, 2_000_000), f"{PRETRAIN} or encoder.ff_dim"),
+        # the MLM head's logits; the corpus sets the vocabulary, no key does
+        (dict(vocab_size=40_000), 16, 512, None, (8192, 40_000), PRETRAIN),
+        (dict(), 40, 21, 4_000_000, (40, 4_000_000), f"{REFINE} or refine.disc_hidden"),
+    ], ids=["heads", "refine-rows", "model-dim", "no-block", "ff-dim", "head-logits",
+            "disc-hidden"])
+    def test_an_array_over_the_cap_names_the_keys_that_size_it(self, sizes, rows,
+                                                                longest, disc, shape,
+                                                                keys):
+        cfg = EncoderConfig(**{"max_len": 512, "vocab_size": 30, **sizes})
         with pytest.raises(ValueError) as e:
-            encoder.check_dropout_draw(cfg, rows, batch)
-        assert str(e.value) == over_the_cap(shape, batch, key)
+            encoder.check_step(cfg, rows, longest, keys.split(" or ")[0], disc)
+        assert str(e.value) == over_the_cap(shape, keys)
 
-    @pytest.mark.parametrize("sizes, rows", [
-        (dict(heads=12, model_dim=768), 40),        # refine's default rows per step
-        (dict(heads=12, model_dim=768), 16),        # pretrain's default batch
-        (dict(heads=512, model_dim=512, layers=0), 16),
-        (dict(heads=512, model_dim=512, dropout=0.0), 16),
-    ], ids=["refine-defaults", "pretrain-defaults", "no-block", "no-dropout"])
-    def test_in_range_runs_pass(self, sizes, rows):
-        encoder.check_dropout_draw(EncoderConfig(max_len=512, vocab_size=30, **sizes),
-                                   rows, "pretrain.batch_size")
+    @pytest.mark.parametrize("sizes, rows, longest, disc", [
+        # at 12 heads and 512-token rows: (40, 12, 512, 512) is 126M values
+        (dict(heads=12, model_dim=768), 40, 512, 128),     # refine's default rows
+        (dict(heads=12, model_dim=768), 16, 512, None),    # pretrain's default batch
+        # CI's smoke corpus with its long-row overrides: 3.6M values
+        (dict(heads=512, model_dim=512, ff_dim=1, layers=1), 16, 21, None),
+        (dict(heads=512, model_dim=512, layers=0), 16, 512, None),
+    ], ids=["refine-defaults", "pretrain-defaults", "smoke-rows", "no-block"])
+    def test_in_range_runs_pass(self, sizes, rows, longest, disc):
+        cfg = EncoderConfig(max_len=512, vocab_size=30, **sizes)
+        encoder.check_step(cfg, rows, longest, PRETRAIN, disc)
 
-    def test_pretrain_checks_its_largest_draw_before_its_first_step(self, small_setup,
-                                                                    monkeypatch):
-        vocab, cfg, _, seqs = small_setup
+    @pytest.mark.parametrize("dropout", [0.1, 0.0])
+    def test_pretrain_checks_its_largest_step_before_its_first(self, small_setup,
+                                                               monkeypatch, dropout):
+        vocab, cfg, _, _ = small_setup
+        cfg = dataclasses.replace(cfg, heads=16, dropout=dropout)
+        # rows that fill max_len, so that the first block's attention scores
+        # reach the bound, (5, 16, 24, 24), the largest array of a step
+        rng = np.random.default_rng(4)
+        seqs = [word_row(rng, cfg.max_len, cfg) for _ in range(12)]
         pre = PretrainConfig(epochs=1, batch_size=5, seed=2)
-        # the checked shape, every row at max_len, bounds every mask drawn
         bound = (5, cfg.heads, cfg.max_len, cfg.max_len)
         cap = math.prod(bound)
         shapes = record_draws(monkeypatch)
+        monkeypatch.setattr(encoder, "MAX_STEP_VALUES", cap)
         pretrain_mlm(EncoderModel(cfg, seed=3), seqs, pre, vocab)
-        assert shapes and max(map(math.prod, shapes)) <= cap
-        monkeypatch.setattr(encoder, "MAX_DROPOUT_DRAW", cap)
-        pretrain_mlm(EncoderModel(cfg, seed=3), seqs, pre, vocab)
-        monkeypatch.setattr(encoder, "MAX_DROPOUT_DRAW", cap - 1)
+        assert (bound in shapes) == (dropout > 0)
+
+        def step(*args, **kwargs):
+            raise AssertionError("a step was about to run")
+
+        monkeypatch.setattr(encoder, "mlm_logits_batch", step)
+        monkeypatch.setattr(encoder, "MAX_STEP_VALUES", cap - 1)
         shapes.clear()
         model = EncoderModel(cfg, seed=3)
         before = {name: q.data.copy() for name, q in model.named_params()}
         with pytest.raises(ValueError) as e:
             pretrain_mlm(model, seqs, pre, vocab)
-        assert str(e.value) == over_the_cap(bound, "pretrain.batch_size",
-                                            "encoder.heads", cap - 1)
+        assert str(e.value) == over_the_cap(bound, f"{PRETRAIN} or encoder.heads",
+                                            cap - 1)
         assert shapes == []
         assert all(np.array_equal(q.data, before[name]) for name, q in model.named_params())
 

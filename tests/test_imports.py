@@ -1,5 +1,5 @@
-"""Every name a module imports is used in that module, and every parameter
-of a function in ``src`` is read in its body."""
+"""Every name a module imports is used in that module, every parameter of a
+function in ``src`` is read in its body, and every tape op is in gate 1."""
 
 import ast
 from pathlib import Path
@@ -66,3 +66,35 @@ def test_the_check_finds_an_unread_parameter():
               "    return g() + c + len(kw)\n")
     assert unread_parameters(source) == [(1, "f", "args"), (1, "f", "b"),
                                          (1, "f", "e")]
+
+
+def unchecked_ops(tensor_source, gate_source):
+    """The functions of ``tensor_source`` that record a tape node (call
+    ``_node``) and that gate 1's ``op_builders`` in ``gate_source`` never
+    calls as ``T.<name>``, so no finite-difference check covers them."""
+    ops = {node.name for node in ast.parse(tensor_source).body
+           if isinstance(node, ast.FunctionDef)
+           and any(isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+                   and n.func.id == "_node" for n in ast.walk(node))}
+    builders = next(node for node in ast.walk(ast.parse(gate_source))
+                    if isinstance(node, ast.FunctionDef) and node.name == "op_builders")
+    called = {n.func.attr for n in ast.walk(builders) if isinstance(n, ast.Call)
+              and isinstance(n.func, ast.Attribute) and isinstance(n.func.value, ast.Name)
+              and n.func.value.id == "T"}
+    return sorted(ops - called)
+
+
+def test_gate_one_checks_every_tape_op():
+    tensor = (ROOT / "src" / "winoref" / "tensor.py").read_text(encoding="utf-8")
+    gate = (ROOT / "tests" / "test_acceptance.py").read_text(encoding="utf-8")
+    assert unchecked_ops(tensor, gate) == []
+
+
+def test_the_check_finds_an_unchecked_op():
+    tensor = ("def _node(d, p, b):\n    return d\n"
+              "def add(a, b):\n    return _node(a, (a, b), None)\n"
+              "def neg(a):\n    def bw(g):\n        return g\n"
+              "    return _node(a, (a,), bw)\n"
+              "def tsum(a):\n    return add(a, a)\n")
+    gate = "def op_builders(rng):\n    return [lambda: T.tsum(T.add(x, y))]\n"
+    assert unchecked_ops(tensor, gate) == ["neg"]

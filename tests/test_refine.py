@@ -17,9 +17,9 @@ from winoref.refine import (N_KINDS, Discriminator, LossWeights, RefinementConfi
 from winoref.scoring import ScoreConfig, windowed_bertscore
 from winoref.synthetic import make_perturbation_corpus
 from winoref.tensor import Tensor
-from winoref.text import (KIND_INDEX, PERTURBATION_KINDS, PerturbationKind,
-                          PerturbedGroup, build_vocab, corpus_sentences,
-                          load_perturbation_corpus, tokenize)
+from winoref.text import (FIRST_WORD_ID, KIND_INDEX, PERTURBATION_KINDS,
+                          PerturbationKind, PerturbedGroup, build_vocab,
+                          corpus_sentences, load_perturbation_corpus, tokenize)
 
 from conftest import kind_probe_accuracy, min_same_kind_distance, record_draws
 from test_scoring import batch_of, make_stack, random_stack
@@ -425,73 +425,53 @@ class TestRefineTargets:
             assert sorted(step["kinds"], key=KIND_INDEX.__getitem__) == want
 
 
-class TestDropoutDrawCap:
-    def test_refine_checks_its_largest_step_before_the_first(self, tiny_world,
-                                                             monkeypatch):
+class TestStepBudget:
+    @pytest.mark.parametrize("dropout, disc_hidden, bound, key", [
+        # the attention scores of the generated rows
+        (0.1, 16, (11, 2, 24, 24), "encoder.heads"),
+        # the encoder draws no mask; the discriminator's hidden is the largest
+        (0.0, 2048, (11, 2048), "refine.disc_hidden"),
+    ], ids=["heads", "disc-hidden"])
+    def test_refine_checks_its_largest_step_before_the_first(
+            self, tiny_world, monkeypatch, dropout, disc_hidden, bound, key):
         groups, vocab, cfg = tiny_world
+        cfg = dataclasses.replace(cfg, dropout=dropout)
         # groups of 1, 2, 5 and 6 kinds; a step samples up to 4 of each, so
-        # the one batch of all four forwards 1 + 2 + 4 + 4 rows
-        groups = [dataclasses.replace(g, variants=dict(list(g.variants.items())[:k]))
+        # the one batch of all four forwards 1 + 2 + 4 + 4 rows. Each base
+        # has 21 words, so its generated rows, with their kind token, fill
+        # max_len 24
+        base = " ".join(vocab.token(FIRST_WORD_ID + i) for i in range(21))
+        groups = [dataclasses.replace(g, base=base,
+                                      variants=dict(list(g.variants.items())[:k]))
                   for g, k in zip(groups, (0, 1, 4, 5))]
         r_cfg = _refine_cfg(epochs=1, batch_size=4, perturbations_per_sample=4)
 
-        def run():
-            model = EncoderModel(cfg, seed=0)
-            disc = Discriminator(cfg.model_dim, 16, dropout=0.2, seed=0)
+        def run(model):
+            disc = Discriminator(cfg.model_dim, disc_hidden, dropout=0.2, seed=0)
             refine(model, disc, groups, LossWeights(), r_cfg, ScoreConfig(), vocab)
-            return model
 
-        # the checked shape, every row at max_len, bounds every mask drawn
-        bound = (11, cfg.heads, cfg.max_len, cfg.max_len)
         cap = math.prod(bound)
         shapes = record_draws(monkeypatch)
-        run()
-        assert shapes and max(map(math.prod, shapes)) <= cap
-        monkeypatch.setattr(encoder, "MAX_DROPOUT_DRAW", cap)
-        run()
-        monkeypatch.setattr(encoder, "MAX_DROPOUT_DRAW", cap - 1)
-        shapes.clear()
-        model = EncoderModel(cfg, seed=0)
-        before = {name: q.data.copy() for name, q in model.named_params()}
-        with pytest.raises(ValueError) as e:
-            disc = Discriminator(cfg.model_dim, 16, dropout=0.2, seed=0)
-            refine(model, disc, groups, LossWeights(), r_cfg, ScoreConfig(), vocab)
-        assert str(e.value) == (
-            f"dropout would draw a mask of shape {bound}, over the cap of "
-            f"{cap - 1} values: lower refine.batch_size, "
-            f"refine.perturbations_per_sample, encoder.heads or encoder.max_len")
-        assert shapes == []
-        assert all(np.array_equal(q.data, before[name]) for name, q in model.named_params())
-
-    def test_refine_checks_the_discriminator_dropout_draw(self, tiny_world,
-                                                          monkeypatch):
-        # the encoder draws no mask, so the discriminator's (rows, disc_hidden)
-        # one is the only draw the cap sees; the same 11 rows as above
-        groups, vocab, cfg = tiny_world
-        cfg = dataclasses.replace(cfg, dropout=0.0)
-        groups = [dataclasses.replace(g, variants=dict(list(g.variants.items())[:k]))
-                  for g, k in zip(groups, (0, 1, 4, 5))]
-        r_cfg = _refine_cfg(epochs=1, batch_size=4, perturbations_per_sample=4)
-
-        def run():
-            disc = Discriminator(cfg.model_dim, 16, dropout=0.2, seed=0)
-            refine(EncoderModel(cfg, seed=0), disc, groups, LossWeights(), r_cfg,
-                   ScoreConfig(), vocab)
-
-        monkeypatch.setattr(encoder, "MAX_DROPOUT_DRAW", 11 * 16)
-        run()
+        monkeypatch.setattr(encoder, "MAX_STEP_VALUES", cap)
+        run(EncoderModel(cfg, seed=0))
+        assert bound in shapes     # drawn at the shape of what it scales
 
         def encode_batch(*args, **kwargs):
             raise AssertionError("a step was about to run")
 
         monkeypatch.setattr(winoref.refine, "encode_batch", encode_batch)
-        monkeypatch.setattr(encoder, "MAX_DROPOUT_DRAW", 11 * 16 - 1)
+        monkeypatch.setattr(encoder, "MAX_STEP_VALUES", cap - 1)
+        shapes.clear()
+        model = EncoderModel(cfg, seed=0)
+        before = {name: q.data.copy() for name, q in model.named_params()}
         with pytest.raises(ValueError) as e:
-            run()
+            run(model)
         assert str(e.value) == (
-            f"dropout would draw a mask of shape (11, 16), over the cap of "
-            f"{11 * 16 - 1} values: lower refine.batch_size, "
-            f"refine.perturbations_per_sample or refine.disc_hidden")
+            f"a training step would build an array of shape {bound}, over the cap of "
+            f"{cap - 1} values: lower refine.batch_size, "
+            f"refine.perturbations_per_sample or {key}")
+        assert shapes == []
+        assert all(np.array_equal(q.data, before[name]) for name, q in model.named_params())
 
     def test_discriminator_over_the_parameter_cap_is_rejected_before_any_draw(
             self, monkeypatch):
@@ -518,7 +498,8 @@ class TestDropoutDrawCap:
     def test_default_batches_run_at_eight_heads_and_the_longest_rows(self,
                                                                       monkeypatch):
         # pretrain forwards 16 rows per step and refine 10 groups of 4 kinds;
-        # the checked shapes, every row at max_len, bound the masks drawn
+        # their attention scores with every row max_len long bound the masks
+        # drawn
         groups = make_perturbation_corpus(10, seed=21)
         vocab = build_vocab(corpus_sentences(groups))
         cfg = EncoderConfig(layers=1, heads=8, model_dim=16, ff_dim=16,
