@@ -19,7 +19,8 @@ import numpy as np
 from . import checkpoint as ckpt
 from . import config as C
 from . import tensor as T
-from .encoder import EncoderConfig, EncoderModel, PretrainConfig, pretrain_mlm
+from .encoder import (EncoderConfig, EncoderModel, PretrainConfig, check_pretrain,
+                      pretrain_mlm)
 from .evaluate import evaluate, resolve
 from .refine import Discriminator, LossWeights, RefinementConfig, refine
 from .scoring import ScoreConfig
@@ -158,10 +159,11 @@ def cmd_pretrain(cfg, out):
     vocab = build_vocab(vocab_texts)
 
     enc = EncoderConfig(vocab_size=len(vocab), **cfg["encoder"])
-    model = EncoderModel(enc, seed=cfg["runtime"]["seed"])
     pre_cfg = C.build(PretrainConfig, cfg["pretrain"], seed=cfg["runtime"]["seed"])
     seqs = corpus_rows(groups, lambda gi, g, kind: tokenize(g.variant_text(kind),
                                                             vocab, enc.max_len))
+    check_pretrain(enc, seqs, pre_cfg)   # before the model's arrays are drawn
+    model = EncoderModel(enc, seed=cfg["runtime"]["seed"])
     with np.errstate(invalid="ignore"):   # as in _refine
         history = pretrain_mlm(model, seqs, pre_cfg, vocab)
 

@@ -167,25 +167,40 @@ def _width(used):
     return int(np.flatnonzero(used.any(axis=0)).max(initial=0)) + 1
 
 
-def check_step(cfg, rows, longest, batch, disc_hidden=None):
-    """Reject a training phase whose steps of ``rows`` id rows (set by the keys
-    ``batch``), none over ``longest`` real tokens, could build an array of
-    over ``MAX_STEP_VALUES`` values, at any dropout rate. The arrays bounded
-    are a step's largest: each block's attention scores and feed-forward
-    hidden, the packed rows, and pretraining's head logits or, given
-    ``disc_hidden``, refine's discriminator hidden."""
+def _encoder_arrays(cfg, rows, longest):
+    """(shape, key) of the largest arrays an encoder forward and backward of
+    ``rows`` id rows, none over ``longest`` real tokens, builds before any
+    head, each sized by its key: each block's attention scores and
+    feed-forward hidden, and the packed rows. Each grows linearly with
+    ``rows``."""
     tokens = rows * longest
     arrays = [((tokens, cfg.model_dim), "encoder.model_dim")]
     if cfg.layers:
         arrays = [((rows, cfg.heads, longest, longest), "encoder.heads"), *arrays,
                   ((tokens, cfg.ff_dim), "encoder.ff_dim")]
-    arrays.append(((tokens, cfg.vocab_size), None) if disc_hidden is None
-                  else ((rows, disc_hidden), "refine.disc_hidden"))
+    return arrays
+
+
+def _check_cap(arrays, batch, what="a training step"):
+    """Reject the first (shape, key) of ``arrays`` over ``MAX_STEP_VALUES``
+    values that ``what`` would build, naming ``batch``, the keys that set
+    its rows, and its key."""
     for shape, key in arrays:
         if math.prod(shape) > MAX_STEP_VALUES:
             keys = f"{batch} or {key}" if key else batch
-            raise ValueError(f"a training step would build an array of shape {shape}, "
+            raise ValueError(f"{what} would build an array of shape {shape}, "
                              f"over the cap of {MAX_STEP_VALUES} values: lower {keys}")
+
+
+def check_step(cfg, rows, longest, batch, disc_hidden=None):
+    """Reject a training phase whose steps of ``rows`` id rows (set by the keys
+    ``batch``), none over ``longest`` real tokens, could build an array of
+    over ``MAX_STEP_VALUES`` values, at any dropout rate: the encoder's
+    (``_encoder_arrays``), or pretraining's head logits or, given
+    ``disc_hidden``, refine's discriminator hidden."""
+    head = (((rows * longest, cfg.vocab_size), None) if disc_hidden is None
+            else ((rows, disc_hidden), "refine.disc_hidden"))
+    _check_cap([*_encoder_arrays(cfg, rows, longest), head], batch)
 
 
 def _attention(h, queries, trimmed, cfg, p, i, rate, rng):
@@ -299,27 +314,39 @@ def encode_batch(model, rows, train=False, rng=None):
     return EmbeddingStack(hidden=hidden, content_mask=content[:, :hidden.shape[1]])
 
 
-# rows per forward in ``encode``, and distinct masked rows per forward in
-# ``evaluate.evaluate``; bounds their memory on a large corpus or benchmark
+# the most rows per forward in ``encode``, and distinct masked rows per
+# forward in ``evaluate.evaluate``; bounds their memory on a large corpus or
+# benchmark
 ENCODE_CHUNK = 64
+
+
+def block_rows(cfg, longest, least=1):
+    """Rows per eval forward of rows none over ``longest`` real tokens: at
+    most ``ENCODE_CHUNK``, and no more than keep each of the encoder's
+    arrays that ``check_step`` bounds under ``MAX_STEP_VALUES``. A block of
+    ``least`` rows over that cap fails as ``check_step`` does."""
+    _check_cap(_encoder_arrays(cfg, least, longest), "encoder.max_len",
+               "an eval forward")
+    one = max(1, *(math.prod(shape) for shape, _ in _encoder_arrays(cfg, 1, longest)))
+    return min(ENCODE_CHUNK, MAX_STEP_VALUES // one)
 
 
 def encode(model, rows):
     """Eval-mode embedding stack of a batch of id rows, built without a tape
-    and forwarded ``ENCODE_CHUNK`` rows at a time: (N, n, model_dim), n one
-    past the longest row of the whole batch. A chunk narrower than that is
+    and forwarded ``block_rows`` rows at a time: (N, n, model_dim), n one
+    past the longest row of the whole batch. A block narrower than that is
     padded with +0.0, as a pad row of a wider forward is."""
     ids = np.stack(rows)
     attention, content = row_masks(ids)
     n = _width(attention)
+    size = block_rows(model.config, n)
 
     def chunk(i):
-        h = forward_hidden(model, ids[i:i + ENCODE_CHUNK],
-                           attention[i:i + ENCODE_CHUNK]).data
+        h = forward_hidden(model, ids[i:i + size], attention[i:i + size]).data
         return np.pad(h, ((0, 0), (0, n - h.shape[1]), (0, 0)))
 
     with T.no_grad():
-        hidden = np.concatenate([chunk(i) for i in range(0, len(ids), ENCODE_CHUNK)])
+        hidden = np.concatenate([chunk(i) for i in range(0, len(ids), size)])
     return EmbeddingStack(hidden=Tensor(hidden, dtype=hidden.dtype),
                           content_mask=content[:, :n])
 
@@ -399,6 +426,16 @@ def apply_mlm_masking(rows, vocab, mask_prob, rng):
     return corrupted, flat_idx, targets
 
 
+def check_pretrain(cfg, rows, pre):
+    """Reject pretraining an encoder of config ``cfg`` on the id ``rows``
+    under the ``PretrainConfig`` ``pre`` before any array is built: an empty
+    corpus, or a step over ``check_step``'s budget."""
+    if len(rows) == 0:
+        raise ValueError("pretraining corpus is empty")
+    check_step(cfg, min(pre.batch_size, len(rows)),
+               int(row_masks(rows)[0].sum(1).max()), "pretrain.batch_size")
+
+
 def pretrain_mlm(model, rows, cfg, vocab):
     """Masked-LM training on a fixed list of id rows.
 
@@ -406,11 +443,8 @@ def pretrain_mlm(model, rows, cfg, vocab):
     step. Deterministic for a fixed seed. A non-finite loss raises
     ValueError before its step updates the model.
     """
-    if len(rows) == 0:
-        raise ValueError("pretraining corpus is empty")
+    check_pretrain(model.config, rows, cfg)
     rows = np.stack(rows)
-    check_step(model.config, min(cfg.batch_size, len(rows)),
-               int(row_masks(rows)[0].sum(1).max()), "pretrain.batch_size")
     rng = np.random.default_rng(cfg.seed)
     opt = AdamW(model.named_params(), lr=cfg.lr, weight_decay=cfg.weight_decay,
                 warmup_steps=cfg.warmup_steps)

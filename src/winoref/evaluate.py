@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .encoder import ENCODE_CHUNK, mlm_logits_batch
-from .text import MASK, SLOT_MARKER, encode_tokens, word_tokens
+from .encoder import block_rows, mlm_logits_batch
+from .text import MASK, PAD_ID, SLOT_MARKER, encode_tokens, word_tokens
 
 
 @dataclass
@@ -102,23 +102,30 @@ def score_candidate(model, vocab, instance, which):
     return CandidateScore(avg_log_prob=float(logp.mean()), overflows=False)
 
 
-def _blocks(instances, vocab, max_len):
-    """The instances in file order, in blocks of at most ``ENCODE_CHUNK``
-    distinct masked rows. Yields (block, built, rows): ``built`` maps each
+def _blocks(instances, vocab, cfg):
+    """The instances in file order, in blocks of distinct masked rows, as
+    many as ``block_rows`` allows for the block's longest row, and at least
+    an instance's two. Yields (block, built, rows): ``built`` maps each
     candidate's (id(instance), which) to what ``_masked_ids`` returns for
     it, and ``rows`` maps each distinct row's id bytes to (ids, positions).
     """
-    block, built, rows = [], {}, {}
+    block, built, rows, longest = [], {}, {}, 0
+    caps = {}   # block_rows by the longest row
     for inst in instances:
-        pair = {(id(inst), which): _masked_ids(inst, which, vocab, max_len)
+        pair = {(id(inst), which): _masked_ids(inst, which, vocab, cfg.max_len)
                 for which in (1, 2)}
         new = {b[0].tobytes(): b[:2] for b in pair.values() if b is not None}
-        if len(rows) + sum(row not in rows for row in new) > ENCODE_CHUNK:
+        wide = max([0] + [np.count_nonzero(ids != PAD_ID) for ids, _ in new.values()])
+        size = max(longest, wide)
+        if size not in caps:
+            caps[size] = block_rows(cfg, size, least=2)
+        if len(rows) + sum(row not in rows for row in new) > caps[size]:
             yield block, built, rows
-            block, built, rows = [], {}, {}
+            block, built, rows, longest = [], {}, {}, 0
         block.append(inst)
         built.update(pair)
         rows.update(new)
+        longest = max(longest, wide)
     yield block, built, rows
 
 
@@ -141,7 +148,7 @@ def _scores(model, vocab, instances):
     ``score_candidate`` from the block's memo, which is dropped before the
     next block's forward."""
     out = []
-    for block, built, rows in _blocks(instances, vocab, model.config.max_len):
+    for block, built, rows in _blocks(instances, vocab, model.config):
         token = _ROW_LOGITS.set({**built, **_slot_logits(model, rows)})
         try:
             out += [(score_candidate(model, vocab, inst, 1),

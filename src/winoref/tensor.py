@@ -25,10 +25,9 @@ Hot kernels are laid out for numpy's fast paths. ``linear`` multiplies a
 weight that is a row-major table transposed, as the tied MLM head's is, in
 the layout that is faster for its row count: below ``PACK_TABLE_ROWS`` rows
 in the table's own layout, so BLAS packs the few rows and not the table,
-and from there on as ``x @ w`` (float32 only, where both layouts give the
-same bits), because packing the table then costs less than writing the
-product transposed into C-order logits. It takes that weight's gradient in
-the table's layout at every row count.
+and from there on as ``x @ w``, because packing the table then costs less
+than writing the product transposed into C-order logits. It takes that
+weight's gradient in the table's layout at every row count.
 ``softmax`` reduces over key slabs, a contiguous copy with the keys along
 its leading axis. The backwards of ``take`` and ``embedding_lookup`` sum
 repeated indices in ``np.add.at``'s order: the rows are gathered once,
@@ -61,13 +60,9 @@ _GRAD_ENABLED = True
 DTYPES = {"float32": np.float32, "float64": np.float64}
 
 # ``linear`` multiplies a transposed table as ``x @ w`` from this many rows of
-# ``x`` in float32. Measured with one BLAS thread at width 96, the table's own
+# ``x``. Measured in float32 with one BLAS thread at width 96, the table's own
 # layout is faster up to about 56 rows against an 8192-row table and 40 rows
-# against a 191-row one; ``x @ w`` from 64 rows on. float64 keeps the table
-# layout at every row count: OpenBLAS 0.3.31 rounds the float64 logits of a
-# table's last (rows mod 8) rows differently in the two layouts once it has
-# over 192 rows, and no float32 logit, so only float32 switches and keeps
-# every bit.
+# against a 191-row one; ``x @ w`` from 64 rows on, in float64 too.
 PACK_TABLE_ROWS = 64
 
 
@@ -510,22 +505,20 @@ def linear(x, w, b):
     ``b`` (m,), as one node. For a row-major ``w`` these are the bits of
     ``add(matmul(x, w), b)``. Any other ``w``, such as the tied MLM head's
     row-major table transposed, is multiplied in the faster layout for N:
-    below ``PACK_TABLE_ROWS`` rows, or in float64 at any N, in the layout of
-    ``w.T``, as ``(w.T @ x.T).T`` written into C-order logits, so BLAS packs
-    the few rows of ``x``, not the whole table; from ``PACK_TABLE_ROWS``
-    float32 rows on, as ``x @ w`` plus the bias in place, because writing the
-    (m, N) product transposed then costs more than packing the table. The
-    weight's gradient is taken in ``w.T``'s layout at every N. These bits
-    depend on the BLAS build; on the one ``PACK_TABLE_ROWS`` was measured on,
-    both float32 layouts give the same bits."""
+    below ``PACK_TABLE_ROWS`` rows in the layout of ``w.T``, as
+    ``(w.T @ x.T).T`` written into C-order logits, so BLAS packs the few rows
+    of ``x``, not the whole table; from ``PACK_TABLE_ROWS`` rows on, as
+    ``x @ w`` plus the bias in place, because writing the (m, N) product
+    transposed then costs more than packing the table. The weight's gradient
+    is taken in ``w.T``'s layout at every N. The two layouts may round a
+    logit differently, as the BLAS build decides."""
     x, w, b = astensor(x), astensor(w), astensor(b)
     if (x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[0]
             or b.data.shape != (w.data.shape[1],)):
         raise ShapeError(f"linear: shapes {x.data.shape}, {w.data.shape} and "
                          f"{b.data.shape} not conformable")
     dtype = np.result_type(x.data, w.data)
-    if w.data.flags.c_contiguous or (x.data.shape[0] >= PACK_TABLE_ROWS
-                                     and dtype == np.float32):
+    if w.data.flags.c_contiguous or x.data.shape[0] >= PACK_TABLE_ROWS:
         out_data = x.data @ w.data
         out_data += b.data
     else:

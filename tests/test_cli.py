@@ -415,7 +415,9 @@ def test_step_too_large_to_build_exits_with_one_error_line(pretrained, data_dir,
     # every key is in range. With 490-word rows the first step's attention
     # scores would be 15 GiB as float64; at dropout 0 no mask was checked, so
     # they were built, and the run ended in a traceback. The feed-forward
-    # hidden of 21-token rows at ff_dim 2e6 was never checked at all
+    # hidden of 21-token rows at ff_dim 2e6 was never checked at all. Both
+    # are refused before the model is built: at ff_dim 2e6 its parameters
+    # alone took 555 MB
     _, cfg_path = pretrained
     run_out = tmp_path / "out"
     argv = ["pretrain", "--config", str(cfg_path), "--out", str(run_out)]
@@ -434,10 +436,10 @@ def test_step_too_large_to_build_exits_with_one_error_line(pretrained, data_dir,
         longest = max(len(word_tokens(t)) for t in texts) + 2    # [CLS] ... [SEP]
         shape, key = (16 * longest, 2_000_000), "encoder.ff_dim"
 
-    def step(*args, **kwargs):
-        raise AssertionError("a step was about to run")
+    def build(*args, **kwargs):
+        raise AssertionError("the model was about to be built")
 
-    monkeypatch.setattr(encoder, "mlm_logits_batch", step)
+    monkeypatch.setattr(encoder.EncoderModel, "__init__", build)
     assert cli.main(argv) == 1
     err = capsys.readouterr().err
     assert err == (f"error: a training step would build an array of shape {shape}, "

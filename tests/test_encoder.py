@@ -8,6 +8,7 @@ import pytest
 
 import winoref.tensor as T
 from winoref import encoder
+from winoref import evaluate as ev
 from winoref.encoder import (ENCODE_CHUNK, EncoderConfig, EncoderModel,
                              PretrainConfig, _attention, apply_mlm_masking, encode,
                              encode_batch, forward_hidden, mlm_logits_batch, pretrain_mlm)
@@ -15,7 +16,8 @@ from winoref.optim import AdamW
 from winoref.synthetic import make_perturbation_corpus
 from winoref.tensor import Tensor
 from winoref.text import (CLS_ID, FIRST_WORD_ID, MASK_ID, PAD_ID, SEP_ID, UNK_ID,
-                          build_vocab, corpus_sentences, row_masks, tokenize)
+                          SchemaInstance, build_vocab, corpus_sentences, row_masks,
+                          tokenize)
 
 from conftest import check_grads, masked_token_accuracy, record_draws
 
@@ -244,8 +246,8 @@ PRETRAIN = "pretrain.batch_size"
 REFINE = "refine.batch_size, refine.perturbations_per_sample"
 
 
-def over_the_cap(shape, keys, cap=None):
-    return (f"a training step would build an array of shape {shape}, over the cap "
+def over_the_cap(shape, keys, cap=None, what="a training step"):
+    return (f"{what} would build an array of shape {shape}, over the cap "
             f"of {cap or encoder.MAX_STEP_VALUES} values: lower {keys}")
 
 
@@ -321,6 +323,84 @@ class TestStepBudget:
                                             cap - 1)
         assert shapes == []
         assert all(np.array_equal(q.data, before[name]) for name, q in model.named_params())
+
+
+# 12 heads on rows of up to 512 tokens: one row's attention scores hold
+# 12·L·L values, so 64 rows of 490 tokens (184M values) are over the cap
+LONG_ROWS = dict(layers=1, heads=12, model_dim=12, ff_dim=8, max_len=512,
+                 vocab_size=30)
+
+
+class TestEvalBlocks:
+    # each eval forward is patched to record its rows and allocate nothing;
+    # a block of 64 rows of 490 tokens was over the cap
+    def assert_blocks_under_the_cap(self, cfg, blocks, total):
+        cap = encoder.MAX_STEP_VALUES // (cfg.heads * 490 * 490)
+        assert encoder.block_rows(cfg, 490) == cap < ENCODE_CHUNK
+        assert sum(blocks) == total and max(blocks) <= cap
+        assert len(blocks) == -(-total // cap)
+
+    def test_encode_keeps_its_blocks_under_the_cap(self, monkeypatch):
+        cfg = EncoderConfig(**LONG_ROWS)
+        rng = np.random.default_rng(2)
+        rows = [word_row(rng, 490, cfg) for _ in range(100)]
+        blocks = []
+
+        def forward(model, ids, attention, *args, **kwargs):
+            blocks.append(len(ids))
+            return Tensor(np.zeros((len(ids), 490, cfg.model_dim)))
+
+        monkeypatch.setattr(encoder, "forward_hidden", forward)
+        encode(EncoderModel(cfg, seed=0), rows)
+        self.assert_blocks_under_the_cap(cfg, blocks, 100)
+
+    def test_evaluate_keeps_its_blocks_under_the_cap(self, monkeypatch):
+        words = [f"w{i}" for i in range(15)]
+        vocab = build_vocab([" ".join(words)])
+        cfg = EncoderConfig(**{**LONG_ROWS, "vocab_size": len(vocab)})
+        # two distinct masked rows per instance, of 490 and 489 tokens
+        instances = [SchemaInstance(f"{words[i % 15]} {words[i // 15]} "
+                                    + "w0 " * 483 + "_ .", "w1 w2", "w3", 1)
+                     for i in range(60)]
+        blocks = []
+
+        def forward(model, ids, flat, *args, **kwargs):
+            blocks.append(len(ids))
+            return Tensor(np.zeros((len(flat), cfg.vocab_size)))
+
+        monkeypatch.setattr(ev, "mlm_logits_batch", forward)
+        ev.evaluate(EncoderModel(cfg, seed=0), vocab, instances)
+        self.assert_blocks_under_the_cap(cfg, blocks, 120)
+
+    @pytest.mark.parametrize("sizes, longest, least, shape", [
+        # one row's scores hold 268M values
+        (dict(heads=1024, model_dim=1024), 512, 1, (1, 1024, 512, 512)),
+        # 2**27 values: one row fits, an instance's two do not
+        (dict(heads=512, model_dim=512), 512, 2, (2, 512, 512, 512)),
+    ], ids=["one-row", "two-rows"])
+    def test_a_block_of_the_fewest_rows_over_the_cap_fails_with_one_error(
+            self, sizes, longest, least, shape):
+        cfg = EncoderConfig(**{**LONG_ROWS, **sizes})
+        with pytest.raises(ValueError) as e:
+            encoder.block_rows(cfg, longest, least)
+        assert str(e.value) == over_the_cap(shape, "encoder.max_len or encoder.heads",
+                                            what="an eval forward")
+        if least == 2:
+            assert encoder.block_rows(cfg, longest) == 1
+
+    @pytest.mark.parametrize("sizes, longest, rows", [
+        # the README quickstart and CI's smoke config keep their 64 rows
+        (dict(layers=2, heads=4, model_dim=96, ff_dim=256, vocab_size=191), 24, 64),
+        (dict(layers=2, heads=2, model_dim=16, ff_dim=32, vocab_size=60), 24, 64),
+        # the bench's wide vocabulary
+        (dict(layers=2, heads=4, model_dim=96, ff_dim=256, vocab_size=8400), 24, 64),
+        # 12 heads, model_dim 768 on 512-token rows: 42 rows, whatever the
+        # vocabulary, as no eval forward runs the head on every row
+        (dict(heads=12, model_dim=768, ff_dim=3072, vocab_size=30000), 512, 42),
+    ], ids=["quickstart", "smoke", "wide-vocab", "base-size"])
+    def test_blocks_that_fit_keep_their_rows(self, sizes, longest, rows):
+        cfg = EncoderConfig(**{**LONG_ROWS, **sizes})
+        assert encoder.block_rows(cfg, longest) == rows
 
 
 def drawn_keep(rate, rng, shape, dtype):
