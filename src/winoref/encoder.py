@@ -181,7 +181,7 @@ def _encoder_arrays(cfg, rows, longest):
     return arrays
 
 
-def _check_cap(arrays, batch, what="a training step"):
+def check_cap(arrays, batch, what="a training step"):
     """Reject the first (shape, key) of ``arrays`` over ``MAX_STEP_VALUES``
     values that ``what`` would build, naming ``batch``, the keys that set
     its rows, and its key."""
@@ -200,7 +200,7 @@ def check_step(cfg, rows, longest, batch, disc_hidden=None):
     ``disc_hidden``, refine's discriminator hidden."""
     head = (((rows * longest, cfg.vocab_size), None) if disc_hidden is None
             else ((rows, disc_hidden), "refine.disc_hidden"))
-    _check_cap([*_encoder_arrays(cfg, rows, longest), head], batch)
+    check_cap([*_encoder_arrays(cfg, rows, longest), head], batch)
 
 
 def _attention(h, queries, trimmed, cfg, p, i, rate, rng):
@@ -231,7 +231,7 @@ def _pick(x, sel):
     return x if sel.all() else T.gather_rows(x, sel)
 
 
-def forward_hidden(model, ids, attention_mask, train=False, rng=None, rows=None):
+def forward_hidden(model, ids, attention_mask, rng=None, rows=None):
     """Hidden states for a batch: ids (B, L) ints, attention_mask (B, L) bool.
 
     Returns a (B, n, model_dim) tensor whose pad rows are zero, n one past
@@ -244,19 +244,20 @@ def forward_hidden(model, ids, attention_mask, train=False, rng=None, rows=None)
     Softmax adds its keys in order, so in eval mode a row's bits depend
     neither on n nor on the other rows.
 
-    ``rows``, flat indices into the B*L positions (row-major), are the rows
-    the caller reads; None reads them all. The last block needs every real
-    row for its keys and values only, so its queries and all its row-wise
-    work after the attention core run on the real rows among ``rows``, and
-    every other row of the result is zero, like a pad row. Its attention
-    core attends from query slots, each row's queries first, as many as
-    the most any row has but at least two (``T.attention``), not from all
-    n columns. The stack then also spans the columns of ``rows``, so a pad
-    row asked for past the longest row is in it.
+    ``rows``, a (B, L) bool mask, marks the rows the caller reads; None
+    reads them all. The last block needs every real row for its keys and
+    values only, so its queries and all its row-wise work after the
+    attention core run on the real rows among ``rows``, and every other row
+    of the result is zero, like a pad row. Its attention core attends from
+    query slots, each row's queries first, as many as the most any row has
+    but at least two (``T.attention``), not from all n columns. The stack
+    then also spans the columns of ``rows``, so a pad row asked for past
+    the longest row is in it.
 
-    In training, each dropout mask is drawn at the shape of the packed rows
-    or attention weights it scales, so neither outgrows the step's real
-    rows, which ``check_step`` bounds before a training phase's first step.
+    Given ``rng``, a training forward draws each dropout mask from it at
+    the shape of the packed rows or attention weights it scales, so neither
+    outgrows the step's real rows, which ``check_step`` bounds before a
+    training phase's first step.
     """
     cfg = model.config
     p = model.params
@@ -266,19 +267,15 @@ def forward_hidden(model, ids, attention_mask, train=False, rng=None, rows=None)
     B, L = ids.shape
     if L != cfg.max_len:
         raise T.ShapeError(f"sequence length {L} does not match max_len {cfg.max_len}")
-    if train and rng is None:
-        raise ValueError("training-mode forward needs an rng for dropout")
-    rate = cfg.dropout if train else 0.0    # no mask is drawn in eval mode
+    rate = 0.0 if rng is None else cfg.dropout
 
     real = np.asarray(attention_mask, dtype=bool).reshape(B, L)
-    n = _width(real)
-    out, width = real, n
-    if rows is not None:
-        rows = np.asarray(rows)
-        asked = np.zeros(B * L, dtype=bool)
-        asked[rows] = True
-        out = real & asked.reshape(B, L)
-        width = max(n, int((rows % L).max(initial=-1)) + 1)
+    asked = real if rows is None else np.asarray(rows)
+    if asked.shape != (B, L) or asked.dtype != bool:
+        raise T.ShapeError(f"rows must be a bool mask of shape {(B, L)}, got "
+                           f"{asked.dtype} of shape {asked.shape}")
+    out = real & asked
+    n, width = _width(real), _width(real | asked)
     trimmed = real[:, :n]
 
     x = T.add(T.embedding_lookup(p["tok_emb"], ids[real]),
@@ -305,12 +302,12 @@ def forward_hidden(model, ids, attention_mask, train=False, rng=None, rows=None)
     return T.scatter_rows(x, out[:, :width])
 
 
-def encode_batch(model, rows, train=False, rng=None):
-    """Embedding stack of a list of id rows, one stack row each, computed
-    in one graph: (N, n, model_dim), n one past the longest row."""
+def encode_batch(model, rows, rng=None):
+    """Embedding stack of id rows in one graph, a training forward given
+    ``rng``: (N, n, model_dim), n one past the longest row."""
     ids = np.stack(rows)
     attention, content = row_masks(ids)
-    hidden = forward_hidden(model, ids, attention, train=train, rng=rng)
+    hidden = forward_hidden(model, ids, attention, rng=rng)
     return EmbeddingStack(hidden=hidden, content_mask=content[:, :hidden.shape[1]])
 
 
@@ -325,8 +322,8 @@ def block_rows(cfg, longest, least=1):
     most ``ENCODE_CHUNK``, and no more than keep each of the encoder's
     arrays that ``check_step`` bounds under ``MAX_STEP_VALUES``. A block of
     ``least`` rows over that cap fails as ``check_step`` does."""
-    _check_cap(_encoder_arrays(cfg, least, longest), "encoder.max_len",
-               "an eval forward")
+    check_cap(_encoder_arrays(cfg, least, longest), "encoder.max_len",
+              "an eval forward")
     one = max(1, *(math.prod(shape) for shape, _ in _encoder_arrays(cfg, 1, longest)))
     return min(ENCODE_CHUNK, MAX_STEP_VALUES // one)
 
@@ -351,33 +348,18 @@ def encode(model, rows):
                           content_mask=content[:, :n])
 
 
-def _check_rows(rows, n):
-    rows = np.asarray(rows)
-    if rows.ndim != 1 or rows.dtype.kind not in "iu":
-        raise ValueError(f"rows must be a 1-d integer array, got {rows.dtype} "
-                         f"of shape {rows.shape}")
-    if rows.size and (rows.min() < 0 or rows.max() >= n):
-        raise ValueError(f"rows out of range [0, {n}): min {rows.min()}, "
-                         f"max {rows.max()}")
-    return rows.astype(np.int64, copy=False)
-
-
-def mlm_logits_batch(model, ids, rows, train=False, rng=None):
-    """Vocabulary logits at the given rows, (len(rows), V), attending to the
-    real tokens of ``ids``; the head is the token table transposed plus a bias.
-
-    ``rows`` are flat indices into the B*L positions of ``ids`` (row-major,
-    so position j of sequence b is b*L + j). The forward runs its last
+def mlm_logits_batch(model, ids, rows, rng=None):
+    """Vocabulary logits at the true entries of the (B, L) bool mask
+    ``rows``, in row-major order, (R, V), attending to the real tokens of
+    ``ids``; the head is the token table transposed plus a bias, and the
+    forward a training forward given ``rng``. The forward runs its last
     block on those rows only, and only they go through the head, so the
-    (d, V) projection and its backward cost R rows, not B*L. Its (B, n, d)
-    stack holds position j of sequence b at b*n + j.
+    (d, V) projection and its backward cost R rows, not B*L.
     """
-    rows = _check_rows(rows, np.size(ids))
-    hidden = forward_hidden(model, ids, row_masks(ids)[0], train=train, rng=rng,
-                            rows=rows)
+    rows = np.asarray(rows)
+    hidden = forward_hidden(model, ids, row_masks(ids)[0], rng=rng, rows=rows)
     B, n, d = hidden.data.shape
-    L = model.config.max_len
-    picked = T.take(T.reshape(hidden, (B * n, d)), rows - rows // L * (L - n))
+    picked = T.take(T.reshape(hidden, (B * n, d)), np.flatnonzero(rows[:, :n]))
     w = T.transpose(model.params["tok_emb"], (1, 0))
     return T.linear(picked, w, model.params["mlm_bias"])
 
@@ -408,22 +390,19 @@ def apply_mlm_masking(rows, vocab, mask_prob, rng):
     Each content position is selected independently with ``mask_prob``;
     selected positions become [MASK] with p=0.8, a random word token with
     p=0.1, or stay unchanged with p=0.1. Returns (corrupted ids array,
-    flat indices of selected positions, their original token ids).
+    (B, L) bool mask of the selected positions, their original token ids
+    in row-major order).
     """
     ids = np.stack(rows)
     select = (rng.random(ids.shape) < mask_prob) & row_masks(ids)[1]
-    flat_idx = np.nonzero(select.reshape(-1))[0]
-    targets = ids.reshape(-1)[flat_idx].copy()
-
-    corrupted = ids.copy()
-    roll = rng.random(flat_idx.shape)
+    targets = ids[select]
+    roll = rng.random(targets.shape)
     pool = np.arange(FIRST_WORD_ID, len(vocab))
-    randoms = pool[rng.integers(0, len(pool), size=flat_idx.shape)]
-    flat = corrupted.reshape(-1)
-    flat[flat_idx[roll < 0.8]] = MASK_ID
-    swap = (roll >= 0.8) & (roll < 0.9)
-    flat[flat_idx[swap]] = randoms[swap]
-    return corrupted, flat_idx, targets
+    randoms = pool[rng.integers(0, len(pool), size=targets.shape)]
+    corrupted = ids.copy()
+    corrupted[select] = np.where(roll < 0.8, MASK_ID,
+                                 np.where(roll < 0.9, randoms, targets))
+    return corrupted, select, targets
 
 
 def check_pretrain(cfg, rows, pre):
@@ -454,11 +433,11 @@ def pretrain_mlm(model, rows, cfg, vocab):
         rng.shuffle(order)
         for start in range(0, len(rows), cfg.batch_size):
             batch = rows[order[start:start + cfg.batch_size]]
-            corrupted, flat_idx, targets = apply_mlm_masking(
+            corrupted, select, targets = apply_mlm_masking(
                 batch, vocab, cfg.mask_prob, rng)
-            if flat_idx.size == 0:
+            if targets.size == 0:
                 continue
-            logits = mlm_logits_batch(model, corrupted, flat_idx, train=True, rng=rng)
+            logits = mlm_logits_batch(model, corrupted, select, rng=rng)
             loss = T.cross_entropy(logits, targets)
             value = loss.item()
             check_finite_loss("pretraining", value, opt.step_count + 1)

@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .encoder import block_rows, mlm_logits_batch
-from .text import MASK, PAD_ID, SLOT_MARKER, encode_tokens, word_tokens
+from .encoder import MAX_STEP_VALUES, block_rows, check_cap, mlm_logits_batch
+from .text import MASK, MASK_ID, PAD_ID, SLOT_MARKER, encode_tokens, word_tokens
 
 
 @dataclass
@@ -54,11 +54,9 @@ def log_probs_at_positions(logits, token_ids):
 
 
 def _masked_ids(instance, which, vocab, max_len):
-    """Id row with the slot expanded to m [MASK] tokens.
-
-    Returns (ids, mask_positions, candidate_token_ids), or None if the
-    sequence would overflow max_len.
-    """
+    """(ids, candidate token ids): the id row with the slot expanded to m
+    [MASK] tokens, the row's only [MASK] ids, as ``word_tokens`` never
+    yields one; None if the row would overflow max_len."""
     cand_tokens = word_tokens(instance.candidate(which))
     if not cand_tokens:
         raise ValueError("candidate text has no tokens")
@@ -67,14 +65,11 @@ def _masked_ids(instance, which, vocab, max_len):
         raise ValueError(f"sentence must contain exactly one {SLOT_MARKER!r} slot")
     prefix = word_tokens(parts[0])
     suffix = word_tokens(parts[1])
-    m = len(cand_tokens)
     try:
-        ids = encode_tokens(prefix + [MASK] * m + suffix, vocab, max_len)
+        ids = encode_tokens(prefix + [MASK] * len(cand_tokens) + suffix, vocab, max_len)
     except ValueError:   # the row overflows max_len
         return None
-    mask_positions = np.arange(1 + len(prefix), 1 + len(prefix) + m)
-    cand_ids = np.array([vocab.id(t) for t in cand_tokens])
-    return ids, mask_positions, cand_ids
+    return ids, np.array([vocab.id(t) for t in cand_tokens])
 
 
 # The memo scoring reads inside a block of ``_scores``: each candidate's
@@ -97,7 +92,7 @@ def score_candidate(model, vocab, instance, which):
     built = memo[(id(instance), which)]
     if built is None:
         return CandidateScore(avg_log_prob=float("-inf"), overflows=True)
-    ids, _, cand_ids = built
+    ids, cand_ids = built
     logp = log_probs_at_positions(memo[ids.tobytes()], cand_ids)
     return CandidateScore(avg_log_prob=float(logp.mean()), overflows=False)
 
@@ -105,41 +100,50 @@ def score_candidate(model, vocab, instance, which):
 def _blocks(instances, vocab, cfg):
     """The instances in file order, in blocks of distinct masked rows, as
     many as ``block_rows`` allows for the block's longest row, and at least
-    an instance's two. Yields (block, built, rows): ``built`` maps each
-    candidate's (id(instance), which) to what ``_masked_ids`` returns for
-    it, and ``rows`` maps each distinct row's id bytes to (ids, positions).
+    an instance's two, whose (slots, vocab_size) logits stay under
+    ``MAX_STEP_VALUES`` values. Yields (block, built, rows): ``built`` maps
+    each candidate's (id(instance), which) to what ``_masked_ids`` returns
+    for it, and ``rows`` maps each distinct row's id bytes to what it
+    returns for a candidate of that row.
     """
-    block, built, rows, longest = [], {}, {}, 0
+    block, built, rows, longest, slots = [], {}, {}, 0, 0
     caps = {}   # block_rows by the longest row
     for inst in instances:
         pair = {(id(inst), which): _masked_ids(inst, which, vocab, cfg.max_len)
                 for which in (1, 2)}
-        new = {b[0].tobytes(): b[:2] for b in pair.values() if b is not None}
+        new = {b[0].tobytes(): b for b in pair.values() if b is not None}
         wide = max([0] + [np.count_nonzero(ids != PAD_ID) for ids, _ in new.values()])
         size = max(longest, wide)
         if size not in caps:
             caps[size] = block_rows(cfg, size, least=2)
-        if len(rows) + sum(row not in rows for row in new) > caps[size]:
+        fresh = [len(c) for row, (_, c) in new.items() if row not in rows]
+        if block and (len(rows) + len(fresh) > caps[size]
+                      or (slots + sum(fresh)) * cfg.vocab_size > MAX_STEP_VALUES):
             yield block, built, rows
-            block, built, rows, longest = [], {}, {}, 0
+            block, built, rows, longest, slots = [], {}, {}, 0, 0
+            fresh = [len(c) for _, c in new.values()]
         block.append(inst)
         built.update(pair)
         rows.update(new)
         longest = max(longest, wide)
+        slots += sum(fresh)
     yield block, built, rows
 
 
 def _slot_logits(model, rows):
     """Slot logits of distinct masked rows, all in one forward: each row's
-    id bytes mapped to its (slots, V) logits."""
+    id bytes mapped to the (slots, V) logits at its [MASK] ids. A block
+    whose slot logits would pass ``MAX_STEP_VALUES`` values, which only an
+    instance's own rows can make, fails before the forward."""
     if not rows:   # every candidate of the block overflows
         return {}
     ids = np.stack([ids for ids, _ in rows.values()])
-    slots = [positions for _, positions in rows.values()]
-    flat = np.concatenate([b * model.config.max_len + s for b, s in enumerate(slots)])
+    slots = ids == MASK_ID
+    check_cap([((int(slots.sum()), model.config.vocab_size), None)],
+              "encoder.max_len", "an eval forward")
     with T.no_grad():
-        logits = mlm_logits_batch(model, ids, flat).data
-    return dict(zip(rows, np.split(logits, np.cumsum([len(s) for s in slots])[:-1])))
+        logits = mlm_logits_batch(model, ids, slots).data
+    return dict(zip(rows, np.split(logits, np.cumsum(slots.sum(axis=1))[:-1])))
 
 
 def _scores(model, vocab, instances):

@@ -8,6 +8,7 @@ other samples generated with the same perturbation type (contrastive), and
 remains classifiable by perturbation type (diversity).
 """
 
+import math
 from dataclasses import asdict, astuple, dataclass, fields
 
 import numpy as np
@@ -80,22 +81,21 @@ class Discriminator:
     array is drawn."""
 
     def __init__(self, input_dim, hidden_dim, dropout, seed):
-        # w1; b1, bn.g, bn.b and prelu.a; w2 and b2
-        count = (input_dim + 4 + N_KINDS) * hidden_dim + N_KINDS
+        # (name, shape, fill) in draw order; a fill of None draws N(0, 0.02)
+        table = [("w1", (input_dim, hidden_dim), None), ("b1", (hidden_dim,), 0.0),
+                 ("bn.g", (hidden_dim,), 1.0), ("bn.b", (hidden_dim,), 0.0),
+                 ("prelu.a", (hidden_dim,), 0.25), ("w2", (hidden_dim, N_KINDS), None),
+                 ("b2", (N_KINDS,), 0.0)]
+        count = sum(math.prod(shape) for _, shape, _ in table)
         if count > MAX_PARAMS:
             raise ValueError(f"the discriminator would hold {count} parameters, over "
                              f"the cap of {MAX_PARAMS}: lower refine.disc_hidden")
         rng = np.random.default_rng(seed)
         self.dropout = dropout
         self.params = {
-            "w1": Tensor(rng.normal(0.0, 0.02, (input_dim, hidden_dim)), requires_grad=True),
-            "b1": Tensor(np.zeros(hidden_dim), requires_grad=True),
-            "bn.g": Tensor(np.ones(hidden_dim), requires_grad=True),
-            "bn.b": Tensor(np.zeros(hidden_dim), requires_grad=True),
-            "prelu.a": Tensor(np.full(hidden_dim, 0.25), requires_grad=True),
-            "w2": Tensor(rng.normal(0.0, 0.02, (hidden_dim, N_KINDS)), requires_grad=True),
-            "b2": Tensor(np.zeros(N_KINDS), requires_grad=True),
-        }
+            name: Tensor(rng.normal(0.0, 0.02, size=shape) if fill is None
+                         else np.full(shape, fill), requires_grad=True)
+            for name, shape, fill in table}
         self.running_mean = np.zeros(hidden_dim)
         self.running_var = np.ones(hidden_dim)
         self.bn_momentum = 0.1
@@ -104,11 +104,12 @@ class Discriminator:
     def named_params(self):
         return [(f"disc.{k}", v) for k, v in self.params.items()]
 
-    def forward(self, x, train=False, rng=None):
-        """x: (M, input_dim) tensor -> (M, n_kinds) logits."""
+    def forward(self, x, rng=None):
+        """x: (M, input_dim) tensor -> (M, n_kinds) logits; given ``rng``, a
+        training forward, on batch statistics and with dropout."""
         p = self.params
         h = T.linear(x, p["w1"], p["b1"])
-        if train:
+        if rng is not None:
             mu = T.tmean(h, axis=0)
             centered = T.sub(h, mu)
             var = T.tmean(T.mul(centered, centered), axis=0)
@@ -123,8 +124,7 @@ class Discriminator:
         h = T.add(T.mul(h, p["bn.g"]), p["bn.b"])
         pos = T.relu(h)
         h = T.add(pos, T.mul(p["prelu.a"], T.sub(h, pos)))
-        if train:
-            h = T.dropout(h, self.dropout, rng)
+        h = T.dropout(h, 0.0 if rng is None else self.dropout, rng)
         return T.linear(h, p["w2"], p["b2"])
 
 
@@ -176,20 +176,21 @@ def contrastive_loss(stack, pairs, beta, score_cfg):
     return T.mul(T.tsum(windowed_bertscore(stack, stack, ia, ib, score_cfg)), 2 * beta)
 
 
-def diversity_loss(stack, kind_ids, disc, gamma, train=False, rng=None):
+def diversity_loss(stack, kind_ids, disc, gamma, rng=None):
     """Perturbation-classification loss over the rows of a generated stack,
     ``kind_ids[i]`` being the ``KIND_INDEX`` id of row i's perturbation kind.
 
     For each row the discriminator's softmax probability of the true kind
     is compared against the total probability of all other kinds; the log of
     that ratio (clamped so it stays finite) is summed and negated. Gradients
-    reach both the encoder (through the pooled stacks) and the discriminator.
+    reach both the encoder (through the pooled stacks) and the discriminator,
+    whose forward is a training forward given ``rng``.
     """
     if gamma == 0:
         return Tensor(0.0)
     if len(kind_ids) == 0:
         raise ValueError("diversity loss needs at least one row")
-    logits = disc.forward(pooled_stack(stack), train=train, rng=rng)
+    logits = disc.forward(pooled_stack(stack), rng=rng)
     onehot = np.eye(N_KINDS, dtype=logits.data.dtype)[kind_ids]
     logit_true = T.tsum(T.mul(logits, onehot), axis=1)
     # log sum over the other kinds, computed by pushing the true kind to -inf
@@ -270,7 +271,7 @@ def refine(model, disc, groups, weights, cfg, score_cfg, vocab):
             idx = np.concatenate([
                 first[gi] + _sample_kinds(n_kinds[gi], cfg.perturbations_per_sample, rng)
                 for gi in order[start:start + cfg.batch_size]])
-            generated = encode_batch(model, gen_ids[idx], train=True, rng=rng)
+            generated = encode_batch(model, gen_ids[idx], rng=rng)
             targets = (frozen.select(idx) if frozen is not None
                        else encode(model, target_ids[idx]))
 
@@ -278,7 +279,7 @@ def refine(model, disc, groups, weights, cfg, score_cfg, vocab):
             pairs = contrastive_pairs(group_ids[idx], kind_ids[idx])
             loss_c = contrastive_loss(generated, pairs, weights.beta, score_cfg)
             loss_d = diversity_loss(generated, kind_ids[idx], disc, weights.gamma,
-                                    train=True, rng=rng)
+                                    rng=rng)
             total = T.add(T.add(loss_r, loss_c), loss_d)
             value = total.item()
             check_finite_loss("refinement", value, opt.step_count + 1)

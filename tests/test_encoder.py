@@ -37,7 +37,8 @@ def small_setup():
 def every_row(model, row):
     """Eval-mode logits at every position of one id row, (L, V)."""
     with T.no_grad():
-        return mlm_logits_batch(model, row[None, :], np.arange(model.config.max_len)).data
+        return mlm_logits_batch(model, row[None, :],
+                                np.ones((1, model.config.max_len), dtype=bool)).data
 
 
 class TestEncode:
@@ -364,13 +365,47 @@ class TestEvalBlocks:
                      for i in range(60)]
         blocks = []
 
-        def forward(model, ids, flat, *args, **kwargs):
+        def forward(model, ids, rows, *args, **kwargs):
             blocks.append(len(ids))
-            return Tensor(np.zeros((len(flat), cfg.vocab_size)))
+            return Tensor(np.zeros((np.count_nonzero(rows), cfg.vocab_size)))
 
         monkeypatch.setattr(ev, "mlm_logits_batch", forward)
         ev.evaluate(EncoderModel(cfg, seed=0), vocab, instances)
         self.assert_blocks_under_the_cap(cfg, blocks, 120)
+
+    def test_evaluate_keeps_its_slot_logits_under_the_cap(self, monkeypatch):
+        # a block's head builds (slots, vocab_size) logits: at 10**6 words a
+        # block holds 134 slots, 19 instances of a 3- and a 4-token
+        # candidate, not the 32 instances of its 64 rows
+        words = [f"w{i}" for i in range(12)]
+        vocab = build_vocab([" ".join(words)])
+        cfg = EncoderConfig(layers=1, heads=1, model_dim=2, ff_dim=2, max_len=80,
+                            vocab_size=10**6)
+        instances = [SchemaInstance(f"{words[i % 12]} {words[i // 12]} _ .",
+                                    "w1 w2 w3", "w4 w5 w6 w7", 1) for i in range(40)]
+        blocks = []
+
+        def head(model, ids, rows, *args, **kwargs):
+            blocks.append(np.count_nonzero(rows))
+            return Tensor(np.zeros((blocks[-1], len(vocab))))
+
+        monkeypatch.setattr(ev, "mlm_logits_batch", head)
+        model = EncoderModel(cfg, seed=0)
+        assert encoder.block_rows(cfg, 9) == ENCODE_CHUNK
+        ev.evaluate(model, vocab, instances)
+        assert blocks == [133, 133, 14]
+        assert max(blocks) * cfg.vocab_size <= encoder.MAX_STEP_VALUES
+
+        # an instance whose own 70 + 71 slots pass the cap fails before its
+        # head runs
+        blocks.clear()
+        wide = SchemaInstance("w1 w2 _ .", " ".join(["w3"] * 70),
+                              " ".join(["w4"] * 71), 1)
+        with pytest.raises(ValueError) as e:
+            ev.evaluate(model, vocab, [wide])
+        assert str(e.value) == over_the_cap((141, 10**6), "encoder.max_len",
+                                            what="an eval forward")
+        assert blocks == []
 
     @pytest.mark.parametrize("sizes, longest, least, shape", [
         # one row's scores hold 268M values
@@ -438,7 +473,7 @@ def padded_dropout(x, rate, rng, real):
     return T.mul(x, row_keep(rate, rng, real, x.data.shape[-1], x.data.dtype))
 
 
-def padded_attention(h, mask_bias, real, cfg, p, i, train, rate, rng):
+def padded_attention(h, mask_bias, real, cfg, p, i, rate, rng):
     B, L, d = h.data.shape
     heads = cfg.heads
     dh = d // heads
@@ -451,21 +486,22 @@ def padded_attention(h, mask_bias, real, cfg, p, i, train, rate, rng):
     q, k, v = project("wq"), project("wk"), project("wv")
     scores = T.mul(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(dh))
     attn = T.softmax(T.add(scores, mask_bias))
-    if train and rate > 0.0:
+    if rate > 0.0:
         attn = T.mul(attn, weight_keep(rate, rng, real, heads, attn.data.dtype))
     ctx = T.reshape(T.transpose(T.matmul(attn, v), (0, 2, 1, 3)), (B * L, d))
     out = T.add(T.matmul(ctx, p[f"l{i}.attn.wo"]), p[f"l{i}.attn.wo_b"])
     return T.reshape(out, (B, L, d))
 
 
-def padded_forward_hidden(model, ids, attention_mask, train=False, rng=None):
+def padded_forward_hidden(model, ids, attention_mask, rng=None):
     """``forward_hidden`` as it was before packing: every layer runs on all
     B·n positions of the trimmed batch and the pad rows are zeroed at the
     end. Each dropout mask is the packed forward's, scattered into the
     padded grid."""
     cfg, p = model.config, model.params
     B, L = ids.shape
-    rate, d = cfg.dropout, cfg.model_dim
+    rate = 0.0 if rng is None else cfg.dropout
+    d = cfg.model_dim
     mask = np.asarray(attention_mask, dtype=p["tok_emb"].data.dtype)
     n = int(np.flatnonzero(mask.any(axis=0)).max(initial=0)) + 1
     ids, mask = ids[:, :n], mask[:, :n]
@@ -473,32 +509,18 @@ def padded_forward_hidden(model, ids, attention_mask, train=False, rng=None):
     mask_bias = Tensor(((1.0 - mask) * -1e9).reshape(B, 1, 1, n))
 
     pos = T.reshape(T.take(p["pos_emb"], np.arange(n)), (1, n, d))
-    x = T.add(T.embedding_lookup(p["tok_emb"], ids), pos)
-    if train:
-        x = padded_dropout(x, rate, rng, real)
+    x = padded_dropout(T.add(T.embedding_lookup(p["tok_emb"], ids), pos), rate, rng, real)
     for i in range(cfg.layers):
         h1 = T.layer_norm(x, p[f"l{i}.ln1.g"], p[f"l{i}.ln1.b"], cfg.layer_norm_eps)
-        a = padded_attention(h1, mask_bias, real, cfg, p, i, train, rate, rng)
-        if train:
-            a = padded_dropout(a, rate, rng, real)
-        x = T.add(x, a)
+        a = padded_attention(h1, mask_bias, real, cfg, p, i, rate, rng)
+        x = T.add(x, padded_dropout(a, rate, rng, real))
         h2 = T.layer_norm(x, p[f"l{i}.ln2.g"], p[f"l{i}.ln2.b"], cfg.layer_norm_eps)
         flat = T.reshape(h2, (B * n, d))
         ff = T.gelu(T.add(T.matmul(flat, p[f"l{i}.ff.w1"]), p[f"l{i}.ff.b1"]))
         ff = T.add(T.matmul(ff, p[f"l{i}.ff.w2"]), p[f"l{i}.ff.b2"])
-        ff = T.reshape(ff, (B, n, d))
-        if train:
-            ff = padded_dropout(ff, rate, rng, real)
-        x = T.add(x, ff)
+        x = T.add(x, padded_dropout(T.reshape(ff, (B, n, d)), rate, rng, real))
     x = T.layer_norm(x, p["final_ln.g"], p["final_ln.b"], cfg.layer_norm_eps)
     return T.add(T.mul(x, mask.reshape(B, n, 1)), 0.0)
-
-
-def stack_index(rows, L, n):
-    """Flat indices b*L + j into a batch's (B, L) positions as the rows
-    b*n + j of its (B, n) stack."""
-    b, j = np.divmod(rows, L)
-    return b * n + j
 
 
 class TestPackedForward:
@@ -517,17 +539,18 @@ class TestPackedForward:
         ids = np.stack([word_row(rng, n, cfg) for n in lengths])
         mask = row_masks(ids)[0]
         mask[np.argmax(lengths), 3] = False        # a mask that is not a prefix
-        rows = rng.choice(np.flatnonzero(mask), size=20, replace=False)
-        targets = rng.integers(0, cfg.vocab_size, size=len(rows))
+        rows = np.zeros_like(mask)
+        rows.flat[rng.choice(np.flatnonzero(mask), size=20, replace=False)] = True
+        targets = rng.integers(0, cfg.vocab_size, size=20)
 
         runs = []
         for forward in (forward_hidden, padded_forward_hidden):
             model = EncoderModel(cfg, seed=12)
             p = model.params
             stream = np.random.default_rng(4) if dropout is not None else None
-            hidden = forward(model, ids, mask, train=dropout is not None, rng=stream)
+            hidden = forward(model, ids, mask, rng=stream)
             picked = T.take(T.reshape(hidden, (-1, cfg.model_dim)),
-                            stack_index(rows, cfg.max_len, hidden.shape[1]))
+                            np.flatnonzero(rows[:, :hidden.shape[1]]))
             logits = T.add(T.matmul(picked, T.transpose(p["tok_emb"], (1, 0))),
                            p["mlm_bias"])
             loss = T.cross_entropy(logits, targets)
@@ -674,6 +697,39 @@ class TestFusedAttention:
 
 
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("rate", [0.0, 0.1])
+def test_attention_core_multiplies_strided_grids(dtype, rate, monkeypatch):
+    # BLAS may round a product by its operands' strides, so the bit-equality
+    # tests above hold for this layout only: q, k and v are views of C-order
+    # (B, m or n, H, dh) grids, and the weights a C-order (B, H, m, n) array
+    T.set_dtype(dtype)
+    B, n, heads, dh = 3, 5, 2, 4
+    rng = np.random.default_rng(2)
+    trimmed = np.arange(n) < np.array([5, 4, 2])[:, None]
+    queries = trimmed & (np.arange(n) < 3)     # at most 3 queries a row: m 3 < n
+    operands = []
+    matmul = T.matmul
+
+    def spy(a, b):
+        operands.append((a.data, b.data))
+        return matmul(a, b)
+
+    monkeypatch.setattr(T, "matmul", spy)
+    rows = [Tensor(rng.normal(size=(np.count_nonzero(keep), heads * dh)))
+            for keep in (queries, trimmed, trimmed)]
+    T.attention(*rows, trimmed, queries, heads, rate, np.random.default_rng(3))
+    (q, kt), (weights, v) = operands
+    m = 3
+    for grid, shape, order in ((q, (B, heads, m, dh), (0, 2, 1, 3)),
+                               (kt, (B, heads, dh, n), (0, 3, 1, 2)),
+                               (v, (B, heads, n, dh), (0, 2, 1, 3))):
+        assert grid.shape == shape and grid.dtype == dtype
+        assert not grid.flags.c_contiguous
+        assert grid.transpose(order).flags.c_contiguous
+    assert weights.shape == (B, heads, m, n) and weights.flags.c_contiguous
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
 def test_position_gradient_is_the_add_at_sum(dtype):
     # every real position holds its own token id, so the token table's
     # gradient rows are the gradient of the packed embedding rows; the
@@ -687,7 +743,7 @@ def test_position_gradient_is_the_add_at_sum(dtype):
     ids[mask] = rng.permutation(np.arange(FIRST_WORD_ID, cfg.vocab_size))[:mask.sum()]
     model = EncoderModel(cfg, seed=13)
     p = model.params
-    hidden = forward_hidden(model, ids, mask, train=True, rng=np.random.default_rng(6))
+    hidden = forward_hidden(model, ids, mask, rng=np.random.default_rng(6))
     weights = rng.normal(size=hidden.shape).astype(dtype)
     T.backward(T.tsum(T.mul(hidden, weights)))
     want = np.zeros_like(p["pos_emb"].data)
@@ -760,13 +816,13 @@ class TestStackWidth:
         rng = np.random.default_rng(12)
         lengths = (9, 17, 13)
         ids = np.stack([word_row(rng, n, TRIM_CFG) for n in lengths])
-        L = TRIM_CFG.max_len
-        assert max(lengths) < L
+        assert max(lengths) < TRIM_CFG.max_len
         for b, length in enumerate(lengths):
-            positions = rng.permutation(length)
+            asked = np.zeros(ids.shape, dtype=bool)
+            asked[b, :length] = True
             with T.no_grad():
-                batched = mlm_logits_batch(model, ids, b * L + positions).data
-                alone = mlm_logits_batch(model, ids[b:b + 1], positions).data
+                batched = mlm_logits_batch(model, ids, asked).data
+                alone = mlm_logits_batch(model, ids[b:b + 1], asked[b:b + 1]).data
             assert batched.dtype == dtype
             assert batched.tobytes() == alone.tobytes(), b
 
@@ -793,8 +849,8 @@ class TestMlmLogits:
         model = EncoderModel(cfg, seed=23)
         rng = np.random.default_rng(0)
         batch = seqs[:8]
-        corrupted, flat_idx, targets = apply_mlm_masking(batch, vocab, 0.5, rng)
-        logits = mlm_logits_batch(model, corrupted, flat_idx, train=True, rng=rng)
+        corrupted, select, targets = apply_mlm_masking(batch, vocab, 0.5, rng)
+        logits = mlm_logits_batch(model, corrupted, select, rng=rng)
         T.backward(T.cross_entropy(logits, targets))
         for name, p in model.named_params():
             assert np.linalg.norm(p.grad) > 0, f"dead parameter {name}"
@@ -840,31 +896,68 @@ class TestHeadRows:
         batch = seqs[:3]
         ids = np.stack(batch)
         mask = row_masks(ids)[0]
-        L = cfg.max_len
-        # rows from all three sequences, unsorted and repeated
-        rows = np.array([2 * L + 3, 5, L + 1, 5, 0, 2 * L + 3, L + 7, 3 * L - 1])
+        # rows from all three sequences
+        rows = np.zeros(ids.shape, dtype=bool)
+        rows[[2, 0, 1, 0, 1, 2], [3, 5, 1, 0, 7, cfg.max_len - 1]] = True
         with T.no_grad():
             got = mlm_logits_batch(model, ids, rows).data
-        want = full_logits(model, ids, mask)[rows]
-        assert got.shape == (len(rows), cfg.vocab_size)
+        want = full_logits(model, ids, mask)[np.flatnonzero(rows)]
+        assert got.shape == (np.count_nonzero(rows), cfg.vocab_size)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_zero_layer_head_is_the_normed_embeddings_times_the_table(self, dtype):
+        # with no block, the final norm runs on the asked real rows only; a
+        # pad row asked for past the longest row reads the bias alone
+        T.set_dtype(dtype)
+        cfg = dataclasses.replace(TRIM_CFG, layers=0)
+        rng = np.random.default_rng(8)
+        ids = np.stack([word_row(rng, n, cfg) for n in (7, 12, 4)])
+        model = EncoderModel(cfg, seed=8)
+        p = {name: q.data for name, q in model.params.items()}
+        for name in ("final_ln.g", "final_ln.b", "mlm_bias"):
+            p[name][:] = rng.normal(0, 0.5, size=p[name].shape)
+        rows = np.zeros(ids.shape, dtype=bool)
+        rows[[0, 0, 1, 2, 1], [0, 6, 11, 3, 15]] = True     # (1, 15): a pad row
+        with T.no_grad():
+            got = mlm_logits_batch(model, ids, rows).data
+        b, j = np.nonzero(rows)
+        real = row_masks(ids)[0][b, j]
+        assert list(real) == [True, True, True, False, True]
+        x = p["tok_emb"][ids[b, j]] + p["pos_emb"][j]
+        mu = x.mean(axis=1, keepdims=True)
+        var = ((x - mu) ** 2).mean(axis=1, keepdims=True)
+        normed = ((x - mu) / np.sqrt(var + cfg.layer_norm_eps) * p["final_ln.g"]
+                  + p["final_ln.b"])
+        want = normed @ p["tok_emb"].T + p["mlm_bias"]
+        assert got.shape == (5, cfg.vocab_size) and got.dtype == dtype
+        np.testing.assert_allclose(got[real], want[real], rtol=0,
+                                   atol=1e-5 if dtype == "float32" else 1e-12)
+        assert got[3].tobytes() == p["mlm_bias"].tobytes()
 
     def test_gradients_match_finite_differences(self, tiny_world):
         vocab, ids, _ = tiny_world
         model = tiny_model(vocab)
-        rows = np.array([9, 1, 3, 9, 12])
-        targets = np.random.default_rng(2).integers(0, len(vocab), size=len(rows))
+        rows = np.zeros(ids.shape, dtype=bool)
+        rows[[1, 0, 0, 1], [1, 1, 3, 4]] = True
+        targets = np.random.default_rng(2).integers(0, len(vocab), size=4)
         check_grads(lambda: T.cross_entropy(mlm_logits_batch(model, ids, rows),
                                             targets),
                     [model.params[n] for n in ("tok_emb", "mlm_bias", "pos_emb")])
 
     @pytest.mark.parametrize("rows", [[0, 16], [-1], np.array([1.0, 2.0]),
-                                      np.array([[1, 2]]), np.array([True, False])],
-                             ids=["out-of-range", "negative", "float", "2-d", "bool"])
+                                      np.array([[1, 2]]), np.array([True, False]),
+                                      np.ones((2, 7), dtype=bool),
+                                      np.ones((1, 8), dtype=bool),
+                                      np.ones((2, 8), dtype=np.int64),
+                                      np.ones((2, 8))],
+                             ids=["out-of-range", "negative", "float", "2-d", "bool",
+                                  "short-mask", "one-row-mask", "int-mask",
+                                  "float-mask"])
     def test_bad_rows_rejected(self, tiny_world, rows):
         vocab, ids, _ = tiny_world
         model = tiny_model(vocab)
-        with pytest.raises(ValueError, match="rows"):
+        with pytest.raises(T.ShapeError, match="rows"):
             mlm_logits_batch(model, ids, rows)
 
     def test_pretrain_matches_full_logit_path(self, small_setup):
@@ -886,17 +979,17 @@ class TestHeadRows:
             rng.shuffle(order)
             for start in range(0, len(seqs), pre.batch_size):
                 batch = [seqs[i] for i in order[start:start + pre.batch_size]]
-                corrupted, flat_idx, targets = apply_mlm_masking(
+                corrupted, select, targets = apply_mlm_masking(
                     batch, vocab, pre.mask_prob, rng)
-                if flat_idx.size == 0:
+                if targets.size == 0:
                     continue
                 mask = row_masks(np.stack(batch))[0]
-                with last_block_drawn_as_asked(cfg, mask, flat_idx):
-                    hidden = forward_hidden(ref, corrupted, mask, train=True, rng=rng)
+                with last_block_drawn_as_asked(cfg, mask, select):
+                    hidden = forward_hidden(ref, corrupted, mask, rng=rng)
                 flat = T.reshape(hidden, (-1, cfg.model_dim))
                 logits = T.add(T.matmul(flat, T.transpose(p["tok_emb"], (1, 0))),
                                p["mlm_bias"])
-                picked = stack_index(flat_idx, cfg.max_len, hidden.shape[1])
+                picked = np.flatnonzero(select[:, :hidden.shape[1]])
                 loss = T.cross_entropy(T.take(logits, picked), targets)
                 T.backward(loss)
                 opt.step()
@@ -914,16 +1007,14 @@ class TestHeadRows:
 def last_block_drawn_as_asked(cfg, mask, rows):
     """Inside the block, a forward over every row of the (B, L) ``mask``
     draws its last block's three dropout masks as a forward that reads only
-    the flat positions ``rows`` does, at the shapes of the asked queries'
-    weights and rows, and scatters them into the masks it asks for: the
-    weights' at every real query's slot, the rows' at every real row,
-    ones where no asked row is."""
+    the true entries of the (B, L) mask ``rows`` does, at the shapes of the
+    asked queries' weights and rows, and scatters them into the masks it
+    asks for: the weights' at every real query's slot, the rows' at every
+    real row, ones where no asked row is."""
     real = np.asarray(mask, dtype=bool)
     B, L = real.shape
     n = int(np.flatnonzero(real.any(axis=0)).max(initial=0)) + 1
-    asked = np.zeros(B * L, dtype=bool)
-    asked[rows] = True
-    queries = (real & asked.reshape(B, L))[:, :n]
+    queries = (real & rows)[:, :n]
     trimmed = real[:, :n]
     counts = np.count_nonzero(trimmed, axis=1)
     slots = np.arange(min(n, max(2, int(counts.max(initial=0))))) < counts[:, None]
@@ -948,15 +1039,16 @@ def last_block_drawn_as_asked(cfg, mask, rows):
         yield
 
 
-def full_stack_logits(model, ids, mask, rows, train=False, rng=None):
-    """Logits at ``rows`` from a forward that runs every row through the
-    last block, then the head over the picked rows. Its dropout masks are
-    those of ``mlm_logits_batch``'s forward, which reads only ``rows``."""
+def full_stack_logits(model, ids, mask, rows, rng=None):
+    """Logits at the (B, L) mask ``rows`` from a forward that runs every row
+    through the last block, then the head over the picked rows. Its dropout
+    masks are those of ``mlm_logits_batch``'s forward, which reads only
+    ``rows``."""
     p = model.params
     with last_block_drawn_as_asked(model.config, mask, rows):
-        hidden = forward_hidden(model, ids, mask, train=train, rng=rng)
+        hidden = forward_hidden(model, ids, mask, rng=rng)
     picked = T.take(T.reshape(hidden, (-1, model.config.model_dim)),
-                    stack_index(rows, model.config.max_len, hidden.shape[1]))
+                    np.flatnonzero(rows[:, :hidden.shape[1]]))
     return T.linear(picked, T.transpose(p["tok_emb"], (1, 0)), p["mlm_bias"])
 
 
@@ -969,14 +1061,21 @@ def asked_batch(cfg):
 
 
 L_TRIM = TRIM_CFG.max_len
+# the (sequence, position) entries each asked-rows case sets in its mask
 ASKED_ROWS = {
-    # unsorted and repeated, with a pad row and two of the all-pad sequence
-    "unsorted-repeated": [2 * L_TRIM + 3, 5, L_TRIM + 1, 5, 0, 2 * L_TRIM + 3,
-                          L_TRIM + 7, 3 * L_TRIM - 1, 3 * L_TRIM, 4 * L_TRIM - 1],
-    "one-real-row": [L_TRIM + 4],
-    "no-real-row": [12, 3 * L_TRIM, 3 * L_TRIM + 5, 2 * L_TRIM + 20],
-    "every-row": list(range(4 * L_TRIM)),
+    # rows from every sequence, with a pad row and two of the all-pad sequence
+    "scattered": ([2, 0, 1, 0, 1, 2, 3, 3], [3, 5, 1, 0, 7, L_TRIM - 1, 0, L_TRIM - 1]),
+    "one-real-row": ([1], [4]),
+    "no-real-row": ([0, 3, 3, 2], [12, 0, 5, 20]),
+    "every-row": (slice(None), slice(None)),
 }
+
+
+def asked_rows(name):
+    """The (B, L) mask of ``asked_batch``'s rows that case ``name`` asks for."""
+    rows = np.zeros((4, L_TRIM), dtype=bool)
+    rows[ASKED_ROWS[name]] = True
+    return rows
 
 
 @pytest.mark.parametrize("dtype, rtol", [("float32", 1e-5), ("float64", 1e-12)])
@@ -986,32 +1085,30 @@ class TestAskedRows:
 
     @pytest.mark.parametrize("layers", [2, 0])
     @pytest.mark.parametrize("train", [False, True], ids=["eval", "train"])
-    @pytest.mark.parametrize("rows", list(ASKED_ROWS.values()), ids=list(ASKED_ROWS))
+    @pytest.mark.parametrize("rows", list(ASKED_ROWS))
     def test_logits_match_the_full_stack(self, dtype, rtol, train, rows, layers):
         T.set_dtype(dtype)
         cfg = dataclasses.replace(TRIM_CFG, layers=layers)
         ids, mask = asked_batch(cfg)
-        rows = np.array(rows)
+        rows = asked_rows(rows)
         model = EncoderModel(cfg, seed=5)
         model.params["mlm_bias"].data = np.random.default_rng(5).normal(
             0, 0.1, size=cfg.vocab_size).astype(dtype)
         streams = [np.random.default_rng(4) if train else None for _ in range(3)]
         with T.no_grad():
-            got = mlm_logits_batch(model, ids, rows, train=train, rng=streams[0]).data
-            want = full_stack_logits(model, ids, mask, rows, train=train,
-                                     rng=streams[1]).data
-            hidden = forward_hidden(model, ids, mask, train=train, rng=streams[2],
+            got = mlm_logits_batch(model, ids, rows, rng=streams[0]).data
+            want = full_stack_logits(model, ids, mask, rows, rng=streams[1]).data
+            hidden = forward_hidden(model, ids, mask, rng=streams[2],
                                     rows=rows).data.reshape(-1, cfg.model_dim)
-        assert got.shape == (len(rows), cfg.vocab_size) and got.dtype == dtype
+        assert got.shape == (np.count_nonzero(rows), cfg.vocab_size)
+        assert got.dtype == dtype
         assert np.abs(got - want).max() <= rtol * np.abs(want).max()
-        asked = np.zeros(len(hidden), dtype=bool)
-        asked[rows] = True
-        asked &= mask.reshape(-1)
+        asked = (rows & mask).reshape(-1)
         assert (hidden[~asked] == 0).all() and not np.signbit(hidden[~asked]).any()
         assert (hidden[asked] != 0).any(axis=-1).all()
 
     @pytest.mark.parametrize("rate", [0.1, 0.0])
-    @pytest.mark.parametrize("rows", [None, "unsorted-repeated", "one-real-row"])
+    @pytest.mark.parametrize("rows", [None, "scattered", "one-real-row"])
     def test_training_draws_each_mask_at_the_shape_it_scales(self, dtype, rtol, rows,
                                                               rate, monkeypatch):
         # the embeddings' (T, d) rows, then in each block the (B, heads, m, n)
@@ -1020,23 +1117,20 @@ class TestAskedRows:
         T.set_dtype(dtype)
         cfg = dataclasses.replace(TRIM_CFG, layers=3, dropout=rate)
         ids, mask = asked_batch(cfg)
-        rows = None if rows is None else np.array(ASKED_ROWS[rows])
+        rows = None if rows is None else asked_rows(rows)
         model = EncoderModel(cfg, seed=6)
         B, n, d = len(ids), cfg.max_len, cfg.model_dim      # a row is max_len long
-        last = mask.copy()
-        if rows is not None:
-            last &= np.isin(np.arange(B * n), rows).reshape(B, n)
+        last = mask if rows is None else mask & rows
         want = [(np.count_nonzero(mask), d)]
         for queries in [mask] * (cfg.layers - 1) + [last]:
             m = max(2, np.count_nonzero(queries, axis=1).max())
             want += [(B, cfg.heads, m, n)] + [(np.count_nonzero(queries), d)] * 2
         shapes = record_draws(monkeypatch)
-        forward_hidden(model, ids, mask, train=True, rng=np.random.default_rng(8),
-                       rows=rows)
+        forward_hidden(model, ids, mask, rng=np.random.default_rng(8), rows=rows)
         assert shapes == (want if rate else [])
         monkeypatch.undo()
         stream, drawn = np.random.default_rng(8), np.random.default_rng(8)
-        forward_hidden(model, ids, mask, train=True, rng=stream, rows=rows)
+        forward_hidden(model, ids, mask, rng=stream, rows=rows)
         drawn.random(sum(map(math.prod, want)) if rate else 0)
         assert stream.bit_generator.state == drawn.bit_generator.state
 
@@ -1053,19 +1147,18 @@ class TestAskedRows:
         cfg = EncoderConfig(layers=2, heads=4, model_dim=96, ff_dim=256, max_len=24,
                             vocab_size=len(vocab), dropout=0.1)
         batch = np.stack(seqs[:32])
-        corrupted, flat_idx, targets = apply_mlm_masking(
+        corrupted, select, targets = apply_mlm_masking(
             batch, vocab, 0.3, np.random.default_rng(4))
-        assert flat_idx.size >= 64
+        assert targets.size >= 64
         mask = row_masks(batch)[0]
         runs = []
         for full_stack in (False, True):
             model = EncoderModel(cfg, seed=9)
             rng = np.random.default_rng(5)
             if full_stack:
-                logits = full_stack_logits(model, corrupted, mask, flat_idx, train=True,
-                                           rng=rng)
+                logits = full_stack_logits(model, corrupted, mask, select, rng=rng)
             else:
-                logits = mlm_logits_batch(model, corrupted, flat_idx, train=True, rng=rng)
+                logits = mlm_logits_batch(model, corrupted, select, rng=rng)
             loss = T.cross_entropy(logits, targets)
             T.backward(loss)
             runs.append((loss.data, {n: p.grad for n, p in model.named_params()}))
@@ -1084,7 +1177,7 @@ class TestAskedRows:
     def test_last_block_gelu_sees_the_asked_rows(self, dtype, rtol, monkeypatch):
         T.set_dtype(dtype)
         ids, mask = asked_batch(TRIM_CFG)
-        rows = np.array(ASKED_ROWS["unsorted-repeated"])
+        rows = asked_rows("scattered")
         seen = []
         gelu = T.gelu
 
@@ -1094,11 +1187,10 @@ class TestAskedRows:
 
         monkeypatch.setattr(T, "gelu", spy)
         model = EncoderModel(TRIM_CFG, seed=7)
-        mlm_logits_batch(model, ids, rows, train=True, rng=np.random.default_rng(1))
-        real = mask.reshape(-1)
-        asked = np.unique(rows[real[rows]]).size
+        mlm_logits_batch(model, ids, rows, rng=np.random.default_rng(1))
+        asked = np.count_nonzero(rows & mask)
         assert asked == 5
-        assert seen == [int(real.sum())] * (TRIM_CFG.layers - 1) + [asked]
+        assert seen == [int(mask.sum())] * (TRIM_CFG.layers - 1) + [asked]
 
 
 class TestMasking:
@@ -1110,8 +1202,8 @@ class TestMasking:
         eligible = int(row_masks(np.stack(batch))[1].sum())
         rounds = int(np.ceil(10000 / eligible))
         for _ in range(rounds):
-            _, flat_idx, _ = apply_mlm_masking(batch, vocab, 0.15, rng)
-            selected += len(flat_idx)
+            _, select, _ = apply_mlm_masking(batch, vocab, 0.15, rng)
+            selected += np.count_nonzero(select)
             total += eligible
         assert total >= 10000
         assert abs(selected / total - 0.15) < 0.01
@@ -1122,13 +1214,12 @@ class TestMasking:
         rng = np.random.default_rng(7)
         n_mask = n_same = n_total = 0
         batch = seqs[:16]
-        orig = np.stack(batch).reshape(-1)
+        orig = np.stack(batch)
         for _ in range(200):
-            corrupted, flat_idx, targets = apply_mlm_masking(batch, vocab, 0.15, rng)
-            flat = corrupted.reshape(-1)
-            n_mask += int((flat[flat_idx] == MASK_ID).sum())
-            n_same += int((flat[flat_idx] == orig[flat_idx]).sum())
-            n_total += len(flat_idx)
+            corrupted, select, targets = apply_mlm_masking(batch, vocab, 0.15, rng)
+            n_mask += int((corrupted[select] == MASK_ID).sum())
+            n_same += int((corrupted[select] == orig[select]).sum())
+            n_total += np.count_nonzero(select)
         assert abs(n_mask / n_total - 0.80) < 0.02
         # "unchanged" also catches random draws that hit the original token
         assert 0.08 < n_same / n_total < 0.14
@@ -1137,10 +1228,10 @@ class TestMasking:
         vocab, cfg, model, seqs = small_setup
         rng = np.random.default_rng(9)
         batch = seqs[:8]
-        content = row_masks(np.stack(batch))[1].reshape(-1)
+        content = row_masks(np.stack(batch))[1]
         for _ in range(20):
-            _, flat_idx, _ = apply_mlm_masking(batch, vocab, 0.3, rng)
-            assert content[flat_idx].all()
+            _, select, _ = apply_mlm_masking(batch, vocab, 0.3, rng)
+            assert content[select].all()
 
     @pytest.mark.parametrize("mask_prob", [0.15, 0.5, 1.0])
     def test_corruption_keeps_the_attention_mask(self, small_setup, mask_prob):
@@ -1152,9 +1243,9 @@ class TestMasking:
         attention = row_masks(batch)[0]
         assert not attention.all()
         for seed in range(200):
-            corrupted, flat_idx, _ = apply_mlm_masking(
+            corrupted, select, _ = apply_mlm_masking(
                 batch, vocab, mask_prob, np.random.default_rng(seed))
-            assert flat_idx.size > 0
+            assert select.any()
             assert (row_masks(corrupted)[0] == attention).all(), seed
 
 

@@ -74,9 +74,9 @@ def rig_logits(monkeypatch, vocab, max_len, row_probs):
         for pos, probs in row_probs.items():
             out[pos] = np.log(probs)
 
-    def fake(model, ids, rows, train=False, rng=None):
+    def fake(model, ids, rows, rng=None):
         from winoref.tensor import Tensor
-        return Tensor(out[rows % max_len])
+        return Tensor(out[np.nonzero(rows)[1]])
 
     monkeypatch.setattr(ev, "mlm_logits_batch", fake)
 
@@ -111,7 +111,8 @@ class TestScoreCandidate:
         rig_logits(monkeypatch, vocab, cfg.max_len,
                    {2: half_at("red"), 3: half_at("trophy")})
         s1 = score_candidate(model, vocab, inst, 1)
-        assert list(ev._masked_ids(inst, 1, vocab, cfg.max_len)[1]) == [2, 3]
+        ids = ev._masked_ids(inst, 1, vocab, cfg.max_len)[0]
+        assert list(np.flatnonzero(ids == MASK_ID)) == [2, 3]
         assert s1.avg_log_prob == pytest.approx(np.log(0.5), abs=1e-12)
 
     def test_exact_equality_with_brute_force_enumeration(self, world):
@@ -122,9 +123,10 @@ class TestScoreCandidate:
         for inst in bench[:6]:
             for which in (1, 2):
                 got = score_candidate(model, vocab, inst, which)
-                ids, positions, cand_ids = _masked_ids(inst, which, vocab, cfg.max_len)
+                ids, cand_ids = _masked_ids(inst, which, vocab, cfg.max_len)
                 with T.no_grad():
-                    logits = mlm_logits_batch(model, ids[None, :], positions).data
+                    logits = mlm_logits_batch(model, ids[None, :],
+                                              ids[None, :] == MASK_ID).data
                 want = np.mean([brute_force_logprob(row, t)
                                 for row, t in zip(logits, cand_ids)])
                 assert got.avg_log_prob == want  # bit-exact in 64-bit
@@ -154,11 +156,11 @@ class TestScoreCandidate:
                 s = score_candidate(model, vocab, inst, 1)
                 choice, _ = resolve(model, vocab, inst)
             if m <= fit:
-                ids, positions, _ = ev._masked_ids(inst, 1, vocab, cfg.max_len)
+                ids, _ = ev._masked_ids(inst, 1, vocab, cfg.max_len)
                 want = hand_layout(["the"], m, ["fits", "."], vocab, cfg.max_len)
                 np.testing.assert_array_equal(ids, want[0])
                 np.testing.assert_array_equal(row_masks(ids)[0], want[1])
-                np.testing.assert_array_equal(positions, want[2])
+                np.testing.assert_array_equal(np.flatnonzero(ids == MASK_ID), want[2])
                 assert np.isfinite(s.avg_log_prob) and not s.overflows
                 continue
             assert ev._masked_ids(inst, 1, vocab, cfg.max_len) is None

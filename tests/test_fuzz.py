@@ -93,6 +93,6 @@ class TestRangeFuzz:
             # a huge batch's float32 batch-norm variance may overflow to inf,
             # which scales its rows to 0
             with np.errstate(over="ignore"):
-                loss = diversity_loss(stack, kinds, disc, 1.0, train=train, rng=rng)
+                loss = diversity_loss(stack, kinds, disc, 1.0, rng=rng if train else None)
             assert loss.data.dtype == dtype
             assert np.abs(loss.item()) <= n * _TERM_BOUND, f"case {case}: {loss.item()}"

@@ -272,7 +272,7 @@ class TestDiversityLoss:
         _, kinds, stack = entries_for(rng, 2, kinds=PERTURBATION_KINDS[:3],
                                       requires_grad=True)
         disc = Discriminator(8, 16, dropout=0.0, seed=2)
-        loss = diversity_loss(stack, ids_of(kinds), disc, 1.0, train=True,
+        loss = diversity_loss(stack, ids_of(kinds), disc, 1.0,
                               rng=np.random.default_rng(0))
         T.backward(loss)
         for row_grad in stack.hidden.grad:
@@ -314,9 +314,9 @@ class TestRefineTargets:
                           "live": model.clone()})
             return real_recon(targets, generated, alpha, score_cfg)
 
-        def div(stack, kind_ids, disc, gamma, train=False, rng=None):
+        def div(stack, kind_ids, disc, gamma, rng=None):
             steps[-1]["kinds"] = [PERTURBATION_KINDS[k] for k in kind_ids]
-            return real_div(stack, kind_ids, disc, gamma, train=train, rng=rng)
+            return real_div(stack, kind_ids, disc, gamma, rng=rng)
 
         monkeypatch.setattr(winoref.refine, "reconstruction_loss", recon)
         monkeypatch.setattr(winoref.refine, "diversity_loss", div)
@@ -486,14 +486,19 @@ class TestStepBudget:
         assert str(e.value) == (f"the discriminator would hold {count} parameters, over "
                                 f"the cap of {encoder.MAX_PARAMS}: lower refine.disc_hidden")
 
-    def test_discriminator_at_the_parameter_cap_is_built(self, monkeypatch):
-        disc = Discriminator(16, 8, dropout=0.2, seed=0)
+    @pytest.mark.parametrize("input_dim, hidden_dim", [(16, 8), (3, 1), (96, 128)])
+    def test_discriminator_at_the_parameter_cap_is_built(self, monkeypatch, input_dim,
+                                                         hidden_dim):
+        # the cap counts every parameter the discriminator builds
+        disc = Discriminator(input_dim, hidden_dim, dropout=0.2, seed=0)
         count = sum(p.data.size for _, p in disc.named_params())
         monkeypatch.setattr(winoref.refine, "MAX_PARAMS", count)
-        Discriminator(16, 8, dropout=0.2, seed=0)
+        Discriminator(input_dim, hidden_dim, dropout=0.2, seed=0)
         monkeypatch.setattr(winoref.refine, "MAX_PARAMS", count - 1)
-        with pytest.raises(ValueError, match="refine.disc_hidden"):
-            Discriminator(16, 8, dropout=0.2, seed=0)
+        with pytest.raises(ValueError) as e:
+            Discriminator(input_dim, hidden_dim, dropout=0.2, seed=0)
+        assert str(e.value) == (f"the discriminator would hold {count} parameters, over "
+                                f"the cap of {count - 1}: lower refine.disc_hidden")
 
     def test_default_batches_run_at_eight_heads_and_the_longest_rows(self,
                                                                       monkeypatch):
@@ -699,7 +704,7 @@ def lazy_cache_refine(model, disc, groups, weights, cfg, score_cfg, vocab):
             kinds = [KIND_INDEX[kind] for _, kind in chosen]
             generated = encode_batch(
                 model, [generated_row(groups[gi], kind, vocab, max_len)
-                        for gi, kind in chosen], train=True, rng=rng)
+                        for gi, kind in chosen], rng=rng)
             parts = [target_for(gi, kind) for gi, kind in chosen]
             # one-row stacks are as wide as their row: zero-pad them to the
             # longest, as a stack of all of them would be
@@ -715,8 +720,7 @@ def lazy_cache_refine(model, disc, groups, weights, cfg, score_cfg, vocab):
             loss_r = reconstruction_loss(targets, generated, weights.alpha, score_cfg)
             loss_c = contrastive_loss(generated, contrastive_pairs(samples, kinds),
                                       weights.beta, score_cfg)
-            loss_d = diversity_loss(generated, kinds, disc, weights.gamma,
-                                    train=True, rng=rng)
+            loss_d = diversity_loss(generated, kinds, disc, weights.gamma, rng=rng)
             total = T.add(T.add(loss_r, loss_c), loss_d)
             T.backward(total)
             opt.step()
