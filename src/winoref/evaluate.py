@@ -101,25 +101,33 @@ def _blocks(instances, vocab, cfg):
     """The instances in file order, in blocks of distinct masked rows, as
     many as ``block_rows`` allows for the block's longest row, and at least
     an instance's two, whose (slots, vocab_size) logits stay under
-    ``MAX_STEP_VALUES`` values. Yields (block, built, rows): ``built`` maps
-    each candidate's (id(instance), which) to what ``_masked_ids`` returns
-    for it, and ``rows`` maps each distinct row's id bytes to what it
-    returns for a candidate of that row.
+    ``MAX_STEP_VALUES`` values. Returns a list of (block, built, rows):
+    ``built`` maps each candidate's (id(instance), which) to what
+    ``_masked_ids`` returns for it, and ``rows`` maps each distinct row's id
+    bytes to what it returns for a candidate of that row. The whole walk
+    runs before any forward, so a block over the cap, which only an
+    instance's own rows can make, fails before the first one.
     """
+    blocks = []
+
+    def close(block, built, rows, slots):
+        check_cap([((slots, cfg.vocab_size), None)], "encoder.max_len", "an eval forward")
+        blocks.append((block, built, rows))
+
     block, built, rows, longest, slots = [], {}, {}, 0, 0
     caps = {}   # block_rows by the longest row
     for inst in instances:
         pair = {(id(inst), which): _masked_ids(inst, which, vocab, cfg.max_len)
                 for which in (1, 2)}
         new = {b[0].tobytes(): b for b in pair.values() if b is not None}
-        wide = max([0] + [np.count_nonzero(ids != PAD_ID) for ids, _ in new.values()])
+        wide = max([0] + [int(np.count_nonzero(ids != PAD_ID)) for ids, _ in new.values()])
         size = max(longest, wide)
         if size not in caps:
             caps[size] = block_rows(cfg, size, least=2)
         fresh = [len(c) for row, (_, c) in new.items() if row not in rows]
         if block and (len(rows) + len(fresh) > caps[size]
                       or (slots + sum(fresh)) * cfg.vocab_size > MAX_STEP_VALUES):
-            yield block, built, rows
+            close(block, built, rows, slots)
             block, built, rows, longest, slots = [], {}, {}, 0, 0
             fresh = [len(c) for _, c in new.values()]
         block.append(inst)
@@ -127,20 +135,17 @@ def _blocks(instances, vocab, cfg):
         rows.update(new)
         longest = max(longest, wide)
         slots += sum(fresh)
-    yield block, built, rows
+    close(block, built, rows, slots)
+    return blocks
 
 
 def _slot_logits(model, rows):
     """Slot logits of distinct masked rows, all in one forward: each row's
-    id bytes mapped to the (slots, V) logits at its [MASK] ids. A block
-    whose slot logits would pass ``MAX_STEP_VALUES`` values, which only an
-    instance's own rows can make, fails before the forward."""
+    id bytes mapped to the (slots, V) logits at its [MASK] ids."""
     if not rows:   # every candidate of the block overflows
         return {}
     ids = np.stack([ids for ids, _ in rows.values()])
     slots = ids == MASK_ID
-    check_cap([((int(slots.sum()), model.config.vocab_size), None)],
-              "encoder.max_len", "an eval forward")
     with T.no_grad():
         logits = mlm_logits_batch(model, ids, slots).data
     return dict(zip(rows, np.split(logits, np.cumsum(slots.sum(axis=1))[:-1])))

@@ -17,9 +17,11 @@ kernel may reuse its own temporaries with ``out=``, including those its
 forward saved for the backward, because ``backward`` runs once per tape;
 it never writes into a node's ``data``. Every in-place kernel keeps the
 floating-point operations, and their order, of the plain formula, so
-results are bit for bit those of the allocating form. One order is fixed
-beyond numpy's: softmax's forward adds the keys one after another, not
-pairwise, so the zero-weight keys of a padded batch never change a row.
+results are bit for bit those of the allocating form. The plain formula
+sums along the last axis in one ``np.einsum`` pass per row, a product in
+the same pass (``_row_sum``), so a row's sum depends on that row alone.
+Softmax's forward alone adds its keys one after another, so the zero-weight
+keys of a padded batch never change a row, which einsum does not promise.
 
 Hot kernels are laid out for numpy's fast paths. ``linear`` multiplies a
 weight that is a row-major table transposed, as the tied MLM head's is, in
@@ -442,6 +444,14 @@ def scatter_rows(a, keep):
 # ---------------------------------------------------------------------------
 
 
+def _row_sum(*ops):
+    """The sum along the last axis of ``ops[0]``, or of ``ops[0] * ops[1]``,
+    kept as a length-1 axis: one ``np.einsum`` pass per unit-stride row (a
+    strided one is copied first, as einsum would sum it in another order)."""
+    ops = [o if o.strides[-1] == o.itemsize else np.ascontiguousarray(o) for o in ops]
+    return np.einsum(("...i,...i" if len(ops) == 2 else "...i") + "->...", *ops)[..., None]
+
+
 def tsum(a, axis=None):
     a = astensor(a)
 
@@ -558,9 +568,7 @@ def softmax(x):
     np.copyto(out_data, np.swapaxes(slabs, 0, -1))
 
     def bw(g):
-        gx = g * out_data
-        dot = gx.sum(axis=-1, keepdims=True)
-        np.subtract(g, dot, out=gx)
+        gx = g - _row_sum(g, out_data)
         gx *= out_data
         x._accum(gx)
 
@@ -674,15 +682,13 @@ def attention(q_rows, k_rows, v_rows, trimmed, queries, heads, rate, rng):
         gs = gc @ np.swapaxes(v, -1, -2)
         if drop is not None:
             gs *= drop
-        gp = gs * p                         # softmax: (g - sum(g * P)) * P
-        dot = gp.sum(axis=-1, keepdims=True)
-        np.subtract(gs, dot, out=gp)
-        gp *= p
-        gp *= scale.data
+        gs -= _row_sum(gs, p)               # softmax: (g - sum(g * P)) * P
+        gs *= p
+        gs *= scale.data
         if q_rows.requires_grad:
-            q_rows._accum(packed(gp @ np.swapaxes(kt, -1, -2), slots))
+            q_rows._accum(packed(gs @ np.swapaxes(kt, -1, -2), slots))
         if k_rows.requires_grad:
-            gkt = np.swapaxes(q, -1, -2) @ gp
+            gkt = np.swapaxes(q, -1, -2) @ gs
             k_rows._accum(packed(gkt.transpose(0, 1, 3, 2), trimmed))
 
     return _node(packed(ctx, slots), (q_rows, k_rows, v_rows), bw)
@@ -704,37 +710,31 @@ def logsumexp(x):
 
 
 def layer_norm(x, gain, bias, eps):
-    """Normalize the last axis to zero mean / unit variance, then scale and shift."""
+    """Normalize the last axis to zero mean / unit variance, then scale and
+    shift. Each row is centred on its first entry first, so a constant row
+    maps to exactly ``bias`` and a large offset stays out of the mean."""
     x, gain, bias = astensor(x), astensor(gain), astensor(bias)
     if gain.data.shape != (x.data.shape[-1],) or bias.data.shape != (x.data.shape[-1],):
         raise ShapeError(f"layer_norm: gain/bias shapes {gain.data.shape}/{bias.data.shape} "
                          f"do not match feature dim of {x.data.shape}")
-    # np.add.reduce, then /= n: np.mean's arithmetic without its wrapper
     n = x.data.shape[-1]
-    mu = np.add.reduce(x.data, axis=-1, keepdims=True)
-    mu /= n
-    xhat = x.data - mu
-    out_data = xhat * xhat
-    var = np.add.reduce(out_data, axis=-1, keepdims=True)
-    var /= n
-    inv = 1.0 / np.sqrt(var + eps)
+    xhat = x.data - x.data[..., :1]
+    xhat -= _row_sum(xhat) / n
+    inv = 1.0 / np.sqrt(_row_sum(xhat, xhat) / n + eps)
     xhat *= inv
-    np.multiply(xhat, gain.data, out=out_data)
+    out_data = xhat * gain.data
     out_data += bias.data
 
     def bw(g):
-        gx = g * xhat                 # gain's gradient term, then x's gradient
+        tmp = g * xhat                # gain's gradient term, then x's gradient
         if gain.requires_grad:
-            gain._accum(gx.reshape(-1, n).sum(axis=0))
+            gain._accum(tmp.reshape(-1, n).sum(axis=0))
         if bias.requires_grad:
             bias._accum(g.reshape(-1, n).sum(axis=0))
         if x.requires_grad:
-            np.multiply(g, gain.data, out=gx)
-            m1 = np.add.reduce(gx, axis=-1, keepdims=True)
-            m1 /= n
-            tmp = gx * xhat
-            m2 = np.add.reduce(tmp, axis=-1, keepdims=True)
-            m2 /= n
+            gx = g * gain.data
+            m1 = _row_sum(gx) / n
+            m2 = _row_sum(gx, xhat) / n
             gx -= m1
             np.multiply(xhat, m2, out=tmp)
             gx -= tmp
@@ -751,29 +751,24 @@ def gelu(x):
     """Gaussian error linear unit (tanh approximation)."""
     x = astensor(x)
     sq = x.data * x.data
-    t = sq * x.data                    # t = tanh(C * (x + 0.044715 * x^3))
-    t *= 0.044715
-    t += x.data
-    t *= _GELU_C
+    t = sq * (_GELU_C * 0.044715)      # t = tanh(x * (C + C * 0.044715 * x^2))
+    t += _GELU_C
+    t *= x.data
     np.tanh(t, out=t)
-    t1 = 1.0 + t
-    out_data = 0.5 * x.data
-    out_data *= t1
+    half = t * 0.5                     # 0.5 * (1 + t)
+    half += 0.5
+    out_data = x.data * half
 
     def bw(g):
-        # g * (0.5 * (1 + t) + 0.5 * x * (1 - t^2) * C * (1 + 3 * 0.044715 * x^2)),
-        # written over the forward's t1, t and sq
-        gx = t1
-        gx *= 0.5
+        # g * (0.5 * (1 + t) + x * (1 - t^2) * (0.5 * C + 1.5 * C * 0.044715 * x^2)),
+        # written over the forward's t and sq
         sech2 = np.multiply(t, t, out=t)
         np.subtract(1.0, sech2, out=sech2)
-        d_inner = np.multiply(sq, 3.0 * 0.044715, out=sq)
-        d_inner += 1.0
-        d_inner *= _GELU_C
-        tmp = 0.5 * x.data
-        tmp *= sech2
-        tmp *= d_inner
-        gx += tmp
+        gx = np.multiply(sq, 1.5 * _GELU_C * 0.044715, out=sq)
+        gx += 0.5 * _GELU_C
+        gx *= sech2
+        gx *= x.data
+        gx += half
         gx *= g
         x._accum(gx)
 
@@ -817,7 +812,7 @@ def cross_entropy(logits, targets):
     m = logits.data.max(axis=1, keepdims=True)
     e = logits.data - m
     np.exp(e, out=e)
-    z = e.sum(axis=1, keepdims=True)
+    z = _row_sum(e)
     # log-probabilities at the targets only, by the same operations in the
     # same order as the full (n, V) matrix would take them
     logp = logits.data[np.arange(n), targets] - m[:, 0] - np.log(z[:, 0])
@@ -846,26 +841,31 @@ def l2_normalize(x):
     """
     x = astensor(x)
     y = x.data
-    with np.errstate(over="ignore"):          # an overflow is caught below
-        sq = y * y
-        sumsq = np.add.reduce(sq, axis=-1, keepdims=True)
     fi = np.finfo(y.dtype)
-    unsafe = ((sq.min(axis=-1, keepdims=True, initial=np.inf, where=y != 0) < fi.tiny)
-              | (sumsq > fi.max))
+    with np.errstate(over="ignore"):          # an overflow is caught below
+        sumsq = _row_sum(y, y)
+        small = (y * y < fi.tiny) & (y != 0)  # a nonzero square that underflows
+    unsafe = sumsq > fi.max
+    if small.any():
+        unsafe |= small.any(axis=-1, keepdims=True)
     scale = 1.0
     if unsafe.any():
         big = np.abs(y).max(axis=-1, keepdims=True)
         scale = np.where(unsafe, np.ldexp(np.ones_like(big), np.frexp(big)[1] - 1), 1.0)
         y = y / scale
-        sumsq = np.add.reduce(y * y, axis=-1, keepdims=True)
+        sumsq = _row_sum(y, y)
     norm = np.sqrt(sumsq)
-    nonzero = norm > 0
-    safe = np.where(nonzero, norm, 1.0)
-    out_data = np.where(nonzero, y / safe, 0.0)
+    safe = np.where(norm > 0, norm, 1.0)
+    zero = ~(norm > 0)[..., 0]                # +0.0 there, after each division
+    out_data = y / safe
+    out_data[zero] = 0.0
 
     def bw(g):
-        dot = (g * out_data).sum(axis=-1, keepdims=True)
-        gx = np.where(nonzero, (g - out_data * dot) / safe / scale, 0.0)
+        gx = out_data * _row_sum(g, out_data)  # (g - out * dot) / safe / scale
+        np.subtract(g, gx, out=gx)
+        gx /= safe
+        gx /= scale
+        gx[zero] = 0.0
         x._accum(gx)
 
     return _node(out_data, (x,), bw)

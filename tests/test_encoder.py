@@ -407,6 +407,45 @@ class TestEvalBlocks:
                                             what="an eval forward")
         assert blocks == []
 
+    @pytest.mark.parametrize("case", ["slots", "rows"])
+    def test_evaluate_checks_every_block_before_its_first_forward(self, monkeypatch, case):
+        # 40 short instances take more than one block; then one instance is
+        # over a cap on its own: its 70 + 71 slot logits at 10**6 words, or
+        # the attention scores of two rows of 512 tokens at 512 heads. No
+        # head runs before the error
+        words = [f"w{i}" for i in range(12)]
+        vocab = build_vocab([" ".join(words)])
+        if case == "slots":
+            cfg = EncoderConfig(layers=1, heads=1, model_dim=2, ff_dim=2, max_len=80,
+                                vocab_size=10**6)
+            last = SchemaInstance("w1 w2 _ .", " ".join(["w3"] * 70),
+                                  " ".join(["w4"] * 71), 1)
+            message = over_the_cap((141, 10**6), "encoder.max_len",
+                                   what="an eval forward")
+        else:
+            cfg = EncoderConfig(**{**LONG_ROWS, "heads": 512, "model_dim": 512,
+                                   "vocab_size": len(vocab)})
+            last = SchemaInstance("w0 " * 507 + "_ .", "w1", "w2 w3", 1)
+            message = over_the_cap((2, 512, 512, 512), "encoder.max_len or encoder.heads",
+                                   what="an eval forward")
+        instances = [SchemaInstance(f"{words[i % 12]} {words[i // 12]} _ .",
+                                    "w1 w2 w3", "w4 w5 w6 w7", 1) for i in range(40)]
+        calls = []
+
+        def head(model, ids, rows, *args, **kwargs):
+            calls.append(np.count_nonzero(rows))
+            return Tensor(np.zeros((calls[-1], len(vocab))))
+
+        monkeypatch.setattr(ev, "mlm_logits_batch", head)
+        model = EncoderModel(cfg, seed=0)
+        ev.evaluate(model, vocab, instances)
+        assert len(calls) >= 1
+        calls.clear()
+        with pytest.raises(ValueError) as e:
+            ev.evaluate(model, vocab, instances + [last])
+        assert str(e.value) == message
+        assert calls == []
+
     @pytest.mark.parametrize("sizes, longest, least, shape", [
         # one row's scores hold 268M values
         (dict(heads=1024, model_dim=1024), 512, 1, (1, 1024, 512, 512)),

@@ -453,25 +453,32 @@ def leaf_grad(values):
 _GELU_C = float(np.sqrt(2.0 / np.pi))
 
 
+def row_sum(a, b=None):
+    """The sum along the last axis of ``a``, or of ``a * b``, as one einsum
+    pass per row, kept as a length-1 axis."""
+    if b is None:
+        return np.einsum("...i->...", a)[..., None]
+    return np.einsum("...i,...i->...", a, b)[..., None]
+
+
 def gelu_formula(x, g):
     sq = x * x
-    t = np.tanh(_GELU_C * (x + 0.044715 * (sq * x)))
-    out = 0.5 * x * (1.0 + t)
-    sech2 = 1.0 - t * t
-    d_inner = _GELU_C * (1.0 + 3.0 * 0.044715 * sq)
-    return out, g * (0.5 * (1.0 + t) + 0.5 * x * sech2 * d_inner)
+    t = np.tanh((sq * (_GELU_C * 0.044715) + _GELU_C) * x)
+    half = t * 0.5 + 0.5
+    d_inner = sq * (1.5 * _GELU_C * 0.044715) + 0.5 * _GELU_C
+    return x * half, g * (half + d_inner * (1.0 - t * t) * x)
 
 
 def layer_norm_formula(x, gain, bias, g, eps=1e-5):
     n = x.shape[-1]
-    xc = x - x.mean(axis=-1, keepdims=True)
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    xc = x - x[..., :1]
+    xc = xc - row_sum(xc) / n
+    inv = 1.0 / np.sqrt(row_sum(xc, xc) / n + eps)
     xhat = xc * inv
     out = xhat * gain + bias
     gx = g * gain
-    m1 = gx.mean(axis=-1, keepdims=True)
-    m2 = (gx * xhat).mean(axis=-1, keepdims=True)
+    m1 = row_sum(gx) / n
+    m2 = row_sum(gx, xhat) / n
     return (out, inv * (gx - m1 - xhat * m2),
             (g * xhat).reshape(-1, n).sum(axis=0), g.reshape(-1, n).sum(axis=0))
 
@@ -485,18 +492,17 @@ def sum_in_order(x, axis):
     return np.expand_dims(total, axis)
 
 
-def softmax_formula(x, g, axis=-1):
-    e = np.exp(x - x.max(axis=axis, keepdims=True))
-    out = e / sum_in_order(e, axis)
-    dot = (g * out).sum(axis=axis, keepdims=True)
-    return out, out * (g - dot)
+def softmax_formula(x, g):
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    out = e / sum_in_order(e, -1)
+    return out, out * (g - row_sum(g, out))
 
 
 def cross_entropy_formula(x, targets, g):
     n = x.shape[0]
     m = x.max(axis=1, keepdims=True)
     e = np.exp(x - m)
-    z = e.sum(axis=1, keepdims=True)
+    z = row_sum(e)
     logp = x[np.arange(n), targets] - m[:, 0] - np.log(z[:, 0])
     soft = e / z
     soft[np.arange(n), targets] -= 1.0
@@ -811,6 +817,61 @@ def test_pretraining_above_the_head_row_constant_keeps_its_bytes(monkeypatch, dt
             np.testing.assert_allclose(p.data, params[1][k].data, rtol=1e-12, atol=1e-12)
 
 
+def _rows_out(kernel, x, g):
+    """The per-row results of ``kernel`` on the rows ``x`` with output
+    gradient ``g``: its output rows and its input gradient rows; for
+    cross_entropy, whose output is a mean, the gradient rows only, with
+    ``g`` the targets."""
+    t = Tensor(x, requires_grad=True, dtype=x.dtype)
+    if kernel == "cross_entropy":
+        out = T.cross_entropy(t, g)
+        out._backward_fn(np.asarray(1.0, dtype=x.dtype))
+        return [t.grad]
+    if kernel == "layer_norm":
+        n = x.shape[-1]
+        gain, bias = (Tensor(np.linspace(-1.0, 2.0, n) + k, dtype=x.dtype) for k in (0, 1))
+        out = T.layer_norm(t, gain, bias, 1e-5)
+    else:
+        out = getattr(T, kernel)(t)
+    out._backward_fn(g)
+    return [out.data, t.grad]
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("kernel, width", [("layer_norm", 96), ("l2_normalize", 96),
+                                           ("softmax", 17), ("cross_entropy", 191)])
+def test_each_row_sum_depends_on_its_row_alone(dtype, kernel, width):
+    # the kernels sum each row in one einsum pass: a row's bytes are the
+    # same at any row count, at any offset, in a row-strided view and in a
+    # column-major copy, whose rows are made unit-stride before the sum.
+    # cross_entropy divides its gradient by the row count once, so its rows
+    # are the one-row gradients over that count
+    rng = np.random.default_rng(17)
+    x = rng.normal(0, 3, size=(720, width)).astype(dtype)
+    x[5, :width // 2] = 0.0
+    g = rng.normal(size=x.shape).astype(dtype)
+    if kernel == "cross_entropy":
+        g = rng.integers(0, width, size=len(x))
+        one = np.concatenate([_rows_out(kernel, x[i:i + 1], g[i:i + 1])[0]
+                              for i in range(len(x))])
+
+        def want(rows):
+            return [one[rows] / np.asarray(len(one[rows]), dtype=dtype)]
+    else:
+        full = _rows_out(kernel, x, g)
+
+        def want(rows):
+            return [a[rows] for a in full]
+
+    cases = [(slice(o, o + n), x[o:o + n].copy(), g[o:o + n].copy())
+             for n in (1, 2, 7, 8, 9, 64, 700) for o in (0, 5, 13)]
+    cases += [(slice(None, None, 2), x[::2], g[::2]),
+              (slice(None), np.asfortranarray(x), np.asfortranarray(g))]
+    for rows, xs, gs in cases:
+        for got, expected in zip(_rows_out(kernel, xs, gs), want(rows)):
+            assert_same_bits(got, expected)
+
+
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
 def test_softmax_fuzz_over_the_float_range(dtype):
     """Seeded rows at magnitudes from 1e-30 to 1e30, with masked keys and
@@ -834,6 +895,26 @@ def test_softmax_fuzz_over_the_float_range(dtype):
         longer = T.softmax(Tensor(np.concatenate([x, tail], axis=-1))).data
         assert (longer[..., n:] == 0).all()
         assert_same_bits(np.ascontiguousarray(longer[..., :n]), out)
+
+
+@pytest.mark.parametrize("dtype, value, tol", [("float32", 12345.678, 1e-6),
+                                               ("float64", 1000.1, 1e-12)])
+def test_layer_norm_of_a_row_on_a_large_offset(dtype, value, tol):
+    # each row is centred on its first entry before its mean is taken: a
+    # constant row is then exactly zero and maps to the bias bit for bit,
+    # and rows of 1000 +- 1e-3 keep their deviations, which a mean taken
+    # at the offset rounded away
+    T.set_dtype(dtype)
+    rng = np.random.default_rng(11)
+    gain, bias = (rng.normal(size=96).astype(dtype) for _ in range(2))
+    out = T.layer_norm(Tensor(np.full((3, 96), value)), Tensor(gain), Tensor(bias), 1e-5)
+    assert_same_bits(out.data, np.broadcast_to(bias, (3, 96)))
+    x = (1000.0 + rng.choice([-1e-3, 1e-3], size=(4, 96))
+         * rng.uniform(0.5, 1.0, size=(4, 96))).astype(dtype)
+    out = T.layer_norm(Tensor(x), Tensor(gain), Tensor(bias), 1e-5)
+    xc = x.astype(np.longdouble) - x.astype(np.longdouble).mean(axis=-1, keepdims=True)
+    want = xc / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + 1e-5) * gain + bias
+    assert np.abs(out.data - want).max() < tol
 
 
 # ---------------------------------------------------------------------------
@@ -989,13 +1070,12 @@ class TestL2NormalizeRange:
         g = rng.normal(size=x.shape).astype(dtype)
         t = Tensor(x, requires_grad=True)
         out = T.l2_normalize(t)
-        norm = np.linalg.norm(x, axis=-1, keepdims=True)
+        norm = np.sqrt(row_sum(x, x))
         safe = np.where(norm > 0, norm, 1.0)
         want = np.where(norm > 0, x / safe, 0.0)
         assert_same_bits(out.data, want)
         out._backward_fn(g)
-        dot = (g * want).sum(axis=-1, keepdims=True)
-        want_gx = np.where(norm > 0, (g - want * dot) / safe, 0.0)
+        want_gx = np.where(norm > 0, (g - want * row_sum(g, want)) / safe, 0.0)
         assert_same_bits(t.grad, leaf_grad(want_gx))
 
 
