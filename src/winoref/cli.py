@@ -412,23 +412,23 @@ def main(argv=None):
         cfg = C.load_config(args.config, overrides, seed=args.seed)
         T.set_dtype(cfg["runtime"]["precision"])
         out = C.out_dir(cfg, args.out)
-        np.seterr(over="ignore")  # softmax guards handle extremes explicitly
-        if args.command == "pretrain":
-            return cmd_pretrain(cfg, out)
-        if args.command == "refine":
-            return cmd_refine(cfg, out)
-        if args.command == "evaluate":
-            return cmd_evaluate(cfg, out, args.checkpoint, args.datasets,
-                                args.json, args.csv)
-        if args.command == "ablate":
-            return cmd_ablate(cfg, out)
-        if args.command == "sweep":
-            return cmd_sweep(cfg, out, args.grid)
-        if args.command == "score":
-            return cmd_score(cfg, args.checkpoint, args.sentence,
-                             args.candidate1, args.candidate2)
-        # gen-data: argparse has rejected any command that is not a subcommand
-        return cmd_gen_data(out, args.groups, args.instances, cfg["runtime"]["seed"])
+        with np.errstate(over="ignore"):   # softmax guards handle extremes explicitly
+            if args.command == "pretrain":
+                return cmd_pretrain(cfg, out)
+            if args.command == "refine":
+                return cmd_refine(cfg, out)
+            if args.command == "evaluate":
+                return cmd_evaluate(cfg, out, args.checkpoint, args.datasets,
+                                    args.json, args.csv)
+            if args.command == "ablate":
+                return cmd_ablate(cfg, out)
+            if args.command == "sweep":
+                return cmd_sweep(cfg, out, args.grid)
+            if args.command == "score":
+                return cmd_score(cfg, args.checkpoint, args.sentence,
+                                 args.candidate1, args.candidate2)
+            # gen-data: argparse has rejected any command that is not a subcommand
+            return cmd_gen_data(out, args.groups, args.instances, cfg["runtime"]["seed"])
     except (CliError, C.ConfigError, ValueError, OSError) as e:
         message = str(e).replace("\n", " ")
         print(f"error: {message}", file=sys.stderr)

@@ -95,6 +95,15 @@ def _param_table(cfg, blocks):
                     ("mlm_bias", (v,), 0.0)]
 
 
+def draw_params(table, scale, seed):
+    """Trainable parameters from a (name, shape, fill) table, in its order; a
+    fill of None is a draw from N(0, ``scale``) of the generator of ``seed``."""
+    rng = np.random.default_rng(seed)
+    return {name: Tensor(rng.normal(0.0, scale, size=shape) if fill is None
+                         else np.full(shape, fill), requires_grad=True)
+            for name, shape, fill in table}
+
+
 class EncoderModel:
     """Parameter container plus config; all parameters are trainable leaves."""
 
@@ -102,11 +111,8 @@ class EncoderModel:
         if config.vocab_size <= 0:
             raise ValueError("vocab_size must be set before building a model")
         self.config = config
-        rng = np.random.default_rng(seed)
-        self.params = {
-            name: Tensor(rng.normal(0.0, config.init_scale, size=shape) if fill is None
-                         else np.full(shape, fill), requires_grad=True)
-            for name, shape, fill in _param_table(config, range(config.layers))}
+        self.params = draw_params(_param_table(config, range(config.layers)),
+                                  config.init_scale, seed)
 
     def named_params(self):
         return list(self.params.items())
@@ -134,6 +140,14 @@ class EncoderModel:
             if not np.isfinite(data).all():
                 raise ValueError(f"parameter {name!r} holds a NaN or infinite value")
             p.data = data
+
+    def detached(self):
+        """The model with each parameter a constant that shares its array, no
+        copy and no gradient buffer: a forward of it builds no tape."""
+        view = copy.copy(self)
+        view.params = {name: Tensor(p.data, dtype=p.data.dtype)
+                       for name, p in self.params.items()}
+        return view
 
     def clone(self):
         other = EncoderModel.__new__(EncoderModel)
@@ -329,21 +343,21 @@ def block_rows(cfg, longest, least=1):
 
 
 def encode(model, rows):
-    """Eval-mode embedding stack of a batch of id rows, built without a tape
-    and forwarded ``block_rows`` rows at a time: (N, n, model_dim), n one
-    past the longest row of the whole batch. A block narrower than that is
-    padded with +0.0, as a pad row of a wider forward is."""
+    """Eval-mode embedding stack of a batch of id rows, forwarded on
+    ``model.detached()``, so without a tape, ``block_rows`` rows at a time:
+    (N, n, model_dim), n one past the longest row of the whole batch. A block
+    narrower than that is padded with +0.0, as a pad row of a wider forward is."""
     ids = np.stack(rows)
     attention, content = row_masks(ids)
     n = _width(attention)
     size = block_rows(model.config, n)
+    view = model.detached()
 
     def chunk(i):
-        h = forward_hidden(model, ids[i:i + size], attention[i:i + size]).data
+        h = forward_hidden(view, ids[i:i + size], attention[i:i + size]).data
         return np.pad(h, ((0, 0), (0, n - h.shape[1]), (0, 0)))
 
-    with T.no_grad():
-        hidden = np.concatenate([chunk(i) for i in range(0, len(ids), size)])
+    hidden = np.concatenate([chunk(i) for i in range(0, len(ids), size)])
     return EmbeddingStack(hidden=Tensor(hidden, dtype=hidden.dtype),
                           content_mask=content[:, :n])
 

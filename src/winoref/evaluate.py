@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import tensor as T
 from .encoder import MAX_STEP_VALUES, block_rows, check_cap, mlm_logits_batch
 from .text import MASK, MASK_ID, PAD_ID, SLOT_MARKER, encode_tokens, word_tokens
 
@@ -139,26 +138,25 @@ def _blocks(instances, vocab, cfg):
     return blocks
 
 
-def _slot_logits(model, rows):
-    """Slot logits of distinct masked rows, all in one forward: each row's
-    id bytes mapped to the (slots, V) logits at its [MASK] ids."""
+def _slot_logits(view, rows):
+    """Slot logits of distinct masked rows, all in one forward of the detached
+    ``view``: each row's id bytes mapped to the (slots, V) logits at its [MASK] ids."""
     if not rows:   # every candidate of the block overflows
         return {}
     ids = np.stack([ids for ids, _ in rows.values()])
     slots = ids == MASK_ID
-    with T.no_grad():
-        logits = mlm_logits_batch(model, ids, slots).data
+    logits = mlm_logits_batch(view, ids, slots).data
     return dict(zip(rows, np.split(logits, np.cumsum(slots.sum(axis=1))[:-1])))
 
 
 def _scores(model, vocab, instances):
     """(score1, score2) of each instance, in order. Each block's distinct
-    rows go through one forward, and its candidates are scored by
-    ``score_candidate`` from the block's memo, which is dropped before the
-    next block's forward."""
-    out = []
+    rows go through one forward of ``model.detached()``, so without a tape,
+    and its candidates are scored by ``score_candidate`` from the block's
+    memo, which is dropped before the next block's forward."""
+    out, view = [], model.detached()
     for block, built, rows in _blocks(instances, vocab, model.config):
-        token = _ROW_LOGITS.set({**built, **_slot_logits(model, rows)})
+        token = _ROW_LOGITS.set({**built, **_slot_logits(view, rows)})
         try:
             out += [(score_candidate(model, vocab, inst, 1),
                      score_candidate(model, vocab, inst, 2)) for inst in block]

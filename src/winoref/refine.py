@@ -15,7 +15,7 @@ import numpy as np
 
 from . import tensor as T
 from .config import check_choice, check_count, check_real, internal
-from .encoder import MAX_PARAMS, check_step, encode, encode_batch
+from .encoder import MAX_PARAMS, check_step, draw_params, encode, encode_batch
 from .optim import AdamW, check_finite_loss
 from .scoring import windowed_bertscore
 from .tensor import Tensor
@@ -90,12 +90,8 @@ class Discriminator:
         if count > MAX_PARAMS:
             raise ValueError(f"the discriminator would hold {count} parameters, over "
                              f"the cap of {MAX_PARAMS}: lower refine.disc_hidden")
-        rng = np.random.default_rng(seed)
         self.dropout = dropout
-        self.params = {
-            name: Tensor(rng.normal(0.0, 0.02, size=shape) if fill is None
-                         else np.full(shape, fill), requires_grad=True)
-            for name, shape, fill in table}
+        self.params = draw_params(table, 0.02, seed)
         self.running_mean = np.zeros(hidden_dim)
         self.running_var = np.ones(hidden_dim)
         self.bn_momentum = 0.1

@@ -51,12 +51,9 @@ Dropout draws each keep mask at the shape of what it scales: ``dropout``
 at its input's, ``attention`` at its (B, heads, m, n) weights'.
 """
 
-import contextlib
-
 import numpy as np
 
 _DTYPE = np.float64
-_GRAD_ENABLED = True
 
 # the element precisions by name, as ``runtime.precision`` spells them
 DTYPES = {"float32": np.float32, "float64": np.float64}
@@ -82,18 +79,6 @@ def set_dtype(name):
     if name not in DTYPES:
         raise ValueError(f"unknown dtype {name!r}, expected one of {sorted(DTYPES)}")
     _DTYPE = DTYPES[name]
-
-
-@contextlib.contextmanager
-def no_grad():
-    """Disable tape construction inside the block (pure inference)."""
-    global _GRAD_ENABLED
-    prev = _GRAD_ENABLED
-    _GRAD_ENABLED = False
-    try:
-        yield
-    finally:
-        _GRAD_ENABLED = prev
 
 
 class Tensor:
@@ -148,13 +133,13 @@ def astensor(x):
 
 
 def _node(data, parents, backward_fn):
-    """Create an interior tensor; skips the tape when grads are disabled."""
+    """Create an interior tensor, on the tape when a parent requires grad."""
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
     out._backward_ran = False
     out._grad_borrowed = False
-    if _GRAD_ENABLED and any(p.requires_grad for p in parents):
+    if any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = parents
         out._backward_fn = backward_fn

@@ -123,8 +123,7 @@ def masked_token_accuracy(model, rows, limit=None, seed=0, batch_size=64):
         at = (np.arange(len(pos)), pos)
         truth = chunk[at]
         chunk[at] = MASK_ID
-        with T.no_grad():
-            logits = mlm_logits_batch(model, chunk, chunk == MASK_ID)
+        logits = mlm_logits_batch(model.detached(), chunk, chunk == MASK_ID)
         correct += int((logits.data.argmax(axis=1) == truth).sum())
     return correct / len(row_of) if len(row_of) else 0.0
 

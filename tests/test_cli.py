@@ -1184,6 +1184,16 @@ def test_output_root_is_made_only_when_a_file_is_written(pretrained, data_dir, t
     assert sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*")) == written
 
 
+@pytest.mark.parametrize("argv", [["--groups", "3", "--instances", "2"],
+                                  ["--instances", "0"]], ids=["written", "refused"])
+def test_main_leaves_the_error_state_as_it_found_it(tmp_path, argv):
+    # the overflow state the commands run under ends with the command
+    with np.errstate(all="warn"):
+        before = np.geterr()
+        cli.main(["gen-data", "--out", str(tmp_path), *argv])
+        assert np.geterr() == before
+
+
 def test_env_var_output_root(data_dir, tmp_path, monkeypatch):
     monkeypatch.setenv("WINOREF_OUT", str(tmp_path / "envout"))
     rc = cli.main(["gen-data", "--groups", "3", "--instances", "2"])

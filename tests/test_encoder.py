@@ -36,9 +36,8 @@ def small_setup():
 
 def every_row(model, row):
     """Eval-mode logits at every position of one id row, (L, V)."""
-    with T.no_grad():
-        return mlm_logits_batch(model, row[None, :],
-                                np.ones((1, model.config.max_len), dtype=bool)).data
+    return mlm_logits_batch(model.detached(), row[None, :],
+                            np.ones((1, model.config.max_len), dtype=bool)).data
 
 
 class TestEncode:
@@ -96,8 +95,7 @@ class TestEncode:
         tweaked[~attention] = UNK_ID   # rewrite pad content
         # the original mask: the masks of the tweaked row would count its
         # former pads as real tokens
-        with T.no_grad():
-            h2 = forward_hidden(model, tweaked[None, :], attention[None, :]).data
+        h2 = forward_hidden(model.detached(), tweaked[None, :], attention[None, :]).data
         np.testing.assert_array_equal(h1, h2)
 
     def test_out_of_range_id_rejected(self, small_setup):
@@ -112,8 +110,7 @@ class TestEncode:
         rows = [seqs[i % len(seqs)] for i in range(2 * ENCODE_CHUNK + 5)]
         stack = encode(model, rows)
         assert not stack.hidden.requires_grad
-        with T.no_grad():
-            whole = encode_batch(model, rows)
+        whole = encode_batch(model.detached(), rows)
         np.testing.assert_allclose(stack.hidden.data, whole.hidden.data,
                                    rtol=1e-12, atol=1e-12)
         np.testing.assert_array_equal(stack.content_mask, whole.content_mask)
@@ -197,8 +194,7 @@ def word_row(rng, length, cfg):
 
 def eval_hidden(model, rows):
     ids = np.stack(rows)
-    with T.no_grad():
-        return forward_hidden(model, ids, row_masks(ids)[0]).data
+    return forward_hidden(model.detached(), ids, row_masks(ids)[0]).data
 
 
 TRIM_CFG = EncoderConfig(layers=2, heads=4, model_dim=32, ff_dim=64, max_len=24,
@@ -819,8 +815,7 @@ class TestStackWidth:
         rows, lengths = widths_batch(seqs, cfg)
         picked = np.arange(len(rows))
         if make == "encode_batch":
-            with T.no_grad():
-                stack = encode_batch(model, rows)
+            stack = encode_batch(model.detached(), rows)
         elif make == "encode":
             stack = encode(model, rows)
         else:
@@ -856,12 +851,12 @@ class TestStackWidth:
         lengths = (9, 17, 13)
         ids = np.stack([word_row(rng, n, TRIM_CFG) for n in lengths])
         assert max(lengths) < TRIM_CFG.max_len
+        view = model.detached()
         for b, length in enumerate(lengths):
             asked = np.zeros(ids.shape, dtype=bool)
             asked[b, :length] = True
-            with T.no_grad():
-                batched = mlm_logits_batch(model, ids, asked).data
-                alone = mlm_logits_batch(model, ids[b:b + 1], asked[b:b + 1]).data
+            batched = mlm_logits_batch(view, ids, asked).data
+            alone = mlm_logits_batch(view, ids[b:b + 1], asked[b:b + 1]).data
             assert batched.dtype == dtype
             assert batched.tobytes() == alone.tobytes(), b
 
@@ -938,8 +933,7 @@ class TestHeadRows:
         # rows from all three sequences
         rows = np.zeros(ids.shape, dtype=bool)
         rows[[2, 0, 1, 0, 1, 2], [3, 5, 1, 0, 7, cfg.max_len - 1]] = True
-        with T.no_grad():
-            got = mlm_logits_batch(model, ids, rows).data
+        got = mlm_logits_batch(model.detached(), ids, rows).data
         want = full_logits(model, ids, mask)[np.flatnonzero(rows)]
         assert got.shape == (np.count_nonzero(rows), cfg.vocab_size)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
@@ -958,8 +952,7 @@ class TestHeadRows:
             p[name][:] = rng.normal(0, 0.5, size=p[name].shape)
         rows = np.zeros(ids.shape, dtype=bool)
         rows[[0, 0, 1, 2, 1], [0, 6, 11, 3, 15]] = True     # (1, 15): a pad row
-        with T.no_grad():
-            got = mlm_logits_batch(model, ids, rows).data
+        got = mlm_logits_batch(model.detached(), ids, rows).data
         b, j = np.nonzero(rows)
         real = row_masks(ids)[0][b, j]
         assert list(real) == [True, True, True, False, True]
@@ -1134,11 +1127,11 @@ class TestAskedRows:
         model.params["mlm_bias"].data = np.random.default_rng(5).normal(
             0, 0.1, size=cfg.vocab_size).astype(dtype)
         streams = [np.random.default_rng(4) if train else None for _ in range(3)]
-        with T.no_grad():
-            got = mlm_logits_batch(model, ids, rows, rng=streams[0]).data
-            want = full_stack_logits(model, ids, mask, rows, rng=streams[1]).data
-            hidden = forward_hidden(model, ids, mask, rng=streams[2],
-                                    rows=rows).data.reshape(-1, cfg.model_dim)
+        view = model.detached()
+        got = mlm_logits_batch(view, ids, rows, rng=streams[0]).data
+        want = full_stack_logits(view, ids, mask, rows, rng=streams[1]).data
+        hidden = forward_hidden(view, ids, mask, rng=streams[2],
+                                rows=rows).data.reshape(-1, cfg.model_dim)
         assert got.shape == (np.count_nonzero(rows), cfg.vocab_size)
         assert got.dtype == dtype
         assert np.abs(got - want).max() <= rtol * np.abs(want).max()

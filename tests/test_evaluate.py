@@ -15,13 +15,13 @@ import winoref.tensor as T
 from winoref.checkpoint import params_hash
 from winoref.cli import refine_and_evaluate
 from winoref.config import load_config
-from winoref.encoder import ENCODE_CHUNK, EncoderConfig, EncoderModel
+from winoref.encoder import ENCODE_CHUNK, EncoderConfig, EncoderModel, encode, encode_batch
 from winoref.evaluate import evaluate, log_probs_at_positions, resolve, score_candidate
 from winoref.refine import LossWeights
 from winoref.synthetic import make_benchmark, make_perturbation_corpus
 from winoref.text import (CLS_ID, MASK_ID, PAD_ID, SEP_ID, SchemaInstance,
                           benchmark_texts, build_vocab, corpus_sentences, row_masks,
-                          word_tokens)
+                          tokenize, word_tokens)
 
 from conftest import make_null_benchmark
 
@@ -119,14 +119,12 @@ class TestScoreCandidate:
         groups, bench, vocab, cfg, model = world
         from winoref.encoder import mlm_logits_batch
         from winoref.evaluate import _masked_ids
-        import winoref.tensor as T
         for inst in bench[:6]:
             for which in (1, 2):
                 got = score_candidate(model, vocab, inst, which)
                 ids, cand_ids = _masked_ids(inst, which, vocab, cfg.max_len)
-                with T.no_grad():
-                    logits = mlm_logits_batch(model, ids[None, :],
-                                              ids[None, :] == MASK_ID).data
+                logits = mlm_logits_batch(model.detached(), ids[None, :],
+                                          ids[None, :] == MASK_ID).data
                 want = np.mean([brute_force_logprob(row, t)
                                 for row, t in zip(logits, cand_ids)])
                 assert got.avg_log_prob == want  # bit-exact in 64-bit
@@ -516,25 +514,69 @@ def test_evaluation_imports_no_training_code():
             names = [node.module] if isinstance(node, ast.ImportFrom) else [
                 a.name for a in node.names]
             assert not any(name.startswith("winoref") for name in names)
-    assert imported == {"tensor", "encoder", "text"}
+    assert imported == {"encoder", "text"}
+
+
+def test_scoring_and_target_encoding_build_no_tape(world, monkeypatch):
+    # both forward the model's detached view, so no node they make joins a
+    # tape; a forward of the model itself does
+    groups, bench, vocab, cfg, model = world
+    node, taped = T._node, []
+
+    def record(*args):
+        out = node(*args)
+        taped.extend([out] if out._backward_fn is not None else [])
+        return out
+
+    monkeypatch.setattr(T, "_node", record)
+    rows = [tokenize(g.base, vocab, cfg.max_len) for g in groups[:4]]
+    evaluate(model, vocab, bench[:4])
+    resolve(model, vocab, bench[0])
+    encode(model, rows)
+    assert taped == []
+    encode_batch(model, rows)
+    assert taped
+
+
+def _fresh_stdout(code, **env):
+    """The stdout of a fresh interpreter that runs ``code`` on this
+    checkout's package, with ``env`` over this process's environment; a
+    value of None unsets its variable."""
+    src = Path(ev.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]), **env}
+    done = subprocess.run([sys.executable, "-c", code],
+                          env={k: v for k, v in env.items() if v is not None},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
 
 
 def _submodules_after(statement):
     """The winoref submodules a fresh interpreter holds after running
     ``statement``."""
-    src = Path(ev.__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     code = (f"{statement}\nimport sys\n"
             f"print(*sorted(m for m in sys.modules if m.startswith('winoref.')))")
-    done = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    return set(done.stdout.split())
+    return set(_fresh_stdout(code).split())
 
 
 def test_package_root_imports_no_submodule():
     assert _submodules_after("import winoref") == set()
+
+
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def test_package_root_pins_one_blas_thread_unless_set():
+    # the BLAS thread count decides how a product is summed, so it is part of
+    # every artifact's bits: importing winoref, before numpy loads, sets each
+    # unset variable to "1", and a variable the caller set keeps its value
+    code = ("import os, sys, winoref\nassert 'numpy' not in sys.modules\n"
+            f"print(*(os.environ[v] for v in {THREAD_VARS!r}))")
+    unset = dict.fromkeys(THREAD_VARS)
+    assert _fresh_stdout(code, **unset).split() == ["1", "1", "1"]
+    one_set = {**unset, "OMP_NUM_THREADS": "3"}
+    assert _fresh_stdout(code, **one_set).split() == ["1", "3", "1"]
 
 
 def test_evaluation_loads_no_refinement_scoring_or_command_code():

@@ -593,8 +593,7 @@ class TestRefine:
                 row_kinds.append(kind)
                 gen_seqs.append(generated_row(g, kind, vocab, cfg.max_len))
                 target_seqs.append(tokenize(g.variant_text(kind), vocab, cfg.max_len))
-        with T.no_grad():
-            targets = encode_batch(snapshot, target_seqs)
+        targets = encode_batch(snapshot.detached(), target_seqs)
         pairs = contrastive_pairs(samples, ids_of(row_kinds))
 
         def total_loss():

@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 import winoref.tensor as T
-from winoref.encoder import EncoderConfig, EncoderModel, PretrainConfig, pretrain_mlm
+from winoref.encoder import (EncoderConfig, EncoderModel, PretrainConfig,
+                             mlm_logits_batch, pretrain_mlm)
 from winoref.refine import Discriminator, LossWeights, RefinementConfig, refine
 from winoref.scoring import ScoreConfig, windowed_bertscore
 from winoref.synthetic import make_perturbation_corpus
 from winoref.tensor import Tensor
-from winoref.text import build_vocab, corpus_sentences, tokenize
+from winoref.text import (CLS_ID, FIRST_WORD_ID, PAD_ID, SEP_ID, build_vocab,
+                          corpus_sentences, row_masks, tokenize)
 
 from conftest import check_grads
 from test_scoring import make_stack
@@ -83,8 +85,8 @@ class TestBasics:
     def test_detached_branch_gets_exactly_zero_grad(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
         y = Tensor([3.0, 4.0], requires_grad=True)
-        with T.no_grad():
-            yy = T.mul(y, y)
+        constant = Tensor(y.data)    # y's values off the tape
+        yy = T.mul(constant, constant)
         loss = T.tsum(T.add(T.mul(x, x), yy))
         T.backward(loss)
         np.testing.assert_array_equal(y.grad, [0.0, 0.0])
@@ -175,11 +177,34 @@ class TestBasics:
         np.testing.assert_array_equal(u.grad, [0.0, 0.0])
         np.testing.assert_array_equal(v.grad, [0.0, 0.0])
 
-    def test_no_grad_builds_no_tape(self):
-        x = Tensor([1.0, 2.0], requires_grad=True)
-        with T.no_grad():
-            y = T.tsum(T.mul(x, x))
-        assert not y.requires_grad
+    @pytest.mark.parametrize("train", [False, True], ids=["eval", "train"])
+    def test_detached_forward_builds_no_tape(self, train, monkeypatch):
+        # the view's parameters are constants on the model's own arrays, so
+        # no node of its forward joins a tape, and its logits are the model's
+        cfg = EncoderConfig(layers=2, heads=2, model_dim=8, ff_dim=16, max_len=8,
+                            vocab_size=FIRST_WORD_ID + 4)
+        model = EncoderModel(cfg, seed=1)
+        view = model.detached()
+        assert view.params.keys() == model.params.keys()
+        for name, p in model.params.items():
+            q = view.params[name]
+            assert np.shares_memory(q.data, p.data), name
+            assert not q.requires_grad and q.grad is None, name
+        ids = np.full((2, 8), PAD_ID)
+        ids[0, :6] = [CLS_ID, *range(FIRST_WORD_ID, FIRST_WORD_ID + 4), SEP_ID]
+        ids[1, :4] = [CLS_ID, FIRST_WORD_ID + 1, FIRST_WORD_ID, SEP_ID]
+        rows = row_masks(ids)[1]
+        node, nodes = T._node, []
+        monkeypatch.setattr(T, "_node", lambda *a: nodes.append(node(*a)) or nodes[-1])
+        logits = {}
+        for which, m in (("view", view), ("model", model)):
+            nodes.clear()
+            rng = np.random.default_rng(2) if train else None
+            logits[which] = mlm_logits_batch(m, ids, rows, rng=rng)
+            taped = [n for n in nodes if n._backward_fn is not None or n._parents]
+            assert nodes and (taped == []) == (which == "view"), which
+        assert not logits["view"].requires_grad
+        assert logits["view"].data.tobytes() == logits["model"].data.tobytes()
 
     def test_embedding_lookup_rejects_out_of_range(self):
         table = Tensor(np.zeros((4, 3)), requires_grad=True)
