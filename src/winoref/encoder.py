@@ -222,9 +222,10 @@ def _attention(h, queries, trimmed, cfg, p, i, rate, rng):
     (B, n) mask ``trimmed``, for the query rows at the true entries of
     ``queries``, a subset of them: the q, k, v and output projections
     around ``T.attention``, which holds the core as one tape node. Its
-    forward reuses ``T.matmul``, ``T.mul``, ``T.add`` and ``T.softmax``, and
-    its backward reproduces theirs, on grids laid out as the separate ops'
-    were, because BLAS may round another layout's products differently.
+    forward reuses ``T.matmul`` and ``T.softmax``, scaling and masking the
+    scores in place between them, and its backward reproduces the separate
+    ops', on grids laid out as theirs were, because BLAS may round another
+    layout's products differently.
     Each row's queries fill the first of at least two query slots, so the
     last block, whose queries are a few of its rows, attends from those
     slots only; two, because one slot would send the products to routines

@@ -6,12 +6,15 @@ score is the average log probability of its tokens at the masked positions.
 The masked row depends only on the sentence and the candidate's token count,
 so the two candidates of one instance share one row when their counts are
 equal. Every score comes from one path: the instances are walked in blocks
-of distinct masked rows, each candidate's row is built once, and a block's
-rows go through one forward. ``resolve`` is that path on one instance. The
-block's slot logits sit in a memo that is a context variable, not a
-parameter, so that a wrapper of ``score_candidate(model, vocab, instance,
-which)``, such as the benchmark's tracer, still sees one call per
-candidate. Evaluation never updates parameters.
+of distinct masked rows, each sentence is split and tokenized once and each
+candidate's row built once, and a block's rows go through one forward.
+``resolve`` is that path on one instance. The block's slot logits then get
+one log-softmax, each distinct row's max, exp and sum taken once however
+many candidates read it, and every candidate's score is finished into the
+block memo. The memo is a context variable, not a parameter, so that a
+wrapper of ``score_candidate(model, vocab, instance, which)``, such as the
+benchmark's tracer, still sees one call per candidate, which reads its
+finished score. Evaluation never updates parameters.
 """
 
 import contextvars
@@ -38,32 +41,38 @@ class EvalReport:
     decisions: list = field(default_factory=list)
 
 
-def log_probs_at_positions(logits, token_ids):
-    """Log softmax probability of ``token_ids[i]`` in row ``i`` of a
-    (len(token_ids), vocab) logit matrix.
+def log_probs_at_positions(logits, token_ids, rows=None):
+    """Log softmax probability of ``token_ids[i]`` in row ``rows[i]`` of a
+    logit matrix, row ``i`` when ``rows`` is None.
 
     Computed as log of the explicit (max-shifted) softmax so the value is
-    bit-identical to enumerating the full distribution; only the gathered
-    entries are divided by their row's sum.
+    bit-identical to enumerating the full distribution; each row's max, exp
+    and sum are taken once, however many entries it gives, and only the
+    gathered entries are divided by their row's sum.
     """
-    m = logits.max(axis=1, keepdims=True)
-    e = np.exp(logits - m)
+    if rows is None:
+        rows = np.arange(len(token_ids))
+    e = logits - logits.max(axis=1, keepdims=True)
+    np.exp(e, out=e)
     with np.errstate(divide="ignore"):   # a probability that underflowed: -inf
-        return np.log(e[np.arange(len(token_ids)), token_ids] / e.sum(axis=1))
+        return np.log(e[rows, token_ids] / e.sum(axis=1)[rows])
 
 
-def _masked_ids(instance, which, vocab, max_len):
-    """(ids, candidate token ids): the id row with the slot expanded to m
-    [MASK] tokens, the row's only [MASK] ids, as ``word_tokens`` never
-    yields one; None if the row would overflow max_len."""
-    cand_tokens = word_tokens(instance.candidate(which))
-    if not cand_tokens:
-        raise ValueError("candidate text has no tokens")
-    parts = instance.sentence.split(SLOT_MARKER)
+def _slot_parts(sentence):
+    """The word tokens before and after the one slot of ``sentence``."""
+    parts = sentence.split(SLOT_MARKER)
     if len(parts) != 2:
         raise ValueError(f"sentence must contain exactly one {SLOT_MARKER!r} slot")
-    prefix = word_tokens(parts[0])
-    suffix = word_tokens(parts[1])
+    return word_tokens(parts[0]), word_tokens(parts[1])
+
+
+def _candidate_row(parts, candidate, vocab, max_len):
+    """What ``_masked_ids`` returns for the candidate text ``candidate`` in a
+    sentence that ``_slot_parts`` split into ``parts``."""
+    cand_tokens = word_tokens(candidate)
+    if not cand_tokens:
+        raise ValueError("candidate text has no tokens")
+    prefix, suffix = parts
     try:
         ids = encode_tokens(prefix + [MASK] * len(cand_tokens) + suffix, vocab, max_len)
     except ValueError:   # the row overflows max_len
@@ -71,10 +80,17 @@ def _masked_ids(instance, which, vocab, max_len):
     return ids, np.array([vocab.id(t) for t in cand_tokens])
 
 
-# The memo scoring reads inside a block of ``_scores``: each candidate's
-# built row under (id(instance), which), and slot logits under a masked
-# row's id bytes (its slots are the row's run of [MASK] ids); unset outside.
-_ROW_LOGITS = contextvars.ContextVar("row_logits")
+def _masked_ids(instance, which, vocab, max_len):
+    """(ids, candidate token ids): the id row with the slot expanded to m
+    [MASK] tokens, the row's only [MASK] ids, as ``word_tokens`` never
+    yields one; None if the row would overflow max_len."""
+    return _candidate_row(_slot_parts(instance.sentence), instance.candidate(which),
+                          vocab, max_len)
+
+
+# The block memo of ``_scores``: each candidate's finished CandidateScore
+# under (id(instance), which); unset outside a block.
+_BLOCK_SCORES = contextvars.ContextVar("block_scores")
 
 
 def score_candidate(model, vocab, instance, which):
@@ -82,18 +98,13 @@ def score_candidate(model, vocab, instance, which):
 
     A candidate whose row overflows the length budget scores -inf and is
     marked ``overflows`` rather than being silently dropped. Inside a block
-    of ``_scores`` the candidate's row and its logits are read from the
-    block's memo; called on its own, it scores its instance as ``evaluate``
-    would on a one-instance list."""
-    memo = _ROW_LOGITS.get(None)
+    of ``_scores`` the score is read from the block's memo; called on its
+    own, it scores its instance as ``evaluate`` would on a one-instance
+    list."""
+    memo = _BLOCK_SCORES.get(None)
     if memo is None:
         return _scores(model, vocab, [instance])[0][which - 1]
-    built = memo[(id(instance), which)]
-    if built is None:
-        return CandidateScore(avg_log_prob=float("-inf"), overflows=True)
-    ids, cand_ids = built
-    logp = log_probs_at_positions(memo[ids.tobytes()], cand_ids)
-    return CandidateScore(avg_log_prob=float(logp.mean()), overflows=False)
+    return memo[(id(instance), which)]
 
 
 def _blocks(instances, vocab, cfg):
@@ -116,7 +127,9 @@ def _blocks(instances, vocab, cfg):
     block, built, rows, longest, slots = [], {}, {}, 0, 0
     caps = {}   # block_rows by the longest row
     for inst in instances:
-        pair = {(id(inst), which): _masked_ids(inst, which, vocab, cfg.max_len)
+        parts = _slot_parts(inst.sentence)
+        pair = {(id(inst), which): _candidate_row(parts, inst.candidate(which), vocab,
+                                                  cfg.max_len)
                 for which in (1, 2)}
         new = {b[0].tobytes(): b for b in pair.values() if b is not None}
         wide = max([0] + [int(np.count_nonzero(ids != PAD_ID)) for ids, _ in new.values()])
@@ -138,30 +151,44 @@ def _blocks(instances, vocab, cfg):
     return blocks
 
 
-def _slot_logits(view, rows):
-    """Slot logits of distinct masked rows, all in one forward of the detached
-    ``view``: each row's id bytes mapped to the (slots, V) logits at its [MASK] ids."""
+def _block_scores(view, built, rows):
+    """Each candidate's CandidateScore under its (id(instance), which) key of
+    ``built``, from one forward of the detached ``view`` over the block's
+    distinct ``rows`` and one ``log_probs_at_positions`` over their slot
+    logits, so a row that two candidates share gets its log-softmax once."""
+    scores = {key: CandidateScore(avg_log_prob=float("-inf"), overflows=True)
+              for key, b in built.items() if b is None}
     if not rows:   # every candidate of the block overflows
-        return {}
+        return scores
     ids = np.stack([ids for ids, _ in rows.values()])
     slots = ids == MASK_ID
+    counts = slots.sum(axis=1)
     logits = mlm_logits_batch(view, ids, slots).data
-    return dict(zip(rows, np.split(logits, np.cumsum(slots.sum(axis=1))[:-1])))
+    first = dict(zip(rows, (np.cumsum(counts) - counts).tolist()))  # a row's first slot
+    fits = {key: b for key, b in built.items() if b is not None}
+    at = np.concatenate([first[row.tobytes()] + np.arange(len(c)) for row, c in fits.values()])
+    logp = log_probs_at_positions(logits, np.concatenate([c for _, c in fits.values()]), at)
+    ends = np.cumsum([len(c) for _, c in fits.values()]).tolist()
+    for key, start, end in zip(fits, [0] + ends, ends):
+        scores[key] = CandidateScore(avg_log_prob=float(logp[start:end].mean()),
+                                     overflows=False)
+    return scores
 
 
 def _scores(model, vocab, instances):
     """(score1, score2) of each instance, in order. Each block's distinct
     rows go through one forward of ``model.detached()``, so without a tape,
-    and its candidates are scored by ``score_candidate`` from the block's
-    memo, which is dropped before the next block's forward."""
+    its candidates' scores are finished into the block's memo, and
+    ``score_candidate`` reads them from it, once per candidate; the memo is
+    dropped before the next block's forward."""
     out, view = [], model.detached()
     for block, built, rows in _blocks(instances, vocab, model.config):
-        token = _ROW_LOGITS.set({**built, **_slot_logits(view, rows)})
+        token = _BLOCK_SCORES.set(_block_scores(view, built, rows))
         try:
             out += [(score_candidate(model, vocab, inst, 1),
                      score_candidate(model, vocab, inst, 2)) for inst in block]
         finally:
-            _ROW_LOGITS.reset(token)
+            _BLOCK_SCORES.reset(token)
     return out
 
 

@@ -15,11 +15,16 @@ and leaf gradients accumulate in place. So no backward function may write
 into its incoming ``g``, or into any array it did not allocate itself. A
 kernel may reuse its own temporaries with ``out=``, including those its
 forward saved for the backward, because ``backward`` runs once per tape;
-it never writes into a node's ``data``. Every in-place kernel keeps the
+it never writes into a node's ``data``. An off-tape kernel, one none of
+whose parents requires grad (``_taped``), as every kernel of a forward of a
+detached model is, keeps nothing for a backward: ``gelu`` and
+``layer_norm`` write each step of their forward over the one before, so
+the output is their one fresh array. Every in-place kernel keeps the
 floating-point operations, and their order, of the plain formula, so
-results are bit for bit those of the allocating form. The plain formula
-sums along the last axis in one ``np.einsum`` pass per row, a product in
-the same pass (``_row_sum``), so a row's sum depends on that row alone.
+results are bit for bit those of the allocating form, on the tape or off.
+The plain formula sums along the last axis in one ``np.einsum`` pass per
+row, a product in the same pass (``_row_sum``), so a row's sum depends on
+that row alone.
 Softmax's forward alone adds its keys one after another, so the zero-weight
 keys of a padded batch never change a row, which einsum does not promise.
 
@@ -41,8 +46,9 @@ any row but at least two, so a block that reads few rows (pretraining's
 last block, evaluation) attends from (B, heads, m, n), not from every
 position. The floor of two keeps the bits: with one slot, numpy's matmul
 leaves gemm, and its other routines sum in another order. Its forward runs
-``matmul``, ``mul``, ``add`` and ``softmax`` untaped, on views laid out as
-the unfused ops' are, and its hand-written backward repeats their backwards
+``matmul`` and ``softmax`` untaped, on views laid out as the unfused ops'
+are, and scales and masks the scores in place between them, as ``mul`` and
+``add`` would; its hand-written backward repeats the unfused backwards
 operation for operation, so both keep the unfused ops' bits on the full
 grid at the head widths where BLAS rounds a row the same in a product of
 any row count (see ``attention``).
@@ -132,14 +138,19 @@ def astensor(x):
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+def _taped(parents):
+    """Whether a node of ``parents`` joins the tape: some parent requires grad."""
+    return any(p.requires_grad for p in parents)
+
+
 def _node(data, parents, backward_fn):
-    """Create an interior tensor, on the tape when a parent requires grad."""
+    """Create an interior tensor, on the tape when ``_taped(parents)``."""
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
     out._backward_ran = False
     out._grad_borrowed = False
-    if any(p.requires_grad for p in parents):
+    if _taped(parents):
         out.requires_grad = True
         out._parents = parents
         out._backward_fn = backward_fn
@@ -596,9 +607,10 @@ def attention(q_rows, k_rows, v_rows, trimmed, queries, heads, rate, rng):
     gemv and the slot-summing ones off BLAS, and both sum in another order
     than gemm. The slots, keys and values are scattered into zero
     (B, m or n, heads, dh) grids, which the core reads as (B, heads, m or n,
-    dh) views. The forward runs this module's ``matmul``, ``mul``, ``add``
-    and ``softmax`` on those views, untaped, and the backward is the
-    softmax attention one, dS = P ∘ (dP − rowsum(dP ∘ P)) / √dh, written as
+    dh) views. The forward runs this module's ``matmul`` and ``softmax`` on
+    those views, untaped, and scales and masks the scores between them in
+    place, by the operations ``mul`` and ``add`` would run; the backward is
+    the softmax attention one, dS = P ∘ (dP − rowsum(dP ∘ P)) / √dh, written as
     those nodes' backwards run, operation for operation and on operands of
     the same layouts. An empty slot, like a position that is no query, adds
     exact zeros to the slot-summing products. So the bits are those of the
@@ -650,11 +662,13 @@ def attention(q_rows, k_rows, v_rows, trimmed, queries, heads, rate, rng):
 
     q, k, v = grid(q_rows, slots), grid(k_rows, trimmed), grid(v_rows, trimmed)
     kt = k.transpose(0, 1, 3, 2)
-    scale = astensor(1.0 / np.sqrt(dh))
+    scale = np.asarray(1.0 / np.sqrt(dh), dtype=k.dtype)
     drop = _keep_mask(rate, rng, (B, heads, m, n), k.dtype)
     bias = ((1.0 - trimmed.astype(k.dtype)) * -1e9).reshape(B, 1, 1, n)
-    s = mul(matmul(const(q), const(kt)), scale)
-    p = softmax(add(s, const(bias))).data
+    s = matmul(const(q), const(kt)).data   # a fresh array: scaled and masked in place
+    s *= scale
+    s += bias
+    p = softmax(const(s)).data
     a = p if drop is None else mul(const(p), const(drop)).data
     ctx = matmul(const(a), const(v)).data
 
@@ -669,7 +683,7 @@ def attention(q_rows, k_rows, v_rows, trimmed, queries, heads, rate, rng):
             gs *= drop
         gs -= _row_sum(gs, p)               # softmax: (g - sum(g * P)) * P
         gs *= p
-        gs *= scale.data
+        gs *= scale
         if q_rows.requires_grad:
             q_rows._accum(packed(gs @ np.swapaxes(kt, -1, -2), slots))
         if k_rows.requires_grad:
@@ -707,7 +721,8 @@ def layer_norm(x, gain, bias, eps):
     xhat -= _row_sum(xhat) / n
     inv = 1.0 / np.sqrt(_row_sum(xhat, xhat) / n + eps)
     xhat *= inv
-    out_data = xhat * gain.data
+    # off the tape no backward reads xhat, so the output is written over it
+    out_data = np.multiply(xhat, gain.data, out=None if _taped((x, gain, bias)) else xhat)
     out_data += bias.data
 
     def bw(g):
@@ -735,14 +750,18 @@ _GELU_C = float(np.sqrt(2.0 / np.pi))
 def gelu(x):
     """Gaussian error linear unit (tanh approximation)."""
     x = astensor(x)
+    # off the tape no backward reads sq, t or half, so each step is written
+    # over the one before, and the output is the first step's array
+    taped = _taped((x,))
     sq = x.data * x.data
-    t = sq * (_GELU_C * 0.044715)      # t = tanh(x * (C + C * 0.044715 * x^2))
+    # t = tanh(x * (C + C * 0.044715 * x^2))
+    t = np.multiply(sq, _GELU_C * 0.044715, out=None if taped else sq)
     t += _GELU_C
     t *= x.data
     np.tanh(t, out=t)
-    half = t * 0.5                     # 0.5 * (1 + t)
+    half = np.multiply(t, 0.5, out=None if taped else t)   # 0.5 * (1 + t)
     half += 0.5
-    out_data = x.data * half
+    out_data = np.multiply(x.data, half, out=None if taped else half)
 
     def bw(g):
         # g * (0.5 * (1 + t) + x * (1 - t^2) * (0.5 * C + 1.5 * C * 0.044715 * x^2)),

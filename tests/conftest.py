@@ -1,9 +1,12 @@
 import itertools
 
+# winoref before numpy: importing it pins one BLAS thread unless the caller
+# set one, and OpenBLAS reads the variables once, when numpy loads it
+import winoref.tensor as T
+
 import numpy as np
 import pytest
 
-import winoref.tensor as T
 from winoref.encoder import encode, mlm_logits_batch
 from winoref.refine import N_KINDS, _row_tables, pooled_stack
 from winoref.synthetic import make_benchmark

@@ -1,4 +1,5 @@
 import ast
+import ctypes
 import dataclasses
 import inspect
 import os
@@ -275,6 +276,42 @@ class TestRowMemo:
         fresh = [score_candidate(model, vocab, inst, which) for which in (1, 2)]
         assert [bits(s) for s in scores] == [bits(s) for s in fresh]
 
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_a_block_of_shared_and_unshared_rows(self, world, dtype, monkeypatch):
+        # one log-softmax runs over the block's slot logits, yet each
+        # candidate scores as its own row's slot logits alone would: a row
+        # two candidates share, and a one-token and a two-token candidate's
+        groups, bench, vocab, cfg, _ = world
+        T.set_dtype(dtype)
+        model = EncoderModel(cfg, seed=4)
+        shared = bench[0]
+        assert (len(word_tokens(shared.candidate1))
+                == len(word_tokens(shared.candidate2)))
+        unshared = SchemaInstance(sentence="the _ fits .", candidate1="trophy",
+                                  candidate2="red trophy", label=1)
+        forwards = []
+        real = ev.mlm_logits_batch
+
+        def recorded(view, ids, slots):
+            logits = real(view, ids, slots)
+            forwards.append((ids.copy(), logits.data.copy()))
+            return logits
+
+        monkeypatch.setattr(ev, "mlm_logits_batch", recorded)
+        report = evaluate(model, vocab, [shared, unshared])
+        assert len(forwards) == 1
+        ids, logits = forwards[0]
+        assert len(ids) == 3 and logits.dtype == dtype
+        counts = (ids == MASK_ID).sum(axis=1)
+        starts = np.cumsum(counts) - counts
+        for inst, d in zip((shared, unshared), report.decisions):
+            for which in (1, 2):
+                row, cand = ev._masked_ids(inst, which, vocab, cfg.max_len)
+                i = next(i for i, r in enumerate(ids) if np.array_equal(r, row))
+                own = logits[starts[i]:starts[i] + counts[i]]
+                want = log_probs_at_positions(own, cand).mean()
+                assert np.float64(d[f"score{which}"]).tobytes() == np.float64(want).tobytes()
+
     def test_memo_does_not_outlive_its_instance(self, world):
         groups, bench, vocab, cfg, model = world
         model = EncoderModel(cfg, seed=9)   # its own, to change in place
@@ -355,17 +392,24 @@ class TestBlockForward:
     def test_each_candidate_row_is_built_once(self, block_world, monkeypatch):
         bench, vocab = block_world
         model = block_model(vocab, "float64")
-        built = []
-        real = ev._masked_ids
+        # and each sentence is split and tokenized once, for both candidates
+        split, built = [], []
+        real_split, real_row = ev._slot_parts, ev._candidate_row
 
-        def counted(instance, which, *args):
-            built.append((id(instance), which))
-            return real(instance, which, *args)
+        def counted_split(sentence):
+            split.append(sentence)
+            return real_split(sentence)
 
-        monkeypatch.setattr(ev, "_masked_ids", counted)
+        def counted_row(parts, candidate, *args):
+            built.append((parts, candidate))
+            return real_row(parts, candidate, *args)
+
+        monkeypatch.setattr(ev, "_slot_parts", counted_split)
+        monkeypatch.setattr(ev, "_candidate_row", counted_row)
         evaluate(model, vocab, bench[:20])
-        assert sorted(built) == sorted((id(inst), which) for inst in bench[:20]
-                                       for which in (1, 2))
+        assert split == [inst.sentence for inst in bench[:20]]
+        assert built == [(real_split(inst.sentence), inst.candidate(which))
+                         for inst in bench[:20] for which in (1, 2)]
 
     @pytest.mark.parametrize("dtype,tol", [("float32", 1e-5), ("float64", 1e-12)])
     def test_decisions_equal_resolve(self, block_world, dtype, tol):
@@ -425,7 +469,7 @@ class TestBlockForward:
         bench, vocab = block_world
         model = block_model(vocab, "float64", seed=9)   # its own, to change in place
         before = evaluate(model, vocab, bench[:20])
-        assert ev._ROW_LOGITS.get(None) is None
+        assert ev._BLOCK_SCORES.get(None) is None
         model.params["mlm_bias"].data[vocab.id(word_tokens(bench[0].candidate1)[0])] += 1.0
         after = evaluate(model, vocab, bench[:20])
         assert scores(after) == scores(evaluate(model.clone(), vocab, bench[:20]))
@@ -577,6 +621,20 @@ def test_package_root_pins_one_blas_thread_unless_set():
     assert _fresh_stdout(code, **unset).split() == ["1", "1", "1"]
     one_set = {**unset, "OMP_NUM_THREADS": "3"}
     assert _fresh_stdout(code, **one_set).split() == ["1", "3", "1"]
+
+
+def test_tests_run_at_one_blas_thread_unless_set():
+    # conftest imports winoref before numpy, so this process's BLAS runs at
+    # the one thread of every artifact unless the caller set another count
+    if os.environ["OPENBLAS_NUM_THREADS"] != "1":
+        pytest.skip("the caller set OPENBLAS_NUM_THREADS")
+    libs = sorted((Path(np.__file__).parents[1] / "numpy.libs").glob("libscipy_openblas*.so"))
+    threads = getattr(ctypes.CDLL(str(libs[0])), "scipy_openblas_get_num_threads64_",
+                      None) if libs else None
+    if threads is None:
+        pytest.skip("numpy bundles no scipy-openblas with a thread-count query")
+    threads.argtypes, threads.restype = [], ctypes.c_int
+    assert threads() == 1
 
 
 def test_evaluation_loads_no_refinement_scoring_or_command_code():

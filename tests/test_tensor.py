@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -177,10 +179,13 @@ class TestBasics:
         np.testing.assert_array_equal(u.grad, [0.0, 0.0])
         np.testing.assert_array_equal(v.grad, [0.0, 0.0])
 
-    @pytest.mark.parametrize("train", [False, True], ids=["eval", "train"])
-    def test_detached_forward_builds_no_tape(self, train, monkeypatch):
+    @pytest.mark.parametrize("train, dtype", [
+        (False, "float64"), (True, "float64"), (False, "float32"), (True, "float32")],
+        ids=["eval", "train", "eval-float32", "train-float32"])
+    def test_detached_forward_builds_no_tape(self, train, dtype, monkeypatch):
         # the view's parameters are constants on the model's own arrays, so
         # no node of its forward joins a tape, and its logits are the model's
+        T.set_dtype(dtype)
         cfg = EncoderConfig(layers=2, heads=2, model_dim=8, ff_dim=16, max_len=8,
                             vocab_size=FIRST_WORD_ID + 4)
         model = EncoderModel(cfg, seed=1)
@@ -204,6 +209,7 @@ class TestBasics:
             taped = [n for n in nodes if n._backward_fn is not None or n._parents]
             assert nodes and (taped == []) == (which == "view"), which
         assert not logits["view"].requires_grad
+        assert logits["view"].data.dtype == dtype
         assert logits["view"].data.tobytes() == logits["model"].data.tobytes()
 
     def test_embedding_lookup_rejects_out_of_range(self):
@@ -603,6 +609,42 @@ class TestInPlaceKernels:
         assert_same_bits(out.data, want_out)
         out._backward_fn(g)
         assert_same_bits(logits.grad, leaf_grad(want_gx))
+
+    @pytest.mark.parametrize("kernel, taped_parents", [
+        ("gelu", [0]), ("layer_norm", [0]), ("layer_norm", [1])],
+        ids=["gelu", "layer_norm-x", "layer_norm-gain"])
+    def test_off_tape_kernel_equals_the_taped_one(self, dtype, kernel, taped_parents):
+        # with no parent that requires grad, the kernel writes its forward
+        # over its one output array and keeps nothing for a backward, by
+        # the taped forward's operations in the same order
+        T.set_dtype(dtype)
+        rng = np.random.default_rng(15)
+        x = rng.normal(1.0, 3.0, size=(512, 96)).astype(dtype)
+        x[2] = x[2, 0]                        # a constant row
+        gain, bias = (rng.normal(size=96).astype(dtype) for _ in range(2))
+        run = {"gelu": lambda x, gain, bias: T.gelu(x),
+               "layer_norm": lambda *args: T.layer_norm(*args, 1e-5)}[kernel]
+        for rows in (x, x[:0]):
+            arrays = (rows, gain, bias)
+            taped = run(*(Tensor(a, requires_grad=i in taped_parents)
+                          for i, a in enumerate(arrays)))
+            params = [Tensor(a) for a in arrays]
+            tracemalloc.start()
+            try:
+                off = run(*params)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert taped.requires_grad and taped._backward_fn is not None
+            assert not off.requires_grad and off._backward_fn is None
+            assert off.data.shape == rows.shape and off.data.dtype == dtype
+            assert_same_bits(off.data, taped.data)
+            assert all(not np.shares_memory(off.data, p.data) for p in params)
+            if rows.size:
+                # the output array, and small temporaries only
+                assert peak < 1.5 * off.data.nbytes
+                if kernel == "layer_norm":
+                    assert_same_bits(off.data[2], bias)
 
     def test_linear_is_the_add_of_a_matmul(self, dtype):
         T.set_dtype(dtype)
