@@ -121,9 +121,10 @@ class EncoderModel:
         return {name: p.data for name, p in self.params.items()}
 
     def load_arrays(self, named):
-        """Set every parameter from ``named``, cast to the model's dtype. A
-        missing, extra, misshapen, non-float or non-finite parameter is
-        rejected, and the error names it."""
+        """Set every parameter from ``named``, cast to the model's dtype, by
+        writing into the parameter's own array, so an optimizer's views of
+        it stay bound. A missing, extra, misshapen, non-float or non-finite
+        parameter is rejected, naming it, before any parameter is written."""
         extra = sorted(set(named) - set(self.params))
         if extra:
             raise ValueError(f"checkpoint has parameters the model does not: {extra}")
@@ -136,10 +137,10 @@ class EncoderModel:
             if named[name].dtype.kind != "f":
                 raise ValueError(f"parameter {name!r}: checkpoint dtype "
                                  f"{named[name].dtype} is not a floating-point type")
-            data = named[name].astype(p.data.dtype, copy=True)
-            if not np.isfinite(data).all():
+            if not np.isfinite(named[name].astype(p.data.dtype, copy=False)).all():
                 raise ValueError(f"parameter {name!r} holds a NaN or infinite value")
-            p.data = data
+        for name, p in self.params.items():
+            p.data[...] = named[name]
 
     def detached(self):
         """The model with each parameter a constant that shares its array, no
@@ -369,8 +370,8 @@ def mlm_logits_batch(model, ids, rows, rng=None):
     ``ids``; the head is the token table transposed plus a bias, and the
     forward a training forward given ``rng``. The forward runs its last
     block on those rows only, and only they go through the head, so the
-    (d, V) projection and its backward cost R rows, not B*L.
-    """
+    (d, V) projection and its backward cost R rows, not B*L. A ``rows``
+    mask of another shape or dtype is a ShapeError."""
     rows = np.asarray(rows)
     hidden = forward_hidden(model, ids, row_masks(ids)[0], rng=rng, rows=rows)
     B, n, d = hidden.data.shape

@@ -14,7 +14,8 @@ many candidates read it, and every candidate's score is finished into the
 block memo. The memo is a context variable, not a parameter, so that a
 wrapper of ``score_candidate(model, vocab, instance, which)``, such as the
 benchmark's tracer, still sees one call per candidate, which reads its
-finished score. Evaluation never updates parameters.
+finished score. Evaluation never updates parameters, and imports no
+training code but what ``winoref.encoder`` holds.
 """
 
 import contextvars
@@ -41,17 +42,15 @@ class EvalReport:
     decisions: list = field(default_factory=list)
 
 
-def log_probs_at_positions(logits, token_ids, rows=None):
+def log_probs_at_positions(logits, token_ids, rows):
     """Log softmax probability of ``token_ids[i]`` in row ``rows[i]`` of a
-    logit matrix, row ``i`` when ``rows`` is None.
+    logit matrix.
 
     Computed as log of the explicit (max-shifted) softmax so the value is
     bit-identical to enumerating the full distribution; each row's max, exp
     and sum are taken once, however many entries it gives, and only the
     gathered entries are divided by their row's sum.
     """
-    if rows is None:
-        rows = np.arange(len(token_ids))
     e = logits - logits.max(axis=1, keepdims=True)
     np.exp(e, out=e)
     with np.errstate(divide="ignore"):   # a probability that underflowed: -inf
@@ -67,8 +66,11 @@ def _slot_parts(sentence):
 
 
 def _candidate_row(parts, candidate, vocab, max_len):
-    """What ``_masked_ids`` returns for the candidate text ``candidate`` in a
-    sentence that ``_slot_parts`` split into ``parts``."""
+    """(ids, candidate token ids) of the candidate text ``candidate`` in a
+    sentence that ``_slot_parts`` split into ``parts``: the id row with the
+    slot expanded to m [MASK] tokens, the row's only [MASK] ids, as
+    ``word_tokens`` never yields one; None if the row would overflow
+    max_len."""
     cand_tokens = word_tokens(candidate)
     if not cand_tokens:
         raise ValueError("candidate text has no tokens")
@@ -80,16 +82,8 @@ def _candidate_row(parts, candidate, vocab, max_len):
     return ids, np.array([vocab.id(t) for t in cand_tokens])
 
 
-def _masked_ids(instance, which, vocab, max_len):
-    """(ids, candidate token ids): the id row with the slot expanded to m
-    [MASK] tokens, the row's only [MASK] ids, as ``word_tokens`` never
-    yields one; None if the row would overflow max_len."""
-    return _candidate_row(_slot_parts(instance.sentence), instance.candidate(which),
-                          vocab, max_len)
-
-
-# The block memo of ``_scores``: each candidate's finished CandidateScore
-# under (id(instance), which); unset outside a block.
+# The block memo of ``_scores``: (model, vocab, each candidate's finished
+# CandidateScore under (id(instance), which)); unset outside a block.
 _BLOCK_SCORES = contextvars.ContextVar("block_scores")
 
 
@@ -97,14 +91,15 @@ def score_candidate(model, vocab, instance, which):
     """Average log probability of one candidate in the masked slot.
 
     A candidate whose row overflows the length budget scores -inf and is
-    marked ``overflows`` rather than being silently dropped. Inside a block
-    of ``_scores`` the score is read from the block's memo; called on its
-    own, it scores its instance as ``evaluate`` would on a one-instance
-    list."""
-    memo = _BLOCK_SCORES.get(None)
-    if memo is None:
-        return _scores(model, vocab, [instance])[0][which - 1]
-    return memo[(id(instance), which)]
+    marked ``overflows`` rather than being silently dropped. The score is
+    read from the memo of the ``_scores`` block that holds ``instance``; a
+    call outside a block, or with another model or vocabulary than the
+    block's, raises LookupError: ``resolve`` scores one instance."""
+    block = _BLOCK_SCORES.get(None)
+    if block is None or block[0] is not model or block[1] is not vocab:
+        raise LookupError("score_candidate reads the scores of a block of its model "
+                          "and vocabulary; resolve scores one instance")
+    return block[2][(id(instance), which)]
 
 
 def _blocks(instances, vocab, cfg):
@@ -113,7 +108,7 @@ def _blocks(instances, vocab, cfg):
     an instance's two, whose (slots, vocab_size) logits stay under
     ``MAX_STEP_VALUES`` values. Returns a list of (block, built, rows):
     ``built`` maps each candidate's (id(instance), which) to what
-    ``_masked_ids`` returns for it, and ``rows`` maps each distinct row's id
+    ``_candidate_row`` returns for it, and ``rows`` maps each distinct row's id
     bytes to what it returns for a candidate of that row. The whole walk
     runs before any forward, so a block over the cap, which only an
     instance's own rows can make, fails before the first one.
@@ -183,7 +178,7 @@ def _scores(model, vocab, instances):
     dropped before the next block's forward."""
     out, view = [], model.detached()
     for block, built, rows in _blocks(instances, vocab, model.config):
-        token = _BLOCK_SCORES.set(_block_scores(view, built, rows))
+        token = _BLOCK_SCORES.set((model, vocab, _block_scores(view, built, rows)))
         try:
             out += [(score_candidate(model, vocab, inst, 1),
                      score_candidate(model, vocab, inst, 2)) for inst in block]

@@ -23,7 +23,9 @@ def check_finite_loss(phase, loss, step):
 
 
 class AdamW:
-    """Standard AdamW over a list of ``(name, Tensor)`` parameters.
+    """Standard AdamW over a list of ``(name, Tensor)`` parameters; a
+    parameter passed twice, by tensor or by name, is a ValueError. Every
+    argument is required: the config dataclasses hold the defaults.
 
     The effective learning rate ramps linearly from 0 to the base rate over
     ``warmup_steps`` optimizer steps and stays constant afterwards. Weight
@@ -31,13 +33,15 @@ class AdamW:
     independently of the gradient-based update.
 
     The parameters of each dtype share one flat buffer each for their data,
-    gradients and two moments. Every ``p.data`` and ``p.grad`` is a view of
-    its slice, and so are ``self.m`` and ``self.v``. An array a caller binds
-    to ``p.data`` or ``p.grad`` in place of its view is copied into the
-    slice at the next step, and the view bound again. ``step`` updates the
-    buffers in blocks of ``BLOCK`` elements. A block whose gradient has been
-    zero at every step so far has zero moments, so its update is +0.0 and
-    only the weight decay moves it.
+    gradients and two moments. Construction copies every ``p.data`` and
+    ``p.grad`` into its slice and binds a view of the slice in its place;
+    ``self.m`` and ``self.v`` are views too. A caller writes into the views
+    in place: ``step`` rejects a parameter whose ``data`` or ``grad`` is
+    another array, naming it. ``step`` updates the buffers in blocks of
+    ``BLOCK`` elements, in one fixed order of operations, so the bits are
+    those of a per-parameter update. A block whose gradient has been zero
+    at every step so far has zero moments, so its update is +0.0 and only
+    the weight decay moves it.
     """
 
     def __init__(self, params, lr, weight_decay, warmup_steps):
@@ -69,6 +73,11 @@ class AdamW:
                 p = self.params[i][1]
                 data, grad, self.m[i], self.v[i] = (
                     f[start:start + p.data.size].reshape(p.data.shape) for f in flat)
+                data[...] = p.data
+                p.data = data
+                if p.grad is not None:
+                    grad[...] = p.grad
+                    p.grad = grad
                 self._views[i] = (data, grad)
                 start += p.data.size
             scratch = np.empty((2, min(BLOCK, total)), dtype)
@@ -77,22 +86,6 @@ class AdamW:
                 self._blocks.append(tuple(f[lo:hi] for f in flat)
                                     + tuple(scratch[:, :hi - lo]))
                 self._touched.append(False)
-        self._bind()
-
-    def _bind(self):
-        """Copy each array bound to a ``p.data`` or ``p.grad`` in place of
-        its view into the view, and bind the view again."""
-        for (name, p), views in zip(self.params, self._views):
-            for attr, view in zip(("data", "grad"), views):
-                array = getattr(p, attr)
-                if array is None or array is view:
-                    continue
-                if array.shape != view.shape or array.dtype != view.dtype:
-                    raise ValueError(f"parameter {name!r}: its {attr} is now "
-                                     f"{array.dtype} {array.shape}, the optimizer "
-                                     f"holds {view.dtype} {view.shape}")
-                view[...] = array
-                setattr(p, attr, view)
 
     def effective_lr(self):
         """Learning rate at the current step count."""
@@ -103,11 +96,15 @@ class AdamW:
 
     def step(self):
         """Apply one update; requires grads populated, clears them after."""
-        for name, p in self.params:
+        for (name, p), views in zip(self.params, self._views):
             if p.grad is None:
                 raise MissingGradError(f"parameter {name!r} has no gradient; "
                                        f"run backward before stepping")
-        self._bind()
+            for attr, view in zip(("data", "grad"), views):
+                if getattr(p, attr) is not view:
+                    raise ValueError(f"parameter {name!r}: its {attr} is no longer the "
+                                     f"optimizer's view of its {view.dtype} "
+                                     f"{view.shape} slice; write into the view in place")
         self.step_count += 1
         t = self.step_count
         lr_t = self.effective_lr()

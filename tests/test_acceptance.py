@@ -16,8 +16,7 @@ import winoref.tensor as T
 from winoref import checkpoint as ckpt
 from winoref import cli
 from winoref.encoder import EncoderConfig, EncoderModel
-from winoref.evaluate import (_masked_ids, evaluate, log_probs_at_positions, resolve,
-                              score_candidate)
+from winoref.evaluate import evaluate, log_probs_at_positions, resolve
 from winoref.refine import (Discriminator, contrastive_loss, contrastive_pairs,
                             diversity_loss, reconstruction_loss)
 from winoref.scoring import ScoreConfig, windowed_bertscore
@@ -254,7 +253,7 @@ def test_acceptance_4_scorer_oracle():
         logits = rng.normal(0, 4, size=(10, 31))
         positions = rng.choice(10, size=3, replace=False)
         tokens = rng.integers(0, 31, size=3)
-        got = log_probs_at_positions(logits[positions], tokens)
+        got = log_probs_at_positions(logits, tokens, positions)
         want = np.array([enumerate_softmax_logprob(logits[p], t)
                          for p, t in zip(positions, tokens)])
         assert (got == want).all(), "scorer must equal enumeration bit-exactly"
@@ -291,8 +290,8 @@ def test_acceptance_4_scorer_oracle():
             te.ev.mlm_logits_batch = self.orig
 
     with _MP():
-        s = score_candidate(model, vocab, inst, 1)
-    ids = _masked_ids(inst, 1, vocab, cfg.max_len)[0]
+        _, (s, _) = resolve(model, vocab, inst)
+    ids = te.masked_ids(inst, 1, vocab, cfg.max_len)[0]
     assert list(np.flatnonzero(ids == MASK_ID)) == [2, 3]
     assert abs(s.avg_log_prob - np.log(0.5)) <= 1e-12
 

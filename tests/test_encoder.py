@@ -147,6 +147,30 @@ class TestEncode:
         with pytest.raises(ValueError, match="'final_ln.g' holds a NaN or infinite"):
             EncoderModel(cfg, seed=1).load_arrays(arrays)
 
+    @pytest.mark.parametrize("dtype,case", [
+        ("float64", "nan"), ("float64", "missing"), ("float64", "shape"),
+        ("float64", "int"), ("float32", "overflows-after-cast")])
+    def test_rejected_load_writes_no_parameter(self, small_setup, dtype, case):
+        # mlm_bias is the last parameter checked, so a load that wrote each
+        # parameter as it checked it would have replaced all the others
+        _, cfg, _, _ = small_setup
+        T.set_dtype(dtype)
+        arrays = {name: arr.copy()
+                  for name, arr in EncoderModel(cfg, seed=1).param_arrays().items()}
+        bias = arrays.pop("mlm_bias")
+        if case != "missing":
+            arrays["mlm_bias"] = {
+                "nan": np.where(np.arange(bias.size) == 2, np.nan, bias),
+                "shape": bias[:-1], "int": bias.astype(np.int64),
+                "overflows-after-cast": np.full(bias.shape, 1e300)}[case]
+        target = EncoderModel(cfg, seed=0)
+        before = {name: arr.copy() for name, arr in target.param_arrays().items()}
+        # the float32 cast of 1e300 overflows, which numpy would warn of
+        with pytest.raises(ValueError, match="'mlm_bias'"), np.errstate(over="ignore"):
+            target.load_arrays(arrays)
+        for name, arr in target.param_arrays().items():
+            assert arr.tobytes() == before[name].tobytes(), name
+
     def test_model_dim_must_divide_heads(self):
         with pytest.raises(ValueError, match="divisible"):
             EncoderConfig(layers=1, heads=3, model_dim=32, ff_dim=64,

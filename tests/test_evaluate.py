@@ -47,6 +47,18 @@ def hand_layout(prefix, m, suffix, vocab, max_len):
     return ids, attention, slots
 
 
+def masked_ids(inst, which, vocab, max_len):
+    """(ids, candidate token ids) of candidate ``which`` of ``inst``, as
+    scoring builds its row; None if the row overflows max_len."""
+    return ev._candidate_row(ev._slot_parts(inst.sentence), inst.candidate(which),
+                             vocab, max_len)
+
+
+def one_score(model, vocab, inst, which):
+    """Candidate ``which``'s CandidateScore, as ``resolve`` scores ``inst``."""
+    return resolve(model, vocab, inst)[1][which - 1]
+
+
 def brute_force_logprob(logits_row, token_id):
     """Independent full-softmax enumeration at one position."""
     m = logits_row.max()
@@ -92,8 +104,8 @@ class TestScoreCandidate:
         probs[vocab.id("trophy")] = 0.7
         probs[vocab.id("suitcase")] = 0.2
         rig_logits(monkeypatch, vocab, cfg.max_len, {2: probs})
-        s1 = score_candidate(model, vocab, inst, 1)
-        s2 = score_candidate(model, vocab, inst, 2)
+        s1 = one_score(model, vocab, inst, 1)
+        s2 = one_score(model, vocab, inst, 2)
         assert s1.avg_log_prob == pytest.approx(np.log(0.7), abs=1e-9)
         assert s2.avg_log_prob == pytest.approx(np.log(0.2), abs=1e-9)
         choice, _ = resolve(model, vocab, inst)
@@ -111,19 +123,18 @@ class TestScoreCandidate:
 
         rig_logits(monkeypatch, vocab, cfg.max_len,
                    {2: half_at("red"), 3: half_at("trophy")})
-        s1 = score_candidate(model, vocab, inst, 1)
-        ids = ev._masked_ids(inst, 1, vocab, cfg.max_len)[0]
+        s1 = one_score(model, vocab, inst, 1)
+        ids = masked_ids(inst, 1, vocab, cfg.max_len)[0]
         assert list(np.flatnonzero(ids == MASK_ID)) == [2, 3]
         assert s1.avg_log_prob == pytest.approx(np.log(0.5), abs=1e-12)
 
     def test_exact_equality_with_brute_force_enumeration(self, world):
         groups, bench, vocab, cfg, model = world
         from winoref.encoder import mlm_logits_batch
-        from winoref.evaluate import _masked_ids
         for inst in bench[:6]:
             for which in (1, 2):
-                got = score_candidate(model, vocab, inst, which)
-                ids, cand_ids = _masked_ids(inst, which, vocab, cfg.max_len)
+                got = one_score(model, vocab, inst, which)
+                ids, cand_ids = masked_ids(inst, which, vocab, cfg.max_len)
                 logits = mlm_logits_batch(model.detached(), ids[None, :],
                                           ids[None, :] == MASK_ID).data
                 want = np.mean([brute_force_logprob(row, t)
@@ -136,7 +147,7 @@ class TestScoreCandidate:
             logits = rng.normal(0, 3, size=(9, 40))
             positions = rng.choice(9, size=3, replace=False)
             tokens = rng.integers(0, 40, size=3)
-            got = log_probs_at_positions(logits[positions], tokens)
+            got = log_probs_at_positions(logits, tokens, positions)
             want = [brute_force_logprob(logits[p], t)
                     for p, t in zip(positions, tokens)]
             np.testing.assert_array_equal(got, want)
@@ -152,17 +163,16 @@ class TestScoreCandidate:
             # the report counts an overflow; scoring warns of none
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                s = score_candidate(model, vocab, inst, 1)
-                choice, _ = resolve(model, vocab, inst)
+                choice, (s, _) = resolve(model, vocab, inst)
             if m <= fit:
-                ids, _ = ev._masked_ids(inst, 1, vocab, cfg.max_len)
+                ids, _ = masked_ids(inst, 1, vocab, cfg.max_len)
                 want = hand_layout(["the"], m, ["fits", "."], vocab, cfg.max_len)
                 np.testing.assert_array_equal(ids, want[0])
                 np.testing.assert_array_equal(row_masks(ids)[0], want[1])
                 np.testing.assert_array_equal(np.flatnonzero(ids == MASK_ID), want[2])
                 assert np.isfinite(s.avg_log_prob) and not s.overflows
                 continue
-            assert ev._masked_ids(inst, 1, vocab, cfg.max_len) is None
+            assert masked_ids(inst, 1, vocab, cfg.max_len) is None
             assert s.avg_log_prob == float("-inf") and s.overflows
         assert choice == 2
 
@@ -196,8 +206,8 @@ class TestScoreCandidate:
                            candidate2="trophy suitcase", label=1)
         b = SchemaInstance(sentence="the _ fits .", candidate1="trophy",
                            candidate2="anything", label=2)
-        sa = score_candidate(model, vocab, a, 1)
-        sb = score_candidate(model, vocab, b, 1)
+        sa = one_score(model, vocab, a, 1)
+        sb = one_score(model, vocab, b, 1)
         assert sa.avg_log_prob == sb.avg_log_prob
 
 
@@ -260,9 +270,14 @@ class TestRowMemo:
             calls.clear()
             _, scores = resolve(model, vocab, inst)
             assert len(calls) == 1
-            fresh = [score_candidate(model, vocab, inst, which) for which in (1, 2)]
-            assert len(calls) == 3   # outside resolve, every call forwards
+            _, fresh = resolve(model, vocab, inst)
+            assert len(calls) == 2   # each resolve forwards once
             assert [bits(s) for s in scores] == [bits(s) for s in fresh]
+            # outside a block there is no score to read
+            for which in (1, 2):
+                with pytest.raises(LookupError, match="resolve scores one instance"):
+                    score_candidate(model, vocab, inst, which)
+            assert len(calls) == 2
 
     def test_candidates_of_two_token_counts_share_one_forward(self, world, monkeypatch):
         groups, bench, vocab, cfg, model = world
@@ -273,7 +288,7 @@ class TestRowMemo:
         # one forward of the two distinct rows
         assert len(calls) == 1 and len(calls[0]) == 2
         assert not np.array_equal(calls[0][0], calls[0][1])
-        fresh = [score_candidate(model, vocab, inst, which) for which in (1, 2)]
+        fresh = [one_score(model, vocab, inst, which) for which in (1, 2)]
         assert [bits(s) for s in scores] == [bits(s) for s in fresh]
 
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
@@ -306,10 +321,10 @@ class TestRowMemo:
         starts = np.cumsum(counts) - counts
         for inst, d in zip((shared, unshared), report.decisions):
             for which in (1, 2):
-                row, cand = ev._masked_ids(inst, which, vocab, cfg.max_len)
+                row, cand = masked_ids(inst, which, vocab, cfg.max_len)
                 i = next(i for i, r in enumerate(ids) if np.array_equal(r, row))
                 own = logits[starts[i]:starts[i] + counts[i]]
-                want = log_probs_at_positions(own, cand).mean()
+                want = log_probs_at_positions(own, cand, np.arange(len(cand))).mean()
                 assert np.float64(d[f"score{which}"]).tobytes() == np.float64(want).tobytes()
 
     def test_memo_does_not_outlive_its_instance(self, world):
@@ -319,7 +334,7 @@ class TestRowMemo:
         _, before = resolve(model, vocab, inst)
         model.params["mlm_bias"].data[vocab.id(word_tokens(inst.candidate1)[0])] += 1.0
         _, after = resolve(model, vocab, inst)
-        fresh = [score_candidate(model, vocab, inst, which) for which in (1, 2)]
+        fresh = [one_score(model, vocab, inst, which) for which in (1, 2)]
         assert [bits(s) for s in after] == [bits(s) for s in fresh]
         assert bits(after[0]) != bits(before[0])
 
@@ -332,7 +347,7 @@ class TestRowMemo:
         choice, (s1, s2) = resolve(model, vocab, inst)
         assert s1.avg_log_prob == float("-inf") and s1.overflows
         assert not s2.overflows and len(calls) == 1
-        assert bits(s2) == bits(score_candidate(model, vocab, inst, 2))
+        assert bits(s2) == bits(one_score(model, vocab, inst, 2))
         assert choice == 2
 
 
@@ -355,7 +370,7 @@ def row_blocks(instances, vocab, max_len):
     that the instances fill, walked in file order."""
     blocks, rows = 1, set()
     for inst in instances:
-        new = {ev._masked_ids(inst, which, vocab, max_len)[0].tobytes()
+        new = {masked_ids(inst, which, vocab, max_len)[0].tobytes()
                for which in (1, 2)}
         if len(rows | new) > ENCODE_CHUNK:
             blocks, rows = blocks + 1, set()
@@ -375,7 +390,7 @@ class TestBlockForward:
         evaluate(model, vocab, bench[:20])
         assert len(calls) == 1
         # one id row per distinct masked row
-        want = {ev._masked_ids(inst, which, vocab, 24)[0].tobytes()
+        want = {masked_ids(inst, which, vocab, 24)[0].tobytes()
                 for inst in bench[:20] for which in (1, 2)}
         assert sorted(ids.tobytes() for ids in calls[0]) == sorted(want)
 
@@ -456,6 +471,23 @@ class TestBlockForward:
         monkeypatch.setattr(ev, "score_candidate", wrapper)
         evaluate(model, vocab, bench)
         assert seen == [(id(inst), which) for inst in bench for which in (1, 2)]
+
+    def test_score_candidate_reads_only_the_block_of_its_model(self, block_world,
+                                                               monkeypatch):
+        bench, vocab = block_world
+        model = block_model(vocab, "float64")
+        other, seen = model.clone(), []
+        real = ev.score_candidate
+
+        def wrapper(model, vocab, instance, which):
+            with pytest.raises(LookupError, match="resolve scores one instance"):
+                real(other, vocab, instance, which)
+            seen.append(which)
+            return real(model, vocab, instance, which)
+
+        monkeypatch.setattr(ev, "score_candidate", wrapper)
+        evaluate(model, vocab, bench[:2])
+        assert seen == [1, 2, 1, 2]
 
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
     def test_a_file_and_its_reversal_decide_alike(self, block_world, dtype):

@@ -49,8 +49,8 @@ class TestRangeFuzz:
             # a probability that underflows to 0 has the log -inf, which is
             # still a log-probability; NaN or a positive value is not
             with np.errstate(divide="ignore"):
-                lp = log_probs_at_positions(logits[positions],
-                                            rng.integers(0, v, size=len(positions)))
+                lp = log_probs_at_positions(logits, rng.integers(0, v, size=len(positions)),
+                                            positions)
             assert not np.isnan(lp).any() and (lp <= 0.0).all(), f"case {case}: {lp}"
 
     def test_layer_norm_of_a_constant_row_is_its_bias(self, dtype):

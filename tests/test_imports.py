@@ -1,7 +1,10 @@
 """Every name a module imports is used in that module, every parameter of a
-function in ``src`` is read in its body, and every tape op is in gate 1."""
+function in ``src`` is read in its body, every module-level function and
+class in ``src`` is read by other ``src`` code, and every tape op is in
+gate 1."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -66,6 +69,48 @@ def test_the_check_finds_an_unread_parameter():
               "    return g() + c + len(kw)\n")
     assert unread_parameters(source) == [(1, "f", "args"), (1, "f", "b"),
                                          (1, "f", "e")]
+
+
+def unread_definitions(sources):
+    """(module, name) of each module-level ``def`` and ``class`` of the
+    ``{module: source}`` map that no code outside its own definition reads
+    as a ``Name``, an ``Attribute`` or an import alias."""
+    statements = [(module, stmt) for module, source in sorted(sources.items())
+                  for stmt in ast.parse(source).body]
+    reads = []   # per top-level statement: the names it reads
+    for _, stmt in statements:
+        names = set()
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name)
+        reads.append(names)
+    readers = Counter(name for names in reads for name in names)
+    return sorted((module, stmt.name) for (module, stmt), names in zip(statements, reads)
+                  if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                  and readers[stmt.name] - (stmt.name in names) == 0)
+
+
+def test_every_module_level_name_has_a_reader_in_src():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in SOURCES}
+    assert unread_definitions(sources) == []
+
+
+def test_the_check_finds_an_unread_definition():
+    sources = {"a": ("def by_name():\n    pass\n"
+                     "def recursive(n):\n    return recursive(n - 1)\n"
+                     "class Unread:\n    def by_name(self):\n        pass\n"
+                     "def by_attribute():\n    pass\n"
+                     "def by_import():\n    pass\n"
+                     "by_name()\n"),
+               "b": ("import a\nfrom .a import by_import as other\n"
+                     "a.by_attribute = a.by_attribute\n"
+                     "def stored():\n    pass\nstored = 1\n")}
+    assert unread_definitions(sources) == [("a", "Unread"), ("a", "recursive"),
+                                           ("b", "stored")]
 
 
 def unchecked_ops(tensor_source, gate_source):

@@ -135,20 +135,17 @@ def reference_adamw(params, grads, steps, lr, betas, eps, wd, warmup):
     return data
 
 
-def step_against_reference(opt, grads, rebind_grads=False):
-    """Step ``opt`` with ``grads``, written into each gradient or bound to it
-    as a new array. Assert that every gradient reads +0.0 after each step,
-    and that the data ends bit-equal to ``reference_adamw`` run from the
-    data the parameters hold now."""
+def step_against_reference(opt, grads):
+    """Step ``opt`` with ``grads``, written into each gradient. Assert that
+    every gradient reads +0.0 after each step, and that the data ends
+    bit-equal to ``reference_adamw`` run from the data the parameters hold
+    now."""
     want = reference_adamw([p.data for _, p in opt.params], grads, len(grads),
                            lr=opt.lr, betas=(0.9, 0.999), eps=1e-8,
                            wd=opt.weight_decay, warmup=opt.warmup_steps)
     for step in grads:
         for (_, p), g in zip(opt.params, step):
-            if rebind_grads:
-                p.grad = g.copy()
-            else:
-                p.grad[...] = g
+            p.grad[...] = g
         opt.step()
         assert all(p.grad.tobytes() == bytes(p.grad.nbytes) for _, p in opt.params)
     for (_, p), w in zip(opt.params, want):
@@ -193,19 +190,22 @@ def test_mixed_dtypes_give_the_reference_bits(wd, warmup):
 
 
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
-def test_scratch_buffers_after_load_arrays_rebinds_the_data(dtype):
-    # load_arrays binds new data arrays in place of the optimizer's views,
-    # and every step binds new gradient arrays
+def test_scratch_buffers_after_load_arrays_writes_the_data_in_place(dtype):
+    # load_arrays writes into the optimizer's views, which stay bound
     T.set_dtype(dtype)
     cfg = EncoderConfig(layers=1, heads=2, model_dim=8, ff_dim=16, max_len=6,
                         vocab_size=20)
     model = EncoderModel(cfg, seed=0)
     opt = AdamW(model.named_params(), lr=0.01, weight_decay=0.01, warmup_steps=3)
-    model.load_arrays({name: p.data for name, p in EncoderModel(cfg, seed=1).named_params()})
+    views = [p.data for _, p in model.named_params()]
+    loaded = {name: p.data for name, p in EncoderModel(cfg, seed=1).named_params()}
+    model.load_arrays(loaded)
+    for (name, p), view in zip(model.named_params(), views):
+        assert p.data is view and p.data.tobytes() == loaded[name].tobytes()
     rng = np.random.default_rng(12)
     grads = [[rng.normal(size=p.data.shape).astype(dtype)
               for _, p in model.named_params()] for _ in range(8)]
-    step_against_reference(opt, grads, rebind_grads=True)
+    step_against_reference(opt, grads)
 
 
 @pytest.mark.parametrize("attr", ["data", "grad"])
@@ -215,3 +215,16 @@ def test_rebound_array_of_another_shape_rejected(attr):
     setattr(p, attr, np.ones(6))
     with pytest.raises(ValueError, match="'w'"):
         opt.step()
+
+
+@pytest.mark.parametrize("attr", ["data", "grad"])
+def test_rebound_array_of_the_same_shape_rejected(attr):
+    # an array bound in place of a view is not copied in: the step fails
+    # before it updates anything
+    p = Tensor(np.ones((2, 3)), requires_grad=True)
+    opt = AdamW([("w", p)], lr=0.1, weight_decay=0.01, warmup_steps=0)
+    data = p.data
+    setattr(p, attr, np.full((2, 3), 2.0))
+    with pytest.raises(ValueError, match=f"'w': its {attr} is no longer"):
+        opt.step()
+    assert opt.step_count == 0 and (data == 1.0).all()
