@@ -28,6 +28,9 @@ from .text import FIRST_WORD_ID, MASK_ID, row_masks
 MAX_PARAMS = 50_000_000
 MAX_LEN = 512
 MAX_STEP_VALUES = 2**27
+# the standard deviation of every drawn weight, the encoder's and the
+# discriminator's, as in BERT
+INIT_SCALE = 0.02
 
 
 @dataclass
@@ -40,7 +43,7 @@ class EncoderConfig:
     vocab_size: int = internal(0)
     dropout: float = 0.1
     layer_norm_eps: float = internal(1e-5)
-    init_scale: float = internal(0.02)
+    init_scale: float = internal(INIT_SCALE)
 
     def __post_init__(self):
         check_count("encoder.layers", self.layers, 0)   # 0: normed embeddings
@@ -137,7 +140,9 @@ class EncoderModel:
             if named[name].dtype.kind != "f":
                 raise ValueError(f"parameter {name!r}: checkpoint dtype "
                                  f"{named[name].dtype} is not a floating-point type")
-            if not np.isfinite(named[name].astype(p.data.dtype, copy=False)).all():
+            with np.errstate(over="ignore"):   # an overflow is rejected below
+                cast = named[name].astype(p.data.dtype, copy=False)
+            if not np.isfinite(cast).all():
                 raise ValueError(f"parameter {name!r} holds a NaN or infinite value")
         for name, p in self.params.items():
             p.data[...] = named[name]
@@ -153,7 +158,8 @@ class EncoderModel:
     def clone(self):
         other = EncoderModel.__new__(EncoderModel)
         other.config = copy.deepcopy(self.config)
-        other.params = {name: Tensor(p.data.copy(), requires_grad=True)
+        other.params = {name: Tensor(p.data.copy(), requires_grad=True,
+                                     dtype=p.data.dtype)
                         for name, p in self.params.items()}
         return other
 

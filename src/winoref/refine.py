@@ -15,7 +15,7 @@ import numpy as np
 
 from . import tensor as T
 from .config import check_choice, check_count, check_real, internal
-from .encoder import MAX_PARAMS, check_step, draw_params, encode, encode_batch
+from .encoder import INIT_SCALE, MAX_PARAMS, check_step, draw_params, encode, encode_batch
 from .optim import AdamW, check_finite_loss
 from .scoring import windowed_bertscore
 from .tensor import Tensor
@@ -81,7 +81,7 @@ class Discriminator:
     array is drawn."""
 
     def __init__(self, input_dim, hidden_dim, dropout, seed):
-        # (name, shape, fill) in draw order; a fill of None draws N(0, 0.02)
+        # (name, shape, fill) in draw order; a fill of None draws N(0, INIT_SCALE)
         table = [("w1", (input_dim, hidden_dim), None), ("b1", (hidden_dim,), 0.0),
                  ("bn.g", (hidden_dim,), 1.0), ("bn.b", (hidden_dim,), 0.0),
                  ("prelu.a", (hidden_dim,), 0.25), ("w2", (hidden_dim, N_KINDS), None),
@@ -91,7 +91,7 @@ class Discriminator:
             raise ValueError(f"the discriminator would hold {count} parameters, over "
                              f"the cap of {MAX_PARAMS}: lower refine.disc_hidden")
         self.dropout = dropout
-        self.params = draw_params(table, 0.02, seed)
+        self.params = draw_params(table, INIT_SCALE, seed)
         self.running_mean = np.zeros(hidden_dim)
         self.running_var = np.ones(hidden_dim)
         self.bn_momentum = 0.1

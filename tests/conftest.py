@@ -1,4 +1,5 @@
 import itertools
+from pathlib import Path
 
 # winoref before numpy: importing it pins one BLAS thread unless the caller
 # set one, and OpenBLAS reads the variables once, when numpy loads it
@@ -7,10 +8,20 @@ import winoref.tensor as T
 import numpy as np
 import pytest
 
+from winoref.config import read_json
 from winoref.encoder import encode, mlm_logits_batch
 from winoref.refine import N_KINDS, _row_tables, pooled_stack
 from winoref.synthetic import make_benchmark
 from winoref.text import MASK_ID, SchemaInstance, row_masks
+
+# the README quickstart's run config, which CI and gate 5 run and the
+# benchmark's workloads copy (tests/test_quickstart.py holds them to it)
+QUICKSTART = Path(__file__).parents[1] / "configs" / "quickstart.json"
+
+
+def quickstart_config():
+    """A fresh copy of the README quickstart's run config."""
+    return read_json(QUICKSTART, "config")
 
 
 @pytest.fixture(autouse=True)

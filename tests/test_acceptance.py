@@ -28,7 +28,7 @@ from winoref.text import (MASK_ID, PERTURBATION_KINDS, SchemaInstance, Vocabular
 
 from conftest import (check_grads, kind_probe_accuracy, make_null_benchmark,
                       masked_token_accuracy, min_same_kind_distance,
-                      pooled_kind_dataset, read_csv_artifact)
+                      pooled_kind_dataset, quickstart_config, read_csv_artifact)
 from test_refine import (entries_for, ids_of, oracle_contrastive,
                          oracle_diversity_eval_mode, oracle_reconstruction,
                          zeroed_discriminator)
@@ -312,23 +312,15 @@ SMOKE_SEED = 1
 
 
 def smoke_config(data, out):
-    return {
-        "runtime": {"seed": 0, "precision": "float32"},
-        "paths": {
-            "corpus": str(data / "corpus.jsonl"),
-            "benchmarks": [str(data / "bench_a.jsonl"), str(data / "bench_b.jsonl")],
-            "vocab": str(out / "vocab.json"),
-            "init_checkpoint": str(out / "init.ckpt.json"),
-        },
-        "encoder": {"layers": 2, "heads": 4, "model_dim": 96, "ff_dim": 256,
-                    "max_len": 24, "dropout": 0.0},
-        "pretrain": {"epochs": 260, "batch_size": 32, "lr": 1.5e-3,
-                     "warmup_steps": 50, "weight_decay": 0.0, "mask_prob": 0.3},
-        "refine": {"alpha": 130.0, "beta": 0.5, "gamma": 2.5, "epochs": 25,
-                   "batch_size": 10, "perturbations_per_sample": 4, "lr": 1.5e-3,
-                   "warmup_steps": 10, "weight_decay": 0.01,
-                   "target_mode": "frozen-init", "disc_hidden": 128},
+    """The README quickstart's config on the smoke files: only paths differ."""
+    cfg = quickstart_config()
+    cfg["paths"] = {
+        "corpus": str(data / "corpus.jsonl"),
+        "benchmarks": [str(data / "bench_a.jsonl"), str(data / "bench_b.jsonl")],
+        "vocab": str(out / "vocab.json"),
+        "init_checkpoint": str(out / "init.ckpt.json"),
     }
+    return cfg
 
 
 @pytest.fixture(scope="session")

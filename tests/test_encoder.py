@@ -19,7 +19,8 @@ from winoref.text import (CLS_ID, FIRST_WORD_ID, MASK_ID, PAD_ID, SEP_ID, UNK_ID
                           SchemaInstance, build_vocab, corpus_sentences, row_masks,
                           tokenize)
 
-from conftest import check_grads, masked_token_accuracy, record_draws
+from conftest import (check_grads, masked_token_accuracy, quickstart_config,
+                      record_draws)
 
 
 @pytest.fixture(scope="module")
@@ -165,11 +166,24 @@ class TestEncode:
                 "overflows-after-cast": np.full(bias.shape, 1e300)}[case]
         target = EncoderModel(cfg, seed=0)
         before = {name: arr.copy() for name, arr in target.param_arrays().items()}
-        # the float32 cast of 1e300 overflows, which numpy would warn of
-        with pytest.raises(ValueError, match="'mlm_bias'"), np.errstate(over="ignore"):
+        # the float32 cast of 1e300 overflows: rejected, with no warning
+        with pytest.raises(ValueError, match="'mlm_bias'"):
             target.load_arrays(arrays)
         for name, arr in target.param_arrays().items():
             assert arr.tobytes() == before[name].tobytes(), name
+
+    def test_clone_keeps_each_parameter_dtype(self, small_setup):
+        # the clone copies the model's arrays, whatever the precision is now
+        _, cfg, _, _ = small_setup
+        T.set_dtype("float32")
+        model = EncoderModel(cfg, seed=1)
+        T.set_dtype("float64")
+        other = model.clone()
+        for name, p in other.params.items():
+            original = model.params[name].data
+            assert p.data.dtype == p.grad.dtype == np.float32, name
+            assert p.data.tobytes() == original.tobytes(), name
+            assert not np.shares_memory(p.data, original), name
 
     def test_model_dim_must_divide_heads(self):
         with pytest.raises(ValueError, match="divisible"):
@@ -346,6 +360,7 @@ class TestStepBudget:
         assert all(np.array_equal(q.data, before[name]) for name, q in model.named_params())
 
 
+QUICKSTART_ENCODER = quickstart_config()["encoder"]
 # 12 heads on rows of up to 512 tokens: one row's attention scores hold
 # 12·L·L values, so 64 rows of 490 tokens (184M values) are over the cap
 LONG_ROWS = dict(layers=1, heads=12, model_dim=12, ff_dim=8, max_len=512,
@@ -484,10 +499,10 @@ class TestEvalBlocks:
 
     @pytest.mark.parametrize("sizes, longest, rows", [
         # the README quickstart and CI's smoke config keep their 64 rows
-        (dict(layers=2, heads=4, model_dim=96, ff_dim=256, vocab_size=191), 24, 64),
+        (dict(QUICKSTART_ENCODER, vocab_size=191), 24, 64),
         (dict(layers=2, heads=2, model_dim=16, ff_dim=32, vocab_size=60), 24, 64),
         # the bench's wide vocabulary
-        (dict(layers=2, heads=4, model_dim=96, ff_dim=256, vocab_size=8400), 24, 64),
+        (dict(QUICKSTART_ENCODER, vocab_size=8400), 24, 64),
         # 12 heads, model_dim 768 on 512-token rows: 42 rows, whatever the
         # vocabulary, as no eval forward runs the head on every row
         (dict(heads=12, model_dim=768, ff_dim=3072, vocab_size=30000), 512, 42),
