@@ -7,7 +7,9 @@ timestamps, so identical configs and seeds reproduce identical bytes.
 """
 
 import argparse
+import contextlib
 import dataclasses
+import io
 import itertools
 import json
 import math
@@ -356,8 +358,16 @@ def cmd_gen_data(out, n_groups, n_instances, seed):
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors are ``CliError``s, so a bad command
+    line prints one ``error:`` line, as every other failure does."""
+
+    def error(self, message):
+        raise CliError(f"{self.prog}: {message}")
+
+
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="winoref",
         description="Self-supervised refinement of a masked LM for zero-shot "
                     "pronoun disambiguation.")
@@ -403,36 +413,48 @@ def _build_parser():
     return parser
 
 
+def _run(argv):
+    """Run the command of ``argv``; its exit status."""
+    args, extra = _build_parser().parse_known_args(argv)
+    overrides = C.parse_overrides(extra)
+    cfg = C.load_config(args.config, overrides, seed=args.seed)
+    T.set_dtype(cfg["runtime"]["precision"])
+    out = C.out_dir(cfg, args.out)
+    with np.errstate(over="ignore"):   # softmax guards handle extremes explicitly
+        if args.command == "pretrain":
+            return cmd_pretrain(cfg, out)
+        if args.command == "refine":
+            return cmd_refine(cfg, out)
+        if args.command == "evaluate":
+            return cmd_evaluate(cfg, out, args.checkpoint, args.datasets,
+                                args.json, args.csv)
+        if args.command == "ablate":
+            return cmd_ablate(cfg, out)
+        if args.command == "sweep":
+            return cmd_sweep(cfg, out, args.grid)
+        if args.command == "score":
+            return cmd_score(cfg, args.checkpoint, args.sentence,
+                             args.candidate1, args.candidate2)
+        # gen-data: argparse has rejected any command that is not a subcommand
+        return cmd_gen_data(out, args.groups, args.instances, cfg["runtime"]["seed"])
+
+
 def main(argv=None):
+    """Run a command line; a failure prints one ``error:`` line on stderr
+    and returns 1. The run's other stderr lines, its notes, are held and
+    printed when it succeeds, so a failing run prints its error line
+    alone."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = _build_parser()
-    args, extra = parser.parse_known_args(argv)
+    notes = io.StringIO()
     try:
-        overrides = C.parse_overrides(extra)
-        cfg = C.load_config(args.config, overrides, seed=args.seed)
-        T.set_dtype(cfg["runtime"]["precision"])
-        out = C.out_dir(cfg, args.out)
-        with np.errstate(over="ignore"):   # softmax guards handle extremes explicitly
-            if args.command == "pretrain":
-                return cmd_pretrain(cfg, out)
-            if args.command == "refine":
-                return cmd_refine(cfg, out)
-            if args.command == "evaluate":
-                return cmd_evaluate(cfg, out, args.checkpoint, args.datasets,
-                                    args.json, args.csv)
-            if args.command == "ablate":
-                return cmd_ablate(cfg, out)
-            if args.command == "sweep":
-                return cmd_sweep(cfg, out, args.grid)
-            if args.command == "score":
-                return cmd_score(cfg, args.checkpoint, args.sentence,
-                                 args.candidate1, args.candidate2)
-            # gen-data: argparse has rejected any command that is not a subcommand
-            return cmd_gen_data(out, args.groups, args.instances, cfg["runtime"]["seed"])
+        with contextlib.redirect_stderr(notes):
+            status = _run(argv)
     except (CliError, C.ConfigError, ValueError, OSError) as e:
         message = str(e).replace("\n", " ")
         print(f"error: {message}", file=sys.stderr)
         return 1
+    sys.stderr.write(notes.getvalue())
+    return status
 
 
 def entry():

@@ -5,17 +5,19 @@ one forward pass produces per-position distributions, and the candidate's
 score is the average log probability of its tokens at the masked positions.
 The masked row depends only on the sentence and the candidate's token count,
 so the two candidates of one instance share one row when their counts are
-equal. Every score comes from one path: the instances are walked in blocks
-of distinct masked rows, each sentence is split and tokenized once and each
-candidate's row built once, and a block's rows go through one forward.
-``resolve`` is that path on one instance. The block's slot logits then get
-one log-softmax, each distinct row's max, exp and sum taken once however
-many candidates read it, and every candidate's score is finished into the
-block memo. The memo is a context variable, not a parameter, so that a
-wrapper of ``score_candidate(model, vocab, instance, which)``, such as the
-benchmark's tracer, still sees one call per candidate, which reads its
-finished score. Evaluation never updates parameters, and imports no
-training code but what ``winoref.encoder`` holds.
+equal. Every score comes from one path: before the first forward, one walk
+plans the instances in blocks of distinct masked rows, splitting each
+sentence and building and keying each candidate's row once; a block's plan
+holds its rows, stacked, and each candidate's first slot and token ids.
+Each block's rows go through one forward, and its slot logits get one
+log-softmax, each distinct row's max, exp and sum taken once however many
+candidates read it; every candidate's score is finished into the block
+memo. ``resolve`` is that path on one instance. The memo is a context
+variable, not a parameter, so that a wrapper of ``score_candidate(model,
+vocab, instance, which)``, such as the benchmark's tracer, still sees one
+call per candidate, which reads its finished score. Evaluation never
+updates parameters, and imports no training code but what
+``winoref.encoder`` holds.
 """
 
 import contextvars
@@ -103,71 +105,65 @@ def score_candidate(model, vocab, instance, which):
 
 
 def _blocks(instances, vocab, cfg):
-    """The instances in file order, in blocks of distinct masked rows, as
-    many as ``block_rows`` allows for the block's longest row, and at least
-    an instance's two, whose (slots, vocab_size) logits stay under
-    ``MAX_STEP_VALUES`` values. Returns a list of (block, built, rows):
-    ``built`` maps each candidate's (id(instance), which) to what
-    ``_candidate_row`` returns for it, and ``rows`` maps each distinct row's id
-    bytes to what it returns for a candidate of that row. The whole walk
-    runs before any forward, so a block over the cap, which only an
-    instance's own rows can make, fails before the first one.
-    """
+    """The plan of each block of the instances, in file order: as many
+    distinct masked rows as ``block_rows`` allows for the block's longest
+    row, and at least an instance's two, whose (slots, vocab_size) logits
+    stay under ``MAX_STEP_VALUES`` values. A plan is (block, ids, cands):
+    the block's instances, its distinct rows stacked in the order first
+    met (None if it has none), and per candidate, in order, its first slot
+    among the rows' [MASK] logits and its token ids, or None if its row
+    overflows max_len. The whole walk runs before any forward, so a block
+    over the cap, which only an instance's own rows can make, fails before
+    the first one."""
     blocks = []
 
-    def close(block, built, rows, slots):
+    def close(block, rows, cands, slots):
         check_cap([((slots, cfg.vocab_size), None)], "encoder.max_len", "an eval forward")
-        blocks.append((block, built, rows))
+        blocks.append((block, np.stack([ids for ids, _ in rows.values()]) if rows else None,
+                       cands))
 
-    block, built, rows, longest, slots = [], {}, {}, 0, 0
+    block, rows, cands, longest, slots = [], {}, [], 0, 0
     caps = {}   # block_rows by the longest row
     for inst in instances:
         parts = _slot_parts(inst.sentence)
-        pair = {(id(inst), which): _candidate_row(parts, inst.candidate(which), vocab,
-                                                  cfg.max_len)
-                for which in (1, 2)}
-        new = {b[0].tobytes(): b for b in pair.values() if b is not None}
+        pair = [_candidate_row(parts, inst.candidate(which), vocab, cfg.max_len)
+                for which in (1, 2)]
+        keys = [None if b is None else b[0].tobytes() for b in pair]
+        new = {key: b for key, b in zip(keys, pair) if b is not None}
         wide = max([0] + [int(np.count_nonzero(ids != PAD_ID)) for ids, _ in new.values()])
         size = max(longest, wide)
         if size not in caps:
             caps[size] = block_rows(cfg, size, least=2)
-        fresh = [len(c) for row, (_, c) in new.items() if row not in rows]
+        fresh = {key: b for key, b in new.items() if key not in rows}
         if block and (len(rows) + len(fresh) > caps[size]
-                      or (slots + sum(fresh)) * cfg.vocab_size > MAX_STEP_VALUES):
-            close(block, built, rows, slots)
-            block, built, rows, longest, slots = [], {}, {}, 0, 0
-            fresh = [len(c) for _, c in new.values()]
+                      or (slots + sum(len(c) for _, c in fresh.values())) * cfg.vocab_size
+                      > MAX_STEP_VALUES):
+            close(block, rows, cands, slots)
+            block, rows, cands, longest, slots, fresh = [], {}, [], 0, 0, new
+        for key, (ids, c) in fresh.items():   # a row's slots follow the rows before it
+            rows[key], slots = (ids, slots), slots + len(c)
         block.append(inst)
-        built.update(pair)
-        rows.update(new)
+        cands += [None if b is None else (rows[key][1], b[1]) for key, b in zip(keys, pair)]
         longest = max(longest, wide)
-        slots += sum(fresh)
-    close(block, built, rows, slots)
+    close(block, rows, cands, slots)
     return blocks
 
 
-def _block_scores(view, built, rows):
-    """Each candidate's CandidateScore under its (id(instance), which) key of
-    ``built``, from one forward of the detached ``view`` over the block's
-    distinct ``rows`` and one ``log_probs_at_positions`` over their slot
-    logits, so a row that two candidates share gets its log-softmax once."""
-    scores = {key: CandidateScore(avg_log_prob=float("-inf"), overflows=True)
-              for key, b in built.items() if b is None}
-    if not rows:   # every candidate of the block overflows
-        return scores
-    ids = np.stack([ids for ids, _ in rows.values()])
-    slots = ids == MASK_ID
-    counts = slots.sum(axis=1)
-    logits = mlm_logits_batch(view, ids, slots).data
-    first = dict(zip(rows, (np.cumsum(counts) - counts).tolist()))  # a row's first slot
-    fits = {key: b for key, b in built.items() if b is not None}
-    at = np.concatenate([first[row.tobytes()] + np.arange(len(c)) for row, c in fits.values()])
-    logp = log_probs_at_positions(logits, np.concatenate([c for _, c in fits.values()]), at)
-    ends = np.cumsum([len(c) for _, c in fits.values()]).tolist()
-    for key, start, end in zip(fits, [0] + ends, ends):
-        scores[key] = CandidateScore(avg_log_prob=float(logp[start:end].mean()),
-                                     overflows=False)
-    return scores
+def _block_scores(view, ids, cands):
+    """Each candidate's CandidateScore, in the order of ``cands``, from one
+    forward of the detached ``view`` over the block's stacked rows ``ids``
+    and one ``log_probs_at_positions`` over their slot logits, so a row that
+    two candidates share gets its log-softmax once."""
+    fits = [c for c in cands if c is not None]
+    means = iter(())
+    if fits:   # not every candidate of the block overflows
+        logits = mlm_logits_batch(view, ids, ids == MASK_ID).data
+        at = np.concatenate([first + np.arange(len(c)) for first, c in fits])
+        logp = log_probs_at_positions(logits, np.concatenate([c for _, c in fits]), at)
+        ends = np.cumsum([len(c) for _, c in fits]).tolist()
+        means = (float(logp[start:end].mean()) for start, end in zip([0] + ends, ends))
+    return [CandidateScore(avg_log_prob=float("-inf"), overflows=True) if c is None
+            else CandidateScore(avg_log_prob=next(means), overflows=False) for c in cands]
 
 
 def _scores(model, vocab, instances):
@@ -177,8 +173,10 @@ def _scores(model, vocab, instances):
     ``score_candidate`` reads them from it, once per candidate; the memo is
     dropped before the next block's forward."""
     out, view = [], model.detached()
-    for block, built, rows in _blocks(instances, vocab, model.config):
-        token = _BLOCK_SCORES.set((model, vocab, _block_scores(view, built, rows)))
+    for block, ids, cands in _blocks(instances, vocab, model.config):
+        keys = [(id(inst), which) for inst in block for which in (1, 2)]
+        scores = dict(zip(keys, _block_scores(view, ids, cands)))
+        token = _BLOCK_SCORES.set((model, vocab, scores))
         try:
             out += [(score_candidate(model, vocab, inst, 1),
                      score_candidate(model, vocab, inst, 2)) for inst in block]

@@ -364,6 +364,71 @@ def test_diverged_run_exits_with_one_error_line_and_no_artifact(
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["score", "--checkpoint", "x"], "winoref score: the following arguments are "
+                                     "required: --sentence, --candidate1, --candidate2"),
+    (["gen-data", "--groups", "abc"], "winoref gen-data: argument --groups: invalid int "
+                                      "value: 'abc'"),
+    (["bogus"], "winoref: argument command: invalid choice: 'bogus' (choose from "
+                "'pretrain', 'refine', 'evaluate', 'ablate', 'sweep', 'score', 'gen-data')"),
+], ids=["missing-argument", "bad-int", "unknown-command"])
+def test_bad_command_line_exits_with_one_error_line(tmp_path, capsys, monkeypatch,
+                                                    argv, message):
+    # argparse printed its usage block and a `winoref <cmd>: error:` line,
+    # and exited 2
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as done:
+        cli.main(["score", "--help"])
+    assert done.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: winoref score") and captured.err == ""
+
+
+def test_failing_run_prints_only_its_error_line(pretrained, data_dir, tmp_path, capsys):
+    # a one-group corpus whose line holds an unknown variant key: its
+    # skipped-variants note printed before the run failed, so the run's
+    # stderr was two lines. A run that succeeds prints its notes at its end
+    _, cfg_path = pretrained
+    line = json.loads((data_dir / "corpus.jsonl").read_text().splitlines()[0])
+    line["variants"]["BOGUS"] = line["base"]
+    corpus = tmp_path / "one.jsonl"
+    corpus.write_text(json.dumps(line) + "\n")
+    argv = ["refine", "--config", str(cfg_path), "--out", str(tmp_path / "out"),
+            f"--paths.corpus={corpus}"]
+    assert cli.main(argv + ["--refine.alpha=0", "--refine.gamma=0"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: only the contrastive loss is weighted, and no batch ")
+    assert err.count("\n") == 1
+    assert cli.main(argv + ["--refine.epochs=0"]) == 0
+    assert capsys.readouterr().err == (f"{corpus}: skipped 1 variants with unknown "
+                                       f"perturbation keys\n")
+
+
+def test_pretrain_holds_its_corpus_note_when_a_benchmark_fails(data_dir, tmp_path, capsys):
+    # tests/test_cli_fuzz.py's two-field damage found this one: a renamed
+    # variant key in the corpus and a benchmark line without its sentence
+    # printed the skipped-variants note and then the error line
+    lines = (data_dir / "corpus.jsonl").read_text().splitlines()
+    group = json.loads(lines[0])
+    group["variants"]["TENSEx"] = group["variants"].pop("TENSE")
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("\n".join([json.dumps(group)] + lines[1:]) + "\n")
+    inst = json.loads((data_dir / "bench_a.jsonl").read_text().splitlines()[0])
+    del inst["sentence"]
+    bench = tmp_path / "bench.jsonl"
+    bench.write_text(json.dumps(inst) + "\n")
+    cfg_path = write_config(tmp_path / "run.json", data_dir)
+    assert cli.main(["pretrain", "--config", str(cfg_path), "--out", str(tmp_path / "out"),
+                     f"--paths.corpus={corpus}", f"--paths.benchmarks=[\"{bench}\"]"]) == 1
+    assert capsys.readouterr().err == f"error: {bench}:1: missing field 'sentence'\n"
+
+
 def test_bad_values_cover_every_key():
     keys = {(section, key) for section, key, _ in BAD_VALUES}
     cfg = load_config()
@@ -1118,10 +1183,10 @@ class TestGenData:
         assert len(load_benchmark(tmp_path / "benchmark.jsonl")) == 10
 
     def test_default_files_keep_their_bytes(self, tmp_path):
-        # the README quickstart's input files: a change to a word pool, a
-        # pool size or the order of the draws shows here
-        rc = cli.main(["gen-data", "--out", str(tmp_path), "--groups", "60",
-                       "--instances", "200", "--seed", "0"])
+        # the README quickstart's input files, at gen-data's default counts:
+        # a change to a word pool, a pool size, a default count or the order
+        # of the draws shows here
+        rc = cli.main(["gen-data", "--out", str(tmp_path), "--seed", "0"])
         assert rc == 0
         digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                    for name in ("corpus.jsonl", "benchmark.jsonl")}

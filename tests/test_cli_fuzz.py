@@ -1,13 +1,15 @@
 """A seeded fuzzer of the command line's error contract: a run exits 0, or
 exits 1 with exactly one stderr line, which starts ``error: ``.
 
-Each case damages one field of a small valid config, corpus, benchmark,
-vocabulary or checkpoint file and runs, in-process, a command that reads
-the file. A damage is a type swap, a JSON NaN or Infinity, an empty value,
-a duplicate key, a truncation, non-ASCII text, or a huge size, the last
-only on keys whose cap is checked before any array is drawn. A checkpoint
-is damaged either in its JSON or in one parameter array, saved again with
-a matching content hash, so the damage reaches ``load_arrays``.
+Each case damages two fields of small valid config, corpus, benchmark,
+vocabulary and checkpoint files, both of one file or one each of two, and
+runs, in-process, a command that reads every damaged file. So a note that
+one damage prints may come before the error of the other. A damage is a
+type swap, a JSON NaN or Infinity, an empty value, a duplicate key, a
+renamed key, a truncation, non-ASCII text, or a huge size, the last only on
+keys whose cap is checked before any array is drawn. A checkpoint is damaged in its JSON
+or in a parameter array, saved again with a matching content hash, so the
+damage reaches ``load_arrays``.
 """
 
 import json
@@ -23,8 +25,8 @@ from winoref.text import save_benchmark, save_perturbation_corpus
 
 CASES = 500
 SECONDS = 20.0
-DAMAGES = ["type", "nan", "infinity", "empty", "duplicate", "truncate", "non-ascii",
-           "huge"]
+DAMAGES = ["type", "nan", "infinity", "empty", "duplicate", "rename", "truncate",
+           "non-ascii", "huge"]
 # the commands that read each file
 COMMANDS = {"config": ["pretrain", "refine", "evaluate", "score"],
             "corpus": ["pretrain", "refine"], "benchmark": ["evaluate", "pretrain"],
@@ -80,52 +82,70 @@ def damaged_value(rng, damage, value):
     return [10**9, 10**12, 2**63][rng.integers(3)]   # huge
 
 
-def damage_json(rng, doc, lines):
-    """``doc`` serialized with one field damaged: (text, description). A
-    truncated number, bool or null cuts the file short instead."""
-    paths = fields(doc)
-    capped = [p for p in paths if p[-1] in CAPPED]
-    damages = DAMAGES if capped else DAMAGES[:-1]
-    damage = damages[rng.integers(len(damages))]
-    if damage == "duplicate":
-        paths = [p for p in paths if isinstance(p[-1], str)]
-    elif damage == "huge":
-        paths = capped
-    path = paths[rng.integers(len(paths))]
-    doc = json.loads(json.dumps(doc))
-    parent = doc
-    for key in path[:-1]:
-        parent = parent[key]
-    value = parent[path[-1]]
-    if damage == "duplicate":
-        # the key given twice: a marker key is renamed in the text
-        parent[MARKER] = value
-        return (dump(doc, lines).replace(json.dumps(MARKER), json.dumps(path[-1])),
-                f"duplicate key at {list(path)}")
-    if damage == "truncate" and not isinstance(value, (str, list, dict)):
-        text = dump(doc, lines)
-        cut = rng.integers(len(text))
-        return text[:cut], f"file cut at character {cut}"
-    parent[path[-1]] = damaged_value(rng, damage, value)
-    return dump(doc, lines), f"{damage} at {list(path)}"
+def damage_json(rng, doc, lines, count):
+    """``doc`` serialized with ``count`` fields damaged, one after another:
+    (text, descriptions). A truncated number, bool or null cuts the file
+    short instead, once every damage is made."""
+    doc, renames, cut, whats = json.loads(json.dumps(doc)), {}, False, []
+    for n in range(count):
+        paths = fields(doc)
+        capped = [p for p in paths if p[-1] in CAPPED]
+        damages = DAMAGES if capped else DAMAGES[:-1]
+        damage = damages[rng.integers(len(damages))]
+        if damage in ("duplicate", "rename"):
+            paths = [p for p in paths
+                     if isinstance(p[-1], str) and not p[-1].startswith(MARKER)]
+        elif damage == "huge":
+            paths = capped
+        path = paths[rng.integers(len(paths))]
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        value = parent[path[-1]]
+        if damage == "duplicate":
+            # the key given twice: a marker key is renamed in the text
+            renames[f"{MARKER}{n}"] = path[-1]
+            parent[f"{MARKER}{n}"] = value
+            whats.append(f"duplicate key at {list(path)}")
+        elif damage == "rename":   # an unknown key, in place of a known one
+            parent[f"{path[-1]}x"] = parent.pop(path[-1])
+            whats.append(f"renamed key at {list(path)}")
+        elif damage == "truncate" and not isinstance(value, (str, list, dict)):
+            cut = True
+            whats.append("file cut short")
+        else:
+            parent[path[-1]] = damaged_value(rng, damage, value)
+            whats.append(f"{damage} at {list(path)}")
+    text = dump(doc, lines)
+    for marker, key in renames.items():
+        text = text.replace(json.dumps(marker), json.dumps(key))
+    if cut:
+        at = rng.integers(len(text))
+        text = text[:at]
+        whats.append(f"cut at character {at}")
+    return text, whats
 
 
-def damage_arrays(rng, arrays):
-    """The parameter arrays with one damaged: (arrays, description)."""
-    arrays = {name: arr.copy() for name, arr in arrays.items()}
-    name = sorted(arrays)[rng.integers(len(arrays))]
-    arr = arrays[name]
-    damage = ["nan", "infinity", "dtype", "truncate", "empty"][rng.integers(5)]
-    if damage in ("nan", "infinity"):
-        arr.flat[rng.integers(arr.size)] = np.nan if damage == "nan" else -np.inf
-    elif damage == "dtype":
-        dtype = ["int64", "complex128", "float16", "float32", "bool"][rng.integers(5)]
-        arrays[name] = arr.astype(dtype)
-    elif damage == "truncate":
-        arrays[name] = arr[:-1]
-    else:
-        arrays[name] = arr[:0]
-    return arrays, f"array {damage} of {name!r}"
+def damage_arrays(rng, arrays, count):
+    """The parameter arrays with ``count`` damages, one after another:
+    (arrays, descriptions)."""
+    arrays, whats = {name: arr.copy() for name, arr in arrays.items()}, []
+    for _ in range(count):
+        name = sorted(arrays)[rng.integers(len(arrays))]
+        arr = arrays[name]
+        damage = ["nan", "infinity", "dtype", "truncate", "empty"][rng.integers(5)]
+        if damage in ("nan", "infinity") and arr.size:
+            arr.flat[rng.integers(arr.size)] = np.nan if damage == "nan" else -np.inf
+        elif damage == "dtype":
+            dtype = ["int64", "complex128", "float16", "float32", "bool"][rng.integers(5)]
+            with np.errstate(invalid="ignore"):   # a NaN damaged before has no int
+                arrays[name] = arr.astype(dtype)
+        elif damage == "truncate":
+            arrays[name] = arr[:-1]
+        else:
+            arrays[name] = arr[:0]
+        whats.append(f"array {damage} of {name!r}")
+    return arrays, whats
 
 
 @pytest.fixture(scope="module")
@@ -159,30 +179,41 @@ def valid(tmp_path_factory):
 
 
 def case_argv(rng, case, valid, tmp_path):
-    """Damage one field of one file for case ``case``; the argv of a
-    command that reads it, and a description of the damage."""
+    """Damage two fields, of one file or of two, for case ``case``; the argv
+    of a command that reads every damaged file, and a description of the
+    damages."""
     base, docs, inst = valid
-    kind = list(FILES)[rng.integers(len(FILES))]
-    command = COMMANDS[kind][rng.integers(len(COMMANDS[kind]))]
+    kinds = [list(FILES)[i] for i in rng.integers(len(FILES), size=2)]
+    commands = [c for c in COMMANDS[kinds[0]] if c in COMMANDS[kinds[1]]]
+    command = commands[rng.integers(len(commands))]
     where = tmp_path / f"case{case}"
     where.mkdir()
-    files = {k: base / name for k, name in FILES.items()}
-    files[kind] = where / FILES[kind]
-    if kind == "checkpoint" and rng.integers(2):
-        arrays, meta = checkpoint.load(base / FILES["checkpoint"])
-        arrays, what = damage_arrays(rng, arrays)
-        checkpoint.save(files[kind], arrays, meta)
-    else:
-        text, what = damage_json(rng, docs[kind], FILES[kind].endswith(".jsonl"))
-        files[kind].write_text(text, encoding="utf-8")
-    if kind != "config":
-        config = json.loads(json.dumps(docs["config"]))
-        config["paths"] = {"corpus": str(files["corpus"]),
-                           "benchmarks": [str(files["benchmark"])],
-                           "vocab": str(files["vocabulary"]),
-                           "init_checkpoint": str(files["checkpoint"])}
-        files["config"] = where / FILES["config"]
+    files = {k: (where if k in kinds else base) / name for k, name in FILES.items()}
+    # the config names the case's files, damaged or not
+    files["config"] = where / FILES["config"]
+    config = json.loads(json.dumps(docs["config"]))
+    config["paths"] = {"corpus": str(files["corpus"]),
+                       "benchmarks": [str(files["benchmark"])],
+                       "vocab": str(files["vocabulary"]),
+                       "init_checkpoint": str(files["checkpoint"])}
+    docs, whats = dict(docs, config=config), []
+    if "config" not in kinds:
         files["config"].write_text(dump(config, False), encoding="utf-8")
+    for kind in dict.fromkeys(kinds):   # each damaged file once
+        count, doc = kinds.count(kind), docs[kind]
+        if kind == "checkpoint":
+            # some of its damages in parameter arrays, saved with a matching hash
+            in_arrays = int(rng.integers(count + 1))
+            arrays, meta = checkpoint.load(base / FILES[kind])
+            arrays, what = damage_arrays(rng, arrays, in_arrays)
+            checkpoint.save(files[kind], arrays, meta)
+            doc = json.loads(files[kind].read_text(encoding="utf-8"))
+            count -= in_arrays
+            whats += [f"{kind} {w}" for w in what]
+        if count:
+            text, what = damage_json(rng, doc, FILES[kind].endswith(".jsonl"), count)
+            files[kind].write_text(text, encoding="utf-8")
+            whats += [f"{kind} {w}" for w in what]
     argv = [command, "--config", str(files["config"]), "--out", str(where / "out")]
     if command == "evaluate":
         argv += ["--checkpoint", str(files["checkpoint"]), str(files["benchmark"]),
@@ -190,7 +221,7 @@ def case_argv(rng, case, valid, tmp_path):
     elif command == "score":
         argv += ["--checkpoint", str(files["checkpoint"]), "--sentence", inst["sentence"],
                  "--candidate1", inst["candidate1"], "--candidate2", inst["candidate2"]]
-    return argv, f"case {case}: {command} with {kind} {what}"
+    return argv, f"case {case}: {command} with {'; '.join(whats)}"
 
 
 def breach(rc, err, caught):

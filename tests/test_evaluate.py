@@ -5,6 +5,7 @@ import inspect
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -537,6 +538,24 @@ class TestBlockForward:
         for d in report.decisions:
             assert d["score1"] == pytest.approx(np.log(0.7), abs=1e-9)
             assert d["score2"] == pytest.approx(np.log(0.2), abs=1e-9)
+
+    def test_the_walk_retains_under_a_kilobyte_per_instance(self):
+        # the walk plans a whole file before the first forward; a plan holds
+        # each block's distinct rows stacked once and each candidate's first
+        # slot and token ids. Holding every candidate's padded row, its key
+        # and a per-candidate dict took about 2,050 bytes per instance here
+        bench = make_benchmark(20_000, seed=0)
+        vocab = build_vocab(benchmark_texts(bench))
+        cfg = EncoderConfig(layers=0, heads=2, model_dim=8, ff_dim=8, max_len=48,
+                            vocab_size=len(vocab))
+        tracemalloc.start()
+        try:
+            blocks = ev._blocks(bench, vocab, cfg)
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sum(len(block) for block, _, _ in blocks) == len(bench)
+        assert retained / len(bench) < 1000
 
 
 class TestEvaluate:

@@ -1,13 +1,15 @@
 """The benchmark's copy of the README quickstart agrees with
-``configs/quickstart.json``, the one copy that the README, CI and gate 5 run.
+``configs/quickstart.json``, the one copy that the README, CI and gate 5 run,
+and with ``gen-data``'s default counts, the quickstart's data.
 
 ``bench/workloads.py`` is only read here: ``runpy`` compiles it from its
 source and leaves no file behind.
 """
 
-import re
 import runpy
 from pathlib import Path
+
+from winoref import cli
 
 from conftest import QUICKSTART, quickstart_config
 
@@ -55,13 +57,12 @@ def test_the_bench_runs_the_quickstart_config():
 
 
 def test_the_bench_generates_the_quickstart_data():
-    readme = (ROOT / "README.md").read_text(encoding="utf-8")
-    groups, instances = re.search(
-        r"winoref gen-data --out \S+ --groups (\d+) --instances (\d+)", readme).groups()
+    # the quickstart's data is gen-data's default counts
+    defaults = cli._build_parser().parse_args(["gen-data"])
     workloads = bench_workloads()
     assert {"groups": workloads["QUICKSTART_GROUPS"],
             "instances": workloads["QUICKSTART_INSTANCES"]} == {
-        "groups": int(groups), "instances": int(instances)}
+        "groups": defaults.groups, "instances": defaults.instances}
 
 
 def test_the_guard_names_each_key_that_drifted():
