@@ -102,24 +102,25 @@ class Discriminator:
 
     def forward(self, x, rng=None):
         """x: (M, input_dim) tensor -> (M, n_kinds) logits; given ``rng``, a
-        training forward, on batch statistics and with dropout."""
+        training forward, on batch statistics and with dropout. Batch norm
+        on batch statistics is layer norm over the batch axis."""
         p = self.params
         h = T.linear(x, p["w1"], p["b1"])
         if rng is not None:
-            mu = T.tmean(h, axis=0)
-            centered = T.sub(h, mu)
-            var = T.tmean(T.mul(centered, centered), axis=0)
-            self.running_mean *= 1.0 - self.bn_momentum
-            self.running_mean += self.bn_momentum * mu.data
-            self.running_var *= 1.0 - self.bn_momentum
-            self.running_var += self.bn_momentum * var.data
-            h = T.div(centered, T.sqrt(T.add(var, self.bn_eps)))
+            for running, stat in ((self.running_mean, h.data.mean(axis=0)),
+                                  (self.running_var, h.data.var(axis=0))):
+                running *= 1.0 - self.bn_momentum
+                running += self.bn_momentum * stat
+            rows = len(h.data)
+            h = T.transpose(T.layer_norm(T.transpose(h, (1, 0)), Tensor(np.ones(rows)),
+                                         Tensor(np.zeros(rows)), self.bn_eps), (1, 0))
         else:
             h = T.mul(T.sub(h, self.running_mean),
                       1.0 / np.sqrt(self.running_var + self.bn_eps))
         h = T.add(T.mul(h, p["bn.g"]), p["bn.b"])
-        pos = T.relu(h)
-        h = T.add(pos, T.mul(p["prelu.a"], T.sub(h, pos)))
+        # PReLU; the clip passes the gradient at 0, so there the slope is a
+        neg = T.clip(h, -np.inf, 0.0)
+        h = T.add(T.sub(h, neg), T.mul(p["prelu.a"], neg))
         h = T.dropout(h, 0.0 if rng is None else self.dropout, rng)
         return T.linear(h, p["w2"], p["b2"])
 

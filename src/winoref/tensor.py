@@ -277,26 +277,6 @@ def div(a, b):
     return _node(_broadcast(np.divide, a, b, "div"), (a, b), bw)
 
 
-def sqrt(a):
-    a = astensor(a)
-    out_data = np.sqrt(a.data)
-
-    def bw(g):
-        a._accum(g * 0.5 / out_data)
-
-    return _node(out_data, (a,), bw)
-
-
-def relu(a):
-    a = astensor(a)
-    keep = a.data > 0
-
-    def bw(g):
-        a._accum(g * keep)
-
-    return _node(np.where(keep, a.data, 0.0), (a,), bw)
-
-
 def clip(a, lo, hi):
     """Hard clamp; gradient passes inside [lo, hi], zero outside."""
     a = astensor(a)
@@ -457,12 +437,6 @@ def tsum(a, axis=None):
         a._accum(np.broadcast_to(g, a.data.shape).copy())
 
     return _node(a.data.sum(axis=axis), (a,), bw)
-
-
-def tmean(a, axis=None):
-    a = astensor(a)
-    n = a.data.size if axis is None else a.data.shape[axis]
-    return mul(tsum(a, axis=axis), 1.0 / n)
 
 
 def tmax(a, axis):
@@ -711,15 +685,37 @@ def logsumexp(x):
 def layer_norm(x, gain, bias, eps):
     """Normalize the last axis to zero mean / unit variance, then scale and
     shift. Each row is centred on its first entry first, so a constant row
-    maps to exactly ``bias`` and a large offset stays out of the mean."""
+    maps to exactly ``bias`` and a large offset stays out of the mean.
+
+    For every finite row the normalized entries, before gain and bias, are
+    finite and within sqrt(n - 1) of zero, and the gradient is finite. A
+    row whose centred sum of squares is not finite is first divided by the
+    power of two at or below its largest magnitude, as ``l2_normalize``
+    scales, and its gradient by the same power; every other row keeps a
+    scale of exactly 1, and its bits."""
     x, gain, bias = astensor(x), astensor(gain), astensor(bias)
     if gain.data.shape != (x.data.shape[-1],) or bias.data.shape != (x.data.shape[-1],):
         raise ShapeError(f"layer_norm: gain/bias shapes {gain.data.shape}/{bias.data.shape} "
                          f"do not match feature dim of {x.data.shape}")
     n = x.data.shape[-1]
-    xhat = x.data - x.data[..., :1]
-    xhat -= _row_sum(xhat) / n
-    inv = 1.0 / np.sqrt(_row_sum(xhat, xhat) / n + eps)
+
+    def centred(y):
+        c = y - y[..., :1]
+        c -= _row_sum(c) / n
+        return c
+
+    with np.errstate(over="ignore", invalid="ignore"):   # caught below
+        xhat = centred(x.data)
+        sumsq = _row_sum(xhat, xhat)
+    scale = 1.0
+    if not np.isfinite(sumsq).all():
+        big = np.abs(x.data).max(axis=-1, keepdims=True)
+        scale = np.where(np.isfinite(sumsq), 1.0,
+                         np.ldexp(np.ones_like(big), np.frexp(big)[1] - 1))
+        xhat = centred(x.data / scale)
+        sumsq = _row_sum(xhat, xhat)
+    # (x - mean) / sqrt(var + eps), taken on x / s, where eps is eps / s^2
+    inv = 1.0 / np.sqrt(sumsq / n + eps / scale / scale)
     xhat *= inv
     # off the tape no backward reads xhat, so the output is written over it
     out_data = np.multiply(xhat, gain.data, out=None if _taped((x, gain, bias)) else xhat)
@@ -738,7 +734,7 @@ def layer_norm(x, gain, bias, eps):
             gx -= m1
             np.multiply(xhat, m2, out=tmp)
             gx -= tmp
-            gx *= inv
+            gx *= inv / scale
             x._accum(gx)
 
     return _node(out_data, (x, gain, bias), bw)

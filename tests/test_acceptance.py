@@ -65,12 +65,13 @@ def test_acceptance_1_gradient_suite():
         logits = randt(rng, 5, 9)
         targets = rng.integers(0, 9, size=5)
         g8, b8 = randt(rng, 4), randt(rng, 4)
-        w4 = T.Tensor(rng.normal(size=(4,)))
         w3 = T.Tensor(rng.normal(size=(3,)))
         w44 = T.Tensor(rng.normal(size=(4, 4)))
         idx = rng.integers(0, 3, size=4)
-        safe = T.Tensor(np.where(np.abs(rng.normal(size=(3, 4))) < 0.05, 0.5,
-                                 rng.normal(size=(3, 4))), requires_grad=True)
+        vals = rng.normal(size=(3, 4))
+        # clear of clip's bounds at +-1.2
+        safe = T.Tensor(np.where(np.abs(np.abs(vals) - 1.2) < 0.05, 0.5, vals),
+                        requires_grad=True)
         keep = np.array([True, False, True])          # not a prefix
         r24 = randt(rng, 2, 4)
         w24 = T.Tensor(rng.normal(size=(2, 4)))
@@ -87,8 +88,6 @@ def test_acceptance_1_gradient_suite():
             ("sub", lambda: T.tsum(T.mul(T.sub(a34, b34), w34)), [a34, b34]),
             ("mul", lambda: T.tsum(T.mul(T.mul(a34, b34), w34)), [a34, b34]),
             ("div", lambda: T.tsum(T.mul(T.div(a34, pos), w34)), [a34, pos]),
-            ("sqrt", lambda: T.tsum(T.mul(T.sqrt(pos), w34)), [pos]),
-            ("relu", lambda: T.tsum(T.mul(T.relu(safe), w34)), [safe]),
             ("clip", lambda: T.tsum(T.mul(T.clip(safe, -1.2, 1.2), w34)), [safe]),
             ("matmul", lambda: T.tsum(T.mul(T.matmul(m1, m2), w32)), [m1, m2]),
             ("linear", lambda: T.tsum(T.mul(T.linear(m1, m2, b2), w32)), [m1, m2, b2]),
@@ -105,7 +104,6 @@ def test_acceptance_1_gradient_suite():
             ("gather_rows", lambda: T.tsum(T.mul(T.gather_rows(a34, keep), w24)), [a34]),
             ("scatter_rows", lambda: T.tsum(T.mul(T.scatter_rows(r24, keep), w34)), [r24]),
             ("max", lambda: T.tsum(T.mul(T.tmax(a34, axis=1), w3)), [a34]),
-            ("mean", lambda: T.tsum(T.mul(T.tmean(a34, axis=0), w4)), [a34]),
             ("transpose", lambda: T.tsum(T.mul(T.reshape(T.transpose(a34, (1, 0)),
                                                          (3, 4)), w34)), [a34]),
             ("attention", lambda: T.tsum(T.mul(T.attention(
@@ -163,6 +161,16 @@ def test_acceptance_1_gradient_suite():
         check_grads(lambda: diversity_loss(dstack, ids_of(kinds), disc, 1.1),
                     [dstack.hidden])
         instances += 1
+
+        # the training forward, on batch statistics, that every refine step
+        # runs: a fixed seed draws the same dropout mask in every pass
+        for rate in (0.0, 0.3):
+            disc = Discriminator(8, 16, dropout=rate, seed=seed)
+            mask_seed = int(rng.integers(2**31))
+            check_grads(lambda: diversity_loss(dstack, ids_of(kinds), disc, 1.1,
+                                               rng=np.random.default_rng(mask_seed)),
+                        [dstack.hidden] + [p for _, p in disc.named_params()])
+            instances += 1
 
     elapsed = time.monotonic() - t0
     assert instances >= 100, f"only {instances} gradient-check instances"

@@ -88,8 +88,8 @@ class TestRangeFuzz:
                                    content_mask=content)
             kinds = rng.integers(0, len(PERTURBATION_KINDS), size=n)
             disc = Discriminator(d, 16, dropout=0.2, seed=case)
-            # a huge batch's float32 batch-norm variance may overflow to inf,
-            # which scales its rows to 0
+            # a huge batch's float32 running variance may overflow to inf;
+            # the training forward normalizes on its own batch statistics
             with np.errstate(over="ignore"):
                 loss = diversity_loss(stack, kinds, disc, 1.0, rng=rng if train else None)
             assert loss.data.dtype == dtype

@@ -281,6 +281,53 @@ class TestDiversityLoss:
             assert np.linalg.norm(p.grad) > 0, name
 
 
+class TestTrainingForward:
+    def drawn_discriminator(self, rng):
+        """A dropout-0 discriminator, 8 -> 16, whose parameters are all drawn
+        at O(1)."""
+        disc = Discriminator(8, 16, dropout=0.0, seed=3)
+        for name, p in disc.params.items():
+            p.data[...] = (rng.uniform(0.1, 0.4, size=p.shape) if name == "prelu.a"
+                           else rng.normal(size=p.shape))
+        return disc
+
+    def test_matches_batch_norm_then_prelu_and_updates_running_statistics(self):
+        rng = np.random.default_rng(12)
+        disc = self.drawn_discriminator(rng)
+        mean0, var0 = rng.normal(size=16), rng.uniform(0.5, 2.0, size=16)
+        disc.running_mean[...], disc.running_var[...] = mean0, var0
+        x = rng.normal(size=(6, 8))
+        got = disc.forward(Tensor(x), rng=np.random.default_rng(0)).data
+        p = {k: v.data for k, v in disc.params.items()}
+        h = x @ p["w1"] + p["b1"]
+        mu, var = h.mean(axis=0), ((h - h.mean(axis=0)) ** 2).mean(axis=0)
+        h = p["bn.g"] * (h - mu) / np.sqrt(var + disc.bn_eps) + p["bn.b"]
+        h = np.where(h > 0, h, p["prelu.a"] * h)
+        np.testing.assert_allclose(got, h @ p["w2"] + p["b2"], rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(disc.running_mean, 0.9 * mean0 + 0.1 * mu,
+                                   rtol=1e-14, atol=1e-14)
+        np.testing.assert_allclose(disc.running_var, 0.9 * var0 + 0.1 * var,
+                                   rtol=1e-14, atol=1e-14)
+
+    def test_one_row_batch_gives_the_prelu_of_the_shift(self):
+        rng = np.random.default_rng(13)
+        disc = self.drawn_discriminator(rng)
+        p = disc.params
+        b, a = p["bn.b"].data, p["prelu.a"].data
+        x = Tensor(rng.normal(size=(1, 8)))
+        got = disc.forward(x, rng=np.random.default_rng(0)).data
+        want = T.linear(Tensor(np.where(b > 0, b, a * b)[None]), p["w2"], p["b2"]).data
+        assert got.tobytes() == want.tobytes()
+        # at a shift of 0 every normalized entry is 0, where PReLU's slope is
+        # a: the shift's gradient is a times the gradient reaching the
+        # activation
+        b[...] = 0.0
+        w = rng.normal(size=N_KINDS)
+        T.backward(T.tsum(T.mul(disc.forward(x, rng=np.random.default_rng(0)), w)))
+        np.testing.assert_allclose(p["bn.b"].grad, a * (p["w2"].data @ w),
+                                   rtol=1e-14, atol=0)
+
+
 @pytest.fixture(scope="module")
 def tiny_world():
     groups = make_perturbation_corpus(8, seed=21)
