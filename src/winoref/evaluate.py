@@ -5,11 +5,12 @@ one forward pass produces per-position distributions, and the candidate's
 score is the average log probability of its tokens at the masked positions.
 The masked row depends only on the sentence and the candidate's token count,
 so the two candidates of one instance share one row when their counts are
-equal. Every score comes from one path: before the first forward, one walk
-plans the instances in blocks of distinct masked rows, splitting each
-sentence and building and keying each candidate's row once; a block's plan
-holds its rows, stacked, and each candidate's first slot and token ids.
-Each block's rows go through one forward, and its slot logits get one
+equal. Every score comes from one path. A walk takes the instances in
+blocks of distinct masked rows, looking each sentence's words up once and
+keying each candidate's row by its id tuple. It runs twice: once to its
+end, so every block's caps are checked before the first forward, then
+again to score, holding one block at a time. Each block's rows, padded
+and stacked, go through one forward, and its slot logits get one
 log-softmax, each distinct row's max, exp and sum taken once however many
 candidates read it; every candidate's score is finished into the block
 memo. ``resolve`` is that path on one instance. The memo is a context
@@ -26,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .encoder import MAX_STEP_VALUES, block_rows, check_cap, mlm_logits_batch
-from .text import MASK, MASK_ID, PAD_ID, SLOT_MARKER, encode_tokens, word_tokens
+from .text import CLS_ID, MASK_ID, PAD_ID, SEP_ID, SLOT_MARKER, word_tokens
 
 
 @dataclass
@@ -59,29 +60,25 @@ def log_probs_at_positions(logits, token_ids, rows):
         return np.log(e[rows, token_ids] / e.sum(axis=1)[rows])
 
 
-def _slot_parts(sentence):
-    """The word tokens before and after the one slot of ``sentence``."""
-    parts = sentence.split(SLOT_MARKER)
+def _instance_rows(instance, vocab, max_len):
+    """Each candidate's (row, token ids) in ``instance``, candidate 1 first;
+    None if its row is longer than max_len. A row is a tuple of ids: [CLS],
+    the sentence's words before the slot, one [MASK] per candidate token
+    (its only ones, as ``word_tokens`` yields none), the words after and
+    [SEP]. The sentence's words are looked up once for both."""
+    parts = instance.sentence.split(SLOT_MARKER)
     if len(parts) != 2:
         raise ValueError(f"sentence must contain exactly one {SLOT_MARKER!r} slot")
-    return word_tokens(parts[0]), word_tokens(parts[1])
-
-
-def _candidate_row(parts, candidate, vocab, max_len):
-    """(ids, candidate token ids) of the candidate text ``candidate`` in a
-    sentence that ``_slot_parts`` split into ``parts``: the id row with the
-    slot expanded to m [MASK] tokens, the row's only [MASK] ids, as
-    ``word_tokens`` never yields one; None if the row would overflow
-    max_len."""
-    cand_tokens = word_tokens(candidate)
-    if not cand_tokens:
-        raise ValueError("candidate text has no tokens")
-    prefix, suffix = parts
-    try:
-        ids = encode_tokens(prefix + [MASK] * len(cand_tokens) + suffix, vocab, max_len)
-    except ValueError:   # the row overflows max_len
-        return None
-    return ids, np.array([vocab.id(t) for t in cand_tokens])
+    head = (CLS_ID, *map(vocab.id, word_tokens(parts[0])))
+    tail = (*map(vocab.id, word_tokens(parts[1])), SEP_ID)
+    pair = []
+    for which in (1, 2):
+        cand = [vocab.id(t) for t in word_tokens(instance.candidate(which))]
+        if not cand:
+            raise ValueError("candidate text has no tokens")
+        row = head + (MASK_ID,) * len(cand) + tail
+        pair.append(None if len(row) > max_len else (row, cand))
+    return pair
 
 
 # The block memo of ``_scores``: (model, vocab, each candidate's finished
@@ -105,48 +102,44 @@ def score_candidate(model, vocab, instance, which):
 
 
 def _blocks(instances, vocab, cfg):
-    """The plan of each block of the instances, in file order: as many
-    distinct masked rows as ``block_rows`` allows for the block's longest
-    row, and at least an instance's two, whose (slots, vocab_size) logits
-    stay under ``MAX_STEP_VALUES`` values. A plan is (block, ids, cands):
-    the block's instances, its distinct rows stacked in the order first
-    met (None if it has none), and per candidate, in order, its first slot
-    among the rows' [MASK] logits and its token ids, or None if its row
-    overflows max_len. The whole walk runs before any forward, so a block
-    over the cap, which only an instance's own rows can make, fails before
-    the first one."""
-    blocks = []
-
-    def close(block, rows, cands, slots):
-        check_cap([((slots, cfg.vocab_size), None)], "encoder.max_len", "an eval forward")
-        blocks.append((block, np.stack([ids for ids, _ in rows.values()]) if rows else None,
-                       cands))
-
+    """Yield each block of the instances, in file order: as many distinct
+    masked rows as ``block_rows`` allows for the block's longest row, and at
+    least an instance's two, whose (slots, vocab_size) logits stay under
+    ``MAX_STEP_VALUES`` values. A block is (instances, ids, cands): its
+    instances, its distinct rows in the order first met, padded and stacked
+    into a (rows, max_len) array only as it is yielded, and per candidate,
+    in order, its first slot among the rows' [MASK] logits and its token
+    ids, or None if its row overflows max_len. A block over a cap, which
+    only an instance's own rows can make, fails as the walk reaches it."""
     block, rows, cands, longest, slots = [], {}, [], 0, 0
     caps = {}   # block_rows by the longest row
     for inst in instances:
-        parts = _slot_parts(inst.sentence)
-        pair = [_candidate_row(parts, inst.candidate(which), vocab, cfg.max_len)
-                for which in (1, 2)]
-        keys = [None if b is None else b[0].tobytes() for b in pair]
-        new = {key: b for key, b in zip(keys, pair) if b is not None}
-        wide = max([0] + [int(np.count_nonzero(ids != PAD_ID)) for ids, _ in new.values()])
+        pair = _instance_rows(inst, vocab, cfg.max_len)
+        new = dict(b for b in pair if b is not None)
+        wide = max(map(len, new), default=0)
         size = max(longest, wide)
         if size not in caps:
             caps[size] = block_rows(cfg, size, least=2)
-        fresh = {key: b for key, b in new.items() if key not in rows}
+        fresh = {row: c for row, c in new.items() if row not in rows}
         if block and (len(rows) + len(fresh) > caps[size]
-                      or (slots + sum(len(c) for _, c in fresh.values())) * cfg.vocab_size
+                      or (slots + sum(map(len, fresh.values()))) * cfg.vocab_size
                       > MAX_STEP_VALUES):
-            close(block, rows, cands, slots)
+            yield _stacked(block, rows, cands, slots, cfg)
             block, rows, cands, longest, slots, fresh = [], {}, [], 0, 0, new
-        for key, (ids, c) in fresh.items():   # a row's slots follow the rows before it
-            rows[key], slots = (ids, slots), slots + len(c)
+        for row, c in fresh.items():   # a row's slots follow the rows before it
+            rows[row], slots = slots, slots + len(c)
         block.append(inst)
-        cands += [None if b is None else (rows[key][1], b[1]) for key, b in zip(keys, pair)]
+        cands += [None if b is None else (rows[b[0]], b[1]) for b in pair]
         longest = max(longest, wide)
-    close(block, rows, cands, slots)
-    return blocks
+    yield _stacked(block, rows, cands, slots, cfg)
+
+
+def _stacked(block, rows, cands, slots, cfg):
+    """The block ``_blocks`` closes, its rows padded and stacked, once its
+    ``slots`` slot logits are checked against the cap."""
+    check_cap([((slots, cfg.vocab_size), None)], "encoder.max_len", "an eval forward")
+    return block, np.array([row + (PAD_ID,) * (cfg.max_len - len(row)) for row in rows],
+                           dtype=np.int64), cands
 
 
 def _block_scores(view, ids, cands):
@@ -161,28 +154,33 @@ def _block_scores(view, ids, cands):
         at = np.concatenate([first + np.arange(len(c)) for first, c in fits])
         logp = log_probs_at_positions(logits, np.concatenate([c for _, c in fits]), at)
         ends = np.cumsum([len(c) for _, c in fits]).tolist()
-        means = (float(logp[start:end].mean()) for start, end in zip([0] + ends, ends))
+        means = (float(np.add.reduce(logp[start:end]) / (end - start))   # np.mean's bits
+                 for start, end in zip([0] + ends, ends))
     return [CandidateScore(avg_log_prob=float("-inf"), overflows=True) if c is None
             else CandidateScore(avg_log_prob=next(means), overflows=False) for c in cands]
 
 
 def _scores(model, vocab, instances):
-    """(score1, score2) of each instance, in order. Each block's distinct
-    rows go through one forward of ``model.detached()``, so without a tape,
-    its candidates' scores are finished into the block's memo, and
-    ``score_candidate`` reads them from it, once per candidate; the memo is
-    dropped before the next block's forward."""
-    out, view = [], model.detached()
+    """Yield (score1, score2) of each instance, in order. A first walk of
+    ``_blocks`` runs to its end, so every block's caps are checked before
+    the first forward; a second walk then holds one block at a time. Each
+    block's distinct rows go through one forward of ``model.detached()``,
+    so without a tape, its candidates' scores are finished into the block's
+    memo, and ``score_candidate`` reads them from it, once per candidate;
+    the memo is dropped before the block's pairs are yielded."""
+    for _ in _blocks(instances, vocab, model.config):
+        pass
+    view = model.detached()
     for block, ids, cands in _blocks(instances, vocab, model.config):
         keys = [(id(inst), which) for inst in block for which in (1, 2)]
         scores = dict(zip(keys, _block_scores(view, ids, cands)))
         token = _BLOCK_SCORES.set((model, vocab, scores))
         try:
-            out += [(score_candidate(model, vocab, inst, 1),
-                     score_candidate(model, vocab, inst, 2)) for inst in block]
+            pairs = [(score_candidate(model, vocab, inst, 1),
+                      score_candidate(model, vocab, inst, 2)) for inst in block]
         finally:
             _BLOCK_SCORES.reset(token)
-    return out
+        yield from pairs
 
 
 def _choice(s1, s2):
@@ -193,7 +191,7 @@ def _choice(s1, s2):
 def resolve(model, vocab, instance):
     """``(choice, (score1, score2))`` of one instance, as ``evaluate`` scores
     it on a one-instance list."""
-    s1, s2 = _scores(model, vocab, [instance])[0]
+    s1, s2 = next(_scores(model, vocab, [instance]))
     return _choice(s1, s2), (s1, s2)
 
 

@@ -107,8 +107,8 @@ class Discriminator:
         p = self.params
         h = T.linear(x, p["w1"], p["b1"])
         if rng is not None:
-            for running, stat in ((self.running_mean, h.data.mean(axis=0)),
-                                  (self.running_var, h.data.var(axis=0))):
+            for running, stat in ((self.running_mean, h.data.mean(axis=0, dtype=np.float64)),
+                                  (self.running_var, h.data.var(axis=0, dtype=np.float64))):
                 running *= 1.0 - self.bn_momentum
                 running += self.bn_momentum * stat
             rows = len(h.data)

@@ -741,19 +741,27 @@ def layer_norm(x, gain, bias, eps):
 
 
 _GELU_C = float(np.sqrt(2.0 / np.pi))
+# past this |x| gelu's tanh is already ±1 in float32 and float64 (from
+# about 5.42 and 7.19)
+_GELU_BOUND = 8.0
 
 
 def gelu(x):
-    """Gaussian error linear unit (tanh approximation)."""
+    """Gaussian error linear unit (tanh approximation). Finite for every
+    finite input, forward and backward: past |x| = 8 the tanh is ±1, so the
+    value is x or -0.0 and the derivative exactly 1 or 0."""
     x = astensor(x)
     # off the tape no backward reads sq, t or half, so each step is written
     # over the one before, and the output is the first step's array
     taped = _taped((x,))
-    sq = x.data * x.data
-    # t = tanh(x * (C + C * 0.044715 * x^2))
+    sq = np.clip(x.data, -_GELU_BOUND, _GELU_BOUND)   # squared, it never overflows
+    sq *= sq
+    # t = tanh(x * (C + C * 0.044715 * sq)); past the bound the product is
+    # at least 24.6 in size, or ±inf where it overflows, and tanh is ±1
     t = np.multiply(sq, _GELU_C * 0.044715, out=None if taped else sq)
     t += _GELU_C
-    t *= x.data
+    with np.errstate(over="ignore"):
+        t *= x.data
     np.tanh(t, out=t)
     half = np.multiply(t, 0.5, out=None if taped else t)   # 0.5 * (1 + t)
     half += 0.5

@@ -50,9 +50,13 @@ def hand_layout(prefix, m, suffix, vocab, max_len):
 
 def masked_ids(inst, which, vocab, max_len):
     """(ids, candidate token ids) of candidate ``which`` of ``inst``, as
-    scoring builds its row; None if the row overflows max_len."""
-    return ev._candidate_row(ev._slot_parts(inst.sentence), inst.candidate(which),
-                             vocab, max_len)
+    scoring builds its row, padded to max_len; None if the row overflows
+    max_len."""
+    built = ev._instance_rows(inst, vocab, max_len)[which - 1]
+    if built is None:
+        return None
+    row, cand = built
+    return np.array(row + (PAD_ID,) * (max_len - len(row))), np.array(cand)
 
 
 def one_score(model, vocab, inst, which):
@@ -405,27 +409,21 @@ class TestBlockForward:
         assert len(calls) == blocks
         assert all(len(ids) <= ENCODE_CHUNK for ids in calls)
 
-    def test_each_candidate_row_is_built_once(self, block_world, monkeypatch):
+    def test_each_instances_rows_are_built_once_per_walk(self, block_world, monkeypatch):
         bench, vocab = block_world
         model = block_model(vocab, "float64")
-        # and each sentence is split and tokenized once, for both candidates
-        split, built = [], []
-        real_split, real_row = ev._slot_parts, ev._candidate_row
+        # once in the walk that checks every block's caps and once in the
+        # walk that scores
+        built = []
+        real = ev._instance_rows
 
-        def counted_split(sentence):
-            split.append(sentence)
-            return real_split(sentence)
+        def counted(instance, *args):
+            built.append(instance)
+            return real(instance, *args)
 
-        def counted_row(parts, candidate, *args):
-            built.append((parts, candidate))
-            return real_row(parts, candidate, *args)
-
-        monkeypatch.setattr(ev, "_slot_parts", counted_split)
-        monkeypatch.setattr(ev, "_candidate_row", counted_row)
+        monkeypatch.setattr(ev, "_instance_rows", counted)
         evaluate(model, vocab, bench[:20])
-        assert split == [inst.sentence for inst in bench[:20]]
-        assert built == [(real_split(inst.sentence), inst.candidate(which))
-                         for inst in bench[:20] for which in (1, 2)]
+        assert built == list(bench[:20]) * 2
 
     @pytest.mark.parametrize("dtype,tol", [("float32", 1e-5), ("float64", 1e-12)])
     def test_decisions_equal_resolve(self, block_world, dtype, tol):
@@ -539,23 +537,28 @@ class TestBlockForward:
             assert d["score1"] == pytest.approx(np.log(0.7), abs=1e-9)
             assert d["score2"] == pytest.approx(np.log(0.2), abs=1e-9)
 
-    def test_the_walk_retains_under_a_kilobyte_per_instance(self):
-        # the walk plans a whole file before the first forward; a plan holds
-        # each block's distinct rows stacked once and each candidate's first
-        # slot and token ids. Holding every candidate's padded row, its key
-        # and a per-candidate dict took about 2,050 bytes per instance here
+    def test_peak_memory_does_not_grow_with_the_file(self):
+        # each block's rows are built as it is scored, so evaluate's peak,
+        # less the report it returns, holds about one block: it grew from
+        # 2.6 to 15.2 MB here while the walk planned the whole file first
         bench = make_benchmark(20_000, seed=0)
         vocab = build_vocab(benchmark_texts(bench))
-        cfg = EncoderConfig(layers=0, heads=2, model_dim=8, ff_dim=8, max_len=48,
-                            vocab_size=len(vocab))
-        tracemalloc.start()
-        try:
-            blocks = ev._blocks(bench, vocab, cfg)
-            retained, _ = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert sum(len(block) for block, _, _ in blocks) == len(bench)
-        assert retained / len(bench) < 1000
+        T.set_dtype("float32")
+        model = EncoderModel(EncoderConfig(layers=0, heads=2, model_dim=96, ff_dim=8,
+                                           max_len=48, vocab_size=len(vocab)), seed=0)
+
+        def transient_peak(instances):
+            tracemalloc.start()
+            try:
+                report = evaluate(model, vocab, instances)
+                retained, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert report.count == len(instances)
+            return peak - retained
+
+        small, large = transient_peak(bench[:2_000]), transient_peak(bench)
+        assert large < 1.25 * small, (small, large)
 
 
 class TestEvaluate:

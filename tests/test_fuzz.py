@@ -75,7 +75,7 @@ class TestRangeFuzz:
         rng = np.random.default_rng(74 + train)
         L, d = 10, 8
         for case in range(CASES):
-            n = int(rng.integers(1 + train, 7))
+            n = int(rng.integers(1, 7))
             hidden = fuzz_values(rng, (n, L, d))
             content = np.zeros((n, L), dtype=bool)
             for r in range(n):
@@ -88,9 +88,6 @@ class TestRangeFuzz:
                                    content_mask=content)
             kinds = rng.integers(0, len(PERTURBATION_KINDS), size=n)
             disc = Discriminator(d, 16, dropout=0.2, seed=case)
-            # a huge batch's float32 running variance may overflow to inf;
-            # the training forward normalizes on its own batch statistics
-            with np.errstate(over="ignore"):
-                loss = diversity_loss(stack, kinds, disc, 1.0, rng=rng if train else None)
+            loss = diversity_loss(stack, kinds, disc, 1.0, rng=rng if train else None)
             assert loss.data.dtype == dtype
             assert np.abs(loss.item()) <= n * _TERM_BOUND, f"case {case}: {loss.item()}"

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -991,6 +992,22 @@ def test_layer_norm_of_a_row_whose_squares_overflow(dtype, x):
     T.backward(T.tsum(T.mul(out, np.array([[1.0, 2.0, -1.0, 0.5]] * 2))))
     assert np.isfinite(t.grad).all()
     assert np.abs(t.grad[0]).max() > 0.1 / x
+
+
+@pytest.mark.parametrize("dtype, x", [("float32", 2e19), ("float64", 1e155)])
+def test_gelu_of_an_input_whose_square_overflows(dtype, x):
+    # x * x overflows from these magnitudes on, where the tanh is already
+    # ±1: the value is x or -0.0 and the gradient exactly 1 or 0, with no
+    # warning, up to the largest finite input
+    T.set_dtype(dtype)
+    big = np.finfo(dtype).max
+    t = Tensor(np.array([x, -x, big, -big, 9.0, -9.0]), requires_grad=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = T.gelu(t)
+        T.backward(T.tsum(out))
+    assert_same_bits(out.data, np.array([x, -0.0, big, -0.0, 9.0, -0.0], dtype=dtype))
+    assert_same_bits(t.grad, np.array([1.0, 0.0, 1.0, 0.0, 1.0, 0.0], dtype=dtype))
 
 
 # ---------------------------------------------------------------------------
