@@ -26,7 +26,7 @@ from .encoder import (EncoderConfig, EncoderModel, PretrainConfig, check_pretrai
 from .evaluate import evaluate, resolve
 from .refine import Discriminator, LossWeights, RefinementConfig, refine
 from .scoring import ScoreConfig
-from .synthetic import make_benchmark, make_perturbation_corpus
+from .synthetic import MAX_GROUPS, make_benchmark, make_perturbation_corpus
 from .text import (SchemaInstance, Vocabulary, benchmark_texts, build_vocab,
                    check_words, corpus_rows, corpus_sentences, load_benchmark,
                    load_perturbation_corpus, save_benchmark, save_perturbation_corpus,
@@ -100,12 +100,19 @@ def _load_model(path, vocab, vocab_path):
 
 
 def _refine_inputs(cfg):
-    """The corpus groups, vocabulary and init model refinement starts from."""
+    """The corpus groups, vocabulary and init model refinement starts from;
+    the run config's ``encoder`` section must be the model's."""
     corpus_path = _require(cfg, "paths", "corpus", "path to the perturbation corpus")
     init_path = _require(cfg, "paths", "init_checkpoint", "pretrained checkpoint")
     vocab_path = _require(cfg, "paths", "vocab", "vocabulary file")
     vocab = Vocabulary.load(vocab_path)
-    return _load_corpus(corpus_path), vocab, _load_model(init_path, vocab, vocab_path)
+    groups, model = _load_corpus(corpus_path), _load_model(init_path, vocab, vocab_path)
+    built = model.config.to_dict()
+    for key, value in cfg["encoder"].items():
+        if value != built[key]:
+            raise CliError(f"checkpoint {init_path} was built with encoder.{key} "
+                           f"{built[key]!r}, but the run config sets {value!r}")
+    return groups, vocab, model
 
 
 def _refine(model, groups, weights, cfg, vocab):
@@ -340,6 +347,7 @@ MAX_GEN_INSTANCES = 100_000
 def cmd_gen_data(out, n_groups, n_instances, seed):
     """Helper used by the README walkthrough; emits synthetic files."""
     C.check_count("--groups", n_groups, 1)
+    C.check_real("--groups", n_groups, 1, MAX_GROUPS)
     C.check_count("--instances", n_instances, 1)
     C.check_real("--instances", n_instances, 1, MAX_GEN_INSTANCES)
     groups = make_perturbation_corpus(n_groups, seed=seed)
@@ -420,7 +428,8 @@ def _run(argv):
     cfg = C.load_config(args.config, overrides, seed=args.seed)
     T.set_dtype(cfg["runtime"]["precision"])
     out = C.out_dir(cfg, args.out)
-    with np.errstate(over="ignore"):   # softmax guards handle extremes explicitly
+    # a diverging run overflows a matmul before its loss check fails it
+    with np.errstate(over="ignore"):
         if args.command == "pretrain":
             return cmd_pretrain(cfg, out)
         if args.command == "refine":

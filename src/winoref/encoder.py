@@ -42,8 +42,6 @@ class EncoderConfig:
     max_len: int = 48
     vocab_size: int = internal(0)
     dropout: float = 0.1
-    layer_norm_eps: float = internal(1e-5)
-    init_scale: float = internal(INIT_SCALE)
 
     def __post_init__(self):
         check_count("encoder.layers", self.layers, 0)   # 0: normed embeddings
@@ -53,8 +51,6 @@ class EncoderConfig:
         check_real("encoder.max_len", self.max_len, 3, MAX_LEN)
         check_count("encoder.vocab_size", self.vocab_size, 0)
         check_real("encoder.dropout", self.dropout, 0, 1, high_open=True)
-        check_real("encoder.layer_norm_eps", self.layer_norm_eps, 0, low_open=True)
-        check_real("encoder.init_scale", self.init_scale, 0)
         if self.model_dim % self.heads != 0:
             raise ValueError(f"encoder.model_dim must be divisible by encoder.heads "
                              f"{self.heads}, got {self.model_dim}")
@@ -84,7 +80,7 @@ class EncoderConfig:
 
 def _param_table(cfg, blocks):
     """(name, shape, fill) of each parameter of ``cfg``'s encoder with blocks
-    ``blocks``, in draw order; a fill of None is a draw from N(0, init_scale)."""
+    ``blocks``, in draw order; a fill of None is a draw from N(0, INIT_SCALE)."""
     d, f, v = cfg.model_dim, cfg.ff_dim, cfg.vocab_size
     table = [("tok_emb", (v, d), None), ("pos_emb", (cfg.max_len, d), None)]
     for i in blocks:
@@ -98,11 +94,11 @@ def _param_table(cfg, blocks):
                     ("mlm_bias", (v,), 0.0)]
 
 
-def draw_params(table, scale, seed):
+def draw_params(table, seed):
     """Trainable parameters from a (name, shape, fill) table, in its order; a
-    fill of None is a draw from N(0, ``scale``) of the generator of ``seed``."""
+    fill of None is a draw from N(0, INIT_SCALE) of the generator of ``seed``."""
     rng = np.random.default_rng(seed)
-    return {name: Tensor(rng.normal(0.0, scale, size=shape) if fill is None
+    return {name: Tensor(rng.normal(0.0, INIT_SCALE, size=shape) if fill is None
                          else np.full(shape, fill), requires_grad=True)
             for name, shape, fill in table}
 
@@ -114,8 +110,7 @@ class EncoderModel:
         if config.vocab_size <= 0:
             raise ValueError("vocab_size must be set before building a model")
         self.config = config
-        self.params = draw_params(_param_table(config, range(config.layers)),
-                                  config.init_scale, seed)
+        self.params = draw_params(_param_table(config, range(config.layers)), seed)
 
     def named_params(self):
         return list(self.params.items())
@@ -308,11 +303,11 @@ def forward_hidden(model, ids, attention_mask, rng=None, rows=None):
         # the last block runs on the rows the caller reads; its keys and
         # values still come from every real row
         keep = out if i == cfg.layers - 1 else real
-        h1 = T.layer_norm(x, p[f"l{i}.ln1.g"], p[f"l{i}.ln1.b"], cfg.layer_norm_eps)
+        h1 = T.layer_norm(x, p[f"l{i}.ln1.g"], p[f"l{i}.ln1.b"])
         a = _attention(h1, keep[:, :n], trimmed, cfg, p, i, rate, rng)
         a = T.dropout(a, rate, rng)
         x = T.add(_pick(x, keep[real]), a)
-        h2 = T.layer_norm(x, p[f"l{i}.ln2.g"], p[f"l{i}.ln2.b"], cfg.layer_norm_eps)
+        h2 = T.layer_norm(x, p[f"l{i}.ln2.g"], p[f"l{i}.ln2.b"])
         ff = T.gelu(T.linear(h2, p[f"l{i}.ff.w1"], p[f"l{i}.ff.b1"]))
         ff = T.linear(ff, p[f"l{i}.ff.w2"], p[f"l{i}.ff.b2"])
         ff = T.dropout(ff, rate, rng)
@@ -320,7 +315,7 @@ def forward_hidden(model, ids, attention_mask, rng=None, rows=None):
 
     if not cfg.layers:
         x = _pick(x, out[real])    # with no block, the final norm narrows
-    x = T.layer_norm(x, p["final_ln.g"], p["final_ln.b"], cfg.layer_norm_eps)
+    x = T.layer_norm(x, p["final_ln.g"], p["final_ln.b"])
     return T.scatter_rows(x, out[:, :width])
 
 

@@ -105,12 +105,12 @@ def _blocks(instances, vocab, cfg):
     """Yield each block of the instances, in file order: as many distinct
     masked rows as ``block_rows`` allows for the block's longest row, and at
     least an instance's two, whose (slots, vocab_size) logits stay under
-    ``MAX_STEP_VALUES`` values. A block is (instances, ids, cands): its
-    instances, its distinct rows in the order first met, padded and stacked
-    into a (rows, max_len) array only as it is yielded, and per candidate,
-    in order, its first slot among the rows' [MASK] logits and its token
-    ids, or None if its row overflows max_len. A block over a cap, which
-    only an instance's own rows can make, fails as the walk reaches it."""
+    ``MAX_STEP_VALUES`` values. A block is (instances, rows, cands): its
+    instances; its distinct rows, unpadded id tuples in the order first
+    met, each mapped to its first slot among the rows' [MASK] logits; and
+    per candidate, in order, that slot and its token ids, or None if its
+    row overflows max_len. A block over a cap, which only an instance's
+    own rows can make, fails as the walk reaches or closes it."""
     block, rows, cands, longest, slots = [], {}, [], 0, 0
     caps = {}   # block_rows by the longest row
     for inst in instances:
@@ -124,32 +124,29 @@ def _blocks(instances, vocab, cfg):
         if block and (len(rows) + len(fresh) > caps[size]
                       or (slots + sum(map(len, fresh.values()))) * cfg.vocab_size
                       > MAX_STEP_VALUES):
-            yield _stacked(block, rows, cands, slots, cfg)
+            check_cap([((slots, cfg.vocab_size), None)], "encoder.max_len",
+                      "an eval forward")
+            yield block, rows, cands
             block, rows, cands, longest, slots, fresh = [], {}, [], 0, 0, new
         for row, c in fresh.items():   # a row's slots follow the rows before it
             rows[row], slots = slots, slots + len(c)
         block.append(inst)
         cands += [None if b is None else (rows[b[0]], b[1]) for b in pair]
         longest = max(longest, wide)
-    yield _stacked(block, rows, cands, slots, cfg)
-
-
-def _stacked(block, rows, cands, slots, cfg):
-    """The block ``_blocks`` closes, its rows padded and stacked, once its
-    ``slots`` slot logits are checked against the cap."""
     check_cap([((slots, cfg.vocab_size), None)], "encoder.max_len", "an eval forward")
-    return block, np.array([row + (PAD_ID,) * (cfg.max_len - len(row)) for row in rows],
-                           dtype=np.int64), cands
+    yield block, rows, cands
 
 
-def _block_scores(view, ids, cands):
+def _block_scores(view, rows, cands):
     """Each candidate's CandidateScore, in the order of ``cands``, from one
-    forward of the detached ``view`` over the block's stacked rows ``ids``
-    and one ``log_probs_at_positions`` over their slot logits, so a row that
-    two candidates share gets its log-softmax once."""
+    forward of the detached ``view`` over the block's ``rows``, padded and
+    stacked, and one ``log_probs_at_positions`` over their slot logits, so
+    a row that two candidates share gets its log-softmax once."""
     fits = [c for c in cands if c is not None]
     means = iter(())
     if fits:   # not every candidate of the block overflows
+        ids = np.array([row + (PAD_ID,) * (view.config.max_len - len(row))
+                        for row in rows], dtype=np.int64)
         logits = mlm_logits_batch(view, ids, ids == MASK_ID).data
         at = np.concatenate([first + np.arange(len(c)) for first, c in fits])
         logp = log_probs_at_positions(logits, np.concatenate([c for _, c in fits]), at)
@@ -171,9 +168,9 @@ def _scores(model, vocab, instances):
     for _ in _blocks(instances, vocab, model.config):
         pass
     view = model.detached()
-    for block, ids, cands in _blocks(instances, vocab, model.config):
+    for block, rows, cands in _blocks(instances, vocab, model.config):
         keys = [(id(inst), which) for inst in block for which in (1, 2)]
-        scores = dict(zip(keys, _block_scores(view, ids, cands)))
+        scores = dict(zip(keys, _block_scores(view, rows, cands)))
         token = _BLOCK_SCORES.set((model, vocab, scores))
         try:
             pairs = [(score_candidate(model, vocab, inst, 1),

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import tensor as T
 from .config import check_choice, check_count, check_real, internal
-from .encoder import INIT_SCALE, MAX_PARAMS, check_step, draw_params, encode, encode_batch
+from .encoder import MAX_PARAMS, check_step, draw_params, encode, encode_batch
 from .optim import AdamW, check_finite_loss
 from .scoring import windowed_bertscore
 from .tensor import Tensor
@@ -27,6 +27,9 @@ N_KINDS = len(PERTURBATION_KINDS)
 # probability clamp inside the diversity ratio; keeps the loss bounded
 PROB_CLAMP = 1e-7
 _TERM_BOUND = float(np.log((1.0 - PROB_CLAMP) / PROB_CLAMP))
+
+# the weight of a training batch's statistics in the running mean and variance
+BN_MOMENTUM = 0.1
 
 
 @dataclass
@@ -91,11 +94,9 @@ class Discriminator:
             raise ValueError(f"the discriminator would hold {count} parameters, over "
                              f"the cap of {MAX_PARAMS}: lower refine.disc_hidden")
         self.dropout = dropout
-        self.params = draw_params(table, INIT_SCALE, seed)
+        self.params = draw_params(table, seed)
         self.running_mean = np.zeros(hidden_dim)
         self.running_var = np.ones(hidden_dim)
-        self.bn_momentum = 0.1
-        self.bn_eps = 1e-5
 
     def named_params(self):
         return [(f"disc.{k}", v) for k, v in self.params.items()]
@@ -109,14 +110,14 @@ class Discriminator:
         if rng is not None:
             for running, stat in ((self.running_mean, h.data.mean(axis=0, dtype=np.float64)),
                                   (self.running_var, h.data.var(axis=0, dtype=np.float64))):
-                running *= 1.0 - self.bn_momentum
-                running += self.bn_momentum * stat
+                running *= 1.0 - BN_MOMENTUM
+                running += BN_MOMENTUM * stat
             rows = len(h.data)
             h = T.transpose(T.layer_norm(T.transpose(h, (1, 0)), Tensor(np.ones(rows)),
-                                         Tensor(np.zeros(rows)), self.bn_eps), (1, 0))
+                                         Tensor(np.zeros(rows))), (1, 0))
         else:
             h = T.mul(T.sub(h, self.running_mean),
-                      1.0 / np.sqrt(self.running_var + self.bn_eps))
+                      1.0 / np.sqrt(self.running_var + T.LAYER_NORM_EPS))
         h = T.add(T.mul(h, p["bn.g"]), p["bn.b"])
         # PReLU; the clip passes the gradient at 0, so there the slope is a
         neg = T.clip(h, -np.inf, 0.0)

@@ -62,6 +62,13 @@ WEAK_ADJS = ["weak", "tired", "slow", "frail", "clumsy", "sleepy"]
 ITEM_POOL = 15
 CONTAINER_POOL = 15
 PERSON_FRACTION = 0.3
+# the most groups the pools hold: the largest count whose object and person
+# shares both fit their pools' distinct triples
+_OBJECT_TRIPLES = ITEM_POOL * CONTAINER_POOL * (len(BIG_ADJS) + len(SMALL_ADJS))
+_PERSON_TRIPLES = len(MALE_NAMES) * ITEM_POOL * len(WEAK_ADJS)
+MAX_GROUPS = next(n for n in range(_OBJECT_TRIPLES + _PERSON_TRIPLES, 0, -1)
+                  if n - int(n * PERSON_FRACTION) <= _OBJECT_TRIPLES
+                  and int(n * PERSON_FRACTION) <= _PERSON_TRIPLES)
 
 K = PerturbationKind
 
@@ -106,9 +113,6 @@ def _pairwise_distinct_triples(rng, n, pool_a, pool_b, pool_c):
     merely distinct triples."""
     if n <= 0:
         return []
-    if n > pool_a * pool_b * pool_c:
-        raise ValueError(f"pools hold only {pool_a * pool_b * pool_c} distinct "
-                         f"triples, {n} requested")
     combos = [(a, b, c) for a in range(pool_a)
               for b in range(pool_b) for c in range(pool_c)]
     order = rng.permutation(len(combos))
@@ -129,7 +133,11 @@ def _pairwise_distinct_triples(rng, n, pool_a, pool_b, pool_c):
 
 
 def make_perturbation_corpus(n_groups, seed=0):
-    """Groups with rule-based variants over deliberately small word pools."""
+    """Groups with rule-based variants over deliberately small word pools,
+    at most ``MAX_GROUPS`` of them."""
+    if n_groups > MAX_GROUPS:
+        raise ValueError(f"the word pools hold at most {MAX_GROUPS} groups, "
+                         f"{n_groups} requested")
     rng = np.random.default_rng(seed)
     n_person = int(n_groups * PERSON_FRACTION)
     adjs = BIG_ADJS + SMALL_ADJS

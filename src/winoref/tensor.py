@@ -70,6 +70,9 @@ DTYPES = {"float32": np.float32, "float64": np.float64}
 # against a 191-row one; ``x @ w`` from 64 rows on, in float64 too.
 PACK_TABLE_ROWS = 64
 
+# the epsilon ``layer_norm`` adds to each row's variance, as in BERT
+LAYER_NORM_EPS = 1e-5
+
 
 class ShapeError(ValueError):
     """Raised when operand shapes are not conformable."""
@@ -682,10 +685,11 @@ def logsumexp(x):
     return _node(out_data, (x,), bw)
 
 
-def layer_norm(x, gain, bias, eps):
-    """Normalize the last axis to zero mean / unit variance, then scale and
-    shift. Each row is centred on its first entry first, so a constant row
-    maps to exactly ``bias`` and a large offset stays out of the mean.
+def layer_norm(x, gain, bias):
+    """Normalize the last axis to zero mean / unit variance, with
+    ``LAYER_NORM_EPS`` added to the variance, then scale and shift. Each
+    row is centred on its first entry first, so a constant row maps to
+    exactly ``bias`` and a large offset stays out of the mean.
 
     For every finite row the normalized entries, before gain and bias, are
     finite and within sqrt(n - 1) of zero, and the gradient is finite. A
@@ -715,7 +719,7 @@ def layer_norm(x, gain, bias, eps):
         xhat = centred(x.data / scale)
         sumsq = _row_sum(xhat, xhat)
     # (x - mean) / sqrt(var + eps), taken on x / s, where eps is eps / s^2
-    inv = 1.0 / np.sqrt(sumsq / n + eps / scale / scale)
+    inv = 1.0 / np.sqrt(sumsq / n + LAYER_NORM_EPS / scale / scale)
     xhat *= inv
     # off the tape no backward reads xhat, so the output is written over it
     out_data = np.multiply(xhat, gain.data, out=None if _taped((x, gain, bias)) else xhat)

@@ -559,6 +559,24 @@ def test_vocabulary_of_another_checkpoint_exits_with_one_error_line(
     assert list(run_out.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", ["refine", "ablate", "sweep"])
+@pytest.mark.parametrize("key,value", [("dropout", 0.5), ("dropout", 0.0), ("layers", 2)])
+def test_encoder_section_unlike_the_checkpoints_exits_with_one_error_line(
+        pretrained, tmp_path, capsys, command, key, value):
+    # the run trained the checkpoint's encoder, at its dropout 0.1, while
+    # its artifacts recorded the run config's value
+    out, cfg_path = pretrained
+    run_out = tmp_path / "out"
+    rc = cli.main([command, "--config", str(cfg_path), "--out", str(run_out),
+                   f"--encoder.{key}={value}"])
+    assert rc == 1
+    built = {"dropout": 0.1, "layers": 1}[key]
+    assert capsys.readouterr().err == (
+        f"error: checkpoint {out / 'init.ckpt.json'} was built with encoder.{key} "
+        f"{built!r}, but the run config sets {value!r}\n")
+    assert not run_out.exists()
+
+
 @pytest.mark.parametrize("kind", ["complex", "bool", "int", "str", "datetime"])
 def test_checkpoint_parameter_that_is_not_float_exits_with_one_error_line(
         pretrained, data_dir, tmp_path, capsys, kind):
@@ -747,20 +765,24 @@ class TestEvaluate:
         assert str(paths[0]) in err and str(paths[1]) in err
         assert not (tmp_path / "eval_report.csv").exists()
 
+    @pytest.mark.parametrize("key,value", [("tie_mlm_head", True),
+                                           ("layer_norm_eps", 1e-5),
+                                           ("init_scale", 0.02)])
     def test_checkpoint_with_the_removed_head_switch_exits_with_one_error_line(
-            self, pretrained, data_dir, tmp_path, capsys):
-        # written before the head was always tied; regenerate such a file
+            self, pretrained, data_dir, tmp_path, capsys, key, value):
+        # written before the head was always tied, or while the layer norm's
+        # epsilon and the draw scale were encoder_config keys; regenerate
+        # such a file
         out, cfg_path = pretrained
         arrays, meta = load_checkpoint(out / "init.ckpt.json")
-        meta["encoder_config"]["tie_mlm_head"] = True
+        meta["encoder_config"][key] = value
         old = tmp_path / "old.ckpt.json"
         save_checkpoint(old, arrays, meta)
         rc = cli.main(["evaluate", "--config", str(cfg_path), "--out", str(tmp_path),
                        "--checkpoint", str(old), str(data_dir / "bench_a.jsonl")])
         assert rc == 1
         assert capsys.readouterr().err == (
-            f"error: {old}: encoder_config has unknown keys "
-            f"['tie_mlm_head']\n")
+            f"error: {old}: encoder_config has unknown keys [{key!r}]\n")
 
     def test_report_with_an_overflowing_candidate_is_strict_json(
             self, pretrained, data_dir, tmp_path, capsys):
@@ -1202,6 +1224,14 @@ class TestGenData:
             assert cli.main(["gen-data", "--out", str(tmp_path), flag, value]) == 1
             err = capsys.readouterr().err
             assert err.startswith(f"error: {flag} must be >= 1") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    def test_groups_over_what_the_pools_hold_name_the_flag(self, tmp_path, capsys):
+        # 3604 groups used to fail with "pools hold only 1080 distinct
+        # triples, 1081 requested", which names no flag
+        assert len(make_perturbation_corpus(3603)) == 3603
+        assert cli.main(["gen-data", "--out", str(tmp_path), "--groups", "3604"]) == 1
+        assert capsys.readouterr().err == "error: --groups must be in [1, 3603], got 3604\n"
         assert list(tmp_path.iterdir()) == []
 
     def test_instances_over_the_cap_rejected_before_any_is_built(self, tmp_path,

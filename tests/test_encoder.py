@@ -81,7 +81,7 @@ class TestEncode:
         x = tok + pos
         mu = x.mean(axis=-1, keepdims=True)
         var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
-        expected = (x - mu) / np.sqrt(var + cfg.layer_norm_eps)
+        expected = (x - mu) / np.sqrt(var + T.LAYER_NORM_EPS)
         expected *= row_masks(seq)[0][:, None]
         length = int(row_masks(seq)[0].sum())
         assert got.shape == (length, cfg.model_dim)
@@ -585,15 +585,15 @@ def padded_forward_hidden(model, ids, attention_mask, rng=None):
     pos = T.reshape(T.take(p["pos_emb"], np.arange(n)), (1, n, d))
     x = padded_dropout(T.add(T.embedding_lookup(p["tok_emb"], ids), pos), rate, rng, real)
     for i in range(cfg.layers):
-        h1 = T.layer_norm(x, p[f"l{i}.ln1.g"], p[f"l{i}.ln1.b"], cfg.layer_norm_eps)
+        h1 = T.layer_norm(x, p[f"l{i}.ln1.g"], p[f"l{i}.ln1.b"])
         a = padded_attention(h1, mask_bias, real, cfg, p, i, rate, rng)
         x = T.add(x, padded_dropout(a, rate, rng, real))
-        h2 = T.layer_norm(x, p[f"l{i}.ln2.g"], p[f"l{i}.ln2.b"], cfg.layer_norm_eps)
+        h2 = T.layer_norm(x, p[f"l{i}.ln2.g"], p[f"l{i}.ln2.b"])
         flat = T.reshape(h2, (B * n, d))
         ff = T.gelu(T.add(T.matmul(flat, p[f"l{i}.ff.w1"]), p[f"l{i}.ff.b1"]))
         ff = T.add(T.matmul(ff, p[f"l{i}.ff.w2"]), p[f"l{i}.ff.b2"])
         x = T.add(x, padded_dropout(T.reshape(ff, (B, n, d)), rate, rng, real))
-    x = T.layer_norm(x, p["final_ln.g"], p["final_ln.b"], cfg.layer_norm_eps)
+    x = T.layer_norm(x, p["final_ln.g"], p["final_ln.b"])
     return T.add(T.mul(x, mask.reshape(B, n, 1)), 0.0)
 
 
@@ -690,7 +690,7 @@ def assert_fused_matches_unfused(cfg, trimmed, queries, dropout, rng):
         rows = Tensor(x, requires_grad=True)
         # an interior node, as the block's layer norm is: it borrows its
         # first gradient and sums the others
-        h = T.layer_norm(rows, p["l0.ln1.g"], p["l0.ln1.b"], cfg.layer_norm_eps)
+        h = T.layer_norm(rows, p["l0.ln1.g"], p["l0.ln1.b"])
         stream = np.random.default_rng(6)
         rate = cfg.dropout if dropout is not None else 0.0
         out = attend(h, queries, trimmed, cfg, p, 0, rate, stream)
@@ -998,7 +998,7 @@ class TestHeadRows:
         x = p["tok_emb"][ids[b, j]] + p["pos_emb"][j]
         mu = x.mean(axis=1, keepdims=True)
         var = ((x - mu) ** 2).mean(axis=1, keepdims=True)
-        normed = ((x - mu) / np.sqrt(var + cfg.layer_norm_eps) * p["final_ln.g"]
+        normed = ((x - mu) / np.sqrt(var + T.LAYER_NORM_EPS) * p["final_ln.g"]
                   + p["final_ln.b"])
         want = normed @ p["tok_emb"].T + p["mlm_bias"]
         assert got.shape == (5, cfg.vocab_size) and got.dtype == dtype

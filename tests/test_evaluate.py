@@ -425,6 +425,26 @@ class TestBlockForward:
         evaluate(model, vocab, bench[:20])
         assert built == list(bench[:20]) * 2
 
+    def test_each_block_is_stacked_once(self, block_world, monkeypatch):
+        # the walk that checks the caps yields its rows unstacked; only the
+        # walk that scores pads and stacks them
+        bench, vocab = block_world
+        model = block_model(vocab, "float64")
+        stacked = []
+
+        class CountedNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def array(self, *args, **kwargs):
+                stacked.append(args)
+                return np.array(*args, **kwargs)
+
+        monkeypatch.setattr(ev, "np", CountedNumpy())
+        calls = count_forwards(monkeypatch)
+        evaluate(model, vocab, bench)
+        assert len(stacked) == len(calls) == row_blocks(bench, vocab, 24)
+
     @pytest.mark.parametrize("dtype,tol", [("float32", 1e-5), ("float64", 1e-12)])
     def test_decisions_equal_resolve(self, block_world, dtype, tol):
         bench, vocab = block_world

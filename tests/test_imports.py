@@ -1,7 +1,7 @@
 """Every name a module imports is used in that module, every parameter of a
 function in ``src`` is read in its body, every module-level function and
-class in ``src`` is read by other ``src`` code, and every tape op is in
-gate 1."""
+class in ``src`` is read by other ``src`` code, every tape op is in gate 1,
+and every ``internal`` config field is passed by keyword in ``src``."""
 
 import ast
 from collections import Counter
@@ -143,3 +143,33 @@ def test_the_check_finds_an_unchecked_op():
               "def tsum(a):\n    return add(a, a)\n")
     gate = "def op_builders(rng):\n    return [lambda: T.tsum(T.add(x, y))]\n"
     assert unchecked_ops(tensor, gate) == ["neg"]
+
+
+def unset_internal_fields(sources):
+    """(class, field) of each config dataclass field of ``sources`` declared
+    ``internal(...)`` whose name no call in them passes as a keyword: the
+    run config does not expose such a field, so no code sets it either."""
+    internal, passed = [], set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ClassDef):
+                internal += [(node.name, stmt.target.id) for stmt in node.body
+                             if isinstance(stmt, ast.AnnAssign)
+                             and isinstance(stmt.value, ast.Call)
+                             and isinstance(stmt.value.func, ast.Name)
+                             and stmt.value.func.id == "internal"]
+            elif isinstance(node, ast.keyword) and node.arg:
+                passed.add(node.arg)
+    return sorted((cls, name) for cls, name in internal if name not in passed)
+
+
+def test_every_internal_config_field_is_set_by_some_caller():
+    sources = [path.read_text(encoding="utf-8") for path in SOURCES]
+    assert unset_internal_fields(sources) == []
+
+
+def test_the_check_finds_an_internal_field_no_caller_sets():
+    sources = ["@dataclass\nclass Cfg:\n    size: int = internal(0)\n"
+               "    eps: float = internal(1e-5)\n    rate: float = 0.1\n",
+               "cfg = Cfg(size=3, rate=0.2)\n"]
+    assert unset_internal_fields(sources) == [("Cfg", "eps")]

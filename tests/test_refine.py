@@ -75,7 +75,7 @@ def oracle_diversity_eval_mode(stack, kinds, disc, gamma):
     for i, kind in enumerate(kinds):
         pooled = rows(stack, i).mean(axis=0)
         h = pooled @ p["w1"] + p["b1"]
-        h = (h - disc.running_mean) / np.sqrt(disc.running_var + disc.bn_eps)
+        h = (h - disc.running_mean) / np.sqrt(disc.running_var + T.LAYER_NORM_EPS)
         h = p["bn.g"] * h + p["bn.b"]
         h = np.where(h > 0, h, p["prelu.a"] * h)
         logits = h @ p["w2"] + p["b2"]
@@ -301,7 +301,7 @@ class TestTrainingForward:
         p = {k: v.data for k, v in disc.params.items()}
         h = x @ p["w1"] + p["b1"]
         mu, var = h.mean(axis=0), ((h - h.mean(axis=0)) ** 2).mean(axis=0)
-        h = p["bn.g"] * (h - mu) / np.sqrt(var + disc.bn_eps) + p["bn.b"]
+        h = p["bn.g"] * (h - mu) / np.sqrt(var + T.LAYER_NORM_EPS) + p["bn.b"]
         h = np.where(h > 0, h, p["prelu.a"] * h)
         np.testing.assert_allclose(got, h @ p["w2"] + p["b2"], rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(disc.running_mean, 0.9 * mean0 + 0.1 * mu,

@@ -54,8 +54,7 @@ class TestBasics:
     def test_layer_norm_standardizes(self):
         rng = np.random.default_rng(1)
         x = rng.normal(2.0, 1.3, size=(10, 128))
-        out = T.layer_norm(Tensor(x), Tensor(np.ones(128)), Tensor(np.zeros(128)),
-                           1e-5).data
+        out = T.layer_norm(Tensor(x), Tensor(np.ones(128)), Tensor(np.zeros(128))).data
         assert np.abs(out.mean(axis=-1)).max() < 1e-6
         assert np.abs(out.var(axis=-1) - 1.0).max() < 1e-4
 
@@ -309,7 +308,7 @@ class TestGradChecks:
         rng = np.random.default_rng(100 + seed)
         x, g, b = randt(rng, 3, 8), randt(rng, 8), randt(rng, 8)
         w = Tensor(rng.normal(size=(3, 8)))
-        check_grads(lambda: T.tsum(T.mul(T.layer_norm(x, g, b, 1e-5), w)), [x, g, b])
+        check_grads(lambda: T.tsum(T.mul(T.layer_norm(x, g, b), w)), [x, g, b])
 
     @pytest.mark.parametrize("seed", range(6))
     def test_gelu(self, seed):
@@ -437,7 +436,7 @@ class TestGradChecks:
 
         def build():
             h = T.gelu(T.matmul(x, w1))
-            h = T.layer_norm(h, g, b, 1e-5)
+            h = T.layer_norm(h, g, b)
             return T.cross_entropy(h, targets)
 
         check_grads(build, [x, w1, g, b])
@@ -560,7 +559,7 @@ class TestInPlaceKernels:
         gain = Tensor(rng.normal(size=24), requires_grad=True)
         bias = Tensor(rng.normal(size=24), requires_grad=True)
         g = rng.normal(size=(3, 7, 24)).astype(dtype)
-        out = T.layer_norm(x, gain, bias, 1e-5)
+        out = T.layer_norm(x, gain, bias)
         want_out, want_gx, want_gg, want_gb = layer_norm_formula(
             x.data, gain.data, bias.data, g)
         assert_same_bits(out.data, want_out)
@@ -614,7 +613,7 @@ class TestInPlaceKernels:
         x[2] = x[2, 0]                        # a constant row
         gain, bias = (rng.normal(size=96).astype(dtype) for _ in range(2))
         run = {"gelu": lambda x, gain, bias: T.gelu(x),
-               "layer_norm": lambda *args: T.layer_norm(*args, 1e-5)}[kernel]
+               "layer_norm": T.layer_norm}[kernel]
         for rows in (x, x[:0]):
             arrays = (rows, gain, bias)
             taped = run(*(Tensor(a, requires_grad=i in taped_parents)
@@ -888,7 +887,7 @@ def _rows_out(kernel, x, g):
     if kernel == "layer_norm":
         n = x.shape[-1]
         gain, bias = (Tensor(np.linspace(-1.0, 2.0, n) + k, dtype=x.dtype) for k in (0, 1))
-        out = T.layer_norm(t, gain, bias, 1e-5)
+        out = T.layer_norm(t, gain, bias)
     else:
         out = getattr(T, kernel)(t)
     out._backward_fn(g)
@@ -965,11 +964,11 @@ def test_layer_norm_of_a_row_on_a_large_offset(dtype, value, tol):
     T.set_dtype(dtype)
     rng = np.random.default_rng(11)
     gain, bias = (rng.normal(size=96).astype(dtype) for _ in range(2))
-    out = T.layer_norm(Tensor(np.full((3, 96), value)), Tensor(gain), Tensor(bias), 1e-5)
+    out = T.layer_norm(Tensor(np.full((3, 96), value)), Tensor(gain), Tensor(bias))
     assert_same_bits(out.data, np.broadcast_to(bias, (3, 96)))
     x = (1000.0 + rng.choice([-1e-3, 1e-3], size=(4, 96))
          * rng.uniform(0.5, 1.0, size=(4, 96))).astype(dtype)
-    out = T.layer_norm(Tensor(x), Tensor(gain), Tensor(bias), 1e-5)
+    out = T.layer_norm(Tensor(x), Tensor(gain), Tensor(bias))
     xc = x.astype(np.longdouble) - x.astype(np.longdouble).mean(axis=-1, keepdims=True)
     want = xc / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + 1e-5) * gain + bias
     assert np.abs(out.data - want).max() < tol
@@ -984,10 +983,10 @@ def test_layer_norm_of_a_row_whose_squares_overflow(dtype, x):
     eps = np.finfo(dtype).eps
     gain, bias = np.array([1.0, 2.0, 0.5, 1.5]), np.array([0.1, -0.2, 0.3, 0.0])
     t = Tensor(np.array([[x, -x, 0.5, 3.0], [1.0, 2.0, 3.0, 5.0]]), requires_grad=True)
-    out = T.layer_norm(t, Tensor(gain), Tensor(bias), 1e-5)
+    out = T.layer_norm(t, Tensor(gain), Tensor(bias))
     want = np.array([np.sqrt(2.0), -np.sqrt(2.0), 0.0, 0.0]) * gain + bias
     np.testing.assert_allclose(out.data[0], want, rtol=4 * eps, atol=4 * eps)
-    alone = T.layer_norm(Tensor(t.data[1:]), Tensor(gain), Tensor(bias), 1e-5)
+    alone = T.layer_norm(Tensor(t.data[1:]), Tensor(gain), Tensor(bias))
     assert_same_bits(out.data[1:], alone.data)
     T.backward(T.tsum(T.mul(out, np.array([[1.0, 2.0, -1.0, 0.5]] * 2))))
     assert np.isfinite(t.grad).all()
