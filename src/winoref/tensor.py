@@ -15,13 +15,15 @@ and leaf gradients accumulate in place. So no backward function may write
 into its incoming ``g``, or into any array it did not allocate itself. A
 kernel may reuse its own temporaries with ``out=``, including those its
 forward saved for the backward, because ``backward`` runs once per tape;
-it never writes into a node's ``data``. An off-tape kernel, one none of
-whose parents requires grad (``_taped``), as every kernel of a forward of a
-detached model is, keeps nothing for a backward: ``gelu`` and
-``layer_norm`` write each step of their forward over the one before, so
-the output is their one fresh array. Every in-place kernel keeps the
-floating-point operations, and their order, of the plain formula, so
-results are bit for bit those of the allocating form, on the tape or off.
+it never writes into a node's ``data``. What only the tape held is freed
+as ``backward`` walks it; leaf gradients, and the nodes the caller holds,
+stay (see ``backward``). An off-tape kernel, one none of whose parents
+requires grad (``_taped``), as every kernel of a forward of a detached
+model is, keeps nothing for a backward: ``gelu`` and ``layer_norm`` write
+each step of their forward over the one before, so the output is their
+one fresh array. Every in-place kernel keeps the floating-point
+operations, and their order, of the plain formula, so results are bit for
+bit those of the allocating form, on the tape or off.
 The plain formula sums along the last axis in one ``np.einsum`` pass per
 row, a product in the same pass (``_row_sum``), so a row's sum depends on
 that row alone.
@@ -96,7 +98,8 @@ class Tensor:
     Leaf tensors created with ``requires_grad=True`` get a zero-filled
     gradient buffer immediately, so a parameter that never participates in
     a graph reads back an exactly-zero gradient. Interior nodes borrow the
-    first gradient they receive during backward (see the module docstring).
+    first gradient they receive during backward (see the module docstring),
+    and keep it once ``backward`` has dropped their closure and parents.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn",
@@ -175,12 +178,16 @@ def _unbroadcast(g, shape):
 
 
 def backward(loss):
-    """Populate gradients of all trainable ancestors of a scalar loss.
+    """Populate gradients of all trainable ancestors of a scalar loss. The
+    pass consumes the tape: a node whose backward has run drops its closure,
+    with the temporaries its forward saved, and its parents, so what only
+    the tape held is freed as the walk passes it. Leaf gradients stay, and
+    each node the caller holds keeps its ``data`` and ``grad``.
 
     Re-running backward on the same root is rejected: the tape is consumed
     by the first pass and reuse would silently double-accumulate. So is a
     pass through a node that an earlier pass from another root went
-    through, because kernels overwrite the temporaries their forward saved.
+    through, because its tape is gone.
     """
     loss = astensor(loss)
     if loss.data.size != 1:
@@ -209,13 +216,21 @@ def backward(loss):
             stack.pop()
 
     nodes = [node for node in topo if node._backward_fn is not None]
+    del topo                        # no node is held past its turn
     if any(node._backward_ran for node in nodes if node is not loss):
         raise RuntimeError("backward already ran through part of this graph; "
                            "re-run the forward pass first")
     loss._accum(np.ones_like(loss.data))
-    for node in reversed(nodes):
+    while nodes:
+        node = nodes.pop()
         node._backward_ran = True
         node._backward_fn(node.grad)
+        node._backward_fn, node._parents = _consumed, ()
+
+
+def _consumed(g):
+    """The backward of a node whose backward has run: its tape is gone."""
+    raise RuntimeError(f"backward already ran here; a {np.shape(g)} gradient has no tape")
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,16 @@
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
 
+import winoref.refine
 import winoref.tensor as T
+from winoref import encoder
 from winoref.encoder import (EncoderConfig, EncoderModel, PretrainConfig,
                              mlm_logits_batch, pretrain_mlm)
+from winoref.optim import AdamW
 from winoref.refine import Discriminator, LossWeights, RefinementConfig, refine
 from winoref.scoring import ScoreConfig, windowed_bertscore
 from winoref.synthetic import make_perturbation_corpus
@@ -83,6 +87,22 @@ class TestBasics:
         T.backward(T.tsum(h))
         with pytest.raises(RuntimeError, match="already ran"):
             T.backward(T.tsum(T.mul(h, 2.0)))
+
+    def test_backward_releases_the_tape(self):
+        # what only the tape held is freed; a node the caller holds keeps its
+        # data and its exact gradient, cut from its parents
+        x = Tensor([0.5, -2.0, 3.0], requires_grad=True)
+        h = T.mul(x, x)
+        y = T.gelu(h)
+        w = np.array([1.5, -0.25, 2.0])
+        loss = T.tsum(T.mul(y, w))
+        y_data = weakref.ref(y.data)
+        del y
+        T.backward(loss)
+        assert y_data() is None
+        assert loss._parents == () and h._parents == ()
+        assert_same_bits(h.grad, gelu_formula(h.data, w)[1])
+        assert_same_bits(x.grad, leaf_grad(h.grad * x.data + h.grad * x.data))
 
     def test_detached_branch_gets_exactly_zero_grad(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
@@ -224,6 +244,54 @@ class TestBasics:
         assert Tensor([1.0]).data.dtype == np.float64
         with pytest.raises(ValueError):
             T.set_dtype("float16")
+
+
+@pytest.mark.parametrize("phase", ["pretrain", "refine"])
+def test_a_training_steps_tape_is_freed_by_its_backward(monkeypatch, phase):
+    # traced from the start of the first step, so setup is not counted: right
+    # after each backward, what the steps still hold (optimizer state, small
+    # loop locals) is a small part of the step's peak; a tape kept alive into
+    # the next step held about half of it, and the peak held two tapes
+    groups = make_perturbation_corpus(12, seed=5)
+    vocab = build_vocab(corpus_sentences(groups))
+    cfg = EncoderConfig(layers=1, heads=2, model_dim=16, ff_dim=32, max_len=24,
+                        vocab_size=len(vocab))
+    model = EncoderModel(cfg, seed=0)
+    after = []
+
+    def starting(fn):
+        def wrapper(*args, **kwargs):
+            if not tracemalloc.is_tracing():
+                tracemalloc.start()
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def backward(loss, real=T.backward):
+        real(loss)
+        after.append(tracemalloc.get_traced_memory())
+
+    def step(opt, real=AdamW.step):
+        real(opt)
+        tracemalloc.reset_peak()
+
+    monkeypatch.setattr(encoder, "apply_mlm_masking", starting(encoder.apply_mlm_masking))
+    monkeypatch.setattr(winoref.refine, "encode_batch", starting(winoref.refine.encode_batch))
+    monkeypatch.setattr(T, "backward", backward)
+    monkeypatch.setattr(AdamW, "step", step)
+    try:
+        if phase == "pretrain":
+            rows = [tokenize(s, vocab, cfg.max_len) for s in corpus_sentences(groups)]
+            pretrain_mlm(model, rows, PretrainConfig(epochs=1, batch_size=8, seed=1), vocab)
+        else:
+            refine(model, Discriminator(cfg.model_dim, 16, dropout=0.2, seed=0), groups,
+                   LossWeights(1.0, 0.5, 0.5),
+                   RefinementConfig(epochs=2, batch_size=4, perturbations_per_sample=2),
+                   ScoreConfig(window_radius=2), vocab)
+    finally:
+        tracemalloc.stop()
+    assert len(after) >= 6
+    for held, peak in after:
+        assert held < 0.25 * peak, [f"{h / 2**20:.2f} of {p / 2**20:.2f} MB" for h, p in after]
 
 
 class TestGradChecks:
