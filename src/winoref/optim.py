@@ -34,14 +34,13 @@ class AdamW:
 
     The parameters of each dtype share one flat buffer each for their data,
     gradients and two moments. Construction copies every ``p.data`` and
-    ``p.grad`` into its slice and binds a view of the slice in its place;
-    ``self.m`` and ``self.v`` are views too. A caller writes into the views
-    in place: ``step`` rejects a parameter whose ``data`` or ``grad`` is
-    another array, naming it. ``step`` updates the buffers in blocks of
-    ``BLOCK`` elements, in one fixed order of operations, so the bits are
-    those of a per-parameter update. A block whose gradient has been zero
-    at every step so far has zero moments, so its update is +0.0 and only
-    the weight decay moves it.
+    ``p.grad`` into its slice and binds a view of the slice in its place.
+    A caller writes into the views in place: ``step`` rejects a parameter
+    whose ``data`` or ``grad`` is another array, naming it. ``step``
+    updates the buffers in blocks of ``BLOCK`` elements, in one fixed order
+    of operations, so the bits are those of a per-parameter update. A block
+    whose gradient has been zero at every step so far has zero moments, so
+    its update is +0.0 and only the weight decay moves it.
     """
 
     def __init__(self, params, lr, weight_decay, warmup_steps):
@@ -59,8 +58,7 @@ class AdamW:
         self.weight_decay = float(weight_decay)
         self.warmup_steps = int(warmup_steps)
         self.step_count = 0
-        n = len(self.params)
-        self.m, self.v, self._views = [None] * n, [None] * n, [None] * n
+        self._views = [None] * len(self.params)
         # per block: (data, grad, m, v, scratch1, scratch2) views, and
         # whether a nonzero gradient has reached it yet
         self._blocks, self._touched = [], []
@@ -71,8 +69,8 @@ class AdamW:
             start = 0
             for i in members:
                 p = self.params[i][1]
-                data, grad, self.m[i], self.v[i] = (
-                    f[start:start + p.data.size].reshape(p.data.shape) for f in flat)
+                data, grad = (f[start:start + p.data.size].reshape(p.data.shape)
+                              for f in flat[:2])
                 data[...] = p.data
                 p.data = data
                 if p.grad is not None:

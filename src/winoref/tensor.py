@@ -12,10 +12,12 @@ an interior node keeps the first gradient it receives as given (it is
 *borrowed*, and may be a parent's or a sibling's buffer, or a view of one)
 and allocates a fresh sum only when a second contribution arrives; owned
 and leaf gradients accumulate in place. So no backward function may write
-into its incoming ``g``, or into any array it did not allocate itself. A
-kernel may reuse its own temporaries with ``out=``, including those its
-forward saved for the backward, because ``backward`` runs once per tape;
-it never writes into a node's ``data``. What only the tape held is freed
+into its incoming ``g``, or into any array it did not allocate itself; a
+backward that adds into a parent's gradient in place first makes the
+parent own it (``_add_rows``). A kernel may reuse its own temporaries
+with ``out=``, including those its forward saved for the backward,
+because ``backward`` runs once per tape; it never writes into a node's
+``data``. What only the tape held is freed
 as ``backward`` walks it; leaf gradients, and the nodes the caller holds,
 stay (see ``backward``). An off-tape kernel, one none of whose parents
 requires grad (``_taped``), as every kernel of a forward of a detached
@@ -38,9 +40,11 @@ and from there on as ``x @ w``, because packing the table then costs less
 than writing the product transposed into C-order logits. It takes that
 weight's gradient in the table's layout at every row count.
 ``softmax`` reduces over key slabs, a contiguous copy with the keys along
-its leading axis. The backwards of ``take`` and ``embedding_lookup`` sum
-repeated indices in ``np.add.at``'s order: the rows are gathered once,
-rank-major, and each rank is one contiguous add.
+its leading axis. ``take`` and ``embedding_lookup`` share one backward,
+``_add_rows``: it sums repeated indices in ``np.add.at``'s order (the rows
+are gathered once, rank-major, and each rank is one contiguous add), then
+adds each distinct row once into the parent's own gradient, so a gather's
+backward costs its rows, not its parent.
 
 ``attention`` is multi-head attention as one node over packed rows. Each
 batch row's queries fill the first of m query slots, m the most queries in
@@ -290,7 +294,12 @@ def div(a, b):
         if a.requires_grad:
             a._accum(_unbroadcast(g / b.data, a.data.shape))
         if b.requires_grad:
-            b._accum(_unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
+            # -g * a / b**2, or -(g * a / b) / b where b * b is not normal
+            with np.errstate(over="ignore", under="ignore"):
+                sq = b.data * b.data
+            odd = (sq < np.finfo(sq.dtype).tiny) | (sq > np.finfo(sq.dtype).max)
+            gb = -g * a.data / np.where(odd, b.data, sq) / np.where(odd, b.data, 1.0)
+            b._accum(_unbroadcast(gb, b.data.shape))
 
     return _node(_broadcast(np.divide, a, b, "div"), (a, b), bw)
 
@@ -366,20 +375,28 @@ def _index_sum(index, rows, dtype):
     return ranked[starts[by_count]], sums
 
 
+def _add_rows(a, index, g):
+    """The backward of a gather of ``a``'s rows at ``index``: each distinct
+    row's ``_index_sum`` of ``g`` added once, in place, into a gradient that
+    ``a`` owns. A parent with no gradient yet gets zeros of its own, and a
+    borrowed gradient is copied first."""
+    ids, sums = _index_sum(index.reshape(-1), g.reshape((-1,) + a.data.shape[1:]),
+                           a.data.dtype)
+    if a.grad is None:
+        a.grad = np.zeros_like(a.data)
+    elif a._grad_borrowed:
+        a.grad = a.grad.copy()
+    a._grad_borrowed = False
+    a.grad[ids] += sums
+
+
 def take(a, rows):
-    """The rows of ``a`` at the 1-d index ``rows``; backward scatter-adds."""
+    """The rows of ``a`` at the 1-d index ``rows``; backward adds them back."""
     a = astensor(a)
     idx = np.asarray(rows, dtype=np.int64)
     if idx.ndim != 1:
         raise ShapeError(f"take: index must be 1-d, got shape {idx.shape}")
-
-    def bw(g):
-        buf = np.zeros_like(a.data)
-        ids, sums = _index_sum(idx, g, buf.dtype)
-        buf[ids] = sums
-        a._accum(buf)
-
-    return _node(np.take(a.data, idx, axis=0), (a,), bw)
+    return _node(np.take(a.data, idx, axis=0), (a,), lambda g: _add_rows(a, idx, g))
 
 
 def _scatter(rows, keep):
@@ -544,7 +561,8 @@ def softmax(x):
     x = astensor(x)
     out_data = np.empty(x.data.shape, dtype=x.data.dtype)
     slabs = np.swapaxes(x.data, 0, -1).copy(order="C")
-    slabs -= slabs.max(axis=0)
+    with np.errstate(over="ignore"):    # a spread past the range: exp gives 0
+        slabs -= slabs.max(axis=0)
     np.exp(slabs, out=slabs)
     if slabs.size == slabs.shape[0]:
         # a lone row: numpy sums a vector pairwise, cumsum in order
@@ -668,8 +686,6 @@ def attention(q_rows, k_rows, v_rows, trimmed, queries, heads, rate, rng):
         gc = _scatter(g.reshape(-1, heads, dh), slots).transpose(0, 2, 1, 3)
         if v_rows.requires_grad:
             v_rows._accum(packed(np.swapaxes(a, -1, -2) @ gc, trimmed))
-        if not (q_rows.requires_grad or k_rows.requires_grad):
-            return
         gs = gc @ np.swapaxes(v, -1, -2)
         if drop is not None:
             gs *= drop
@@ -689,7 +705,8 @@ def logsumexp(x):
     """Log of the sum of exponentials along the last axis, max-shifted."""
     x = astensor(x)
     m = x.data.max(axis=-1, keepdims=True)
-    e = np.exp(x.data - m)
+    with np.errstate(over="ignore"):    # a spread past the range: exp gives 0
+        e = np.exp(x.data - m)
     s = e.sum(axis=-1, keepdims=True)
     out_data = np.squeeze(np.log(s) + m, axis=-1)
     soft = e / s
@@ -810,17 +827,7 @@ def embedding_lookup(table, ids):
         raise ShapeError(f"embedding_lookup: id out of range [0, {table.data.shape[0]}), "
                          f"got min={ids.min()} max={ids.max()}")
 
-    def bw(g):
-        # sum over the looked-up rows only, then add those rows into the
-        # table's gradient
-        rows, sums = _index_sum(ids.reshape(-1),
-                                g.reshape((-1,) + table.data.shape[1:]),
-                                table.data.dtype)
-        if table.grad is None or table._grad_borrowed:
-            table._accum(np.zeros_like(table.data))
-        table.grad[rows] += sums
-
-    return _node(table.data[ids], (table,), bw)
+    return _node(table.data[ids], (table,), lambda g: _add_rows(table, ids, g))
 
 
 def cross_entropy(logits, targets):
@@ -837,13 +844,14 @@ def cross_entropy(logits, targets):
                          f"logits rows {logits.data.shape[0]}")
     n, _ = logits.data.shape
     m = logits.data.max(axis=1, keepdims=True)
-    e = logits.data - m
+    with np.errstate(over="ignore"):    # a spread past the range: exp gives 0
+        e = logits.data - m
     np.exp(e, out=e)
     z = _row_sum(e)
     # log-probabilities at the targets only, by the same operations in the
     # same order as the full (n, V) matrix would take them
     logp = logits.data[np.arange(n), targets] - m[:, 0] - np.log(z[:, 0])
-    out_data = np.asarray(-logp.mean())
+    out_data = np.asarray(0.0 - logp.mean())   # a zero loss is +0.0, not -0.0
 
     def bw(g):
         soft = np.divide(e, z, out=e)           # written over e

@@ -453,13 +453,10 @@ def test_tape_op_over_the_finite_range(dtype, op):
             raise AssertionError(f"case {case}") from e
 
 
-# breaches the fuzzer finds outside the domains above, each kept as a strict
-# expected failure until the op is mended
+# breaches the fuzzer found outside the domains above, each pinned by a
+# named test
 
 
-@pytest.mark.xfail(strict=True, raises=(RuntimeWarning, AssertionError),
-                   reason="div's backward squares the divisor, which overflows or "
-                          "underflows where the divisor's gradient is in range")
 @pytest.mark.parametrize("dtype, a, b, w", [
     ("float32", 2.0**100, 2.0**70, 2.0**-40), ("float32", 2.0**-100, 2.0**-80, 1.0),
     ("float64", 2.0**700, 2.0**600, 2.0**-200), ("float64", 2.0**-700, 2.0**-600, 1.0)],
@@ -473,9 +470,6 @@ def test_div_gradient_of_a_divisor_whose_square_is_out_of_range(dtype, a, b, w):
     assert y.grad[0] == -w * a / b / b
 
 
-@pytest.mark.xfail(strict=True, raises=RuntimeWarning,
-                   reason="a row's max is subtracted from a row whose spread is "
-                          "past the largest finite value; the results are right")
 @pytest.mark.parametrize("op", ["softmax", "logsumexp", "cross_entropy"])
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
 def test_row_whose_spread_overflows(dtype, op):

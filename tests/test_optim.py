@@ -55,16 +55,6 @@ def test_non_trainable_param_rejected():
         opt.step()
 
 
-def test_moment_buffers_match_param_shapes():
-    rng = np.random.default_rng(0)
-    params = [(f"p{i}", Tensor(rng.normal(size=shape), requires_grad=True))
-              for i, shape in enumerate([(3, 4), (7,), (2, 2, 2)])]
-    opt = AdamW(params, lr=0.1, weight_decay=0.01, warmup_steps=0)
-    for (_, p), m, v in zip(opt.params, opt.m, opt.v):
-        assert m.shape == p.data.shape
-        assert v.shape == p.data.shape
-
-
 def test_matches_reference_adamw_trajectory():
     # independent scalar recomputation of five steps
     rng = np.random.default_rng(3)

@@ -819,6 +819,45 @@ class TestInPlaceKernels:
         out._backward_fn(np.zeros((0, 6), dtype=dtype))
         assert_same_bits(table.grad, np.zeros_like(table.data))
 
+    def test_take_backward_adds_its_rows_into_a_gradient_the_parent_owns(self, dtype):
+        T.set_dtype(dtype)
+        rng = np.random.default_rng(17)
+        # three rows of a (4096, 64) leaf cost three rows, not the leaf
+        big = Tensor(rng.normal(size=(4096, 64)), requires_grad=True)
+        loss = T.tsum(T.take(big, [5, 4000, 5]))
+        tracemalloc.start()
+        try:
+            T.backward(loss)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < big.data.nbytes / 4
+        assert_same_bits(big.grad[[5, 4000, 6]], np.array([2, 1, 0], dtype)[:, None]
+                         * np.ones(64, dtype))
+
+        idx = np.concatenate([rng.integers(0, 6, size=30), [9] * 4])
+        rng.shuffle(idx)
+        g = rng.normal(0, 10, size=(idx.size, 5)).astype(dtype)
+        want = np.zeros((12, 5), dtype=dtype)
+        np.add.at(want, idx, g)
+        # a leaf, onto its zero-filled gradient
+        leaf = Tensor(rng.normal(size=(12, 5)), requires_grad=True)
+        T.backward(T.tsum(T.mul(T.take(leaf, idx), g)))
+        assert_same_bits(leaf.grad, leaf_grad(want))
+        # an interior parent with no gradient yet
+        x = Tensor(rng.normal(size=(12, 5)), requires_grad=True)
+        h = T.mul(x, 2.0)
+        T.backward(T.tsum(T.mul(T.take(h, idx), g)))
+        assert_same_bits(h.grad, want)
+        # an interior parent whose first gradient an add lent it: the add's
+        # backward runs first, so take's adds into a copy, not the lent buffer
+        w = rng.normal(size=(12, 5)).astype(dtype)
+        h = T.mul(x, 2.0)
+        s = T.add(h, Tensor(np.zeros((12, 5)), requires_grad=True))
+        T.backward(T.add(T.tsum(T.mul(T.take(h, idx), g)), T.tsum(T.mul(s, w))))
+        assert_same_bits(s.grad, w)
+        assert_same_bits(h.grad, w + want)
+
     @pytest.mark.parametrize("axis", [1, 2])
     def test_tmax_with_ties_and_a_nan(self, dtype, axis):
         # small integers tie often; the gradient goes to the first maximum
