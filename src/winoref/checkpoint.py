@@ -1,7 +1,8 @@
 """Checkpoint container: named parameter arrays in a JSON file.
 
 Arrays are stored as base64-encoded little-endian bytes alongside shape and
-dtype, so save -> load -> save round-trips bit-exactly. Every file carries a
+dtype, so save -> load -> save round-trips bit-exactly, and an array of
+either byte order saves as the same file. Every file carries a
 format version, arbitrary metadata (resolved run config, model config) and a
 content hash over the parameter payload.
 """
@@ -17,10 +18,7 @@ FORMAT_VERSION = 1
 
 
 def _le_bytes(arr):
-    arr = np.ascontiguousarray(arr)
-    if arr.dtype.byteorder == ">":
-        arr = arr.astype(arr.dtype.newbyteorder("<"))
-    return arr.tobytes()
+    return np.ascontiguousarray(arr, dtype=arr.dtype.newbyteorder("<")).tobytes()
 
 
 def params_hash(named_arrays):
@@ -30,7 +28,7 @@ def params_hash(named_arrays):
         arr = named_arrays[name]
         h.update(name.encode())
         h.update(str(arr.shape).encode())
-        h.update(str(arr.dtype).encode())
+        h.update(str(arr.dtype.newbyteorder("<")).encode())
         h.update(_le_bytes(arr))
     return "sha256:" + h.hexdigest()
 
@@ -42,7 +40,7 @@ def save(path, named_arrays, meta=None):
         arr = np.asarray(arr)
         payload[name] = {
             "shape": list(arr.shape),
-            "dtype": str(arr.dtype),
+            "dtype": str(arr.dtype.newbyteorder("<")),
             "data": base64.b64encode(_le_bytes(arr)).decode("ascii"),
         }
     content_hash = params_hash(named_arrays)
@@ -72,9 +70,7 @@ def load(path):
     for name, entry in params.items():
         try:
             raw = base64.b64decode(entry["data"])
-            dtype = np.dtype(entry["dtype"])
-            if dtype.byteorder == ">":
-                dtype = dtype.newbyteorder("<")
+            dtype = np.dtype(entry["dtype"]).newbyteorder("<")
             named[name] = np.frombuffer(raw, dtype=dtype).reshape(entry["shape"]).copy()
         except (KeyError, TypeError, ValueError) as e:
             raise ValueError(f"{path}: parameter {name!r} is malformed "

@@ -211,10 +211,6 @@ def _finite_or_none(x):
 
 
 def cmd_evaluate(cfg, out, checkpoints, dataset_paths, emit_json, emit_csv):
-    if not checkpoints:
-        raise CliError("evaluate needs at least one --checkpoint")
-    if not dataset_paths:
-        raise CliError("evaluate needs at least one dataset path")
     vocab_path = _require(cfg, "paths", "vocab", "vocabulary file")
     labels = _report_names(checkpoints, "checkpoint", "report label")
     vocab = Vocabulary.load(vocab_path)
@@ -393,11 +389,11 @@ def _build_parser():
 
     p_eval = sub.add_parser("evaluate", help="zero-shot benchmark accuracy")
     common(p_eval)
-    p_eval.add_argument("--checkpoint", action="append", default=[],
+    p_eval.add_argument("--checkpoint", action="append", required=True,
                         help="checkpoint to evaluate (repeatable)")
     p_eval.add_argument("--json", action="store_true", help="write eval_report.json")
     p_eval.add_argument("--csv", action="store_true", help="write eval_report.csv")
-    p_eval.add_argument("datasets", nargs="*", help="benchmark JSONL files")
+    p_eval.add_argument("datasets", nargs="+", help="benchmark JSONL files")
 
     common(sub.add_parser("ablate", help="baseline plus one run per loss config"))
 

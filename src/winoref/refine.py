@@ -28,9 +28,6 @@ N_KINDS = len(PERTURBATION_KINDS)
 PROB_CLAMP = 1e-7
 _TERM_BOUND = float(np.log((1.0 - PROB_CLAMP) / PROB_CLAMP))
 
-# the weight of a training batch's statistics in the running mean and variance
-BN_MOMENTUM = 0.1
-
 
 @dataclass
 class LossWeights:
@@ -79,6 +76,8 @@ class RefinementConfig:
 class Discriminator:
     """Two fully connected layers with batch norm, PReLU and dropout,
     mapping a pooled embedding stack to one logit per perturbation type.
+    It exists only inside the diversity term, so its one forward is the
+    training forward: batch norm on the batch's statistics, and dropout.
     The sizes, rate and seed come from ``RefinementConfig``. Like the
     encoder, it holds at most ``MAX_PARAMS`` parameters, checked before any
     array is drawn."""
@@ -95,34 +94,24 @@ class Discriminator:
                              f"the cap of {MAX_PARAMS}: lower refine.disc_hidden")
         self.dropout = dropout
         self.params = draw_params(table, seed)
-        self.running_mean = np.zeros(hidden_dim)
-        self.running_var = np.ones(hidden_dim)
 
     def named_params(self):
         return [(f"disc.{k}", v) for k, v in self.params.items()]
 
-    def forward(self, x, rng=None):
-        """x: (M, input_dim) tensor -> (M, n_kinds) logits; given ``rng``, a
-        training forward, on batch statistics and with dropout. Batch norm
-        on batch statistics is layer norm over the batch axis."""
+    def forward(self, x, rng):
+        """x: (M, input_dim) tensor -> (M, n_kinds) logits, the training
+        forward: batch norm on the batch's statistics, which is layer norm
+        over the batch axis, and dropout drawn from ``rng``."""
         p = self.params
         h = T.linear(x, p["w1"], p["b1"])
-        if rng is not None:
-            for running, stat in ((self.running_mean, h.data.mean(axis=0, dtype=np.float64)),
-                                  (self.running_var, h.data.var(axis=0, dtype=np.float64))):
-                running *= 1.0 - BN_MOMENTUM
-                running += BN_MOMENTUM * stat
-            rows = len(h.data)
-            h = T.transpose(T.layer_norm(T.transpose(h, (1, 0)), Tensor(np.ones(rows)),
-                                         Tensor(np.zeros(rows))), (1, 0))
-        else:
-            h = T.mul(T.sub(h, self.running_mean),
-                      1.0 / np.sqrt(self.running_var + T.LAYER_NORM_EPS))
+        rows = len(h.data)
+        h = T.transpose(T.layer_norm(T.transpose(h, (1, 0)), Tensor(np.ones(rows)),
+                                     Tensor(np.zeros(rows))), (1, 0))
         h = T.add(T.mul(h, p["bn.g"]), p["bn.b"])
         # PReLU; the clip passes the gradient at 0, so there the slope is a
         neg = T.clip(h, -np.inf, 0.0)
         h = T.add(T.sub(h, neg), T.mul(p["prelu.a"], neg))
-        h = T.dropout(h, 0.0 if rng is None else self.dropout, rng)
+        h = T.dropout(h, self.dropout, rng)
         return T.linear(h, p["w2"], p["b2"])
 
 
@@ -174,7 +163,7 @@ def contrastive_loss(stack, pairs, beta, score_cfg):
     return T.mul(T.tsum(windowed_bertscore(stack, stack, ia, ib, score_cfg)), 2 * beta)
 
 
-def diversity_loss(stack, kind_ids, disc, gamma, rng=None):
+def diversity_loss(stack, kind_ids, disc, gamma, rng):
     """Perturbation-classification loss over the rows of a generated stack,
     ``kind_ids[i]`` being the ``KIND_INDEX`` id of row i's perturbation kind.
 
@@ -182,7 +171,8 @@ def diversity_loss(stack, kind_ids, disc, gamma, rng=None):
     is compared against the total probability of all other kinds; the log of
     that ratio (clamped so it stays finite) is summed and negated. Gradients
     reach both the encoder (through the pooled stacks) and the discriminator,
-    whose forward is a training forward given ``rng``.
+    whose forward is always its training forward, its dropout drawn from
+    ``rng``.
     """
     if gamma == 0:
         return Tensor(0.0)

@@ -35,6 +35,23 @@ def test_round_trip_bit_exact(tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
+def test_big_endian_arrays_round_trip_as_their_values(tmp_path):
+    # the file holds little-endian bytes under the dtype's little-endian
+    # form, so an array of either byte order saves as the same file; a
+    # big-endian array's hash used to name its byte order, and its file
+    # failed to load as corrupt
+    arrays = _arrays()
+    swapped = {name: arr.astype(arr.dtype.newbyteorder(">")) for name, arr in arrays.items()}
+    ckpt.save(tmp_path / "native.ckpt.json", arrays)
+    ckpt.save(tmp_path / "swapped.ckpt.json", swapped)
+    assert ((tmp_path / "swapped.ckpt.json").read_bytes()
+            == (tmp_path / "native.ckpt.json").read_bytes())
+    loaded, _ = ckpt.load(tmp_path / "swapped.ckpt.json")
+    for name, arr in arrays.items():
+        assert loaded[name].dtype == arr.dtype
+        assert loaded[name].tobytes() == arr.tobytes()
+
+
 def test_content_hash_changes_with_data(tmp_path):
     arrays = _arrays()
     h1 = ckpt.params_hash(arrays)
@@ -50,6 +67,17 @@ def test_corrupt_payload_detected(tmp_path):
     doc["params"][first]["data"] = doc["params"][first]["data"][::-1]
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match="hash mismatch|padding|Invalid"):
+        ckpt.load(path)
+
+
+def test_payload_of_other_arrays_fails_the_content_hash(tmp_path):
+    path, other = tmp_path / "c.ckpt.json", tmp_path / "o.ckpt.json"
+    ckpt.save(path, _arrays(0))
+    ckpt.save(other, _arrays(1))
+    doc = json.loads(path.read_text())
+    doc["params"] = json.loads(other.read_text())["params"]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="content hash mismatch"):
         ckpt.load(path)
 
 

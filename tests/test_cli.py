@@ -17,7 +17,7 @@ from winoref.checkpoint import (load as load_checkpoint, params_hash,
 from winoref.config import load_config
 from winoref.optim import EPS
 from winoref.refine import N_KINDS
-from winoref.synthetic import make_benchmark, make_perturbation_corpus
+from winoref.synthetic import MAX_GROUPS, make_benchmark, make_perturbation_corpus
 from winoref.text import (Vocabulary, corpus_sentences, load_benchmark,
                           load_perturbation_corpus, save_benchmark,
                           save_perturbation_corpus, word_tokens)
@@ -205,6 +205,16 @@ class TestRefine:
         doc = json.loads((rout / "refined.ckpt.json").read_text())
         assert doc["meta"]["config"]["refine"]["target_mode"] == "stop-gradient-current"
 
+    def test_empty_corpus_exits_with_one_error_line(self, pretrained, tmp_path, capsys):
+        _, cfg_path = pretrained
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        out = tmp_path / "out"
+        assert cli.main(["refine", "--config", str(cfg_path), "--out", str(out),
+                         f"--paths.corpus={empty}"]) == 1
+        assert capsys.readouterr() == ("", "error: refinement corpus is empty\n")
+        assert not out.exists()
+
     def test_unknown_override_rejected(self, pretrained, tmp_path, capsys):
         out, cfg_path = pretrained
         rc = cli.main(["refine", "--config", str(cfg_path), "--out", str(tmp_path),
@@ -371,7 +381,12 @@ def test_diverged_run_exits_with_one_error_line_and_no_artifact(
                                       "value: 'abc'"),
     (["bogus"], "winoref: argument command: invalid choice: 'bogus' (choose from "
                 "'pretrain', 'refine', 'evaluate', 'ablate', 'sweep', 'score', 'gen-data')"),
-], ids=["missing-argument", "bad-int", "unknown-command"])
+    (["evaluate", "bench.jsonl"], "winoref evaluate: the following arguments are "
+                                  "required: --checkpoint"),
+    (["evaluate", "--checkpoint", "x"], "winoref evaluate: the following arguments are "
+                                        "required: datasets"),
+], ids=["missing-argument", "bad-int", "unknown-command", "evaluate-no-checkpoint",
+        "evaluate-no-dataset"])
 def test_bad_command_line_exits_with_one_error_line(tmp_path, capsys, monkeypatch,
                                                     argv, message):
     # argparse printed its usage block and a `winoref <cmd>: error:` line,
@@ -380,6 +395,25 @@ def test_bad_command_line_exits_with_one_error_line(tmp_path, capsys, monkeypatc
     assert cli.main(argv) == 1
     assert capsys.readouterr() == ("", f"error: {message}\n")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["ablate", "--paths.benchmarks=[]"], "ablate needs paths.benchmarks to evaluate on"),
+    (["sweep", "--paths.benchmarks=[]"], "sweep needs paths.benchmarks to rank runs"),
+    (["sweep", "--grid", "alpha=x"], "bad grid values for 'alpha': 'x'"),
+    (["sweep", "--grid", "alpha=,"], "grid axis 'alpha' has no values"),
+    (["refine", "--foo"], "unrecognized argument '--foo' "
+                          "(overrides look like --section.key=value)"),
+], ids=["ablate-no-benchmarks", "sweep-no-benchmarks", "grid-value-not-a-number",
+        "grid-axis-without-values", "override-without-a-key"])
+def test_bad_run_input_exits_with_one_error_line(pretrained, tmp_path, capsys, argv,
+                                                 message):
+    _, cfg_path = pretrained
+    out = tmp_path / "out"
+    assert cli.main([argv[0], "--config", str(cfg_path), "--out", str(out),
+                     *argv[1:]]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not out.exists()
 
 
 def test_help_still_exits_zero(capsys):
@@ -1225,6 +1259,11 @@ class TestGenData:
             err = capsys.readouterr().err
             assert err.startswith(f"error: {flag} must be >= 1") and err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
+
+    def test_corpus_generator_refuses_more_groups_than_the_pools_hold(self):
+        # gen-data checks --groups first; a caller of the generator meets this
+        with pytest.raises(ValueError, match=f"at most {MAX_GROUPS} groups"):
+            make_perturbation_corpus(MAX_GROUPS + 1)
 
     def test_groups_over_what_the_pools_hold_name_the_flag(self, tmp_path, capsys):
         # 3604 groups used to fail with "pools hold only 1080 distinct

@@ -1031,6 +1031,17 @@ class TestHeadRows:
         with pytest.raises(T.ShapeError, match="rows"):
             mlm_logits_batch(model, ids, rows)
 
+    @pytest.mark.parametrize("shape, message", [
+        ((8,), "forward expects a (batch, length) id array, got (8,)"),
+        ((2, 7), "sequence length 7 does not match max_len 8"),
+    ], ids=["1-d", "short"])
+    def test_bad_ids_rejected(self, tiny_world, shape, message):
+        vocab, _, _ = tiny_world
+        with pytest.raises(T.ShapeError) as e:
+            mlm_logits_batch(tiny_model(vocab), np.full(shape, FIRST_WORD_ID),
+                             np.ones(shape, dtype=bool))
+        assert str(e.value) == message
+
     def test_pretrain_matches_full_logit_path(self, small_setup):
         # the same run with the head over all B*L rows and a take after it,
         # as pretraining computed it before the head gathered its rows
@@ -1335,6 +1346,13 @@ class TestPretrain:
         vocab, cfg, model, _ = small_setup
         with pytest.raises(ValueError, match="empty"):
             pretrain_mlm(model, [], PretrainConfig(), vocab)
+
+    def test_a_batch_with_no_masked_position_takes_no_step(self, small_setup):
+        vocab, cfg, _, seqs = small_setup
+        model = EncoderModel(cfg, seed=1)
+        before = {k: v.tobytes() for k, v in model.param_arrays().items()}
+        assert pretrain_mlm(model, seqs, PretrainConfig(mask_prob=0.0), vocab) == []
+        assert {k: v.tobytes() for k, v in model.param_arrays().items()} == before
 
     def test_fixed_seed_bit_identical(self, small_setup):
         vocab, cfg, _, seqs = small_setup

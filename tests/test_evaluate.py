@@ -606,6 +606,17 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="empty"):
             evaluate(model, vocab, [], "none")
 
+    @pytest.mark.parametrize("change, message", [
+        ({"sentence": "the _ is the _ ."}, "sentence must contain exactly one '_' slot"),
+        ({"candidate1": ""}, "candidate text has no tokens"),
+    ], ids=["two-slots", "empty-candidate"])
+    def test_instance_that_breaks_the_loader_rules_rejected(self, world, change, message):
+        # load_benchmark and score check these first; a caller may not
+        groups, bench, vocab, cfg, model = world
+        with pytest.raises(ValueError) as e:
+            resolve(model, vocab, dataclasses.replace(bench[0], **change))
+        assert str(e.value) == message
+
     def test_evaluation_mutates_no_parameters(self, world):
         groups, bench, vocab, cfg, model = world
         before = params_hash(model.param_arrays())

@@ -72,10 +72,9 @@ class TestRangeFuzz:
             assert not gain.grad.any(), f"case {case}"
             assert np.isfinite(x.grad).all(), f"case {case}"
 
-    @pytest.mark.parametrize("train", [False, True], ids=["eval", "train"])
-    def test_diversity_term_stays_within_its_bound(self, dtype, train):
+    def test_diversity_term_stays_within_its_bound(self, dtype):
         T.set_dtype(dtype)
-        rng = np.random.default_rng(74 + train)
+        rng = np.random.default_rng(75)
         L, d = 10, 8
         for case in range(CASES):
             n = int(rng.integers(1, 7))
@@ -91,7 +90,7 @@ class TestRangeFuzz:
                                    content_mask=content)
             kinds = rng.integers(0, len(PERTURBATION_KINDS), size=n)
             disc = Discriminator(d, 16, dropout=0.2, seed=case)
-            loss = diversity_loss(stack, kinds, disc, 1.0, rng=rng if train else None)
+            loss = diversity_loss(stack, kinds, disc, 1.0, rng)
             assert loss.data.dtype == dtype
             assert np.abs(loss.item()) <= n * _TERM_BOUND, f"case {case}: {loss.item()}"
 

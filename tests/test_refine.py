@@ -69,20 +69,28 @@ def oracle_contrastive(samples, kinds, stack, beta, w):
     return beta * total
 
 
-def oracle_diversity_eval_mode(stack, kinds, disc, gamma):
+def oracle_disc_logits(x, disc):
+    """The discriminator's training forward at dropout 0 on the (M, d)
+    rows ``x``: batch norm on the rows' statistics, then PReLU."""
     p = {k: v.data for k, v in disc.params.items()}
+    h = x @ p["w1"] + p["b1"]
+    mu, var = h.mean(axis=0), ((h - h.mean(axis=0)) ** 2).mean(axis=0)
+    h = p["bn.g"] * (h - mu) / np.sqrt(var + T.LAYER_NORM_EPS) + p["bn.b"]
+    h = np.where(h > 0, h, p["prelu.a"] * h)
+    return h @ p["w2"] + p["b2"]
+
+
+def oracle_diversity(stack, kinds, disc, gamma):
+    """The diversity term of a dropout-0 discriminator, one row at a time
+    but for the batch statistics, which need every row's pooled stack."""
+    pooled = np.stack([rows(stack, i).mean(axis=0) for i in range(len(kinds))])
+    logits = oracle_disc_logits(pooled, disc)
     total = 0.0
     for i, kind in enumerate(kinds):
-        pooled = rows(stack, i).mean(axis=0)
-        h = pooled @ p["w1"] + p["b1"]
-        h = (h - disc.running_mean) / np.sqrt(disc.running_var + T.LAYER_NORM_EPS)
-        h = p["bn.g"] * h + p["bn.b"]
-        h = np.where(h > 0, h, p["prelu.a"] * h)
-        logits = h @ p["w2"] + p["b2"]
         k = KIND_INDEX[kind]
-        others = np.concatenate([logits[:k], logits[k + 1:]])
+        others = np.concatenate([logits[i, :k], logits[i, k + 1:]])
         m = others.max()
-        term = logits[k] - (m + np.log(np.exp(others - m).sum()))
+        term = logits[i, k] - (m + np.log(np.exp(others - m).sum()))
         total += np.clip(term, -_TERM_BOUND, _TERM_BOUND)
     return -gamma * total
 
@@ -233,13 +241,26 @@ class TestContrastiveLoss:
 
 
 class TestDiversityLoss:
+    def test_no_row_rejected(self):
+        rng = np.random.default_rng(14)
+        stack = random_stack(rng, 4)
+        with pytest.raises(ValueError, match="at least one row"):
+            diversity_loss(stack, [], zeroed_discriminator(8), 1.0, rng)
+
+    def test_row_without_word_positions_cannot_be_pooled(self):
+        rng = np.random.default_rng(15)
+        stack = batch_of([random_stack(rng, 4), random_stack(rng, 3)])
+        stack.content_mask[1] = False
+        with pytest.raises(ValueError, match="no word positions"):
+            diversity_loss(stack, [0, 1], zeroed_discriminator(8), 1.0, rng)
+
     def test_uniform_discriminator_value(self):
         # all-zero discriminator -> uniform probabilities -> each term log 7
         rng = np.random.default_rng(7)
         n, gamma = 3, 2.5
         _, kinds, stack = entries_for(rng, n)
         disc = zeroed_discriminator(8)
-        loss = diversity_loss(stack, ids_of(kinds), disc, gamma)
+        loss = diversity_loss(stack, ids_of(kinds), disc, gamma, np.random.default_rng(0))
         want = gamma * n * 8 * np.log(7.0)
         assert loss.item() == pytest.approx(want, abs=1e-9)
 
@@ -247,17 +268,16 @@ class TestDiversityLoss:
         rng = np.random.default_rng(8)
         _, kinds, stack = entries_for(rng, 4)
         disc = Discriminator(8, 16, dropout=0.0, seed=1)
-        disc.running_mean = rng.normal(size=16) * 0.1
-        disc.running_var = rng.uniform(0.5, 2.0, size=16)
-        got = diversity_loss(stack, ids_of(kinds), disc, 1.3).item()
-        want = oracle_diversity_eval_mode(stack, kinds, disc, 1.3)
+        got = diversity_loss(stack, ids_of(kinds), disc, 1.3,
+                             np.random.default_rng(0)).item()
+        want = oracle_diversity(stack, kinds, disc, 1.3)
         assert got == pytest.approx(want, abs=1e-9)
 
     def test_confident_prediction_is_clamped(self):
         rng = np.random.default_rng(9)
         disc = zeroed_discriminator(8)
         disc.params["b2"].data[0] = 100.0   # q(kind 0) ~ 1
-        loss = diversity_loss(random_stack(rng, 4), [0], disc, 2.0)
+        loss = diversity_loss(random_stack(rng, 4), [0], disc, 2.0, rng)
         assert np.isfinite(loss.item())
         assert loss.item() == pytest.approx(-2.0 * _TERM_BOUND, abs=1e-9)
 
@@ -265,7 +285,7 @@ class TestDiversityLoss:
         rng = np.random.default_rng(10)
         _, kinds, stack = entries_for(rng, 2)
         assert diversity_loss(stack, ids_of(kinds), zeroed_discriminator(8),
-                              0.0).item() == 0.0
+                              0.0, rng).item() == 0.0
 
     def test_gradients_reach_encoder_and_discriminator(self):
         rng = np.random.default_rng(11)
@@ -291,23 +311,13 @@ class TestTrainingForward:
                            else rng.normal(size=p.shape))
         return disc
 
-    def test_matches_batch_norm_then_prelu_and_updates_running_statistics(self):
+    def test_matches_batch_norm_then_prelu(self):
         rng = np.random.default_rng(12)
         disc = self.drawn_discriminator(rng)
-        mean0, var0 = rng.normal(size=16), rng.uniform(0.5, 2.0, size=16)
-        disc.running_mean[...], disc.running_var[...] = mean0, var0
         x = rng.normal(size=(6, 8))
         got = disc.forward(Tensor(x), rng=np.random.default_rng(0)).data
-        p = {k: v.data for k, v in disc.params.items()}
-        h = x @ p["w1"] + p["b1"]
-        mu, var = h.mean(axis=0), ((h - h.mean(axis=0)) ** 2).mean(axis=0)
-        h = p["bn.g"] * (h - mu) / np.sqrt(var + T.LAYER_NORM_EPS) + p["bn.b"]
-        h = np.where(h > 0, h, p["prelu.a"] * h)
-        np.testing.assert_allclose(got, h @ p["w2"] + p["b2"], rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(disc.running_mean, 0.9 * mean0 + 0.1 * mu,
-                                   rtol=1e-14, atol=1e-14)
-        np.testing.assert_allclose(disc.running_var, 0.9 * var0 + 0.1 * var,
-                                   rtol=1e-14, atol=1e-14)
+        np.testing.assert_allclose(got, oracle_disc_logits(x, disc), rtol=1e-12,
+                                   atol=1e-12)
 
     def test_one_row_batch_gives_the_prelu_of_the_shift(self):
         rng = np.random.default_rng(13)
@@ -361,7 +371,7 @@ class TestRefineTargets:
                           "live": model.clone()})
             return real_recon(targets, generated, alpha, score_cfg)
 
-        def div(stack, kind_ids, disc, gamma, rng=None):
+        def div(stack, kind_ids, disc, gamma, rng):
             steps[-1]["kinds"] = [PERTURBATION_KINDS[k] for k in kind_ids]
             return real_div(stack, kind_ids, disc, gamma, rng=rng)
 
@@ -622,7 +632,8 @@ class TestRefine:
         assert np.abs(outs[0] - outs[1]).max() > 0
 
     def test_total_loss_gradient_matches_finite_differences(self, tiny_world):
-        # deterministic eval-mode losses, spot-checked parameter coordinates
+        # deterministic losses, with no encoder dropout and a dropout-0
+        # discriminator; spot-checked parameter coordinates
         groups, vocab, cfg = tiny_world
         model = EncoderModel(cfg, seed=4)
         disc = Discriminator(cfg.model_dim, 16, dropout=0.0, seed=4)
@@ -647,7 +658,8 @@ class TestRefine:
             generated = encode_batch(model, gen_seqs)
             lr_ = reconstruction_loss(targets, generated, 2.0, score_cfg)
             lc = contrastive_loss(generated, pairs, 0.7, score_cfg)
-            ld = diversity_loss(generated, ids_of(row_kinds), disc, 1.1)
+            ld = diversity_loss(generated, ids_of(row_kinds), disc, 1.1,
+                                np.random.default_rng(0))
             return T.add(T.add(lr_, lc), ld)
 
         loss = total_loss()

@@ -88,6 +88,30 @@ class TestBasics:
         with pytest.raises(RuntimeError, match="already ran"):
             T.backward(T.tsum(T.mul(h, 2.0)))
 
+    def test_a_consumed_node_refuses_a_pass_that_reaches_it(self):
+        # backward's check finds a consumed node before the walk; were its
+        # mark lost, its backward, whose tape is gone, still refuses
+        x = Tensor([1.0, -2.0], requires_grad=True)
+        h = T.gelu(x)
+        T.backward(T.tsum(h))
+        h._backward_ran = False
+        with pytest.raises(RuntimeError, match="has no tape"):
+            T.backward(T.tsum(T.mul(h, 2.0)))
+
+    def test_backward_of_a_constant_loss_changes_no_gradient(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        T.backward(T.tsum(Tensor(x.data)))
+        assert not x.grad.any()
+
+    def test_gradient_of_a_broadcast_axis_of_one_is_its_sum(self):
+        x = Tensor([[1.0], [2.0], [3.0]], requires_grad=True)
+        T.backward(T.tsum(T.mul(x, np.arange(12.0).reshape(3, 4))))
+        np.testing.assert_array_equal(x.grad, [[6.0], [22.0], [38.0]])
+
+    def test_repr_names_shape_and_grad_flag(self):
+        assert repr(Tensor(np.ones((2, 3)), requires_grad=True)) == (
+            "Tensor(shape=(2, 3), requires_grad=True)")
+
     def test_backward_releases_the_tape(self):
         # what only the tape held is freed; a node the caller holds keeps its
         # data and its exact gradient, cut from its parents
@@ -131,6 +155,28 @@ class TestBasics:
             T.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 5))))
         assert "(2, 3)" in str(e.value) and "(4, 5)" in str(e.value)
 
+    def test_matmul_batch_shape_error_names_both_shapes(self):
+        with pytest.raises(T.ShapeError) as e:
+            T.matmul(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((5, 4, 2))))
+        assert str(e.value) == ("matmul: shapes (2, 3, 4) and (5, 4, 2) have "
+                                "incompatible batch dimensions")
+
+    def test_layer_norm_shape_error_names_every_shape(self):
+        with pytest.raises(T.ShapeError) as e:
+            T.layer_norm(Tensor(np.ones((2, 4))), Tensor(np.ones(3)), Tensor(np.ones(4)))
+        assert str(e.value) == ("layer_norm: gain/bias shapes (3,)/(4,) do not match "
+                                "feature dim of (2, 4)")
+
+    @pytest.mark.parametrize("logits, targets, message", [
+        (np.ones(3), [0], "cross_entropy: logits must be 2-d, got (3,)"),
+        (np.ones((2, 3)), [0], "cross_entropy: targets shape (1,) does not match "
+                               "logits rows 2"),
+    ], ids=["1-d-logits", "targets"])
+    def test_cross_entropy_shape_error(self, logits, targets, message):
+        with pytest.raises(T.ShapeError) as e:
+            T.cross_entropy(Tensor(logits), targets)
+        assert str(e.value) == message
+
     @pytest.mark.parametrize("shapes", [((2, 3), (4, 5), (5,)), ((2, 3), (3, 5), (4,)),
                                         ((2, 2, 3), (3, 5), (5,))],
                              ids=["inner", "bias", "3-d"])
@@ -164,6 +210,14 @@ class TestBasics:
         with pytest.raises(T.ShapeError) as e:
             T.attention(q, k, v, trimmed, queries, heads, 0.0, None)
         assert str(e.value) == message
+
+    def test_attention_rows_of_another_width_rejected(self):
+        trimmed = np.ones((1, 2), dtype=bool)
+        q, k, v = Tensor(np.ones((2, 4))), Tensor(np.ones((2, 4))), Tensor(np.ones((2, 6)))
+        with pytest.raises(T.ShapeError) as e:
+            T.attention(q, k, v, trimmed, trimmed, 2, 0.0, None)
+        assert str(e.value) == ("attention: rows (2, 4), (2, 4) and (2, 6) with masks "
+                                "(1, 2) and (1, 2) not conformable")
 
     def test_attention_rejects_queries_outside_the_key_mask(self):
         # a query at a pad position was attended from silently, one row each
