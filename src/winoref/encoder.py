@@ -3,9 +3,10 @@
 Pre-norm architecture: embeddings -> N blocks of (layer-norm, multi-head
 self-attention, residual) and (layer-norm, feed-forward, residual) -> final
 layer norm. The final-layer hidden states form the embedding stack consumed
-by the similarity metric. The layers run on the real tokens only and pad
-rows of the stack are zero, so downstream code never sees pad content. A
-stack is as wide as its longest row, so no column past it costs any work.
+by the similarity metric. The layers run on the real tokens only, and the
+last block on the rows the caller reads: a stack holds each row's words
+at its front and +0.0 after them, so no special, pad or trailing column
+costs any work downstream.
 """
 
 import copy
@@ -162,18 +163,21 @@ class EncoderModel:
 @dataclass
 class EmbeddingStack:
     """Final-layer hidden states for a batch of sequences, with the mask of
-    their word positions, the ones similarity matching reads."""
-    hidden: Tensor                 # (N, n, model_dim), n one past the longest row
-    content_mask: np.ndarray       # (N, n) ordinary word positions
+    their word positions, the ones similarity matching reads. A stack of
+    ``encode`` or ``encode_batch`` holds each row's words in order at its
+    front, +0.0 after them, so its mask is true at the first columns of each
+    row only; the windowed score reads any mask."""
+    hidden: Tensor                 # (N, n, model_dim)
+    content_mask: np.ndarray       # (N, n) word positions
 
     def select(self, rows):
         """Rows ``rows`` as a constant stack, (len(rows), n, model_dim) with n
-        one past the longest of them; no gradient flows back. A column past
-        it holds only pads, zero states that are no word of any row."""
+        one past the last word column of any of them, taken from the mask;
+        no gradient flows back."""
         content = self.content_mask[rows]
-        hidden = self.hidden.data[rows]
-        n = _width(content | hidden.any(axis=2))
-        return EmbeddingStack(hidden=Tensor(hidden[:, :n], dtype=hidden.dtype),
+        n = _width(content)
+        return EmbeddingStack(hidden=Tensor(self.hidden.data[rows, :n],
+                                            dtype=self.hidden.data.dtype),
                               content_mask=content[:, :n])
 
 
@@ -181,6 +185,13 @@ def _width(used):
     """One past the last column of the (B, L) mask ``used`` that any row
     uses; 1 when none does."""
     return int(np.flatnonzero(used.any(axis=0)).max(initial=0)) + 1
+
+
+def _front(counts):
+    """The (B, m) mask of the first ``counts[b]`` columns of each row b, m
+    the largest count but at least 1."""
+    counts = np.asarray(counts)
+    return np.arange(max(1, int(counts.max(initial=0)))) < counts[:, None]
 
 
 def _encoder_arrays(cfg, rows, longest):
@@ -251,25 +262,27 @@ def _pick(x, sel):
 def forward_hidden(model, ids, attention_mask, rng=None, rows=None):
     """Hidden states for a batch: ids (B, L) ints, attention_mask (B, L) bool.
 
-    Returns a (B, n, model_dim) tensor whose pad rows are zero, n one past
-    the last column any row attends to, the length of the longest row. Every
-    layer but the attention core runs on the T real-token rows of the batch
-    only, packed into one (T, model_dim) stream in row-major order; the
-    final rows are scattered into a zero stack, so pad content never reaches
-    the output. The attention core runs on the first n columns too: a later
+    Returns a (B, m, model_dim) tensor that holds each row's states at its
+    front, in order, and +0.0 after them; m is the most states any row has,
+    at least 1. Every layer but the attention core runs on the T real-token
+    rows of the batch only, packed into one (T, model_dim) stream in
+    row-major order; the final rows are scattered into a zero stack, so pad
+    content never reaches the output. The attention core runs on the first
+    n columns, n one past the last column any row attends to: a later
     column is a masked key everywhere, and its weight is exactly zero.
     Softmax adds its keys in order, so in eval mode a row's bits depend
     neither on n nor on the other rows.
 
     ``rows``, a (B, L) bool mask, marks the rows the caller reads; None
-    reads them all. The last block needs every real row for its keys and
-    values only, so its queries and all its row-wise work after the
-    attention core run on the real rows among ``rows``, and every other row
-    of the result is zero, like a pad row. Its attention core attends from
-    query slots, each row's queries first, as many as the most any row has
-    but at least two (``T.attention``), not from all n columns. The stack
-    then also spans the columns of ``rows``, so a pad row asked for past
-    the longest row is in it.
+    reads every real row. The last block needs every real row for its keys
+    and values only, so its queries and all its row-wise work after the
+    attention core run on the real rows among ``rows``. Its attention core
+    attends from query slots, each row's queries first, as many as the most
+    any row has but at least two (``T.attention``), not from all n columns.
+    Row b of the result holds the rows ``rows[b]`` marks, in order, at its
+    front: the real ones' states, and zero for a pad row asked for. So
+    ``mlm_logits_batch`` reads its rows at the front slots, and ``encode``,
+    which asks for the words, gets them packed.
 
     Given ``rng``, a training forward draws each dropout mask from it at
     the shape of the packed rows or attention weights it scales, so neither
@@ -292,7 +305,7 @@ def forward_hidden(model, ids, attention_mask, rng=None, rows=None):
         raise T.ShapeError(f"rows must be a bool mask of shape {(B, L)}, got "
                            f"{asked.dtype} of shape {asked.shape}")
     out = real & asked
-    n, width = _width(real), _width(real | asked)
+    n = _width(real)
     trimmed = real[:, :n]
 
     x = T.add(T.embedding_lookup(p["tok_emb"], ids[real]),
@@ -316,16 +329,20 @@ def forward_hidden(model, ids, attention_mask, rng=None, rows=None):
     if not cfg.layers:
         x = _pick(x, out[real])    # with no block, the final norm narrows
     x = T.layer_norm(x, p["final_ln.g"], p["final_ln.b"])
-    return T.scatter_rows(x, out[:, :width])
+    # each row's asked rows at its front, in order; the real ones get states
+    slots = _front(asked.sum(axis=1))
+    slots[slots] = real[asked]
+    return T.scatter_rows(x, slots)
 
 
 def encode_batch(model, rows, rng=None):
     """Embedding stack of id rows in one graph, a training forward given
-    ``rng``: (N, n, model_dim), n one past the longest row."""
+    ``rng``: (N, m, model_dim), each row's words at its front, m the most
+    words of any row. The forward's last block runs on the words only."""
     ids = np.stack(rows)
     attention, content = row_masks(ids)
-    hidden = forward_hidden(model, ids, attention, rng=rng)
-    return EmbeddingStack(hidden=hidden, content_mask=content[:, :hidden.shape[1]])
+    hidden = forward_hidden(model, ids, attention, rng=rng, rows=content)
+    return EmbeddingStack(hidden=hidden, content_mask=_front(content.sum(axis=1)))
 
 
 # the most rows per forward in ``encode``, and distinct masked rows per
@@ -348,21 +365,23 @@ def block_rows(cfg, longest, least=1):
 def encode(model, rows):
     """Eval-mode embedding stack of a batch of id rows, forwarded on
     ``model.detached()``, so without a tape, ``block_rows`` rows at a time:
-    (N, n, model_dim), n one past the longest row of the whole batch. A block
-    narrower than that is padded with +0.0, as a pad row of a wider forward is."""
+    (N, m, model_dim), each row's words at its front, m the most words of
+    any row of the whole batch. The forward's last block runs on the words
+    only, and a block of fewer words is padded with +0.0, as a row of fewer
+    words is."""
     ids = np.stack(rows)
     attention, content = row_masks(ids)
-    n = _width(attention)
-    size = block_rows(model.config, n)
+    words = _front(content.sum(axis=1))
+    size = block_rows(model.config, _width(attention))
     view = model.detached()
 
     def chunk(i):
-        h = forward_hidden(view, ids[i:i + size], attention[i:i + size]).data
-        return np.pad(h, ((0, 0), (0, n - h.shape[1]), (0, 0)))
+        block = slice(i, i + size)
+        h = forward_hidden(view, ids[block], attention[block], rows=content[block]).data
+        return np.pad(h, ((0, 0), (0, words.shape[1] - h.shape[1]), (0, 0)))
 
     hidden = np.concatenate([chunk(i) for i in range(0, len(ids), size)])
-    return EmbeddingStack(hidden=Tensor(hidden, dtype=hidden.dtype),
-                          content_mask=content[:, :n])
+    return EmbeddingStack(hidden=Tensor(hidden, dtype=hidden.dtype), content_mask=words)
 
 
 def mlm_logits_batch(model, ids, rows, rng=None):
@@ -375,8 +394,9 @@ def mlm_logits_batch(model, ids, rows, rng=None):
     mask of another shape or dtype is a ShapeError."""
     rows = np.asarray(rows)
     hidden = forward_hidden(model, ids, row_masks(ids)[0], rng=rng, rows=rows)
-    B, n, d = hidden.data.shape
-    picked = T.take(T.reshape(hidden, (B * n, d)), np.flatnonzero(rows[:, :n]))
+    B, m, d = hidden.data.shape
+    slots = np.flatnonzero(_front(rows.sum(axis=1)))
+    picked = T.take(T.reshape(hidden, (B * m, d)), slots)
     w = T.transpose(model.params["tok_emb"], (1, 0))
     return T.linear(picked, w, model.params["mlm_bias"])
 

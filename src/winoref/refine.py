@@ -15,7 +15,8 @@ import numpy as np
 
 from . import tensor as T
 from .config import check_choice, check_count, check_real, internal
-from .encoder import MAX_PARAMS, check_step, draw_params, encode, encode_batch
+from .encoder import (MAX_PARAMS, check_cap, check_step, draw_params, encode,
+                      encode_batch)
 from .optim import AdamW, check_finite_loss
 from .scoring import windowed_bertscore
 from .tensor import Tensor
@@ -211,6 +212,22 @@ def _row_tables(groups, vocab, max_len):
     return np.array(group_ids), np.array(kind_ids), np.stack(generated), np.stack(targets)
 
 
+def _score_arrays(kinds, generated, targets, dim):
+    """(shape, key) of the largest arrays the loss terms of a step build
+    beside the encoder's, its groups drawing ``kinds`` kinds each, no
+    generated row over ``generated`` words and no target over ``targets``:
+    ``contrastive_pairs``' (N, N) masks, the contrastive pairs' (P,
+    generated, dim) row gathers and (P, generated, generated) cosine grid,
+    and the reconstruction pairs' (N, targets, generated) grid. The pairs
+    peak when every group draws the same kinds, the j-th shared by the
+    groups that draw more than j."""
+    rows = int(kinds.sum())
+    shared = np.count_nonzero(kinds[:, None] > np.arange(kinds.max()), axis=0)
+    pairs = int((shared * (shared - 1) // 2).sum())
+    return [((rows, rows), None), ((pairs, generated, dim), "encoder.model_dim"),
+            ((pairs, generated, generated), None), ((rows, targets, generated), None)]
+
+
 def refine(model, disc, groups, weights, cfg, score_cfg, vocab):
     """Joint training loop; mutates ``model`` and ``disc`` in place.
 
@@ -241,10 +258,13 @@ def refine(model, disc, groups, weights, cfg, score_cfg, vocab):
     n_kinds = np.bincount(group_ids, minlength=len(groups))
     first = np.cumsum(n_kinds) - n_kinds
     most = np.sort(np.minimum(n_kinds, cfg.perturbations_per_sample))[-cfg.batch_size:]
-    longest = max(row_masks(t)[0].sum(1).max() for t in (gen_ids, target_ids))
-    check_step(model.config, int(most.sum()), int(longest),
-               "refine.batch_size, refine.perturbations_per_sample",
+    # the most real tokens and the most words of a generated and a target row
+    (gen_real, gen_words), (target_real, target_words) = (
+        [int(m.sum(1).max()) for m in row_masks(ids)] for ids in (gen_ids, target_ids))
+    keys = "refine.batch_size, refine.perturbations_per_sample"
+    check_step(model.config, int(most.sum()), max(gen_real, target_real), keys,
                disc_hidden=len(disc.params["b1"].data))
+    check_cap(_score_arrays(most, gen_words, target_words, model.config.model_dim), keys)
     rng = np.random.default_rng(cfg.seed)
     opt = AdamW(model.named_params() + disc.named_params(), lr=cfg.lr,
                 weight_decay=cfg.weight_decay, warmup_steps=cfg.warmup_steps)

@@ -2,7 +2,9 @@
 
 Greedy max-cosine token matching in the style of BERTscore, with matching
 restricted to a sliding window centered on each token. Only word tokens
-take part: special, perturbation and pad positions are never matched.
+take part: special, perturbation and pad positions are never matched. The
+encoder's stacks hold each row's words at its front, so the cosine grids
+span words only; any content mask is read the same way.
 Precision averages each left-side word's best in-window match, recall
 mirrors it, and the two are combined into F1. Every pair of a batch is
 scored in one vectorized computation; it is differentiable, and the max
@@ -28,6 +30,12 @@ class ScoreConfig:
         check_count("score.window_radius", self.window_radius, 0)
 
 
+def _rows(x, index):
+    """The rows of ``x`` at ``index``: ``x`` itself when the index is each
+    of its rows in order, as in a reconstruction pair."""
+    return x if np.array_equal(index, np.arange(len(x.data))) else T.take(x, index)
+
+
 def windowed_bertscore(a, b, ia, ib, cfg):
     """F1 of row ``ia[p]`` of stack ``a`` against row ``ib[p]`` of stack
     ``b`` for every pair p, as a differentiable (P,) tensor.
@@ -49,8 +57,7 @@ def windowed_bertscore(a, b, ia, ib, cfg):
 
     unit_a = T.l2_normalize(a.hidden)
     unit_b = unit_a if b is a else T.l2_normalize(b.hidden)
-    rows_a = T.take(unit_a, ia)
-    rows_b = T.take(unit_b, ib)
+    rows_a, rows_b = _rows(unit_a, ia), _rows(unit_b, ib)
     sim = T.matmul(rows_a, T.transpose(rows_b, (0, 2, 1)))   # (P, La, Lb) cosines
 
     # a word's window coordinate is its index among its row's words, which

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import winoref.refine
 from winoref import cli, encoder
 from winoref.checkpoint import (load as load_checkpoint, params_hash,
                                 save as save_checkpoint)
@@ -560,6 +561,35 @@ def test_discriminator_too_large_to_build_exits_with_one_error_line(pretrained, 
         f"error: the discriminator would hold {count} parameters, over the cap of "
         f"{encoder.MAX_PARAMS}: lower refine.disc_hidden\n")
     assert list(tmp_path.iterdir()) == []
+
+
+def test_refine_score_path_over_the_cap_exits_with_one_error_line(data_dir, tmp_path,
+                                                                   capsys, monkeypatch):
+    # a batch of all 450 groups and their kinds: its encoder arrays and
+    # discriminator hidden are under the cap, but the contrastive pairs'
+    # row gathers, which grow with the square of the batch, are not. The
+    # check used to miss them, and the step built them
+    corpus = tmp_path / "corpus.jsonl"
+    save_perturbation_corpus(corpus, make_perturbation_corpus(450, seed=54))
+    cfg_path = write_config(tmp_path / "run.json", data_dir, out_dir=tmp_path,
+                            batch_size=450, perturbations_per_sample=8)
+    common = ["--config", str(cfg_path), f"--paths.corpus={corpus}"]
+    assert cli.main(["pretrain", *common, "--out", str(tmp_path),
+                     "--pretrain.epochs=0"]) == 0
+    capsys.readouterr()
+
+    def encode_batch(*args, **kwargs):
+        raise AssertionError("a step was about to run")
+
+    monkeypatch.setattr(winoref.refine, "encode_batch", encode_batch)
+    run_out = tmp_path / "refined"
+    assert cli.main(["refine", *common, "--out", str(run_out)]) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: a training step would build an array of shape "
+                        r"\(\d+, \d+, 16\), over the cap of 134217728 values: lower "
+                        r"refine.batch_size, refine.perturbations_per_sample or "
+                        r"encoder.model_dim\n", err), err
+    assert not run_out.exists()
 
 
 @pytest.mark.parametrize("command", ["pretrain", "refine"])

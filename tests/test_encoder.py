@@ -13,6 +13,7 @@ from winoref.encoder import (ENCODE_CHUNK, EncoderConfig, EncoderModel,
                              PretrainConfig, _attention, apply_mlm_masking, encode,
                              encode_batch, forward_hidden, mlm_logits_batch, pretrain_mlm)
 from winoref.optim import AdamW
+from winoref.refine import generated_row
 from winoref.synthetic import make_perturbation_corpus
 from winoref.tensor import Tensor
 from winoref.text import (CLS_ID, FIRST_WORD_ID, MASK_ID, PAD_ID, SEP_ID, UNK_ID,
@@ -75,17 +76,16 @@ class TestEncode:
         seq = seqs[0]
         got = encode(model, [seq]).hidden.data[0]
 
-        # hand trace: token + position embeddings, layer norm, pad rows zeroed
+        # hand trace: token + position embeddings, layer norm, the words kept
         tok = model.params["tok_emb"].data[seq]
         pos = model.params["pos_emb"].data
         x = tok + pos
         mu = x.mean(axis=-1, keepdims=True)
         var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
         expected = (x - mu) / np.sqrt(var + T.LAYER_NORM_EPS)
-        expected *= row_masks(seq)[0][:, None]
-        length = int(row_masks(seq)[0].sum())
-        assert got.shape == (length, cfg.model_dim)
-        np.testing.assert_allclose(got, expected[:length], atol=1e-12)
+        words = row_masks(seq)[1]
+        assert got.shape == (words.sum(), cfg.model_dim)
+        np.testing.assert_allclose(got, expected[words], atol=1e-12)
 
     def test_pad_content_invariance(self, small_setup):
         vocab, cfg, model, seqs = small_setup
@@ -94,9 +94,10 @@ class TestEncode:
         attention = row_masks(seq)[0]
         tweaked = seq.copy()
         tweaked[~attention] = UNK_ID   # rewrite pad content
-        # the original mask: the masks of the tweaked row would count its
+        # the original masks: the masks of the tweaked row would count its
         # former pads as real tokens
-        h2 = forward_hidden(model.detached(), tweaked[None, :], attention[None, :]).data
+        h2 = forward_hidden(model.detached(), tweaked[None, :], attention[None, :],
+                            rows=row_masks(seq)[1][None, :]).data
         np.testing.assert_array_equal(h1, h2)
 
     def test_out_of_range_id_rejected(self, small_setup):
@@ -117,12 +118,14 @@ class TestEncode:
         np.testing.assert_array_equal(stack.content_mask, whole.content_mask)
 
     def test_stack_carries_masks(self, small_setup):
+        # each row's words at its front, the mask true there only
         vocab, cfg, model, seqs = small_setup
         stack = encode_batch(model, seqs[:3])
-        n = max(int(row_masks(seq)[0].sum()) for seq in seqs[:3])
-        assert stack.hidden.shape == (3, n, cfg.model_dim)
-        for row, seq in enumerate(seqs[:3]):
-            np.testing.assert_array_equal(stack.content_mask[row], row_masks(seq)[1][:n])
+        words = [int(row_masks(seq)[1].sum()) for seq in seqs[:3]]
+        assert stack.hidden.shape == (3, max(words), cfg.model_dim)
+        for row, count in enumerate(words):
+            np.testing.assert_array_equal(stack.content_mask[row],
+                                          np.arange(max(words)) < count)
 
     @pytest.mark.parametrize("extra", ["layer", "untied-head", "bogus"])
     def test_load_arrays_rejects_names_the_model_does_not_have(self, small_setup, extra):
@@ -384,7 +387,8 @@ class TestEvalBlocks:
 
         def forward(model, ids, attention, *args, **kwargs):
             blocks.append(len(ids))
-            return Tensor(np.zeros((len(ids), 490, cfg.model_dim)))
+            # the 488 words of each row between [CLS] and [SEP]
+            return Tensor(np.zeros((len(ids), 488, cfg.model_dim)))
 
         monkeypatch.setattr(encoder, "forward_hidden", forward)
         encode(EncoderModel(cfg, seed=0), rows)
@@ -599,7 +603,8 @@ def padded_forward_hidden(model, ids, attention_mask, rng=None):
 
 class TestPackedForward:
     """Packing the real rows changes no bit of any real row and no gradient
-    but the K-sums of the weight matrices'."""
+    but the K-sums of the weight matrices'. The packed forward returns each
+    row's real rows at its front; the padded one, at their columns."""
 
     @pytest.mark.parametrize("dtype, rtol", [("float32", 1e-6), ("float64", 1e-13)])
     @pytest.mark.parametrize("dropout", [None, 0.0, 0.1],
@@ -617,14 +622,16 @@ class TestPackedForward:
         rows.flat[rng.choice(np.flatnonzero(mask), size=20, replace=False)] = True
         targets = rng.integers(0, cfg.vocab_size, size=20)
 
+        b, j = np.nonzero(rows)
         runs = []
-        for forward in (forward_hidden, padded_forward_hidden):
+        for forward, cols in ((forward_hidden, np.cumsum(mask, axis=1) - 1),
+                              (padded_forward_hidden, np.indices(mask.shape)[1])):
             model = EncoderModel(cfg, seed=12)
             p = model.params
             stream = np.random.default_rng(4) if dropout is not None else None
             hidden = forward(model, ids, mask, rng=stream)
             picked = T.take(T.reshape(hidden, (-1, cfg.model_dim)),
-                            np.flatnonzero(rows[:, :hidden.shape[1]]))
+                            b * hidden.shape[1] + cols[b, j])
             logits = T.add(T.matmul(picked, T.transpose(p["tok_emb"], (1, 0))),
                            p["mlm_bias"])
             loss = T.cross_entropy(logits, targets)
@@ -634,10 +641,12 @@ class TestPackedForward:
         (packed, loss, grads), (padded, want_loss, want_grads) = runs
 
         assert packed.dtype == np.dtype(dtype)
-        assert packed.shape == padded.shape == (len(ids), longest, cfg.model_dim)
-        mask = mask[:, :longest]
-        assert packed[mask].tobytes() == padded[mask].tobytes()
-        pads = packed[~mask]
+        # the longest row lost a real row to the mask
+        assert packed.shape == (len(ids), longest - 1, cfg.model_dim)
+        assert padded.shape == (len(ids), longest, cfg.model_dim)
+        front = np.arange(longest - 1) < mask.sum(axis=1)[:, None]
+        assert packed[front].tobytes() == padded[mask[:, :longest]].tobytes()
+        pads = packed[~front]
         assert (pads == 0).all() and not np.signbit(pads).any()
         assert loss.tobytes() == want_loss.tobytes()
         for name, want in want_grads.items():
@@ -829,29 +838,36 @@ def test_position_gradient_is_the_add_at_sum(dtype):
 def widths_batch(seqs, cfg):
     """2·ENCODE_CHUNK + 5 corpus rows, the last one a longer row of words
     that is still short of max_len, so only the last chunk reaches the
-    batch's longest row: (rows, row lengths)."""
+    batch's most words: (rows, word counts)."""
     rows = [seqs[i % len(seqs)] for i in range(2 * ENCODE_CHUNK + 4)]
     longest = max(int(row_masks(row)[0].sum()) for row in rows) + 2
     assert longest < cfg.max_len
     rows.append(word_row(np.random.default_rng(4), longest, cfg))
-    return rows, [int(row_masks(row)[0].sum()) for row in rows]
+    return rows, [int(row_masks(row)[1].sum()) for row in rows]
 
 
 def full_width_reference(model, rows):
-    """Eval-mode hidden states of each row, forwarded beside a max_len row,
-    so every stack is max_len wide: (N, max_len, d)."""
+    """Eval-mode hidden states of each row's words, from a forward of every
+    real row beside a max_len row, packed at the front of a max_len wide
+    stack: (N, max_len, d)."""
     full = word_row(np.random.default_rng(5), model.config.max_len, model.config)
-    return np.stack([eval_hidden(model, [row, full])[0] for row in rows])
+    out = np.zeros((len(rows), model.config.max_len, model.config.model_dim),
+                   dtype=model.params["tok_emb"].data.dtype)
+    for i, row in enumerate(rows):
+        words = row_masks(row)[1]
+        out[i, :words.sum()] = eval_hidden(model, [row, full])[0][words]
+    return out
 
 
 class TestStackWidth:
-    """A stack is exactly as wide as its longest row, and each of its rows
-    holds the bits a full-width forward gives that row."""
+    """A stack is exactly as wide as its most words, and each of its rows
+    holds at its front the bits a forward of every real row gives that
+    row's words, +0.0 after them."""
 
     @pytest.mark.parametrize("make", ["encode_batch", "encode", "select"])
     def test_as_wide_as_the_longest_row(self, small_setup, make):
         _, cfg, model, seqs = small_setup
-        rows, lengths = widths_batch(seqs, cfg)
+        rows, words = widths_batch(seqs, cfg)
         picked = np.arange(len(rows))
         if make == "encode_batch":
             stack = encode_batch(model.detached(), rows)
@@ -861,21 +877,21 @@ class TestStackWidth:
             # every row but the longest, unsorted and repeated
             picked = np.array([7, 2, ENCODE_CHUNK + 3, 7, 2 * ENCODE_CHUNK + 1])
             stack = encode(model, rows).select(picked)
-        n = max(lengths[i] for i in picked)
+        n = max(words[i] for i in picked)
         if make == "select":
-            assert n < max(lengths)
+            assert n < max(words)
         assert stack.hidden.shape == (len(picked), n, cfg.model_dim)
         np.testing.assert_array_equal(
-            stack.content_mask, row_masks(np.stack(rows))[1][picked, :n])
+            stack.content_mask, np.arange(n) < np.array(words)[picked, None])
         want = full_width_reference(model, [rows[i] for i in picked])
         assert stack.hidden.data.tobytes() == want[:, :n].tobytes()
 
     def test_encode_pads_its_narrower_chunks_with_positive_zeros(self, small_setup):
         _, cfg, model, seqs = small_setup
-        rows, lengths = widths_batch(seqs, cfg)
+        rows, words = widths_batch(seqs, cfg)
         hidden = encode(model, rows).hidden.data
         for start in (0, ENCODE_CHUNK):
-            width = max(lengths[start:start + ENCODE_CHUNK])
+            width = max(words[start:start + ENCODE_CHUNK])
             assert width < hidden.shape[1]
             extra = hidden[start:start + ENCODE_CHUNK, width:]
             assert (extra == 0).all() and not np.signbit(extra).any()
@@ -898,6 +914,61 @@ class TestStackWidth:
             alone = mlm_logits_batch(view, ids[b:b + 1], asked[b:b + 1]).data
             assert batched.dtype == dtype
             assert batched.tobytes() == alone.tobytes(), b
+
+
+def quickstart_batch(seed=3):
+    """A quickstart-sized model of ``QUICKSTART_ENCODER`` and a refine-like
+    batch of 60 rows, each base sentence conditioned on a kind token and
+    each variant as itself: (model, rows)."""
+    groups = make_perturbation_corpus(10, seed=seed)
+    vocab = build_vocab(corpus_sentences(groups))
+    cfg = EncoderConfig(**{**QUICKSTART_ENCODER, "vocab_size": len(vocab)})
+    rows = []
+    for g in groups:
+        for kind in g.available_kinds()[:3]:
+            rows += [generated_row(g, kind, vocab, cfg.max_len),
+                     tokenize(g.variant_text(kind), vocab, cfg.max_len)]
+    return EncoderModel(cfg, seed=seed), rows
+
+
+class TestWordStacks:
+    """``encode`` and ``encode_batch`` run the last block on the words only;
+    at the quickstart widths in float32 each word keeps the bits a forward
+    of every real row gives it."""
+
+    @pytest.mark.parametrize("make", ["encode", "encode_batch", "encode_batch-train"])
+    def test_each_word_row_is_its_row_of_an_all_rows_forward(self, make):
+        T.set_dtype("float32")
+        model, rows = quickstart_batch()
+        ids = np.stack(rows)
+        attention, content = row_masks(ids)
+        train = make == "encode_batch-train"
+
+        def stream():
+            # the quickstart's dropout is 0: a training forward draws no mask
+            return np.random.default_rng(1) if train else None
+
+        if make == "encode":
+            stack = encode(model, rows)
+        else:
+            stack = encode_batch(model.detached(), rows, rng=stream())
+        every = forward_hidden(model.detached(), ids, attention, rng=stream()).data
+        words = stack.hidden.data[stack.content_mask]
+        assert words.dtype == np.float32 and len(words) == content.sum()
+        assert words.tobytes() == every[content[:, :every.shape[1]]].tobytes()
+        rest = stack.hidden.data[~stack.content_mask]
+        assert (rest == 0).all() and not np.signbit(rest).any()
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_encode_of_one_row_is_that_row_of_a_batch(self, dtype):
+        T.set_dtype(dtype)
+        model, rows = quickstart_batch(seed=4)
+        batch = encode(model, rows)
+        for i in (0, 1, 17, len(rows) - 1):
+            alone = encode(model, [rows[i]])
+            k = int(alone.content_mask.sum())
+            assert alone.hidden.shape[1] == k
+            assert alone.hidden.data[0].tobytes() == batch.hidden.data[i, :k].tobytes()
 
 
 class TestMlmLogits:
@@ -1180,12 +1251,16 @@ class TestAskedRows:
         view = model.detached()
         got = mlm_logits_batch(view, ids, rows, rng=streams[0]).data
         want = full_stack_logits(view, ids, mask, rows, rng=streams[1]).data
-        hidden = forward_hidden(view, ids, mask, rng=streams[2],
-                                rows=rows).data.reshape(-1, cfg.model_dim)
+        hidden = forward_hidden(view, ids, mask, rng=streams[2], rows=rows).data
         assert got.shape == (np.count_nonzero(rows), cfg.vocab_size)
         assert got.dtype == dtype
         assert np.abs(got - want).max() <= rtol * np.abs(want).max()
-        asked = (rows & mask).reshape(-1)
+        # each row's asked rows at its front, in order; a real one nonzero
+        assert hidden.shape[:2] == (len(ids), max(1, rows.sum(axis=1).max()))
+        b, j = np.nonzero(rows)
+        real = mask[b, j]
+        asked = np.zeros(hidden.shape[:2], dtype=bool)
+        asked[b[real], (np.cumsum(rows, axis=1) - 1)[b, j][real]] = True
         assert (hidden[~asked] == 0).all() and not np.signbit(hidden[~asked]).any()
         assert (hidden[asked] != 0).any(axis=-1).all()
 

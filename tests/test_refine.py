@@ -12,14 +12,15 @@ from winoref.encoder import (EmbeddingStack, EncoderConfig, EncoderModel,
 from winoref.optim import AdamW
 from winoref.refine import (N_KINDS, Discriminator, LossWeights, RefinementConfig,
                             contrastive_loss, contrastive_pairs, diversity_loss,
-                            generated_row, reconstruction_loss, refine,
-                            _TERM_BOUND)
+                            generated_row, pooled_stack, reconstruction_loss,
+                            refine, _TERM_BOUND)
 from winoref.scoring import ScoreConfig, windowed_bertscore
 from winoref.synthetic import make_perturbation_corpus
 from winoref.tensor import Tensor
 from winoref.text import (FIRST_WORD_ID, KIND_INDEX, PERTURBATION_KINDS,
                           PerturbationKind, PerturbedGroup, build_vocab,
-                          corpus_sentences, load_perturbation_corpus, tokenize)
+                          corpus_sentences, load_perturbation_corpus, tokenize,
+                          word_tokens)
 
 from conftest import kind_probe_accuracy, min_same_kind_distance, record_draws
 from test_scoring import batch_of, make_stack, random_stack
@@ -238,6 +239,60 @@ class TestContrastiveLoss:
             assert want != 0.0 and np.abs(want_grad).max() > 0
             assert abs(got - want) <= tol * abs(want)
             assert np.abs(got_grad - want_grad).max() <= tol * np.abs(want_grad).max()
+
+
+def spread_and_packed(rng, rows, width=14, d=8):
+    """The same word rows as two float64 stacks with gradients: one with each
+    row's words after [CLS] and perhaps a kind token, then [SEP] and zero
+    pads, and one with the words packed at the front, +0.0 after them, as
+    ``encode`` lays them out: (spread, packed)."""
+    counts = rng.integers(1, width - 3, size=rows)
+    spread = rng.normal(size=(rows, width, d))
+    content = np.zeros((rows, width), dtype=bool)
+    for i, k in enumerate(counts):
+        start = 1 + rng.integers(0, 2)
+        content[i, start:start + k] = True
+        spread[i, start + k + 1:] = 0.0
+    front = np.arange(counts.max()) < counts[:, None]
+    packed = np.zeros((rows, counts.max(), d))
+    packed[front] = spread[content]
+    return tuple(EmbeddingStack(hidden=Tensor(h, requires_grad=True), content_mask=m)
+                 for h, m in ((spread, content), (packed, front)))
+
+
+class TestPackedLayout:
+    """The score and the loss terms read a stack's words through its mask,
+    so the words packed at the front, as ``encode`` lays them out, give the
+    values and the word gradients they give among special and pad columns."""
+
+    def test_scores_and_terms_match_across_layouts(self):
+        rng = np.random.default_rng(17)
+        samples = np.repeat(np.arange(4), 3)
+        kinds = np.tile(np.arange(3), 4)
+        generated = spread_and_packed(rng, len(samples))
+        targets = spread_and_packed(rng, len(samples))
+        pairs = contrastive_pairs(samples, kinds)
+        cfg = ScoreConfig()
+        disc = Discriminator(8, 16, dropout=0.2, seed=3)
+        runs = []
+        for layout in (0, 1):
+            gen, tgt = generated[layout], targets[layout]
+            terms = [windowed_bertscore(tgt, gen, np.arange(12), np.arange(12), cfg),
+                     windowed_bertscore(gen, gen, *pairs, cfg),
+                     windowed_bertscore(gen, tgt, [5, 0, 5], [2, 11, 5], cfg),
+                     reconstruction_loss(tgt, gen, 130.0, cfg),
+                     contrastive_loss(gen, pairs, 0.5, cfg),
+                     diversity_loss(gen, kinds, disc, 2.5, np.random.default_rng(2)),
+                     pooled_stack(gen)]
+            T.backward(T.add(T.add(terms[3], terms[4]), terms[5]))
+            grad = gen.hidden.grad[gen.content_mask]
+            runs.append(([t.data for t in terms], grad, gen.hidden.grad[~gen.content_mask]))
+        (spread, spread_grad, _), (packed, packed_grad, rest) = runs
+        assert len(pairs[0]) > 0
+        for got, want in zip(packed, spread):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(packed_grad, spread_grad, rtol=0, atol=1e-12)
+        assert not rest.any()
 
 
 class TestDiversityLoss:
@@ -483,14 +538,15 @@ class TestRefineTargets:
 
 
 class TestStepBudget:
-    @pytest.mark.parametrize("dropout, disc_hidden, bound, key", [
-        # the attention scores of the generated rows
-        (0.1, 16, (11, 2, 24, 24), "encoder.heads"),
+    @pytest.mark.parametrize("dropout, disc_hidden, bound, drawn, key", [
+        # the attention scores of the generated rows; the one block, the
+        # last, attends from its rows' 21 words only
+        (0.1, 16, (11, 2, 24, 24), (11, 2, 21, 24), "encoder.heads"),
         # the encoder draws no mask; the discriminator's hidden is the largest
-        (0.0, 2048, (11, 2048), "refine.disc_hidden"),
+        (0.0, 2048, (11, 2048), (11, 2048), "refine.disc_hidden"),
     ], ids=["heads", "disc-hidden"])
     def test_refine_checks_its_largest_step_before_the_first(
-            self, tiny_world, monkeypatch, dropout, disc_hidden, bound, key):
+            self, tiny_world, monkeypatch, dropout, disc_hidden, bound, drawn, key):
         groups, vocab, cfg = tiny_world
         cfg = dataclasses.replace(cfg, dropout=dropout)
         # groups of 1, 2, 5 and 6 kinds; a step samples up to 4 of each, so
@@ -511,7 +567,7 @@ class TestStepBudget:
         shapes = record_draws(monkeypatch)
         monkeypatch.setattr(encoder, "MAX_STEP_VALUES", cap)
         run(EncoderModel(cfg, seed=0))
-        assert bound in shapes     # drawn at the shape of what it scales
+        assert drawn in shapes     # drawn at the shape of what it scales
 
         def encode_batch(*args, **kwargs):
             raise AssertionError("a step was about to run")
@@ -529,6 +585,50 @@ class TestStepBudget:
             f"refine.perturbations_per_sample or {key}")
         assert shapes == []
         assert all(np.array_equal(q.data, before[name]) for name, q in model.named_params())
+
+    def test_refine_bounds_its_score_path_before_the_first_step(self, tiny_world,
+                                                                monkeypatch):
+        # six groups of the same seven kinds, all drawn: the step's 105
+        # contrastive pairs gather (105, words, 64) rows, more than any
+        # encoder array or the discriminator's hidden holds, and the gathers
+        # grow with the square of the batch. The check used to bound the
+        # encoder's arrays only
+        groups, vocab, cfg = tiny_world
+        groups = groups[:6]
+        assert {len(g.available_kinds()) for g in groups} == {7}
+        cfg = dataclasses.replace(cfg, heads=1, model_dim=64)
+        r_cfg = _refine_cfg(epochs=1, batch_size=6, perturbations_per_sample=7)
+        words = max(len(word_tokens(g.base)) for g in groups)
+        gathers = (7 * 15, words, 64)
+        taken = []
+        take = T.take
+
+        def spy(a, rows):
+            out = take(a, rows)
+            taken.append(out.data.shape)
+            return out
+
+        def run(model):
+            disc = Discriminator(cfg.model_dim, 16, dropout=0.2, seed=0)
+            refine(model, disc, groups, LossWeights(), r_cfg, ScoreConfig(), vocab)
+
+        cap = math.prod(gathers)
+        monkeypatch.setattr(T, "take", spy)
+        monkeypatch.setattr(encoder, "MAX_STEP_VALUES", cap)
+        run(EncoderModel(cfg, seed=0))
+        assert max(taken, key=math.prod) == gathers
+
+        def encode_batch(*args, **kwargs):
+            raise AssertionError("a step was about to run")
+
+        monkeypatch.setattr(winoref.refine, "encode_batch", encode_batch)
+        monkeypatch.setattr(encoder, "MAX_STEP_VALUES", cap - 1)
+        with pytest.raises(ValueError) as e:
+            run(EncoderModel(cfg, seed=0))
+        assert str(e.value) == (
+            f"a training step would build an array of shape {gathers}, over the cap "
+            f"of {cap - 1} values: lower refine.batch_size, "
+            f"refine.perturbations_per_sample or encoder.model_dim")
 
     def test_discriminator_over_the_parameter_cap_is_rejected_before_any_draw(
             self, monkeypatch):
