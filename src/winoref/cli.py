@@ -1,9 +1,13 @@
 """Batch command-line front end.
 
-Commands: pretrain, refine, evaluate, ablate, sweep, score. Every command
-takes ``--config FILE`` plus flat ``--section.key=value`` overrides; every
-artifact embeds the resolved config and a content hash, and carries no
-timestamps, so identical configs and seeds reproduce identical bytes.
+Commands: pretrain, refine, evaluate, ablate, sweep, score, gen-data.
+Every command takes ``--config FILE`` plus flat ``--section.key=value``
+overrides, which set every run value, the seed ``runtime.seed`` among them,
+and ``--out DIR``, the output root (default ``out``). Every artifact embeds
+the resolved config and a content hash, and carries no timestamps, so
+identical configs and seeds reproduce identical bytes. Every failure is a
+``ValueError`` or an ``OSError``, which ``main`` prints as one ``error:``
+line.
 """
 
 import argparse
@@ -37,14 +41,10 @@ from .text import (SchemaInstance, Vocabulary, benchmark_texts, build_vocab,
 WEIGHT_NAMES = [f.name for f in dataclasses.fields(LossWeights)]
 
 
-class CliError(Exception):
-    pass
-
-
 def _require(cfg, section, key, hint):
     value = cfg[section][key]
     if not value:
-        raise CliError(f"config value {section}.{key} is required ({hint})")
+        raise ValueError(f"config value {section}.{key} is required ({hint})")
     return value
 
 
@@ -59,8 +59,8 @@ def _report_names(paths, files, what):
     for path in paths:
         name = os.path.splitext(os.path.basename(path))[0]
         if name in seen:
-            raise CliError(f"{files} files {seen[name]} and {path} share the "
-                           f"{what} {name!r}")
+            raise ValueError(f"{files} files {seen[name]} and {path} share the "
+                             f"{what} {name!r}")
         seen[name] = path
         names.append(name)
     return names
@@ -74,7 +74,7 @@ def _load_datasets(paths, vocab=None):
     datasets = [(name, load_benchmark(path, vocab)) for name, path in zip(names, paths)]
     for path, (_, instances) in zip(paths, datasets):
         if not instances:
-            raise CliError(f"benchmark file {path} holds no instance")
+            raise ValueError(f"benchmark file {path} holds no instance")
     return datasets
 
 
@@ -92,10 +92,10 @@ def _load_model(path, vocab, vocab_path):
         model = EncoderModel(EncoderConfig.from_dict(meta.get("encoder_config")), seed=0)
         model.load_arrays(arrays)
     except ValueError as e:
-        raise CliError(f"{path}: {e}") from None
+        raise ValueError(f"{path}: {e}") from None
     if model.config.vocab_size != len(vocab):
-        raise CliError(f"checkpoint {path} has {model.config.vocab_size} token ids but "
-                       f"vocabulary {vocab_path} has {len(vocab)} tokens")
+        raise ValueError(f"checkpoint {path} has {model.config.vocab_size} token ids but "
+                         f"vocabulary {vocab_path} has {len(vocab)} tokens")
     return model
 
 
@@ -110,8 +110,8 @@ def _refine_inputs(cfg):
     built = model.config.to_dict()
     for key, value in cfg["encoder"].items():
         if value != built[key]:
-            raise CliError(f"checkpoint {init_path} was built with encoder.{key} "
-                           f"{built[key]!r}, but the run config sets {value!r}")
+            raise ValueError(f"checkpoint {init_path} was built with encoder.{key} "
+                             f"{built[key]!r}, but the run config sets {value!r}")
     return groups, vocab, model
 
 
@@ -244,10 +244,9 @@ def cmd_evaluate(cfg, out, checkpoints, dataset_paths, emit_json, emit_csv):
 
 
 def cmd_ablate(cfg, out):
-    if not cfg["paths"]["benchmarks"]:
-        raise CliError("ablate needs paths.benchmarks to evaluate on")
+    bench_paths = _require(cfg, "paths", "benchmarks", "benchmark files to evaluate on")
     groups, vocab, init_model = _refine_inputs(cfg)
-    datasets = _load_datasets(cfg["paths"]["benchmarks"], vocab)
+    datasets = _load_datasets(bench_paths, vocab)
     full = C.build(LossWeights, cfg["refine"])
     runs = [("baseline", LossWeights(0.0, 0.0, 0.0)),
             ("contrastive+diversity", dataclasses.replace(full, alpha=0.0)),
@@ -275,28 +274,27 @@ def _parse_grid(tokens):
     for tok in tokens:
         name, _, raw = tok.partition("=")
         if name not in WEIGHT_NAMES:
-            raise CliError(f"sweep grid axis must be {', '.join(WEIGHT_NAMES[:-1])} or "
-                           f"{WEIGHT_NAMES[-1]}, got {name!r}")
+            raise ValueError(f"sweep grid axis must be {', '.join(WEIGHT_NAMES[:-1])} or "
+                             f"{WEIGHT_NAMES[-1]}, got {name!r}")
         if name in grid:
-            raise CliError(f"sweep grid axis {name!r} is given twice")
+            raise ValueError(f"sweep grid axis {name!r} is given twice")
         try:
             grid[name] = [float(v) for v in raw.split(",") if v]
         except ValueError:
-            raise CliError(f"bad grid values for {name!r}: {raw!r}")
+            raise ValueError(f"bad grid values for {name!r}: {raw!r}")
         if not grid[name]:
-            raise CliError(f"grid axis {name!r} has no values")
+            raise ValueError(f"grid axis {name!r} has no values")
     return grid
 
 
 def cmd_sweep(cfg, out, grid_tokens):
-    if not cfg["paths"]["benchmarks"]:
-        raise CliError("sweep needs paths.benchmarks to rank runs")
+    bench_paths = _require(cfg, "paths", "benchmarks", "benchmark files to rank runs on")
     grid = _parse_grid(grid_tokens)
     axes = [grid.get(name, [cfg["refine"][name]]) for name in WEIGHT_NAMES]
     settings = [(f"run_{i:03d}", LossWeights(*point))
                 for i, point in enumerate(itertools.product(*axes))]
     groups, vocab, init_model = _refine_inputs(cfg)
-    datasets = _load_datasets(cfg["paths"]["benchmarks"], vocab)
+    datasets = _load_datasets(bench_paths, vocab)
 
     runs = []
     for name, weights, model, accs in refine_and_evaluate(init_model, settings, groups,
@@ -319,8 +317,6 @@ def cmd_sweep(cfg, out, grid_tokens):
 
 
 def cmd_score(cfg, checkpoint, sentence, candidate1, candidate2):
-    if not checkpoint:
-        raise CliError("score needs --checkpoint")
     inst = SchemaInstance(sentence=sentence, candidate1=candidate1,
                           candidate2=candidate2, label=1)
     inst.check()
@@ -363,11 +359,11 @@ def cmd_gen_data(out, n_groups, n_instances, seed):
 
 
 class _Parser(argparse.ArgumentParser):
-    """An argument parser whose errors are ``CliError``s, so a bad command
+    """An argument parser whose errors are ``ValueError``s, so a bad command
     line prints one ``error:`` line, as every other failure does."""
 
     def error(self, message):
-        raise CliError(f"{self.prog}: {message}")
+        raise ValueError(f"{self.prog}: {message}")
 
 
 def _build_parser():
@@ -379,10 +375,9 @@ def _build_parser():
 
     def common(p):
         p.add_argument("--config", default=None, help="JSON config file")
-        p.add_argument("--out", default=None, help="output directory "
-                       "(default: config runtime.out_dir, $WINOREF_OUT, ./out)")
-        p.add_argument("--seed", type=int, default=None,
-                       help="set runtime.seed, the seed of every command")
+        p.add_argument("--out", default="out",
+                       help="output directory, made when a file is written into it "
+                            "(default: ./out)")
 
     common(sub.add_parser("pretrain", help="train the stand-in initial LM"))
     common(sub.add_parser("refine", help="run self-supervised refinement"))
@@ -404,7 +399,7 @@ def _build_parser():
 
     p_score = sub.add_parser("score", help="score one instance")
     common(p_score)
-    p_score.add_argument("--checkpoint", default=None)
+    p_score.add_argument("--checkpoint", required=True, help="checkpoint to score with")
     p_score.add_argument("--sentence", required=True,
                          help="sentence with a literal _ pronoun slot")
     p_score.add_argument("--candidate1", required=True)
@@ -421,27 +416,26 @@ def _run(argv):
     """Run the command of ``argv``; its exit status."""
     args, extra = _build_parser().parse_known_args(argv)
     overrides = C.parse_overrides(extra)
-    cfg = C.load_config(args.config, overrides, seed=args.seed)
+    cfg = C.load_config(args.config, overrides)
     T.set_dtype(cfg["runtime"]["precision"])
-    out = C.out_dir(cfg, args.out)
     # a diverging run overflows a matmul before its loss check fails it
     with np.errstate(over="ignore"):
         if args.command == "pretrain":
-            return cmd_pretrain(cfg, out)
+            return cmd_pretrain(cfg, args.out)
         if args.command == "refine":
-            return cmd_refine(cfg, out)
+            return cmd_refine(cfg, args.out)
         if args.command == "evaluate":
-            return cmd_evaluate(cfg, out, args.checkpoint, args.datasets,
+            return cmd_evaluate(cfg, args.out, args.checkpoint, args.datasets,
                                 args.json, args.csv)
         if args.command == "ablate":
-            return cmd_ablate(cfg, out)
+            return cmd_ablate(cfg, args.out)
         if args.command == "sweep":
-            return cmd_sweep(cfg, out, args.grid)
+            return cmd_sweep(cfg, args.out, args.grid)
         if args.command == "score":
             return cmd_score(cfg, args.checkpoint, args.sentence,
                              args.candidate1, args.candidate2)
         # gen-data: argparse has rejected any command that is not a subcommand
-        return cmd_gen_data(out, args.groups, args.instances, cfg["runtime"]["seed"])
+        return cmd_gen_data(args.out, args.groups, args.instances, cfg["runtime"]["seed"])
 
 
 def main(argv=None):
@@ -454,7 +448,7 @@ def main(argv=None):
     try:
         with contextlib.redirect_stderr(notes):
             status = _run(argv)
-    except (CliError, C.ConfigError, ValueError, OSError) as e:
+    except (ValueError, OSError) as e:
         message = str(e).replace("\n", " ")
         print(f"error: {message}", file=sys.stderr)
         return 1

@@ -3,9 +3,12 @@
 A run config is a two-level dict of sections. Every section is the fields
 of the config dataclasses it builds (see ``_sections``), which hold the
 defaults and the checks. Files supply any subset; the defaults fill the
-rest; ``--section.key=value`` tokens override last. The fully resolved
-config is embedded verbatim in every output artifact together with a
-content hash, so artifacts are traceable to their exact configuration.
+rest; ``--section.key=value`` tokens override last. Each key has no other
+source: the seed is ``runtime.seed`` alone. The fully resolved config is
+embedded verbatim in every output artifact together with a content hash,
+so artifacts are traceable to their exact configuration. Where a run
+writes its files is not part of it: the output root is the command line's
+``--out``.
 """
 
 import dataclasses
@@ -17,10 +20,6 @@ import numbers
 import os
 
 from .tensor import DTYPES
-
-
-class ConfigError(ValueError):
-    pass
 
 
 def internal(default):
@@ -70,12 +69,10 @@ def check_path(name, value):
 class RuntimeConfig:
     seed: int = 0
     precision: str = "float64"
-    out_dir: str = None           # falls back to $WINOREF_OUT, then ./out
 
     def __post_init__(self):
         check_count("runtime.seed", self.seed, 0)
         check_choice("runtime.precision", self.precision, tuple(DTYPES))
-        check_path("runtime.out_dir", self.out_dir)
 
 
 @dataclasses.dataclass
@@ -134,36 +131,35 @@ def parse_overrides(tokens):
     out = {}
     for tok in tokens:
         if not tok.startswith("--") or "=" not in tok or "." not in tok.split("=", 1)[0]:
-            raise ConfigError(f"unrecognized argument {tok!r} "
-                              f"(overrides look like --section.key=value)")
+            raise ValueError(f"unrecognized argument {tok!r} "
+                             f"(overrides look like --section.key=value)")
         key, _, raw = tok[2:].partition("=")
         section, _, name = key.partition(".")
         out[(section, name)] = _coerce(raw)
     return out
 
 
-def load_config(path=None, overrides=None, seed=None):
-    """Resolved config dict: defaults <- file <- overrides <- --seed. Every
-    key is checked, so a bad one fails before any work starts."""
+def load_config(path=None, overrides=None):
+    """Resolved config dict: defaults <- file <- overrides, where
+    ``overrides`` is what ``parse_overrides`` returns. Every key is checked,
+    so a bad one fails before any work starts."""
     sections = _sections()
     cfg = {name: {f.name: _default(f) for cls in classes for f in _keys(cls)}
            for name, classes in sections.items()}
     if path:
         for section, values in read_json(path, "config").items():
             if section not in cfg:
-                raise ConfigError(f"{path}: unknown section {section!r}")
+                raise ValueError(f"{path}: unknown section {section!r}")
             if not isinstance(values, dict):
-                raise ConfigError(f"{path}: section {section!r} must be an object")
+                raise ValueError(f"{path}: section {section!r} must be an object")
             for key, value in values.items():
                 if key not in cfg[section]:
-                    raise ConfigError(f"{path}: unknown key {section}.{key}")
+                    raise ValueError(f"{path}: unknown key {section}.{key}")
                 cfg[section][key] = value
     for (section, key), value in (overrides or {}).items():
         if section not in cfg or key not in cfg[section]:
-            raise ConfigError(f"unknown override {section}.{key}")
+            raise ValueError(f"unknown override {section}.{key}")
         cfg[section][key] = value
-    if seed is not None:
-        cfg["runtime"]["seed"] = seed
     for name, classes in sections.items():
         for cls in classes:
             build(cls, cfg[name])
@@ -235,11 +231,6 @@ def canonical_json(obj):
 
 def config_hash(cfg):
     return "sha256:" + hashlib.sha256(canonical_json(cfg).encode()).hexdigest()
-
-
-def out_dir(cfg, cli_value=None):
-    """Output root: CLI flag, then config, then $WINOREF_OUT, then ./out."""
-    return cli_value or cfg["runtime"]["out_dir"] or os.environ.get("WINOREF_OUT") or "out"
 
 
 def out_file(root, *names):

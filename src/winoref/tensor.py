@@ -188,17 +188,16 @@ def backward(loss):
     the tape held is freed as the walk passes it. Leaf gradients stay, and
     each node the caller holds keeps its ``data`` and ``grad``.
 
-    Re-running backward on the same root is rejected: the tape is consumed
-    by the first pass and reuse would silently double-accumulate. So is a
-    pass through a node that an earlier pass from another root went
-    through, because its tape is gone.
+    A node whose backward has run is spent, and a pass from it or through
+    it again is rejected: its tape is gone, and reuse would silently
+    double-accumulate. A leaf or a constant has no tape and is never spent,
+    so a pass from a scalar leaf adds to its gradient each time it runs.
     """
     loss = astensor(loss)
     if loss.data.size != 1:
         raise ShapeError(f"backward requires a scalar, got shape {loss.data.shape}")
     if loss._backward_ran:
         raise RuntimeError("backward already ran on this graph; re-run the forward pass first")
-    loss._backward_ran = True
     if not loss.requires_grad:
         return
 
@@ -219,22 +218,17 @@ def backward(loss):
             topo.append(node)
             stack.pop()
 
-    nodes = [node for node in topo if node._backward_fn is not None]
-    del topo                        # no node is held past its turn
-    if any(node._backward_ran for node in nodes if node is not loss):
+    if any(node._backward_ran for node in topo):
         raise RuntimeError("backward already ran through part of this graph; "
                            "re-run the forward pass first")
+    nodes = [node for node in topo if node._backward_fn is not None]
+    del topo                        # no node is held past its turn
     loss._accum(np.ones_like(loss.data))
     while nodes:
         node = nodes.pop()
         node._backward_ran = True
         node._backward_fn(node.grad)
-        node._backward_fn, node._parents = _consumed, ()
-
-
-def _consumed(g):
-    """The backward of a node whose backward has run: its tape is gone."""
-    raise RuntimeError(f"backward already ran here; a {np.shape(g)} gradient has no tape")
+        node._backward_fn, node._parents = None, ()
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ import winoref.refine
 from winoref import cli, encoder
 from winoref.checkpoint import (load as load_checkpoint, params_hash,
                                 save as save_checkpoint)
-from winoref.config import load_config
+from winoref.config import load_config, parse_overrides
 from winoref.optim import EPS
 from winoref.refine import N_KINDS
 from winoref.synthetic import MAX_GROUPS, make_benchmark, make_perturbation_corpus
@@ -117,7 +117,7 @@ class TestPretrain:
             out = tmp_path / name
             out.mkdir()
             assert cli.main(["pretrain", "--config", str(cfg_path),
-                             "--out", str(out), "--seed", "7"]) == 0
+                             "--out", str(out), "--runtime.seed=7"]) == 0
             outs.append((out / "init.ckpt.json").read_bytes())
         assert outs[0] == outs[1]
 
@@ -259,7 +259,6 @@ BAD_VALUES = [
     ("refine", "batch_size", "0"), ("refine", "batch_size", "false"),
     ("runtime", "seed", "abc"), ("runtime", "seed", "-1"),
     ("runtime", "precision", "32"), ("runtime", "precision", "float16"),
-    ("runtime", "out_dir", "5"),
     ("paths", "corpus", "5"), ("paths", "benchmarks", "x.jsonl"),
     ("paths", "benchmarks", '["a.jsonl", 1]'), ("paths", "vocab", "[]"),
     ("paths", "init_checkpoint", "true"),
@@ -290,7 +289,7 @@ BAD_VALUES = [
 
 
 def test_seed_flag_sets_the_one_run_seed():
-    cfg = load_config(seed=3)
+    cfg = load_config(overrides=parse_overrides(["--runtime.seed=3"]))
     assert cfg["runtime"]["seed"] == 3
     assert [key for section in cfg.values() for key in section].count("seed") == 1
 
@@ -334,12 +333,13 @@ def test_removed_score_switches_are_unknown_keys(pretrained, tmp_path, capsys, k
 @pytest.mark.parametrize("where", ["file", "override"])
 @pytest.mark.parametrize("section,key,value", [
     ("encoder", "tie_mlm_head", False), ("pretrain", "adam_eps", 1e-6),
-    ("refine", "adam_eps", 1e-6)])
+    ("refine", "adam_eps", 1e-6), ("runtime", "out_dir", "x")])
 def test_removed_constants_are_unknown_keys(pretrained, tmp_path, capsys, where,
                                             section, key, value):
-    # the MLM head is always the token table and AdamW's epsilon is
-    # optim.EPS; a run config that still sets either is rejected, not ignored
-    assert sum(map(len, load_config().values())) == 32
+    # the MLM head is always the token table, AdamW's epsilon is optim.EPS
+    # and the output root is --out's; a run config that still sets any of
+    # them is rejected, not ignored
+    assert sum(map(len, load_config().values())) == 31
     _, cfg_path = pretrained
     argv = ["refine", "--config", str(cfg_path), "--out", str(tmp_path)]
     if where == "file":
@@ -399,14 +399,19 @@ def test_bad_command_line_exits_with_one_error_line(tmp_path, capsys, monkeypatc
 
 
 @pytest.mark.parametrize("argv,message", [
-    (["ablate", "--paths.benchmarks=[]"], "ablate needs paths.benchmarks to evaluate on"),
-    (["sweep", "--paths.benchmarks=[]"], "sweep needs paths.benchmarks to rank runs"),
+    (["ablate", "--paths.benchmarks=[]"],
+     "config value paths.benchmarks is required (benchmark files to evaluate on)"),
+    (["sweep", "--paths.benchmarks=[]"],
+     "config value paths.benchmarks is required (benchmark files to rank runs on)"),
     (["sweep", "--grid", "alpha=x"], "bad grid values for 'alpha': 'x'"),
     (["sweep", "--grid", "alpha=,"], "grid axis 'alpha' has no values"),
     (["refine", "--foo"], "unrecognized argument '--foo' "
                           "(overrides look like --section.key=value)"),
+    # the seed is runtime.seed alone
+    (["pretrain", "--seed", "1"], "unrecognized argument '--seed' "
+                                  "(overrides look like --section.key=value)"),
 ], ids=["ablate-no-benchmarks", "sweep-no-benchmarks", "grid-value-not-a-number",
-        "grid-axis-without-values", "override-without-a-key"])
+        "grid-axis-without-values", "override-without-a-key", "seed-flag"])
 def test_bad_run_input_exits_with_one_error_line(pretrained, tmp_path, capsys, argv,
                                                  message):
     _, cfg_path = pretrained
@@ -1253,10 +1258,13 @@ class TestScoreCommand:
 
     def test_missing_checkpoint_flag(self, pretrained, tmp_path, capsys):
         out, cfg_path = pretrained
-        rc = cli.main(["score", "--config", str(cfg_path), "--out", str(tmp_path),
+        rc = cli.main(["score", "--config", str(cfg_path), "--out", str(tmp_path / "out"),
                        "--sentence", "the _ fits .", "--candidate1", "a",
                        "--candidate2", "b"])
-        assert rc != 0
+        assert rc == 1
+        assert capsys.readouterr() == ("", "error: winoref score: the following "
+                                           "arguments are required: --checkpoint\n")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestGenData:
@@ -1272,7 +1280,7 @@ class TestGenData:
         # the README quickstart's input files, at gen-data's default counts:
         # a change to a word pool, a pool size, a default count or the order
         # of the draws shows here
-        rc = cli.main(["gen-data", "--out", str(tmp_path), "--seed", "0"])
+        rc = cli.main(["gen-data", "--out", str(tmp_path), "--runtime.seed=0"])
         assert rc == 0
         digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                    for name in ("corpus.jsonl", "benchmark.jsonl")}
@@ -1336,7 +1344,6 @@ def test_output_root_is_made_only_when_a_file_is_written(pretrained, data_dir, t
     # the README's `winoref score` used to leave an empty ./out behind
     out, cfg_path = pretrained
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("WINOREF_OUT", raising=False)
     ckpt = ["--checkpoint", str(out / "init.ckpt.json")]
     inst = load_benchmark(data_dir / "bench_a.jsonl")[0]
     assert cli.main(["score", "--config", str(cfg_path), *ckpt, "--sentence",
@@ -1358,11 +1365,14 @@ def test_main_leaves_the_error_state_as_it_found_it(tmp_path, argv):
         assert np.geterr() == before
 
 
-def test_env_var_output_root(data_dir, tmp_path, monkeypatch):
+def test_output_root_is_out_whatever_the_environment(tmp_path, monkeypatch):
+    # the output root is --out alone; the variable that used to move it
+    # moves it no more
+    monkeypatch.chdir(tmp_path)
     monkeypatch.setenv("WINOREF_OUT", str(tmp_path / "envout"))
-    rc = cli.main(["gen-data", "--groups", "3", "--instances", "2"])
-    assert rc == 0
-    assert (tmp_path / "envout" / "corpus.jsonl").exists()
+    assert cli.main(["gen-data", "--groups", "3", "--instances", "2"]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
+    assert (tmp_path / "out" / "corpus.jsonl").exists()
 
 
 def test_float32_precision_runs(data_dir, tmp_path):

@@ -174,7 +174,7 @@ def cli_matrix(work):
         (["ablate", *run, "--out", f"{w}/ablate"], 0),
         (["sweep", *run, "--out", f"{w}/sweep", "--grid", "alpha=0,1"], 0),
         (["score", *run, "--checkpoint", f"{w}/refined.ckpt.json", *score], 0),
-        (["pretrain", *f32, "--seed", "1"], 0),
+        (["pretrain", *f32, "--runtime.seed=1"], 0),
         (["refine", *f32], 0),
         (["evaluate", *f32, "--checkpoint", f"{w}/f32/refined.ckpt.json", bench], 0),
         (["score", *f32, "--checkpoint", f"{w}/f32/refined.ckpt.json", *score], 0),
