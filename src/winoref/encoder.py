@@ -10,6 +10,7 @@ costs any work downstream.
 """
 
 import copy
+import functools
 import math
 from dataclasses import asdict, dataclass, fields
 
@@ -95,23 +96,34 @@ def _param_table(cfg, blocks):
                     ("mlm_bias", (v,), 0.0)]
 
 
-def draw_params(table, seed):
-    """Trainable parameters from a (name, shape, fill) table, in its order; a
-    fill of None is a draw from N(0, INIT_SCALE) of the generator of ``seed``."""
+def draw_params(table, seed, dtype=None):
+    """Trainable parameters from a (name, shape, fill) table, in its order, in
+    ``dtype`` (None: the current precision); a fill of None is a draw from
+    N(0, INIT_SCALE) of the generator of ``seed``."""
     rng = np.random.default_rng(seed)
     return {name: Tensor(rng.normal(0.0, INIT_SCALE, size=shape) if fill is None
-                         else np.full(shape, fill), requires_grad=True)
+                         else np.full(shape, fill), requires_grad=True, dtype=dtype)
             for name, shape, fill in table}
 
 
 class EncoderModel:
-    """Parameter container plus config; all parameters are trainable leaves."""
+    """Parameter container plus config; all parameters are trainable leaves.
+
+    A model draws nothing when it is built: ``params`` is drawn from the
+    seed, in the precision current at construction, when it is first read,
+    unless ``load_arrays`` has set it first, as a restore does."""
 
     def __init__(self, config, seed):
         if config.vocab_size <= 0:
             raise ValueError("vocab_size must be set before building a model")
         self.config = config
-        self.params = draw_params(_param_table(config, range(config.layers)), seed)
+        self.seed = seed
+        self.dtype = T._DTYPE
+
+    @functools.cached_property
+    def params(self):
+        return draw_params(_param_table(self.config, range(self.config.layers)),
+                           self.seed, self.dtype)
 
     def named_params(self):
         return list(self.params.items())
@@ -120,28 +132,34 @@ class EncoderModel:
         return {name: p.data for name, p in self.params.items()}
 
     def load_arrays(self, named):
-        """Set every parameter from ``named``, cast to the model's dtype, by
-        writing into the parameter's own array, so an optimizer's views of
-        it stay bound. A missing, extra, misshapen, non-float or non-finite
-        parameter is rejected, naming it, before any parameter is written."""
-        extra = sorted(set(named) - set(self.params))
+        """Set the parameters, unread so far, to copies of ``named`` cast to
+        the model's dtype, so nothing is drawn. A missing, extra, misshapen,
+        non-float or non-finite parameter is rejected, naming it, before any
+        parameter is set; so is a load into a model whose parameters were
+        read, as it would orphan every view of them."""
+        table = _param_table(self.config, range(self.config.layers))
+        extra = sorted(set(named) - {name for name, _, _ in table})
         if extra:
             raise ValueError(f"checkpoint has parameters the model does not: {extra}")
-        for name, p in self.params.items():
+        cast = {}
+        for name, shape, _ in table:
             if name not in named:
                 raise ValueError(f"checkpoint missing parameter {name!r}")
-            if tuple(named[name].shape) != p.data.shape:
+            if tuple(named[name].shape) != shape:
                 raise ValueError(f"parameter {name!r}: checkpoint shape "
-                                 f"{named[name].shape} != model shape {p.data.shape}")
+                                 f"{named[name].shape} != model shape {shape}")
             if named[name].dtype.kind != "f":
                 raise ValueError(f"parameter {name!r}: checkpoint dtype "
                                  f"{named[name].dtype} is not a floating-point type")
             with np.errstate(over="ignore"):   # an overflow is rejected below
-                cast = named[name].astype(p.data.dtype, copy=False)
-            if not np.isfinite(cast).all():
+                cast[name] = np.array(named[name], dtype=self.dtype)
+            if not np.isfinite(cast[name]).all():
                 raise ValueError(f"parameter {name!r} holds a NaN or infinite value")
-        for name, p in self.params.items():
-            p.data[...] = named[name]
+        if "params" in vars(self):
+            raise ValueError("the model's parameters were read before load_arrays; "
+                             "load into a model whose parameters are unread")
+        self.params = {name: Tensor(a, requires_grad=True, dtype=a.dtype)
+                       for name, a in cast.items()}
 
     def detached(self):
         """The model with each parameter a constant that shares its array, no
@@ -152,7 +170,7 @@ class EncoderModel:
         return view
 
     def clone(self):
-        other = EncoderModel.__new__(EncoderModel)
+        other = copy.copy(self)
         other.config = copy.deepcopy(self.config)
         other.params = {name: Tensor(p.data.copy(), requires_grad=True,
                                      dtype=p.data.dtype)

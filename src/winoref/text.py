@@ -86,14 +86,14 @@ class Vocabulary:
         tokens = doc.get("tokens")
         if not (isinstance(tokens, list) and all(isinstance(t, str) for t in tokens)):
             raise ValueError(f"{path}: tokens must be a list of strings")
-        if len(set(tokens)) != len(tokens):
+        ids = {t: i for i, t in enumerate(tokens)}
+        if len(ids) != len(tokens):
             raise ValueError(f"{path}: a token appears twice, so the ids "
                              f"after it would shift")
         if tokens[:FIRST_WORD_ID] != RESERVED_TOKENS:
             raise ValueError(f"{path}: reserved id block is damaged")
-        vocab = cls()
-        for t in tokens[FIRST_WORD_ID:]:
-            vocab.add(t)
+        vocab = cls.__new__(cls)
+        vocab._tokens, vocab._ids = tokens, ids
         return vocab
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import winoref.tensor as T
-from winoref import encoder
+from winoref import checkpoint, cli, encoder
 from winoref import evaluate as ev
 from winoref.encoder import (ENCODE_CHUNK, EncoderConfig, EncoderModel,
                              PretrainConfig, _attention, apply_mlm_masking, encode,
@@ -223,6 +223,52 @@ class TestEncode:
                      vocab_size=40)
         with pytest.raises(ValueError, match=message):
             EncoderModel(EncoderConfig(**{**sizes, key: value}), seed=0)
+
+
+class TestDrawAtFirstRead:
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_a_restore_draws_nothing(self, small_setup, monkeypatch, tmp_path, dtype):
+        vocab, cfg, _, _ = small_setup
+        T.set_dtype(dtype)
+        saved = EncoderModel(cfg, seed=4).param_arrays()
+        path = tmp_path / "model.ckpt.json"
+        checkpoint.save(path, saved, {"encoder_config": cfg.to_dict()})
+
+        def draw(*args, **kwargs):
+            raise AssertionError("a parameter was drawn")
+
+        monkeypatch.setattr(encoder, "draw_params", draw)
+        loaded = cli._load_model(path, vocab, "vocab.json").param_arrays()
+        assert list(loaded) == list(saved)
+        for name, arr in loaded.items():
+            assert arr.dtype == saved[name].dtype, name
+            assert arr.tobytes() == saved[name].tobytes(), name
+
+    @pytest.mark.parametrize("built,read", itertools.product(["float32", "float64"],
+                                                             repeat=2))
+    def test_first_read_draws_the_table_in_the_precision_of_construction(
+            self, small_setup, built, read):
+        _, cfg, _, _ = small_setup
+        T.set_dtype(built)
+        model = EncoderModel(cfg, seed=6)
+        want = encoder.draw_params(encoder._param_table(cfg, range(cfg.layers)), 6)
+        T.set_dtype(read)
+        got = model.param_arrays()
+        assert list(got) == list(want)
+        for name, p in want.items():
+            assert got[name].dtype == p.data.dtype == T.DTYPES[built], name
+            assert got[name].tobytes() == p.data.tobytes(), name
+
+    def test_load_after_a_read_is_refused_and_changes_nothing(self, small_setup):
+        _, cfg, _, _ = small_setup
+        model = EncoderModel(cfg, seed=1)
+        params = model.named_params()
+        before = {name: p.data.copy() for name, p in params}
+        with pytest.raises(ValueError, match="read before load_arrays"):
+            model.load_arrays(EncoderModel(cfg, seed=2).param_arrays())
+        assert model.named_params() == params
+        for name, p in params:
+            assert p.data.tobytes() == before[name].tobytes(), name
 
 
 def word_row(rng, length, cfg):

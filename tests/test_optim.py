@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 import winoref.tensor as T
-from winoref.encoder import EncoderConfig, EncoderModel
 from winoref.optim import BLOCK, AdamW
 from winoref.tensor import MissingGradError, Tensor
 
@@ -177,25 +176,6 @@ def test_mixed_dtypes_give_the_reference_bits(wd, warmup):
     grads = [[rng.normal(size=s).astype(d) for s, d in layout] for _ in range(6)]
     step_against_reference(AdamW(params, lr=0.03, weight_decay=wd,
                                  warmup_steps=warmup), grads)
-
-
-@pytest.mark.parametrize("dtype", ["float32", "float64"])
-def test_scratch_buffers_after_load_arrays_writes_the_data_in_place(dtype):
-    # load_arrays writes into the optimizer's views, which stay bound
-    T.set_dtype(dtype)
-    cfg = EncoderConfig(layers=1, heads=2, model_dim=8, ff_dim=16, max_len=6,
-                        vocab_size=20)
-    model = EncoderModel(cfg, seed=0)
-    opt = AdamW(model.named_params(), lr=0.01, weight_decay=0.01, warmup_steps=3)
-    views = [p.data for _, p in model.named_params()]
-    loaded = {name: p.data for name, p in EncoderModel(cfg, seed=1).named_params()}
-    model.load_arrays(loaded)
-    for (name, p), view in zip(model.named_params(), views):
-        assert p.data is view and p.data.tobytes() == loaded[name].tobytes()
-    rng = np.random.default_rng(12)
-    grads = [[rng.normal(size=p.data.shape).astype(dtype)
-              for _, p in model.named_params()] for _ in range(8)]
-    step_against_reference(opt, grads)
 
 
 @pytest.mark.parametrize("attr", ["data", "grad"])
